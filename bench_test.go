@@ -208,69 +208,109 @@ func BenchmarkAblationFabric(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIndex compares flat-map subset probing against the
-// classic hash-tree candidate index on the same counting workload.
-func BenchmarkAblationIndex(b *testing.B) {
+// countFixture is one counting pass's inputs at bench scale: C_k at 1%
+// minimum support (the all-pairs-dense C_2, or the sparse C_3 generated from
+// L_2) and every transaction already extended and member-filtered, so the
+// arms below time counting alone.
+type countFixture struct {
+	cands [][]item.Item
+	exts  [][]item.Item
+}
+
+func newCountFixture(b *testing.B, k int) countFixture {
+	b.Helper()
 	ds := benchDataset(b)
-	res, err := cumulate.Mine(ds.Taxonomy, ds.DB, cumulate.Config{MinSupport: 0.01, MaxK: 1})
+	res, err := cumulate.Mine(ds.Taxonomy, ds.DB, cumulate.Config{MinSupport: 0.01, MaxK: k - 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	l1 := res.LargeK(1)
-	flat := make([]item.Item, len(l1))
 	large := make([]bool, ds.Taxonomy.NumItems())
-	for i, c := range l1 {
-		flat[i] = c.Items[0]
+	for _, c := range res.LargeK(1) {
 		large[c.Items[0]] = true
 	}
-	prev := make([][]item.Item, len(l1))
-	for i, c := range l1 {
-		prev[i] = c.Items
+	var prev [][]item.Item
+	for _, c := range res.LargeK(k - 1) {
+		prev = append(prev, c.Items)
 	}
-	cands := cumulate.GenerateCandidates(ds.Taxonomy, prev, 2)
-	member := cumulate.KeepSet(ds.Taxonomy, cands)
+	fx := countFixture{cands: cumulate.GenerateCandidates(ds.Taxonomy, prev, k)}
+	if len(fx.cands) == 0 {
+		b.Fatalf("no %d-candidates at bench scale", k)
+	}
+	member := cumulate.KeepSet(ds.Taxonomy, fx.cands)
 	view := taxonomy.NewView(ds.Taxonomy, large, member)
+	ds.DB.Scan(func(t txn.Transaction) error {
+		fx.exts = append(fx.exts, cumulate.ExtendFiltered(view, member, nil, t.Items))
+		return nil
+	})
+	return fx
+}
 
-	b.Run("flat-map", func(b *testing.B) {
-		table := itemset.NewTable(len(cands))
-		for _, c := range cands {
-			table.Add(c)
-		}
-		scratch := make([]item.Item, 0, 64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ds.DB.Scan(func(t txn.Transaction) error {
-				ext := cumulate.ExtendFiltered(view, member, scratch[:0], t.Items)
-				scratch = ext
-				itemset.ForEachSubset(ext, 2, func(sub []item.Item) bool {
-					if id := table.Lookup(sub); id >= 0 {
-						table.Increment(id)
-					}
-					return true
-				})
-				return nil
-			})
-		}
-	})
-	b.Run("hash-tree", func(b *testing.B) {
-		table := itemset.NewTable(len(cands))
-		tree := itemset.NewHashTree(2, 16, 32)
-		for _, c := range cands {
-			tree.Insert(table.Add(c), c)
-		}
-		scratch := make([]item.Item, 0, 64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ds.DB.Scan(func(t txn.Transaction) error {
-				ext := cumulate.ExtendFiltered(view, member, scratch[:0], t.Items)
-				scratch = ext
-				tree.Match(ext, func(id int32) { table.Increment(id) })
-				return nil
-			})
-		}
-	})
+// BenchmarkAblationIndex compares the two ways of counting one pass over the
+// same index: enumerate every k-subset and probe the flat hash (what every
+// counting site did before the prefix layout, and what HPGM's sender still
+// must do to ship them) against the prefix-pruned containment kernel. One
+// op is one full scan. This arm is what retired itemset.HashTree.
+func BenchmarkAblationIndex(b *testing.B) {
+	for _, k := range []int{2, 3} {
+		fx := newCountFixture(b, k)
+		index := itemset.BuildIndex(fx.cands)
+		counts := make([]int64, len(fx.cands))
+		b.Run(fmt.Sprintf("k%d/probe", k), func(b *testing.B) {
+			scratch := make([]item.Item, k)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, ext := range fx.exts {
+					itemset.ForEachSubsetScratch(ext, k, scratch, func(sub []item.Item) bool {
+						if id := index.Lookup(sub); id >= 0 {
+							counts[id]++
+						}
+						return true
+					})
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("k%d/prefix", k), func(b *testing.B) {
+			var stamps itemset.Stamps
+			for _, ext := range fx.exts { // grow the stamps; the empty id window counts nothing
+				index.CountContained(ext, 0, 0, counts, &stamps)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, ext := range fx.exts {
+					index.CountContained(ext, 0, int32(len(counts)), counts, &stamps)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCountContained measures the containment kernel per transaction
+// on its two regimes — the dense C_2, where nearly every pair is a candidate,
+// and the sparse C_3, where most triples are not — and must report
+// 0 allocs/op.
+func BenchmarkCountContained(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		k    int
+	}{{"k2-dense", 2}, {"k3-sparse", 3}} {
+		fx := newCountFixture(b, c.k)
+		index := itemset.BuildIndex(fx.cands)
+		counts := make([]int64, len(fx.cands))
+		b.Run(c.name, func(b *testing.B) {
+			var stamps itemset.Stamps
+			for _, ext := range fx.exts { // grow the stamps; the empty id window counts nothing
+				index.CountContained(ext, 0, 0, counts, &stamps)
+			}
+			var hits int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hits += index.CountContained(fx.exts[i%len(fx.exts)], 0, int32(len(counts)), counts, &stamps)
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
+	}
 }
 
 // BenchmarkProbe isolates one candidate-table probe: the packed-string map

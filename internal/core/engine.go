@@ -111,13 +111,13 @@ func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 
 	// The candidate set is replicated: one shared index plus a per-node
 	// count vector stands in for N identical hash tables (see candCache).
-	// Each fragment covers the id range [f*per, f*per+per); a probe that
-	// hits outside the current fragment is the simulated table miss.
+	// Each fragment covers the id range [f*per, f*per+per); a contained
+	// candidate outside the current fragment is the simulated table miss.
 	//
 	// NPGM has no count-support communication, so intra-node parallelism is
-	// pure sharding: every worker probes the shared read-only index
-	// (Index.Lookup is pure and allocation-free) into its own count vector,
-	// merged once after the last fragment.
+	// pure sharding: every worker counts over the shared read-only index
+	// (Index.CountContained only reads it) into its own count vector, merged
+	// once after the last fragment.
 	W := n.Workers()
 	index := m.cands.fullIndex(k, cands, W)
 	wcounts := driver.WorkerVectors(W, len(cands))

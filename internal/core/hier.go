@@ -21,10 +21,10 @@ type hierWorker struct {
 	bat         *driver.Batcher
 	dupCounts   []int64
 	dupExt      []item.Item
+	dupStamps   itemset.Stamps
 	tPrime      []item.Item
 	group       []item.Item
 	multiset    []item.Item
-	sub         []item.Item
 	rootRuns    []rootRun
 	rootsByDest [][]item.Item
 	touched     []int
@@ -80,6 +80,11 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	plan := e.cur
 	owners, dupFlag := plan.owners, plan.dup
 
+	// anyPartitioned is false when the plan duplicated every candidate (the
+	// no-budget TGD/PGD/FGD case): nothing is owned, so no item group can be
+	// of use to any node and the scan skips routing altogether.
+	anyPartitioned := len(plan.dupSets) < len(cands)
+
 	// vecInfo drives routing: owner of each root vector and how many
 	// candidates of that vector remain partitioned (not duplicated). A
 	// vector whose candidates were all duplicated needs no communication —
@@ -89,35 +94,37 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	// collision merges two vectors into one entry; that is harmless: the
 	// owner is hash-derived so it is identical for both, and a merged
 	// remaining count can only route an item group to a node that needs it
-	// for the other vector — receivers count through exact table lookups, so
-	// support counts cannot change.
+	// for the other vector — receivers count exact containment, so support
+	// counts cannot change.
 	type vecEntry struct {
 		owner     int
 		remaining int
 	}
-	vecInfo := make(map[uint64]*vecEntry)
-	for i := range cands {
-		ve := vecInfo[plan.vecHashes[i]]
-		if ve == nil {
-			ve = &vecEntry{owner: owners[i]}
-			vecInfo[plan.vecHashes[i]] = ve
-		}
-		if !dupFlag.get(int32(i)) {
-			ve.remaining++
+	var vecInfo map[uint64]*vecEntry
+	var ownedCands [][]item.Item
+	if anyPartitioned {
+		vecInfo = make(map[uint64]*vecEntry)
+		for i, c := range cands {
+			ve := vecInfo[plan.vecHashes[i]]
+			if ve == nil {
+				ve = &vecEntry{owner: owners[i]}
+				vecInfo[plan.vecHashes[i]] = ve
+			}
+			if !dupFlag.get(int32(i)) {
+				ve.remaining++
+				if owners[i] == self {
+					ownedCands = append(ownedCands, c)
+				}
+			}
 		}
 	}
 
-	// Per-node state. The owned table is touched only by the receiver
+	// Per-node state. Owned candidates are counted only by the receiver
 	// goroutine during the count phase; duplicated candidates are counted
 	// into per-worker vectors (over the shared read-only dupIndex) merged at
 	// the scan barrier.
-	var ownedCands [][]item.Item
-	for i, c := range cands {
-		if owners[i] == self && !dupFlag.get(int32(i)) {
-			ownedCands = append(ownedCands, c)
-		}
-	}
-	ownedTable := itemset.NewTableFrom(ownedCands, W)
+	ownedIndex := itemset.BuildIndexParallel(ownedCands, W)
+	ownedCounts := make([]int64, len(ownedCands))
 	ownedMember := cumulate.KeepSet(m.tax, ownedCands)
 	ownedView := taxonomy.NewView(m.tax, m.largeFlags, ownedMember)
 	dupMember := cumulate.KeepSet(m.tax, plan.dupSets)
@@ -127,21 +134,16 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	// Receiver: one unit is the item group t'' a peer selected for us;
 	// candidates contained in its ancestor closure are counted, covering
 	// both the k-itemsets generated from t'' and "all its ancestor
-	// candidates" (Figure 5 lines (12)/(16)). The receiver alone touches
-	// the owned table; scan workers only route.
+	// candidates" (Figure 5 lines (12)/(16)). Each group offers the owned
+	// table C(|t''-closure|, k) probes. The receiver alone touches the owned
+	// counts; scan workers only route.
 	applyScratch := make([]item.Item, 0, 64)
-	applySub := make([]item.Item, 0, 2*k)
+	var applyStamps itemset.Stamps
 	xsp := n.Span("exchange")
 	cp := n.StartExchange(driver.ItemsApplier(func(items []item.Item) {
-		ext := cumulate.ExtendFiltered(ownedView, ownedMember, applyScratch[:0], items)
-		applyScratch = ext
-		itemset.ForEachSubsetScratch(ext, k, applySub, func(sub []item.Item) bool {
-			if id := ownedTable.Lookup(sub); id >= 0 {
-				ownedTable.Increment(id)
-				st.Increments++
-			}
-			return true
-		})
+		applyScratch = cumulate.ExtendFiltered(ownedView, ownedMember, applyScratch[:0], items)
+		st.Probes += itemset.Choose(len(applyScratch), k)
+		st.Increments += ownedIndex.CountContained(applyScratch, 0, int32(len(ownedCands)), ownedCounts, &applyStamps)
 	}))
 
 	// Per-worker scan state: each worker owns a batcher, a duplicated-table
@@ -155,7 +157,6 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			rootsByDest: make([][]item.Item, nNodes),
 			touched:     make([]int, 0, nNodes),
 			rootRuns:    make([]rootRun, 0, 16),
-			sub:         make([]item.Item, 0, 2*k),
 		}
 	}
 
@@ -177,14 +178,11 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		// vector.
 		if len(wk.dupCounts) > 0 {
 			wk.dupExt = cumulate.ExtendFiltered(dupView, dupMember, wk.dupExt[:0], t.Items)
-			itemset.ForEachSubsetScratch(wk.dupExt, k, wk.sub, func(sub []item.Item) bool {
-				wk.stats.Probes++
-				if id := plan.dupIndex.Lookup(sub); id >= 0 {
-					wk.dupCounts[id]++
-					wk.stats.Increments++
-				}
-				return true
-			})
+			wk.stats.Probes += itemset.Choose(len(wk.dupExt), k)
+			wk.stats.Increments += plan.dupIndex.CountContained(wk.dupExt, 0, int32(len(wk.dupCounts)), wk.dupCounts, &wk.dupStamps)
+		}
+		if !anyPartitioned {
+			return nil
 		}
 
 		// t': items replaced by their closest-to-bottom large ancestor.
@@ -250,12 +248,19 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	}
 	driver.MergeWorkerStats(st, wblocks)
 	st.ScanTime = time.Since(started)
-	st.Probes += ownedTable.Probes()
 
-	ownedSets, ownedCounts := largeOf(ownedTable, n.MinCount())
+	// L_k^n: the owned candidates meeting the minimum count, in id order.
+	var largeSets [][]item.Item
+	var largeCounts []int64
+	for id, c := range ownedCounts {
+		if c >= n.MinCount() {
+			largeSets = append(largeSets, ownedCands[id])
+			largeCounts = append(largeCounts, c)
+		}
+	}
 	return engineOut{
-		ownedSets:   ownedSets,
-		ownedCounts: ownedCounts,
+		ownedSets:   largeSets,
+		ownedCounts: largeCounts,
 		dupSets:     plan.dupSets,
 		dupCounts:   dupCounts,
 		duplicated:  len(plan.dupSets),

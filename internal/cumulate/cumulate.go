@@ -43,7 +43,8 @@ type Result struct {
 	// lexicographically ordered.
 	Large   [][]itemset.Counted
 	NumTxns int
-	// Probes counts candidate-table lookups across all passes.
+	// Probes counts the k-subsets of extended transactions offered to the
+	// candidate table across all passes k >= 2: C(|t'|, k) per transaction.
 	Probes int64
 	// BlocksScanned/BlocksSkipped profile the block-granular scan path when
 	// the database is a columnar partition: blocks decoded vs. blocks the
@@ -138,7 +139,7 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 	// Pass 1: count items and all their ancestors, once per transaction.
 	counts := make([]int64, tax.NumItems())
 	scratch := make([]item.Item, 0, 64)
-	subScratch := make([]item.Item, 0, 16)
+	var stamps itemset.Stamps
 	var scanStats txn.ScanStats
 	err := txn.ScanFiltered(db, nil, &scanStats, func(t txn.Transaction) error {
 		scratch = tax.ExtendTransaction(scratch[:0], t.Items)
@@ -178,35 +179,31 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 			break
 		}
 		res.Plan = append(res.Plan, StaticPlan(k, len(cands)))
-		table := itemset.NewTable(len(cands))
-		for _, c := range cands {
-			table.Add(c)
-		}
+		index := itemset.BuildIndex(cands)
+		counts := make([]int64, len(cands))
 		member := KeepSet(tax, cands)
 		view := taxonomy.NewView(tax, large, member)
 
-		if cap(subScratch) < k {
-			subScratch = make([]item.Item, 0, 2*k)
-		}
 		// On a columnar partition the per-pass candidate predicate skips
 		// blocks that cannot contain any candidate; other sources scan plain.
 		pred := txn.NewPredicate(tax, cands)
 		err := txn.ScanFiltered(db, pred, &scanStats, func(t txn.Transaction) error {
-			ext := ExtendFiltered(view, member, scratch[:0], t.Items)
-			scratch = ext
-			itemset.ForEachSubsetScratch(ext, k, subScratch, func(sub []item.Item) bool {
-				if id := table.Lookup(sub); id >= 0 {
-					table.Increment(id)
-				}
-				return true
-			})
+			scratch = ExtendFiltered(view, member, scratch[:0], t.Items)
+			res.Probes += itemset.Choose(len(scratch), k)
+			index.CountContained(scratch, 0, int32(len(cands)), counts, &stamps)
 			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cumulate: pass %d: %w", k, err)
 		}
-		res.Probes += table.Probes()
-		lk := table.Large(minCount)
+		// cands is lexicographically sorted, so L_k comes out sorted too. The
+		// survivors are cloned so the result does not pin C_k's arena.
+		var lk []itemset.Counted
+		for id, c := range counts {
+			if c >= minCount {
+				lk = append(lk, itemset.Counted{Items: item.Clone(cands[id]), Count: c})
+			}
+		}
 		if len(lk) == 0 {
 			break
 		}

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"pgarm/internal/cumulate"
-	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
@@ -22,17 +21,20 @@ type CountOptions struct {
 	// disables them.
 	Obs ShardObs
 	// WStats accumulates TxnsScanned, Probes, Increments and block
-	// counters per worker, exactly as the batch engines record them. It
-	// must hold at least Workers slots (min 1).
+	// counters per worker, exactly as the batch engines record them:
+	// Probes is the paper's count of k-subsets offered to the candidate
+	// table, C(|t'|, k) per extended transaction, whatever the index does
+	// to answer them. It must hold at least Workers slots (min 1).
 	WStats []metrics.NodeStats
 }
 
 // CountTable counts support for the candidates behind index over one
 // transaction source: each transaction is extended with its kept ancestors
-// (view), filtered to candidate members (member), and every k-subset is
-// probed against the index, incrementing wcounts. It is the count-support
-// kernel shared by the batch NPGM pass and the incremental miner's delta
-// and prefix scans, so both count bit-identically by construction.
+// (view), filtered to candidate members (member), and every indexed
+// k-itemset it contains increments wcounts (Index.CountContained). It is the
+// count-support scan shared by the batch NPGM pass and the incremental
+// miner's delta and prefix scans, so both count bit-identically by
+// construction.
 //
 // wcounts must have opt.Workers (min 1) vectors of length index.Len();
 // callers fold them with MergeWorkerVectors. src must support concurrent
@@ -48,21 +50,14 @@ func CountTable(view *taxonomy.View, member []bool, index *itemset.Index, k int,
 		hi = int32(index.Len())
 	}
 	wext := WorkerScratch(W, 64)
-	wsub := WorkerScratch(W, 2*k)
+	wstamps := make([]itemset.Stamps, W)
 	return ScanTxnShards(src, opt.Pred, W, opt.Obs, opt.WStats, func(w int, t txn.Transaction) error {
 		ws := &opt.WStats[w]
 		ws.TxnsScanned++
 		ext := cumulate.ExtendFiltered(view, member, wext[w][:0], t.Items)
 		wext[w] = ext
-		counts := wcounts[w]
-		itemset.ForEachSubsetScratch(ext, k, wsub[w], func(sub []item.Item) bool {
-			ws.Probes++
-			if id := index.Lookup(sub); id >= lo && id < hi {
-				counts[id]++
-				ws.Increments++
-			}
-			return true
-		})
+		ws.Probes += itemset.Choose(len(ext), k)
+		ws.Increments += index.CountContained(ext, lo, hi, wcounts[w], &wstamps[w])
 		return nil
 	})
 }

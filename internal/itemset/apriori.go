@@ -100,10 +100,10 @@ func ForEachSubset(txn []item.Item, k int, fn func(subset []item.Item) bool) {
 }
 
 // ForEachSubsetScratch is ForEachSubset with a caller-provided scratch
-// buffer (cap >= k avoids the internal allocation). The count-support hot
-// path calls this once per transaction with a per-worker buffer, so subset
-// enumeration performs no heap allocation: the combination is advanced
-// iteratively rather than by a recursive closure.
+// buffer (cap >= k avoids the internal allocation). HPGM's sender calls this
+// once per transaction with a per-worker buffer — it must ship every
+// k-subset to its owner — so subset enumeration performs no heap allocation:
+// the combination is advanced iteratively rather than by a recursive closure.
 func ForEachSubsetScratch(txn []item.Item, k int, scratch []item.Item, fn func(subset []item.Item) bool) {
 	n := len(txn)
 	if k <= 0 || k > n {

@@ -7,10 +7,10 @@ import "pgarm/internal/item"
 // linearly. Keys live with their owner — Table and Index both keep the
 // canonical itemsets by dense id — so a probe hashes the query in place and
 // compares against stored items (or their packed-key form) without building
-// a map key. That removes the per-probe string allocation the previous
-// map[string]int32 design paid on every candidate lookup: the count-support
-// hot path performs millions of probes per pass and now performs zero heap
-// allocations.
+// a map key, and a lookup performs zero heap allocations. It serves point
+// lookups — HPGM's receiver, duplicate selection, candidate generation's
+// prune; whole-transaction support counting goes through the prefix layout
+// instead (Index.CountContained).
 type flatProbe struct {
 	slots []int32 // candidate id + 1; 0 marks an empty slot
 	mask  uint64

@@ -2,18 +2,21 @@ package itemset
 
 import "pgarm/internal/item"
 
-// Index is an immutable itemset -> dense-id lookup over a fixed candidate
+// Index is an immutable itemset -> dense-id structure over a fixed candidate
 // list. Unlike Table it carries no counts and no probe counter, so one Index
 // can be shared read-only by every node of a simulated cluster while each
 // node keeps its own count vector — the memory layout that lets a 16-node
 // in-process cluster replicate multi-million-entry candidate sets (NPGM, and
 // the TGD/PGD/FGD duplicated tables) without 16 physical copies.
 //
-// Lookups use the same open-addressed flat probe as Table: the query is
-// hashed in place and compared against the stored itemsets, so Lookup and
-// LookupPacked allocate nothing regardless of itemset size.
+// An Index answers two questions. Point lookups (Lookup, LookupPacked) go
+// through the same open-addressed flat probe as Table: the query is hashed
+// in place and compared against the stored itemsets. Support counting
+// (CountContained) walks a prefix layout of the same sets and never forms a
+// subset no indexed set starts with. Neither allocates.
 type Index struct {
 	idx  flatProbe
+	pre  prefixLayout
 	sets [][]item.Item
 }
 
@@ -29,6 +32,7 @@ func BuildIndex(sets [][]item.Item) *Index {
 			ix.idx.insert(int32(i), ix.itemsOf)
 		}
 	}
+	ix.pre.build(sets)
 	return ix
 }
 
@@ -45,8 +49,7 @@ func (ix *Index) Items(id int32) []item.Item { return ix.sets[id] }
 func (ix *Index) Sets() [][]item.Item { return ix.sets }
 
 // Lookup returns the id of a canonical itemset, or -1. It is pure, performs
-// no heap allocation, and is safe for concurrent use; callers count their
-// own probes.
+// no heap allocation, and is safe for concurrent use.
 func (ix *Index) Lookup(items []item.Item) int32 {
 	return ix.idx.findItems(items, ix.itemsOf)
 }

@@ -218,68 +218,6 @@ func TestGenProperty(t *testing.T) {
 	}
 }
 
-func TestHashTreeMatchesTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 40; trial++ {
-		k := 2 + rng.Intn(2)
-		tbl := NewTable(64)
-		tree := NewHashTree(k, 4, 2) // tiny leaves force deep splits
-		seen := map[string]bool{}
-		for i := 0; i < 60; i++ {
-			s := make([]item.Item, 0, k)
-			for len(s) < k {
-				s = item.Dedup(append(s, item.Item(rng.Intn(25))))
-			}
-			if seen[Key(s)] {
-				continue
-			}
-			seen[Key(s)] = true
-			id := tbl.Add(s)
-			tree.Insert(id, tbl.Get(id).Items)
-		}
-		// Random transaction; compare matched candidate id sets.
-		txn := make([]item.Item, 0, 12)
-		for len(txn) < 10 {
-			txn = item.Dedup(append(txn, item.Item(rng.Intn(25))))
-		}
-		want := map[int32]int{}
-		ForEachSubset(txn, k, func(s []item.Item) bool {
-			if id := tbl.Lookup(s); id >= 0 {
-				want[id]++
-			}
-			return true
-		})
-		got := map[int32]int{}
-		tree.Match(txn, func(id int32) { got[id]++ })
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: hash tree matched %d ids, table %d", trial, len(got), len(want))
-		}
-		for id, n := range want {
-			if n != 1 {
-				t.Fatalf("subset enumeration yielded duplicate id %d", id)
-			}
-			if got[id] != 1 {
-				t.Fatalf("trial %d: id %d matched %d times by tree", trial, id, got[id])
-			}
-		}
-	}
-}
-
-func TestHashTreeEmptyAndSmall(t *testing.T) {
-	tree := NewHashTree(2, 8, 16)
-	probes := tree.Match([]item.Item{1, 2, 3}, func(int32) { t.Error("empty tree matched") })
-	if probes != 0 {
-		t.Errorf("probes on empty tree = %d", probes)
-	}
-	tree.Insert(0, []item.Item{5, 9})
-	n := 0
-	tree.Match([]item.Item{1, 5, 9}, func(id int32) { n++ })
-	if n != 1 {
-		t.Errorf("matched %d, want 1", n)
-	}
-	tree.Match([]item.Item{5}, func(int32) { t.Error("k > |txn| must not match") })
-}
-
 func TestSortCounted(t *testing.T) {
 	cs := []Counted{
 		{Items: []item.Item{2, 3}, Count: 1},
@@ -354,9 +292,9 @@ func TestIndexLookupPacked(t *testing.T) {
 	}
 }
 
-// The zero-allocation contract of the candidate probing hot path: Table and
-// Index lookups, packed-key probes and scratch-buffer subset enumeration
-// must not touch the heap.
+// The zero-allocation contract of the candidate counting hot path: Table and
+// Index lookups, packed-key probes, scratch-buffer subset enumeration and the
+// containment kernel (once its stamps have grown) must not touch the heap.
 func TestProbePathZeroAlloc(t *testing.T) {
 	tbl := NewTable(64)
 	var sets [][]item.Item
@@ -371,6 +309,12 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	key := AppendKey(nil, hit)
 	txn := []item.Item{1, 2, 3, 4, 5, 6, 7, 8}
 	scratch := make([]item.Item, 3)
+	contained := []item.Item{3, 5, 9, 103, 105, 777, 1003, 1005, 1009, 5000}
+	counts := make([]int64, ix.Len())
+	var stamps Stamps
+	if got := ix.CountContained(contained, 0, int32(ix.Len()), counts, &stamps); got != 2 {
+		t.Fatalf("CountContained found %d sets, want 2", got)
+	}
 
 	cases := []struct {
 		name string
@@ -383,6 +327,9 @@ func TestProbePathZeroAlloc(t *testing.T) {
 		{"Index.LookupPacked", func() { ix.LookupPacked(key) }},
 		{"ForEachSubsetScratch", func() {
 			ForEachSubsetScratch(txn, 3, scratch, func(s []item.Item) bool { return true })
+		}},
+		{"Index.CountContained", func() {
+			ix.CountContained(contained, 0, int32(ix.Len()), counts, &stamps)
 		}},
 	}
 	for _, c := range cases {

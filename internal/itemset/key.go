@@ -1,8 +1,8 @@
 // Package itemset provides the itemset machinery shared by the sequential
 // Cumulate baseline and all six parallel algorithms: canonical itemset keys,
-// probe-counted candidate tables, the Apriori candidate generation
-// (join + prune), k-subset enumeration, and a classic hash-tree index as an
-// alternative to the flat table.
+// candidate tables and the shared read-only candidate index (hash point
+// lookups plus the prefix-layout containment kernel that counts support),
+// the Apriori candidate generation (join + prune) and k-subset enumeration.
 //
 // An itemset is a canonical []item.Item: strictly ascending, no duplicates.
 package itemset

@@ -319,7 +319,8 @@ func prefixRunBounds(sets [][]item.Item, p, workers int) []int {
 }
 
 // BuildIndexParallel is BuildIndex with the slot fill sharded across
-// workers. Ids, lookups and duplicate handling (first occurrence keeps the
+// workers (the prefix layout is one linear pass over the sets either way).
+// Ids, lookups, counting and duplicate handling (first occurrence keeps the
 // id) are identical to the sequential build.
 func BuildIndexParallel(sets [][]item.Item, workers int) *Index {
 	if workers <= 1 {
@@ -327,6 +328,7 @@ func BuildIndexParallel(sets [][]item.Item, workers int) *Index {
 	}
 	ix := &Index{sets: sets}
 	ix.idx.fillParallel(sets, workers)
+	ix.pre.build(sets)
 	return ix
 }
 

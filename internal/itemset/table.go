@@ -15,13 +15,15 @@ type Candidate struct {
 }
 
 // Table is a candidate itemset table with support counters and probe
-// accounting. A probe is one lookup performed while counting support — the
-// quantity Figure 15 of the paper plots per node to show load distribution.
+// accounting, for a node that answers point lookups: HPGM's receiver is
+// handed one k-itemset per unit and looks it up. Each lookup is one probe —
+// the k-subsets offered to the node's candidate table, which Figure 15 of
+// the paper plots per node to show load distribution. (Nodes that count
+// whole transactions use Index.CountContained and account the same quantity
+// in closed form, Choose(|t'|, k).)
 //
 // Lookups go through an open-addressed flat index keyed by the candidates'
-// packed-key form, so Lookup/LookupKey/LookupPacked allocate nothing — the
-// count-support phase probes the table once per enumerated subset and must
-// not touch the heap.
+// packed-key form, so Lookup/LookupKey/LookupPacked allocate nothing.
 //
 // Tables are owned by a single node goroutine and are not safe for
 // concurrent mutation.

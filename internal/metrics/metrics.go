@@ -16,7 +16,7 @@ import (
 type NodeStats struct {
 	Node          int
 	TxnsScanned   int64 // transactions read from local disk
-	Probes        int64 // candidate-table probes while counting
+	Probes        int64 // k-subsets offered to the node's candidate table while counting
 	Increments    int64 // sup_cou increments actually applied
 	ItemsSent     int64 // items shipped to other nodes (paper's "sends N items")
 	ItemsReceived int64 // items received from other nodes during count support
