@@ -13,6 +13,8 @@ import (
 
 	"pgarm/internal/core"
 	"pgarm/internal/cumulate"
+	"pgarm/internal/driver"
+	"pgarm/internal/engines"
 	"pgarm/internal/gen"
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
@@ -52,9 +54,9 @@ func benchParts(ds *gen.Dataset, n int) []txn.Scanner {
 	return out
 }
 
-func mustMine(b *testing.B, ds *gen.Dataset, cfg core.Config, nodes int) *core.Result {
+func mustMine(b *testing.B, ds *gen.Dataset, cfg engines.Spec, nodes int) *engines.Result {
 	b.Helper()
-	res, err := core.Mine(ds.Taxonomy, benchParts(ds, nodes), cfg)
+	res, err := engines.Run(ds.Taxonomy, benchParts(ds, nodes), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func BenchmarkTable6(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%dnodes", alg, nodes), func(b *testing.B) {
 				var recv float64
 				for i := 0; i < b.N; i++ {
-					res := mustMine(b, ds, core.Config{Algorithm: alg, MinSupport: 0.01, MaxK: 2}, nodes)
+					res := mustMine(b, ds, engines.Spec{Algorithm: alg, MinSupport: 0.01, MaxK: 2}, nodes)
 					recv = res.Stats.Pass(2).AvgBytesReceived()
 				}
 				b.ReportMetric(recv/1024, "KB-recv/node")
@@ -89,7 +91,7 @@ func BenchmarkFig13(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/minsup%.3g", alg, minsup), func(b *testing.B) {
 				var modeled float64
 				for i := 0; i < b.N; i++ {
-					res := mustMine(b, ds, core.Config{Algorithm: alg, MinSupport: minsup, MaxK: 2}, 16)
+					res := mustMine(b, ds, engines.Spec{Algorithm: alg, MinSupport: minsup, MaxK: 2}, 16)
 					modeled = cost.PassTime(*res.Stats.Pass(2)).Seconds()
 				}
 				b.ReportMetric(modeled*1000, "modeled-ms")
@@ -112,7 +114,7 @@ func BenchmarkFig14(b *testing.B) {
 		b.Run(string(alg), func(b *testing.B) {
 			var modeled float64
 			for i := 0; i < b.N; i++ {
-				res := mustMine(b, ds, core.Config{
+				res := mustMine(b, ds, engines.Spec{
 					Algorithm: alg, MinSupport: 0.005, MaxK: 2, MemoryBudget: benchBudget,
 				}, 16)
 				modeled = cost.PassTime(*res.Stats.Pass(2)).Seconds()
@@ -130,7 +132,7 @@ func BenchmarkFig15(b *testing.B) {
 		b.Run(string(alg), func(b *testing.B) {
 			var maxOverMean float64
 			for i := 0; i < b.N; i++ {
-				res := mustMine(b, ds, core.Config{
+				res := mustMine(b, ds, engines.Spec{
 					Algorithm: alg, MinSupport: 0.005, MaxK: 2, MemoryBudget: benchBudget,
 				}, 16)
 				maxOverMean = res.Stats.Pass(2).ProbeSkew().MaxOverMean
@@ -149,7 +151,7 @@ func BenchmarkFig16(b *testing.B) {
 		b.Run(string(alg), func(b *testing.B) {
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				cfg := core.Config{Algorithm: alg, MinSupport: 0.005, MaxK: 2, MemoryBudget: benchBudget}
+				cfg := engines.Spec{Algorithm: alg, MinSupport: 0.005, MaxK: 2, MemoryBudget: benchBudget}
 				t4 := cost.PassTime(*mustMine(b, ds, cfg, 4).Stats.Pass(2))
 				t16 := cost.PassTime(*mustMine(b, ds, cfg, 16).Stats.Pass(2))
 				speedup = 4 * t4.Seconds() / t16.Seconds()
@@ -167,7 +169,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 		b.Run(string(alg), func(b *testing.B) {
 			var items float64
 			for i := 0; i < b.N; i++ {
-				res := mustMine(b, ds, core.Config{Algorithm: alg, MinSupport: 0.01, MaxK: 2}, 8)
+				res := mustMine(b, ds, engines.Spec{Algorithm: alg, MinSupport: 0.01, MaxK: 2}, 8)
 				items = float64(res.Stats.Pass(2).TotalItemsSent())
 			}
 			b.ReportMetric(items, "items-shipped")
@@ -183,7 +185,7 @@ func BenchmarkAblationDuplication(b *testing.B) {
 		b.Run(fmt.Sprintf("budget%dMB", budget>>20), func(b *testing.B) {
 			var maxOverMean float64
 			for i := 0; i < b.N; i++ {
-				res := mustMine(b, ds, core.Config{
+				res := mustMine(b, ds, engines.Spec{
 					Algorithm: core.HHPGMFGD, MinSupport: 0.005, MaxK: 2, MemoryBudget: budget,
 				}, 16)
 				maxOverMean = res.Stats.Pass(2).ProbeSkew().MaxOverMean
@@ -197,10 +199,10 @@ func BenchmarkAblationDuplication(b *testing.B) {
 // loopback TCP fabric carrying identical payloads.
 func BenchmarkAblationFabric(b *testing.B) {
 	ds := benchDataset(b)
-	for name, kind := range map[string]core.FabricKind{"chan": core.FabricChan, "tcp": core.FabricTCP} {
+	for name, kind := range map[string]driver.FabricKind{"chan": driver.FabricChan, "tcp": driver.FabricTCP} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mustMine(b, ds, core.Config{
+				mustMine(b, ds, engines.Spec{
 					Algorithm: core.HHPGM, MinSupport: 0.01, MaxK: 2, Fabric: kind,
 				}, 8)
 			}
@@ -373,7 +375,7 @@ func BenchmarkWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mustMine(b, ds, core.Config{
+				mustMine(b, ds, engines.Spec{
 					Algorithm: core.HHPGM, MinSupport: 0.01, MaxK: 2, Workers: workers,
 				}, 4)
 			}
@@ -504,7 +506,7 @@ func BenchmarkSequentialPatterns(b *testing.B) {
 	for _, alg := range []seq.Algorithm{seq.NPSPM, seq.SPSPM} {
 		b.Run(string(alg), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := seq.MineParallel(tax, seq.Partition(db, 8), seq.ParallelConfig{
+				if _, err := seq.MineParallel(tax, seq.Partition(db, 8), engines.Spec{
 					Algorithm: alg, MinSupport: 0.03, MaxK: 3,
 				}); err != nil {
 					b.Fatal(err)

@@ -1,5 +1,9 @@
 // Command pgarm-bench regenerates the paper's evaluation tables and
-// figures (§4) on scaled versions of the Table 5 datasets.
+// figures (§4) on scaled versions of the Table 5 datasets, plus the two
+// experiments that extend them: the [SK98] sequence-miner sweep and the
+// skew-adaptation comparison. The repo's performance numbers — serving,
+// scanning, streaming, engine family against engine family — come from the
+// pipeline benchmark in bench/, not from here.
 //
 // Usage:
 //
@@ -8,12 +12,6 @@
 //	pgarm-bench -experiment all -scale 0.01 | tee results.txt
 //	pgarm-bench -experiment table6 -scale 0.002 -trace trace.json -json report.json
 //	pgarm-bench -experiment seq -nodes 8 -json seq.json
-//	pgarm-bench -experiment serve -scale 0.005 -clients 8 -requests 2000 -json serve.json
-//
-// -experiment serve is the serving-side load bench: it mines the dataset,
-// derives rules, stands up the pgarm-serve index over loopback HTTP and
-// replays a zipf-skewed basket mix with concurrent clients, reporting QPS and
-// p50/p99 latency with the recommendation cache off and on.
 //
 // -experiment adapt is the skew-adaptation bench: it splits the dataset into
 // zipf-sized partitions (node 0 hoards data and straggles) and mines them
@@ -23,30 +21,20 @@
 //
 //	pgarm-bench -experiment adapt -scale 0.005 -nodes 4 -zipf 1.5 -json adapt.json
 //
-// -experiment fpg is the miner-family head-to-head: the same partitioned
-// dataset mined at every swept support by the Cumulate-family candidate
-// engines and by the taxonomy-aware parallel FP-Growth engine (internal/fpg),
-// with wall-clock, candidate counts, the FP-Growth speedup per arm and
-// bit-identity of every arm against sequential Cumulate:
-//
-//	pgarm-bench -experiment fpg -scale 0.01 -nodes 4 -workers 4 -json fpg.json
-//
 // -trace writes a Chrome trace_event file (load it in chrome://tracing or
 // https://ui.perfetto.dev) covering every mining run; -json writes a
-// versioned machine-readable report with per-run, per-pass and per-node
-// statistics, per-message-kind byte breakdowns and span rollups.
+// machine-readable report with per-run, per-pass and per-node statistics,
+// per-message-kind byte breakdowns and span rollups.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
-	"os"
 	"strconv"
 	"strings"
 
-	"pgarm/internal/core"
+	"pgarm/internal/driver"
 	"pgarm/internal/experiment"
 	"pgarm/internal/logx"
 	"pgarm/internal/metrics"
@@ -58,35 +46,24 @@ import (
 var logger *slog.Logger
 
 // benchReport is the top-level -json document: one report per mining run the
-// selected experiments executed, plus span rollups when tracing was on.
+// selected experiments executed, plus a named section for each part that ran
+// (absent otherwise).
 type benchReport struct {
-	Version    int              `json:"version"`
 	Experiment string           `json:"experiment"`
 	Scale      float64          `json:"scale"`
 	Nodes      int              `json:"nodes"`
 	Reports    []metrics.Report `json:"reports"`
-	Spans      []obs.Rollup     `json:"spans,omitempty"`
-	// Serve holds the serving load-bench arms (cache off / cache on) when
-	// `-experiment serve` ran.
-	Serve []metrics.ServeReport `json:"serve,omitempty"`
-	// Scan holds the storage-format bench arms (row vs columnar decode,
-	// block-skip mining) when `-experiment scan` ran.
-	Scan []metrics.ScanReport `json:"scan,omitempty"`
+	// Spans holds the span rollups when -trace was on.
+	Spans []obs.Rollup `json:"spans,omitempty"`
 	// Adapt holds the skew-adaptation arms (sequential reference, static,
 	// adaptive) when `-experiment adapt` ran.
 	Adapt []metrics.AdaptReport `json:"adapt,omitempty"`
-	// Stream holds the incremental-mining checkpoints (recount fractions,
-	// append→servable freshness, bit-identity) when `-experiment stream` ran.
-	Stream []metrics.StreamReport `json:"stream,omitempty"`
-	// Fpg holds the FP-Growth vs. Cumulate-family head-to-head arms when
-	// `-experiment fpg` ran.
-	Fpg []metrics.FpgReport `json:"fpg,omitempty"`
 }
 
 func main() {
 	def := experiment.Defaults()
 	var (
-		exp      = flag.String("experiment", "all", "table5, table6, fig13, fig14, fig15, fig16, seq, serve, scan, adapt, stream, fpg or all")
+		exp      = flag.String("experiment", "all", "table5, table6, fig13, fig14, fig15, fig16, seq, adapt or all (all = everything but adapt)")
 		scale    = flag.Float64("scale", def.Scale, "fraction of the paper's 3.2M transactions")
 		nodes    = flag.Int("nodes", def.Nodes, "cluster size for the fixed-size experiments")
 		budget   = flag.Int64("budget", 0, "per-node memory budget in bytes (0 = auto-derived)")
@@ -97,24 +74,6 @@ func main() {
 		jsonOut  = flag.String("json", "", "write a machine-readable run report to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		sdef     = experiment.ServeDefaults()
-		clients  = flag.Int("clients", sdef.Clients, "serve bench: concurrent load-generator clients")
-		requests = flag.Int("requests", sdef.Requests, "serve bench: total requests per arm")
-		minconf  = flag.Float64("minconf", sdef.MinConfidence, "serve bench: rule-derivation confidence threshold")
-
-		scdef      = experiment.ScanDefaults()
-		scanWork   = flag.Int("scan-workers", scdef.Workers, "scan bench: scan workers per measurement")
-		scanBlock  = flag.Int("scan-block", scdef.TxnsPerBlock, "scan bench: transactions per columnar block (mining arm)")
-		scanMinSup = flag.Float64("scan-minsup", scdef.MinSup, "scan bench: mining-arm support threshold")
-		mmapOn     = flag.Bool("mmap", false, "scan bench: map columnar partitions instead of pread (falls back to pread where unsupported)")
-
-		fdef    = experiment.FpgDefaults()
-		fpgSups = flag.String("fpg-minsups", "", "fpg bench: comma-separated support sweep (default from FpgDefaults)")
-
-		stdef       = experiment.StreamDefaults()
-		streamCkpts = flag.Int("checkpoints", stdef.Checkpoints, "stream bench: number of ingested deltas / incremental checkpoints")
-		streamSup   = flag.Float64("stream-minsup", stdef.MinSup, "stream bench: support threshold")
 
 		adef        = experiment.AdaptDefaults()
 		adaptMinSup = flag.Float64("adapt-minsup", adef.MinSup, "adapt bench: support threshold")
@@ -137,7 +96,7 @@ func main() {
 	opt.Budget = *budget
 	opt.Workers = *workers
 	if *tcp {
-		opt.Fabric = core.FabricTCP
+		opt.Fabric = driver.FabricTCP
 	}
 	var tracer *obs.Tracer
 	if *traceOut != "" {
@@ -229,66 +188,10 @@ func main() {
 		}
 		fmt.Println(t.Render())
 	}
-	var serveReports []metrics.ServeReport
-	// The serve bench measures real wall-clock load on whatever machine runs
-	// it, unlike the modeled mining experiments, so it is opt-in rather than
-	// part of "all".
-	if *exp == "serve" {
-		ran = true
-		step("serving load bench")
-		so := sdef
-		so.Clients = *clients
-		so.Requests = *requests
-		so.MinConfidence = *minconf
-		t, reps, err := env.Serve(so)
-		if err != nil {
-			logx.Fatal(logger, "experiment failed", "err", err)
-		}
-		fmt.Println(t.Render())
-		serveReports = reps
-	}
-	var scanReports []metrics.ScanReport
-	// The scan bench also measures real wall-clock decode throughput, so it
-	// too is opt-in rather than part of "all".
-	if *exp == "scan" {
-		ran = true
-		step("storage-format scan bench")
-		so := scdef
-		so.Workers = *scanWork
-		so.TxnsPerBlock = *scanBlock
-		so.MinSup = *scanMinSup
-		so.Mmap = *mmapOn
-		ts, reps, err := env.Scan(so)
-		if err != nil {
-			logx.Fatal(logger, "experiment failed", "err", err)
-		}
-		for _, t := range ts {
-			fmt.Println(t.Render())
-		}
-		scanReports = reps
-	}
-	var streamReports []metrics.StreamReport
-	// The stream bench measures real append→servable wall-clock, so it too
-	// is opt-in rather than part of "all".
-	if *exp == "stream" {
-		ran = true
-		step("streaming ingestion bench")
-		so := stdef
-		so.Checkpoints = *streamCkpts
-		so.MinSup = *streamSup
-		if *workers > 0 {
-			so.Workers = *workers
-		}
-		t, reps, err := env.Stream(so)
-		if err != nil {
-			logx.Fatal(logger, "experiment failed", "err", err)
-		}
-		fmt.Println(t.Render())
-		streamReports = reps
-	}
 	var adaptReports []metrics.AdaptReport
-	// The adapt bench measures real barrier wall-clock under deliberately
-	// skewed partitions, so it too is opt-in rather than part of "all".
+	// The adapt bench measures real barrier wall-clock on whatever machine
+	// runs it, under deliberately skewed partitions, unlike the modeled mining
+	// experiments — so it is opt-in rather than part of "all".
 	if *exp == "adapt" {
 		ran = true
 		step("skew adaptation bench")
@@ -303,82 +206,31 @@ func main() {
 		fmt.Println(t.Render())
 		adaptReports = reps
 	}
-	var fpgReports []metrics.FpgReport
-	// The fpg bench races real wall-clock of the two miner families, so it
-	// too is opt-in rather than part of "all".
-	if *exp == "fpg" {
-		ran = true
-		step("FP-Growth head-to-head bench")
-		fo := fdef
-		if *fpgSups != "" {
-			fo.MinSups = nil
-			for _, s := range strings.Split(*fpgSups, ",") {
-				v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-				if err != nil {
-					logx.Fatal(logger, "bad -fpg-minsups entry", "entry", s, "err", err)
-				}
-				fo.MinSups = append(fo.MinSups, v)
-			}
-		}
-		t, reps, err := env.Fpg(fo)
-		if err != nil {
-			logx.Fatal(logger, "experiment failed", "err", err)
-		}
-		fmt.Println(t.Render())
-		fpgReports = reps
-	}
 	if !ran {
 		logx.Fatal(logger, "unknown experiment", "experiment", *exp)
 	}
 
-	if *traceOut != "" {
-		if d := tracer.Dropped(); d > 0 {
-			logger.Warn("tracer dropped spans; trace file is truncated", "dropped", d)
-		}
-		if err := writeTrace(*traceOut, tracer); err != nil {
+	if tracer != nil {
+		if err := obs.WriteTraceFile(*traceOut, tracer, logger); err != nil {
 			logx.Fatal(logger, "trace write failed", "err", err)
 		}
-		logger.Info("wrote trace", "spans", tracer.Spans(), "path", *traceOut)
 	}
 	if *jsonOut != "" {
 		rep := benchReport{
-			Version:    metrics.ReportVersion,
 			Experiment: *exp,
 			Scale:      *scale,
 			Nodes:      *nodes,
+			Spans:      tracer.Rollups(),
+			Adapt:      adaptReports,
 		}
 		for _, rs := range env.Runs() {
 			rep.Reports = append(rep.Reports, metrics.BuildReport(rs, nil))
 		}
-		if tracer != nil {
-			rep.Spans = tracer.Rollups()
-		}
-		rep.Serve = serveReports
-		rep.Scan = scanReports
-		rep.Adapt = adaptReports
-		rep.Stream = streamReports
-		rep.Fpg = fpgReports
-		b, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			logx.Fatal(logger, "report marshal failed", "err", err)
-		}
-		if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
+		if err := obs.WriteJSONFile(*jsonOut, &rep); err != nil {
 			logx.Fatal(logger, "report write failed", "err", err)
 		}
 		logger.Info("wrote run reports", "reports", len(rep.Reports), "path", *jsonOut)
 	}
-}
-
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func step(name string) {

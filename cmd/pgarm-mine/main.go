@@ -12,8 +12,8 @@
 // -engine selects the miner family (internal/engines): the six candidate-
 // based algorithms of the paper, or FPG — the taxonomy-aware parallel
 // FP-Growth engine (internal/fpg), bit-identical output at any node and
-// worker count. -mmap memory-maps columnar partition files instead of
-// reading blocks with pread.
+// worker count. -algorithm is the older spelling of the same choice; naming
+// two different engines is an error.
 //
 // With -rules the run continues past itemset mining into rule derivation
 // (internal/rules) at the -minconf threshold; with -o the complete mined
@@ -45,19 +45,14 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"os"
 	"strings"
 	"time"
 
-	"pgarm/internal/core"
 	"pgarm/internal/driver"
 	"pgarm/internal/engines"
-	"pgarm/internal/fpg"
 	"pgarm/internal/gen"
 	"pgarm/internal/item"
-	"pgarm/internal/itemset"
 	"pgarm/internal/logx"
-	"pgarm/internal/metrics"
 	"pgarm/internal/model"
 	"pgarm/internal/obs"
 	"pgarm/internal/obshttp"
@@ -68,22 +63,31 @@ import (
 	"pgarm/internal/txn"
 )
 
-// serveTelemetry mounts the shared observability surface (obshttp) for an
-// in-process mining run: no fabric endpoint (the nodes talk over channels or
-// loopback inside this process), but live registry metrics and the cluster
-// view are there. Exits on a bad listen address, logs and keeps mining on
-// anything later.
-func serveTelemetry(addr, alg string, nodes int, reg *obs.Registry, view *driver.ClusterView, logger *slog.Logger) {
+// observe wires the run's observability into spec: a tracer when -trace is
+// set, and with -http a registry plus cluster view served on the shared
+// observability surface (obshttp). There is no fabric endpoint to expose (the
+// nodes talk over channels or loopback inside this process), but live registry
+// metrics and the cluster view are there. Exits on a bad listen address, logs
+// and keeps mining on anything later.
+func observe(spec *engines.Spec, traceOut, httpAddr string, nodes int, logger *slog.Logger) {
+	if traceOut != "" {
+		spec.Tracer = obs.NewTracer()
+	}
+	if httpAddr == "" {
+		return
+	}
+	spec.Registry = obs.NewRegistry()
+	spec.View = &driver.ClusterView{}
 	mux := obshttp.NewMux(obshttp.Config{
 		Nodes:     nodes,
-		Algorithm: alg,
-		Registry:  reg,
-		Cluster:   view,
+		Algorithm: string(spec.Algorithm),
+		Registry:  spec.Registry,
+		Cluster:   spec.View,
 		Log:       logger,
 	})
-	bound, err := obshttp.Serve(addr, mux, logger)
+	bound, err := obshttp.Serve(httpAddr, mux, logger)
 	if err != nil {
-		logx.Fatal(logger, "telemetry listen failed", "addr", addr, "err", err)
+		logx.Fatal(logger, "telemetry listen failed", "addr", httpAddr, "err", err)
 	}
 	logger.Info("telemetry serving", "addr", bound,
 		"endpoints", "/metrics /healthz /debug/cluster /debug/pprof")
@@ -92,8 +96,8 @@ func serveTelemetry(addr, alg string, nodes int, reg *obs.Registry, view *driver
 func main() {
 	var (
 		mode     = flag.String("mode", "itemset", "itemset (association rules) or seq (sequential patterns)")
-		algName  = flag.String("algorithm", "", "itemset: NPGM, HPGM, H-HPGM, H-HPGM-TGD, H-HPGM-PGD or H-HPGM-FGD (default H-HPGM-FGD); seq: NPSPM, SPSPM or HPSPM (default HPSPM)")
-		engName  = flag.String("engine", "", "itemset mining engine, overrides -algorithm: "+engines.Names()+" (FPG = pattern growth, no candidate sets)")
+		algName  = flag.String("algorithm", "", "itemset: older spelling of -engine (default H-HPGM-FGD); seq: NPSPM, SPSPM or HPSPM (default HPSPM)")
+		engName  = flag.String("engine", "", "itemset mining engine: "+engines.Names()+" (FPG = pattern growth, no candidate sets)")
 		dataset  = flag.String("dataset", "R30F5", "dataset configuration (defines the hierarchy): R30F5, R30F3 or R30F10")
 		cust     = flag.Int("customers", 2000, "seq mode: customers to generate")
 		seqItems = flag.Int("items", 300, "seq mode: item universe size")
@@ -112,7 +116,6 @@ func main() {
 		adaptive = flag.Bool("adaptive", false, "H-HPGM family: escalate duplication granules per hot taxonomy subtree from observed barrier skew")
 		maxK     = flag.Int("maxk", 0, "stop after this pass (0 = run to completion)")
 		tcp      = flag.Bool("tcp", false, "run the nodes over loopback TCP instead of channels")
-		mmapOn   = flag.Bool("mmap", false, "-in: map columnar partition files instead of pread (falls back where unsupported)")
 		quiet    = flag.Bool("quiet", false, "suppress the itemset listing, print stats only")
 		topN     = flag.Int("top", 25, "how many itemsets/rules to list per section")
 		workers  = flag.Int("workers", 0, "scan workers per node (0 or 1 = scan on the node goroutine)")
@@ -139,6 +142,18 @@ func main() {
 		logx.Fatal(logger, "profiling", "err", err)
 	}
 	defer stopProf()
+
+	// One run description for both batch modes; the engine validates it.
+	spec := engines.Spec{
+		MinSupport:   *minsup,
+		MaxK:         *maxK,
+		Workers:      *workers,
+		MemoryBudget: *budget,
+		Adaptive:     *adaptive,
+	}
+	if *tcp {
+		spec.Fabric = driver.FabricTCP
+	}
 
 	if *follow {
 		if *mode != "itemset" {
@@ -171,18 +186,14 @@ func main() {
 		if *engName != "" {
 			logx.Fatal(logger, "-engine applies to -mode itemset; seq selects its miner with -algorithm")
 		}
-		mineSequences(logger, seqOptions{
-			algorithm: *algName,
+		spec.Algorithm = seq.Algorithm(*algName)
+		mineSequences(logger, spec, seqOptions{
 			customers: *cust,
 			items:     *seqItems,
 			roots:     *seqRoots,
 			fanout:    *seqFan,
 			seed:      *seed,
 			nodes:     *nodes,
-			minsup:    *minsup,
-			maxK:      *maxK,
-			workers:   *workers,
-			tcp:       *tcp,
 			traceOut:  *traceOut,
 			quiet:     *quiet,
 			topN:      *topN,
@@ -193,23 +204,9 @@ func main() {
 	if *mode != "itemset" {
 		logx.Fatal(logger, "unknown mode (itemset or seq)", "mode", *mode)
 	}
-	eng := engines.Engine(core.HHPGMFGD)
-	switch {
-	case *engName != "":
-		var err error
-		eng, err = engines.Parse(*engName)
-		if err != nil {
-			logx.Fatal(logger, "bad engine", "err", err)
-		}
-	case *algName != "":
-		alg, err := core.ParseAlgorithm(*algName)
-		if err != nil {
-			logx.Fatal(logger, "bad algorithm", "err", err)
-		}
-		eng = engines.Engine(alg)
-	}
-	if eng.IsFPG() && (*budget != 0 || *adaptive) {
-		logx.Fatal(logger, "-budget and -adaptive apply to the candidate engines only, not FPG")
+	spec.Algorithm, err = engines.Resolve(*engName, *algName)
+	if err != nil {
+		logx.Fatal(logger, "bad engine", "err", err)
 	}
 	params, err := gen.ByName(*dataset)
 	if err != nil {
@@ -227,7 +224,7 @@ func main() {
 			// txn.Open sniffs the magic, so row and columnar partitions (and
 			// mixtures) all work; columnar ones additionally scan block-sharded
 			// with per-pass skip filters.
-			f, err := txn.OpenWith(strings.TrimSpace(path), txn.OpenOptions{Mmap: *mmapOn})
+			f, err := txn.Open(strings.TrimSpace(path))
 			if err != nil {
 				logx.Fatal(logger, "open partition", "err", err)
 			}
@@ -247,71 +244,22 @@ func main() {
 		}
 	}
 
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-	}
-	var reg *obs.Registry
-	var view *driver.ClusterView
-	if *httpAddr != "" {
-		reg = obs.NewRegistry()
-		view = &driver.ClusterView{}
-		serveTelemetry(*httpAddr, string(eng), len(parts), reg, view, logger)
-	}
-	logger.Info("mining", "engine", string(eng), "nodes", len(parts), "minsup", *minsup)
+	observe(&spec, *traceOut, *httpAddr, len(parts), logger)
+	logger.Info("mining", "engine", string(spec.Algorithm), "nodes", len(parts), "minsup", *minsup)
 
-	// Both families produce the same result shape — large itemsets with exact
+	// Every engine produces the same result shape — large itemsets with exact
 	// counts in canonical order plus run stats — so everything downstream
 	// (listing, rule derivation, model snapshots) is engine-agnostic.
-	var large [][]itemset.Counted
-	var stats *metrics.RunStats
-	if eng.IsFPG() {
-		cfg := fpg.Config{
-			MinSupport: *minsup,
-			MaxK:       *maxK,
-			Workers:    *workers,
-			Tracer:     tracer,
-			Registry:   reg,
-			View:       view,
-		}
-		if *tcp {
-			cfg.Fabric = fpg.FabricTCP
-		}
-		res, err := fpg.Mine(tax, parts, cfg)
-		if err != nil {
-			logx.Fatal(logger, "mining failed", "err", err)
-		}
-		large, stats = res.Large, res.Stats
-	} else {
-		cfg := core.Config{
-			Algorithm:    eng.Algorithm(),
-			MinSupport:   *minsup,
-			MaxK:         *maxK,
-			MemoryBudget: *budget,
-			Workers:      *workers,
-			Adaptive:     *adaptive,
-			Tracer:       tracer,
-			Registry:     reg,
-			View:         view,
-		}
-		if *tcp {
-			cfg.Fabric = core.FabricTCP
-		}
-		res, err := core.Mine(tax, parts, cfg)
-		if err != nil {
-			logx.Fatal(logger, "mining failed", "err", err)
-		}
-		large, stats = res.Large, res.Stats
+	res, err := engines.Run(tax, parts, spec)
+	if err != nil {
+		logx.Fatal(logger, "mining failed", "err", err)
 	}
+	large, stats := res.Large, res.Stats
 	stats.Dataset = params.Name
-	if tracer != nil {
-		if d := tracer.Dropped(); d > 0 {
-			logger.Warn("tracer dropped spans; trace file is truncated", "dropped", d)
-		}
-		if err := writeTrace(*traceOut, tracer); err != nil {
+	if spec.Tracer != nil {
+		if err := obs.WriteTraceFile(*traceOut, spec.Tracer, logger); err != nil {
 			logx.Fatal(logger, "trace write failed", "err", err)
 		}
-		logger.Info("wrote trace", "spans", tracer.Spans(), "path", *traceOut)
 	}
 
 	fmt.Print(stats.String())
@@ -339,8 +287,8 @@ func main() {
 		for _, p := range parts {
 			total += p.Len()
 		}
-		support := supportIndex(large)
-		rs, err := rules.Derive(tax, allItemsets(large), support, rules.Config{
+		support := res.SupportIndex()
+		rs, err := rules.Derive(tax, res.All(), support, rules.Config{
 			MinConfidence: *minconf,
 			NumTxns:       total,
 		})
@@ -366,7 +314,7 @@ func main() {
 			m := &model.Model{
 				Meta: model.Meta{
 					Dataset:       params.Name,
-					Algorithm:     string(eng),
+					Algorithm:     string(spec.Algorithm),
 					Tool:          model.ToolVersion,
 					NumTxns:       int64(total),
 					MinSupport:    *minsup,
@@ -387,40 +335,14 @@ func main() {
 	}
 }
 
-// allItemsets flattens a level pyramid into one slice, the shape rule
-// derivation consumes (mirrors core.Result.All / fpg.Result.All).
-func allItemsets(large [][]itemset.Counted) []itemset.Counted {
-	var out []itemset.Counted
-	for _, l := range large {
-		out = append(out, l...)
-	}
-	return out
-}
-
-// supportIndex builds itemset-key -> support over every large itemset.
-func supportIndex(large [][]itemset.Counted) map[string]int64 {
-	idx := make(map[string]int64)
-	for _, level := range large {
-		for _, c := range level {
-			idx[itemset.Key(c.Items)] = c.Count
-		}
-	}
-	return idx
-}
-
-// seqOptions are the flags relevant to -mode seq.
+// seqOptions are the flags relevant to -mode seq beyond the run Spec.
 type seqOptions struct {
-	algorithm string
 	customers int
 	items     int
 	roots     int
 	fanout    int
 	seed      int64
 	nodes     int
-	minsup    float64
-	maxK      int
-	workers   int
-	tcp       bool
 	traceOut  string
 	quiet     bool
 	topN      int
@@ -430,13 +352,9 @@ type seqOptions struct {
 // mineSequences runs one parallel sequential-pattern job: generate a
 // customer-sequence database, mine it with the selected [SK98] miner and
 // print the frequent patterns with per-pass statistics.
-func mineSequences(logger *slog.Logger, o seqOptions) {
-	if o.algorithm == "" {
-		o.algorithm = "HPSPM"
-	}
-	alg, err := seq.ParseAlgorithm(o.algorithm)
-	if err != nil {
-		logx.Fatal(logger, "bad algorithm", "err", err)
+func mineSequences(logger *slog.Logger, spec engines.Spec, o seqOptions) {
+	if spec.Algorithm == "" {
+		spec.Algorithm = seq.HPSPM
 	}
 	tax, err := taxonomy.Balanced(o.items, o.roots, o.fanout)
 	if err != nil {
@@ -448,41 +366,17 @@ func mineSequences(logger *slog.Logger, o seqOptions) {
 	logger.Info("generating customer sequences", "customers", p.NumCustomers, "taxonomy", tax.String())
 	db := seq.GenerateSequences(tax, p)
 
-	cfg := seq.ParallelConfig{
-		Algorithm:  alg,
-		MinSupport: o.minsup,
-		MaxK:       o.maxK,
-		Workers:    o.workers,
-	}
-	if o.tcp {
-		cfg.Fabric = seq.FabricTCP
-	}
-	var tracer *obs.Tracer
-	if o.traceOut != "" {
-		tracer = obs.NewTracer()
-		cfg.Tracer = tracer
-	}
-	if o.httpAddr != "" {
-		reg := obs.NewRegistry()
-		view := &driver.ClusterView{}
-		cfg.Registry = reg
-		cfg.View = view
-		serveTelemetry(o.httpAddr, string(alg), o.nodes, reg, view, logger)
-	}
-	logger.Info("mining", "algorithm", string(alg), "nodes", o.nodes, "minsup", o.minsup)
-	res, err := seq.MineParallel(tax, seq.Partition(db, o.nodes), cfg)
+	observe(&spec, o.traceOut, o.httpAddr, o.nodes, logger)
+	logger.Info("mining", "algorithm", string(spec.Algorithm), "nodes", o.nodes, "minsup", spec.MinSupport)
+	res, err := seq.MineParallel(tax, seq.Partition(db, o.nodes), spec)
 	if err != nil {
 		logx.Fatal(logger, "mining failed", "err", err)
 	}
 	res.Stats.Dataset = fmt.Sprintf("SEQ-C%d", db.Len())
-	if tracer != nil {
-		if d := tracer.Dropped(); d > 0 {
-			logger.Warn("tracer dropped spans; trace file is truncated", "dropped", d)
-		}
-		if err := writeTrace(o.traceOut, tracer); err != nil {
+	if spec.Tracer != nil {
+		if err := obs.WriteTraceFile(o.traceOut, spec.Tracer, logger); err != nil {
 			logx.Fatal(logger, "trace write failed", "err", err)
 		}
-		logger.Info("wrote trace", "spans", tracer.Spans(), "path", o.traceOut)
 	}
 
 	fmt.Print(res.Stats.String())
@@ -505,17 +399,4 @@ func mineSequences(logger *slog.Logger, o seqOptions) {
 			fmt.Printf("  %s\n", pat)
 		}
 	}
-}
-
-// writeTrace writes the tracer's Chrome trace_event JSON to path.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -39,21 +39,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
-	"os"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"pgarm/internal/cluster"
-	"pgarm/internal/core"
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
 	"pgarm/internal/engines"
-	"pgarm/internal/fpg"
 	"pgarm/internal/gen"
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
@@ -71,14 +67,13 @@ func main() {
 		addrs    = flag.String("addrs", "", "comma-separated listen addresses of every node, in id order")
 		inFile   = flag.String("in", "", "this node's transaction partition (from pgarm-gen -nodes)")
 		dataset  = flag.String("dataset", "R30F5", "dataset configuration defining the hierarchy")
-		algName  = flag.String("algorithm", "H-HPGM-FGD", "mining algorithm (candidate family)")
-		engName  = flag.String("engine", "", "mining engine, overrides -algorithm: "+engines.Names()+" (must match on every worker)")
+		algName  = flag.String("algorithm", "", "older spelling of -engine (default H-HPGM-FGD)")
+		engName  = flag.String("engine", "", "mining engine: "+engines.Names()+" (must match on every worker)")
 		minsup   = flag.Float64("minsup", 0.005, "minimum support fraction")
 		budget   = flag.Int64("budget", 0, "per-node candidate memory budget in bytes")
 		adaptive = flag.Bool("adaptive", false, "H-HPGM family: escalate duplication granules per hot taxonomy subtree from observed barrier skew (must match on every worker)")
 		maxK     = flag.Int("maxk", 0, "stop after this pass (0 = completion)")
 		workers  = flag.Int("workers", 0, "scan workers on this node (0 or 1 = scan on the node goroutine)")
-		mmapOn   = flag.Bool("mmap", false, "map the columnar partition instead of pread (falls back where unsupported)")
 		verify   = flag.String("verify", "", "coordinator: comma-separated partition files of EVERY node; re-mine sequentially after the run and report bit-identity in -json")
 		timeout  = flag.Duration("dial-timeout", 30*time.Second, "how long to wait for peers to come up")
 		topN     = flag.Int("top", 20, "itemsets to list per level (coordinator)")
@@ -97,22 +92,9 @@ func main() {
 	if *inFile == "" {
 		logx.Fatal(logger, "missing -in partition file")
 	}
-	eng := engines.Engine(core.HHPGMFGD)
-	if *engName != "" {
-		var err error
-		eng, err = engines.Parse(*engName)
-		if err != nil {
-			logx.Fatal(logger, "bad engine", "err", err)
-		}
-	} else {
-		alg, err := core.ParseAlgorithm(*algName)
-		if err != nil {
-			logx.Fatal(logger, "bad algorithm", "err", err)
-		}
-		eng = engines.Engine(alg)
-	}
-	if eng.IsFPG() && (*budget != 0 || *adaptive) {
-		logx.Fatal(logger, "-budget and -adaptive apply to the candidate engines only, not FPG")
+	eng, err := engines.Resolve(*engName, *algName)
+	if err != nil {
+		logx.Fatal(logger, "bad engine", "err", err)
 	}
 	params, err := gen.ByName(*dataset)
 	if err != nil {
@@ -122,7 +104,7 @@ func main() {
 	if err != nil {
 		logx.Fatal(logger, "taxonomy", "err", err)
 	}
-	local, err := txn.OpenWith(*inFile, txn.OpenOptions{Mmap: *mmapOn})
+	local, err := txn.Open(*inFile)
 	if err != nil {
 		logx.Fatal(logger, "open partition", "err", err)
 	}
@@ -172,57 +154,32 @@ func main() {
 			"bytes_in", p.BytesIn, "bytes_out", p.BytesOut)
 	}
 	logger.Info("mining", "engine", string(eng), "txns", local.Len(), "minsup", *minsup)
-	var large [][]itemset.Counted
-	var stats *metrics.RunStats
-	if eng.IsFPG() {
-		res, err := fpg.MineWorker(tax, local, fpg.Config{
-			MinSupport: *minsup,
-			MaxK:       *maxK,
-			Workers:    *workers,
-			Tracer:     tracer,
-			Registry:   reg,
-			// The coordinator rebases remote span timestamps with the offsets
-			// estimated during the mesh handshake; nil everywhere else.
-			ClockOffsets: mesh.ClockOffsets(),
-			View:         view,
-			OnPassStart:  onPassStart,
-			OnPass:       onPass,
-		}, ep)
-		mineDone.Store(true)
-		if err != nil {
-			fatalMineErr(logger, ep, err)
-		}
-		large, stats = res.Large, res.Stats
-	} else {
-		res, err := core.MineWorker(tax, local, core.Config{
-			Algorithm:    eng.Algorithm(),
-			MinSupport:   *minsup,
-			MaxK:         *maxK,
-			MemoryBudget: *budget,
-			Workers:      *workers,
-			Adaptive:     *adaptive,
-			Tracer:       tracer,
-			Registry:     reg,
-			ClockOffsets: mesh.ClockOffsets(),
-			View:         view,
-			OnPassStart:  onPassStart,
-			OnPass:       onPass,
-		}, ep)
-		mineDone.Store(true)
-		if err != nil {
-			fatalMineErr(logger, ep, err)
-		}
-		large, stats = res.Large, res.Stats
+	res, err := engines.RunWorker(tax, local, engines.Spec{
+		Algorithm:    eng,
+		MinSupport:   *minsup,
+		MaxK:         *maxK,
+		MemoryBudget: *budget,
+		Workers:      *workers,
+		Adaptive:     *adaptive,
+		Tracer:       tracer,
+		Registry:     reg,
+		// The coordinator rebases remote span timestamps with the offsets
+		// estimated during the mesh handshake; nil everywhere else.
+		ClockOffsets: mesh.ClockOffsets(),
+		View:         view,
+		OnPassStart:  onPassStart,
+		OnPass:       onPass,
+	}, ep)
+	mineDone.Store(true)
+	if err != nil {
+		fatalMineErr(logger, ep, err)
 	}
+	large, stats := res.Large, res.Stats
 
 	if tracer != nil {
-		if d := tracer.Dropped(); d > 0 {
-			logger.Warn("tracer dropped spans; trace file is truncated", "dropped", d)
-		}
-		if werr := writeTrace(*traceOut, tracer); werr != nil {
+		if werr := obs.WriteTraceFile(*traceOut, tracer, logger); werr != nil {
 			logx.Fatal(logger, "trace write failed", "err", werr)
 		}
-		logger.Info("wrote trace", "spans", tracer.Spans(), "path", *traceOut)
 	}
 	// -verify: the coordinator re-mines the WHOLE database (every node's
 	// partition, as listed) with the sequential Cumulate reference and embeds
@@ -231,7 +188,7 @@ func main() {
 	verified := false
 	identical := false
 	if *verify != "" && *nodeID == 0 {
-		identical, err = verifyIdentity(tax, *verify, *minsup, *maxK, *mmapOn, large)
+		identical, err = verifyIdentity(tax, *verify, *minsup, *maxK, &res.Levels)
 		if err != nil {
 			logx.Fatal(logger, "verification failed", "err", err)
 		}
@@ -245,7 +202,7 @@ func main() {
 		if verified {
 			doc = &verifiedReport{Report: rep, Identical: identical}
 		}
-		if err := writeJSON(*jsonOut, doc); err != nil {
+		if err := obs.WriteJSONFile(*jsonOut, doc); err != nil {
 			logx.Fatal(logger, "report write failed", "err", err)
 		}
 		logger.Info("wrote report", "passes", len(rep.Passes), "path", *jsonOut)
@@ -291,10 +248,10 @@ func fatalMineErr(logger *slog.Logger, ep cluster.Endpoint, err error) {
 
 // verifyIdentity re-mines every listed partition sequentially with Cumulate
 // and compares levels, itemsets and counts against the parallel result.
-func verifyIdentity(tax *taxonomy.Taxonomy, list string, minsup float64, maxK int, mmapOn bool, large [][]itemset.Counted) (bool, error) {
+func verifyIdentity(tax *taxonomy.Taxonomy, list string, minsup float64, maxK int, got *itemset.Levels) (bool, error) {
 	whole := txn.NewDB(nil)
 	for _, path := range strings.Split(list, ",") {
-		src, err := txn.OpenWith(strings.TrimSpace(path), txn.OpenOptions{Mmap: mmapOn})
+		src, err := txn.Open(strings.TrimSpace(path))
 		if err != nil {
 			return false, err
 		}
@@ -309,45 +266,5 @@ func verifyIdentity(tax *taxonomy.Taxonomy, list string, minsup float64, maxK in
 	if err != nil {
 		return false, err
 	}
-	if len(ref.Large) != len(large) {
-		return false, nil
-	}
-	for k := range large {
-		w, g := ref.Large[k], large[k]
-		if len(w) != len(g) {
-			return false, nil
-		}
-		for i := range w {
-			if w[i].Count != g[i].Count || !item.Equal(w[i].Items, g[i].Items) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return ref.Equal(got), nil
 }

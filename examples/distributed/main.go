@@ -11,6 +11,8 @@ import (
 	"log"
 
 	"pgarm/internal/core"
+	"pgarm/internal/driver"
+	"pgarm/internal/engines"
 	"pgarm/internal/gen"
 	"pgarm/internal/txn"
 )
@@ -42,11 +44,11 @@ func main() {
 
 	fmt.Printf("%d transactions on %d TCP-connected nodes, minsup 1%%\n\n", ds.DB.Len(), nodes)
 	for _, alg := range []core.Algorithm{core.HPGM, core.HHPGM} {
-		res, err := core.Mine(ds.Taxonomy, parts, core.Config{
+		res, err := engines.Run(ds.Taxonomy, parts, engines.Spec{
 			Algorithm:  alg,
 			MinSupport: 0.01,
 			MaxK:       2,
-			Fabric:     core.FabricTCP,
+			Fabric:     driver.FabricTCP,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"pgarm/internal/core"
+	"pgarm/internal/engines"
 	"pgarm/internal/item"
 	"pgarm/internal/rules"
 	"pgarm/internal/taxonomy"
@@ -61,7 +62,7 @@ func main() {
 		parts = append(parts, p)
 	}
 
-	res, err := core.Mine(tax, parts, core.Config{
+	res, err := engines.Run(tax, parts, engines.Spec{
 		Algorithm:  core.HHPGMFGD,
 		MinSupport: 0.3, // 30% of 6 baskets = 2 transactions
 	})

@@ -12,6 +12,7 @@ import (
 
 	"pgarm/internal/core"
 	"pgarm/internal/cumulate"
+	"pgarm/internal/engines"
 	"pgarm/internal/gen"
 	"pgarm/internal/rules"
 	"pgarm/internal/txn"
@@ -55,7 +56,7 @@ func main() {
 	for _, p := range txn.Partition(ds.DB, 8) {
 		parts = append(parts, p)
 	}
-	res, err := core.Mine(ds.Taxonomy, parts, core.Config{
+	res, err := engines.Run(ds.Taxonomy, parts, engines.Spec{
 		Algorithm:  core.HHPGMFGD,
 		MinSupport: minSup,
 	})

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"pgarm/internal/engines"
 	"pgarm/internal/item"
 	"pgarm/internal/seq"
 	"pgarm/internal/taxonomy"
@@ -49,7 +50,7 @@ func main() {
 	fmt.Println("frequent generalized sequential patterns (sequential GSP):")
 	printPatterns(res, names)
 
-	par, err := seq.MineParallel(tax, seq.Partition(db, 4), seq.ParallelConfig{
+	par, err := seq.MineParallel(tax, seq.Partition(db, 4), engines.Spec{
 		Algorithm:  seq.SPSPM,
 		MinSupport: 0.3,
 	})

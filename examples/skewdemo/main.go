@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"pgarm/internal/core"
+	"pgarm/internal/engines"
 	"pgarm/internal/experiment"
 	"pgarm/internal/item"
 	"pgarm/internal/taxonomy"
@@ -56,7 +57,7 @@ func main() {
 	const budget = 640 << 10
 	fmt.Println("per-node probe counts at pass 2 (8 nodes, hot-tree skewed data):")
 	for _, alg := range []core.Algorithm{core.HHPGM, core.HHPGMTGD, core.HHPGMPGD, core.HHPGMFGD} {
-		res, err := core.Mine(tax, parts, core.Config{
+		res, err := engines.Run(tax, parts, engines.Spec{
 			Algorithm:    alg,
 			MinSupport:   0.01,
 			MaxK:         2,

@@ -8,7 +8,7 @@ import (
 // ChanFabric connects N nodes with in-process buffered channels. Payloads
 // are delivered by reference (no copying), so it measures algorithmic
 // communication volume without serialization overhead. Receive accounting
-// happens at delivery time.
+// happens at send time, just before delivery.
 type ChanFabric struct {
 	endpoints []*chanEndpoint
 	closeOnce sync.Once
@@ -81,6 +81,11 @@ func (e *chanEndpoint) Send(to int, kind uint8, payload []byte) error {
 		dst.mu.Unlock()
 		return fmt.Errorf("cluster: send to node %d after close", to)
 	}
+	// Account before delivery: the receiver may consume the message and
+	// close its last accounting window before this goroutine runs again, and
+	// a receive counted after that window breaks RunStats.ReconcileEndpoints.
+	e.stats.onSend(kind, len(payload))
+	dst.stats.onRecv(kind, len(payload))
 	select {
 	case dst.inbox <- msg:
 		dst.mu.Unlock()
@@ -88,8 +93,6 @@ func (e *chanEndpoint) Send(to int, kind uint8, payload []byte) error {
 		dst.mu.Unlock()
 		dst.inbox <- msg // inbox full: block without the lock
 	}
-	e.stats.onSend(kind, len(payload))
-	dst.stats.onRecv(kind, len(payload))
 	return nil
 }
 

@@ -25,19 +25,16 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
+	"pgarm/internal/cluster"
 	"pgarm/internal/driver"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
-	"pgarm/internal/obs"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
 
 // Algorithm selects one of the paper's six parallel miners.
-type Algorithm string
+type Algorithm = driver.Algorithm
 
 // The six algorithms of the paper, §3.
 const (
@@ -54,17 +51,6 @@ func Algorithms() []Algorithm {
 	return []Algorithm{NPGM, HPGM, HHPGM, HHPGMTGD, HHPGMPGD, HHPGMFGD}
 }
 
-// ParseAlgorithm resolves a name (as printed by the Algorithm constants,
-// case-sensitive) to an Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range Algorithms() {
-		if string(a) == s {
-			return a, nil
-		}
-	}
-	return "", fmt.Errorf("core: unknown algorithm %q", s)
-}
-
 // FabricKind selects the interconnect emulation (see internal/driver).
 type FabricKind = driver.FabricKind
 
@@ -79,184 +65,49 @@ const (
 // delivered on the coordinator when a pass completes.
 type PassProgress = driver.PassProgress
 
-// Config parameterizes a parallel mining run.
-type Config struct {
-	Algorithm  Algorithm
-	MinSupport float64 // fraction of |D|, e.g. 0.003 for 0.3%
-	MaxK       int     // 0 = run until L_k is empty
-
-	// MemoryBudget is the per-node candidate memory in bytes (the paper's
-	// M, 256MB on the SP-2). It drives NPGM fragmentation and the free
-	// space available for TGD/PGD/FGD duplication. 0 means unlimited: NPGM
-	// never fragments and the duplicating variants copy everything.
-	MemoryBudget int64
-
-	// Adaptive enables skew-adaptive duplication granules for the H-HPGM
-	// family: each pass's plan phase inspects the previous complete skew
-	// snapshot and, when the barrier-wait imbalance crosses EscalateAt,
-	// escalates the duplication granule for the straggler's hot taxonomy
-	// subtrees one level (H-HPGM -> TGD -> PGD -> FGD), or straight to FGD
-	// past JumpAt. The decision is computed from globally broadcast state,
-	// so every node derives the identical plan and results stay
-	// bit-identical to the static run's reference (sequential Cumulate).
-	// Ignored by NPGM and HPGM, which have no granule to adapt.
-	Adaptive bool
-	// EscalateAt is the barrier-wait max/mean ratio that triggers a one-level
-	// escalation; 0 means the default 1.25.
-	EscalateAt float64
-	// JumpAt is the ratio past which escalation jumps straight to the fine
-	// grain; 0 means the default 4.0.
-	JumpAt float64
-
-	// Workers is the number of scan goroutines each node uses over its
-	// local partition during pass 1 and the count-support phase. 0 or 1
-	// runs the scan on the node goroutine itself (the pre-parallel
-	// behaviour); larger values shard the partition across a per-node
-	// worker pool with per-worker count vectors and scratch buffers, merged
-	// deterministically at the pass barrier — results are bit-identical to
-	// the sequential scan for every setting. The paper's cluster dimension
-	// (nodes) and this intra-node dimension compose: total parallelism is
-	// nodes × workers.
-	Workers int
-
-	Fabric       FabricKind
-	FabricBuffer int // per-inbox message buffer; 0 = default
-	BatchBytes   int // count-support send batching threshold; 0 = default (4KB)
-
-	// Tracer, when non-nil, records phase spans for every node (pass,
-	// generate, scan shards, exchange, barrier) for Chrome-trace export.
-	// Nil tracing costs nothing on the hot path.
-	Tracer *obs.Tracer
-	// Registry, when non-nil, receives live counters/gauges/histograms per
-	// node (current pass, probes, scan and barrier timings) for /metrics.
-	Registry *obs.Registry
-	// OnPassStart, when non-nil, fires on the coordinator as each pass
-	// begins, before any scanning.
-	OnPassStart func(pass, candidates int)
-	// OnPass, when non-nil, fires on the coordinator as each pass completes.
-	OnPass func(PassProgress)
-	// ClockOffsets, when non-nil on the coordinator of a mesh run, holds the
-	// per-node clock offsets estimated during DialMesh (Mesh.ClockOffsets);
-	// the telemetry plane uses them to rebase remote span timestamps into the
-	// coordinator's clock when merging cluster traces.
-	ClockOffsets []time.Duration
-	// View, when non-nil, receives live cluster-run state (current pass,
-	// per-node progress, skew snapshots) for the /debug/cluster endpoint.
-	View *driver.ClusterView
-}
-
-func (c *Config) escalateAt() float64 {
-	if c.EscalateAt <= 0 {
-		return 1.25
-	}
-	return c.EscalateAt
-}
-
-func (c *Config) jumpAt() float64 {
-	if c.JumpAt <= 0 {
-		return 4.0
-	}
-	return c.JumpAt
-}
-
-// driverConfig maps the runtime-relevant half of the Config onto the shared
-// pass driver's knobs; the mining-relevant half (Algorithm, MemoryBudget)
-// stays with the itemset miner.
-func (c *Config) driverConfig() driver.Config {
-	return driver.Config{
-		MinSupport:   c.MinSupport,
-		MaxK:         c.MaxK,
-		Workers:      c.Workers,
-		BatchBytes:   c.BatchBytes,
-		Tracer:       c.Tracer,
-		Registry:     c.Registry,
-		OnPassStart:  c.OnPassStart,
-		OnPass:       c.OnPass,
-		ClockOffsets: c.ClockOffsets,
-		View:         c.View,
-	}
-}
-
-// Result is the outcome of a parallel run.
-type Result struct {
-	// Large[k-1] holds the global large k-itemsets with exact support
-	// counts, lexicographically ordered — identical to sequential Cumulate.
-	Large [][]itemset.Counted
-	Stats *metrics.RunStats
-}
-
-// LargeK returns the large k-itemsets, or nil when the run ended before k.
-func (r *Result) LargeK(k int) []itemset.Counted {
-	if k < 1 || k > len(r.Large) {
-		return nil
-	}
-	return r.Large[k-1]
-}
-
-// All returns every large itemset across all passes.
-func (r *Result) All() []itemset.Counted {
-	var out []itemset.Counted
-	for _, l := range r.Large {
-		out = append(out, l...)
-	}
-	return out
-}
-
-// SupportIndex builds itemset-key -> support over all large itemsets.
-func (r *Result) SupportIndex() map[string]int64 {
-	idx := make(map[string]int64)
-	for _, level := range r.Large {
-		for _, c := range level {
-			idx[itemset.Key(c.Items)] = c.Count
-		}
-	}
-	return idx
-}
+// Config and Result are the one run description and the one result shape
+// (driver.Spec, driver.Result) under the names bench/ compiles against;
+// new callers go through internal/engines. See DESIGN §3.
+type (
+	Config = driver.Spec
+	Result = driver.Result
+)
 
 // Mine runs the configured algorithm over a cluster of len(parts) nodes;
 // parts[i] is node i's local database partition (its simulated local disk).
 // The taxonomy is shared read-only, as the paper assumes (the hierarchy is
 // catalog metadata, replicated on every node).
 func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, error) {
-	n := len(parts)
-	if n == 0 {
-		return nil, fmt.Errorf("core: no database partitions")
-	}
-	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
-		return nil, fmt.Errorf("core: minimum support %g out of (0,1]", cfg.MinSupport)
-	}
-	if _, err := ParseAlgorithm(string(cfg.Algorithm)); err != nil {
-		return nil, err
-	}
-
-	fabric, err := driver.NewFabric(cfg.Fabric, n, cfg.FabricBuffer)
-	if err != nil {
-		return nil, err
-	}
-	defer fabric.Close()
-
 	// The candidate cache shares each pass's replicated derivations between
 	// the in-process node goroutines; every node still holds its own miner.
 	cache := newCandCache(tax)
-	miners := make([]driver.Miner, n)
-	coord := (*itemsetMiner)(nil)
-	for i := 0; i < n; i++ {
-		m, err := newItemsetMiner(tax, parts[i], cfg, cache)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			coord = m
-		}
-		miners[i] = m
-	}
-
-	nodes, elapsed, err := driver.Run(fabric, cfg.driverConfig(), miners)
+	coord, stats, err := driver.Run(cfg, len(parts), func(i int) (driver.Miner, error) {
+		return newItemsetMiner(tax, parts[i], cfg, cache)
+	})
 	if err != nil {
 		return nil, err
 	}
+	return result(coord, stats), nil
+}
 
-	res := &Result{Large: coord.large}
-	res.Stats = driver.AssembleStats(string(cfg.Algorithm), cfg.MinSupport, nodes, elapsed)
-	return res, nil
+// MineWorker runs a single node of the mining protocol over a caller-
+// provided endpoint — the entry point for true multi-process shared-nothing
+// clusters (see cmd/pgarm-worker and cluster.DialMesh). The Result carries
+// the global large itemsets, identical on every node after the final
+// broadcast; see driver.RunWorker for what the Stats cover.
+func MineWorker(tax *taxonomy.Taxonomy, local txn.Scanner, cfg Config, ep cluster.Endpoint) (*Result, error) {
+	nd, stats, err := driver.RunWorker(cfg, ep, func() (driver.Miner, error) {
+		return newItemsetMiner(tax, local, cfg, newCandCache(tax))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return result(nd, stats), nil
+}
+
+func result(nd *driver.Node, stats *metrics.RunStats) *Result {
+	return &Result{
+		Levels: itemset.Levels{Large: nd.Miner().(*itemsetMiner).large},
+		Stats:  stats,
+	}
 }

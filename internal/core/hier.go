@@ -325,6 +325,22 @@ func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][
 	}
 }
 
+// escalateAt and jumpAt resolve the adaptive thresholds' zero values to their
+// defaults.
+func escalateAt(c *Config) float64 {
+	if c.EscalateAt <= 0 {
+		return 1.25
+	}
+	return c.EscalateAt
+}
+
+func jumpAt(c *Config) float64 {
+	if c.JumpAt <= 0 {
+		return 4.0
+	}
+	return c.JumpAt
+}
+
 // escalateGranules advances the adaptive escalation state for pass k and
 // returns the per-candidate effective granule (nil when nothing is escalated
 // yet, which makes selectDuplicates take the static path bit-for-bit).
@@ -341,12 +357,12 @@ func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][
 // state and the resulting plan evolve identically everywhere.
 func escalateGranules(m *itemsetMiner, k int, base dupKind, cands [][]item.Item, owners []int, prev *metrics.SkewReport, dec *metrics.PlanDecision) []dupKind {
 	esc := &m.cands.esc
-	if prev != nil && esc.upAt < k && prev.Straggler >= 0 && prev.BarrierWaitMaxOverMean >= m.cfg.escalateAt() {
+	if prev != nil && esc.upAt < k && prev.Straggler >= 0 && prev.BarrierWaitMaxOverMean >= escalateAt(&m.cfg) {
 		esc.upAt = k
 		if len(esc.levels) == 0 {
 			esc.levels = make([]dupKind, m.tax.NumItems())
 		}
-		jump := prev.BarrierWaitMaxOverMean >= m.cfg.jumpAt()
+		jump := prev.BarrierWaitMaxOverMean >= jumpAt(&m.cfg)
 		for i, c := range cands {
 			if owners[i] != prev.Straggler {
 				continue

@@ -39,9 +39,7 @@ func MinCount(minSupport float64, n int) int64 {
 
 // Result holds the large itemsets of every pass.
 type Result struct {
-	// Large[k-1] holds the large k-itemsets with their support counts,
-	// lexicographically ordered.
-	Large   [][]itemset.Counted
+	itemset.Levels
 	NumTxns int
 	// Probes counts the k-subsets of extended transactions offered to the
 	// candidate table across all passes k >= 2: C(|t'|, k) per transaction.
@@ -69,36 +67,6 @@ func StaticPlan(pass, candidates int) metrics.PlanDecision {
 		Candidates:  candidates,
 		Duplicated:  candidates,
 	}
-}
-
-// LargeK returns the large k-itemsets, or nil when the run ended before k.
-func (r *Result) LargeK(k int) []itemset.Counted {
-	if k < 1 || k > len(r.Large) {
-		return nil
-	}
-	return r.Large[k-1]
-}
-
-// All returns every large itemset of size >= 2 along with all large single
-// items, flattened (the input to rule derivation).
-func (r *Result) All() []itemset.Counted {
-	var out []itemset.Counted
-	for _, l := range r.Large {
-		out = append(out, l...)
-	}
-	return out
-}
-
-// SupportIndex builds a lookup from itemset key to support count over every
-// large itemset (all sizes). Rule derivation uses it for confidence.
-func (r *Result) SupportIndex() map[string]int64 {
-	idx := make(map[string]int64)
-	for _, level := range r.Large {
-		for _, c := range level {
-			idx[itemset.Key(c.Items)] = c.Count
-		}
-	}
-	return idx
 }
 
 // Mine runs sequential Cumulate: pass 1 counts every item and its ancestors;

@@ -27,10 +27,12 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"pgarm/internal/cluster"
+	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
 )
@@ -75,23 +77,57 @@ func NewFabric(kind FabricKind, n, buffer int) (cluster.Fabric, error) {
 	return nil, fmt.Errorf("driver: unknown fabric kind %d", kind)
 }
 
-// Config parameterizes the runtime side of a run; the mining side lives in
-// the Miner.
-type Config struct {
-	MinSupport float64 // fraction of the global database size
+// Algorithm names the miner a Spec selects: one of the paper's six candidate
+// algorithms (internal/core), "FPG" (internal/fpg) or a sequence miner
+// (internal/seq). Each family declares its own names as constants of this
+// type; internal/engines lists the itemset ones.
+type Algorithm string
+
+// Spec is the one description of a mining run, shared by every miner family
+// and every way in (engines.Run/RunWorker, the family Mine/MineWorker entry
+// points, seq.MineParallel). The runtime fields are consumed here; the
+// candidate-family knobs (MemoryBudget, Adaptive, EscalateAt, JumpAt) are
+// consumed by internal/core, and a family that does not have them rejects a
+// Spec that sets them with ErrUnsupportedKnob.
+type Spec struct {
+	// Algorithm selects the miner. The fpg entry points treat "" as FPG;
+	// every other entry point requires a name of its family.
+	Algorithm  Algorithm
+	MinSupport float64 // fraction of the global database size, in (0,1]
 	MaxK       int     // 0 = run until F_k is empty
 
 	// Workers is the number of scan goroutines each node uses over its local
-	// partition (see ScanShards). 0 or 1 scans on the node goroutine itself.
+	// partition during pass 1 and the count-support phase (see ScanShards).
+	// 0 or 1 scans on the node goroutine itself; larger values shard the
+	// partition across a per-node pool with per-worker count vectors merged
+	// deterministically at the pass barrier, so results are bit-identical at
+	// every setting. Total parallelism is nodes × workers.
 	Workers int
 
-	// BatchBytes is the count-support send batching threshold; 0 = 4KB.
-	BatchBytes int
+	Fabric       FabricKind // interconnect of an in-process run
+	FabricBuffer int        // per-inbox message buffer; 0 = default
+	BatchBytes   int        // count-support send batching threshold; 0 = 4KB
 
-	// KeepResults makes every node record result levels and pass metadata,
-	// not just the coordinator — the multi-process worker mode, where each
-	// process only sees its own node.
-	KeepResults bool
+	// MemoryBudget is the per-node candidate memory in bytes (the paper's
+	// M, 256MB on the SP-2). It drives NPGM fragmentation and the free
+	// space available for TGD/PGD/FGD duplication. 0 means unlimited: NPGM
+	// never fragments and the duplicating variants copy everything.
+	MemoryBudget int64
+	// Adaptive enables skew-adaptive duplication granules for the H-HPGM
+	// family: each pass's plan phase inspects the previous complete skew
+	// snapshot and, when the barrier-wait imbalance crosses EscalateAt,
+	// escalates the duplication granule for the straggler's hot taxonomy
+	// subtrees one level (H-HPGM -> TGD -> PGD -> FGD), or straight to FGD
+	// past JumpAt. The decision is computed from globally broadcast state,
+	// so every node derives the identical plan and results stay
+	// bit-identical. Ignored by NPGM and HPGM, which have no granule.
+	Adaptive bool
+	// EscalateAt is the barrier-wait max/mean ratio that triggers a one-level
+	// escalation; 0 means the default 1.25.
+	EscalateAt float64
+	// JumpAt is the ratio past which escalation jumps straight to the fine
+	// grain; 0 means the default 4.0.
+	JumpAt float64
 
 	// Tracer, when non-nil, records phase spans for every node (pass,
 	// generate, scan shards, exchange, barrier) for Chrome-trace export.
@@ -105,7 +141,6 @@ type Config struct {
 	OnPassStart func(pass, candidates int)
 	// OnPass, when non-nil, fires on the coordinator as each pass completes.
 	OnPass func(PassProgress)
-
 	// ClockOffsets, on the coordinator of a multi-process mesh, holds the
 	// estimated wall-clock offset of every node relative to node 0 (from
 	// cluster.Mesh.ClockOffsets). Remote span timestamps are rebased by it
@@ -116,26 +151,63 @@ type Config struct {
 	// coordinator feeds it cluster-wide data from the telemetry stream;
 	// followers only see their own progress.
 	View *ClusterView
-
-	// sharedObs marks an in-process run where every node writes to the same
-	// Tracer: span batches are then skipped on the telemetry plane (they are
-	// already in the shared trace), while pass stats still flow so the
-	// coordinator's skew analytics and View stay live. Set by Run.
-	sharedObs bool
 }
 
-func (c *Config) batchBytes() int {
-	if c.BatchBytes <= 0 {
+// Result is the outcome of a parallel itemset run — the one shape every
+// itemset engine family returns: the global large itemsets, identical to
+// sequential Cumulate's, and the run statistics.
+type Result struct {
+	itemset.Levels
+	Stats *metrics.RunStats
+}
+
+// ErrUnsupportedKnob is wrapped by a family's validation when the Spec sets
+// a knob that family does not have (FPG or a sequence miner handed
+// MemoryBudget, Adaptive, EscalateAt or JumpAt).
+var ErrUnsupportedKnob = errors.New("knob not supported by this engine")
+
+// Validate rejects a malformed Spec. Run and RunWorker call it before any
+// miner or fabric (listeners, goroutines) is constructed; what only the
+// chosen family can judge — the algorithm name, the candidate knobs — is
+// checked when that family constructs its Miner.
+func (s *Spec) Validate() error {
+	switch {
+	case !(s.MinSupport > 0 && s.MinSupport <= 1): // also rejects NaN
+		return fmt.Errorf("driver: minimum support %g out of (0,1]", s.MinSupport)
+	case s.MaxK < 0:
+		return fmt.Errorf("driver: negative MaxK %d", s.MaxK)
+	case s.Workers < 0:
+		return fmt.Errorf("driver: negative Workers %d", s.Workers)
+	case s.FabricBuffer < 0:
+		return fmt.Errorf("driver: negative FabricBuffer %d", s.FabricBuffer)
+	case s.BatchBytes < 0:
+		return fmt.Errorf("driver: negative BatchBytes %d", s.BatchBytes)
+	}
+	return nil
+}
+
+// RejectCandidateKnobs is the validation of every family without a candidate
+// memory model: it errors, wrapping ErrUnsupportedKnob, when the Spec sets
+// one of the internal/core knobs.
+func (s *Spec) RejectCandidateKnobs() error {
+	if s.MemoryBudget != 0 || s.Adaptive || s.EscalateAt != 0 || s.JumpAt != 0 {
+		return fmt.Errorf("driver: %s has no MemoryBudget/Adaptive/EscalateAt/JumpAt: %w", s.Algorithm, ErrUnsupportedKnob)
+	}
+	return nil
+}
+
+func (s *Spec) batchBytes() int {
+	if s.BatchBytes <= 0 {
 		return 4 << 10
 	}
-	return c.BatchBytes
+	return s.BatchBytes
 }
 
-func (c *Config) workers() int {
-	if c.Workers <= 1 {
+func (s *Spec) workers() int {
+	if s.Workers <= 1 {
 		return 1
 	}
-	return c.Workers
+	return s.Workers
 }
 
 // PlanDecision is re-exported from metrics: the plan phase's output, one per
@@ -244,7 +316,7 @@ type passMeta struct {
 	plan       PlanDecision  // the plan phase's decision
 }
 
-// PassProgress is the per-pass progress callback payload (Config.OnPass),
+// PassProgress is the per-pass progress callback payload (Spec.OnPass),
 // delivered on the coordinator when a pass completes.
 type PassProgress struct {
 	Pass       int

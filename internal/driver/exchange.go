@@ -9,7 +9,7 @@ import (
 )
 
 // Exchange runs the count-support communication of one pass. The node's
-// scan side — the node goroutine itself, or Config.Workers sharded scan
+// scan side — the node goroutine itself, or Spec.Workers sharded scan
 // workers — reads the local partition and routes payload units (single
 // k-itemsets for HPGM, per-transaction item groups for the H-HPGM family,
 // encoded customer sequences for SPSPM/HPSPM) while a single receiver

@@ -17,7 +17,7 @@ func newTestNodes(t *testing.T, n int) ([]*Node, cluster.Fabric) {
 	f := cluster.NewChanFabric(n, 16)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = &Node{id: i, ep: f.Endpoint(i), cfg: Config{BatchBytes: 64}}
+		nodes[i] = &Node{id: i, ep: f.Endpoint(i), cfg: Spec{BatchBytes: 64}}
 	}
 	return nodes, f
 }

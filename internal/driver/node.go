@@ -19,8 +19,18 @@ import (
 type Node struct {
 	id    int
 	ep    cluster.Endpoint
-	cfg   Config
+	cfg   Spec
 	miner Miner
+
+	// keepResults makes this node record result levels and pass metadata
+	// even when it is not the coordinator — the multi-process worker mode,
+	// where each process only sees its own node. Set by RunWorker.
+	keepResults bool
+	// sharedObs marks an in-process run where every node writes to the same
+	// Tracer: span batches are then skipped on the telemetry plane (they are
+	// already in the shared trace), while pass stats still flow so the
+	// coordinator's skew analytics and View stay live. Set by Run.
+	sharedObs bool
 
 	totalSize int
 	minCount  int64
@@ -31,7 +41,7 @@ type Node struct {
 	pending []cluster.Message
 
 	// Pass metadata, recorded where results are kept (coordinator, or every
-	// node with Config.KeepResults).
+	// node in worker mode).
 	passMeta []passMeta
 
 	// Per-pass metrics, one entry per completed pass.
@@ -60,8 +70,8 @@ type Node struct {
 	phaseWord atomic.Uint64
 }
 
-// NewNode wires one node of the protocol to an endpoint. Run executes it.
-func NewNode(ep cluster.Endpoint, cfg Config, m Miner) *Node {
+// newNode wires one node of the protocol to an endpoint. Run executes it.
+func newNode(ep cluster.Endpoint, cfg Spec, m Miner) *Node {
 	n := &Node{
 		id:    ep.ID(),
 		ep:    ep,
@@ -84,8 +94,12 @@ func (n *Node) NumNodes() int { return n.ep.N() }
 func (n *Node) IsCoord() bool { return n.id == 0 }
 
 // Keep reports whether this node records result levels (the coordinator
-// always does; followers only in KeepResults worker mode).
-func (n *Node) Keep() bool { return n.IsCoord() || n.cfg.KeepResults }
+// always does; followers only in worker mode).
+func (n *Node) Keep() bool { return n.IsCoord() || n.keepResults }
+
+// Miner is the mining logic attached to this node; after a run it holds the
+// family's results (see Keep).
+func (n *Node) Miner() Miner { return n.miner }
 
 // TotalSize is the global database size |D| established by the size
 // exchange.

@@ -1,28 +1,48 @@
 package driver
 
 import (
+	"fmt"
 	"time"
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/metrics"
 )
 
-// Run executes the full mining protocol over fabric with one node goroutine
-// per miner (miners[i] becomes node i; node 0 coordinates). It returns the
-// nodes — whose miners now hold the results — and the wall-clock elapsed
-// time. The first node error, if any, is returned after every node has
-// exited.
-func Run(fabric cluster.Fabric, cfg Config, miners []Miner) ([]*Node, time.Duration, error) {
-	// In-process nodes share one Tracer, so the telemetry plane skips span
-	// shipping (they are already in the shared trace); pass stats still flow
-	// to keep the coordinator's skew analytics and ClusterView live.
-	cfg.sharedObs = true
-	nodes := make([]*Node, len(miners))
+// Run is the in-process run skeleton every miner family shares: validate the
+// Spec, construct node i's Miner with newMiner(i) for each of the n partitions
+// (where the family rejects what only it can judge), build the fabric, execute
+// the protocol with one goroutine per node (node 0 coordinates) and assemble
+// the run statistics. It returns the coordinator node — whose Miner now holds
+// the results — and the stats. The first node error, if any, is returned after
+// every node has exited.
+func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Node, *metrics.RunStats, error) {
+	if n == 0 {
+		return nil, nil, fmt.Errorf("driver: no database partitions")
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, nil, err
+	}
+	miners := make([]Miner, n)
+	for i := range miners {
+		m, err := newMiner(i)
+		if err != nil {
+			return nil, nil, err
+		}
+		miners[i] = m
+	}
+	fabric, err := NewFabric(spec.Fabric, n, spec.FabricBuffer)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer fabric.Close()
+
+	nodes := make([]*Node, n)
 	for i, m := range miners {
-		nodes[i] = NewNode(fabric.Endpoint(i), cfg, m)
+		nodes[i] = newNode(fabric.Endpoint(i), spec, m)
+		nodes[i].sharedObs = true // one Tracer for all in-process nodes
 	}
 	start := time.Now()
-	errs := make(chan error, len(nodes))
+	errs := make(chan error, n)
 	for _, nd := range nodes {
 		go func(nd *Node) { errs <- nd.Run() }(nd)
 	}
@@ -33,23 +53,51 @@ func Run(fabric cluster.Fabric, cfg Config, miners []Miner) ([]*Node, time.Durat
 		}
 	}
 	if firstErr != nil {
-		return nil, 0, firstErr
+		return nil, nil, firstErr
 	}
-	return nodes, time.Since(start), nil
+	elapsed := time.Since(start)
+	return nodes[0], AssembleStats(string(spec.Algorithm), spec.MinSupport, nodes, elapsed), nil
 }
 
-// RunWorker executes one node of the protocol over a caller-provided
-// endpoint — the entry point for true multi-process clusters (DialMesh).
-// KeepResults is forced on so this process's miner records the global
-// frequents even when it is not the coordinator.
-func RunWorker(ep cluster.Endpoint, cfg Config, m Miner) (*Node, time.Duration, error) {
-	cfg.KeepResults = true
-	nd := NewNode(ep, cfg, m)
+// RunWorker is Run's multi-process twin: it executes one node of the protocol
+// over a caller-provided endpoint (cluster.DialMesh). Every worker must run
+// the same Spec; node 0 coordinates. This process's miner records the global
+// frequents even when it is not the coordinator. On the coordinator the stats
+// also merge every worker's per-pass counters and endpoint totals — shipped at
+// each pass barrier over the telemetry plane — into a full cluster view; on a
+// follower they cover only the local node.
+func RunWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (*Node, *metrics.RunStats, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, nil, err
+	}
+	m, err := newMiner()
+	if err != nil {
+		return nil, nil, err
+	}
+	nd := newNode(ep, spec, m)
+	nd.keepResults = true
 	start := time.Now()
 	if err := nd.Run(); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return nd, time.Since(start), nil
+	elapsed := time.Since(start)
+	return nd, AssembleClusterStats(string(spec.Algorithm), spec.MinSupport, nd, elapsed), nil
+}
+
+// stats is the pass metadata in its RunStats form, before any node's counters
+// are attached.
+func (m passMeta) stats() metrics.PassStats {
+	plan := m.plan
+	return metrics.PassStats{
+		Pass:       m.pass,
+		Candidates: m.candidates,
+		Duplicated: m.duplicated,
+		Fragments:  m.fragments,
+		Large:      m.large,
+		Elapsed:    m.elapsed,
+		Generate:   m.generate,
+		Plan:       &plan,
+	}
 }
 
 // AssembleStats merges each node's per-pass counters with the coordinator's
@@ -64,17 +112,7 @@ func AssembleStats(algorithm string, minSup float64, nodes []*Node, elapsed time
 		Elapsed:   elapsed,
 	}
 	for pi, meta := range coord.passMeta {
-		ps := metrics.PassStats{
-			Pass:       meta.pass,
-			Candidates: meta.candidates,
-			Duplicated: meta.duplicated,
-			Fragments:  meta.fragments,
-			Large:      meta.large,
-			Elapsed:    meta.elapsed,
-			Generate:   meta.generate,
-		}
-		pl := meta.plan
-		ps.Plan = &pl
+		ps := meta.stats()
 		for _, nd := range nodes {
 			if pi < len(nd.perPass) {
 				ps.Nodes = append(ps.Nodes, nd.perPass[pi])

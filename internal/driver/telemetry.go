@@ -91,7 +91,7 @@ func (n *Node) shipTelemetry(final bool) error {
 		passes:    n.perPass[n.tel.shipped:],
 	}
 	n.tel.shipped = len(n.perPass)
-	if n.tr.Enabled() && !n.cfg.sharedObs {
+	if n.tr.Enabled() && !n.sharedObs {
 		b.epoch = n.tr.EpochWallNanos()
 		b.dropped = n.tr.Dropped()
 		b.tracks = n.tr.Tracks()
@@ -132,7 +132,7 @@ func (n *Node) ingestTelemetry(m cluster.Message) error {
 		t.remote[node] = append(t.remote[node], ps)
 	}
 
-	if b.epoch != 0 && n.tr.Enabled() && !n.cfg.sharedObs {
+	if b.epoch != 0 && n.tr.Enabled() && !n.sharedObs {
 		// Rebase: a remote span at s nanos past its epoch E_r happened at
 		// wall time E_r+s on the remote clock, which is E_r+s-offset on the
 		// coordinator's clock, i.e. E_r+s-offset-E_c past our epoch.
@@ -305,17 +305,7 @@ func AssembleClusterStats(algorithm string, minSup float64, nd *Node, elapsed ti
 		Elapsed:   elapsed,
 	}
 	for pi, meta := range nd.passMeta {
-		ps := metrics.PassStats{
-			Pass:       meta.pass,
-			Candidates: meta.candidates,
-			Duplicated: meta.duplicated,
-			Fragments:  meta.fragments,
-			Large:      meta.large,
-			Elapsed:    meta.elapsed,
-			Generate:   meta.generate,
-		}
-		pl := meta.plan
-		ps.Plan = &pl
+		ps := meta.stats()
 		if pi < len(nd.perPass) {
 			ps.Nodes = append(ps.Nodes, nd.perPass[pi])
 		}

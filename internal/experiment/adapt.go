@@ -8,6 +8,7 @@ import (
 
 	"pgarm/internal/core"
 	"pgarm/internal/cumulate"
+	"pgarm/internal/engines"
 	"pgarm/internal/metrics"
 	"pgarm/internal/txn"
 )
@@ -78,7 +79,7 @@ func (e *Env) Adapt(o AdaptOptions) (*Table, []metrics.AdaptReport, error) {
 	}}
 
 	for _, arm := range []string{"static", "adaptive"} {
-		cfg := core.Config{
+		spec := engines.Spec{
 			Algorithm:  o.Algorithm,
 			MinSupport: o.MinSup,
 			Fabric:     e.opt.Fabric,
@@ -86,11 +87,11 @@ func (e *Env) Adapt(o AdaptOptions) (*Table, []metrics.AdaptReport, error) {
 			Tracer:     e.opt.Tracer,
 		}
 		if arm == "adaptive" {
-			cfg.Adaptive = true
-			cfg.EscalateAt = o.EscalateAt
-			cfg.JumpAt = o.JumpAt
+			spec.Adaptive = true
+			spec.EscalateAt = o.EscalateAt
+			spec.JumpAt = o.JumpAt
 		}
-		res, err := core.Mine(d.ds.Taxonomy, parts, cfg)
+		res, err := engines.Run(d.ds.Taxonomy, parts, spec)
 		if err != nil {
 			return nil, nil, fmt.Errorf("adapt arm %s: %w", arm, err)
 		}
@@ -101,7 +102,7 @@ func (e *Env) Adapt(o AdaptOptions) (*Table, []metrics.AdaptReport, error) {
 			Arm: arm, Algorithm: string(o.Algorithm), Nodes: e.opt.Nodes,
 			MinSup: o.MinSup, Zipf: o.Zipf,
 			FinalGranules: res.Stats.FinalPlan().GranuleMap(),
-			Identical:     equalLevels(res.Large, ref.Large),
+			Identical:     res.Equal(&ref.Levels),
 		}
 		for _, ps := range res.Stats.Passes {
 			ap := metrics.AdaptPass{Pass: ps.Pass, Duplicated: ps.Duplicated}

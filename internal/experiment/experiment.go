@@ -7,6 +7,8 @@ import (
 
 	"pgarm/internal/core"
 	"pgarm/internal/cumulate"
+	"pgarm/internal/driver"
+	"pgarm/internal/engines"
 	"pgarm/internal/gen"
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
@@ -37,7 +39,7 @@ type Options struct {
 	// fragments and TGD starves there, as on the SP-2.
 	Budget int64
 	// Fabric selects the interconnect (channels by default).
-	Fabric core.FabricKind
+	Fabric driver.FabricKind
 	// Workers is the per-node scan worker pool size (0 or 1 scans on the
 	// node goroutine); results are identical at any setting.
 	Workers int
@@ -140,7 +142,7 @@ func (d *dataset) Parts(n int) []txn.Scanner {
 // run executes one mining configuration restricted to pass 2 (the paper
 // evaluates pass 2; other passes behave alike, §4.2) and returns its stats.
 func (e *Env) run(d *dataset, alg core.Algorithm, nodes int, minSup float64, budget int64) (*metrics.RunStats, error) {
-	res, err := core.Mine(d.ds.Taxonomy, d.Parts(nodes), core.Config{
+	res, err := engines.Run(d.ds.Taxonomy, d.Parts(nodes), engines.Spec{
 		Algorithm:    alg,
 		MinSupport:   minSup,
 		MaxK:         2,

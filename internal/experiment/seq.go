@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"pgarm/internal/engines"
 	"pgarm/internal/seq"
 	"pgarm/internal/taxonomy"
 )
@@ -44,7 +45,7 @@ func (e *Env) SeqSweep() (*Table, error) {
 	}
 	var spspmBytes, hpspmBytes float64
 	for _, alg := range seq.Algorithms() {
-		res, err := seq.MineParallel(tax, parts, seq.ParallelConfig{
+		res, err := seq.MineParallel(tax, parts, engines.Spec{
 			Algorithm:  alg,
 			MinSupport: seqMinSup,
 			MaxK:       3,

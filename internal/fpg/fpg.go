@@ -33,13 +33,11 @@ package fpg
 
 import (
 	"fmt"
-	"time"
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/driver"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
-	"pgarm/internal/obs"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
@@ -58,127 +56,52 @@ const (
 	FabricTCP = driver.FabricTCP
 )
 
-// Config parameterizes a parallel FP-Growth run. The knobs mirror
-// core.Config where they overlap, so callers can drive either family from
-// the same flag set.
-type Config struct {
-	MinSupport float64 // fraction of |D|, e.g. 0.003 for 0.3%
-	MaxK       int     // 0 = grow patterns of every size; k bounds pattern length
+// Config and Result are the one run description and the one result shape
+// (driver.Spec, driver.Result) under the names bench/ compiles against;
+// new callers go through internal/engines. See DESIGN §3. MaxK bounds the
+// pattern length; Workers also sizes the tree build, the base shipping and
+// the suffix-task mining.
+type (
+	Config = driver.Spec
+	Result = driver.Result
+)
 
-	// Workers is the number of goroutines each node uses for the local scan,
-	// the tree build, the base shipping and the suffix-task mining. 0 or 1
-	// runs everything on the node goroutine itself. Results are
-	// bit-identical for every setting.
-	Workers int
-
-	Fabric       FabricKind
-	FabricBuffer int // per-inbox message buffer; 0 = default
-	BatchBytes   int // cond-base send batching threshold; 0 = default (4KB)
-
-	// Tracer/Registry/OnPassStart/OnPass/ClockOffsets/View: see core.Config;
-	// the driver wires them identically for every miner family.
-	Tracer       *obs.Tracer
-	Registry     *obs.Registry
-	OnPassStart  func(pass, candidates int)
-	OnPass       func(driver.PassProgress)
-	ClockOffsets []time.Duration
-	View         *driver.ClusterView
+// check is this family's share of validation: the Spec must name this engine
+// (or nothing) and set none of the candidate-family knobs.
+func check(cfg *Config) error {
+	if cfg.Algorithm == "" {
+		cfg.Algorithm = Engine
+	}
+	if cfg.Algorithm != Engine {
+		return fmt.Errorf("fpg: algorithm %q is not %s", cfg.Algorithm, Engine)
+	}
+	return cfg.RejectCandidateKnobs()
 }
 
-// driverConfig maps the runtime half of the Config onto the shared driver.
-// The whole pattern growth happens in driver pass 2 (Generate(3) returns 0),
-// so the driver's MaxK only matters for MaxK == 1 — pattern length is
-// bounded inside the recursion instead.
-func (c *Config) driverConfig() driver.Config {
-	maxK := 0
-	if c.MaxK == 1 {
-		maxK = 1
+// runSpec is the Spec the driver runs: the whole pattern growth happens in
+// driver pass 2 (Generate(3) returns 0), so the driver's MaxK only matters
+// for MaxK == 1 — pattern length is bounded inside the recursion instead.
+func runSpec(cfg Config) driver.Spec {
+	if cfg.MaxK > 1 {
+		cfg.MaxK = 0
 	}
-	return driver.Config{
-		MinSupport:   c.MinSupport,
-		MaxK:         maxK,
-		Workers:      c.Workers,
-		BatchBytes:   c.BatchBytes,
-		Tracer:       c.Tracer,
-		Registry:     c.Registry,
-		OnPassStart:  c.OnPassStart,
-		OnPass:       c.OnPass,
-		ClockOffsets: c.ClockOffsets,
-		View:         c.View,
-	}
-}
-
-// Result is the outcome of a parallel FP-Growth run; the shape mirrors
-// core.Result so downstream consumers (rule derivation, model snapshots)
-// work with either family.
-type Result struct {
-	// Large[k-1] holds the global large k-itemsets with exact support
-	// counts, lexicographically ordered — identical to sequential Cumulate.
-	Large [][]itemset.Counted
-	Stats *metrics.RunStats
-}
-
-// LargeK returns the large k-itemsets, or nil when the run ended before k.
-func (r *Result) LargeK(k int) []itemset.Counted {
-	if k < 1 || k > len(r.Large) {
-		return nil
-	}
-	return r.Large[k-1]
-}
-
-// All returns every large itemset across all sizes.
-func (r *Result) All() []itemset.Counted {
-	var out []itemset.Counted
-	for _, l := range r.Large {
-		out = append(out, l...)
-	}
-	return out
-}
-
-// SupportIndex builds itemset-key -> support over all large itemsets.
-func (r *Result) SupportIndex() map[string]int64 {
-	idx := make(map[string]int64)
-	for _, level := range r.Large {
-		for _, c := range level {
-			idx[itemset.Key(c.Items)] = c.Count
-		}
-	}
-	return idx
+	return cfg
 }
 
 // Mine runs generalized FP-Growth over a cluster of len(parts) in-process
 // nodes; parts[i] is node i's local database partition. The taxonomy is
 // shared read-only, as the paper assumes.
 func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, error) {
-	n := len(parts)
-	if n == 0 {
-		return nil, fmt.Errorf("fpg: no database partitions")
+	if err := check(&cfg); err != nil {
+		return nil, err
 	}
-	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
-		return nil, fmt.Errorf("fpg: minimum support %g out of (0,1]", cfg.MinSupport)
-	}
-	fabric, err := driver.NewFabric(cfg.Fabric, n, cfg.FabricBuffer)
+	coord, stats, err := driver.Run(runSpec(cfg), len(parts), func(i int) (driver.Miner, error) {
+		return newFpgMiner(tax, parts[i], cfg), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer fabric.Close()
-
-	miners := make([]driver.Miner, n)
-	coord := (*fpgMiner)(nil)
-	for i := 0; i < n; i++ {
-		m := newFpgMiner(tax, parts[i], cfg)
-		if i == 0 {
-			coord = m
-		}
-		miners[i] = m
-	}
-	nodes, elapsed, err := driver.Run(fabric, cfg.driverConfig(), miners)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Large: coord.large}
-	res.Stats = driver.AssembleStats(Engine, cfg.MinSupport, nodes, elapsed)
-	return res, nil
+	return result(coord, stats), nil
 }
 
 // MineWorker runs a single node of the FP-Growth protocol over a caller-
@@ -186,15 +109,21 @@ func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, err
 // cluster.DialMesh). Every worker must run the same Config; node 0 acts as
 // coordinator.
 func MineWorker(tax *taxonomy.Taxonomy, local txn.Scanner, cfg Config, ep cluster.Endpoint) (*Result, error) {
-	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
-		return nil, fmt.Errorf("fpg: minimum support %g out of (0,1]", cfg.MinSupport)
+	if err := check(&cfg); err != nil {
+		return nil, err
 	}
-	m := newFpgMiner(tax, local, cfg)
-	nd, elapsed, err := driver.RunWorker(ep, cfg.driverConfig(), m)
+	nd, stats, err := driver.RunWorker(runSpec(cfg), ep, func() (driver.Miner, error) {
+		return newFpgMiner(tax, local, cfg), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Large: m.large}
-	res.Stats = driver.AssembleClusterStats(Engine, cfg.MinSupport, nd, elapsed)
-	return res, nil
+	return result(nd, stats), nil
+}
+
+func result(nd *driver.Node, stats *metrics.RunStats) *Result {
+	return &Result{
+		Levels: itemset.Levels{Large: nd.Miner().(*fpgMiner).large},
+		Stats:  stats,
+	}
 }

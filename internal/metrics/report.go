@@ -7,26 +7,12 @@ import (
 	"pgarm/internal/obs"
 )
 
-// ReportVersion identifies the run-report JSON schema. Bump it on any
-// incompatible change so downstream trajectory tooling can dispatch.
-//
-// Version history:
-//
-//	1 — initial schema (passes, endpoints, span rollups)
-//	2 — adds the per-pass "skew" section and "spans_dropped"
-//	3 — adds the per-pass "plan" section (partitioner, granule, escalations)
-//	4 — adds the "stream" section (incremental checkpoints: delta/recount
-//	    fractions, append→servable freshness, bit-identity)
-//	5 — adds the "fpg" section (FP-Growth vs. Cumulate-family head-to-head:
-//	    per-minsup elapsed, speedup over the best candidate engine,
-//	    bit-identity against sequential Cumulate)
-const ReportVersion = 5
-
 // Report is the machine-readable form of one mining run: RunStats flattened
 // into stable JSON plus span rollups from the tracer (when tracing was on).
-// It is the diffable artifact `pgarm-bench -json` emits.
+// It is the diffable artifact `pgarm-bench -json` emits. The schema carries
+// no version number: a report is a set of named sections, each present when
+// that part of the run happened, and the key set is pinned by a golden test.
 type Report struct {
-	Version   int          `json:"version"`
 	Algorithm string       `json:"algorithm"`
 	Dataset   string       `json:"dataset"`
 	Nodes     int          `json:"nodes"`
@@ -94,7 +80,6 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // tracing was on its per-span rollups are embedded.
 func BuildReport(rs *RunStats, tracer *obs.Tracer) Report {
 	rep := Report{
-		Version:   ReportVersion,
 		Algorithm: rs.Algorithm,
 		Dataset:   rs.Dataset,
 		Nodes:     rs.Nodes,

@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,9 +75,6 @@ func TestBuildReportShape(t *testing.T) {
 	sp.End()
 
 	rep := BuildReport(rs, tr)
-	if rep.Version != ReportVersion {
-		t.Fatalf("version = %d", rep.Version)
-	}
 	if len(rep.Passes) != 2 || len(rep.Passes[0].Nodes) != 2 {
 		t.Fatalf("report shape: %+v", rep)
 	}
@@ -103,5 +103,71 @@ func TestBuildReportShape(t *testing.T) {
 	rep2 := BuildReport(rs, nil)
 	if rep2.Spans != nil {
 		t.Errorf("nil tracer produced spans: %+v", rep2.Spans)
+	}
+}
+
+// keyPaths lists every distinct key path of a JSON document, array indices
+// collapsed to "[]", sorted — the schema a report exposes, whatever its
+// values.
+func keyPaths(t *testing.T, doc []byte) string {
+	var v any
+	if err := json.Unmarshal(doc, &v); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		if prefix != "" {
+			seen[prefix] = true
+		}
+		switch v := v.(type) {
+		case map[string]any:
+			for k, c := range v {
+				walk(strings.TrimPrefix(prefix+"."+k, "."), c)
+			}
+		case []any:
+			for _, c := range v {
+				walk(strings.TrimPrefix(prefix+".[]", "."), c)
+			}
+		}
+	}
+	walk("", v)
+	paths := make([]string, 0, len(seen))
+	for p := range seen {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return strings.Join(paths, "\n") + "\n"
+}
+
+// TestReportKeySet pins the report schema: every section and every optional
+// field, switched on, against the key set recorded at the commit before the
+// version ladder was deleted (whose one difference is the "version" key).
+func TestReportKeySet(t *testing.T) {
+	rs := reconciledRun()
+	p := &rs.Passes[0]
+	p.Duplicated, p.Fragments, p.Generate = 3, 2, time.Millisecond
+	p.Plan = &PlanDecision{
+		Pass: 1, Partitioner: "root-vector-hash", Granule: "none", Candidates: 10, Duplicated: 3,
+		Adaptive: true, SkewPass: 1, Escalations: []Escalation{{Root: 3, Granule: "fine"}},
+	}
+	n := &p.Nodes[0]
+	n.BlocksScanned, n.BlocksSkipped, n.BytesDecoded = 4, 1, 512
+	tr := obs.NewTracer()
+	sp := tr.Begin(0, 0, "pass 1")
+	sp.End()
+	rep := BuildReport(rs, tr)
+	rep.SpansDropped = 1
+
+	doc, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/report_keys.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keyPaths(t, doc); got != string(want) {
+		t.Errorf("report key set differs from testdata/report_keys.golden:\n%s", got)
 	}
 }

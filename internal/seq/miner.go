@@ -21,7 +21,7 @@ import (
 type seqMiner struct {
 	tax *taxonomy.Taxonomy
 	db  *DB
-	cfg ParallelConfig
+	cfg driver.Spec
 
 	// Global mining state, identical on every node after each barrier.
 	large []bool          // frequent-item flags after pass 1
@@ -41,8 +41,16 @@ type seqMiner struct {
 	result *Result
 }
 
-func newSeqMiner(tax *taxonomy.Taxonomy, db *DB, cfg ParallelConfig) *seqMiner {
-	return &seqMiner{tax: tax, db: db, cfg: cfg}
+// newSeqMiner is this family's share of validation: the Spec must name a
+// sequence miner and set none of the candidate-family knobs.
+func newSeqMiner(tax *taxonomy.Taxonomy, db *DB, cfg driver.Spec) (*seqMiner, error) {
+	if _, err := ParseAlgorithm(string(cfg.Algorithm)); err != nil {
+		return nil, err
+	}
+	if err := cfg.RejectCandidateKnobs(); err != nil {
+		return nil, err
+	}
+	return &seqMiner{tax: tax, db: db, cfg: cfg}, nil
 }
 
 func (m *seqMiner) LocalSize() int { return m.db.Len() }

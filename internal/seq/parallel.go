@@ -2,12 +2,10 @@ package seq
 
 import (
 	"fmt"
-	"time"
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/driver"
 	"pgarm/internal/metrics"
-	"pgarm/internal/obs"
 	"pgarm/internal/taxonomy"
 )
 
@@ -25,7 +23,7 @@ import (
 //	       *root vector* (the roots of every member item), the H-HPGM rule,
 //	       so each node is shipped only the sequence items relevant to its
 //	       own candidates — same counts as SPSPM at a fraction of the bytes.
-type Algorithm string
+type Algorithm = driver.Algorithm
 
 // The implemented parallel sequential miners.
 const (
@@ -60,161 +58,44 @@ const (
 	FabricTCP = driver.FabricTCP
 )
 
-// PassProgress is the per-pass progress callback payload (Config.OnPass),
-// delivered on the coordinator when a pass completes.
-type PassProgress = driver.PassProgress
-
-// ParallelConfig controls a parallel GSP run.
-type ParallelConfig struct {
-	Algorithm  Algorithm
-	MinSupport float64 // fraction of all customers
-	MaxK       int     // 0 = run to completion
-
-	// Workers is the number of scan goroutines each node uses over its local
-	// partition (see driver.ScanShards); 0 or 1 scans on the node goroutine.
-	Workers int
-
-	Fabric     FabricKind
-	Buffer     int // per-inbox message buffer; 0 = default
-	BatchBytes int // count-support send batching threshold; 0 = default (4KB)
-
-	// Tracer, when non-nil, records phase spans for every node (pass,
-	// generate, scan shards, exchange, barrier) for Chrome-trace export.
-	Tracer *obs.Tracer
-	// Registry, when non-nil, receives live counters/gauges/histograms per
-	// node (current pass, probes, scan and barrier timings) for /metrics.
-	Registry *obs.Registry
-	// OnPassStart, when non-nil, fires on the coordinator as each pass k>=2
-	// begins, before any scanning.
-	OnPassStart func(pass, candidates int)
-	// OnPass, when non-nil, fires on the coordinator as each pass completes.
-	OnPass func(PassProgress)
-	// ClockOffsets, when non-nil on the coordinator of a mesh run, holds the
-	// per-node clock offsets estimated during DialMesh (Mesh.ClockOffsets);
-	// the telemetry plane uses them to rebase remote span timestamps into the
-	// coordinator's clock when merging cluster traces.
-	ClockOffsets []time.Duration
-	// View, when non-nil, receives live cluster-run state (current pass,
-	// per-node progress, skew snapshots) for the /debug/cluster endpoint.
-	View *driver.ClusterView
-}
-
-// validate rejects malformed configurations before any fabric (listeners,
-// goroutines) is constructed.
-func (c *ParallelConfig) validate() error {
-	if c.MinSupport <= 0 || c.MinSupport > 1 {
-		return fmt.Errorf("seq: minimum support %g out of (0,1]", c.MinSupport)
-	}
-	if _, err := ParseAlgorithm(string(c.Algorithm)); err != nil {
-		return err
-	}
-	if c.MaxK < 0 {
-		return fmt.Errorf("seq: negative MaxK %d", c.MaxK)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("seq: negative Workers %d", c.Workers)
-	}
-	if c.Buffer < 0 {
-		return fmt.Errorf("seq: negative Buffer %d", c.Buffer)
-	}
-	if c.BatchBytes < 0 {
-		return fmt.Errorf("seq: negative BatchBytes %d", c.BatchBytes)
-	}
-	return nil
-}
-
-// driverConfig maps the runtime-relevant half of the config onto the shared
-// pass driver's knobs; the mining-relevant half (Algorithm) stays with the
-// sequence miner.
-func (c *ParallelConfig) driverConfig() driver.Config {
-	return driver.Config{
-		MinSupport:   c.MinSupport,
-		MaxK:         c.MaxK,
-		Workers:      c.Workers,
-		BatchBytes:   c.BatchBytes,
-		Tracer:       c.Tracer,
-		Registry:     c.Registry,
-		OnPassStart:  c.OnPassStart,
-		OnPass:       c.OnPass,
-		ClockOffsets: c.ClockOffsets,
-		View:         c.View,
-	}
-}
-
 // ParallelResult carries the frequent patterns and per-pass statistics.
 type ParallelResult struct {
 	*Result
 	Stats *metrics.RunStats
 }
 
-// MineParallel runs the configured algorithm over len(parts) shared-nothing
-// nodes (goroutines over the configured fabric) and returns the frequent
+// MineParallel runs spec.Algorithm over len(parts) shared-nothing nodes
+// (goroutines over the configured fabric) and returns the frequent
 // generalized sequential patterns — identical to sequential Mine.
-func MineParallel(tax *taxonomy.Taxonomy, parts []*DB, cfg ParallelConfig) (*ParallelResult, error) {
-	n := len(parts)
-	if n == 0 {
-		return nil, fmt.Errorf("seq: no partitions")
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-
-	fabric, err := driver.NewFabric(cfg.Fabric, n, cfg.Buffer)
+func MineParallel(tax *taxonomy.Taxonomy, parts []*DB, spec driver.Spec) (*ParallelResult, error) {
+	coord, stats, err := driver.Run(spec, len(parts), func(i int) (driver.Miner, error) {
+		return newSeqMiner(tax, parts[i], spec)
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer fabric.Close()
-
-	miners := make([]driver.Miner, n)
-	coord := (*seqMiner)(nil)
-	for i := 0; i < n; i++ {
-		m := newSeqMiner(tax, parts[i], cfg)
-		if i == 0 {
-			coord = m
-		}
-		miners[i] = m
-	}
-
-	nodes, elapsed, err := driver.Run(fabric, cfg.driverConfig(), miners)
-	if err != nil {
-		return nil, err
-	}
-
-	res := coord.result
-	if res == nil {
-		res = &Result{NumCustomers: nodes[0].TotalSize()}
-	}
-	return &ParallelResult{
-		Result: res,
-		Stats:  driver.AssembleStats(string(cfg.Algorithm), cfg.MinSupport, nodes, elapsed),
-	}, nil
+	return result(coord, stats), nil
 }
 
 // MineWorker runs a single node of the sequence-mining protocol over a
 // caller-provided endpoint — the entry point for true multi-process
-// shared-nothing clusters (see cluster.DialMesh). Every worker must run the
-// same config; node 0 acts as coordinator.
-//
-// The returned result carries the global frequent patterns (identical on
-// every node after the final broadcast). On the coordinator the Stats also
-// merge every worker's per-pass counters and endpoint totals — shipped at
-// each pass barrier over the telemetry plane — into a full cluster view; on
-// follower nodes they cover only the local node.
-func MineWorker(tax *taxonomy.Taxonomy, local *DB, cfg ParallelConfig, ep cluster.Endpoint) (*ParallelResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	m := newSeqMiner(tax, local, cfg)
-	nd, elapsed, err := driver.RunWorker(ep, cfg.driverConfig(), m)
+// shared-nothing clusters (see cluster.DialMesh). The result carries the
+// global frequent patterns, identical on every node after the final
+// broadcast; see driver.RunWorker for what the Stats cover.
+func MineWorker(tax *taxonomy.Taxonomy, local *DB, spec driver.Spec, ep cluster.Endpoint) (*ParallelResult, error) {
+	nd, stats, err := driver.RunWorker(spec, ep, func() (driver.Miner, error) {
+		return newSeqMiner(tax, local, spec)
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := m.result
+	return result(nd, stats), nil
+}
+
+func result(nd *driver.Node, stats *metrics.RunStats) *ParallelResult {
+	res := nd.Miner().(*seqMiner).result
 	if res == nil {
 		res = &Result{NumCustomers: nd.TotalSize()}
 	}
-	return &ParallelResult{
-		Result: res,
-		Stats:  driver.AssembleClusterStats(string(cfg.Algorithm), cfg.MinSupport, nd, elapsed),
-	}, nil
+	return &ParallelResult{Result: res, Stats: stats}
 }

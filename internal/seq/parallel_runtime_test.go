@@ -33,7 +33,7 @@ func TestSeqFabricsMatchSequential(t *testing.T) {
 				if f.kind == FabricTCP && testing.Short() {
 					t.Skip("tcp fabric in short mode")
 				}
-				got, err := MineParallel(tax, Partition(db, 3), ParallelConfig{
+				got, err := MineParallel(tax, Partition(db, 3), driver.Spec{
 					Algorithm:  alg,
 					MinSupport: 0.05,
 					MaxK:       3,
@@ -115,7 +115,7 @@ func TestSeqWorkerMesh(t *testing.T) {
 						return
 					}
 					defer closer.Close()
-					results[i], errs[i] = MineWorker(tax, parts[i], ParallelConfig{
+					results[i], errs[i] = MineWorker(tax, parts[i], driver.Spec{
 						Algorithm:  alg,
 						MinSupport: 0.05,
 						MaxK:       3,
@@ -210,7 +210,7 @@ func TestCandidateOwnershipProperty(t *testing.T) {
 func TestHPSPMMovesFewerItemsThanSPSPM(t *testing.T) {
 	tax, db := parallelDataset(t)
 	run := func(alg Algorithm) (*ParallelResult, int64, int64) {
-		res, err := MineParallel(tax, Partition(db, 4), ParallelConfig{
+		res, err := MineParallel(tax, Partition(db, 4), driver.Spec{
 			Algorithm:  alg,
 			MinSupport: 0.05,
 			MaxK:       3,
@@ -253,12 +253,15 @@ func TestHPSPMMovesFewerItemsThanSPSPM(t *testing.T) {
 func TestParallelConfigValidationExtended(t *testing.T) {
 	tax, db := parallelDataset(t)
 	parts := Partition(db, 2)
-	bad := []ParallelConfig{
-		{Algorithm: NPSPM, MinSupport: 0.1, Buffer: -1},
+	bad := []driver.Spec{
+		{Algorithm: NPSPM, MinSupport: 0.1, FabricBuffer: -1},
 		{Algorithm: NPSPM, MinSupport: 0.1, Workers: -2},
 		{Algorithm: NPSPM, MinSupport: 0.1, BatchBytes: -64},
 		{Algorithm: NPSPM, MinSupport: 0.1, MaxK: -1},
 		{Algorithm: NPSPM, MinSupport: 1.5},
+		// Candidate-family knobs the sequence miners do not have.
+		{Algorithm: NPSPM, MinSupport: 0.1, MemoryBudget: 1 << 20},
+		{Algorithm: HPSPM, MinSupport: 0.1, Adaptive: true},
 	}
 	for i, cfg := range bad {
 		if _, err := MineParallel(tax, parts, cfg); err == nil {
@@ -274,10 +277,10 @@ func TestParallelConfigValidationExtended(t *testing.T) {
 	// MineWorker validates before touching the endpoint.
 	f := cluster.NewChanFabric(1, 4)
 	defer f.Close()
-	if _, err := MineWorker(tax, db, ParallelConfig{Algorithm: "nope", MinSupport: 0.1}, f.Endpoint(0)); err == nil {
+	if _, err := MineWorker(tax, db, driver.Spec{Algorithm: "nope", MinSupport: 0.1}, f.Endpoint(0)); err == nil {
 		t.Error("bad algorithm must fail")
 	}
-	if _, err := MineWorker(tax, db, ParallelConfig{Algorithm: HPSPM, MinSupport: 0}, f.Endpoint(0)); err == nil {
+	if _, err := MineWorker(tax, db, driver.Spec{Algorithm: HPSPM, MinSupport: 0}, f.Endpoint(0)); err == nil {
 		t.Error("zero support must fail")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pgarm/internal/driver"
 	"pgarm/internal/taxonomy"
 )
 
@@ -29,7 +30,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, alg := range []Algorithm{NPSPM, SPSPM} {
 		for _, nodes := range []int{1, 3, 4} {
 			t.Run(fmt.Sprintf("%s/%dnodes", alg, nodes), func(t *testing.T) {
-				got, err := MineParallel(tax, Partition(db, nodes), ParallelConfig{
+				got, err := MineParallel(tax, Partition(db, nodes), driver.Spec{
 					Algorithm:  alg,
 					MinSupport: 0.05,
 					MaxK:       3,
@@ -66,20 +67,20 @@ func assertSamePatterns(t *testing.T, want, got *Result) {
 
 func TestParallelValidation(t *testing.T) {
 	tax, db := parallelDataset(t)
-	if _, err := MineParallel(tax, nil, ParallelConfig{Algorithm: NPSPM, MinSupport: 0.1}); err == nil {
+	if _, err := MineParallel(tax, nil, driver.Spec{Algorithm: NPSPM, MinSupport: 0.1}); err == nil {
 		t.Error("no partitions must fail")
 	}
-	if _, err := MineParallel(tax, Partition(db, 2), ParallelConfig{Algorithm: "bogus", MinSupport: 0.1}); err == nil {
+	if _, err := MineParallel(tax, Partition(db, 2), driver.Spec{Algorithm: "bogus", MinSupport: 0.1}); err == nil {
 		t.Error("unknown algorithm must fail")
 	}
-	if _, err := MineParallel(tax, Partition(db, 2), ParallelConfig{Algorithm: NPSPM, MinSupport: 0}); err == nil {
+	if _, err := MineParallel(tax, Partition(db, 2), driver.Spec{Algorithm: NPSPM, MinSupport: 0}); err == nil {
 		t.Error("zero support must fail")
 	}
 }
 
 func TestNPSPMHasNoDataExchange(t *testing.T) {
 	tax, db := parallelDataset(t)
-	res, err := MineParallel(tax, Partition(db, 3), ParallelConfig{
+	res, err := MineParallel(tax, Partition(db, 3), driver.Spec{
 		Algorithm:  NPSPM,
 		MinSupport: 0.05,
 		MaxK:       2,
@@ -98,7 +99,7 @@ func TestNPSPMHasNoDataExchange(t *testing.T) {
 
 func TestSPSPMBroadcastsSequences(t *testing.T) {
 	tax, db := parallelDataset(t)
-	res, err := MineParallel(tax, Partition(db, 3), ParallelConfig{
+	res, err := MineParallel(tax, Partition(db, 3), driver.Spec{
 		Algorithm:  SPSPM,
 		MinSupport: 0.05,
 		MaxK:       2,
@@ -119,7 +120,7 @@ func TestSPSPMBroadcastsSequences(t *testing.T) {
 	for _, ns := range ps.Nodes {
 		totalProbes += ns.Probes
 	}
-	npspm, err := MineParallel(tax, Partition(db, 3), ParallelConfig{
+	npspm, err := MineParallel(tax, Partition(db, 3), driver.Spec{
 		Algorithm:  NPSPM,
 		MinSupport: 0.05,
 		MaxK:       2,

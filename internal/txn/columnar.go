@@ -226,27 +226,12 @@ type ColumnarFile struct {
 	count       int
 	fingerprint uint64
 	metas       []BlockMeta
-
-	// data is the whole file mapped read-only when the file was opened with
-	// OpenOptions.Mmap (and the platform supports it); nil selects the pread
-	// path. With a mapping, block reads are zero-copy slices and skipped
-	// blocks never fault a page in.
-	data []byte
 }
 
 // OpenColumnar validates a columnar transaction file — header, trailer,
 // directory checksum, and the internal consistency of every directory entry —
 // and returns a BlockScanner over it.
 func OpenColumnar(path string) (*ColumnarFile, error) {
-	return OpenColumnarWith(path, OpenOptions{})
-}
-
-// OpenColumnarWith is OpenColumnar with explicit open options. With
-// opts.Mmap the file is mapped read-only once and every scan slices the
-// mapping instead of issuing preads; on platforms without mmap (or when the
-// mapping fails) it silently falls back to the pread path, so the option is
-// always safe to set.
-func OpenColumnarWith(path string, opts OpenOptions) (*ColumnarFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("txn: open %s: %w", path, err)
@@ -257,29 +242,7 @@ func OpenColumnarWith(path string, opts OpenOptions) (*ColumnarFile, error) {
 		return nil, fmt.Errorf("txn: %s: %w", path, err)
 	}
 	cf.path = path
-	if opts.Mmap {
-		if st, serr := f.Stat(); serr == nil {
-			if data, merr := mmapFile(f, st.Size()); merr == nil {
-				cf.data = data
-			}
-		}
-	}
 	return cf, nil
-}
-
-// Mapped reports whether scans read through an mmap'd view of the file.
-func (f *ColumnarFile) Mapped() bool { return f.data != nil }
-
-// Close releases the mmap'd view, if any. Scans must not be in flight. A
-// pread-mode file holds no resources between scans, so Close is a no-op
-// there; calling it is always safe and idempotent.
-func (f *ColumnarFile) Close() error {
-	if f.data == nil {
-		return nil
-	}
-	data := f.data
-	f.data = nil
-	return munmapFile(data)
 }
 
 func parseColumnar(f *os.File) (*ColumnarFile, error) {
@@ -462,19 +425,14 @@ func (f *ColumnarFile) Scan(fn func(Transaction) error) error {
 
 // ScanBlocks implements BlockScanner: it reads and decodes exactly the
 // blocks in this shard that the predicate cannot rule out, reusing one set of
-// scratch buffers across blocks. A mapped file serves each block as a
-// zero-copy slice of the mapping; otherwise every scan opens a private
-// handle and preads, so concurrent shard scans never share a file offset.
+// scratch buffers across blocks. Every scan opens a private handle and
+// preads, so concurrent shard scans never share a file offset.
 func (f *ColumnarFile) ScanBlocks(opts BlockScanOptions, fn func(Block) error) error {
-	var file *os.File
-	if f.data == nil {
-		var err error
-		file, err = os.Open(f.path)
-		if err != nil {
-			return fmt.Errorf("txn: open %s: %w", f.path, err)
-		}
-		defer file.Close()
+	file, err := os.Open(f.path)
+	if err != nil {
+		return fmt.Errorf("txn: open %s: %w", f.path, err)
 	}
+	defer file.Close()
 	shard, nShards := opts.Shard, opts.NumShards
 	if nShards <= 1 {
 		shard, nShards = 0, 1
@@ -492,16 +450,12 @@ func (f *ColumnarFile) ScanBlocks(opts BlockScanOptions, fn func(Block) error) e
 			}
 			continue
 		}
-		if f.data != nil {
-			buf = f.data[m.Offset : m.Offset+m.Length : m.Offset+m.Length]
-		} else {
-			if int64(cap(buf)) < m.Length {
-				buf = make([]byte, m.Length)
-			}
-			buf = buf[:m.Length]
-			if _, err := file.ReadAt(buf, m.Offset); err != nil {
-				return fmt.Errorf("txn: %s block %d: read: %w", f.path, i, err)
-			}
+		if int64(cap(buf)) < m.Length {
+			buf = make([]byte, m.Length)
+		}
+		buf = buf[:m.Length]
+		if _, err := file.ReadAt(buf, m.Offset); err != nil {
+			return fmt.Errorf("txn: %s block %d: read: %w", f.path, i, err)
 		}
 		txns, err := dec.decode(m, buf)
 		if err != nil {

@@ -247,23 +247,10 @@ func ReadFile(path string) (*DB, error) {
 	return db, nil
 }
 
-// OpenOptions select how an on-disk partition is accessed.
-type OpenOptions struct {
-	// Mmap maps columnar files read-only instead of preading blocks per
-	// scan. Ignored for the row format and silently downgraded to pread on
-	// platforms without mmap support, so it is always safe to request.
-	Mmap bool
-}
-
 // Open opens a transaction partition in either on-disk format, dispatching on
 // the 4-byte magic: row-oriented ("PGTX") or block-compressed columnar
 // ("PGTC"). The returned Scanner is a *File or a *ColumnarFile.
 func Open(path string) (Scanner, error) {
-	return OpenWith(path, OpenOptions{})
-}
-
-// OpenWith is Open with explicit access options.
-func OpenWith(path string, opts OpenOptions) (Scanner, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("txn: open %s: %w", path, err)
@@ -278,7 +265,7 @@ func OpenWith(path string, opts OpenOptions) (Scanner, error) {
 	case fileMagic:
 		return OpenFile(path)
 	case columnarMagic:
-		return OpenColumnarWith(path, opts)
+		return OpenColumnar(path)
 	}
 	return nil, fmt.Errorf("txn: %s is not a transaction file (unknown magic)", path)
 }
