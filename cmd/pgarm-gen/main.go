@@ -11,8 +11,8 @@
 //
 // -format selects the on-disk layout: "row" is the original stream of
 // delta-coded transactions, "columnar" the block-compressed columnar format
-// with per-block skip filters (see internal/txn). The miners auto-detect the
-// format by magic, so either feeds -in unchanged.
+// whose blocks scan workers decode in parallel (see internal/txn). The miners
+// auto-detect the format by magic, so either feeds -in unchanged.
 //
 // Generation is out-of-core: transactions stream from gen.Stream straight
 // into the per-partition writers (round-robin, matching txn.Partition), so
@@ -45,7 +45,6 @@ func main() {
 		nodes    = flag.Int("nodes", 0, "partition into this many per-node files (0 = single file)")
 		out      = flag.String("out", "", "output path (single file) or path prefix (with -nodes)")
 		format   = flag.String("format", "row", "on-disk layout: row or columnar")
-		block    = flag.Int("block", txn.DefaultTxnsPerBlock, "columnar format: transactions per block")
 		describe = flag.Bool("describe", false, "print the Table 5 parameter sheet and exit")
 		logOpts  = logx.Flags()
 	)
@@ -71,9 +70,9 @@ func main() {
 	p.Seed = *seed
 	logger.Info("generating", "dataset", p.Name, "txns", p.NumTxns, "items", p.NumItems)
 
-	// The columnar writers need the taxonomy before the stream starts;
-	// Balanced is deterministic, so this is the same hierarchy (and
-	// fingerprint) gen.Stream builds internally.
+	// The columnar writers record the taxonomy's fingerprint in the header;
+	// Balanced is deterministic, so this is the same hierarchy gen.Stream
+	// builds internally.
 	tax, err := taxonomy.Balanced(p.NumItems, p.Roots, p.Fanout)
 	if err != nil {
 		logx.Fatal(logger, "taxonomy", "err", err)
@@ -83,7 +82,7 @@ func main() {
 		case "row":
 			return txn.NewRowWriter(path)
 		case "columnar":
-			return txn.NewColumnarWriter(path, tax, *block)
+			return txn.NewColumnarWriter(path, tax, txn.DefaultTxnsPerBlock)
 		default:
 			return nil, fmt.Errorf("unknown -format %q (row or columnar)", *format)
 		}

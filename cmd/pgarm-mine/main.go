@@ -222,9 +222,12 @@ func main() {
 		}
 		for _, path := range strings.Split(*inFiles, ",") {
 			// txn.Open sniffs the magic, so row and columnar partitions (and
-			// mixtures) all work; columnar ones additionally scan block-sharded
-			// with per-pass skip filters.
+			// mixtures) all work; columnar ones scan block-sharded and carry
+			// the fingerprint of the hierarchy they were generated for.
 			f, err := txn.Open(strings.TrimSpace(path))
+			if err == nil {
+				err = txn.CheckTaxonomy(f, tax)
+			}
 			if err != nil {
 				logx.Fatal(logger, "open partition", "err", err)
 			}

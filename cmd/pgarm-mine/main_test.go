@@ -8,6 +8,11 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"pgarm/internal/gen"
+	"pgarm/internal/item"
+	"pgarm/internal/taxonomy"
+	"pgarm/internal/txn"
 )
 
 // bin is the pgarm-mine binary under test, built once from this package.
@@ -67,12 +72,21 @@ func TestGoldenStdout(t *testing.T) {
 // TestFlagErrors: a run description the CLI or the engine rejects exits
 // non-zero and names the reason.
 func TestFlagErrors(t *testing.T) {
+	// A columnar partition generated for R30F5: the same 30,000-item universe
+	// as R30F3 under a different hierarchy.
+	p := gen.R30F5()
+	r30f5 := filepath.Join(t.TempDir(), "r30f5.ptx")
+	db := txn.NewDB([]txn.Transaction{{TID: 1, Items: []item.Item{100, 20000}}})
+	if err := txn.WriteColumnar(r30f5, db, taxonomy.MustBalanced(p.NumItems, p.Roots, p.Fanout), 0); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct{ args, want string }{
 		{"-engine FPG -algorithm HPGM", "name different engines"},
 		{"-engine nope", "unknown engine"},
 		{"-scale 0.0005 -nodes 2 -engine FPG -budget 4096", "knob not supported"},
 		{"-scale 0.0005 -nodes 2 -maxk -1", "negative MaxK"},
 		{"-mode seq -customers 50 -adaptive", "knob not supported"},
+		{"-dataset R30F3 -in " + r30f5, "different taxonomy"},
 	} {
 		out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()
 		if err == nil {

@@ -105,6 +105,9 @@ func main() {
 		logx.Fatal(logger, "taxonomy", "err", err)
 	}
 	local, err := txn.Open(*inFile)
+	if err == nil {
+		err = txn.CheckTaxonomy(local, tax)
+	}
 	if err != nil {
 		logx.Fatal(logger, "open partition", "err", err)
 	}
@@ -252,6 +255,9 @@ func verifyIdentity(tax *taxonomy.Taxonomy, list string, minsup float64, maxK in
 	whole := txn.NewDB(nil)
 	for _, path := range strings.Split(list, ",") {
 		src, err := txn.Open(strings.TrimSpace(path))
+		if err == nil {
+			err = txn.CheckTaxonomy(src, tax)
+		}
 		if err != nil {
 			return false, err
 		}

@@ -155,6 +155,10 @@ type tcpEndpoint struct {
 	stats   counters
 	readers sync.WaitGroup
 	closed  chan struct{}
+	// selfMu orders self-sends against the inbox close: Send holds it shared
+	// while it delivers, shutdown takes it exclusively (after closing
+	// e.closed, which releases any sender blocked on a full inbox).
+	selfMu sync.RWMutex
 
 	closingOnce  sync.Once // closes e.closed: "stop treating read errors as failures"
 	shutdownOnce sync.Once // full teardown: close conns, drain readers, close inbox
@@ -223,7 +227,9 @@ func (e *tcpEndpoint) shutdown(cause error) {
 			}
 		}
 		e.readers.Wait()
+		e.selfMu.Lock()
 		close(e.inbox)
+		e.selfMu.Unlock()
 	})
 }
 
@@ -249,15 +255,25 @@ func (e *tcpEndpoint) N() int { return e.n }
 
 func (e *tcpEndpoint) Send(to int, kind uint8, payload []byte) error {
 	if to == e.id {
-		// Loopback without touching the network, mirroring ChanFabric.
+		// Loopback without touching the network, mirroring ChanFabric. The
+		// inbox closes only after e.closed and under selfMu, so a sender that
+		// saw e.closed open never sends on a closed channel.
+		e.selfMu.RLock()
+		defer e.selfMu.RUnlock()
+		if e.closing() {
+			return fmt.Errorf("cluster: node %d self-send after close", e.id)
+		}
+		// Account before delivery, as chanEndpoint.Send does: the receiver
+		// may consume the message and close its last accounting window
+		// before this goroutine runs again.
+		e.stats.onSend(kind, len(payload))
+		e.stats.onRecv(kind, len(payload))
 		select {
 		case e.inbox <- Message{From: e.id, Kind: kind, Payload: payload}:
+			return nil
 		case <-e.closed:
 			return fmt.Errorf("cluster: node %d self-send after close", e.id)
 		}
-		e.stats.onSend(kind, len(payload))
-		e.stats.onRecv(kind, len(payload))
-		return nil
 	}
 	if to < 0 || to >= e.n || e.conns[to] == nil {
 		return fmt.Errorf("cluster: node %d has no connection to %d", e.id, to)

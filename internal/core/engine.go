@@ -9,7 +9,6 @@ import (
 	"pgarm/internal/item"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
-	"pgarm/internal/txn"
 )
 
 // engineOut is one node's barrier contribution for a pass: the frequents it
@@ -130,14 +129,10 @@ func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		if hi > int32(len(cands)) {
 			hi = int32(len(cands))
 		}
-		// Each fragment only counts candidates in [lo, hi), so the block
-		// predicate is built from exactly that slice: a block with no chance
-		// of supporting any in-fragment candidate is skipped before decode.
 		err := driver.CountTable(view, member, index, k, m.db, wcounts, driver.CountOptions{
 			Workers: W,
 			Lo:      lo,
 			Hi:      hi,
-			Pred:    txn.NewPredicate(m.tax, cands[int(lo):int(hi)]),
 			Obs:     n.ShardObs("scan"),
 			WStats:  wstats,
 		})

@@ -160,15 +160,11 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		}
 	}
 
-	// Block skip predicate over all of C_k: a block none of whose closures
-	// can contain any candidate produces no dup-count increment, no owned
-	// increment anywhere, and only item groups that miss every owner's table
-	// — skipping it is exact. Block counters land in a parallel stats slice
-	// (hierWorker keeps its own NodeStats for the scan body).
-	pred := txn.NewPredicate(m.tax, cands)
+	// Block counters land in a parallel stats slice (hierWorker keeps its
+	// own NodeStats for the scan body).
 	wblocks := make([]metrics.NodeStats, W)
 	started := time.Now()
-	err := driver.ScanTxnShards(m.db, pred, W, n.ShardObs("count"), wblocks, func(w int, t txn.Transaction) error {
+	err := driver.ScanTxnShards(m.db, W, n.ShardObs("count"), wblocks, func(w int, t txn.Transaction) error {
 		wk := &workers[w]
 		wk.stats.TxnsScanned++
 
@@ -249,15 +245,7 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	driver.MergeWorkerStats(st, wblocks)
 	st.ScanTime = time.Since(started)
 
-	// L_k^n: the owned candidates meeting the minimum count, in id order.
-	var largeSets [][]item.Item
-	var largeCounts []int64
-	for id, c := range ownedCounts {
-		if c >= n.MinCount() {
-			largeSets = append(largeSets, ownedCands[id])
-			largeCounts = append(largeCounts, c)
-		}
-	}
+	largeSets, largeCounts := largeOf(ownedCands, ownedCounts, n.MinCount())
 	return engineOut{
 		ownedSets:   largeSets,
 		ownedCounts: largeCounts,

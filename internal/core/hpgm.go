@@ -60,18 +60,21 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	self := n.ID()
 
 	W := n.Workers()
-	table := itemset.NewTableFrom(e.owned, W)
+	index := itemset.BuildIndexParallel(e.owned, W)
+	counts := make([]int64, len(e.owned))
 
 	member := cumulate.KeepSet(m.tax, cands)
 	view := taxonomy.NewView(m.tax, m.largeFlags, member)
 
-	// The receiver goroutine keeps exclusive ownership of the partitioned
-	// table; scan workers only route units into per-worker batchers.
+	// The receiver goroutine alone touches the owned counts; scan workers
+	// only route units into per-worker batchers.
 	xsp := n.Span("exchange")
 	cp := n.StartExchange(driver.ItemsApplier(func(items []item.Item) {
-		// One unit = one k-itemset owned by this node.
-		if id := table.Lookup(items); id >= 0 {
-			table.Increment(id)
+		// One unit = one k-itemset hashed to this node: one probe of its
+		// candidate table (the per-node quantity Figure 15 plots).
+		st.Probes++
+		if id := index.Lookup(items); id >= 0 {
+			counts[id]++
 			st.Increments++
 		}
 	}))
@@ -83,12 +86,8 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	wext := driver.WorkerScratch(W, 64)
 	wsub := driver.WorkerScratch(W, 2*k)
 
-	// A block that cannot contain any candidate of C_k yields only subsets
-	// that miss every node's table, so skipping it changes no count anywhere
-	// (it does avoid shipping those dead subsets — pure savings).
-	pred := txn.NewPredicate(m.tax, cands)
 	started := time.Now()
-	err := driver.ScanTxnShards(m.db, pred, W, n.ShardObs("count"), wstats, func(w int, t txn.Transaction) error {
+	err := driver.ScanTxnShards(m.db, W, n.ShardObs("count"), wstats, func(w int, t txn.Transaction) error {
 		ws := &wstats[w]
 		ws.TxnsScanned++
 		ext := cumulate.ExtendFiltered(view, member, wext[w][:0], t.Items)
@@ -123,9 +122,8 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	}
 	driver.MergeWorkerStats(st, wstats)
 	st.ScanTime = time.Since(started)
-	st.Probes += table.Probes()
 
-	ownedSets, ownedCounts := largeOf(table, n.MinCount())
+	ownedSets, ownedCounts := largeOf(e.owned, counts, n.MinCount())
 	return engineOut{
 		ownedSets:   ownedSets,
 		ownedCounts: ownedCounts,
@@ -133,14 +131,16 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	}, nil
 }
 
-// largeOf extracts the itemsets meeting minCount from a fully counted local
-// table, the L_k^n each partitioned node determines individually.
-func largeOf(table *itemset.Table, minCount int64) ([][]item.Item, []int64) {
+// largeOf extracts L_k^n, the owned candidates meeting minCount that each
+// partitioned node determines individually, in id order.
+func largeOf(owned [][]item.Item, counts []int64, minCount int64) ([][]item.Item, []int64) {
 	var sets [][]item.Item
-	var counts []int64
-	for _, c := range table.Large(minCount) {
-		sets = append(sets, c.Items)
-		counts = append(counts, c.Count)
+	var large []int64
+	for id, c := range counts {
+		if c >= minCount {
+			sets = append(sets, owned[id])
+			large = append(large, c)
+		}
 	}
-	return sets, counts
+	return sets, large
 }

@@ -62,7 +62,7 @@ func (m *itemsetMiner) CountPass1(n *driver.Node, st *metrics.NodeStats) ([]int6
 	wext := driver.WorkerScratch(W, 64)
 	// Pass 1 counts every item, so no block can be skipped (nil predicate) —
 	// but a block source still parallelizes the decode itself across workers.
-	err := driver.ScanTxnShards(m.db, nil, W, n.ShardObs("scan"), wstats, func(w int, t txn.Transaction) error {
+	err := driver.ScanTxnShards(m.db, W, n.ShardObs("scan"), wstats, func(w int, t txn.Transaction) error {
 		wstats[w].TxnsScanned++
 		ext := m.tax.ExtendTransaction(wext[w][:0], t.Items)
 		wext[w] = ext

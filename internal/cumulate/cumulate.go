@@ -44,12 +44,6 @@ type Result struct {
 	// Probes counts the k-subsets of extended transactions offered to the
 	// candidate table across all passes k >= 2: C(|t'|, k) per transaction.
 	Probes int64
-	// BlocksScanned/BlocksSkipped profile the block-granular scan path when
-	// the database is a columnar partition: blocks decoded vs. blocks the
-	// per-pass candidate predicate ruled out before any decode, summed over
-	// all passes (pass 1 always decodes everything). Zero for other sources.
-	BlocksScanned int64
-	BlocksSkipped int64
 	// Plan records one plan decision per executed pass — the sequential
 	// run's trivial instance of the plan/execute/replan seam the parallel
 	// driver formalizes: a single node counts every candidate locally, so
@@ -108,8 +102,7 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 	counts := make([]int64, tax.NumItems())
 	scratch := make([]item.Item, 0, 64)
 	var stamps itemset.Stamps
-	var scanStats txn.ScanStats
-	err := txn.ScanFiltered(db, nil, &scanStats, func(t txn.Transaction) error {
+	err := db.Scan(func(t txn.Transaction) error {
 		scratch = tax.ExtendTransaction(scratch[:0], t.Items)
 		for _, x := range scratch {
 			counts[x]++
@@ -132,8 +125,6 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 	}
 	res.Large = append(res.Large, l1)
 	if len(largeItems) < 2 || cfg.MaxK == 1 {
-		res.BlocksScanned = scanStats.BlocksScanned
-		res.BlocksSkipped = scanStats.BlocksSkipped
 		return res, nil
 	}
 
@@ -152,10 +143,7 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 		member := KeepSet(tax, cands)
 		view := taxonomy.NewView(tax, large, member)
 
-		// On a columnar partition the per-pass candidate predicate skips
-		// blocks that cannot contain any candidate; other sources scan plain.
-		pred := txn.NewPredicate(tax, cands)
-		err := txn.ScanFiltered(db, pred, &scanStats, func(t txn.Transaction) error {
+		err := db.Scan(func(t txn.Transaction) error {
 			scratch = ExtendFiltered(view, member, scratch[:0], t.Items)
 			res.Probes += itemset.Choose(len(scratch), k)
 			index.CountContained(scratch, 0, int32(len(cands)), counts, &stamps)
@@ -181,8 +169,6 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 			prev = append(prev, c.Items)
 		}
 	}
-	res.BlocksScanned = scanStats.BlocksScanned
-	res.BlocksSkipped = scanStats.BlocksSkipped
 	return res, nil
 }
 

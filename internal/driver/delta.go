@@ -15,8 +15,6 @@ type CountOptions struct {
 	// Lo/Hi restrict counting to the candidate id range [Lo, Hi) — NPGM's
 	// memory fragments. Hi <= 0 means the whole index.
 	Lo, Hi int32
-	// Pred is the per-pass block-skip predicate; nil scans every block.
-	Pred *txn.Predicate
 	// Obs carries the per-shard observability hooks; the zero value
 	// disables them.
 	Obs ShardObs
@@ -51,7 +49,7 @@ func CountTable(view *taxonomy.View, member []bool, index *itemset.Index, k int,
 	}
 	wext := WorkerScratch(W, 64)
 	wstamps := make([]itemset.Stamps, W)
-	return ScanTxnShards(src, opt.Pred, W, opt.Obs, opt.WStats, func(w int, t txn.Transaction) error {
+	return ScanTxnShards(src, W, opt.Obs, opt.WStats, func(w int, t txn.Transaction) error {
 		ws := &opt.WStats[w]
 		ws.TxnsScanned++
 		ext := cumulate.ExtendFiltered(view, member, wext[w][:0], t.Items)

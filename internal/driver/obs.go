@@ -156,7 +156,7 @@ func newNodeInstruments(r *obs.Registry, node int) nodeInstruments {
 		increments:    r.Counter("pgarm_increments_total", "Support-count increments applied.", l),
 		itemsSent:     r.Counter("pgarm_items_sent_total", "Items shipped to other nodes.", l),
 		blocksScanned: r.Counter("pgarm_blocks_scanned_total", "Columnar partition blocks decoded during local scans.", l),
-		blocksSkipped: r.Counter("pgarm_blocks_skipped_total", "Blocks (or sequences) the pass predicate ruled out before decode.", l),
+		blocksSkipped: r.Counter("pgarm_blocks_skipped_total", "Customer sequences the sequence miners' root-mask test ruled out before matching.", l),
 		bytesDecoded:  r.Counter("pgarm_bytes_decoded_total", "Encoded bytes of decoded columnar blocks.", l),
 		scanSec:       r.Histogram("pgarm_scan_shard_seconds", "Per-shard local scan wall time.", nil, l),
 		barrierSec:    r.Histogram("pgarm_barrier_wait_seconds", "Per-pass L_k barrier wait.", nil, l),
@@ -247,7 +247,7 @@ func (so ShardObs) begin(lane, shard int) func() {
 
 // beginBlocks opens the block-scan sub-span nested inside a shard's span on
 // the same lane; on close it annotates the span with the shard's block
-// counters, so traces show per-worker decode vs. skip behaviour.
+// counters, so traces show per-worker decode volume.
 func (so ShardObs) beginBlocks(lane int, st *txn.ScanStats) func() {
 	if !so.tr.Enabled() {
 		return func() {}
@@ -255,7 +255,6 @@ func (so ShardObs) beginBlocks(lane int, st *txn.ScanStats) func() {
 	sp := so.tr.Begin(so.node, lane, "blocks")
 	return func() {
 		sp.Arg("blocks_scanned", st.BlocksScanned)
-		sp.Arg("blocks_skipped", st.BlocksSkipped)
 		sp.Arg("bytes_decoded", st.BytesDecoded)
 		sp.End()
 	}

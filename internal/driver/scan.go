@@ -9,31 +9,18 @@ import (
 	"pgarm/internal/txn"
 )
 
-// ScanShards drives one pass over a node's local partition with `workers`
-// scan goroutines. Worker w receives exactly the records whose scan ordinal
-// o satisfies o % workers == w, so the shard assignment is a pure function
-// of storage order — independent of goroutine scheduling. fn runs
-// concurrently across workers but serially within one worker; all fn calls
-// happen-before ScanShards returns.
-//
-// scan is the partition's iteration primitive (txn.Scanner.Scan, seq.DB.Scan,
-// ...): each worker performs its own scan and skips foreign ordinals. The
-// storage types used here all support concurrent independent scans (slice
-// iteration, or a private file handle per scan), and skipping a record costs
-// one ordinal check — negligible next to extension + subset enumeration,
-// which only the owning worker performs.
-//
-// With workers == 1 the scan runs inline on the calling goroutine, exactly
-// like the pre-worker-pool code path.
-//
-// so carries the per-shard observability hooks (span + timing histogram);
-// the zero value disables them. An inline scan records on trace lane 0 (the
-// driver's own row), worker shards on lanes 1..W.
-func ScanShards[T any](scan func(func(T) error) error, workers int, so ShardObs, fn func(w int, t T) error) error {
+// runShards is the one scan worker pool: body(w, nShards, lane) runs once per
+// shard, concurrently across shards, and all calls happen-before runShards
+// returns. With workers <= 1 the single shard runs inline on the calling
+// goroutine (trace lane 0, the driver's own row); otherwise worker w runs on
+// its own goroutine and records on lane 1+w. so carries the per-shard span
+// and timing histogram; the zero value disables them. The first error in
+// worker order is returned.
+func runShards(workers int, so ShardObs, body func(w, nShards, lane int) error) error {
 	if workers <= 1 {
 		done := so.begin(0, 0)
 		defer done()
-		return scan(func(t T) error { return fn(0, t) })
+		return body(0, 1, 0)
 	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -51,15 +38,7 @@ func ScanShards[T any](scan func(func(T) error) error, workers int, so ShardObs,
 					errs[w] = fmt.Errorf("scan worker %d panicked: %v", w, r)
 				}
 			}()
-			ord := 0
-			errs[w] = scan(func(t T) error {
-				mine := ord%workers == w
-				ord++
-				if !mine {
-					return nil
-				}
-				return fn(w, t)
-			})
+			errs[w] = body(w, workers, 1+w)
 		}(w)
 	}
 	wg.Wait()
@@ -71,43 +50,59 @@ func ScanShards[T any](scan func(func(T) error) error, workers int, so ShardObs,
 	return nil
 }
 
+// ScanShards drives one pass over a node's local partition with `workers`
+// scan goroutines. Worker w receives exactly the records whose scan ordinal
+// o satisfies o % workers == w, so the shard assignment is a pure function
+// of storage order — independent of goroutine scheduling. fn runs
+// concurrently across workers but serially within one worker; all fn calls
+// happen-before ScanShards returns.
+//
+// scan is the partition's iteration primitive (txn.Scanner.Scan, seq.DB.Scan,
+// ...): each worker performs its own scan and skips foreign ordinals. The
+// storage types used here all support concurrent independent scans (slice
+// iteration, or a private file handle per scan), and skipping a record costs
+// one ordinal check — negligible next to extension + subset enumeration,
+// which only the owning worker performs.
+func ScanShards[T any](scan func(func(T) error) error, workers int, so ShardObs, fn func(w int, t T) error) error {
+	return runShards(workers, so, func(w, nShards, _ int) error {
+		ord := 0
+		return scan(func(t T) error {
+			mine := ord%nShards == w
+			ord++
+			if !mine {
+				return nil
+			}
+			return fn(w, t)
+		})
+	})
+}
+
 // ScanTxnShards drives one pass over a transaction partition with `workers`
 // scan goroutines, sharding by storage block when the source supports it.
 //
 // For a txn.BlockScanner source (columnar partition), worker w owns exactly
 // the blocks whose ordinal o satisfies o % workers == w: each worker preads
 // and decodes only its own blocks, so decode itself parallelizes instead of
-// every worker re-decoding the whole partition, and pred — the per-pass
-// candidate predicate — is consulted before a block is read, so filtered
-// blocks are never decompressed. Each worker Matches on a private Clone of
-// pred and folds its block counters into wstats[w]; MergeWorkerStats carries
-// them into the node's pass totals in worker order.
+// every worker re-decoding the whole partition. Each worker folds its block
+// counters into wstats[w]; MergeWorkerStats carries them into the node's
+// pass totals in worker order.
 //
 // Any other source falls back to transaction-granular ScanShards, where
 // every worker runs its own full scan and skips foreign ordinals.
 //
 // Both paths preserve bit-identity at every worker count: shard assignment
-// is a pure function of storage order, count merges are exact integer sums
-// in fixed worker order, and a skipped block contributes nothing to any
-// count anywhere (see txn.Predicate for the proof).
-func ScanTxnShards(src txn.Scanner, pred *txn.Predicate, workers int, so ShardObs, wstats []metrics.NodeStats, fn func(w int, t txn.Transaction) error) error {
+// is a pure function of storage order and count merges are exact integer
+// sums in fixed worker order.
+func ScanTxnShards(src txn.Scanner, workers int, so ShardObs, wstats []metrics.NodeStats, fn func(w int, t txn.Transaction) error) error {
 	bs, ok := src.(txn.BlockScanner)
 	if !ok {
 		return ScanShards(src.Scan, workers, so, fn)
 	}
-	if workers <= 1 {
-		workers = 1
-	}
-	scanShard := func(w, nShards, lane int) (txn.ScanStats, error) {
+	return runShards(workers, so, func(w, nShards, lane int) error {
 		var st txn.ScanStats
 		done := so.beginBlocks(lane, &st)
 		defer done()
-		err := bs.ScanBlocks(txn.BlockScanOptions{
-			Shard:     w,
-			NumShards: nShards,
-			Pred:      pred.Clone(),
-			Stats:     &st,
-		}, func(b txn.Block) error {
+		err := bs.ScanBlocks(txn.BlockScanOptions{Shard: w, NumShards: nShards, Stats: &st}, func(b txn.Block) error {
 			for _, t := range b.Txns {
 				if err := fn(w, t); err != nil {
 					return err
@@ -115,40 +110,9 @@ func ScanTxnShards(src txn.Scanner, pred *txn.Predicate, workers int, so ShardOb
 			}
 			return nil
 		})
-		return st, err
-	}
-	if workers == 1 {
-		done := so.begin(0, 0)
-		defer done()
-		st, err := scanShard(0, 1, 0)
-		addBlockStats(wstats, 0, st)
+		addBlockStats(wstats, w, st)
 		return err
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			done := so.begin(1+w, w)
-			defer done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = fmt.Errorf("scan worker %d panicked: %v", w, r)
-				}
-			}()
-			st, err := scanShard(w, workers, 1+w)
-			addBlockStats(wstats, w, st)
-			errs[w] = err
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // addBlockStats folds one shard's block counters into its worker stats slot;
@@ -159,7 +123,6 @@ func addBlockStats(wstats []metrics.NodeStats, w int, st txn.ScanStats) {
 		return
 	}
 	wstats[w].BlocksScanned += st.BlocksScanned
-	wstats[w].BlocksSkipped += st.BlocksSkipped
 	wstats[w].BytesDecoded += st.BytesDecoded
 }
 

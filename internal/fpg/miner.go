@@ -68,7 +68,7 @@ func (m *fpgMiner) CountPass1(n *driver.Node, st *metrics.NodeStats) ([]int64, e
 	wcounts := driver.WorkerVectors(W, m.tax.NumItems())
 	wstats := make([]metrics.NodeStats, W)
 	wext := driver.WorkerScratch(W, 64)
-	err := driver.ScanTxnShards(m.db, nil, W, n.ShardObs("scan"), wstats, func(w int, t txn.Transaction) error {
+	err := driver.ScanTxnShards(m.db, W, n.ShardObs("scan"), wstats, func(w int, t txn.Transaction) error {
 		wstats[w].TxnsScanned++
 		ext := m.tax.ExtendTransaction(wext[w][:0], t.Items)
 		wext[w] = ext
@@ -222,7 +222,7 @@ func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree
 	wstats := make([]metrics.NodeStats, W)
 	wext := driver.WorkerScratch(W, 64)
 	wranks := driver.WorkerScratch(W, 64)
-	err := driver.ScanTxnShards(m.db, nil, W, n.ShardObs("build"), wstats, func(w int, t txn.Transaction) error {
+	err := driver.ScanTxnShards(m.db, W, n.ShardObs("build"), wstats, func(w int, t txn.Transaction) error {
 		wstats[w].TxnsScanned++
 		ext := m.tax.ExtendTransaction(wext[w][:0], t.Items)
 		wext[w] = ext

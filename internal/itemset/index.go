@@ -3,17 +3,17 @@ package itemset
 import "pgarm/internal/item"
 
 // Index is an immutable itemset -> dense-id structure over a fixed candidate
-// list. Unlike Table it carries no counts and no probe counter, so one Index
-// can be shared read-only by every node of a simulated cluster while each
-// node keeps its own count vector — the memory layout that lets a 16-node
+// list. It carries no counts and no probe counter, so one Index can be
+// shared read-only by every node of a simulated cluster while each node
+// keeps its own count vector — the memory layout that lets a 16-node
 // in-process cluster replicate multi-million-entry candidate sets (NPGM, and
 // the TGD/PGD/FGD duplicated tables) without 16 physical copies.
 //
 // An Index answers two questions. Point lookups (Lookup, LookupPacked) go
-// through the same open-addressed flat probe as Table: the query is hashed
-// in place and compared against the stored itemsets. Support counting
-// (CountContained) walks a prefix layout of the same sets and never forms a
-// subset no indexed set starts with. Neither allocates.
+// through an open-addressed flat probe: the query is hashed in place and
+// compared against the stored itemsets. Support counting (CountContained)
+// walks a prefix layout of the same sets and never forms a subset no indexed
+// set starts with. Neither allocates.
 type Index struct {
 	idx  flatProbe
 	pre  prefixLayout
@@ -28,16 +28,13 @@ func BuildIndex(sets [][]item.Item) *Index {
 	for i := range sets {
 		// Candidate lists are duplicate-free by construction; if a caller
 		// passes duplicates anyway, the first occurrence keeps the id.
-		if ix.idx.findItems(sets[i], ix.itemsOf) < 0 {
-			ix.idx.insert(int32(i), ix.itemsOf)
+		if ix.idx.findItems(sets[i], sets) < 0 {
+			ix.idx.place(int32(i), sets[i])
 		}
 	}
 	ix.pre.build(sets)
 	return ix
 }
-
-// itemsOf maps a dense id to its indexed itemset.
-func (ix *Index) itemsOf(id int32) []item.Item { return ix.sets[id] }
 
 // Len returns the number of indexed itemsets.
 func (ix *Index) Len() int { return len(ix.sets) }
@@ -51,11 +48,11 @@ func (ix *Index) Sets() [][]item.Item { return ix.sets }
 // Lookup returns the id of a canonical itemset, or -1. It is pure, performs
 // no heap allocation, and is safe for concurrent use.
 func (ix *Index) Lookup(items []item.Item) int32 {
-	return ix.idx.findItems(items, ix.itemsOf)
+	return ix.idx.findItems(items, ix.sets)
 }
 
 // LookupPacked returns the id for a packed key (see AppendKey), or -1. Pure,
 // allocation-free and safe for concurrent use.
 func (ix *Index) LookupPacked(key []byte) int32 {
-	return ix.idx.findPacked(key, ix.itemsOf)
+	return ix.idx.findPacked(key, ix.sets)
 }

@@ -50,61 +50,6 @@ func TestHashStability(t *testing.T) {
 	}
 }
 
-func TestTableBasics(t *testing.T) {
-	tbl := NewTable(4)
-	id1 := tbl.Add([]item.Item{1, 2})
-	id2 := tbl.Add([]item.Item{1, 3})
-	if tbl.Add([]item.Item{1, 2}) != id1 {
-		t.Error("re-adding returns the original id")
-	}
-	if tbl.Len() != 2 {
-		t.Errorf("Len = %d", tbl.Len())
-	}
-	if got := tbl.Lookup([]item.Item{1, 2}); got != id1 {
-		t.Errorf("Lookup = %d", got)
-	}
-	if got := tbl.Lookup([]item.Item{9, 9}); got != -1 {
-		t.Errorf("missing Lookup = %d", got)
-	}
-	if tbl.Probes() != 2 {
-		t.Errorf("Probes = %d, want 2", tbl.Probes())
-	}
-	tbl.ResetProbes()
-	if tbl.Probes() != 0 {
-		t.Error("ResetProbes failed")
-	}
-	tbl.Increment(id1)
-	tbl.Increment(id1)
-	tbl.AddCount(id2, 5)
-	if tbl.Get(id1).Count != 2 || tbl.Get(id2).Count != 5 {
-		t.Error("counts wrong")
-	}
-	counts := tbl.Counts()
-	if counts[id1] != 2 || counts[id2] != 5 {
-		t.Error("Counts snapshot wrong")
-	}
-	large := tbl.Large(3)
-	if len(large) != 1 || !item.Equal(large[0].Items, []item.Item{1, 3}) {
-		t.Errorf("Large(3) = %v", large)
-	}
-	if !tbl.Has([]item.Item{1, 2}) || tbl.Has([]item.Item{2, 3}) {
-		t.Error("Has wrong")
-	}
-	if tbl.Probes() != 0 {
-		t.Error("Has must not count probes")
-	}
-}
-
-func TestTableAddCopies(t *testing.T) {
-	tbl := NewTable(1)
-	s := []item.Item{1, 2}
-	id := tbl.Add(s)
-	s[0] = 9
-	if !item.Equal(tbl.Get(id).Items, []item.Item{1, 2}) {
-		t.Error("Add must copy the itemset")
-	}
-}
-
 func TestGenJoinPrune(t *testing.T) {
 	// L2 = {1,2},{1,3},{2,3},{2,4}: join gives {1,2,3} (kept: all subsets
 	// large) and {2,3,4} (pruned: {3,4} not in L2).
@@ -229,45 +174,38 @@ func TestSortCounted(t *testing.T) {
 	}
 }
 
-// Property: the open-addressed flat probe agrees with a reference map under
-// random adds and lookups, including misses and re-adds.
+// Property: the open-addressed flat probe agrees with a reference map over
+// random set lists with repeats (first occurrence keeps the id), for hits
+// and misses, by items and by packed key.
 func TestTableFlatProbeMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := NewTable(0)
-		ref := map[string]int32{}
-		for i := 0; i < 300; i++ {
+		randomSet := func() []item.Item {
 			k := 1 + rng.Intn(4)
 			s := make([]item.Item, 0, k)
 			for len(s) < k {
 				s = item.Dedup(append(s, item.Item(rng.Intn(40))))
 			}
-			if rng.Intn(3) == 0 {
-				id := tbl.Add(s)
-				if want, ok := ref[Key(s)]; ok {
-					if id != want {
-						return false
-					}
-				} else {
-					ref[Key(s)] = id
-				}
-			} else {
-				want, ok := ref[Key(s)]
-				if !ok {
-					want = -1
-				}
-				if tbl.Lookup(s) != want {
-					return false
-				}
-				if tbl.LookupKey(Key(s)) != want {
-					return false
-				}
-				if tbl.LookupPacked(AppendKey(nil, s)) != want {
-					return false
-				}
-				if tbl.Has(s) != ok {
-					return false
-				}
+			return s
+		}
+		var sets [][]item.Item
+		ref := map[string]int32{}
+		for i := 0; i < 100; i++ {
+			s := randomSet()
+			if _, ok := ref[Key(s)]; !ok {
+				ref[Key(s)] = int32(len(sets))
+			}
+			sets = append(sets, s)
+		}
+		ix := BuildIndex(sets)
+		for i := 0; i < 200; i++ {
+			s := randomSet()
+			want, ok := ref[Key(s)]
+			if !ok {
+				want = -1
+			}
+			if ix.Lookup(s) != want || ix.LookupPacked(AppendKey(nil, s)) != want {
+				return false
 			}
 		}
 		return true
@@ -292,16 +230,13 @@ func TestIndexLookupPacked(t *testing.T) {
 	}
 }
 
-// The zero-allocation contract of the candidate counting hot path: Table and
-// Index lookups, packed-key probes, scratch-buffer subset enumeration and the
+// The zero-allocation contract of the candidate counting hot path: Index
+// lookups, packed-key probes, scratch-buffer subset enumeration and the
 // containment kernel (once its stamps have grown) must not touch the heap.
 func TestProbePathZeroAlloc(t *testing.T) {
-	tbl := NewTable(64)
 	var sets [][]item.Item
 	for i := 0; i < 64; i++ {
-		s := []item.Item{item.Item(i), item.Item(i + 100), item.Item(i + 1000)}
-		tbl.Add(s)
-		sets = append(sets, s)
+		sets = append(sets, []item.Item{item.Item(i), item.Item(i + 100), item.Item(i + 1000)})
 	}
 	ix := BuildIndex(sets)
 	hit := []item.Item{5, 105, 1005}
@@ -320,10 +255,8 @@ func TestProbePathZeroAlloc(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Table.Lookup hit", func() { tbl.Lookup(hit) }},
-		{"Table.Lookup miss", func() { tbl.Lookup(miss) }},
-		{"Table.LookupPacked", func() { tbl.LookupPacked(key) }},
-		{"Index.Lookup", func() { ix.Lookup(hit) }},
+		{"Index.Lookup hit", func() { ix.Lookup(hit) }},
+		{"Index.Lookup miss", func() { ix.Lookup(miss) }},
 		{"Index.LookupPacked", func() { ix.LookupPacked(key) }},
 		{"ForEachSubsetScratch", func() {
 			ForEachSubsetScratch(txn, 3, scratch, func(s []item.Item) bool { return true })

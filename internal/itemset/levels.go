@@ -1,6 +1,22 @@
 package itemset
 
-import "pgarm/internal/item"
+import (
+	"sort"
+
+	"pgarm/internal/item"
+)
+
+// Counted pairs an itemset with a support count; the unit the coordinator
+// gathers and the miner reports.
+type Counted struct {
+	Items []item.Item
+	Count int64
+}
+
+// SortCounted orders counted itemsets lexicographically by itemset.
+func SortCounted(cs []Counted) {
+	sort.Slice(cs, func(i, j int) bool { return item.Compare(cs[i].Items, cs[j].Items) < 0 })
+}
 
 // Levels is the result shape every itemset miner produces — sequential
 // Cumulate, the incremental miner and all parallel engines embed it, so the

@@ -127,9 +127,7 @@ func mergeRuns(sets, buf [][]item.Item, lo, mid, hi int) {
 
 // fillParallel initializes the probe for sets and inserts every set, CAS-ing
 // ids into slots across workers. Duplicate itemsets keep the lowest id —
-// the same winner as the sequential first-occurrence rule. init sizes the
-// slot array to at least 2n, so the fill never reaches the grow threshold
-// and no rehash can race the inserts.
+// the same winner as the sequential first-occurrence rule.
 func (f *flatProbe) fillParallel(sets [][]item.Item, workers int) {
 	f.init(len(sets))
 	n := len(sets)
@@ -138,58 +136,50 @@ func (f *flatProbe) fillParallel(sets [][]item.Item, workers int) {
 		workers = n / minChunk
 	}
 	if workers <= 1 {
-		get := func(id int32) []item.Item { return sets[id] }
 		for i := range sets {
-			if f.findItems(sets[i], get) < 0 {
-				f.insert(int32(i), get)
+			if f.findItems(sets[i], sets) < 0 {
+				f.place(int32(i), sets[i])
 			}
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	var used int64
 	for w := 0; w < workers; w++ {
 		lo, hi := n*w/workers, n*(w+1)/workers
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			placed := 0
 			for i := lo; i < hi; i++ {
-				if f.placeCAS(int32(i), sets) {
-					placed++
-				}
+				f.placeCAS(int32(i), sets)
 			}
-			atomic.AddInt64(&used, int64(placed))
 		}(lo, hi)
 	}
 	wg.Wait()
-	f.used = int(used)
 }
 
 // placeCAS inserts one id lock-free. Two equal itemsets follow the same
 // probe sequence, so they meet at the same slot; the loser of the CAS sees
-// the winner and resolves the duplicate toward the lower id. Reports whether
-// a new (non-duplicate) entry was placed.
-func (f *flatProbe) placeCAS(id int32, sets [][]item.Item) bool {
+// the winner and resolves the duplicate toward the lower id.
+func (f *flatProbe) placeCAS(id int32, sets [][]item.Item) {
 	items := sets[id]
 	s := flatHash(items) & f.mask
 	for {
 		v := atomic.LoadInt32(&f.slots[s])
 		if v == 0 {
 			if atomic.CompareAndSwapInt32(&f.slots[s], 0, id+1) {
-				return true
+				return
 			}
 			v = atomic.LoadInt32(&f.slots[s])
 		}
 		if other := v - 1; item.Equal(sets[other], items) {
 			for other > id {
 				if atomic.CompareAndSwapInt32(&f.slots[s], v, id+1) {
-					return false
+					return
 				}
 				v = atomic.LoadInt32(&f.slots[s])
 				other = v - 1
 			}
-			return false
+			return
 		}
 		s = (s + 1) & f.mask
 	}
@@ -251,7 +241,6 @@ func GenParallel(prev [][]item.Item, workers int, hook Hook) [][]item.Item {
 // however many candidates it emits.
 func genShard(sets [][]item.Item, prune *flatProbe, k1, lo, hi int) [][]item.Item {
 	k := k1 + 1
-	get := func(id int32) []item.Item { return sets[id] }
 	scratch := make([]item.Item, 0, k)
 	sub := make([]item.Item, 0, k1)
 	var arena []item.Item
@@ -270,7 +259,7 @@ func genShard(sets [][]item.Item, prune *flatProbe, k1, lo, hi int) [][]item.Ite
 						sub = append(sub, scratch[x])
 					}
 				}
-				if prune.findItems(sub, get) < 0 {
+				if prune.findItems(sub, sets) < 0 {
 					ok = false
 					break
 				}
@@ -330,25 +319,4 @@ func BuildIndexParallel(sets [][]item.Item, workers int) *Index {
 	ix.idx.fillParallel(sets, workers)
 	ix.pre.build(sets)
 	return ix
-}
-
-// NewTableFrom builds a table holding exactly the given canonical itemsets
-// (ids are positions in sets) with the itemset storage packed into one flat
-// arena — one allocation instead of one clone per candidate — and the probe
-// index filled across workers. sets must be duplicate-free, which candidate
-// lists are by construction; later Adds remain valid.
-func NewTableFrom(sets [][]item.Item, workers int) *Table {
-	t := &Table{cands: make([]Candidate, len(sets))}
-	total := 0
-	for _, s := range sets {
-		total += len(s)
-	}
-	arena := make([]item.Item, 0, total)
-	for i, s := range sets {
-		off := len(arena)
-		arena = append(arena, s...)
-		t.cands[i].Items = arena[off:len(arena):len(arena)]
-	}
-	t.idx.fillParallel(sets, workers)
-	return t
 }

@@ -100,33 +100,6 @@ func TestBuildIndexParallelMatches(t *testing.T) {
 	}
 }
 
-func TestNewTableFromMatchesAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	sets := randomLevel(rng, 3, 3000, 40)
-	want := NewTable(len(sets))
-	for _, s := range sets {
-		want.Add(s)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		got := NewTableFrom(sets, w)
-		if got.Len() != want.Len() {
-			t.Fatalf("workers=%d Len=%d want %d", w, got.Len(), want.Len())
-		}
-		for _, s := range sets {
-			if g, wt := got.Lookup(s), want.Lookup(s); g != wt {
-				t.Fatalf("workers=%d Lookup(%v)=%d want %d", w, s, g, wt)
-			}
-		}
-		// Adds after a flat-arena build must still work (and not corrupt
-		// earlier entries).
-		extra := []item.Item{900, 901, 902}
-		id := got.Add(extra)
-		if got.Lookup(extra) != id {
-			t.Fatalf("workers=%d: post-build Add lost", w)
-		}
-	}
-}
-
 // TestProbeSetCollisions is the hash-collision regression test for the
 // open-addressed prune set: sets landing in the same slot chain must stay
 // distinguishable, and absent sets sharing the chain must miss.
@@ -152,16 +125,15 @@ func TestProbeSetCollisions(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		var f flatProbe
 		f.fillParallel(sets, w)
-		get := func(id int32) []item.Item { return sets[id] }
 		for i, s := range sets {
-			if got := f.findItems(s, get); got != int32(i) {
+			if got := f.findItems(s, sets); got != int32(i) {
 				t.Fatalf("workers=%d: colliding set %v resolved to id %d, want %d", w, s, got, i)
 			}
 		}
 		// Absent sets from the same slot chain must not false-positive.
 		absent := byBucket[bucket][4:]
 		for _, s := range absent {
-			if f.findItems(s, get) != -1 {
+			if f.findItems(s, sets) != -1 {
 				t.Fatalf("workers=%d: absent colliding set %v reported present", w, s)
 			}
 		}

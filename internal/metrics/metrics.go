@@ -34,11 +34,11 @@ type NodeStats struct {
 	DataBytesReceived int64
 	MsgsSent          int64 // fabric messages sent
 	MsgsReceived      int64 // fabric messages received
-	// BlocksScanned/BlocksSkipped/BytesDecoded profile the block-granular
-	// scan path of columnar partitions: blocks decoded, blocks the pass
-	// predicate ruled out before any I/O, and encoded bytes actually
-	// decoded. Sources without blocks leave them zero; the sequence miners
-	// reuse BlocksSkipped with the customer sequence as the skip unit.
+	// BlocksScanned/BytesDecoded profile the block-granular scan path of
+	// columnar partitions: blocks decoded and their encoded bytes. Sources
+	// without blocks leave them zero. BlocksSkipped is written only by the
+	// sequence miners: customer sequences their root-mask test ruled out
+	// before any closure build or probe.
 	BlocksScanned int64
 	BlocksSkipped int64
 	BytesDecoded  int64

@@ -203,8 +203,8 @@ func (m *seqMiner) countReplicated(n *driver.Node, st *metrics.NodeStats) ([]int
 		if maskSkips(masks, seqRootMask(m.tax, s.Elements)) {
 			// No candidate's root multiset is realizable from this customer's
 			// items, so no candidate can be contained: skip the closure build
-			// and the whole probe loop (the sequence-mining analogue of a
-			// columnar block skip, counted on the same counter).
+			// and the whole probe loop (counted on BlocksSkipped with the
+			// customer sequence as the unit).
 			ws.BlocksSkipped++
 			return nil
 		}

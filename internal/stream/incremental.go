@@ -210,7 +210,6 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 			wcounts := driver.WorkerVectors(W, len(cands))
 			err := driver.CountTable(view, member, index, k, delta, wcounts, driver.CountOptions{
 				Workers: W,
-				Pred:    txn.NewPredicate(tax, cands),
 				WStats:  wstats,
 			})
 			if err != nil {
@@ -233,7 +232,6 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 			wcounts := driver.WorkerVectors(W, len(newCands))
 			err := driver.CountTable(viewNew, memberNew, indexNew, k, prefix, wcounts, driver.CountOptions{
 				Workers: W,
-				Pred:    txn.NewPredicate(tax, newCands),
 				WStats:  wstats,
 			})
 			if err != nil {
@@ -246,8 +244,6 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		}
 		for w := range wstats {
 			res.Probes += wstats[w].Probes
-			res.BlocksScanned += wstats[w].BlocksScanned
-			res.BlocksSkipped += wstats[w].BlocksSkipped
 		}
 		res.Plan = append(res.Plan, metrics.PlanDecision{
 			Pass:        k,
@@ -277,8 +273,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		})
 		state.Levels = append(state.Levels, level)
 
-		// L_k mirrors itemset.Table.Large: collect in candidate order, then
-		// sort lexicographically.
+		// L_k: collect in candidate order, then sort lexicographically.
 		var lk []itemset.Counted
 		for w := 0; w < W; w++ {
 			lk = append(lk, shardLarge[w]...)

@@ -187,9 +187,9 @@ func (t *Taxonomy) ExtendTransaction(dst []item.Item, txn []item.Item) []item.It
 
 // Fingerprint returns a 64-bit FNV-1a hash of the parent vector — a stable
 // identity for the hierarchy. Columnar partition files record the fingerprint
-// of the taxonomy whose ancestor closure their block skip filters summarize;
-// a scan predicate built over a different hierarchy detects the mismatch and
-// never skips (txn.Predicate.Match).
+// of the taxonomy they were generated for (txn.CheckTaxonomy refuses to mine
+// them under another), and pgarm-mine -follow checks a resumed snapshot's
+// hierarchy against the run's the same way.
 func (t *Taxonomy) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037

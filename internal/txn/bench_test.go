@@ -52,7 +52,7 @@ func benchScan(b *testing.B, path string, workers int) {
 		for w := range sinks {
 			sinks[w] = 0
 		}
-		err := driver.ScanTxnShards(src, nil, workers, driver.ShardObs{}, nil,
+		err := driver.ScanTxnShards(src, workers, driver.ShardObs{}, nil,
 			func(w int, t txn.Transaction) error {
 				sinks[w]++
 				return nil

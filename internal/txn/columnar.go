@@ -2,6 +2,7 @@ package txn
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -13,21 +14,21 @@ import (
 )
 
 // Block-compressed columnar transaction format, the second on-disk partition
-// layout ("PGTC"). Where the row format ("PGTX") interleaves one transaction
-// after another, the columnar format groups a fixed number of transactions
-// into independently decodable blocks and stores each block column-separated:
+// layout ("PGTC", version 2). Where the row format ("PGTX") interleaves one
+// transaction after another, the columnar format groups a fixed number of
+// transactions into independently decodable blocks and stores each block
+// column-separated:
 //
 //	header:   magic uint32 "PGTC" | version byte | taxonomy fingerprint uint64
 //	blocks:   block 0 | block 1 | ... (each at the offset its directory
 //	          entry records; nothing else between blocks)
-//	directory: numBlocks uvarint, then per block:
-//	            offset   uvarint  (file offset of the block body)
-//	            length   uvarint  (block body bytes)
-//	            count    uvarint  (transactions in the block)
-//	            firstTID uvarint  (absolute TID of the block's first txn)
-//	            minItem  uvarint  ┐ bounds over the block's ancestor
-//	            maxItem  uvarint  ┘ closure; min > max encodes "empty"
-//	            bloomBytes uvarint, then that many raw filter bytes
+//	directory: numBlocks uvarint, then per block six uvarints:
+//	            offset   (file offset of the block body)
+//	            length   (block body bytes)
+//	            count    (transactions in the block)
+//	            firstTID (absolute TID of the block's first txn)
+//	            minItem  ┐ bounds over the block's literal items;
+//	            maxItem  ┘ min > max encodes "every basket empty"
 //	trailer:  dirOffset uint64 | dirLen uint64 | crc32(directory) uint32 |
 //	          end magic uint32 "PGTC"   (24 bytes, fixed, at EOF)
 //
@@ -40,110 +41,39 @@ import (
 //	              deltas — the same canonical coding as the row format,
 //	              but with all varint streams of a kind adjacent
 //
-// Each directory entry carries a skip filter over the block's item closure:
-// the set of items that appear in some transaction of the block PLUS all
-// their taxonomy ancestors up to the root. A pass predicate built from the
-// live candidate set (see Predicate) consults min/max and the bloom filter to
-// prove "no transaction in this block can support any current candidate"
-// before the block is ever read or decoded — the disk analogue of the
-// in-memory engines' membership pre-filter. Because the filter summarizes the
-// closure, not just the literal items, the proof holds under the paper's
-// extended-transaction semantics. The taxonomy fingerprint in the header ties
-// the filters to the hierarchy they were built over.
+// The directory makes every block independently locatable, which is what the
+// format is for: driver.ScanTxnShards hands each scan worker its own blocks
+// to pread and decode, so decode parallelizes instead of every worker
+// re-reading the whole partition. The item bounds are a decode-time integrity
+// check. The header fingerprint names the hierarchy the partition was
+// generated for; CheckTaxonomy refuses to mine it under another one.
 const (
 	columnarMagic   = 0x50475443 // "PGTC"
-	columnarVersion = 1
+	columnarVersion = 2
 
 	columnarHeaderSize  = 4 + 1 + 8
 	columnarTrailerSize = 8 + 8 + 4 + 4
 
-	// DefaultTxnsPerBlock is the default block granularity: small enough
-	// that late passes — few candidates over low-support items — can prove
-	// whole blocks irrelevant, large enough that per-block directory
-	// overhead stays under a percent of the data.
+	// DefaultTxnsPerBlock is the block granularity every production writer
+	// uses: fine enough that a partition splits evenly across scan workers,
+	// coarse enough that per-block directory overhead stays well under a
+	// percent of the data.
 	DefaultTxnsPerBlock = 256
 	maxTxnsPerBlock     = 1 << 20
-
-	// Bloom sizing: ~8 bits and 3 probes per distinct closure item gives a
-	// ~3% false-positive rate; power-of-two bit counts keep probing to a
-	// mask. False positives only cost a wasted decode, never correctness.
-	bloomBitsPerItem = 8
-	bloomProbes      = 3
-	minBloomBits     = 256
-	maxBloomBits     = 1 << 16
 )
 
-// splitmix64 is the bloom filter's base hash; two independent 32-bit halves
-// drive double hashing (Kirsch–Mitzenmacher).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func bloomSet(bloom []byte, mask uint32, x item.Item) {
-	h := splitmix64(uint64(uint32(x)))
-	h1, h2 := uint32(h), uint32(h>>32)|1
-	for p := uint32(0); p < bloomProbes; p++ {
-		bit := (h1 + p*h2) & mask
-		bloom[bit>>3] |= 1 << (bit & 7)
-	}
-}
-
-func bloomTest(bloom []byte, mask uint32, x item.Item) bool {
-	h := splitmix64(uint64(uint32(x)))
-	h1, h2 := uint32(h), uint32(h>>32)|1
-	for p := uint32(0); p < bloomProbes; p++ {
-		bit := (h1 + p*h2) & mask
-		if bloom[bit>>3]&(1<<(bit&7)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// bloomBitsFor picks the filter size for n distinct closure items: the
-// smallest power of two covering bloomBitsPerItem bits each, clamped to
-// [minBloomBits, maxBloomBits].
-func bloomBitsFor(n int) uint32 {
-	bits := uint32(minBloomBits)
-	for int(bits) < n*bloomBitsPerItem && bits < maxBloomBits {
-		bits <<= 1
-	}
-	return bits
-}
-
-// BlockMeta is one block's directory entry: location, shape and skip filter.
-// Values are immutable after open; MayContain is safe for concurrent use.
+// BlockMeta is one block's directory entry: location and shape. Values are
+// immutable after open.
 type BlockMeta struct {
 	Ordinal  int
 	Offset   int64
 	Length   int64
 	Count    int
 	FirstTID int64
-	// MinItem/MaxItem bound the block's item closure (items plus all
-	// ancestors); MinItem > MaxItem means every transaction is empty.
+	// MinItem/MaxItem bound the items stored in the block; MinItem > MaxItem
+	// means every transaction is empty.
 	MinItem item.Item
 	MaxItem item.Item
-
-	fingerprint uint64 // copied from the file header for Predicate.Match
-	bloomMask   uint32 // bloom bit count - 1
-	bloom       []byte
-}
-
-// MayContain reports whether item x may be in the block's closure. False is
-// definitive: no transaction in the block contains x or any descendant of x
-// (under the taxonomy the file was written with). True may be a bloom false
-// positive.
-func (m *BlockMeta) MayContain(x item.Item) bool {
-	if x < m.MinItem || x > m.MaxItem {
-		return false
-	}
-	if len(m.bloom) == 0 {
-		return true
-	}
-	return bloomTest(m.bloom, m.bloomMask, x)
 }
 
 // Block is one decoded block as delivered by ScanBlocks. Txns alias scratch
@@ -154,19 +84,10 @@ type Block struct {
 	Txns    []Transaction
 }
 
-// ScanStats count what a block-granular scan did and, more importantly, did
-// not do.
+// ScanStats count what a block-granular scan read.
 type ScanStats struct {
 	BlocksScanned int64 // blocks read and decoded
-	BlocksSkipped int64 // blocks the predicate ruled out before any I/O
 	BytesDecoded  int64 // encoded bytes of the decoded blocks
-}
-
-// Add folds another stats value in.
-func (s *ScanStats) Add(o ScanStats) {
-	s.BlocksScanned += o.BlocksScanned
-	s.BlocksSkipped += o.BlocksSkipped
-	s.BytesDecoded += o.BytesDecoded
 }
 
 // BlockScanOptions parameterize one ScanBlocks pass.
@@ -176,10 +97,6 @@ type BlockScanOptions struct {
 	// driver.ScanShards' ordinal sharding. NumShards <= 1 scans every block.
 	Shard     int
 	NumShards int
-	// Pred, when non-nil, is consulted per block before any read: blocks it
-	// rules out are neither read nor decoded. Pred is used from this scan's
-	// goroutine only (Predicate.Match memoizes; clone per concurrent scan).
-	Pred *Predicate
 	// Stats, when non-nil, receives the scan's counters.
 	Stats *ScanStats
 }
@@ -199,9 +116,8 @@ type BlockScanner interface {
 
 // WriteColumnar writes the database to path in the columnar format,
 // txnsPerBlock transactions per block (<= 0 selects DefaultTxnsPerBlock).
-// tax supplies the ancestor closure for the skip filters and its fingerprint
-// for the header; a nil tax writes filters over the literal items with a zero
-// fingerprint, which any taxonomy-carrying predicate refuses to skip on.
+// tax supplies the header fingerprint; a nil tax writes a zero fingerprint,
+// which CheckTaxonomy accepts under any hierarchy.
 // It is a convenience wrapper over the streaming ColumnarWriter.
 func WriteColumnar(path string, db *DB, tax *taxonomy.Taxonomy, txnsPerBlock int) error {
 	cw, err := NewColumnarWriter(path, tax, txnsPerBlock)
@@ -219,8 +135,8 @@ func WriteColumnar(path string, db *DB, tax *taxonomy.Taxonomy, txnsPerBlock int
 
 // ColumnarFile is a disk-backed columnar transaction partition. Open parses
 // and validates the directory once; every scan opens a private file handle
-// and preads only the blocks it needs, so concurrent independent scans (one
-// per worker shard) are safe and skipped blocks cost zero I/O.
+// and preads only its own blocks, so concurrent independent scans (one per
+// worker shard) are safe.
 type ColumnarFile struct {
 	path        string
 	count       int
@@ -262,7 +178,7 @@ func parseColumnar(f *os.File) (*ColumnarFile, error) {
 		return nil, fmt.Errorf("not a columnar transaction file (bad magic)")
 	}
 	if hdr[4] != columnarVersion {
-		return nil, fmt.Errorf("unsupported columnar version %d", hdr[4])
+		return nil, fmt.Errorf("unsupported columnar version %d (this build reads version %d; regenerate the partition with pgarm-gen)", hdr[4], columnarVersion)
 	}
 	cf := &ColumnarFile{fingerprint: binary.BigEndian.Uint64(hdr[5:13])}
 
@@ -291,7 +207,7 @@ func parseColumnar(f *os.File) (*ColumnarFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("directory: %w", err)
 	}
-	if numBlocks > uint64(len(dir)) { // each entry takes >= 7 bytes
+	if numBlocks > uint64(len(dir)) { // each entry takes >= 6 bytes
 		return nil, fmt.Errorf("directory block count %d exceeds payload", numBlocks)
 	}
 	cf.metas = make([]BlockMeta, 0, numBlocks)
@@ -327,10 +243,6 @@ func parseColumnar(f *os.File) (*ColumnarFile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("directory entry %d: %w", b, err)
 		}
-		bloomBytes, err := u()
-		if err != nil {
-			return nil, fmt.Errorf("directory entry %d: %w", b, err)
-		}
 		// Blocks must tile [header, directory) exactly, in order: that makes
 		// every block independently locatable and rules out overlapping or
 		// dangling extents in corrupt directories.
@@ -354,28 +266,15 @@ func parseColumnar(f *os.File) (*ColumnarFile, error) {
 		if minIt > math.MaxInt32 || maxIt > math.MaxInt32 {
 			return nil, fmt.Errorf("directory entry %d: item bound out of range", b)
 		}
-		if bloomBytes > maxBloomBits/8 || uint64(off)+bloomBytes > uint64(len(dir)) {
-			return nil, fmt.Errorf("directory entry %d: bloom length %d exceeds payload", b, bloomBytes)
-		}
-		if bloomBytes != 0 && (bloomBytes*8&(bloomBytes*8-1)) != 0 {
-			return nil, fmt.Errorf("directory entry %d: bloom bit count %d not a power of two", b, bloomBytes*8)
-		}
-		m := BlockMeta{
-			Ordinal:     int(b),
-			Offset:      int64(blockOff),
-			Length:      int64(length),
-			Count:       int(count),
-			FirstTID:    int64(firstTID),
-			MinItem:     item.Item(minIt),
-			MaxItem:     item.Item(maxIt),
-			fingerprint: cf.fingerprint,
-		}
-		if bloomBytes > 0 {
-			m.bloom = dir[off : off+int(bloomBytes) : off+int(bloomBytes)]
-			m.bloomMask = uint32(bloomBytes*8) - 1
-			off += int(bloomBytes)
-		}
-		cf.metas = append(cf.metas, m)
+		cf.metas = append(cf.metas, BlockMeta{
+			Ordinal:  int(b),
+			Offset:   int64(blockOff),
+			Length:   int64(length),
+			Count:    int(count),
+			FirstTID: int64(firstTID),
+			MinItem:  item.Item(minIt),
+			MaxItem:  item.Item(maxIt),
+		})
 		cf.count += int(count)
 	}
 	if nextOff != dirOff {
@@ -396,11 +295,28 @@ func (f *ColumnarFile) Len() int { return f.count }
 // NumBlocks returns the number of storage blocks.
 func (f *ColumnarFile) NumBlocks() int { return len(f.metas) }
 
-// BlockMeta returns block i's directory entry. Shared and immutable.
-func (f *ColumnarFile) BlockMeta(i int) *BlockMeta { return &f.metas[i] }
-
-// Fingerprint returns the taxonomy fingerprint recorded at write time.
+// Fingerprint returns the taxonomy fingerprint recorded at write time; zero
+// when the writer was given no taxonomy.
 func (f *ColumnarFile) Fingerprint() uint64 { return f.fingerprint }
+
+// ErrTaxonomyMismatch reports a columnar partition generated for a different
+// hierarchy than the one the run mines under.
+var ErrTaxonomyMismatch = errors.New("partition was generated under a different taxonomy")
+
+// CheckTaxonomy returns an error wrapping ErrTaxonomyMismatch when src is a
+// columnar partition whose recorded fingerprint differs from tax's. Item ids
+// mean nothing without their hierarchy, so mining such a file would produce
+// plausible but wrong supports. Row files, in-memory databases and columnar
+// files written without a taxonomy (zero fingerprint) carry no identity and
+// pass.
+func CheckTaxonomy(src Scanner, tax *taxonomy.Taxonomy) error {
+	cf, ok := src.(*ColumnarFile)
+	if !ok || cf.fingerprint == 0 || cf.fingerprint == tax.Fingerprint() {
+		return nil
+	}
+	return fmt.Errorf("txn: %s: %w (file fingerprint %016x, run taxonomy %016x)",
+		cf.path, ErrTaxonomyMismatch, cf.fingerprint, tax.Fingerprint())
+}
 
 // Scan streams all transactions in storage order, satisfying Scanner. Like
 // File.Scan, the Transaction's Items alias per-scan scratch: no-retain.
@@ -424,9 +340,9 @@ func (f *ColumnarFile) Scan(fn func(Transaction) error) error {
 }
 
 // ScanBlocks implements BlockScanner: it reads and decodes exactly the
-// blocks in this shard that the predicate cannot rule out, reusing one set of
-// scratch buffers across blocks. Every scan opens a private handle and
-// preads, so concurrent shard scans never share a file offset.
+// blocks in this shard, reusing one set of scratch buffers across blocks.
+// Every scan opens a private handle and preads, so concurrent shard scans
+// never share a file offset.
 func (f *ColumnarFile) ScanBlocks(opts BlockScanOptions, fn func(Block) error) error {
 	file, err := os.Open(f.path)
 	if err != nil {
@@ -444,12 +360,6 @@ func (f *ColumnarFile) ScanBlocks(opts BlockScanOptions, fn func(Block) error) e
 			continue
 		}
 		m := &f.metas[i]
-		if opts.Pred != nil && !opts.Pred.Match(m) {
-			if opts.Stats != nil {
-				opts.Stats.BlocksSkipped++
-			}
-			continue
-		}
 		if int64(cap(buf)) < m.Length {
 			buf = make([]byte, m.Length)
 		}
@@ -484,7 +394,7 @@ type blockDecoder struct {
 // decode parses one block body against its directory entry. Beyond the
 // format itself it enforces every invariant the writer guarantees — exact
 // column lengths, ascending TIDs, canonical in-range itemsets, items inside
-// the closure bounds, no trailing bytes — so a corrupt block is an error,
+// the directory's bounds, no trailing bytes — so a corrupt block is an error,
 // never a silently short or wrong scan.
 func (d *blockDecoder) decode(m *BlockMeta, buf []byte) ([]Transaction, error) {
 	n := m.Count
@@ -564,7 +474,7 @@ func (d *blockDecoder) decode(m *BlockMeta, buf []byte) ([]Transaction, error) {
 				prev += item.Item(dv)
 			}
 			if prev < m.MinItem || prev > m.MaxItem {
-				return nil, fmt.Errorf("item %d outside block closure bounds at txn %d", prev, i)
+				return nil, fmt.Errorf("item %d outside block bounds at txn %d", prev, i)
 			}
 			arena = append(arena, prev)
 		}

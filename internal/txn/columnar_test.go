@@ -1,9 +1,10 @@
 package txn
 
 import (
-	"math/rand"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pgarm/internal/item"
@@ -166,161 +167,6 @@ func TestColumnarBlockShardsPartition(t *testing.T) {
 	}
 }
 
-// Property: a predicate-filtered scan yields exactly the transactions whose
-// block it could not rule out, every skipped block truly contains no
-// transaction supporting any candidate, and candidate support counts match a
-// full scan bit-for-bit.
-func TestPredicateSkipExact(t *testing.T) {
-	tax := testTaxonomy(t)
-	rng := rand.New(rand.NewSource(42))
-	db := &DB{}
-	for i := 0; i < 400; i++ {
-		n := rng.Intn(5)
-		items := make([]item.Item, n)
-		for j := range items {
-			items[j] = item.Item(rng.Intn(tax.NumItems()))
-		}
-		db.Append(Transaction{TID: int64(i + 1), Items: item.Dedup(items)})
-	}
-	f, err := OpenColumnar(writeColumnarOrDie(t, db, tax, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	closure := func(items []item.Item) map[item.Item]bool {
-		m := make(map[item.Item]bool)
-		for _, x := range items {
-			for cur := x; cur != item.None; cur = tax.Parent(cur) {
-				m[cur] = true
-			}
-		}
-		return m
-	}
-	supports := func(cand []item.Item, items []item.Item) bool {
-		cl := closure(items)
-		for _, x := range cand {
-			if !cl[x] {
-				return false
-			}
-		}
-		return true
-	}
-
-	for trial := 0; trial < 20; trial++ {
-		var cands [][]item.Item
-		for c := 0; c < 1+rng.Intn(4); c++ {
-			k := 1 + rng.Intn(3)
-			cand := make([]item.Item, k)
-			for j := range cand {
-				cand[j] = item.Item(rng.Intn(tax.NumItems()))
-			}
-			cand = item.Dedup(cand)
-			if len(cand) > 0 {
-				cands = append(cands, cand)
-			}
-		}
-		want := make([]int64, len(cands))
-		db.Scan(func(tr Transaction) error {
-			for i, c := range cands {
-				if supports(c, tr.Items) {
-					want[i]++
-				}
-			}
-			return nil
-		})
-
-		var st ScanStats
-		got := make([]int64, len(cands))
-		pred := NewPredicate(tax, cands)
-		err := ScanFiltered(f, pred, &st, func(tr Transaction) error {
-			for i, c := range cands {
-				if supports(c, tr.Items) {
-					got[i]++
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cands {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d cand %v: filtered count %d != full count %d (skipped %d blocks)",
-					trial, cands[i], got[i], want[i], st.BlocksSkipped)
-			}
-		}
-		if st.BlocksScanned+st.BlocksSkipped != int64(f.NumBlocks()) {
-			t.Fatalf("trial %d: scanned %d + skipped %d != %d blocks",
-				trial, st.BlocksScanned, st.BlocksSkipped, f.NumBlocks())
-		}
-	}
-}
-
-func TestPredicateSkipsAndFingerprint(t *testing.T) {
-	tax := testTaxonomy(t)
-	db := &DB{}
-	// Two populations: blocks of small items, then blocks of large items.
-	for i := 0; i < 32; i++ {
-		x := item.Item(5)
-		if i >= 16 {
-			x = item.Item(1100)
-		}
-		db.Append(Transaction{TID: int64(i + 1), Items: []item.Item{x}})
-	}
-	f, err := OpenColumnar(writeColumnarOrDie(t, db, tax, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A candidate on item 1100 can only live in the second half's blocks.
-	pred := NewPredicate(tax, [][]item.Item{{1100}})
-	var st ScanStats
-	n := 0
-	if err := ScanFiltered(f, pred, &st, func(Transaction) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if st.BlocksSkipped != 2 || st.BlocksScanned != 2 {
-		t.Errorf("skipped %d scanned %d, want 2/2", st.BlocksSkipped, st.BlocksScanned)
-	}
-	if n != 16 {
-		t.Errorf("delivered %d transactions, want 16", n)
-	}
-
-	// An empty candidate set proves every block irrelevant.
-	st = ScanStats{}
-	if err := ScanFiltered(f, NewPredicate(tax, nil), &st, func(Transaction) error {
-		t.Error("transaction delivered with no candidates")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if st.BlocksSkipped != 4 {
-		t.Errorf("empty candidates skipped %d of 4 blocks", st.BlocksSkipped)
-	}
-
-	// A predicate built over a different hierarchy must never skip.
-	other, err := taxonomy.Balanced(1200, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = ScanStats{}
-	if err := ScanFiltered(f, NewPredicate(other, [][]item.Item{{1100}}), &st, func(Transaction) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if st.BlocksSkipped != 0 || st.BlocksScanned != 4 {
-		t.Errorf("fingerprint mismatch skipped %d blocks", st.BlocksSkipped)
-	}
-
-	// A nil predicate Clone stays nil and matches everything.
-	var nilPred *Predicate
-	if nilPred.Clone() != nil {
-		t.Error("Clone of nil predicate")
-	}
-	if !nilPred.Match(f.BlockMeta(0)) {
-		t.Error("nil predicate must match")
-	}
-}
-
 func TestColumnarRejectsCorruption(t *testing.T) {
 	db := sampleDB()
 	path := writeColumnarOrDie(t, db, testTaxonomy(t), 2)
@@ -356,11 +202,35 @@ func TestColumnarRejectsCorruption(t *testing.T) {
 		t.Error("directory corruption must fail")
 	}
 
-	// Bad version byte.
-	flip = append([]byte(nil), orig...)
-	flip[4] = 99
-	if _, err := OpenColumnar(write(flip)); err == nil {
-		t.Error("unknown version must fail")
+	// Any version but the current one — the retired v1 included — fails at
+	// open, naming the version and the way out.
+	for _, v := range []byte{1, 99} {
+		flip = append([]byte(nil), orig...)
+		flip[4] = v
+		_, err := OpenColumnar(write(flip))
+		if err == nil {
+			t.Fatalf("version %d must fail", v)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "pgarm-gen") {
+			t.Errorf("version %d error does not name the version and pgarm-gen: %v", v, err)
+		}
+	}
+
+	// An item outside the directory's literal [minItem, maxItem]: a one-block
+	// file whose body is sizes [2], items [5, +4]; bumping the last delta
+	// turns item 9 into 10, past the recorded maximum.
+	one := NewDB([]Transaction{{TID: 1, Items: []item.Item{5, 9}}})
+	body, err := os.ReadFile(writeColumnarOrDie(t, one, nil, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[columnarHeaderSize+2]++
+	f, err := OpenColumnar(write(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Scan(func(Transaction) error { return nil }); err == nil || !strings.Contains(err.Error(), "outside block bounds") {
+		t.Errorf("out-of-bounds item must fail the scan, got %v", err)
 	}
 
 	// Row-format file through the columnar opener.
@@ -370,6 +240,27 @@ func TestColumnarRejectsCorruption(t *testing.T) {
 	}
 	if _, err := OpenColumnar(rowPath); err == nil {
 		t.Error("row magic must fail")
+	}
+}
+
+// The columnar layout re-arranges the row format's varints and adds a
+// directory entry per block; it must not cost more than 5% over the row file.
+func TestColumnarSizeNearRow(t *testing.T) {
+	db, tax := writerTestDB(t)
+	rowPath := filepath.Join(t.TempDir(), "x.ptx")
+	if err := WriteFile(rowPath, db); err != nil {
+		t.Fatal(err)
+	}
+	row, err := os.Stat(rowPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := os.Stat(writeColumnarOrDie(t, db, tax, DefaultTxnsPerBlock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(col.Size()) > 1.05*float64(row.Size()) {
+		t.Errorf("columnar file %d bytes > 1.05 x row file %d bytes", col.Size(), row.Size())
 	}
 }
 

@@ -159,7 +159,6 @@ func (rw *RowWriter) Close() (err error) {
 // Items slices. Errors are sticky; Close removes the partial file on failure.
 type ColumnarWriter struct {
 	path         string
-	tax          *taxonomy.Taxonomy
 	txnsPerBlock int
 
 	f      *os.File
@@ -172,8 +171,6 @@ type ColumnarWriter struct {
 	spans [][2]int
 	arena []item.Item
 
-	seen    []bool
-	closure []item.Item
 	body    []byte
 	entries []byte // directory entries, the block count is prepended at Close
 	blocks  int
@@ -185,8 +182,8 @@ type ColumnarWriter struct {
 }
 
 // NewColumnarWriter creates a streaming columnar writer targeting path. tax
-// and txnsPerBlock have WriteColumnar's semantics (nil tax = literal-item
-// filters with a zero fingerprint; txnsPerBlock <= 0 selects the default).
+// and txnsPerBlock have WriteColumnar's semantics (nil tax = zero
+// fingerprint; txnsPerBlock <= 0 selects the default).
 func NewColumnarWriter(path string, tax *taxonomy.Taxonomy, txnsPerBlock int) (*ColumnarWriter, error) {
 	if txnsPerBlock <= 0 {
 		txnsPerBlock = DefaultTxnsPerBlock
@@ -200,15 +197,11 @@ func NewColumnarWriter(path string, tax *taxonomy.Taxonomy, txnsPerBlock int) (*
 	}
 	cw := &ColumnarWriter{
 		path:         path,
-		tax:          tax,
 		txnsPerBlock: txnsPerBlock,
 		f:            f,
 		w:            bufio.NewWriterSize(f, 1<<20),
 		offset:       columnarHeaderSize,
 		firstTxn:     true,
-	}
-	if tax != nil {
-		cw.seen = make([]bool, tax.NumItems())
 	}
 	var hdr [columnarHeaderSize]byte
 	binary.BigEndian.PutUint32(hdr[0:4], columnarMagic)
@@ -253,54 +246,26 @@ func (cw *ColumnarWriter) Append(t Transaction) error {
 // Count returns the number of transactions appended so far.
 func (cw *ColumnarWriter) Count() int64 { return cw.count }
 
-// flushBlock encodes the buffered transactions as one block — closure + skip
-// filter, three columns, directory entry — mirroring writeColumnar exactly.
+// flushBlock encodes the buffered transactions as one block: three columns
+// and a directory entry.
 func (cw *ColumnarWriter) flushBlock() error {
 	n := len(cw.tids)
-	cw.closure = cw.closure[:0]
+	// Baskets are canonical (ascending), so each one's first and last item
+	// bound it.
+	minIt, maxIt := item.Item(1), item.Item(0) // min > max: every basket empty
+	empty := true
 	for _, sp := range cw.spans {
-		for _, x := range cw.arena[sp[0]:sp[1]] {
-			if cw.tax != nil {
-				for cur := x; cur != item.None; cur = cw.tax.Parent(cur) {
-					if !cw.seen[cur] {
-						cw.seen[cur] = true
-						cw.closure = append(cw.closure, cur)
-					}
-				}
-			} else {
-				if int(x) >= len(cw.seen) {
-					grown := make([]bool, int(x)+1)
-					copy(grown, cw.seen)
-					cw.seen = grown
-				}
-				if !cw.seen[x] {
-					cw.seen[x] = true
-					cw.closure = append(cw.closure, x)
-				}
-			}
+		if sp[0] == sp[1] {
+			continue
 		}
-	}
-	for _, x := range cw.closure {
-		cw.seen[x] = false
-	}
-	minIt, maxIt := item.Item(1), item.Item(0) // min > max: empty closure
-	for i, x := range cw.closure {
-		if i == 0 || x < minIt {
-			minIt = x
+		lo, hi := cw.arena[sp[0]], cw.arena[sp[1]-1]
+		if empty || lo < minIt {
+			minIt = lo
 		}
-		if i == 0 || x > maxIt {
-			maxIt = x
+		if empty || hi > maxIt {
+			maxIt = hi
 		}
-	}
-	var bloom []byte
-	var mask uint32
-	if len(cw.closure) > 0 {
-		bits := bloomBitsFor(len(cw.closure))
-		mask = bits - 1
-		bloom = make([]byte, bits/8)
-		for _, x := range cw.closure {
-			bloomSet(bloom, mask, x)
-		}
+		empty = false
 	}
 
 	body := cw.body[:0]
@@ -334,8 +299,6 @@ func (cw *ColumnarWriter) flushBlock() error {
 	cw.entries = wire.AppendUvarint(cw.entries, uint64(cw.tids[0]))
 	cw.entries = wire.AppendUvarint(cw.entries, uint64(minIt))
 	cw.entries = wire.AppendUvarint(cw.entries, uint64(maxIt))
-	cw.entries = wire.AppendUvarint(cw.entries, uint64(len(bloom)))
-	cw.entries = append(cw.entries, bloom...)
 	cw.offset += int64(len(body))
 	cw.blocks++
 
