@@ -221,13 +221,10 @@ func main() {
 			logx.Fatal(logger, "taxonomy", "err", err)
 		}
 		for _, path := range strings.Split(*inFiles, ",") {
-			// txn.Open sniffs the magic, so row and columnar partitions (and
+			// The magic is sniffed, so row and columnar partitions (and
 			// mixtures) all work; columnar ones scan block-sharded and carry
 			// the fingerprint of the hierarchy they were generated for.
-			f, err := txn.Open(strings.TrimSpace(path))
-			if err == nil {
-				err = txn.CheckTaxonomy(f, tax)
-			}
+			f, err := txn.OpenChecked(strings.TrimSpace(path), tax)
 			if err != nil {
 				logx.Fatal(logger, "open partition", "err", err)
 			}

@@ -104,10 +104,7 @@ func main() {
 	if err != nil {
 		logx.Fatal(logger, "taxonomy", "err", err)
 	}
-	local, err := txn.Open(*inFile)
-	if err == nil {
-		err = txn.CheckTaxonomy(local, tax)
-	}
+	local, err := txn.OpenChecked(*inFile, tax)
 	if err != nil {
 		logx.Fatal(logger, "open partition", "err", err)
 	}
@@ -254,10 +251,7 @@ func fatalMineErr(logger *slog.Logger, ep cluster.Endpoint, err error) {
 func verifyIdentity(tax *taxonomy.Taxonomy, list string, minsup float64, maxK int, got *itemset.Levels) (bool, error) {
 	whole := txn.NewDB(nil)
 	for _, path := range strings.Split(list, ",") {
-		src, err := txn.Open(strings.TrimSpace(path))
-		if err == nil {
-			err = txn.CheckTaxonomy(src, tax)
-		}
+		src, err := txn.OpenChecked(strings.TrimSpace(path), tax)
 		if err != nil {
 			return false, err
 		}

@@ -60,7 +60,7 @@ func (m *Mesh) ClockOffsets() []time.Duration {
 // paper's SP-2, with OS processes standing in for nodes. addrs lists every
 // node's listen address in node-id order; self is this process's id.
 //
-// Connection protocol (identical to the in-process TCPFabric): node i dials
+// Connection protocol (the in-process TCPFabric is n of these): node i dials
 // every j > i with a 2-byte hello carrying its id, and accepts connections
 // from every j < i. Dials retry until the peer's listener is up or
 // DialTimeout expires, so workers may start in any order.
@@ -151,12 +151,7 @@ func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, erro
 	ln.Close()
 	close(errs)
 	if err := <-errs; err != nil {
-		for _, tc := range ep.conns {
-			if tc != nil {
-				tc.close()
-			}
-		}
-		return nil, nil, err
+		return nil, nil, teardown(ep, err)
 	}
 
 	// Clock sync runs on the raw connections strictly before the read loops

@@ -22,15 +22,14 @@ type TCPFabric struct {
 	closeOnce sync.Once
 }
 
-// NewTCPFabric builds an n-node loopback TCP mesh. inboxBuffer sizes each
-// node's delivery channel (default 1024 when non-positive).
+// NewTCPFabric builds an n-node loopback TCP mesh: n pre-bound loopback
+// listeners and one in-process DialMesh endpoint per node, so the fabric and
+// the multi-process mesh share one handshake. inboxBuffer sizes each node's
+// delivery channel (default 1024 when non-positive).
 func NewTCPFabric(n, inboxBuffer int) (*TCPFabric, error) {
-	if inboxBuffer <= 0 {
-		inboxBuffer = 1024
-	}
-	f := &TCPFabric{endpoints: make([]*tcpEndpoint, n)}
 	listeners := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
+	addrs := make([]string, n)
+	for i := range listeners {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			for _, p := range listeners[:i] {
@@ -38,74 +37,38 @@ func NewTCPFabric(n, inboxBuffer int) (*TCPFabric, error) {
 			}
 			return nil, fmt.Errorf("cluster: listen for node %d: %w", i, err)
 		}
-		listeners[i] = l
-		f.endpoints[i] = &tcpEndpoint{
-			id:     i,
-			n:      n,
-			inbox:  make(chan Message, inboxBuffer),
-			conns:  make([]*tcpConn, n),
-			closed: make(chan struct{}),
-		}
+		listeners[i], addrs[i] = l, l.Addr().String()
 	}
-	// Dial the mesh: node i dials node j for all i < j; the accepting side
-	// learns the dialer from a 2-byte hello.
+	f := &TCPFabric{endpoints: make([]*tcpEndpoint, n)}
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	errs := make(chan error, n*n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			wg.Add(1)
-			go func(i, j int) {
-				defer wg.Done()
-				c, err := net.Dial("tcp", listeners[j].Addr().String())
-				if err != nil {
-					errs <- fmt.Errorf("cluster: dial %d->%d: %w", i, j, err)
-					return
-				}
-				var hello [2]byte
-				binary.BigEndian.PutUint16(hello[:], uint16(i))
-				if _, err := c.Write(hello[:]); err != nil {
-					errs <- fmt.Errorf("cluster: hello %d->%d: %w", i, j, err)
-					return
-				}
-				f.endpoints[i].setConn(j, c)
-			}(i, j)
-		}
-		// Node i accepts i connections (from every lower-numbered node).
+	for i := range listeners {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for k := 0; k < i; k++ {
-				c, err := listeners[i].Accept()
-				if err != nil {
-					errs <- fmt.Errorf("cluster: accept at node %d: %w", i, err)
-					return
+			// One process, one clock: no offset exchange.
+			_, m, err := DialMesh(i, addrs, MeshOptions{Listener: listeners[i], InboxBuffer: inboxBuffer, ClockSyncRounds: -1})
+			if err != nil {
+				errs[i] = err
+				// Release the peers still accepting from this node. (DialMesh
+				// closes its own listener on every path.)
+				for _, l := range listeners {
+					l.Close()
 				}
-				var hello [2]byte
-				if _, err := io.ReadFull(c, hello[:]); err != nil {
-					errs <- fmt.Errorf("cluster: read hello at node %d: %w", i, err)
-					return
-				}
-				from := int(binary.BigEndian.Uint16(hello[:]))
-				f.endpoints[i].setConn(from, c)
+				return
 			}
+			f.endpoints[i] = m.ep
 		}(i)
 	}
 	wg.Wait()
-	for _, l := range listeners {
-		l.Close()
-	}
-	close(errs)
-	if err := <-errs; err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Start one reader per connection side.
-	for _, ep := range f.endpoints {
-		for peer, c := range ep.conns {
-			if c != nil {
-				ep.readers.Add(1)
-				go ep.readLoop(peer, c)
+	for _, err := range errs {
+		if err != nil {
+			for _, ep := range f.endpoints {
+				if ep != nil {
+					ep.shutdown(nil)
+				}
 			}
+			return nil, err
 		}
 	}
 	return f, nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
@@ -120,8 +119,6 @@ func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	W := n.Workers()
 	index := m.cands.fullIndex(k, cands, W)
 	wcounts := driver.WorkerVectors(W, len(cands))
-	wstats := make([]metrics.NodeStats, W)
-	started := time.Now()
 	per := (len(cands) + frags - 1) / frags
 	for f := 0; f < frags; f++ {
 		lo := int32(f * per)
@@ -134,15 +131,13 @@ func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			Lo:      lo,
 			Hi:      hi,
 			Obs:     n.ShardObs("scan"),
-			WStats:  wstats,
+			Stats:   st,
 		})
 		if err != nil {
 			return engineOut{}, fmt.Errorf("fragment %d scan: %w", f, err)
 		}
 	}
 	counts := driver.MergeWorkerVectors(wcounts)
-	driver.MergeWorkerStats(st, wstats)
-	st.ScanTime = time.Since(started)
 
 	// NPGM has no count-support communication: the only exchange is the
 	// reduce of the replicated counts, which the runtime's barrier performs.

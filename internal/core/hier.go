@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
 	"pgarm/internal/item"
@@ -13,14 +10,12 @@ import (
 	"pgarm/internal/txn"
 )
 
-// hierWorker is one scan worker's private routing state: counters, a batcher,
-// a duplicated-candidate count vector and every per-transaction scratch
-// buffer. Nothing in here is shared, so the scan body never synchronizes.
+// hierWorker is the routing state one scan worker keeps beside its
+// driver.Worker: a duplicated-candidate count vector and every
+// per-transaction scratch buffer. Nothing in here is shared, so the scan body
+// never synchronizes.
 type hierWorker struct {
-	stats       metrics.NodeStats
-	bat         *driver.Batcher
 	dupCounts   []int64
-	dupExt      []item.Item
 	dupStamps   itemset.Stamps
 	tPrime      []item.Item
 	group       []item.Item
@@ -140,19 +135,18 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	applyScratch := make([]item.Item, 0, 64)
 	var applyStamps itemset.Stamps
 	xsp := n.Span("exchange")
-	cp := n.StartExchange(driver.ItemsApplier(func(items []item.Item) {
+	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
 		applyScratch = cumulate.ExtendFiltered(ownedView, ownedMember, applyScratch[:0], items)
 		st.Probes += itemset.Choose(len(applyScratch), k)
 		st.Increments += ownedIndex.CountContained(applyScratch, 0, int32(len(ownedCands)), ownedCounts, &applyStamps)
 	}))
 
-	// Per-worker scan state: each worker owns a batcher, a duplicated-table
-	// count vector and every per-transaction scratch buffer.
+	// Per-worker scan state: a duplicated-table count vector and every
+	// per-transaction scratch buffer.
 	wdup := driver.WorkerVectors(W, len(plan.dupSets))
 	workers := make([]hierWorker, W)
 	for w := range workers {
 		workers[w] = hierWorker{
-			bat:         cp.NewBatcher(),
 			dupCounts:   wdup[w],
 			rootsByDest: make([][]item.Item, nNodes),
 			touched:     make([]int, 0, nNodes),
@@ -160,22 +154,19 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		}
 	}
 
-	// Block counters land in a parallel stats slice (hierWorker keeps its
-	// own NodeStats for the scan body).
-	wblocks := make([]metrics.NodeStats, W)
-	started := time.Now()
-	err := driver.ScanTxnShards(m.db, W, n.ShardObs("count"), wblocks, func(w int, t txn.Transaction) error {
-		wk := &workers[w]
-		wk.stats.TxnsScanned++
-
-		// Duplicated candidates are counted locally, straight from the
-		// original transaction's closure (Figures 7/9/11 line (8.1)). The
-		// shared dupIndex is read-only; every worker counts into its own
-		// vector.
-		if len(wk.dupCounts) > 0 {
-			wk.dupExt = cumulate.ExtendFiltered(dupView, dupMember, wk.dupExt[:0], t.Items)
-			wk.stats.Probes += itemset.Choose(len(wk.dupExt), k)
-			wk.stats.Increments += plan.dupIndex.CountContained(wk.dupExt, 0, int32(len(wk.dupCounts)), wk.dupCounts, &wk.dupStamps)
+	// Duplicated candidates are counted locally, straight from the original
+	// transaction's closure (Figures 7/9/11 line (8.1)) — the phase's
+	// extension whenever anything is duplicated. The shared dupIndex is
+	// read-only; every worker counts into its own vector.
+	var extendDup func([]item.Item, txn.Transaction) []item.Item
+	if len(plan.dupSets) > 0 {
+		extendDup = cumulate.FilteredExtension(dupView, dupMember)
+	}
+	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, extendDup, cp, func(w *driver.Worker, t txn.Transaction) error {
+		wk := &workers[w.ID]
+		if extendDup != nil {
+			w.Stats.Probes += itemset.Choose(len(w.Ext), k)
+			w.Stats.Increments += plan.dupIndex.CountContained(w.Ext, 0, int32(len(wk.dupCounts)), wk.dupCounts, &wk.dupStamps)
 		}
 		if !anyPartitioned {
 			return nil
@@ -206,7 +197,6 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			}
 		})
 
-		var sendErr error
 		for _, dest := range wk.touched {
 			roots := item.Dedup(wk.rootsByDest[dest])
 			wk.group = wk.group[:0]
@@ -216,34 +206,20 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 				}
 			}
 			if dest != self {
-				wk.stats.ItemsSent += int64(len(wk.group))
+				w.Stats.ItemsSent += int64(len(wk.group))
 			}
-			if err := wk.bat.AddItems(dest, wk.group); err != nil {
-				sendErr = err
+			if err := w.Bat.AddItems(dest, wk.group); err != nil {
+				return err
 			}
 			wk.rootsByDest[dest] = wk.rootsByDest[dest][:0]
 		}
-		return sendErr
+		return nil
 	})
-	for w := range workers {
-		if err != nil {
-			break
-		}
-		err = workers[w].bat.FlushAll()
-	}
-	if ferr := cp.Finish(); err == nil {
-		err = ferr
-	}
 	xsp.End()
 	if err != nil {
-		return engineOut{}, fmt.Errorf("count support: %w", err)
+		return engineOut{}, err
 	}
 	dupCounts := driver.MergeWorkerVectors(wdup)
-	for w := range workers {
-		st.AddScanCounters(&workers[w].stats)
-	}
-	driver.MergeWorkerStats(st, wblocks)
-	st.ScanTime = time.Since(started)
 
 	largeSets, largeCounts := largeOf(ownedCands, ownedCounts, n.MinCount())
 	return engineOut{

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
 	"pgarm/internal/item"
@@ -69,7 +66,7 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	// The receiver goroutine alone touches the owned counts; scan workers
 	// only route units into per-worker batchers.
 	xsp := n.Span("exchange")
-	cp := n.StartExchange(driver.ItemsApplier(func(items []item.Item) {
+	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
 		// One unit = one k-itemset hashed to this node: one probe of its
 		// candidate table (the per-node quantity Figure 15 plots).
 		st.Probes++
@@ -78,50 +75,31 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			st.Increments++
 		}
 	}))
-	bats := make([]*driver.Batcher, W)
-	for w := range bats {
-		bats[w] = cp.NewBatcher()
+	wsub := make([][]item.Item, W) // per-worker subset enumeration scratch
+	for w := range wsub {
+		wsub[w] = make([]item.Item, k)
 	}
-	wstats := make([]metrics.NodeStats, W)
-	wext := driver.WorkerScratch(W, 64)
-	wsub := driver.WorkerScratch(W, 2*k)
-
-	started := time.Now()
-	err := driver.ScanTxnShards(m.db, W, n.ShardObs("count"), wstats, func(w int, t txn.Transaction) error {
-		ws := &wstats[w]
-		ws.TxnsScanned++
-		ext := cumulate.ExtendFiltered(view, member, wext[w][:0], t.Items)
-		wext[w] = ext
-		bat := bats[w]
-		var sendErr error
-		itemset.ForEachSubsetScratch(ext, k, wsub[w], func(sub []item.Item) bool {
-			dest := int(itemset.Hash(sub) % uint64(nNodes))
-			if dest != self {
-				ws.ItemsSent += int64(len(sub))
-			}
-			if err := bat.AddItems(dest, sub); err != nil {
-				sendErr = err
-				return false
-			}
-			return true
+	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, cumulate.FilteredExtension(view, member), cp,
+		func(w *driver.Worker, _ txn.Transaction) error {
+			ws, bat := &w.Stats, w.Bat
+			var sendErr error
+			itemset.ForEachSubsetScratch(w.Ext, k, wsub[w.ID], func(sub []item.Item) bool {
+				dest := int(itemset.Hash(sub) % uint64(nNodes))
+				if dest != self {
+					ws.ItemsSent += int64(len(sub))
+				}
+				if err := bat.AddItems(dest, sub); err != nil {
+					sendErr = err
+					return false
+				}
+				return true
+			})
+			return sendErr
 		})
-		return sendErr
-	})
-	for _, bat := range bats {
-		if err != nil {
-			break
-		}
-		err = bat.FlushAll()
-	}
-	if ferr := cp.Finish(); err == nil {
-		err = ferr
-	}
 	xsp.End()
 	if err != nil {
-		return engineOut{}, fmt.Errorf("count support: %w", err)
+		return engineOut{}, err
 	}
-	driver.MergeWorkerStats(st, wstats)
-	st.ScanTime = time.Since(started)
 
 	ownedSets, ownedCounts := largeOf(e.owned, counts, n.MinCount())
 	return engineOut{

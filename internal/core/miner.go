@@ -53,31 +53,9 @@ func (m *itemsetMiner) LocalSize() int { return m.db.Len() }
 func (m *itemsetMiner) NumItems() int { return m.tax.NumItems() }
 
 // CountPass1 counts every item and all its ancestors over the local
-// partition. All algorithms share it: C_1 is just an array indexed by item,
-// so there is nothing to partition.
+// partition — the dense pass 1 all itemset miners share.
 func (m *itemsetMiner) CountPass1(n *driver.Node, st *metrics.NodeStats) ([]int64, error) {
-	W := n.Workers()
-	wcounts := driver.WorkerVectors(W, m.tax.NumItems())
-	wstats := make([]metrics.NodeStats, W)
-	wext := driver.WorkerScratch(W, 64)
-	// Pass 1 counts every item, so no block can be skipped (nil predicate) —
-	// but a block source still parallelizes the decode itself across workers.
-	err := driver.ScanTxnShards(m.db, W, n.ShardObs("scan"), wstats, func(w int, t txn.Transaction) error {
-		wstats[w].TxnsScanned++
-		ext := m.tax.ExtendTransaction(wext[w][:0], t.Items)
-		wext[w] = ext
-		counts := wcounts[w]
-		for _, x := range ext {
-			counts[x]++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	counts := driver.MergeWorkerVectors(wcounts)
-	driver.MergeWorkerStats(st, wstats)
-	return counts, nil
+	return driver.CountItems(m.tax, m.db, n.Workers(), n.ShardObs("scan"), st)
 }
 
 // FinishPass1 consumes the globally reduced pass-1 counts and derives the

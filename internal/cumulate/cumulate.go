@@ -325,3 +325,11 @@ func ExtendFiltered(view *taxonomy.View, member []bool, dst []item.Item, items [
 	}
 	return dst[:w]
 }
+
+// FilteredExtension binds ExtendFiltered to one pass's view and member set,
+// in the shape a driver count phase takes as its extension function.
+func FilteredExtension(view *taxonomy.View, member []bool) func(dst []item.Item, t txn.Transaction) []item.Item {
+	return func(dst []item.Item, t txn.Transaction) []item.Item {
+		return ExtendFiltered(view, member, dst, t.Items)
+	}
+}

@@ -18,11 +18,14 @@ type CountOptions struct {
 	// Obs carries the per-shard observability hooks; the zero value
 	// disables them.
 	Obs ShardObs
-	// WStats accumulates TxnsScanned, Probes, Increments and block
-	// counters per worker, exactly as the batch engines record them:
-	// Probes is the paper's count of k-subsets offered to the candidate
-	// table, C(|t'|, k) per extended transaction, whatever the index does
-	// to answer them. It must hold at least Workers slots (min 1).
+	// Stats, when non-nil, is the pass window the scan's counters are merged
+	// into in worker order — TxnsScanned, Probes, Increments and block
+	// counters, exactly as the batch engines record them: Probes is the
+	// paper's count of k-subsets offered to the candidate table, C(|t'|, k)
+	// per extended transaction, whatever the index does to answer them.
+	Stats *metrics.NodeStats
+	// WStats is the older spelling of Stats that bench/ compiles against:
+	// without Stats, the scan's totals are added to WStats[0] when present.
 	WStats []metrics.NodeStats
 }
 
@@ -39,23 +42,19 @@ type CountOptions struct {
 // independent Scan calls when opt.Workers > 1 (every txn.Scanner in the
 // repo does).
 func CountTable(view *taxonomy.View, member []bool, index *itemset.Index, k int, src txn.Scanner, wcounts [][]int64, opt CountOptions) error {
-	W := opt.Workers
-	if W < 1 {
-		W = 1
-	}
 	lo, hi := opt.Lo, opt.Hi
 	if hi <= 0 {
 		hi = int32(index.Len())
 	}
-	wext := WorkerScratch(W, 64)
-	wstamps := make([]itemset.Stamps, W)
-	return ScanTxnShards(src, W, opt.Obs, opt.WStats, func(w int, t txn.Transaction) error {
-		ws := &opt.WStats[w]
-		ws.TxnsScanned++
-		ext := cumulate.ExtendFiltered(view, member, wext[w][:0], t.Items)
-		wext[w] = ext
-		ws.Probes += itemset.Choose(len(ext), k)
-		ws.Increments += index.CountContained(ext, lo, hi, wcounts[w], &wstamps[w])
-		return nil
-	})
+	st := opt.Stats
+	if st == nil && len(opt.WStats) > 0 {
+		st = &opt.WStats[0]
+	}
+	wstamps := make([]itemset.Stamps, max(opt.Workers, 1))
+	return CountPhase(src, opt.Workers, opt.Obs, st, cumulate.FilteredExtension(view, member), nil,
+		func(w *Worker, _ txn.Transaction) error {
+			w.Stats.Probes += itemset.Choose(len(w.Ext), k)
+			w.Stats.Increments += index.CountContained(w.Ext, lo, hi, wcounts[w.ID], &wstamps[w.ID])
+			return nil
+		})
 }

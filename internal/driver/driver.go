@@ -97,16 +97,14 @@ type Spec struct {
 	MaxK       int     // 0 = run until F_k is empty
 
 	// Workers is the number of scan goroutines each node uses over its local
-	// partition during pass 1 and the count-support phase (see ScanShards).
+	// partition during pass 1 and the count-support phase (see CountPhase).
 	// 0 or 1 scans on the node goroutine itself; larger values shard the
 	// partition across a per-node pool with per-worker count vectors merged
 	// deterministically at the pass barrier, so results are bit-identical at
 	// every setting. Total parallelism is nodes × workers.
 	Workers int
 
-	Fabric       FabricKind // interconnect of an in-process run
-	FabricBuffer int        // per-inbox message buffer; 0 = default
-	BatchBytes   int        // count-support send batching threshold; 0 = 4KB
+	Fabric FabricKind // interconnect of an in-process run
 
 	// MemoryBudget is the per-node candidate memory in bytes (the paper's
 	// M, 256MB on the SP-2). It drives NPGM fragmentation and the free
@@ -178,10 +176,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("driver: negative MaxK %d", s.MaxK)
 	case s.Workers < 0:
 		return fmt.Errorf("driver: negative Workers %d", s.Workers)
-	case s.FabricBuffer < 0:
-		return fmt.Errorf("driver: negative FabricBuffer %d", s.FabricBuffer)
-	case s.BatchBytes < 0:
-		return fmt.Errorf("driver: negative BatchBytes %d", s.BatchBytes)
 	}
 	return nil
 }
@@ -194,13 +188,6 @@ func (s *Spec) RejectCandidateKnobs() error {
 		return fmt.Errorf("driver: %s has no MemoryBudget/Adaptive/EscalateAt/JumpAt: %w", s.Algorithm, ErrUnsupportedKnob)
 	}
 	return nil
-}
-
-func (s *Spec) batchBytes() int {
-	if s.BatchBytes <= 0 {
-		return 4 << 10
-	}
-	return s.BatchBytes
 }
 
 func (s *Spec) workers() int {
@@ -234,7 +221,7 @@ type PassPlanner interface {
 // Miner is the mining-logic half of a run. The runtime calls these hooks
 // from the node goroutine in protocol order; every hook receives the Node
 // for access to cluster position (ID/NumNodes), the derived global state
-// (TotalSize/MinCount) and the communication helpers (StartExchange,
+// (TotalSize/MinCount) and the communication helpers (NewExchange,
 // ShardObs, Span).
 //
 // A Miner instance belongs to exactly one node and is never called
@@ -243,7 +230,7 @@ type PassPlanner interface {
 // barrier.
 type Miner interface {
 	// PassPlanner runs between Generate and CountPass (the plan phase of the
-	// per-pass state machine).
+	// pass).
 	PassPlanner
 
 	// LocalSize is the size of the local partition (transactions, customers)
@@ -267,7 +254,7 @@ type Miner interface {
 	Generate(n *Node, k int) (int, error)
 
 	// CountPass runs pass k's partition and count-support phase over the
-	// local shard (routing units through n.StartExchange as needed) and
+	// local shard (routing units through n.NewExchange as needed) and
 	// returns this node's barrier contribution. Scan and probe counters go
 	// into st, which is the node's live pass window.
 	CountPass(n *Node, k int, st *metrics.NodeStats) (PassOutcome, error)

@@ -49,22 +49,17 @@ type Exchange struct {
 	bytesRecv int64
 }
 
-// StartExchange launches the receiver goroutine for this pass's
-// count-support phase. apply is invoked once per batch payload, from the
-// receiver goroutine only — it has exclusive access to the candidate state
-// it touches until Finish returns. It must decode the batch's concatenated
-// units and return the number of items it decoded (the receive-side item
-// accounting for remote batches); ItemsApplier adapts the common
-// one-itemset-per-unit shape.
-func (n *Node) StartExchange(apply func(batch []byte) (int64, error)) *Exchange {
-	return n.StartExchangeKind(KData, apply)
-}
-
-// StartExchangeKind is StartExchange with an explicit data-batch message
-// kind. The count-support phase uses KData; the FP-Growth engine routes
-// conditional pattern bases as KCondBase so the per-kind byte accounting
-// separates the two streams. Termination is KDone in either case.
-func (n *Node) StartExchangeKind(kind uint8, apply func(batch []byte) (int64, error)) *Exchange {
+// NewExchange launches the receiver goroutine for one exchange of this pass.
+// kind is the data-batch message kind: KData for the count-support phase;
+// the FP-Growth engine routes conditional pattern bases as KCondBase so the
+// per-kind byte accounting separates the two streams. Termination is KDone in
+// either case. apply is invoked once per batch payload, from the receiver
+// goroutine only — it has exclusive access to the candidate state it touches
+// until Finish returns. It must decode the batch's concatenated units and
+// return the number of items it decoded (the receive-side item accounting
+// for remote batches); ItemsApplier adapts the common one-itemset-per-unit
+// shape.
+func (n *Node) NewExchange(kind uint8, apply func(batch []byte) (int64, error)) *Exchange {
 	ex := &Exchange{
 		n:     n,
 		kind:  kind,
@@ -208,10 +203,14 @@ func ItemsApplier(apply func(items []item.Item)) func(batch []byte) (int64, erro
 	}
 }
 
+// batchBytes is the count-support send batching threshold: a destination's
+// batch is sent once it reaches 4 KB.
+const batchBytes = 4 << 10
+
 // Batcher accumulates payload units per destination and flushes them as
-// KData messages once a batch exceeds the configured threshold; units for
-// the local node go through the loopback queue without touching the fabric.
-// Each producer (scan worker) must own its own Batcher.
+// data-batch messages once a batch reaches batchBytes; units for the local
+// node go through the loopback queue without touching the fabric. Each
+// producer (scan worker) must own its own Batcher.
 type Batcher struct {
 	ex    *Exchange
 	bufs  [][]byte
@@ -223,7 +222,7 @@ func (ex *Exchange) NewBatcher() *Batcher {
 	return &Batcher{
 		ex:    ex,
 		bufs:  make([][]byte, ex.n.ep.N()),
-		limit: ex.n.cfg.batchBytes(),
+		limit: batchBytes,
 	}
 }
 

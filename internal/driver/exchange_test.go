@@ -17,9 +17,17 @@ func newTestNodes(t *testing.T, n int) ([]*Node, cluster.Fabric) {
 	f := cluster.NewChanFabric(n, 16)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = &Node{id: i, ep: f.Endpoint(i), cfg: Spec{BatchBytes: 64}}
+		nodes[i] = &Node{id: i, ep: f.Endpoint(i)}
 	}
 	return nodes, f
+}
+
+// smallBatcher is ex.NewBatcher with a 64-byte flush threshold, so a test's
+// few hundred units cross it many times.
+func smallBatcher(ex *Exchange) *Batcher {
+	b := ex.NewBatcher()
+	b.limit = 64
+	return b
 }
 
 func TestCountPhaseDeliversAllUnits(t *testing.T) {
@@ -35,10 +43,10 @@ func TestCountPhaseDeliversAllUnits(t *testing.T) {
 		go func(i int, nd *Node) {
 			defer wg.Done()
 			recv := received[i]
-			cp := nd.StartExchange(ItemsApplier(func(items []item.Item) {
+			cp := nd.NewExchange(KData, ItemsApplier(func(items []item.Item) {
 				recv[itemset.Key(items)]++
 			}))
-			bat := cp.NewBatcher()
+			bat := smallBatcher(cp)
 			for u := 0; u < unitsPerPeer; u++ {
 				// Unit value encodes the sender so receivers can verify.
 				unit := []item.Item{item.Item(i), item.Item(100 + u)}
@@ -79,8 +87,8 @@ func TestCountPhaseSingleNodeLoopback(t *testing.T) {
 	defer f.Close()
 	nd := nodes[0]
 	got := 0
-	cp := nd.StartExchange(ItemsApplier(func(items []item.Item) { got += len(items) }))
-	bat := cp.NewBatcher()
+	cp := nd.NewExchange(KData, ItemsApplier(func(items []item.Item) { got += len(items) }))
+	bat := smallBatcher(cp)
 	for i := 0; i < 10; i++ {
 		if err := bat.AddItems(0, []item.Item{1, 2, 3}); err != nil {
 			t.Fatal(err)
@@ -107,16 +115,16 @@ func TestBatcherFlushesAtThreshold(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cp := b.StartExchange(ItemsApplier(func([]item.Item) { recvUnits++ }))
+		cp := b.NewExchange(KData, ItemsApplier(func([]item.Item) { recvUnits++ }))
 		if err := cp.Finish(); err != nil {
 			t.Errorf("b finish: %v", err)
 		}
 	}()
 
-	cp := a.StartExchange(ItemsApplier(func([]item.Item) {}))
-	bat := cp.NewBatcher()
-	// BatchBytes is 64; a 2-item unit encodes to ~3-9 bytes, so well before
-	// 100 units at least one flush must have happened without FlushAll.
+	cp := a.NewExchange(KData, ItemsApplier(func([]item.Item) {}))
+	bat := smallBatcher(cp)
+	// The threshold is 64 bytes; a 2-item unit encodes to ~3-9 bytes, so well
+	// before 100 units at least one flush must have happened without FlushAll.
 	for i := 0; i < 100; i++ {
 		if err := bat.AddItems(1, []item.Item{item.Item(i), item.Item(i + 1000)}); err != nil {
 			t.Fatal(err)
@@ -142,12 +150,12 @@ func TestBatcherAddRawMatchesAddItems(t *testing.T) {
 	defer f.Close()
 	nd := nodes[0]
 	var got [][]item.Item
-	cp := nd.StartExchange(ItemsApplier(func(items []item.Item) {
+	cp := nd.NewExchange(KData, ItemsApplier(func(items []item.Item) {
 		cp := make([]item.Item, len(items))
 		copy(cp, items)
 		got = append(got, cp)
 	}))
-	bat := cp.NewBatcher()
+	bat := smallBatcher(cp)
 	if err := bat.AddRaw(0, wire.AppendItems(nil, []item.Item{4, 5, 6})); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +227,7 @@ func TestCountPhaseConsumesPreStashedData(t *testing.T) {
 	}
 
 	got := 0
-	cp := a.StartExchange(ItemsApplier(func(items []item.Item) { got++ }))
+	cp := a.NewExchange(KData, ItemsApplier(func(items []item.Item) { got++ }))
 	if err := cp.Finish(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // Node is one shared-nothing processor of the runtime: a fabric endpoint,
-// the pass-driver state machine and the per-pass instrumentation. Node 0
-// doubles as the coordinator, as in the paper. The mining logic itself lives
-// in the attached Miner.
+// the pass driver and the per-pass instrumentation. Node 0 doubles as the
+// coordinator, as in the paper. The mining logic itself lives in the
+// attached Miner.
 type Node struct {
 	id    int
 	ep    cluster.Endpoint
@@ -363,19 +363,7 @@ func (n *Node) reduceCounts(counts []int64) ([]int64, error) {
 	return global, nil
 }
 
-// passState is one state of the per-pass state machine.
-type passState int
-
-const (
-	statePlan passState = iota
-	stateExecute
-	stateBarrier
-	stateReplan
-	statePassDone
-)
-
-// passRun is the per-pass context the state machine threads through its
-// states.
+// passRun is the per-pass context the four phases share.
 type passRun struct {
 	k       int
 	nCands  int
@@ -386,9 +374,9 @@ type passRun struct {
 	large   int          // |F_k| once the barrier resolves
 }
 
-// runPass executes one count-support pass for k >= 2 as an explicit state
-// machine — Plan -> Execute -> Barrier -> Replan — and returns |F_k|
-// (identical on every node after the broadcast).
+// runPass executes one count-support pass for k >= 2 as four named phases,
+// in the only order they can run, and returns |F_k| (identical on every node
+// after the broadcast).
 //
 //	Plan     exchange the coordinator's latest complete skew snapshot
 //	         (KPlan) and compute the pass's candidate-to-node assignment via
@@ -398,29 +386,19 @@ type passRun struct {
 //	         the followers' telemetry batches.
 //	Replan   close the pass window: capture communication, advance the
 //	         coordinator's skew snapshot (the input to the *next* pass's
-//	         Plan state) and record the pass metadata.
+//	         Plan phase) and record the pass metadata.
 func (n *Node) runPass(k, nCands int) (int, error) {
 	pr := &passRun{k: k, nCands: nCands, started: time.Now()}
-	for st := statePlan; st != statePassDone; {
-		var err error
-		switch st {
-		case statePlan:
-			err = n.planPhase(pr)
-			st = stateExecute
-		case stateExecute:
-			err = n.executePhase(pr)
-			st = stateBarrier
-		case stateBarrier:
-			err = n.barrierPhase(pr)
-			st = stateReplan
-		case stateReplan:
-			err = n.replanPhase(pr)
-			st = statePassDone
-		}
-		if err != nil {
-			return 0, err
-		}
+	if err := n.planPhase(pr); err != nil {
+		return 0, err
 	}
+	if err := n.executePhase(pr); err != nil {
+		return 0, err
+	}
+	if err := n.barrierPhase(pr); err != nil {
+		return 0, err
+	}
+	n.replanPhase(pr)
 	return pr.large, nil
 }
 
@@ -493,7 +471,7 @@ func (n *Node) barrierPhase(pr *passRun) error {
 // snapshot (inside finishPassStats), which the *next* pass's plan phase
 // broadcasts. Pass metadata — including the plan decision — is recorded
 // here.
-func (n *Node) replanPhase(pr *passRun) error {
+func (n *Node) replanPhase(pr *passRun) {
 	n.setPhase(pr.k, phaseReplan)
 	n.capturePassComm()
 	n.ins.endPass(&n.cur)
@@ -514,7 +492,6 @@ func (n *Node) replanPhase(pr *passRun) error {
 		})
 	}
 	n.emitProgress(pr.k, pr.nCands, pr.large, time.Since(pr.started))
-	return nil
 }
 
 func (n *Node) finishPassStats() {

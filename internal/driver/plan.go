@@ -25,8 +25,8 @@ import (
 // the first passes). Adaptation therefore trails the signal by one pass —
 // the price of keeping the plan deterministic without an extra barrier.
 
-// passPhase labels the per-pass state machine's states for error context and
-// the /debug/cluster view.
+// passPhase labels a pass's phases for error context and the /debug/cluster
+// view.
 type passPhase uint8
 
 const (

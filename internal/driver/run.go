@@ -30,7 +30,7 @@ func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Node, *metr
 		}
 		miners[i] = m
 	}
-	fabric, err := NewFabric(spec.Fabric, n, spec.FabricBuffer)
+	fabric, err := NewFabric(spec.Fabric, n, 0)
 	if err != nil {
 		return nil, nil, err
 	}

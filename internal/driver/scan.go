@@ -3,9 +3,11 @@ package driver
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"pgarm/internal/item"
 	"pgarm/internal/metrics"
+	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
 
@@ -14,13 +16,24 @@ import (
 // returns. With workers <= 1 the single shard runs inline on the calling
 // goroutine (trace lane 0, the driver's own row); otherwise worker w runs on
 // its own goroutine and records on lane 1+w. so carries the per-shard span
-// and timing histogram; the zero value disables them. The first error in
-// worker order is returned.
+// and timing histogram; the zero value disables them. A panicking shard
+// becomes that worker's error; the first error in worker order is returned.
 func runShards(workers int, so ShardObs, body func(w, nShards, lane int) error) error {
-	if workers <= 1 {
-		done := so.begin(0, 0)
+	shard := func(w, nShards, lane int) (err error) {
+		done := so.begin(lane, w)
 		defer done()
-		return body(0, 1, 0)
+		defer func() {
+			// A panic on a worker goroutine would escape the node
+			// goroutine's recover and kill the process; convert it to a
+			// scan error instead.
+			if r := recover(); r != nil {
+				err = fmt.Errorf("scan worker %d panicked: %v", w, r)
+			}
+		}()
+		return body(w, nShards, lane)
+	}
+	if workers <= 1 {
+		return shard(0, 1, 0)
 	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -28,17 +41,7 @@ func runShards(workers int, so ShardObs, body func(w, nShards, lane int) error) 
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			done := so.begin(1+w, w)
-			defer done()
-			defer func() {
-				// A panic on a worker goroutine would escape the node
-				// goroutine's recover and kill the process; convert it to a
-				// scan error instead.
-				if r := recover(); r != nil {
-					errs[w] = fmt.Errorf("scan worker %d panicked: %v", w, r)
-				}
-			}()
-			errs[w] = body(w, workers, 1+w)
+			errs[w] = shard(w, workers, 1+w)
 		}(w)
 	}
 	wg.Wait()
@@ -50,80 +53,144 @@ func runShards(workers int, so ShardObs, body func(w, nShards, lane int) error) 
 	return nil
 }
 
-// ScanShards drives one pass over a node's local partition with `workers`
-// scan goroutines. Worker w receives exactly the records whose scan ordinal
-// o satisfies o % workers == w, so the shard assignment is a pure function
-// of storage order — independent of goroutine scheduling. fn runs
-// concurrently across workers but serially within one worker; all fn calls
-// happen-before ScanShards returns.
-//
-// scan is the partition's iteration primitive (txn.Scanner.Scan, seq.DB.Scan,
-// ...): each worker performs its own scan and skips foreign ordinals. The
-// storage types used here all support concurrent independent scans (slice
-// iteration, or a private file handle per scan), and skipping a record costs
-// one ordinal check — negligible next to extension + subset enumeration,
-// which only the owning worker performs.
-func ScanShards[T any](scan func(func(T) error) error, workers int, so ShardObs, fn func(w int, t T) error) error {
-	return runShards(workers, so, func(w, nShards, _ int) error {
-		ord := 0
-		return scan(func(t T) error {
-			mine := ord%nShards == w
-			ord++
-			if !mine {
-				return nil
-			}
-			return fn(w, t)
-		})
-	})
+// Source is a partition a count phase scans: a txn.Scanner (T is
+// txn.Transaction) or a seq.DB (T is seq.Sequence). Scan must support
+// concurrent independent calls when the phase has more than one worker; every
+// storage type in the repo does (slice iteration, or a private file handle
+// per scan).
+type Source[T any] interface {
+	Scan(fn func(T) error) error
 }
 
-// ScanTxnShards drives one pass over a transaction partition with `workers`
-// scan goroutines, sharding by storage block when the source supports it.
+// Worker is one scan worker's private state in a count phase. The body gets
+// its worker with every record and never synchronizes; per-worker state the
+// skeleton does not own (count vectors, trees, scratch) lives in a caller
+// slice indexed by ID.
+type Worker struct {
+	ID    int               // worker index in [0, workers)
+	Stats metrics.NodeStats // this worker's counters; TxnsScanned and the block counters are counted here
+	Ext   []item.Item       // the record's extension when the phase extends; reused for the next record
+	Bat   *Batcher          // routes units to their owners when the phase has an Exchange
+}
+
+// CountPhase is the count-support step every algorithm shares — "for each
+// transaction t in the local partition: extend t with its ancestors, then
+// increment locally or ship to the owner" — with everything but the last
+// clause owned here. It scans src with `workers` scan workers (<= 1 scans
+// inline on the caller's goroutine) and calls body once per record.
 //
-// For a txn.BlockScanner source (columnar partition), worker w owns exactly
-// the blocks whose ordinal o satisfies o % workers == w: each worker preads
-// and decodes only its own blocks, so decode itself parallelizes instead of
-// every worker re-decoding the whole partition. Each worker folds its block
-// counters into wstats[w]; MergeWorkerStats carries them into the node's
-// pass totals in worker order.
+// A txn.BlockScanner source (columnar partition) is sharded by block: worker
+// w preads and decodes exactly the blocks whose ordinal o satisfies
+// o % workers == w, so decode itself parallelizes. Any other source is
+// sharded by record: every worker runs its own full scan and keeps the
+// records whose scan ordinal o satisfies o % workers == w. Either way the
+// assignment is a pure function of storage order, body runs serially within
+// a worker, and every body call happens-before CountPhase returns.
 //
-// Any other source falls back to transaction-granular ScanShards, where
-// every worker runs its own full scan and skips foreign ordinals.
+// extend, when non-nil, computes each record's extension into Worker.Ext
+// before body runs. ex, when non-nil, is the pass's Exchange: every worker
+// routes through its own Batcher, and after the scan every batcher is
+// flushed in worker order unless an error occurred, and the exchange is
+// finished either way. The first error in worker order wins; with an
+// exchange it is wrapped as a count-support error.
 //
-// Both paths preserve bit-identity at every worker count: shard assignment
-// is a pure function of storage order and count merges are exact integer
-// sums in fixed worker order.
-func ScanTxnShards(src txn.Scanner, workers int, so ShardObs, wstats []metrics.NodeStats, fn func(w int, t txn.Transaction) error) error {
-	bs, ok := src.(txn.BlockScanner)
-	if !ok {
-		return ScanShards(src.Scan, workers, so, fn)
+// On success the workers' counters are merged into st in worker order (exact
+// integer sums, so bit-identical at every worker count) and the phase's wall
+// time is added to st.ScanTime. A nil st drops the counters.
+func CountPhase[T any](src Source[T], workers int, so ShardObs, st *metrics.NodeStats,
+	extend func(dst []item.Item, t T) []item.Item, ex *Exchange,
+	body func(w *Worker, t T) error) error {
+	started := time.Now()
+	ws := make([]Worker, max(workers, 1))
+	for i := range ws {
+		ws[i].ID = i
+		if extend != nil {
+			ws[i].Ext = make([]item.Item, 0, 64)
+		}
+		if ex != nil {
+			ws[i].Bat = ex.NewBatcher()
+		}
 	}
-	return runShards(workers, so, func(w, nShards, lane int) error {
-		var st txn.ScanStats
-		done := so.beginBlocks(lane, &st)
+	blocks, _ := any(src).(txn.BlockScanner)
+	err := runShards(len(ws), so, func(i, nShards, lane int) error {
+		w := &ws[i]
+		each := func(t T) error {
+			w.Stats.TxnsScanned++
+			if extend != nil {
+				w.Ext = extend(w.Ext[:0], t)
+			}
+			return body(w, t)
+		}
+		// A BlockScanner yields transactions, so T is txn.Transaction and
+		// the instantiated closure has exactly the asserted type.
+		eachTxn, ok := any(each).(func(txn.Transaction) error)
+		if !ok || blocks == nil {
+			ord := 0
+			return src.Scan(func(t T) error {
+				mine := ord%nShards == i
+				ord++
+				if !mine {
+					return nil
+				}
+				return each(t)
+			})
+		}
+		var bst txn.ScanStats
+		done := so.beginBlocks(lane, &bst)
 		defer done()
-		err := bs.ScanBlocks(txn.BlockScanOptions{Shard: w, NumShards: nShards, Stats: &st}, func(b txn.Block) error {
+		err := blocks.ScanBlocks(txn.BlockScanOptions{Shard: i, NumShards: nShards, Stats: &bst}, func(b txn.Block) error {
 			for _, t := range b.Txns {
-				if err := fn(w, t); err != nil {
+				if err := eachTxn(t); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
-		addBlockStats(wstats, w, st)
+		w.Stats.BlocksScanned += bst.BlocksScanned
+		w.Stats.BytesDecoded += bst.BytesDecoded
 		return err
 	})
+	if ex != nil {
+		for i := 0; i < len(ws) && err == nil; i++ {
+			err = ws[i].Bat.FlushAll()
+		}
+		if ferr := ex.Finish(); err == nil {
+			err = ferr
+		}
+		if err != nil {
+			err = fmt.Errorf("count support: %w", err)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if st != nil {
+		for i := range ws {
+			st.AddScanCounters(&ws[i].Stats)
+		}
+		st.ScanTime += time.Since(started)
+	}
+	return nil
 }
 
-// addBlockStats folds one shard's block counters into its worker stats slot;
-// callers without per-worker stats (nil or short wstats) simply lose the
-// counters, never crash.
-func addBlockStats(wstats []metrics.NodeStats, w int, st txn.ScanStats) {
-	if w >= len(wstats) {
-		return
+// CountItems is the dense pass-1 count every itemset miner shares: each
+// transaction's items and all their ancestors, counted once per transaction
+// into a vector indexed by item. C_1 is just that array, so there is nothing
+// to partition — only the scan is sharded.
+func CountItems(tax *taxonomy.Taxonomy, src txn.Scanner, workers int, so ShardObs, st *metrics.NodeStats) ([]int64, error) {
+	wcounts := WorkerVectors(max(workers, 1), tax.NumItems())
+	closure := func(dst []item.Item, t txn.Transaction) []item.Item { return tax.ExtendTransaction(dst, t.Items) }
+	err := CountPhase(src, workers, so, st, closure, nil, func(w *Worker, _ txn.Transaction) error {
+		counts := wcounts[w.ID]
+		for _, x := range w.Ext {
+			counts[x]++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wstats[w].BlocksScanned += st.BlocksScanned
-	wstats[w].BytesDecoded += st.BytesDecoded
+	return MergeWorkerVectors(wcounts), nil
 }
 
 // WorkerVectors returns `workers` count vectors of length n whose index-0
@@ -150,21 +217,4 @@ func MergeWorkerVectors(vectors [][]int64) []int64 {
 		}
 	}
 	return total
-}
-
-// MergeWorkerStats folds per-worker scan counters into the node's pass
-// counters, in worker order.
-func MergeWorkerStats(cur *metrics.NodeStats, ws []metrics.NodeStats) {
-	for i := range ws {
-		cur.AddScanCounters(&ws[i])
-	}
-}
-
-// WorkerScratch allocates one reusable item buffer per worker.
-func WorkerScratch(workers, capacity int) [][]item.Item {
-	out := make([][]item.Item, workers)
-	for w := range out {
-		out[w] = make([]item.Item, 0, capacity)
-	}
-	return out
 }

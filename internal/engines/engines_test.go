@@ -42,8 +42,8 @@ func TestParseUnknownNamesEveryEngine(t *testing.T) {
 
 // TestValidationParity: every engine rejects the same malformed Specs through
 // both entry points, before any fabric is built or endpoint touched — the
-// checks the families used to disagree on (negative MaxK/Workers/
-// FabricBuffer/BatchBytes ran with defaults on the itemset engines).
+// checks the families used to disagree on (negative MaxK/Workers ran with
+// defaults on the itemset engines).
 func TestValidationParity(t *testing.T) {
 	tax, err := taxonomy.Balanced(12, 3, 2)
 	if err != nil {
@@ -62,8 +62,6 @@ func TestValidationParity(t *testing.T) {
 		{"MinSupport above 1", func(s *Spec) { s.MinSupport = 1.5 }},
 		{"negative MaxK", func(s *Spec) { s.MaxK = -1 }},
 		{"negative Workers", func(s *Spec) { s.Workers = -2 }},
-		{"negative FabricBuffer", func(s *Spec) { s.FabricBuffer = -1 }},
-		{"negative BatchBytes", func(s *Spec) { s.BatchBytes = -64 }},
 	}
 	run := func(spec Spec) (error, error) {
 		_, runErr := Run(tax, parts, spec)

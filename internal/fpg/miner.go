@@ -61,29 +61,10 @@ func (m *fpgMiner) LocalSize() int { return m.db.Len() }
 func (m *fpgMiner) NumItems() int { return m.tax.NumItems() }
 
 // CountPass1 counts every item and all its ancestors over the local
-// partition — identical to the Cumulate family's pass 1, which is what fixes
-// the frequency order from the same vector the candidate engines use.
+// partition — the Cumulate family's pass 1, which is what fixes the frequency
+// order from the same vector the candidate engines use.
 func (m *fpgMiner) CountPass1(n *driver.Node, st *metrics.NodeStats) ([]int64, error) {
-	W := n.Workers()
-	wcounts := driver.WorkerVectors(W, m.tax.NumItems())
-	wstats := make([]metrics.NodeStats, W)
-	wext := driver.WorkerScratch(W, 64)
-	err := driver.ScanTxnShards(m.db, W, n.ShardObs("scan"), wstats, func(w int, t txn.Transaction) error {
-		wstats[w].TxnsScanned++
-		ext := m.tax.ExtendTransaction(wext[w][:0], t.Items)
-		wext[w] = ext
-		counts := wcounts[w]
-		for _, x := range ext {
-			counts[x]++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	counts := driver.MergeWorkerVectors(wcounts)
-	driver.MergeWorkerStats(st, wstats)
-	return counts, nil
+	return driver.CountItems(m.tax, m.db, n.Workers(), n.ShardObs("scan"), st)
 }
 
 // FinishPass1 records F_1 and derives the global frequency order: large
@@ -166,21 +147,21 @@ func (m *fpgMiner) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driv
 	if k != 2 {
 		return driver.PassOutcome{}, fmt.Errorf("fpg: unexpected pass %d", k)
 	}
-	scanStart := time.Now()
 	forest, err := m.buildForest(n, st)
 	if err != nil {
 		return driver.PassOutcome{}, err
 	}
 
+	shipStart := time.Now()
 	slots := 0
 	if n.ID() < m.numLarge {
 		slots = (m.numLarge-1-n.ID())/m.numNodes + 1
 	}
 	m.bases = make([]*pathSet, slots)
-	ex := n.StartExchangeKind(driver.KCondBase, m.applyBases)
+	ex := n.NewExchange(driver.KCondBase, m.applyBases)
 	shipErr := m.shipBases(n, ex, forest, st)
 	finErr := ex.Finish()
-	st.ScanTime += time.Since(scanStart)
+	st.ScanTime += time.Since(shipStart)
 	if shipErr != nil {
 		return driver.PassOutcome{}, shipErr
 	}
@@ -219,28 +200,25 @@ func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree
 	for w := range trees {
 		trees[w] = newFPTree(m.numLarge)
 	}
-	wstats := make([]metrics.NodeStats, W)
-	wext := driver.WorkerScratch(W, 64)
-	wranks := driver.WorkerScratch(W, 64)
-	err := driver.ScanTxnShards(m.db, W, n.ShardObs("build"), wstats, func(w int, t txn.Transaction) error {
-		wstats[w].TxnsScanned++
-		ext := m.tax.ExtendTransaction(wext[w][:0], t.Items)
-		wext[w] = ext
-		rs := wranks[w][:0]
-		for _, x := range ext {
-			if r := m.rank[x]; r >= 0 {
-				rs = append(rs, item.Item(r))
+	wranks := make([][]item.Item, W)
+	err := driver.CountPhase(m.db, W, n.ShardObs("build"), st,
+		func(dst []item.Item, t txn.Transaction) []item.Item { return m.tax.ExtendTransaction(dst, t.Items) },
+		nil,
+		func(w *driver.Worker, _ txn.Transaction) error {
+			rs := wranks[w.ID][:0]
+			for _, x := range w.Ext {
+				if r := m.rank[x]; r >= 0 {
+					rs = append(rs, item.Item(r))
+				}
 			}
-		}
-		item.Sort(rs) // ascending rank = frequency-descending item order
-		wranks[w] = rs
-		trees[w].add(rs, 1)
-		return nil
-	})
+			item.Sort(rs) // ascending rank = frequency-descending item order
+			wranks[w.ID] = rs
+			trees[w.ID].add(rs, 1)
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	driver.MergeWorkerStats(st, wstats)
 	var nodes int64
 	for _, t := range trees {
 		nodes += int64(len(t.nodes) - 1)

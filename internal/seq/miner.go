@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"time"
 
 	"pgarm/internal/driver"
 	"pgarm/internal/item"
@@ -64,17 +63,15 @@ func (m *seqMiner) NumItems() int { return m.tax.NumItems() }
 func (m *seqMiner) CountPass1(n *driver.Node, st *metrics.NodeStats) ([]int64, error) {
 	W := n.Workers()
 	wcounts := driver.WorkerVectors(W, m.tax.NumItems())
-	wstats := make([]metrics.NodeStats, W)
-	wscratch := driver.WorkerScratch(W, 64)
-	err := driver.ScanShards(m.db.Scan, W, n.ShardObs("scan"), func(w int, s Sequence) error {
-		wstats[w].TxnsScanned++
-		scratch := wscratch[w][:0]
+	closure := func(dst []item.Item, s Sequence) []item.Item {
 		for _, e := range s.Elements {
-			scratch = m.tax.ExtendTransaction(scratch, e)
+			dst = m.tax.ExtendTransaction(dst, e)
 		}
-		wscratch[w] = scratch
-		counts := wcounts[w]
-		for _, x := range scratch {
+		return dst
+	}
+	err := driver.CountPhase(m.db, W, n.ShardObs("scan"), st, closure, nil, func(w *driver.Worker, _ Sequence) error {
+		counts := wcounts[w.ID]
+		for _, x := range w.Ext {
 			counts[x]++
 		}
 		return nil
@@ -82,7 +79,6 @@ func (m *seqMiner) CountPass1(n *driver.Node, st *metrics.NodeStats) ([]int64, e
 	if err != nil {
 		return nil, err
 	}
-	driver.MergeWorkerStats(st, wstats)
 	return driver.MergeWorkerVectors(wcounts), nil
 }
 
@@ -111,7 +107,7 @@ func (m *seqMiner) Generate(n *driver.Node, k int) (int, error) {
 
 // PlanPass computes pass k's candidate-to-node assignment. The sequence
 // miners are static planners — the skew hint is ignored — which keeps the
-// planner seam honest: the driver's state machine imposes no adaptivity,
+// planner seam honest: the driver's plan phase imposes no adaptivity,
 // only an explicit, inspectable assignment per pass.
 //
 // SPSPM hashes the canonical pattern key; HPSPM hashes the pattern's root
@@ -194,12 +190,9 @@ func (m *seqMiner) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driv
 func (m *seqMiner) countReplicated(n *driver.Node, st *metrics.NodeStats) ([]int64, error) {
 	W := n.Workers()
 	wcounts := driver.WorkerVectors(W, len(m.cands))
-	wstats := make([]metrics.NodeStats, W)
 	masks := candRootMasks(m.tax, m.cands)
-	started := time.Now()
-	err := driver.ScanShards(m.db.Scan, W, n.ShardObs("scan"), func(w int, s Sequence) error {
-		ws := &wstats[w]
-		ws.TxnsScanned++
+	err := driver.CountPhase(m.db, W, n.ShardObs("scan"), st, nil, nil, func(w *driver.Worker, s Sequence) error {
+		ws := &w.Stats
 		if maskSkips(masks, seqRootMask(m.tax, s.Elements)) {
 			// No candidate's root multiset is realizable from this customer's
 			// items, so no candidate can be contained: skip the closure build
@@ -209,7 +202,7 @@ func (m *seqMiner) countReplicated(n *driver.Node, st *metrics.NodeStats) ([]int
 			return nil
 		}
 		closures := Closures(m.tax, s, m.large)
-		counts := wcounts[w]
+		counts := wcounts[w.ID]
 		for i, c := range m.cands {
 			ws.Probes++
 			if Contains(c, closures) {
@@ -222,8 +215,6 @@ func (m *seqMiner) countReplicated(n *driver.Node, st *metrics.NodeStats) ([]int
 	if err != nil {
 		return nil, err
 	}
-	driver.MergeWorkerStats(st, wstats)
-	st.ScanTime = time.Since(started)
 	return driver.MergeWorkerVectors(wcounts), nil
 }
 
@@ -277,7 +268,7 @@ func (m *seqMiner) countPartitioned(n *driver.Node, k int, st *metrics.NodeStats
 	// probe counters.
 	counts := make([]int64, len(m.cands))
 	xsp := n.Span("exchange")
-	cp := n.StartExchange(func(batch []byte) (int64, error) {
+	cp := n.NewExchange(driver.KData, func(batch []byte) (int64, error) {
 		var items int64
 		for off := 0; off < len(batch); {
 			closures, used, err := wire.ItemsList(batch[off:])
@@ -297,18 +288,11 @@ func (m *seqMiner) countPartitioned(n *driver.Node, k int, st *metrics.NodeStats
 		return items, nil
 	})
 
-	wstats := make([]metrics.NodeStats, W)
-	bats := make([]*driver.Batcher, W)
-	wunit := make([][]byte, W)
-	welem := driver.WorkerScratch(W, 32)
-	for w := range bats {
-		bats[w] = cp.NewBatcher()
-	}
+	wunit := make([][]byte, W) // per-worker encode scratch
+	welem := make([][]item.Item, W)
 	masks := candRootMasks(m.tax, m.cands)
-	started := time.Now()
-	err := driver.ScanShards(m.db.Scan, W, n.ShardObs("count"), func(w int, s Sequence) error {
-		ws := &wstats[w]
-		ws.TxnsScanned++
+	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, nil, cp, func(w *driver.Worker, s Sequence) error {
+		ws, bat := &w.Stats, w.Bat
 		if maskSkips(masks, seqRootMask(m.tax, s.Elements)) {
 			// No node's candidates can be contained in this customer, so
 			// nothing needs to travel anywhere — the sequence is dropped
@@ -318,14 +302,14 @@ func (m *seqMiner) countPartitioned(n *driver.Node, k int, st *metrics.NodeStats
 		}
 		closures := Closures(m.tax, s, m.large)
 		if m.cfg.Algorithm == SPSPM {
-			unit := wire.AppendItemsList(wunit[w][:0], closures)
-			wunit[w] = unit
+			unit := wire.AppendItemsList(wunit[w.ID][:0], closures)
+			wunit[w.ID] = unit
 			items := closureItems(closures)
 			for dest := 0; dest < nNodes; dest++ {
 				if dest != self {
 					ws.ItemsSent += items
 				}
-				if err := bats[w].AddRaw(dest, unit); err != nil {
+				if err := bat.AddRaw(dest, unit); err != nil {
 					return err
 				}
 			}
@@ -350,44 +334,33 @@ func (m *seqMiner) countPartitioned(n *driver.Node, k int, st *metrics.NodeStats
 			if nit < k {
 				continue // cannot contain any k-item candidate owned by dest
 			}
-			unit := wire.AppendUvarint(wunit[w][:0], uint64(nel))
+			unit := wire.AppendUvarint(wunit[w.ID][:0], uint64(nel))
 			for _, cl := range closures {
-				elem := welem[w][:0]
+				elem := welem[w.ID][:0]
 				for _, x := range cl {
 					if kd[x] {
 						elem = append(elem, x)
 					}
 				}
-				welem[w] = elem
+				welem[w.ID] = elem
 				if len(elem) > 0 {
 					unit = wire.AppendItems(unit, elem)
 				}
 			}
-			wunit[w] = unit
+			wunit[w.ID] = unit
 			if dest != self {
 				ws.ItemsSent += int64(nit)
 			}
-			if err := bats[w].AddRaw(dest, unit); err != nil {
+			if err := bat.AddRaw(dest, unit); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	for w := range bats {
-		if err != nil {
-			break
-		}
-		err = bats[w].FlushAll()
-	}
-	if ferr := cp.Finish(); err == nil {
-		err = ferr
-	}
 	xsp.End()
 	if err != nil {
-		return fmt.Errorf("count support: %w", err)
+		return err
 	}
-	driver.MergeWorkerStats(st, wstats)
-	st.ScanTime = time.Since(started)
 
 	// Threshold the owned candidates locally; only frequent ones travel to
 	// the coordinator.

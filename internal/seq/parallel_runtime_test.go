@@ -254,9 +254,7 @@ func TestParallelConfigValidationExtended(t *testing.T) {
 	tax, db := parallelDataset(t)
 	parts := Partition(db, 2)
 	bad := []driver.Spec{
-		{Algorithm: NPSPM, MinSupport: 0.1, FabricBuffer: -1},
 		{Algorithm: NPSPM, MinSupport: 0.1, Workers: -2},
-		{Algorithm: NPSPM, MinSupport: 0.1, BatchBytes: -64},
 		{Algorithm: NPSPM, MinSupport: 0.1, MaxK: -1},
 		{Algorithm: NPSPM, MinSupport: 1.5},
 		// Candidate-family knobs the sequence miners do not have.

@@ -109,21 +109,11 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		copy(counts, prior.ItemCounts)
 	}
 	if deltaN > 0 {
-		wcounts := driver.WorkerVectors(W, numItems)
-		wscratch := driver.WorkerScratch(W, 64)
-		err := driver.ScanShards(delta.Scan, W, driver.ShardObs{}, func(w int, t txn.Transaction) error {
-			ext := tax.ExtendTransaction(wscratch[w][:0], t.Items)
-			wscratch[w] = ext
-			for _, x := range ext {
-				wcounts[w][x]++
-			}
-			return nil
-		})
+		deltaCounts, err := driver.CountItems(tax, delta, W, driver.ShardObs{}, nil)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("stream: pass 1: %w", err)
 		}
-		merged := driver.MergeWorkerVectors(wcounts)
-		for i, c := range merged {
+		for i, c := range deltaCounts {
 			counts[i] += c
 		}
 	}
@@ -200,7 +190,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		}
 		stats.Recounted += len(newCands)
 
-		wstats := make([]metrics.NodeStats, W)
+		var scanned metrics.NodeStats // both scans' counters
 		member := cumulate.KeepSet(tax, cands)
 		view := taxonomy.NewView(tax, large, member)
 
@@ -210,7 +200,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 			wcounts := driver.WorkerVectors(W, len(cands))
 			err := driver.CountTable(view, member, index, k, delta, wcounts, driver.CountOptions{
 				Workers: W,
-				WStats:  wstats,
+				Stats:   &scanned,
 			})
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("stream: pass %d delta scan: %w", k, err)
@@ -232,7 +222,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 			wcounts := driver.WorkerVectors(W, len(newCands))
 			err := driver.CountTable(viewNew, memberNew, indexNew, k, prefix, wcounts, driver.CountOptions{
 				Workers: W,
-				WStats:  wstats,
+				Stats:   &scanned,
 			})
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("stream: pass %d prefix scan: %w", k, err)
@@ -242,9 +232,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 				candCounts[newIDs[i]] += c
 			}
 		}
-		for w := range wstats {
-			res.Probes += wstats[w].Probes
-		}
+		res.Probes += scanned.Probes
 		res.Plan = append(res.Plan, metrics.PlanDecision{
 			Pass:        k,
 			Partitioner: "incremental",

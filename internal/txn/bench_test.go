@@ -52,9 +52,9 @@ func benchScan(b *testing.B, path string, workers int) {
 		for w := range sinks {
 			sinks[w] = 0
 		}
-		err := driver.ScanTxnShards(src, workers, driver.ShardObs{}, nil,
-			func(w int, t txn.Transaction) error {
-				sinks[w]++
+		err := driver.CountPhase(src, workers, driver.ShardObs{}, nil, nil, nil,
+			func(w *driver.Worker, _ txn.Transaction) error {
+				sinks[w.ID]++
 				return nil
 			})
 		if err != nil {

@@ -42,7 +42,7 @@ import (
 //	              but with all varint streams of a kind adjacent
 //
 // The directory makes every block independently locatable, which is what the
-// format is for: driver.ScanTxnShards hands each scan worker its own blocks
+// format is for: driver.CountPhase hands each scan worker its own blocks
 // to pread and decode, so decode parallelizes instead of every worker
 // re-reading the whole partition. The item bounds are a decode-time integrity
 // check. The header fingerprint names the hierarchy the partition was
@@ -94,7 +94,8 @@ type ScanStats struct {
 type BlockScanOptions struct {
 	// Shard/NumShards restrict the scan to blocks whose ordinal o satisfies
 	// o % NumShards == Shard, the block-granular analogue of
-	// driver.ScanShards' ordinal sharding. NumShards <= 1 scans every block.
+	// driver.CountPhase's record-ordinal sharding. NumShards <= 1 scans every
+	// block.
 	Shard     int
 	NumShards int
 	// Stats, when non-nil, receives the scan's counters.
@@ -102,7 +103,7 @@ type BlockScanOptions struct {
 }
 
 // BlockScanner is the block-granular scan contract columnar partitions add on
-// top of Scanner. driver.ScanTxnShards shards by block — parallelizing decode
+// top of Scanner. driver.CountPhase shards by block — parallelizing decode
 // itself — whenever the source implements it.
 type BlockScanner interface {
 	Scanner
@@ -316,6 +317,19 @@ func CheckTaxonomy(src Scanner, tax *taxonomy.Taxonomy) error {
 	}
 	return fmt.Errorf("txn: %s: %w (file fingerprint %016x, run taxonomy %016x)",
 		cf.path, ErrTaxonomyMismatch, cf.fingerprint, tax.Fingerprint())
+}
+
+// OpenChecked is Open for a partition about to be mined under tax: it also
+// runs CheckTaxonomy, so no caller can forget the second half.
+func OpenChecked(path string, tax *taxonomy.Taxonomy) (Scanner, error) {
+	src, err := Open(path)
+	if err == nil {
+		err = CheckTaxonomy(src, tax)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return src, nil
 }
 
 // Scan streams all transactions in storage order, satisfying Scanner. Like
