@@ -333,10 +333,8 @@ func BenchmarkProbe(b *testing.B) {
 	}
 	index := itemset.BuildIndex(cands)
 	byKey := make(map[string]int32, len(cands))
-	packed := make([][]byte, len(cands))
 	for i, c := range cands {
 		byKey[itemset.Key(c)] = int32(i)
-		packed[i] = []byte(itemset.Key(c))
 	}
 
 	b.Run("map-key", func(b *testing.B) {
@@ -352,14 +350,6 @@ func BenchmarkProbe(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if index.Lookup(cands[i%len(cands)]) < 0 {
-				b.Fatal("miss")
-			}
-		}
-	})
-	b.Run("flat-packed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if index.LookupPacked(packed[i%len(packed)]) < 0 {
 				b.Fatal("miss")
 			}
 		}

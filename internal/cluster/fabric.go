@@ -109,19 +109,6 @@ func (k KindStat) Sub(o KindStat) KindStat {
 	}
 }
 
-// SumKindStats folds per-kind counters back into aggregate Stats; tests use
-// it to assert the per-kind breakdown reconciles with the endpoint totals.
-func SumKindStats(ks []KindStat) Stats {
-	var s Stats
-	for _, k := range ks {
-		s.MsgsSent += k.MsgsSent
-		s.MsgsRecv += k.MsgsRecv
-		s.BytesSent += k.BytesSent
-		s.BytesRecv += k.BytesRecv
-	}
-	return s
-}
-
 // String renders the counters compactly.
 func (s Stats) String() string {
 	return fmt.Sprintf("sent %d msgs/%d B, recv %d msgs/%d B",

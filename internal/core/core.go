@@ -27,8 +27,6 @@ package core
 import (
 	"pgarm/internal/cluster"
 	"pgarm/internal/driver"
-	"pgarm/internal/itemset"
-	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
@@ -87,7 +85,7 @@ func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return result(coord, stats), nil
+	return coord.Miner().(*itemsetMiner).Result(stats), nil
 }
 
 // MineWorker runs a single node of the mining protocol over a caller-
@@ -102,12 +100,5 @@ func MineWorker(tax *taxonomy.Taxonomy, local txn.Scanner, cfg Config, ep cluste
 	if err != nil {
 		return nil, err
 	}
-	return result(nd, stats), nil
-}
-
-func result(nd *driver.Node, stats *metrics.RunStats) *Result {
-	return &Result{
-		Levels: itemset.Levels{Large: nd.Miner().(*itemsetMiner).large},
-		Stats:  stats,
-	}
+	return nd.Miner().(*itemsetMiner).Result(stats), nil
 }

@@ -6,6 +6,7 @@ import (
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
 	"pgarm/internal/item"
+	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 )
@@ -15,12 +16,11 @@ import (
 // the deterministically identical itemset list behind it — only the
 // coordinator's copy is read), and the pass metadata.
 type engineOut struct {
-	ownedSets   [][]item.Item
-	ownedCounts []int64
-	dupSets     [][]item.Item
-	dupCounts   []int64
-	duplicated  int
-	fragments   int
+	owned      []itemset.Counted
+	dupSets    [][]item.Item
+	dupCounts  []int64
+	duplicated int
+	fragments  int
 }
 
 // engine is one algorithm's per-pass behaviour. The runtime (internal/driver)

@@ -221,14 +221,12 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	}
 	dupCounts := driver.MergeWorkerVectors(wdup)
 
-	largeSets, largeCounts := largeOf(ownedCands, ownedCounts, n.MinCount())
 	return engineOut{
-		ownedSets:   largeSets,
-		ownedCounts: largeCounts,
-		dupSets:     plan.dupSets,
-		dupCounts:   dupCounts,
-		duplicated:  len(plan.dupSets),
-		fragments:   1,
+		owned:      largeOf(ownedCands, ownedCounts, n.MinCount()),
+		dupSets:    plan.dupSets,
+		dupCounts:  dupCounts,
+		duplicated: len(plan.dupSets),
+		fragments:  1,
 	}, nil
 }
 

@@ -101,24 +101,20 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		return engineOut{}, err
 	}
 
-	ownedSets, ownedCounts := largeOf(e.owned, counts, n.MinCount())
 	return engineOut{
-		ownedSets:   ownedSets,
-		ownedCounts: ownedCounts,
-		fragments:   1,
+		owned:     largeOf(e.owned, counts, n.MinCount()),
+		fragments: 1,
 	}, nil
 }
 
 // largeOf extracts L_k^n, the owned candidates meeting minCount that each
 // partitioned node determines individually, in id order.
-func largeOf(owned [][]item.Item, counts []int64, minCount int64) ([][]item.Item, []int64) {
-	var sets [][]item.Item
-	var large []int64
+func largeOf(owned [][]item.Item, counts []int64, minCount int64) []itemset.Counted {
+	var large []itemset.Counted
 	for id, c := range counts {
 		if c >= minCount {
-			sets = append(sets, owned[id])
-			large = append(large, c)
+			large = append(large, itemset.Counted{Items: owned[id], Count: c})
 		}
 	}
-	return sets, large
+	return large
 }

@@ -9,7 +9,6 @@ package cumulate
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
@@ -234,25 +233,17 @@ func pairsFiltered(tax *taxonomy.Taxonomy, large []item.Item, workers int, hook 
 
 	// Phase 1: count survivors per shard.
 	counts := make([]int, nShards)
-	var wg sync.WaitGroup
-	for s := 0; s < nShards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			done := hook.Begin(s)
-			defer done()
-			c := 0
-			for i := bounds[s]; i < bounds[s+1]; i++ {
-				for j := i + 1; j < n; j++ {
-					if keepPair(large[i], large[j]) {
-						c++
-					}
+	itemset.MustFan("pairs", nShards, hook, func(s int) {
+		c := 0
+		for i := bounds[s]; i < bounds[s+1]; i++ {
+			for j := i + 1; j < n; j++ {
+				if keepPair(large[i], large[j]) {
+					c++
 				}
 			}
-			counts[s] = c
-		}(s)
-	}
-	wg.Wait()
+		}
+		counts[s] = c
+	})
 
 	total := 0
 	offs := make([]int, nShards+1)
@@ -267,27 +258,20 @@ func pairsFiltered(tax *taxonomy.Taxonomy, large []item.Item, workers int, hook 
 	// Phase 2: each shard fills its own range of the backing.
 	backing := make([]item.Item, 2*total)
 	out := make([][]item.Item, total)
-	for s := 0; s < nShards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			done := hook.Begin(s)
-			defer done()
-			pos := offs[s]
-			for i := bounds[s]; i < bounds[s+1]; i++ {
-				for j := i + 1; j < n; j++ {
-					if !keepPair(large[i], large[j]) {
-						continue
-					}
-					p := backing[2*pos : 2*pos+2 : 2*pos+2]
-					p[0], p[1] = large[i], large[j]
-					out[pos] = p
-					pos++
+	itemset.MustFan("pairs", nShards, hook, func(s int) {
+		pos := offs[s]
+		for i := bounds[s]; i < bounds[s+1]; i++ {
+			for j := i + 1; j < n; j++ {
+				if !keepPair(large[i], large[j]) {
+					continue
 				}
+				p := backing[2*pos : 2*pos+2 : 2*pos+2]
+				p[0], p[1] = large[i], large[j]
+				out[pos] = p
+				pos++
 			}
-		}(s)
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }
 

@@ -75,7 +75,7 @@ func TestClosureSemantics(t *testing.T) {
 	}
 	for key, want := range wantCounts {
 		if got := idx[key]; got != want {
-			t.Errorf("sup_cou(%v) = %d, want %d", itemset.ParseKey(key), got, want)
+			t.Errorf("sup_cou(key %x) = %d, want %d", key, got, want)
 		}
 	}
 	// {5,2} would pair an item with its ancestor: must never be counted.

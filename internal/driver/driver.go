@@ -291,18 +291,6 @@ type PassOutcome struct {
 	Fragments  int
 }
 
-// passMeta is the coordinator-side metadata of one pass.
-type passMeta struct {
-	pass       int
-	candidates int
-	duplicated int
-	fragments  int
-	large      int
-	elapsed    time.Duration
-	generate   time.Duration // candidate-generation share of elapsed
-	plan       PlanDecision  // the plan phase's decision
-}
-
 // PassProgress is the per-pass progress callback payload (Spec.OnPass),
 // delivered on the coordinator when a pass completes.
 type PassProgress struct {

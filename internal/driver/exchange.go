@@ -5,6 +5,7 @@ import (
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/item"
+	"pgarm/internal/itemset"
 	"pgarm/internal/wire"
 )
 
@@ -49,7 +50,8 @@ type Exchange struct {
 	bytesRecv int64
 }
 
-// NewExchange launches the receiver goroutine for one exchange of this pass.
+// NewExchange launches the receiver goroutine for one exchange of this pass
+// (through itemset.Go, so a panic in apply reaches Finish as an error).
 // kind is the data-batch message kind: KData for the count-support phase;
 // the FP-Growth engine routes conditional pattern bases as KCondBase so the
 // per-kind byte accounting separates the two streams. Termination is KDone in
@@ -81,14 +83,14 @@ func (n *Node) NewExchange(kind uint8, apply func(batch []byte) (int64, error)) 
 		}
 	}
 	n.pending = rest
-	go func() {
+	itemset.Go("recv", ex.done, func() error {
 		sp := n.beginRecv()
 		err := ex.loop(pre)
 		sp.Arg("items", ex.itemsRecv)
 		sp.Arg("bytes", ex.bytesRecv)
 		sp.End()
-		ex.done <- err
-	}()
+		return err
+	})
 	return ex
 }
 

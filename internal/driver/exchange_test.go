@@ -76,7 +76,7 @@ func TestCountPhaseDeliversAllUnits(t *testing.T) {
 		// Every unit must arrive exactly once.
 		for key, c := range received[i] {
 			if c != 1 {
-				t.Errorf("node %d unit %v delivered %d times", i, itemset.ParseKey(key), c)
+				t.Errorf("node %d unit (key %x) delivered %d times", i, key, c)
 			}
 		}
 	}

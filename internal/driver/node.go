@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -40,9 +41,10 @@ type Node struct {
 	// pass-(k-1) KLarge broadcast).
 	pending []cluster.Message
 
-	// Pass metadata, recorded where results are kept (coordinator, or every
+	// Pass metadata — each pass's RunStats entry before any node's counters
+	// are attached — recorded where results are kept (coordinator, or every
 	// node in worker mode).
-	passMeta []passMeta
+	passMeta []metrics.PassStats
 
 	// Per-pass metrics, one entry per completed pass.
 	perPass []metrics.NodeStats
@@ -123,22 +125,14 @@ func (n *Node) numPeers() int { return n.ep.N() - 1 }
 // inbox closes the endpoint's terminal error (e.g. a lost TCP peer) is
 // attached as the cause.
 func (n *Node) recvKind(want ...uint8) (cluster.Message, error) {
-	match := func(k uint8) bool {
-		for _, w := range want {
-			if k == w {
-				return true
-			}
-		}
-		return false
-	}
 	for i, m := range n.pending {
-		if match(m.Kind) {
-			n.pending = append(n.pending[:i], n.pending[i+1:]...)
+		if slices.Contains(want, m.Kind) {
+			n.pending = slices.Delete(n.pending, i, i+1)
 			return m, nil
 		}
 	}
 	for m := range n.ep.Inbox() {
-		if match(m.Kind) {
+		if slices.Contains(want, m.Kind) {
 			return m, nil
 		}
 		n.pending = append(n.pending, m)
@@ -218,46 +212,91 @@ func (n *Node) runProtocol() error {
 	return nil
 }
 
+// gather is the coordinator's half of every collective of the protocol: it
+// blocks until each peer has delivered exactly one message of each listed
+// kind and hands them to fold in arrival order. Anything else that arrives
+// meanwhile is stashed for the phase that consumes it (recvKind); a second
+// message of one kind from one peer is a protocol error. The blocked time is
+// this node's barrier wait, so fold should only stash or sum — work that must
+// stay out of the skew signal runs after gather returns.
+func (n *Node) gather(fold func(m cluster.Message) error, kinds ...uint8) error {
+	wait := time.Now()
+	defer func() { n.cur.BarrierWait += time.Since(wait) }()
+	seen := make([]bool, len(kinds)*n.ep.N())
+	for left := len(kinds) * n.numPeers(); left > 0; left-- {
+		m, err := n.recvKind(kinds...)
+		if err != nil {
+			return err
+		}
+		if m.From <= 0 || m.From >= n.ep.N() {
+			return fmt.Errorf("driver: %s message from unexpected node %d", kindName(m.Kind), m.From)
+		}
+		slot := slices.Index(kinds, m.Kind)*n.ep.N() + m.From
+		if seen[slot] {
+			return fmt.Errorf("driver: second %s message from node %d in one gather", kindName(m.Kind), m.From)
+		}
+		seen[slot] = true
+		if err := fold(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bcast is the other collective. On the coordinator it sends payload to
+// every peer in rank order — calling sent(p), when non-nil, right after peer
+// p's send — and returns payload; on a follower it blocks for the
+// coordinator's message of that kind, charges the wait to the barrier, and
+// returns its payload (the argument is ignored).
+func (n *Node) bcast(kind uint8, payload []byte, sent func(peer int)) ([]byte, error) {
+	if !n.IsCoord() {
+		wait := time.Now()
+		m, err := n.recvKind(kind)
+		n.cur.BarrierWait += time.Since(wait)
+		return m.Payload, err
+	}
+	for p := 1; p < n.ep.N(); p++ {
+		if err := n.ep.Send(p, kind, payload); err != nil {
+			return nil, err
+		}
+		if sent != nil {
+			sent(p)
+		}
+	}
+	return payload, nil
+}
+
 // sizeExchange establishes the global database size |D| (and from it the
 // absolute minimum support count): every node reports its local partition
 // size to the coordinator, which broadcasts the sum. In-process clusters
 // could compute this directly, but routing it through the protocol keeps a
 // single code path for multi-process workers that only know their own disk.
 func (n *Node) sizeExchange() error {
+	total := uint64(n.miner.LocalSize())
 	if n.IsCoord() {
-		total := int64(n.miner.LocalSize())
-		for p := 0; p < n.numPeers(); p++ {
-			m, err := n.recvKind(KSize)
-			if err != nil {
-				return err
-			}
+		err := n.gather(func(m cluster.Message) error {
 			v, _, err := wire.Uvarint(m.Payload)
 			if err != nil {
 				return fmt.Errorf("driver: decode size from node %d: %w", m.From, err)
 			}
-			total += int64(v)
-		}
-		payload := wire.AppendUvarint(nil, uint64(total))
-		for p := 1; p < n.ep.N(); p++ {
-			if err := n.ep.Send(p, KSize, payload); err != nil {
-				return err
-			}
-		}
-		n.totalSize = int(total)
-	} else {
-		if err := n.ep.Send(0, KSize, wire.AppendUvarint(nil, uint64(n.miner.LocalSize()))); err != nil {
-			return err
-		}
-		m, err := n.recvKind(KSize)
+			total += v
+			return nil
+		}, KSize)
 		if err != nil {
 			return err
 		}
-		v, _, err := wire.Uvarint(m.Payload)
-		if err != nil {
-			return fmt.Errorf("driver: decode |D| broadcast: %w", err)
-		}
-		n.totalSize = int(v)
+	} else if err := n.ep.Send(0, KSize, wire.AppendUvarint(nil, total)); err != nil {
+		return err
 	}
+	payload, err := n.bcast(KSize, wire.AppendUvarint(nil, total), nil)
+	if err != nil {
+		return err
+	}
+	v, _, err := wire.Uvarint(payload)
+	if err != nil {
+		return fmt.Errorf("driver: decode |D| broadcast: %w", err)
+	}
+	n.totalSize = int(v)
 	n.minCount = cumulate.MinCount(n.cfg.MinSupport, n.totalSize)
 	return nil
 }
@@ -267,23 +306,18 @@ func (n *Node) sizeExchange() error {
 // Every algorithm shares it: C_1 is just an array indexed by item, so there
 // is nothing to partition.
 func (n *Node) pass1() (int, error) {
-	started := time.Now()
-	n.cur = metrics.NodeStats{Node: n.id}
 	numItems := n.miner.NumItems()
-	n.ins.startPass(1, numItems)
-	n.cfg.View.StartPass(1, numItems)
+	pr := n.openPass(1, numItems)
 	// Pass 1 has a fixed plan — the dense count vector is reduced, never
 	// partitioned — recorded anyway so the report's plan section covers every
 	// pass.
-	plan := PlanDecision{Pass: 1, Partitioner: "dense-reduce", Granule: "all", Candidates: numItems, Duplicated: numItems}
-	n.cfg.View.SetPlan(plan)
+	pr.plan = PlanDecision{Pass: 1, Partitioner: "dense-reduce", Granule: "all", Candidates: numItems, Duplicated: numItems}
+	n.cfg.View.SetPlan(pr.plan)
 	n.setPhase(1, phaseExecute)
-	psp := n.tr.Begin(n.id, 0, "pass 1")
 	counts, err := n.miner.CountPass1(n, &n.cur)
 	if err != nil {
 		return 0, fmt.Errorf("driver: node %d pass 1 scan: %w", n.id, err)
 	}
-	n.cur.ScanTime = time.Since(started)
 
 	n.setPhase(1, phaseBarrier)
 	bsp := n.tr.Begin(n.id, 0, "barrier")
@@ -292,86 +326,109 @@ func (n *Node) pass1() (int, error) {
 		return 0, err
 	}
 	bsp.End()
-	n.setPhase(1, phaseReplan)
-
-	nf, err := n.miner.FinishPass1(n, global)
-	if err != nil {
+	if pr.large, err = n.miner.FinishPass1(n, global); err != nil {
 		return 0, err
 	}
-	n.capturePassComm()
-	n.ins.endPass(&n.cur)
-	n.finishPassStats()
-	psp.Arg("candidates", int64(numItems))
-	psp.Arg("large", int64(nf))
-	psp.End()
-	if n.Keep() {
-		n.passMeta = append(n.passMeta, passMeta{
-			pass:       1,
-			candidates: numItems,
-			large:      nf,
-			elapsed:    time.Since(started),
-			plan:       plan,
-		})
+	n.closePass(pr)
+	return pr.large, nil
+}
+
+// addCounts sums the count vector a peer sent into total; what names the
+// vector in errors.
+func addCounts(total []int64, m cluster.Message, what string) error {
+	counts, _, err := wire.CountsAuto(m.Payload)
+	if err != nil {
+		return fmt.Errorf("driver: decode %s counts from node %d: %w", what, m.From, err)
 	}
-	n.emitProgress(1, numItems, nf, time.Since(started))
-	return nf, nil
+	if len(counts) != len(total) {
+		return fmt.Errorf("driver: node %d sent %d %s counts, want %d", m.From, len(counts), what, len(total))
+	}
+	for i, c := range counts {
+		total[i] += c
+	}
+	return nil
 }
 
 // reduceCounts sums dense count vectors at the coordinator (KCounts1) and
 // broadcasts the global vector (KLarge).
 func (n *Node) reduceCounts(counts []int64) ([]int64, error) {
 	if n.IsCoord() {
-		wait := time.Now()
-		for p := 0; p < n.numPeers(); p++ {
-			m, err := n.recvKind(KCounts1)
-			if err != nil {
-				return nil, err
-			}
-			remote, _, err := wire.CountsAuto(m.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("driver: decode pass-1 counts from node %d: %w", m.From, err)
-			}
-			if len(remote) != len(counts) {
-				return nil, fmt.Errorf("driver: node %d sent %d item counts, want %d", m.From, len(remote), len(counts))
-			}
-			for i, c := range remote {
-				counts[i] += c
-			}
+		err := n.gather(func(m cluster.Message) error { return addCounts(counts, m, "pass-1 item") }, KCounts1)
+		if err != nil {
+			return nil, err
 		}
-		n.cur.BarrierWait += time.Since(wait)
-		payload := wire.AppendCountsAuto(nil, counts)
-		for p := 1; p < n.ep.N(); p++ {
-			if err := n.ep.Send(p, KLarge, payload); err != nil {
-				return nil, err
-			}
-		}
-		return counts, nil
+		_, err = n.bcast(KLarge, wire.AppendCountsAuto(nil, counts), nil)
+		return counts, err
 	}
 	if err := n.ep.Send(0, KCounts1, wire.AppendCountsAuto(nil, counts)); err != nil {
 		return nil, err
 	}
-	wait := time.Now()
-	m, err := n.recvKind(KLarge)
+	payload, err := n.bcast(KLarge, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	n.cur.BarrierWait += time.Since(wait)
-	global, _, err := wire.CountsAuto(m.Payload)
+	global, _, err := wire.CountsAuto(payload)
 	if err != nil {
 		return nil, fmt.Errorf("driver: decode global pass-1 counts: %w", err)
 	}
 	return global, nil
 }
 
-// passRun is the per-pass context the four phases share.
+// passRun is one pass's window: what openPass starts, the phases fill in and
+// closePass records.
 type passRun struct {
 	k       int
 	nCands  int
 	started time.Time
-	psp     obs.Span     // the whole-pass span, opened by plan, closed by replan
+	psp     obs.Span     // the whole-pass span
 	plan    PlanDecision // the plan phase's decision
 	out     PassOutcome  // the execute phase's barrier contribution
 	large   int          // |F_k| once the barrier resolves
+}
+
+// openPass opens pass k's window: fresh counters, the live instruments and
+// View, and the whole-pass span.
+func (n *Node) openPass(k, nCands int) *passRun {
+	pr := &passRun{k: k, nCands: nCands, started: time.Now()}
+	n.cur = metrics.NodeStats{Node: n.id}
+	n.ins.startPass(k, nCands)
+	n.cfg.View.StartPass(k, nCands)
+	if n.tr.Enabled() {
+		pr.psp = n.tr.Begin(n.id, 0, fmt.Sprintf("pass %d", k))
+	}
+	return pr
+}
+
+// closePass closes the pass window and stages the replan input: the
+// telemetry the barrier ingested advances the coordinator's complete skew
+// snapshot (updateSkew), which the *next* pass's plan phase broadcasts. Pass
+// metadata — including the plan decision — is recorded here.
+func (n *Node) closePass(pr *passRun) {
+	n.setPhase(pr.k, phaseReplan)
+	n.capturePassComm()
+	n.ins.endPass(&n.cur)
+	n.perPass = append(n.perPass, n.cur)
+	n.cfg.View.SetNodePass(n.id, len(n.perPass))
+	if n.IsCoord() {
+		n.updateSkew()
+	}
+	pr.psp.Arg("candidates", int64(pr.nCands))
+	pr.psp.Arg("large", int64(pr.large))
+	pr.psp.End()
+	elapsed := time.Since(pr.started)
+	if n.Keep() {
+		n.passMeta = append(n.passMeta, metrics.PassStats{
+			Pass:       pr.k,
+			Candidates: pr.nCands,
+			Duplicated: pr.out.Duplicated,
+			Fragments:  pr.out.Fragments,
+			Large:      pr.large,
+			Elapsed:    elapsed,
+			Generate:   n.lastGenerate,
+			Plan:       &pr.plan,
+		})
+	}
+	n.emitProgress(pr.k, pr.nCands, pr.large, elapsed)
 }
 
 // runPass executes one count-support pass for k >= 2 as four named phases,
@@ -384,49 +441,41 @@ type passRun struct {
 //	Execute  the miner's count-support phase over the plan.
 //	Barrier  the F_k gather/broadcast (gatherFrequents), which also carries
 //	         the followers' telemetry batches.
-//	Replan   close the pass window: capture communication, advance the
-//	         coordinator's skew snapshot (the input to the *next* pass's
-//	         Plan phase) and record the pass metadata.
+//	Replan   close the pass window (closePass): capture communication,
+//	         advance the coordinator's skew snapshot (the input to the *next*
+//	         pass's Plan phase) and record the pass metadata.
 func (n *Node) runPass(k, nCands int) (int, error) {
-	pr := &passRun{k: k, nCands: nCands, started: time.Now()}
+	pr := n.openPass(k, nCands) // still in the plan phase generation opened
 	if err := n.planPhase(pr); err != nil {
 		return 0, err
 	}
-	if err := n.executePhase(pr); err != nil {
+	n.setPhase(k, phaseExecute)
+	out, err := n.miner.CountPass(n, k, &n.cur)
+	if err != nil {
+		return 0, fmt.Errorf("driver: node %d pass %d: %w", n.id, k, err)
+	}
+	pr.out = out
+	n.setPhase(k, phaseBarrier)
+	if pr.large, err = n.gatherFrequents(k, out); err != nil {
 		return 0, err
 	}
-	if err := n.barrierPhase(pr); err != nil {
-		return 0, err
-	}
-	n.replanPhase(pr)
+	n.closePass(pr)
 	return pr.large, nil
 }
 
-// planPhase opens the pass window and turns the latest complete skew
-// snapshot into this pass's plan. The KPlan exchange happens here — after
-// every node has decided (via the identical nc > 0 check) that the run
-// continues, so no hint message can be stranded by termination.
+// planPhase turns the latest complete skew snapshot into this pass's plan.
+// The KPlan exchange happens here — after every node has decided (via the
+// identical nc > 0 check) that the run continues, so no hint message can be
+// stranded by termination. A follower blocking on the hint is barrier-like
+// idle time, and bcast charges it so.
 func (n *Node) planPhase(pr *passRun) error {
-	n.setPhase(pr.k, phasePlan)
-	n.cur = metrics.NodeStats{Node: n.id}
-	n.ins.startPass(pr.k, pr.nCands)
-	n.cfg.View.StartPass(pr.k, pr.nCands)
-	if n.tr.Enabled() {
-		pr.psp = n.tr.Begin(n.id, 0, fmt.Sprintf("pass %d", pr.k))
-	}
 	if n.IsCoord() && n.cfg.OnPassStart != nil {
 		n.cfg.OnPassStart(pr.k, pr.nCands)
 	}
-
-	wait := time.Now()
 	hint, err := n.exchangeSkewHint(pr.k)
 	if err != nil {
 		return err
 	}
-	// A follower blocking on the hint is barrier-like idle time; charge it
-	// to the same counter so the skew signal stays honest.
-	n.cur.BarrierWait += time.Since(wait)
-
 	plsp := n.tr.Begin(n.id, 0, "plan")
 	dec, err := n.miner.PlanPass(n, pr.k, hint)
 	if err != nil {
@@ -442,64 +491,6 @@ func (n *Node) planPhase(pr *passRun) error {
 	plsp.Arg("escalations", int64(len(dec.Escalations)))
 	plsp.End()
 	return nil
-}
-
-// executePhase runs the miner's count-support phase over the plan.
-func (n *Node) executePhase(pr *passRun) error {
-	n.setPhase(pr.k, phaseExecute)
-	out, err := n.miner.CountPass(n, pr.k, &n.cur)
-	if err != nil {
-		return fmt.Errorf("driver: node %d pass %d: %w", n.id, pr.k, err)
-	}
-	pr.out = out
-	return nil
-}
-
-// barrierPhase resolves the global F_k.
-func (n *Node) barrierPhase(pr *passRun) error {
-	n.setPhase(pr.k, phaseBarrier)
-	nf, err := n.gatherFrequents(pr.k, pr.out)
-	if err != nil {
-		return err
-	}
-	pr.large = nf
-	return nil
-}
-
-// replanPhase closes the pass window and stages the replan input: the
-// telemetry the barrier ingested advances the coordinator's complete skew
-// snapshot (inside finishPassStats), which the *next* pass's plan phase
-// broadcasts. Pass metadata — including the plan decision — is recorded
-// here.
-func (n *Node) replanPhase(pr *passRun) {
-	n.setPhase(pr.k, phaseReplan)
-	n.capturePassComm()
-	n.ins.endPass(&n.cur)
-	n.finishPassStats()
-	pr.psp.Arg("candidates", int64(pr.nCands))
-	pr.psp.Arg("large", int64(pr.large))
-	pr.psp.End()
-	if n.Keep() {
-		n.passMeta = append(n.passMeta, passMeta{
-			pass:       pr.k,
-			candidates: pr.nCands,
-			duplicated: pr.out.Duplicated,
-			fragments:  pr.out.Fragments,
-			large:      pr.large,
-			elapsed:    time.Since(pr.started),
-			generate:   n.lastGenerate,
-			plan:       pr.plan,
-		})
-	}
-	n.emitProgress(pr.k, pr.nCands, pr.large, time.Since(pr.started))
-}
-
-func (n *Node) finishPassStats() {
-	n.perPass = append(n.perPass, n.cur)
-	n.cfg.View.SetNodePass(n.id, len(n.perPass))
-	if n.IsCoord() {
-		n.updateSkew()
-	}
 }
 
 // gatherFrequents implements the pass-end protocol shared by every miner:
@@ -526,48 +517,34 @@ func (n *Node) gatherFrequents(k int, out PassOutcome) (int, error) {
 		if err := n.shipTelemetry(false); err != nil {
 			return 0, err
 		}
-		wait := time.Now()
-		m, err := n.recvKind(KLarge)
+		payload, err := n.bcast(KLarge, nil, nil)
 		if err != nil {
 			return 0, err
 		}
-		n.cur.BarrierWait += time.Since(wait)
-		return n.miner.FinishPass(n, k, m.Payload)
+		return n.miner.FinishPass(n, k, payload)
 	}
 
-	// Coordinator: collect N-1 owned-frequent messages, N-1 replicated count
-	// vectors and N-1 telemetry batches. The batches are stashed raw and
+	// Coordinator: one owned-frequent message, one replicated count vector
+	// and one telemetry batch per peer. The batches are stashed raw and
 	// decoded only after the barrier wait is measured, so ingest cost never
 	// contaminates the skew signal it feeds.
-	dupTotal := make([]int64, len(out.DupCounts))
-	copy(dupTotal, out.DupCounts)
+	dupTotal := append([]int64(nil), out.DupCounts...)
 	var peerOwned [][]byte
 	var telem []cluster.Message
-	wait := time.Now()
-	for got := 0; got < 3*n.numPeers(); got++ {
-		m, err := n.recvKind(KLocalLarge, KDupCounts, KTelemetry)
-		if err != nil {
-			return 0, err
-		}
+	err := n.gather(func(m cluster.Message) error {
 		switch m.Kind {
 		case KLocalLarge:
 			peerOwned = append(peerOwned, m.Payload)
 		case KDupCounts:
-			counts, _, err := wire.CountsAuto(m.Payload)
-			if err != nil {
-				return 0, fmt.Errorf("driver: decode replicated counts from node %d: %w", m.From, err)
-			}
-			if len(counts) != len(dupTotal) {
-				return 0, fmt.Errorf("driver: node %d sent %d replicated counts, want %d", m.From, len(counts), len(dupTotal))
-			}
-			for i, c := range counts {
-				dupTotal[i] += c
-			}
+			return addCounts(dupTotal, m, "replicated")
 		case KTelemetry:
 			telem = append(telem, m)
 		}
+		return nil
+	}, KLocalLarge, KDupCounts, KTelemetry)
+	if err != nil {
+		return 0, err
 	}
-	n.cur.BarrierWait += time.Since(wait)
 	for _, m := range telem {
 		if err := n.ingestTelemetry(m); err != nil {
 			return 0, err
@@ -577,10 +554,6 @@ func (n *Node) gatherFrequents(k int, out PassOutcome) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for p := 1; p < n.ep.N(); p++ {
-		if err := n.ep.Send(p, KLarge, payload); err != nil {
-			return 0, err
-		}
-	}
-	return nf, nil
+	_, err = n.bcast(KLarge, payload, nil)
+	return nf, err
 }

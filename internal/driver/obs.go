@@ -49,14 +49,7 @@ func kindDeltas(cur, base []cluster.KindStat) []metrics.KindIO {
 // (the first window opens at zero, before the size exchange), so summed over
 // all passes they reconcile exactly with the endpoint's lifetime totals.
 func (n *Node) capturePassComm() {
-	st := n.ep.Stats()
-	ks := n.ep.KindStats()
-	d := st.Sub(n.base)
-	n.cur.BytesSent = d.BytesSent
-	n.cur.BytesReceived = d.BytesRecv
-	n.cur.MsgsSent = d.MsgsSent
-	n.cur.MsgsReceived = d.MsgsRecv
-	n.cur.ByKind = kindDeltas(ks, n.baseKind)
+	n.addCommWindow(&n.cur) // n.cur's communication counters are still zero
 	// The count-support data plane (Table 6's sent side) is exactly the
 	// KData slice of this window: data batches are only sent during the
 	// node's own count phase, never across a pass boundary. The FP-Growth
@@ -68,8 +61,19 @@ func (n *Node) capturePassComm() {
 	if int(KCondBase) < len(n.cur.ByKind) {
 		n.cur.DataBytesSent += n.cur.ByKind[KCondBase].BytesSent
 	}
-	n.base = st
-	n.baseKind = ks
+}
+
+// addCommWindow adds the fabric traffic since the previous window closed to
+// st and advances the window base.
+func (n *Node) addCommWindow(st *metrics.NodeStats) {
+	now, kinds := n.ep.Stats(), n.ep.KindStats()
+	d := now.Sub(n.base)
+	st.BytesSent += d.BytesSent
+	st.BytesReceived += d.BytesRecv
+	st.MsgsSent += d.MsgsSent
+	st.MsgsReceived += d.MsgsRecv
+	st.ByKind = mergeKindIO(st.ByKind, kindDeltas(kinds, n.baseKind))
+	n.base, n.baseKind = now, kinds
 }
 
 // foldFlushWindow folds the traffic of the run-end telemetry flush — which
@@ -77,20 +81,9 @@ func (n *Node) capturePassComm() {
 // the per-pass windows keep tiling the endpoint's lifetime totals exactly
 // (ReconcileEndpoints stays balanced with telemetry traffic included).
 func (n *Node) foldFlushWindow() {
-	if len(n.perPass) == 0 {
-		return
+	if len(n.perPass) > 0 {
+		n.addCommWindow(&n.perPass[len(n.perPass)-1])
 	}
-	st := n.ep.Stats()
-	ks := n.ep.KindStats()
-	d := st.Sub(n.base)
-	last := &n.perPass[len(n.perPass)-1]
-	last.BytesSent += d.BytesSent
-	last.BytesReceived += d.BytesRecv
-	last.MsgsSent += d.MsgsSent
-	last.MsgsReceived += d.MsgsRecv
-	last.ByKind = mergeKindIO(last.ByKind, kindDeltas(ks, n.baseKind))
-	n.base = st
-	n.baseKind = ks
 }
 
 // mergeKindIO adds the per-kind deltas of add into dst element-wise,

@@ -79,26 +79,17 @@ func installPhaseHook(ep cluster.Endpoint, n *Node) {
 
 // exchangeSkewHint runs the plan phase's protocol step for pass k: the
 // coordinator broadcasts its latest complete skew snapshot (possibly none)
-// and every node returns the identical hint. Single-node runs skip the wire
-// and use the local snapshot directly.
+// and every node returns the identical hint.
 func (n *Node) exchangeSkewHint(k int) (*metrics.SkewReport, error) {
-	if n.ep.N() == 1 {
-		return n.tel.lastSkew, nil
-	}
 	if n.IsCoord() {
-		payload := appendSkewHint(wire.AppendUvarint(nil, uint64(k)), n.tel.lastSkew)
-		for p := 1; p < n.ep.N(); p++ {
-			if err := n.ep.Send(p, KPlan, payload); err != nil {
-				return nil, err
-			}
-		}
-		return n.tel.lastSkew, nil
+		_, err := n.bcast(KPlan, appendSkewHint(wire.AppendUvarint(nil, uint64(k)), n.tel.lastSkew), nil)
+		return n.tel.lastSkew, err
 	}
-	m, err := n.recvKind(KPlan)
+	payload, err := n.bcast(KPlan, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	pass, hint, err := decodeSkewHint(m.Payload)
+	pass, hint, err := decodeSkewHint(payload)
 	if err != nil {
 		return nil, fmt.Errorf("driver: node %d decode plan hint: %w", n.id, err)
 	}

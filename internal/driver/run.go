@@ -84,22 +84,6 @@ func RunWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (
 	return nd, AssembleClusterStats(string(spec.Algorithm), spec.MinSupport, nd, elapsed), nil
 }
 
-// stats is the pass metadata in its RunStats form, before any node's counters
-// are attached.
-func (m passMeta) stats() metrics.PassStats {
-	plan := m.plan
-	return metrics.PassStats{
-		Pass:       m.pass,
-		Candidates: m.candidates,
-		Duplicated: m.duplicated,
-		Fragments:  m.fragments,
-		Large:      m.large,
-		Elapsed:    m.elapsed,
-		Generate:   m.generate,
-		Plan:       &plan,
-	}
-}
-
 // AssembleStats merges each node's per-pass counters with the coordinator's
 // per-pass metadata into a RunStats. nodes[0] must be the node that recorded
 // pass metadata (the coordinator, or the single local node of a worker run).
@@ -111,8 +95,7 @@ func AssembleStats(algorithm string, minSup float64, nodes []*Node, elapsed time
 		MinSup:    minSup,
 		Elapsed:   elapsed,
 	}
-	for pi, meta := range coord.passMeta {
-		ps := meta.stats()
+	for pi, ps := range coord.passMeta {
 		for _, nd := range nodes {
 			if pi < len(nd.perPass) {
 				ps.Nodes = append(ps.Nodes, nd.perPass[pi])

@@ -2,55 +2,33 @@ package driver
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"pgarm/internal/item"
+	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
 
-// runShards is the one scan worker pool: body(w, nShards, lane) runs once per
-// shard, concurrently across shards, and all calls happen-before runShards
-// returns. With workers <= 1 the single shard runs inline on the calling
-// goroutine (trace lane 0, the driver's own row); otherwise worker w runs on
-// its own goroutine and records on lane 1+w. so carries the per-shard span
-// and timing histogram; the zero value disables them. A panicking shard
-// becomes that worker's error; the first error in worker order is returned.
+// runShards is the scan worker pool: body(w, nShards, lane) runs once per
+// shard through itemset.Fan, so all calls happen-before runShards returns, a
+// panicking shard is that worker's error and the first error in worker order
+// is returned. With workers <= 1 the single shard runs inline on the calling
+// goroutine and records on trace lane 0, the driver's own row; otherwise
+// worker w records on lane 1+w. so carries the per-shard span and timing
+// histogram; the zero value disables them.
 func runShards(workers int, so ShardObs, body func(w, nShards, lane int) error) error {
-	shard := func(w, nShards, lane int) (err error) {
-		done := so.begin(lane, w)
-		defer done()
-		defer func() {
-			// A panic on a worker goroutine would escape the node
-			// goroutine's recover and kill the process; convert it to a
-			// scan error instead.
-			if r := recover(); r != nil {
-				err = fmt.Errorf("scan worker %d panicked: %v", w, r)
-			}
-		}()
-		return body(w, nShards, lane)
-	}
-	if workers <= 1 {
-		return shard(0, 1, 0)
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = shard(w, workers, 1+w)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	nShards := max(workers, 1)
+	lane := func(w int) int {
+		if nShards == 1 {
+			return 0
 		}
+		return 1 + w
 	}
-	return nil
+	return itemset.Fan("scan", nShards,
+		func(w int) func() { return so.begin(lane(w), w) },
+		func(w int) error { return body(w, nShards, lane(w)) })
 }
 
 // Source is a partition a count phase scans: a txn.Scanner (T is

@@ -77,9 +77,6 @@ type telemetryState struct {
 	lastSkew *metrics.SkewReport
 }
 
-// telemetryEnabled reports whether the plane runs at all: it needs peers.
-func (n *Node) telemetryEnabled() bool { return n.ep.N() > 1 }
-
 // shipTelemetry encodes and sends this follower's batch: pass windows
 // completed since the last batch, plus (in per-process runs) the spans
 // recorded since the last export. final batches add the endpoint-totals
@@ -119,10 +116,7 @@ func (n *Node) ingestTelemetry(m cluster.Message) error {
 		t.totals = make([]*metrics.EndpointTotals, n.ep.N())
 		t.dropped = make([]int64, n.ep.N())
 	}
-	node := m.From
-	if node <= 0 || node >= n.ep.N() {
-		return fmt.Errorf("driver: telemetry from unexpected node %d", node)
-	}
+	node := m.From // a peer's rank: gather checked it
 	if b.firstPass != len(t.remote[node])+1 {
 		return fmt.Errorf("driver: telemetry from node %d starts at pass %d, want %d",
 			node, b.firstPass, len(t.remote[node])+1)
@@ -191,10 +185,17 @@ func quiescePeer(ep cluster.Endpoint, peer int) {
 // exits they are. A peer dying *before* it is quiesced (e.g. a follower
 // crashing before its final batch) still fails the run.
 func (n *Node) flushTelemetry() error {
-	if !n.telemetryEnabled() {
-		return nil
+	if n.ep.N() == 1 {
+		return nil // the plane needs peers
 	}
-	if !n.IsCoord() {
+	if n.IsCoord() {
+		if err := n.gather(n.ingestTelemetry, KTelemetry); err != nil {
+			return err
+		}
+		if _, err := n.bcast(KTelemetry, nil, func(p int) { quiescePeer(n.ep, p) }); err != nil {
+			return err
+		}
+	} else {
 		for p := 1; p < n.ep.N(); p++ {
 			if p != n.ep.ID() {
 				quiescePeer(n.ep, p)
@@ -203,27 +204,10 @@ func (n *Node) flushTelemetry() error {
 		if err := n.shipTelemetry(true); err != nil {
 			return err
 		}
-		if _, err := n.recvKind(KTelemetry); err != nil {
+		if _, err := n.bcast(KTelemetry, nil, nil); err != nil {
 			return err
 		}
 		quiescePeer(n.ep, 0)
-		n.foldFlushWindow()
-		return nil
-	}
-	for p := 0; p < n.numPeers(); p++ {
-		m, err := n.recvKind(KTelemetry)
-		if err != nil {
-			return err
-		}
-		if err := n.ingestTelemetry(m); err != nil {
-			return err
-		}
-	}
-	for p := 1; p < n.ep.N(); p++ {
-		if err := n.ep.Send(p, KTelemetry, nil); err != nil {
-			return err
-		}
-		quiescePeer(n.ep, p)
 	}
 	n.foldFlushWindow()
 	return nil
@@ -249,7 +233,7 @@ func (n *Node) updateSkew() {
 		}
 		pass := pi + 1 // pass numbers are sequential from 1
 		if pi < len(n.passMeta) {
-			pass = n.passMeta[pi].pass
+			pass = n.passMeta[pi].Pass
 		}
 		s := metrics.ComputeSkew(pass, nodes)
 		if n.tel.gauges == (skewGauges{}) && n.cfg.Registry != nil {
@@ -304,8 +288,7 @@ func AssembleClusterStats(algorithm string, minSup float64, nd *Node, elapsed ti
 		MinSup:    minSup,
 		Elapsed:   elapsed,
 	}
-	for pi, meta := range nd.passMeta {
-		ps := meta.stats()
+	for pi, ps := range nd.passMeta {
 		if pi < len(nd.perPass) {
 			ps.Nodes = append(ps.Nodes, nd.perPass[pi])
 		}

@@ -52,89 +52,15 @@ type NodeProgress struct {
 	Lag      int `json:"lag"`
 }
 
-// Init sizes the view for a run. Called by the node at run start; resets any
-// previous run's state.
-func (cv *ClusterView) Init(self, nodes int) {
+// update applies fn to the snapshot under the lock and refreshes the lags; a
+// nil view (none configured) is inert.
+func (cv *ClusterView) update(fn func(v *ClusterSnapshot)) {
 	if cv == nil {
 		return
 	}
 	cv.mu.Lock()
 	defer cv.mu.Unlock()
-	cv.v = ClusterSnapshot{Nodes: nodes, Node: self, Progress: make([]NodeProgress, nodes)}
-	for i := range cv.v.Progress {
-		cv.v.Progress[i].Node = i
-	}
-}
-
-// StartPass records the pass now executing.
-func (cv *ClusterView) StartPass(pass, candidates int) {
-	if cv == nil {
-		return
-	}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	cv.v.Pass = pass
-	cv.v.Candidates = candidates
-	cv.refreshLag()
-}
-
-// SetNodePass records that this view has complete pass stats for node up to
-// lastPass.
-func (cv *ClusterView) SetNodePass(node, lastPass int) {
-	if cv == nil {
-		return
-	}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	if node < 0 || node >= len(cv.v.Progress) {
-		return
-	}
-	cv.v.Progress[node].LastPass = lastPass
-	cv.refreshLag()
-}
-
-// SetSkew publishes the latest complete-pass skew snapshot.
-func (cv *ClusterView) SetSkew(s metrics.SkewReport) {
-	if cv == nil {
-		return
-	}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	cv.v.Skew = &s
-}
-
-// SetPlan publishes the current pass's plan decision (the live granule map).
-func (cv *ClusterView) SetPlan(d metrics.PlanDecision) {
-	if cv == nil {
-		return
-	}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	cv.v.Plan = &d
-}
-
-// SetPhase publishes the state-machine state this node is in.
-func (cv *ClusterView) SetPhase(phase string) {
-	if cv == nil {
-		return
-	}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	cv.v.Phase = phase
-}
-
-// Finish marks the run complete.
-func (cv *ClusterView) Finish() {
-	if cv == nil {
-		return
-	}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	cv.v.Done = true
-	cv.refreshLag()
-}
-
-func (cv *ClusterView) refreshLag() {
+	fn(&cv.v)
 	for i := range cv.v.Progress {
 		lag := cv.v.Pass - cv.v.Progress[i].LastPass
 		if cv.v.Done || lag < 0 {
@@ -142,6 +68,52 @@ func (cv *ClusterView) refreshLag() {
 		}
 		cv.v.Progress[i].Lag = lag
 	}
+}
+
+// Init sizes the view for a run. Called by the node at run start; resets any
+// previous run's state.
+func (cv *ClusterView) Init(self, nodes int) {
+	cv.update(func(v *ClusterSnapshot) {
+		*v = ClusterSnapshot{Nodes: nodes, Node: self, Progress: make([]NodeProgress, nodes)}
+		for i := range v.Progress {
+			v.Progress[i].Node = i
+		}
+	})
+}
+
+// StartPass records the pass now executing.
+func (cv *ClusterView) StartPass(pass, candidates int) {
+	cv.update(func(v *ClusterSnapshot) { v.Pass, v.Candidates = pass, candidates })
+}
+
+// SetNodePass records that this view has complete pass stats for node up to
+// lastPass.
+func (cv *ClusterView) SetNodePass(node, lastPass int) {
+	cv.update(func(v *ClusterSnapshot) {
+		if node >= 0 && node < len(v.Progress) {
+			v.Progress[node].LastPass = lastPass
+		}
+	})
+}
+
+// SetSkew publishes the latest complete-pass skew snapshot.
+func (cv *ClusterView) SetSkew(s metrics.SkewReport) {
+	cv.update(func(v *ClusterSnapshot) { v.Skew = &s })
+}
+
+// SetPlan publishes the current pass's plan decision (the live granule map).
+func (cv *ClusterView) SetPlan(d metrics.PlanDecision) {
+	cv.update(func(v *ClusterSnapshot) { v.Plan = &d })
+}
+
+// SetPhase publishes the state-machine state this node is in.
+func (cv *ClusterView) SetPhase(phase string) {
+	cv.update(func(v *ClusterSnapshot) { v.Phase = phase })
+}
+
+// Finish marks the run complete.
+func (cv *ClusterView) Finish() {
+	cv.update(func(v *ClusterSnapshot) { v.Done = true })
 }
 
 // Snapshot returns a deep copy of the current view.

@@ -36,8 +36,6 @@ import (
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/driver"
-	"pgarm/internal/itemset"
-	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
@@ -101,7 +99,7 @@ func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return result(coord, stats), nil
+	return coord.Miner().(*fpgMiner).Result(stats), nil
 }
 
 // MineWorker runs a single node of the FP-Growth protocol over a caller-
@@ -118,12 +116,5 @@ func MineWorker(tax *taxonomy.Taxonomy, local txn.Scanner, cfg Config, ep cluste
 	if err != nil {
 		return nil, err
 	}
-	return result(nd, stats), nil
-}
-
-func result(nd *driver.Node, stats *metrics.RunStats) *Result {
-	return &Result{
-		Levels: itemset.Levels{Large: nd.Miner().(*fpgMiner).large},
-		Stats:  stats,
-	}
+	return nd.Miner().(*fpgMiner).Result(stats), nil
 }

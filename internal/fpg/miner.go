@@ -3,7 +3,6 @@ package fpg
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,12 +43,12 @@ type fpgMiner struct {
 	// id + q*NumNodes, accumulated by the cond-base exchange receiver.
 	bases []*pathSet
 
-	// own is this node's mined share of the pass-2 barrier (all pattern
-	// sizes mixed); the coordinator merges it directly in MergeFrequents.
-	own []itemset.Counted
-
-	// Result accumulation, filled where the runtime keeps results.
-	large [][]itemset.Counted
+	// The pass-2 barrier, which resolves every pattern size at once: the
+	// merged sets are split into per-size levels, each in canonical order.
+	// Closure support is monotone and subsets of ancestor-free sets are
+	// ancestor-free, so the frequent sizes are contiguous from 2. Own is this
+	// node's mined share (all sizes mixed).
+	driver.LevelBarrier
 }
 
 func newFpgMiner(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) *fpgMiner {
@@ -78,12 +77,9 @@ func (m *fpgMiner) FinishPass1(n *driver.Node, global []int64) (int, error) {
 	for i := range m.rank {
 		m.rank[i] = -1
 	}
-	var l1 []itemset.Counted
-	for i, c := range global {
-		if c >= n.MinCount() {
-			m.itemAt = append(m.itemAt, item.Item(i))
-			l1 = append(l1, itemset.Counted{Items: []item.Item{item.Item(i)}, Count: c})
-		}
+	l1 := m.FinishItems(n, global)
+	for _, c := range l1 {
+		m.itemAt = append(m.itemAt, c.Items[0])
 	}
 	sort.Slice(m.itemAt, func(a, b int) bool {
 		ia, ib := m.itemAt[a], m.itemAt[b]
@@ -96,9 +92,6 @@ func (m *fpgMiner) FinishPass1(n *driver.Node, global []int64) (int, error) {
 		m.rank[it] = int32(r)
 	}
 	m.numLarge = len(m.itemAt)
-	if n.Keep() {
-		m.large = append(m.large, l1)
-	}
 	return len(l1), nil
 }
 
@@ -175,17 +168,7 @@ func (m *fpgMiner) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driv
 	}
 	m.bases = nil
 
-	po := driver.PassOutcome{}
-	if !n.IsCoord() {
-		sets := make([][]item.Item, len(m.own))
-		counts := make([]int64, len(m.own))
-		for i, c := range m.own {
-			sets[i] = c.Items
-			counts[i] = c.Count
-		}
-		po.Owned = wire.AppendCounted(nil, sets, counts)
-	}
-	return po, nil
+	return driver.PassOutcome{Owned: m.EncodeOwn(n)}, nil
 }
 
 // buildForest builds one FP-tree per scan worker over the ancestor-closure
@@ -235,20 +218,14 @@ func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree
 func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTree, st *metrics.NodeStats) error {
 	sp := n.Span("ship-bases")
 	defer sp.End()
-	W := n.Workers()
 	numTasks := m.numLarge - 1
-	werrs := make([]error, W)
+	W := max(min(n.Workers(), numTasks), 1)
 	wsent := make([]int64, W)
-	itemset.ForShards(numTasks, W, itemset.Hook(n.ShardObs("ship").Hook()), func(w, lo, hi int) {
-		defer func() {
-			if r := recover(); r != nil {
-				werrs[w] = fmt.Errorf("fpg: ship worker %d panicked: %v", w, r)
-			}
-		}()
+	err := itemset.Fan("ship", W, n.ShardObs("ship").Hook(), func(w int) error {
 		b := ex.NewBatcher()
 		var unit []byte
 		var climb []item.Item
-		for t := lo; t < hi; t++ {
+		for t := numTasks * w / W; t < numTasks*(w+1)/W; t++ {
 			r := item.Item(t + 1) // suffix ranks start at 1
 			x := m.itemAt[r]
 			dest := int(r) % m.numNodes
@@ -264,21 +241,15 @@ func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTr
 				return b.AddRaw(dest, unit)
 			})
 			if err != nil {
-				werrs[w] = err
-				return
+				return err
 			}
 		}
-		werrs[w] = b.FlushAll()
+		return b.FlushAll()
 	})
 	for _, it := range wsent {
 		st.ItemsSent += it
 	}
-	for _, err := range werrs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // applyBases is the cond-base exchange's receive callback: it decodes one
@@ -335,54 +306,32 @@ func (m *fpgMiner) mineOwned(n *driver.Node, st *metrics.NodeStats) error {
 		tasks = append(tasks, item.Item(r))
 	}
 	results := make([][]itemset.Counted, len(tasks))
-	W := n.Workers()
-	if W > len(tasks) {
-		W = len(tasks)
-	}
-	if W < 1 {
-		W = 1
-	}
-	hook := itemset.Hook(n.BoundaryObs("mine shard").Hook())
+	W := max(min(n.Workers(), len(tasks)), 1)
 	minCount := n.MinCount()
 	var next atomic.Int64
 	var incs atomic.Int64
-	werrs := make([]error, W)
-	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			done := hook.Begin(w)
-			defer done()
-			defer func() {
-				if r := recover(); r != nil {
-					werrs[w] = fmt.Errorf("fpg: mine worker %d panicked: %v", w, r)
-				}
-			}()
-			sc := newMineScratch(m.numLarge)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					break
-				}
-				results[i] = m.mineTask(tasks[i], minCount, sc)
+	err := itemset.Fan("mine", W, n.BoundaryObs("mine shard").Hook(), func(int) error {
+		sc := newMineScratch(m.numLarge)
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(tasks) {
+				break
 			}
-			incs.Add(sc.increments)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range werrs {
-		if err != nil {
-			return err
+			results[i] = m.mineTask(tasks[i], minCount, sc)
 		}
+		incs.Add(sc.increments)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	st.Increments += incs.Load()
-	m.own = m.own[:0]
+	m.Own = m.Own[:0]
 	for _, res := range results {
-		m.own = append(m.own, res...)
+		m.Own = append(m.Own, res...)
 	}
 	sp.Arg("tasks", int64(len(tasks)))
-	sp.Arg("patterns", int64(len(m.own)))
+	sp.Arg("patterns", int64(len(m.Own)))
 	return nil
 }
 
@@ -472,75 +421,4 @@ func (m *fpgMiner) grow(trees []*fpTree, suffix []item.Item, size int, minCount 
 type rankCount struct {
 	rank  item.Item
 	count int64
-}
-
-// MergeFrequents merges the coordinator's own mined share with the peers'
-// into the global result. Unlike the level-wise engines this one barrier
-// carries every pattern size at once: the merged sets are grouped by size,
-// each level sorted canonically, and the broadcast payload is the levels'
-// concatenation in (size, lex) order — byte-identical regardless of node
-// count, worker count or task scheduling.
-func (m *fpgMiner) MergeFrequents(n *driver.Node, _ int, peerOwned [][]byte, _ []int64) ([]byte, int, error) {
-	all := m.own
-	for _, p := range peerOwned {
-		sets, counts, _, err := wire.Counted(p)
-		if err != nil {
-			return nil, 0, fmt.Errorf("fpg: decode owned patterns: %w", err)
-		}
-		for i := range sets {
-			all = append(all, itemset.Counted{Items: sets[i], Count: counts[i]})
-		}
-	}
-	bySize := make(map[int][]itemset.Counted)
-	for _, c := range all {
-		bySize[len(c.Items)] = append(bySize[len(c.Items)], c)
-	}
-	var levels [][]itemset.Counted
-	total := 0
-	for s := 2; ; s++ {
-		lk := bySize[s]
-		if len(lk) == 0 {
-			// Closure support is monotone and subsets of ancestor-free sets
-			// are ancestor-free, so frequent levels are contiguous; the first
-			// empty size is the last. (A non-contiguous set would indicate a
-			// bug — mirroring Cumulate, nothing past the gap is recorded.)
-			break
-		}
-		itemset.SortCounted(lk)
-		levels = append(levels, lk)
-		total += len(lk)
-	}
-	if n.Keep() {
-		m.large = append(m.large, levels...)
-	}
-	var sets [][]item.Item
-	var counts []int64
-	for _, lk := range levels {
-		for _, c := range lk {
-			sets = append(sets, c.Items)
-			counts = append(counts, c.Count)
-		}
-	}
-	return wire.AppendCounted(nil, sets, counts), total, nil
-}
-
-// FinishPass decodes the coordinator's broadcast on a follower and regroups
-// it into per-size levels (the payload is (size, lex)-ordered).
-func (m *fpgMiner) FinishPass(n *driver.Node, _ int, payload []byte) (int, error) {
-	sets, counts, _, err := wire.Counted(payload)
-	if err != nil {
-		return 0, fmt.Errorf("fpg: decode pattern broadcast: %w", err)
-	}
-	if n.Keep() {
-		var levels [][]itemset.Counted
-		for i := range sets {
-			s := len(sets[i])
-			if len(levels) == 0 || len(levels[len(levels)-1][0].Items) != s {
-				levels = append(levels, nil)
-			}
-			levels[len(levels)-1] = append(levels[len(levels)-1], itemset.Counted{Items: sets[i], Count: counts[i]})
-		}
-		m.large = append(m.large, levels...)
-	}
-	return len(sets), nil
 }

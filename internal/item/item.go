@@ -29,9 +29,6 @@ func (it Item) String() string {
 	return fmt.Sprintf("i%d", int32(it))
 }
 
-// Valid reports whether the item is a usable identifier (non-negative).
-func (it Item) Valid() bool { return it >= 0 }
-
 // Sort sorts a slice of items in ascending order in place.
 func Sort(items []Item) {
 	slices.Sort(items) // allocation-free, unlike sort.Slice
@@ -149,29 +146,6 @@ func Intersects(a, b []Item) bool {
 		}
 	}
 	return false
-}
-
-// Union merges two canonical itemsets into a new canonical itemset.
-func Union(a, b []Item) []Item {
-	out := make([]Item, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // Minus returns a \ b for canonical itemsets a and b, as a new slice.

@@ -6,21 +6,18 @@ import "pgarm/internal/item"
 // generation's prune set: a power-of-two slot array holding candidate id + 1
 // (0 = empty), probed linearly. Keys live with their owner, which keeps the
 // canonical itemsets by dense id, so a probe hashes the query in place and
-// compares against stored items (or their packed-key form) without building
-// a map key, and a lookup performs zero heap allocations. It is sized once
-// for a known set count and never grows. It serves point lookups — HPGM's
-// receiver, duplicate selection, candidate generation's prune;
-// whole-transaction support counting goes through the prefix layout instead
-// (Index.CountContained).
+// compares against stored items without building a map key, and a lookup
+// performs zero heap allocations. It is sized once for a known set count and
+// never grows. It serves point lookups — HPGM's receiver, duplicate
+// selection, candidate generation's prune; whole-transaction support
+// counting goes through the prefix layout instead (Index.CountContained).
 type flatProbe struct {
 	slots []int32 // candidate id + 1; 0 marks an empty slot
 	mask  uint64
 }
 
 // flatHash is FNV-1a over the itemset's packed-key bytes (4 bytes per item,
-// big-endian), computed without materializing the key. flatHashKey over the
-// packed form yields the identical value, so items-keyed and packed-keyed
-// probes address the same slots.
+// big-endian), computed without materializing the key.
 func flatHash(items []item.Item) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -35,37 +32,6 @@ func flatHash(items []item.Item) uint64 {
 		h = (h ^ uint64(v&0xff)) * prime64
 	}
 	return h
-}
-
-// flatHashKey hashes a packed key to the same value flatHash produces for the
-// corresponding itemset.
-func flatHashKey(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * prime64
-	}
-	return h
-}
-
-// keyEqualsItems reports whether a packed key encodes exactly items, without
-// decoding into a scratch slice.
-func keyEqualsItems(key []byte, items []item.Item) bool {
-	if len(key) != 4*len(items) {
-		return false
-	}
-	for i, it := range items {
-		v := uint32(it)
-		o := 4 * i
-		if key[o] != byte(v>>24) || key[o+1] != byte(v>>16) ||
-			key[o+2] != byte(v>>8) || key[o+3] != byte(v) {
-			return false
-		}
-	}
-	return true
 }
 
 // init sizes the slot array for n entries (power of two, ≥ 2n), so at most
@@ -91,22 +57,6 @@ func (f *flatProbe) findItems(items []item.Item, sets [][]item.Item) int32 {
 			return -1
 		}
 		if id := v - 1; item.Equal(sets[id], items) {
-			return id
-		}
-	}
-}
-
-// findPacked is findItems for a packed key (see AppendKey).
-func (f *flatProbe) findPacked(key []byte, sets [][]item.Item) int32 {
-	if len(f.slots) == 0 {
-		return -1
-	}
-	for s := flatHashKey(key) & f.mask; ; s = (s + 1) & f.mask {
-		v := f.slots[s]
-		if v == 0 {
-			return -1
-		}
-		if id := v - 1; keyEqualsItems(key, sets[id]) {
 			return id
 		}
 	}

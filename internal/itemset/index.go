@@ -9,9 +9,9 @@ import "pgarm/internal/item"
 // in-process cluster replicate multi-million-entry candidate sets (NPGM, and
 // the TGD/PGD/FGD duplicated tables) without 16 physical copies.
 //
-// An Index answers two questions. Point lookups (Lookup, LookupPacked) go
-// through an open-addressed flat probe: the query is hashed in place and
-// compared against the stored itemsets. Support counting (CountContained)
+// An Index answers two questions. Point lookups (Lookup) go through an
+// open-addressed flat probe: the query is hashed in place and compared
+// against the stored itemsets. Support counting (CountContained)
 // walks a prefix layout of the same sets and never forms a subset no indexed
 // set starts with. Neither allocates.
 type Index struct {
@@ -42,17 +42,8 @@ func (ix *Index) Len() int { return len(ix.sets) }
 // Items returns the itemset with dense id. Shared storage; do not modify.
 func (ix *Index) Items(id int32) []item.Item { return ix.sets[id] }
 
-// Sets returns all indexed itemsets ordered by id. Shared; do not modify.
-func (ix *Index) Sets() [][]item.Item { return ix.sets }
-
 // Lookup returns the id of a canonical itemset, or -1. It is pure, performs
 // no heap allocation, and is safe for concurrent use.
 func (ix *Index) Lookup(items []item.Item) int32 {
 	return ix.idx.findItems(items, ix.sets)
-}
-
-// LookupPacked returns the id for a packed key (see AppendKey), or -1. Pure,
-// allocation-free and safe for concurrent use.
-func (ix *Index) LookupPacked(key []byte) int32 {
-	return ix.idx.findPacked(key, ix.sets)
 }

@@ -8,19 +8,6 @@ import (
 	"pgarm/internal/item"
 )
 
-func TestKeyRoundTrip(t *testing.T) {
-	cases := [][]item.Item{nil, {0}, {1, 5, 1 << 20}, {7, 8, 9, 10}}
-	for _, c := range cases {
-		got := ParseKey(Key(c))
-		if len(c) == 0 && len(got) == 0 {
-			continue
-		}
-		if !item.Equal(got, c) {
-			t.Errorf("round trip %v -> %v", c, got)
-		}
-	}
-}
-
 func TestKeyOrderMatchesItemsetOrder(t *testing.T) {
 	a := Key([]item.Item{1, 2})
 	b := Key([]item.Item{1, 3})
@@ -34,9 +21,6 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 	s := []item.Item{3, 9, 1000}
 	if string(AppendKey(nil, s)) != Key(s) {
 		t.Error("AppendKey and Key disagree")
-	}
-	if KeyLen(Key(s)) != 3 {
-		t.Errorf("KeyLen = %d", KeyLen(Key(s)))
 	}
 }
 
@@ -176,7 +160,7 @@ func TestSortCounted(t *testing.T) {
 
 // Property: the open-addressed flat probe agrees with a reference map over
 // random set lists with repeats (first occurrence keeps the id), for hits
-// and misses, by items and by packed key.
+// and misses.
 func TestTableFlatProbeMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -204,7 +188,7 @@ func TestTableFlatProbeMatchesMap(t *testing.T) {
 			if !ok {
 				want = -1
 			}
-			if ix.Lookup(s) != want || ix.LookupPacked(AppendKey(nil, s)) != want {
+			if ix.Lookup(s) != want {
 				return false
 			}
 		}
@@ -215,23 +199,8 @@ func TestTableFlatProbeMatchesMap(t *testing.T) {
 	}
 }
 
-func TestIndexLookupPacked(t *testing.T) {
-	sets := [][]item.Item{{1, 2}, {1, 3}, {5, 9, 11}}
-	ix := BuildIndex(sets)
-	var buf []byte
-	for i, s := range sets {
-		buf = AppendKey(buf[:0], s)
-		if got := ix.LookupPacked(buf); got != int32(i) {
-			t.Errorf("LookupPacked(%v) = %d, want %d", s, got, i)
-		}
-	}
-	if got := ix.LookupPacked(AppendKey(nil, []item.Item{7, 8})); got != -1 {
-		t.Errorf("missing LookupPacked = %d", got)
-	}
-}
-
 // The zero-allocation contract of the candidate counting hot path: Index
-// lookups, packed-key probes, scratch-buffer subset enumeration and the
+// lookups, scratch-buffer subset enumeration and the
 // containment kernel (once its stamps have grown) must not touch the heap.
 func TestProbePathZeroAlloc(t *testing.T) {
 	var sets [][]item.Item
@@ -241,7 +210,6 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	ix := BuildIndex(sets)
 	hit := []item.Item{5, 105, 1005}
 	miss := []item.Item{5, 105, 9999}
-	key := AppendKey(nil, hit)
 	txn := []item.Item{1, 2, 3, 4, 5, 6, 7, 8}
 	scratch := make([]item.Item, 3)
 	contained := []item.Item{3, 5, 9, 103, 105, 777, 1003, 1005, 1009, 5000}
@@ -257,7 +225,6 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	}{
 		{"Index.Lookup hit", func() { ix.Lookup(hit) }},
 		{"Index.Lookup miss", func() { ix.Lookup(miss) }},
-		{"Index.LookupPacked", func() { ix.LookupPacked(key) }},
 		{"ForEachSubsetScratch", func() {
 			ForEachSubsetScratch(txn, 3, scratch, func(s []item.Item) bool { return true })
 		}},

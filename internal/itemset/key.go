@@ -35,19 +35,6 @@ func AppendKey(dst []byte, items []item.Item) []byte {
 	return dst
 }
 
-// ParseKey decodes a key produced by Key back into an itemset.
-func ParseKey(key string) []item.Item {
-	n := len(key) / 4
-	out := make([]item.Item, n)
-	for i := 0; i < n; i++ {
-		out[i] = item.Item(binary.BigEndian.Uint32([]byte(key[4*i : 4*i+4])))
-	}
-	return out
-}
-
-// KeyLen returns the number of items encoded in a key.
-func KeyLen(key string) int { return len(key) / 4 }
-
 // Hash computes a stable FNV-1a style hash of a canonical itemset. It is the
 // hash function HPGM applies to whole itemsets and the H-HPGM family applies
 // to root vectors; stability across processes matters for the TCP fabric.

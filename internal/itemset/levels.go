@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"pgarm/internal/item"
+	"pgarm/internal/wire"
 )
 
 // Counted pairs an itemset with a support count; the unit the coordinator
@@ -13,9 +14,40 @@ type Counted struct {
 	Count int64
 }
 
-// SortCounted orders counted itemsets lexicographically by itemset.
+// SortCounted orders counted itemsets by size, then lexicographically — the
+// order of a result's levels laid end to end.
 func SortCounted(cs []Counted) {
-	sort.Slice(cs, func(i, j int) bool { return item.Compare(cs[i].Items, cs[j].Items) < 0 })
+	sort.Slice(cs, func(i, j int) bool {
+		a, b := cs[i].Items, cs[j].Items
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		return item.Compare(a, b) < 0
+	})
+}
+
+// AppendCounted appends cs in the wire.AppendCounted encoding.
+func AppendCounted(dst []byte, cs []Counted) []byte {
+	sets := make([][]item.Item, len(cs))
+	counts := make([]int64, len(cs))
+	for i, c := range cs {
+		sets[i], counts[i] = c.Items, c.Count
+	}
+	return wire.AppendCounted(dst, sets, counts)
+}
+
+// ParseCounted decodes one wire.AppendCounted block, returning the pairs and
+// the bytes consumed.
+func ParseCounted(b []byte) ([]Counted, int, error) {
+	sets, counts, used, err := wire.Counted(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	cs := make([]Counted, len(sets))
+	for i := range sets {
+		cs[i] = Counted{Items: sets[i], Count: counts[i]}
+	}
+	return cs, used, nil
 }
 
 // Levels is the result shape every itemset miner produces — sequential

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -20,6 +21,72 @@ func (h Hook) Begin(w int) func() {
 	return h(w)
 }
 
+// This file is the one place the miners start worker goroutines (the node
+// goroutines of driver.Run aside): Fan for fork-join work, Go for the one
+// worker that outlives its caller's stack frame. Both run the worker through
+// runWorker, so a worker's panic is never a process crash.
+
+// runWorker runs fn(w) inside hook's span; a panic in fn becomes the
+// worker's error, naming it.
+func runWorker(name string, w int, hook Hook, fn func(w int) error) (err error) {
+	defer hook.Begin(w)()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%s worker %d panicked: %v", name, w, r)
+		}
+	}()
+	return fn(w)
+}
+
+// Fan runs fn(w) for every w in [0, workers) and returns once all are done:
+// inline on the calling goroutine when workers <= 1, otherwise one goroutine
+// per worker. hook brackets each worker; name labels the work in the error a
+// panicking worker is turned into. The first error in worker order wins.
+func Fan(name string, workers int, hook Hook, fn func(w int) error) error {
+	if workers <= 1 {
+		return runWorker(name, 0, hook, fn)
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = runWorker(name, w, hook, fn)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MustFan is Fan for work that cannot fail and callers with no error return:
+// a worker's panic is re-raised on the calling goroutine (as the error naming
+// the worker), where the node's own recover reports it.
+func MustFan(name string, workers int, hook Hook, fn func(w int)) {
+	err := Fan(name, workers, hook, func(w int) error {
+		fn(w)
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+}
+
+// Go starts fn on its own goroutine and sends its error — or its panic, as
+// an error — on done, which must have room for it. It exists for the
+// count-support receiver, which runs beside its node's scan rather than
+// under a fork-join.
+func Go(name string, done chan<- error, fn func() error) {
+	go func() {
+		done <- runWorker(name, 0, nil, func(int) error { return fn() })
+	}()
+}
+
 // ForShards splits [0, n) into at most workers contiguous ranges and runs
 // fn(w, lo, hi) for each on its own goroutine, returning when all are done.
 // With workers <= 1 (or n too small to split) fn runs inline. The shard
@@ -30,99 +97,10 @@ func ForShards(n, workers int, hook Hook, fn func(w, lo, hi int)) {
 	if n == 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		done := hook.Begin(0)
-		fn(0, 0, n)
-		done()
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			done := hook.Begin(w)
-			defer done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-// SortSetsParallel is SortSets across workers: sorted chunks merged pairwise.
-// The merge takes from the left run on ties, so for pairwise-distinct sets
-// (itemset lists always are — L_{k-1} and C_k hold no duplicates) the result
-// is the identical permutation SortSets produces.
-func SortSetsParallel(sets [][]item.Item, workers int) {
-	const minChunk = 1024 // below this the goroutine overhead dominates
-	if workers > len(sets)/minChunk {
-		workers = len(sets) / minChunk
-	}
-	if workers <= 1 {
-		SortSets(sets)
-		return
-	}
-	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = len(sets) * w / workers
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			SortSets(sets[lo:hi])
-		}(bounds[w], bounds[w+1])
-	}
-	wg.Wait()
-
-	buf := make([][]item.Item, len(sets))
-	for len(bounds) > 2 {
-		next := bounds[:1:1]
-		var mwg sync.WaitGroup
-		for i := 0; i+2 < len(bounds); i += 2 {
-			mwg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mwg.Done()
-				mergeRuns(sets, buf, lo, mid, hi)
-			}(bounds[i], bounds[i+1], bounds[i+2])
-			next = append(next, bounds[i+2])
-		}
-		if len(bounds)%2 == 0 { // odd run count: the last run carries over
-			next = append(next, bounds[len(bounds)-1])
-		}
-		mwg.Wait()
-		bounds = next
-	}
-}
-
-// mergeRuns merges the sorted runs sets[lo:mid] and sets[mid:hi] through buf
-// back into sets, taking from the left run on ties.
-func mergeRuns(sets, buf [][]item.Item, lo, mid, hi int) {
-	i, j, o := lo, mid, lo
-	for i < mid && j < hi {
-		if item.Compare(sets[i], sets[j]) <= 0 {
-			buf[o] = sets[i]
-			i++
-		} else {
-			buf[o] = sets[j]
-			j++
-		}
-		o++
-	}
-	for i < mid {
-		buf[o] = sets[i]
-		i, o = i+1, o+1
-	}
-	for j < hi {
-		buf[o] = sets[j]
-		j, o = j+1, o+1
-	}
-	copy(sets[lo:hi], buf[lo:hi])
+	workers = max(min(workers, n), 1)
+	MustFan("shard", workers, hook, func(w int) {
+		fn(w, n*w/workers, n*(w+1)/workers)
+	})
 }
 
 // fillParallel initializes the probe for sets and inserts every set, CAS-ing
@@ -130,11 +108,8 @@ func mergeRuns(sets, buf [][]item.Item, lo, mid, hi int) {
 // the same winner as the sequential first-occurrence rule.
 func (f *flatProbe) fillParallel(sets [][]item.Item, workers int) {
 	f.init(len(sets))
-	n := len(sets)
 	const minChunk = 512
-	if workers > n/minChunk {
-		workers = n / minChunk
-	}
+	workers = min(workers, len(sets)/minChunk)
 	if workers <= 1 {
 		for i := range sets {
 			if f.findItems(sets[i], sets) < 0 {
@@ -143,18 +118,11 @@ func (f *flatProbe) fillParallel(sets [][]item.Item, workers int) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f.placeCAS(int32(i), sets)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	ForShards(len(sets), workers, nil, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f.placeCAS(int32(i), sets)
+		}
+	})
 }
 
 // placeCAS inserts one id lock-free. Two equal itemsets follow the same
@@ -194,32 +162,30 @@ func (f *flatProbe) placeCAS(id int32, sets [][]item.Item) {
 // the map of packed Key strings. Concatenating the shard outputs in shard
 // order reproduces Gen's lexicographic output bit-identically; workers <= 1
 // runs the same code on one goroutine.
+//
+// Every miner hands over the L_{k-1} its barrier recorded, which is already
+// in canonical order, so prev is only checked (one linear pass) and read in
+// place; unsorted input is copied and sorted first.
 func GenParallel(prev [][]item.Item, workers int, hook Hook) [][]item.Item {
 	if len(prev) == 0 {
 		return nil
 	}
 	k1 := len(prev[0])
-	sets := make([][]item.Item, len(prev))
-	copy(sets, prev)
-	SortSetsParallel(sets, workers)
+	sets := prev
+	if !setsSorted(sets) {
+		sets = make([][]item.Item, len(prev))
+		copy(sets, prev)
+		SortSets(sets)
+	}
 
 	var prune flatProbe
 	prune.fillParallel(sets, workers)
 
 	bounds := prefixRunBounds(sets, k1-1, workers)
-	nShards := len(bounds) - 1
-	outs := make([][][]item.Item, nShards)
-	var wg sync.WaitGroup
-	for s := 0; s < nShards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			done := hook.Begin(s)
-			defer done()
-			outs[s] = genShard(sets, &prune, k1, bounds[s], bounds[s+1])
-		}(s)
-	}
-	wg.Wait()
+	outs := make([][][]item.Item, len(bounds)-1)
+	MustFan("generate", len(outs), hook, func(s int) {
+		outs[s] = genShard(sets, &prune, k1, bounds[s], bounds[s+1])
+	})
 
 	total := 0
 	for _, o := range outs {
@@ -233,6 +199,17 @@ func GenParallel(prev [][]item.Item, workers int, hook Hook) [][]item.Item {
 		out = append(out, o...)
 	}
 	return out
+}
+
+// setsSorted reports whether sets is in strictly ascending lexicographic
+// order.
+func setsSorted(sets [][]item.Item) bool {
+	for i := 1; i < len(sets); i++ {
+		if item.Compare(sets[i-1], sets[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // genShard joins and prunes one prefix-aligned range of the sorted L_{k-1}.

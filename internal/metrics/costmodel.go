@@ -60,13 +60,3 @@ func (m CostModel) PassTime(ps PassStats) time.Duration {
 	}
 	return max
 }
-
-// TotalWork models the pass's aggregate work across all nodes (the
-// numerator of an efficiency calculation).
-func (m CostModel) TotalWork(ps PassStats) time.Duration {
-	var sum time.Duration
-	for _, ns := range ps.Nodes {
-		sum += m.NodeTime(ns)
-	}
-	return sum
-}

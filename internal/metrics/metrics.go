@@ -105,19 +105,6 @@ func (p *PassStats) AvgBytesReceived() float64 {
 	return float64(sum) / float64(len(p.Nodes))
 }
 
-// AvgTotalBytesReceived returns mean whole-pass payload bytes per node,
-// including the L_k gather and broadcast.
-func (p *PassStats) AvgTotalBytesReceived() float64 {
-	if len(p.Nodes) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, n := range p.Nodes {
-		sum += n.BytesReceived
-	}
-	return float64(sum) / float64(len(p.Nodes))
-}
-
 // TotalItemsSent sums the items shipped between nodes.
 func (p *PassStats) TotalItemsSent() int64 {
 	var sum int64

@@ -107,9 +107,6 @@ func TestCostModel(t *testing.T) {
 	if pt != m.NodeTime(p.Nodes[1]) {
 		t.Errorf("PassTime = %v, want slowest node's time", pt)
 	}
-	if tw := m.TotalWork(p); tw <= pt {
-		t.Errorf("TotalWork %v must exceed PassTime %v", tw, pt)
-	}
 	if d := DefaultCostModel(); d.ProbePerOp <= 0 || d.PerByte <= 0 || d.PerTxn <= 0 {
 		t.Error("default model has non-positive constants")
 	}

@@ -268,16 +268,8 @@ func readTaxonomy(b []byte) (*taxonomy.Taxonomy, error) {
 // wire.AppendCounted block per level.
 func appendItemsets(dst []byte, large [][]itemset.Counted) []byte {
 	dst = wire.AppendUvarint(dst, uint64(len(large)))
-	var sets [][]item.Item
-	var counts []int64
 	for _, level := range large {
-		sets = sets[:0]
-		counts = counts[:0]
-		for _, c := range level {
-			sets = append(sets, c.Items)
-			counts = append(counts, c.Count)
-		}
-		dst = wire.AppendCounted(dst, sets, counts)
+		dst = itemset.AppendCounted(dst, level)
 	}
 	return dst
 }
@@ -293,15 +285,11 @@ func readItemsets(b []byte) ([][]itemset.Counted, error) {
 	}
 	large := make([][]itemset.Counted, 0, levels)
 	for k := uint64(0); k < levels; k++ {
-		sets, counts, used, err := wire.Counted(b[off:])
+		level, used, err := itemset.ParseCounted(b[off:])
 		if err != nil {
 			return nil, err
 		}
 		off += used
-		level := make([]itemset.Counted, len(sets))
-		for i := range sets {
-			level[i] = itemset.Counted{Items: sets[i], Count: counts[i]}
-		}
 		large = append(large, level)
 	}
 	return large, nil

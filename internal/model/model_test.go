@@ -131,7 +131,12 @@ func TestRoundTripQuick(t *testing.T) {
 			t.Logf("seed %d: write: %v", seed, err)
 			return false
 		}
-		got, err := Read(&buf)
+		r, err := NewReader(buf.Bytes())
+		if err != nil {
+			t.Logf("seed %d: open: %v", seed, err)
+			return false
+		}
+		got, err := r.Model()
 		if err != nil {
 			t.Logf("seed %d: read: %v", seed, err)
 			return false

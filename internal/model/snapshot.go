@@ -265,19 +265,6 @@ func (r *Reader) Model() (*Model, error) {
 	return m, nil
 }
 
-// Read decodes a complete snapshot from r (eager: every section).
-func Read(rd io.Reader) (*Model, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := NewReader(data)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Model()
-}
-
 // ReadFile reads and decodes a snapshot file.
 func ReadFile(path string) (*Model, error) {
 	data, err := os.ReadFile(path)

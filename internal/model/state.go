@@ -76,16 +76,8 @@ func appendState(dst []byte, s *MiningState) []byte {
 	dst = wire.AppendUvarint(dst, uint64(s.LogTxns))
 	dst = wire.AppendCountsAuto(dst, s.ItemCounts)
 	dst = wire.AppendUvarint(dst, uint64(len(s.Levels)))
-	var sets [][]item.Item
-	var counts []int64
 	for _, level := range s.Levels {
-		sets = sets[:0]
-		counts = counts[:0]
-		for _, c := range level {
-			sets = append(sets, c.Items)
-			counts = append(counts, c.Count)
-		}
-		dst = wire.AppendCounted(dst, sets, counts)
+		dst = itemset.AppendCounted(dst, level)
 	}
 	return dst
 }
@@ -125,15 +117,11 @@ func readState(b []byte) (*MiningState, error) {
 	b = b[off:]
 	s.Levels = make([][]itemset.Counted, 0, levels)
 	for k := uint64(0); k < levels; k++ {
-		sets, counts, used, err := wire.Counted(b)
+		level, used, err := itemset.ParseCounted(b)
 		if err != nil {
 			return nil, err
 		}
 		b = b[used:]
-		level := make([]itemset.Counted, len(sets))
-		for i := range sets {
-			level[i] = itemset.Counted{Items: sets[i], Count: counts[i]}
-		}
 		s.Levels = append(s.Levels, level)
 	}
 	return s, nil

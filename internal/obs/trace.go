@@ -57,9 +57,6 @@ type Arg struct {
 	Val int64
 }
 
-// I builds a span argument.
-func I(key string, val int64) Arg { return Arg{Key: key, Val: val} }
-
 // NewTracer starts a tracer; its clock zero is the call time.
 func NewTracer() *Tracer {
 	return &Tracer{

@@ -49,48 +49,51 @@ func WriteFile(path string, db *DB) (err error) {
 }
 
 func writeAll(w *bufio.Writer, db *DB) error {
-	var buf [binary.MaxVarintLen64]byte
-	binary.BigEndian.PutUint32(buf[:4], fileMagic)
-	if _, err := w.Write(buf[:4]); err != nil {
+	if _, err := w.Write(rowHeader(db.Len())); err != nil {
 		return err
 	}
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(db.Len())); err != nil {
-		return err
-	}
-	prevTID, first := int64(0), true
+	var enc rowEncoder
 	for _, t := range db.txns {
-		if t.TID < 0 || (!first && t.TID <= prevTID) {
-			return fmt.Errorf("TIDs not strictly ascending: %d after %d", t.TID, prevTID)
-		}
-		first = false
-		if !item.IsSorted(t.Items) {
-			return fmt.Errorf("transaction %d items not canonical", t.TID)
-		}
-		if err := putUvarint(uint64(t.TID - prevTID)); err != nil {
+		if err := enc.write(w, t); err != nil {
 			return err
-		}
-		prevTID = t.TID
-		if err := putUvarint(uint64(len(t.Items))); err != nil {
-			return err
-		}
-		prev := item.Item(0)
-		for i, x := range t.Items {
-			d := uint64(x - prev)
-			if i == 0 {
-				d = uint64(x)
-			}
-			if err := putUvarint(d); err != nil {
-				return err
-			}
-			prev = x
 		}
 	}
 	return nil
+}
+
+// rowHeader is the PGTX file header: the magic, then the transaction count.
+func rowHeader(count int) []byte {
+	return binary.AppendUvarint(binary.BigEndian.AppendUint32(nil, fileMagic), uint64(count))
+}
+
+// rowEncoder is the one PGTX record encoder: WriteFile and RowWriter both
+// write their transactions through it, so they validate alike (strictly
+// ascending TIDs, canonical baskets) and produce identical bytes. It carries
+// the TID delta state from record to record.
+type rowEncoder struct {
+	prevTID int64
+	started bool
+	buf     []byte
+}
+
+func (e *rowEncoder) write(w *bufio.Writer, t Transaction) error {
+	if t.TID < 0 || (e.started && t.TID <= e.prevTID) {
+		return fmt.Errorf("TIDs not strictly ascending: %d after %d", t.TID, e.prevTID)
+	}
+	if !item.IsSorted(t.Items) {
+		return fmt.Errorf("transaction %d items not canonical", t.TID)
+	}
+	buf := binary.AppendUvarint(e.buf[:0], uint64(t.TID-e.prevTID))
+	e.prevTID, e.started = t.TID, true
+	buf = binary.AppendUvarint(buf, uint64(len(t.Items)))
+	prev := item.Item(0)
+	for _, x := range t.Items {
+		buf = binary.AppendUvarint(buf, uint64(x-prev)) // the first delta is the item itself
+		prev = x
+	}
+	e.buf = buf
+	_, err := w.Write(buf)
+	return err
 }
 
 // File is a disk-backed transaction partition. Each Scan re-reads the file

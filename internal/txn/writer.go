@@ -30,13 +30,12 @@ import (
 // canonical itemsets). Errors are sticky: after any failure every call
 // reports it and Close removes the temporary spill without creating path.
 type RowWriter struct {
-	path    string
-	tmp     *os.File
-	w       *bufio.Writer
-	count   int64
-	prevTID int64
-	first   bool
-	err     error
+	path  string
+	tmp   *os.File
+	w     *bufio.Writer
+	enc   rowEncoder
+	count int64
+	err   error
 }
 
 // NewRowWriter creates a streaming row-format writer targeting path. The
@@ -46,12 +45,7 @@ func NewRowWriter(path string) (*RowWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("txn: create spill for %s: %w", path, err)
 	}
-	return &RowWriter{
-		path:  path,
-		tmp:   tmp,
-		w:     bufio.NewWriterSize(tmp, 1<<20),
-		first: true,
-	}, nil
+	return &RowWriter{path: path, tmp: tmp, w: bufio.NewWriterSize(tmp, 1<<20)}, nil
 }
 
 // Append encodes one transaction into the spill.
@@ -59,35 +53,8 @@ func (rw *RowWriter) Append(t Transaction) error {
 	if rw.err != nil {
 		return rw.err
 	}
-	if t.TID < 0 || (!rw.first && t.TID <= rw.prevTID) {
-		return rw.fail(fmt.Errorf("txn: write %s: TIDs not strictly ascending: %d after %d", rw.path, t.TID, rw.prevTID))
-	}
-	if !item.IsSorted(t.Items) {
-		return rw.fail(fmt.Errorf("txn: write %s: transaction %d items not canonical", rw.path, t.TID))
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := rw.w.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(t.TID - rw.prevTID)); err != nil {
+	if err := rw.enc.write(rw.w, t); err != nil {
 		return rw.fail(fmt.Errorf("txn: write %s: %w", rw.path, err))
-	}
-	rw.prevTID, rw.first = t.TID, false
-	if err := put(uint64(len(t.Items))); err != nil {
-		return rw.fail(fmt.Errorf("txn: write %s: %w", rw.path, err))
-	}
-	prev := item.Item(0)
-	for i, x := range t.Items {
-		d := uint64(x - prev)
-		if i == 0 {
-			d = uint64(x)
-		}
-		if err := put(d); err != nil {
-			return rw.fail(fmt.Errorf("txn: write %s: %w", rw.path, err))
-		}
-		prev = x
 	}
 	rw.count++
 	return nil
@@ -128,10 +95,7 @@ func (rw *RowWriter) Close() (err error) {
 		return rw.fail(fmt.Errorf("txn: create %s: %w", rw.path, err))
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
-	var hdr [4 + binary.MaxVarintLen64]byte
-	binary.BigEndian.PutUint32(hdr[:4], fileMagic)
-	n := 4 + binary.PutUvarint(hdr[4:], uint64(rw.count))
-	_, werr := w.Write(hdr[:n])
+	_, werr := w.Write(rowHeader(int(rw.count)))
 	if werr == nil {
 		_, werr = io.Copy(w, bufio.NewReaderSize(tmp, 1<<20))
 	}

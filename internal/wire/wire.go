@@ -9,6 +9,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"pgarm/internal/item"
 )
@@ -46,7 +47,10 @@ func AppendItems(dst []byte, items []item.Item) []byte {
 }
 
 // Items decodes an itemset encoded by AppendItems, appending the items to
-// out. It returns the extended slice and the number of bytes consumed.
+// out. It returns the extended slice and the number of bytes consumed. Only
+// what AppendItems emits for a canonical itemset is accepted: an item beyond
+// int32, a zero delta or a delta that would wrap is a corrupt payload, not a
+// negative or repeated item handed to the caller.
 func Items(b []byte, out []item.Item) ([]item.Item, int, error) {
 	n, used, err := Uvarint(b)
 	if err != nil {
@@ -63,10 +67,13 @@ func Items(b []byte, out []item.Item) ([]item.Item, int, error) {
 			return out, 0, err
 		}
 		off += u
-		if i == 0 {
+		switch {
+		case i == 0 && v <= math.MaxInt32:
 			prev = item.Item(v)
-		} else {
+		case i > 0 && v > 0 && v <= uint64(math.MaxInt32-prev):
 			prev += item.Item(v)
+		default:
+			return out, 0, fmt.Errorf("wire: item %d of itemset is not canonical (delta %d after %d)", i, v, prev)
 		}
 		out = append(out, prev)
 	}

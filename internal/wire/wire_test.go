@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,51 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		if _, _, _, err := PatternList(bp[:cut]); err == nil {
 			t.Errorf("truncated pattern list at %d accepted", cut)
 		}
+	}
+}
+
+// TestItemsRejectsNonCanonical: a peer batch may only carry what AppendItems
+// emits for a strictly ascending itemset of int32 items. Everything else used
+// to decode into a repeated or negative item and index out of range on the
+// receiver goroutine.
+func TestItemsRejectsNonCanonical(t *testing.T) {
+	enc := func(vs ...uint64) []byte {
+		b := AppendUvarint(nil, uint64(len(vs)))
+		for _, v := range vs {
+			b = AppendUvarint(b, v)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		b    []byte
+		ok   bool
+	}{
+		{"empty", enc(), true},
+		{"single zero", enc(0), true},
+		{"ascending", enc(0, 1, 5), true},
+		{"largest item", enc(math.MaxInt32), true},
+		{"ascending to largest item", enc(math.MaxInt32-1, 1), true},
+		{"zero delta", enc(4, 0), false},
+		{"zero delta late", enc(4, 2, 0), false},
+		{"first item beyond int32", enc(math.MaxInt32 + 1), false},
+		{"first item wraps negative", enc(1 << 32), false},
+		{"delta wraps int32", enc(7, math.MaxInt32), false},
+		{"delta wraps to a larger item", enc(7, 1<<32+1), false},
+		{"delta past largest item by one", enc(math.MaxInt32-1, 2), false},
+	} {
+		items, used, err := Items(c.b, nil)
+		if c.ok {
+			if err != nil || used != len(c.b) || !item.IsSorted(items) {
+				t.Errorf("%s: items %v used %d err %v", c.name, items, used, err)
+			}
+		} else if err == nil {
+			t.Errorf("%s: accepted as %v", c.name, items)
+		}
+	}
+	// The list decoders built on Items inherit the check.
+	if _, _, _, err := Counted(append(AppendUvarint(nil, 1), append(enc(3, 0), 9)...)); err == nil {
+		t.Error("counted block with a repeated item accepted")
 	}
 }
 
