@@ -191,17 +191,15 @@ func ItemsApplier(apply func(items []item.Item)) func(batch []byte) (int64, erro
 	dec := make([]item.Item, 0, 32)
 	return func(b []byte) (int64, error) {
 		var n int64
-		for off := 0; off < len(b); {
-			items, used, err := wire.Items(b[off:], dec[:0])
-			if err != nil {
-				return n, err
+		d := wire.NewDec(b)
+		for d.More() {
+			if dec = d.Items(dec[:0]); d.Err() != nil {
+				break
 			}
-			dec = items
-			off += used
-			n += int64(len(items))
-			apply(items)
+			n += int64(len(dec))
+			apply(dec)
 		}
-		return n, nil
+		return n, d.Err()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
+	"pgarm/internal/wire"
 )
 
 // LevelBarrier is the barrier half of an itemset Miner — MergeFrequents and
@@ -62,8 +63,9 @@ func (b *LevelBarrier) FinishItems(n *Node, global []int64) []itemset.Counted {
 func (b *LevelBarrier) MergeFrequents(n *Node, _ int, peerOwned [][]byte, dupTotal []int64) ([]byte, int, error) {
 	all := b.Own
 	for _, p := range peerOwned {
-		cs, _, err := itemset.ParseCounted(p)
-		if err != nil {
+		d := wire.NewDec(p)
+		cs := itemset.ParseCounted(&d)
+		if err := d.Done(); err != nil {
 			return nil, 0, fmt.Errorf("driver: decode owned frequents: %w", err)
 		}
 		all = append(all, cs...)
@@ -80,8 +82,9 @@ func (b *LevelBarrier) MergeFrequents(n *Node, _ int, peerOwned [][]byte, dupTot
 
 // FinishPass decodes the coordinator's broadcast on a follower.
 func (b *LevelBarrier) FinishPass(n *Node, _ int, payload []byte) (int, error) {
-	all, _, err := itemset.ParseCounted(payload)
-	if err != nil {
+	d := wire.NewDec(payload)
+	all := itemset.ParseCounted(&d)
+	if err := d.Done(); err != nil {
 		return 0, fmt.Errorf("driver: decode frequents broadcast: %w", err)
 	}
 	b.record(n, all)

@@ -272,31 +272,31 @@ func (n *Node) bcast(kind uint8, payload []byte, sent func(peer int)) ([]byte, e
 // could compute this directly, but routing it through the protocol keeps a
 // single code path for multi-process workers that only know their own disk.
 func (n *Node) sizeExchange() error {
-	total := uint64(n.miner.LocalSize())
+	total := n.miner.LocalSize()
 	if n.IsCoord() {
 		err := n.gather(func(m cluster.Message) error {
-			v, _, err := wire.Uvarint(m.Payload)
-			if err != nil {
+			d := wire.NewDec(m.Payload)
+			total += d.Int()
+			if err := d.Done(); err != nil {
 				return fmt.Errorf("driver: decode size from node %d: %w", m.From, err)
 			}
-			total += v
 			return nil
 		}, KSize)
 		if err != nil {
 			return err
 		}
-	} else if err := n.ep.Send(0, KSize, wire.AppendUvarint(nil, total)); err != nil {
+	} else if err := n.ep.Send(0, KSize, wire.AppendUvarint(nil, uint64(total))); err != nil {
 		return err
 	}
-	payload, err := n.bcast(KSize, wire.AppendUvarint(nil, total), nil)
+	payload, err := n.bcast(KSize, wire.AppendUvarint(nil, uint64(total)), nil)
 	if err != nil {
 		return err
 	}
-	v, _, err := wire.Uvarint(payload)
-	if err != nil {
+	d := wire.NewDec(payload)
+	n.totalSize = d.Int()
+	if err := d.Done(); err != nil {
 		return fmt.Errorf("driver: decode |D| broadcast: %w", err)
 	}
-	n.totalSize = int(v)
 	n.minCount = cumulate.MinCount(n.cfg.MinSupport, n.totalSize)
 	return nil
 }
@@ -336,8 +336,9 @@ func (n *Node) pass1() (int, error) {
 // addCounts sums the count vector a peer sent into total; what names the
 // vector in errors.
 func addCounts(total []int64, m cluster.Message, what string) error {
-	counts, _, err := wire.CountsAuto(m.Payload)
-	if err != nil {
+	d := wire.NewDec(m.Payload)
+	counts := d.CountsAuto(len(total))
+	if err := d.Done(); err != nil {
 		return fmt.Errorf("driver: decode %s counts from node %d: %w", what, m.From, err)
 	}
 	if len(counts) != len(total) {
@@ -367,8 +368,9 @@ func (n *Node) reduceCounts(counts []int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	global, _, err := wire.CountsAuto(payload)
-	if err != nil {
+	d := wire.NewDec(payload)
+	global := d.CountsAuto(len(counts))
+	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("driver: decode global pass-1 counts: %w", err)
 	}
 	return global, nil

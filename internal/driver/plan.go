@@ -2,7 +2,6 @@ package driver
 
 import (
 	"fmt"
-	"math"
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/metrics"
@@ -108,36 +107,33 @@ func appendSkewHint(dst []byte, s *metrics.SkewReport) []byte {
 	}
 	dst = append(dst, 1)
 	dst = wire.AppendUvarint(dst, uint64(s.Pass))
-	dst = wire.AppendUvarint(dst, math.Float64bits(s.BarrierWaitMaxOverMean))
-	dst = wire.AppendUvarint(dst, math.Float64bits(s.BytesSentCV))
-	dst = wire.AppendUvarint(dst, math.Float64bits(s.BlocksScannedCV))
-	dst = wire.AppendUvarint(dst, zigzag(int64(s.Straggler)))
-	return dst
+	dst = wire.AppendF64(dst, s.BarrierWaitMaxOverMean)
+	dst = wire.AppendF64(dst, s.BytesSentCV)
+	dst = wire.AppendF64(dst, s.BlocksScannedCV)
+	return wire.AppendZig(dst, int64(s.Straggler))
 }
 
 // decodeSkewHint decodes a KPlan payload: the pass the hint is for, then the
 // optional snapshot.
 func decodeSkewHint(p []byte) (int, *metrics.SkewReport, error) {
-	d := &teldec{b: p}
-	pass := int(d.u64())
-	present := d.byte()
+	d := wire.NewDec(p)
+	pass := d.Int()
 	var s *metrics.SkewReport
-	if present == 1 {
+	switch present := d.Byte(); present {
+	case 0:
+	case 1:
 		s = &metrics.SkewReport{
-			Pass:                   int(d.u64()),
-			BarrierWaitMaxOverMean: math.Float64frombits(d.u64()),
-			BytesSentCV:            math.Float64frombits(d.u64()),
-			BlocksScannedCV:        math.Float64frombits(d.u64()),
-			Straggler:              int(unzigzag(d.u64())),
+			Pass:                   d.Int(),
+			BarrierWaitMaxOverMean: d.F64(),
+			BytesSentCV:            d.F64(),
+			BlocksScannedCV:        d.F64(),
+			Straggler:              int(d.Zig()),
 		}
-	} else if present != 0 && d.err == nil {
-		return 0, nil, fmt.Errorf("driver: bad plan-hint presence byte %d", present)
+	default:
+		d.Fail("driver: bad plan-hint presence byte %d", present)
 	}
-	if d.err != nil {
-		return 0, nil, d.err
-	}
-	if len(d.b) != 0 {
-		return 0, nil, fmt.Errorf("driver: %d trailing plan-hint bytes", len(d.b))
+	if err := d.Done(); err != nil {
+		return 0, nil, err
 	}
 	return pass, s, nil
 }

@@ -317,7 +317,8 @@ func AssembleClusterStats(algorithm string, minSup float64, nd *Node, elapsed ti
 //	| totals (final batches only)
 //
 // All scalars are uvarints except span arg values (zigzag — they may be
-// negative) and span starts (zigzag — rebasing can shift them negative).
+// negative) and span starts (zigzag — rebasing can shift them negative). A
+// pass is metrics.NodeStats.Counters in order, then its per-kind traffic.
 func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 	dst = append(dst, telemetryVersion)
 	var flags byte
@@ -331,26 +332,29 @@ func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 
 	dst = wire.AppendUvarint(dst, uint64(len(b.passes)))
 	for i := range b.passes {
-		dst = appendNodeStats(dst, &b.passes[i])
+		for _, p := range b.passes[i].Counters() {
+			dst = wire.AppendUvarint(dst, uint64(*p))
+		}
+		dst = appendKindIO(dst, b.passes[i].ByKind)
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(b.tracks)))
 	for _, t := range b.tracks {
 		dst = wire.AppendUvarint(dst, uint64(t.Node))
 		dst = wire.AppendUvarint(dst, uint64(t.Lane))
-		dst = appendString(dst, t.Name)
+		dst = wire.AppendStr(dst, t.Name)
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(b.spans)))
 	for i := range b.spans {
 		sp := &b.spans[i]
-		dst = appendString(dst, sp.Name)
+		dst = wire.AppendStr(dst, sp.Name)
 		dst = wire.AppendUvarint(dst, uint64(sp.Node))
 		dst = wire.AppendUvarint(dst, uint64(sp.Lane))
-		dst = wire.AppendUvarint(dst, zigzag(sp.Start))
+		dst = wire.AppendZig(dst, sp.Start)
 		dst = wire.AppendUvarint(dst, uint64(sp.Dur))
 		dst = wire.AppendUvarint(dst, uint64(len(sp.Args)))
 		for _, a := range sp.Args {
-			dst = appendString(dst, a.Key)
-			dst = wire.AppendUvarint(dst, zigzag(a.Val))
+			dst = wire.AppendStr(dst, a.Key)
+			dst = wire.AppendZig(dst, a.Val)
 		}
 	}
 	if b.final {
@@ -362,18 +366,6 @@ func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 		dst = appendKindIO(dst, t.ByKind)
 	}
 	return dst
-}
-
-func appendNodeStats(dst []byte, s *metrics.NodeStats) []byte {
-	for _, v := range [...]int64{
-		s.TxnsScanned, s.Probes, s.Increments, s.ItemsSent, s.ItemsReceived,
-		s.BytesSent, s.BytesReceived, s.DataBytesSent, s.DataBytesReceived,
-		s.MsgsSent, s.MsgsReceived, s.BlocksScanned, s.BlocksSkipped,
-		s.BytesDecoded, int64(s.ScanTime), int64(s.BarrierWait),
-	} {
-		dst = wire.AppendUvarint(dst, uint64(v))
-	}
-	return appendKindIO(dst, s.ByKind)
 }
 
 func appendKindIO(dst []byte, ks []metrics.KindIO) []byte {
@@ -388,168 +380,71 @@ func appendKindIO(dst []byte, ks []metrics.KindIO) []byte {
 	return dst
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// teldec is a sequential decoder with a sticky error, so the happy path
-// reads linearly and one check at the end suffices.
-type teldec struct {
-	b   []byte
-	err error
-}
-
-func (d *teldec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *teldec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n, err := wire.Uvarint(d.b)
-	if err != nil {
-		d.err = err
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *teldec) i64() int64 { return int64(d.u64()) }
-
-func (d *teldec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) == 0 {
-		d.fail("driver: truncated telemetry payload")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *teldec) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("driver: telemetry string length %d exceeds payload", n)
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-// count reads a collection length and bounds it by the remaining payload
-// (each element costs at least minBytes), so corrupt lengths cannot drive
-// huge allocations.
-func (d *teldec) count(minBytes int) int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if n*uint64(minBytes) > uint64(len(d.b)) {
-		d.fail("driver: telemetry collection length %d exceeds payload", n)
-		return 0
-	}
-	return int(n)
-}
-
+// decodeTelemetry is appendTelemetry's inverse. Every collection length is
+// bounded by the payload through its smallest element (a pass is 16 counters
+// and a kind count, a track two ids and a name length, ...).
 func decodeTelemetry(p []byte) (*telemetryBatch, error) {
-	d := &teldec{b: p}
-	if v := d.byte(); d.err == nil && v != telemetryVersion {
-		return nil, fmt.Errorf("driver: unsupported telemetry version %d", v)
+	d := wire.NewDec(p)
+	if v := d.Byte(); v != telemetryVersion {
+		d.Fail("driver: unsupported telemetry version %d", v)
 	}
-	flags := d.byte()
 	b := &telemetryBatch{
-		final:     flags&1 != 0,
-		epoch:     d.i64(),
-		dropped:   d.i64(),
-		firstPass: int(d.u64()),
+		final:     d.Byte()&1 != 0,
+		epoch:     d.I64(),
+		dropped:   d.I64(),
+		firstPass: d.Int(),
 	}
-	nPasses := d.count(16)
-	for i := 0; i < nPasses && d.err == nil; i++ {
-		b.passes = append(b.passes, decodeNodeStats(d))
-	}
-	nTracks := d.count(3)
-	for i := 0; i < nTracks && d.err == nil; i++ {
-		b.tracks = append(b.tracks, obs.TrackName{
-			Node: int32(d.u64()), Lane: int32(d.u64()), Name: d.str(),
-		})
-	}
-	nSpans := d.count(5)
-	for i := 0; i < nSpans && d.err == nil; i++ {
-		sp := obs.SpanRecord{
-			Name:  d.str(),
-			Node:  int32(d.u64()),
-			Lane:  int32(d.u64()),
-			Start: unzigzag(d.u64()),
-			Dur:   d.i64(),
+	for i, n := 0, d.Count(17); i < n && d.Err() == nil; i++ {
+		var s metrics.NodeStats
+		for _, p := range s.Counters() {
+			*p = d.I64()
 		}
-		nArgs := d.count(2)
-		for j := 0; j < nArgs && d.err == nil; j++ {
-			sp.Args = append(sp.Args, obs.Arg{Key: d.str(), Val: unzigzag(d.u64())})
+		s.ByKind = decodeKindIO(&d)
+		b.passes = append(b.passes, s)
+	}
+	for i, n := 0, d.Count(3); i < n && d.Err() == nil; i++ {
+		b.tracks = append(b.tracks, obs.TrackName{Node: d.I32(), Lane: d.I32(), Name: d.Str()})
+	}
+	for i, n := 0, d.Count(6); i < n && d.Err() == nil; i++ {
+		sp := obs.SpanRecord{
+			Name:  d.Str(),
+			Node:  d.I32(),
+			Lane:  d.I32(),
+			Start: d.Zig(),
+			Dur:   d.I64(),
+		}
+		for j, m := 0, d.Count(2); j < m && d.Err() == nil; j++ {
+			sp.Args = append(sp.Args, obs.Arg{Key: d.Str(), Val: d.Zig()})
 		}
 		b.spans = append(b.spans, sp)
 	}
-	if b.final && d.err == nil {
-		t := metrics.EndpointTotals{
-			MsgsSent:      d.i64(),
-			MsgsReceived:  d.i64(),
-			BytesSent:     d.i64(),
-			BytesReceived: d.i64(),
-			ByKind:        decodeKindIO(d),
+	if b.final {
+		b.totals = &metrics.EndpointTotals{
+			MsgsSent:      d.I64(),
+			MsgsReceived:  d.I64(),
+			BytesSent:     d.I64(),
+			BytesReceived: d.I64(),
+			ByKind:        decodeKindIO(&d),
 		}
-		b.totals = &t
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("driver: %d trailing telemetry bytes", len(d.b))
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
 
-func decodeNodeStats(d *teldec) metrics.NodeStats {
-	var s metrics.NodeStats
-	for _, p := range [...]*int64{
-		&s.TxnsScanned, &s.Probes, &s.Increments, &s.ItemsSent, &s.ItemsReceived,
-		&s.BytesSent, &s.BytesReceived, &s.DataBytesSent, &s.DataBytesReceived,
-		&s.MsgsSent, &s.MsgsReceived, &s.BlocksScanned, &s.BlocksSkipped,
-		&s.BytesDecoded,
-	} {
-		*p = d.i64()
-	}
-	s.ScanTime = time.Duration(d.i64())
-	s.BarrierWait = time.Duration(d.i64())
-	s.ByKind = decodeKindIO(d)
-	return s
-}
-
-func decodeKindIO(d *teldec) []metrics.KindIO {
-	n := d.count(5)
+func decodeKindIO(d *wire.Dec) []metrics.KindIO {
+	n := d.Count(5)
 	if n == 0 {
 		return nil
 	}
 	out := make([]metrics.KindIO, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		k := d.byte()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.Byte()
 		out = append(out, metrics.KindIO{
 			Kind: k, Name: kindName(k),
-			MsgsSent: d.i64(), MsgsReceived: d.i64(),
-			BytesSent: d.i64(), BytesReceived: d.i64(),
+			MsgsSent: d.I64(), MsgsReceived: d.I64(),
+			BytesSent: d.I64(), BytesReceived: d.I64(),
 		})
 	}
 	return out

@@ -10,12 +10,14 @@ import (
 
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
+	"pgarm/internal/wire"
 )
 
 func TestZigzagRoundTrip(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 2, -2, 1998, -1998, math.MaxInt64, math.MinInt64} {
-		if got := unzigzag(zigzag(v)); got != v {
-			t.Errorf("unzigzag(zigzag(%d)) = %d", v, got)
+		d := wire.NewDec(wire.AppendZig(nil, v))
+		if got := d.Zig(); got != v || d.Done() != nil {
+			t.Errorf("Zig(AppendZig(%d)) = %d, err %v", v, got, d.Done())
 		}
 	}
 }
@@ -169,4 +171,93 @@ func TestClusterViewLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(decoded, cv.Snapshot()) {
 		t.Fatalf("served %+v, snapshot %+v", decoded, cv.Snapshot())
 	}
+}
+
+// TestPlaneRejectsOutOfRangeValues: every uvarint the telemetry plane and the
+// plan hint narrow is narrowed through the cursor. Each of these used to wrap
+// into a negative duration, total, dropped count or pass number and be
+// ingested as such.
+func TestPlaneRejectsOutOfRangeValues(t *testing.T) {
+	const big = 1<<63 + 5
+	uv := func(dst []byte, vs ...uint64) []byte {
+		for _, v := range vs {
+			dst = wire.AppendUvarint(dst, v)
+		}
+		return dst
+	}
+	head := func(epoch, dropped, firstPass uint64) []byte {
+		return uv([]byte{telemetryVersion, 0}, epoch, dropped, firstPass)
+	}
+	pass := func(scanTime uint64) []byte {
+		b := uv(nil, 1) // one pass
+		for i := 0; i < 14; i++ {
+			b = uv(b, uint64(i))
+		}
+		return uv(b, scanTime, 0 /* barrier wait */, 0 /* kinds */)
+	}
+	for _, c := range []struct {
+		name string
+		p    []byte
+		ok   bool
+	}{
+		{"control", uv(head(1, 2, 3), 0, 0, 0), true},
+		{"dropped wraps negative", uv(head(1, big, 3), 0, 0, 0), false},
+		{"epoch wraps negative", uv(head(big, 2, 3), 0, 0, 0), false},
+		{"first pass wraps negative", uv(head(1, 2, big), 0, 0, 0), false},
+		{"control pass", uv(append(head(1, 2, 3), pass(5000)...), 0, 0), true},
+		{"scan time wraps negative", uv(append(head(1, 2, 3), pass(big)...), 0, 0), false},
+		{"track node beyond int32", append(uv(head(1, 2, 3), 0, 1, 1<<32+1, 0), wire.AppendStr(nil, "n")...), false},
+		{"span duration wraps negative", uv(append(uv(head(1, 2, 3), 0, 0, 1), wire.AppendStr(nil, "s")...), 0, 0, 0, big, 0), false},
+	} {
+		if _, err := decodeTelemetry(c.p); (err == nil) != c.ok {
+			t.Errorf("telemetry %s: err %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+
+	hint := &metrics.SkewReport{Pass: 2, BarrierWaitMaxOverMean: 1.5, BytesSentCV: 0.25, Straggler: -1}
+	good := appendSkewHint(uv(nil, 3), hint)
+	if pass, got, err := decodeSkewHint(good); err != nil || pass != 3 || !reflect.DeepEqual(got, hint) {
+		t.Fatalf("skew hint round trip: pass %d, %+v, %v", pass, got, err)
+	}
+	for name, p := range map[string][]byte{
+		"pass wraps negative":         appendSkewHint(uv(nil, big), hint),
+		"snapshot pass wraps":         append(uv(nil, 3, 1, big), good[3:]...),
+		"bad presence byte":           uv(nil, 3, 2),
+		"trailing bytes":              append(append([]byte(nil), good...), 0),
+		"truncated":                   good[:len(good)-1],
+		"absent hint, trailing bytes": uv(nil, 3, 0, 0),
+	} {
+		if _, _, err := decodeSkewHint(p); err == nil {
+			t.Errorf("skew hint %s: accepted", name)
+		}
+	}
+}
+
+// FuzzTelemetry feeds arbitrary payloads to the two decoders of the plane: a
+// follower's KTelemetry batch and the coordinator's KPlan hint. Neither may
+// panic, and an accepted payload re-encodes to bytes that decode to the same
+// value (not the same bytes: a uvarint has non-minimal spellings).
+func FuzzTelemetry(f *testing.F) {
+	f.Add(appendTelemetry(nil, testBatch(false)))
+	f.Add(appendTelemetry(nil, testBatch(true)))
+	f.Add(appendTelemetry(nil, &telemetryBatch{firstPass: 1}))
+	f.Add(appendSkewHint([]byte{2}, nil))
+	f.Add(appendSkewHint([]byte{3}, &metrics.SkewReport{Pass: 2, BarrierWaitMaxOverMean: 1.5, Straggler: -1}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if b, err := decodeTelemetry(p); err == nil {
+			b2, err := decodeTelemetry(appendTelemetry(nil, b))
+			if err != nil || !reflect.DeepEqual(b, b2) {
+				t.Fatalf("telemetry re-encode: %v\n got %+v\nwant %+v", err, b2, b)
+			}
+		}
+		if pass, s, err := decodeSkewHint(p); err == nil {
+			pass2, s2, err := decodeSkewHint(appendSkewHint(wire.AppendUvarint(nil, uint64(pass)), s))
+			// Compare the ratios by bit pattern: NaN is a legal payload.
+			if err != nil || pass2 != pass || (s == nil) != (s2 == nil) ||
+				(s != nil && string(appendSkewHint(nil, s)) != string(appendSkewHint(nil, s2))) {
+				t.Fatalf("plan hint re-encode: %v: pass %d/%d, %+v vs %+v", err, pass, pass2, s, s2)
+			}
+		}
+	})
 }

@@ -258,35 +258,24 @@ func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTr
 // m.bases until Finish returns.
 func (m *fpgMiner) applyBases(b []byte) (int64, error) {
 	var items int64
-	dec := make([]item.Item, 0, 32)
-	for off := 0; off < len(b); {
-		r, used, err := wire.Uvarint(b[off:])
-		if err != nil {
-			return items, err
+	path := make([]item.Item, 0, 32)
+	d := wire.NewDec(b)
+	for d.More() {
+		r, count := d.Int(), d.I64()
+		if path = d.Items(path[:0]); d.Err() != nil {
+			break
 		}
-		off += used
-		count, used, err := wire.Uvarint(b[off:])
-		if err != nil {
-			return items, err
-		}
-		off += used
-		path, used, err := wire.Items(b[off:], dec[:0])
-		if err != nil {
-			return items, err
-		}
-		dec = path
-		off += used
 		items += int64(len(path))
-		q := int(r) / m.numNodes
-		if int(r) >= m.numLarge || int(r)%m.numNodes != m.nodeID || q >= len(m.bases) {
+		q := r / m.numNodes
+		if r >= m.numLarge || r%m.numNodes != m.nodeID || q >= len(m.bases) {
 			return items, fmt.Errorf("fpg: cond base for foreign rank %d", r)
 		}
 		if m.bases[q] == nil {
 			m.bases[q] = &pathSet{}
 		}
-		m.bases[q].add(path, int64(count))
+		m.bases[q].add(path, count)
 	}
-	return items, nil
+	return items, d.Err()
 }
 
 // mineOwned mines every owned suffix task across Workers. Tasks are claimed

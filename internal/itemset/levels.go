@@ -36,18 +36,15 @@ func AppendCounted(dst []byte, cs []Counted) []byte {
 	return wire.AppendCounted(dst, sets, counts)
 }
 
-// ParseCounted decodes one wire.AppendCounted block, returning the pairs and
-// the bytes consumed.
-func ParseCounted(b []byte) ([]Counted, int, error) {
-	sets, counts, used, err := wire.Counted(b)
-	if err != nil {
-		return nil, 0, err
-	}
+// ParseCounted reads one wire.AppendCounted block from d; the caller checks
+// d's error.
+func ParseCounted(d *wire.Dec) []Counted {
+	sets, counts := d.Counted()
 	cs := make([]Counted, len(sets))
 	for i := range sets {
 		cs[i] = Counted{Items: sets[i], Count: counts[i]}
 	}
-	return cs, used, nil
+	return cs
 }
 
 // Levels is the result shape every itemset miner produces — sequential

@@ -52,6 +52,19 @@ type NodeStats struct {
 	ByKind []KindIO
 }
 
+// Counters lists the pass window's scalar counters in the order KTelemetry
+// carries them. Encoder and decoder both walk this one list, so a counter
+// added here reaches both ends of the plane (and needs a telemetryVersion
+// bump, like any change to the order).
+func (s *NodeStats) Counters() [16]*int64 {
+	return [...]*int64{
+		&s.TxnsScanned, &s.Probes, &s.Increments, &s.ItemsSent, &s.ItemsReceived,
+		&s.BytesSent, &s.BytesReceived, &s.DataBytesSent, &s.DataBytesReceived,
+		&s.MsgsSent, &s.MsgsReceived, &s.BlocksScanned, &s.BlocksSkipped,
+		&s.BytesDecoded, (*int64)(&s.ScanTime), (*int64)(&s.BarrierWait),
+	}
+}
+
 // KindIO is one message kind's traffic during one node's pass window.
 type KindIO struct {
 	Kind          uint8  `json:"kind"`

@@ -16,7 +16,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
@@ -139,96 +138,39 @@ const (
 	secState    = 5
 )
 
-// appendString appends a length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// readString decodes a string appended by appendString.
-func readString(b []byte) (string, int, error) {
-	n, off, err := wire.Uvarint(b)
-	if err != nil {
-		return "", 0, err
-	}
-	if n > uint64(len(b)-off) {
-		return "", 0, fmt.Errorf("model: string length %d exceeds payload", n)
-	}
-	return string(b[off : off+int(n)]), off + int(n), nil
-}
-
-// appendFloat appends a float64 as its IEEE-754 bits, varint encoded.
-func appendFloat(dst []byte, f float64) []byte {
-	return wire.AppendUvarint(dst, math.Float64bits(f))
-}
-
-// readFloat decodes a float appended by appendFloat.
-func readFloat(b []byte) (float64, int, error) {
-	v, off, err := wire.Uvarint(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	return math.Float64frombits(v), off, nil
-}
-
 // appendMeta encodes the meta section payload.
 func appendMeta(dst []byte, m Meta) []byte {
-	dst = appendString(dst, m.Dataset)
-	dst = appendString(dst, m.Algorithm)
-	dst = appendString(dst, m.Tool)
+	dst = wire.AppendStr(dst, m.Dataset)
+	dst = wire.AppendStr(dst, m.Algorithm)
+	dst = wire.AppendStr(dst, m.Tool)
 	dst = wire.AppendUvarint(dst, uint64(m.NumTxns))
-	dst = appendFloat(dst, m.MinSupport)
-	dst = appendFloat(dst, m.MinConfidence)
+	dst = wire.AppendF64(dst, m.MinSupport)
+	dst = wire.AppendF64(dst, m.MinConfidence)
 	dst = wire.AppendUvarint(dst, uint64(m.CreatedUnix))
 	// Granules is appended last: readers of older snapshots simply run out of
 	// bytes before it and leave the field empty.
-	dst = appendString(dst, m.Granules)
-	return dst
+	return wire.AppendStr(dst, m.Granules)
 }
+
+// The section decoders below end on Err, not Done: a section may carry fields
+// a newer writer appended (as Granules was), which an older reader ignores.
 
 // readMeta decodes a meta section payload.
 func readMeta(b []byte) (Meta, error) {
-	var m Meta
-	var off int
-	var err error
-	if m.Dataset, off, err = readString(b); err != nil {
-		return m, err
+	d := wire.NewDec(b)
+	m := Meta{
+		Dataset:       d.Str(),
+		Algorithm:     d.Str(),
+		Tool:          d.Str(),
+		NumTxns:       d.I64(),
+		MinSupport:    d.F64(),
+		MinConfidence: d.F64(),
+		CreatedUnix:   d.I64(),
 	}
-	b = b[off:]
-	if m.Algorithm, off, err = readString(b); err != nil {
-		return m, err
+	if d.More() { // absent in snapshots written before the field existed
+		m.Granules = d.Str()
 	}
-	b = b[off:]
-	if m.Tool, off, err = readString(b); err != nil {
-		return m, err
-	}
-	b = b[off:]
-	n, off, err := wire.Uvarint(b)
-	if err != nil {
-		return m, err
-	}
-	m.NumTxns = int64(n)
-	b = b[off:]
-	if m.MinSupport, off, err = readFloat(b); err != nil {
-		return m, err
-	}
-	b = b[off:]
-	if m.MinConfidence, off, err = readFloat(b); err != nil {
-		return m, err
-	}
-	b = b[off:]
-	created, off, err := wire.Uvarint(b)
-	if err != nil {
-		return m, err
-	}
-	m.CreatedUnix = int64(created)
-	b = b[off:]
-	if len(b) > 0 { // absent in snapshots written before the field existed
-		if m.Granules, _, err = readString(b); err != nil {
-			return m, err
-		}
-	}
-	return m, nil
+	return m, d.Err()
 }
 
 // appendTaxonomy encodes the parent vector: item count, then parent+1 per
@@ -245,54 +187,41 @@ func appendTaxonomy(dst []byte, t *taxonomy.Taxonomy) []byte {
 // readTaxonomy decodes and rebuilds the taxonomy, re-validating the forest
 // structure (New rejects cycles and out-of-range parents).
 func readTaxonomy(b []byte) (*taxonomy.Taxonomy, error) {
-	n, off, err := wire.Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(b)) { // each parent takes >= 1 byte
-		return nil, fmt.Errorf("model: taxonomy size %d exceeds payload", n)
-	}
-	parent := make([]item.Item, n)
+	d := wire.NewDec(b)
+	parent := make([]item.Item, d.Count(1))
 	for i := range parent {
-		v, u, err := wire.Uvarint(b[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += u
-		parent[i] = item.Item(v) - 1
+		parent[i] = d.Item() - 1
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return taxonomy.New(parent)
 }
 
-// appendItemsets encodes the per-level large itemsets: level count, then one
+// appendLevels encodes per-level counted itemsets: level count, then one
 // wire.AppendCounted block per level.
-func appendItemsets(dst []byte, large [][]itemset.Counted) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(large)))
-	for _, level := range large {
+func appendLevels(dst []byte, levels [][]itemset.Counted) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(levels)))
+	for _, level := range levels {
 		dst = itemset.AppendCounted(dst, level)
 	}
 	return dst
 }
 
-// readItemsets decodes the itemsets section.
+// readLevels reads what appendLevels wrote.
+func readLevels(d *wire.Dec) [][]itemset.Counted {
+	n := d.Count(1)
+	levels := make([][]itemset.Counted, 0, n)
+	for k := 0; k < n && d.Err() == nil; k++ {
+		levels = append(levels, itemset.ParseCounted(d))
+	}
+	return levels
+}
+
+// readItemsets decodes the itemsets section: the large itemsets by level.
 func readItemsets(b []byte) ([][]itemset.Counted, error) {
-	levels, off, err := wire.Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if levels > uint64(len(b)) {
-		return nil, fmt.Errorf("model: level count %d exceeds payload", levels)
-	}
-	large := make([][]itemset.Counted, 0, levels)
-	for k := uint64(0); k < levels; k++ {
-		level, used, err := itemset.ParseCounted(b[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += used
-		large = append(large, level)
-	}
-	return large, nil
+	d := wire.NewDec(b)
+	return readLevels(&d), d.Err()
 }
 
 // appendRules encodes the rules section: rule count, then per rule the
@@ -303,48 +232,25 @@ func appendRules(dst []byte, rs []rules.Rule) []byte {
 		dst = wire.AppendItems(dst, r.Antecedent)
 		dst = wire.AppendItems(dst, r.Consequent)
 		dst = wire.AppendUvarint(dst, uint64(r.Count))
-		dst = appendFloat(dst, r.Support)
-		dst = appendFloat(dst, r.Confidence)
+		dst = wire.AppendF64(dst, r.Support)
+		dst = wire.AppendF64(dst, r.Confidence)
 	}
 	return dst
 }
 
 // readRules decodes the rules section.
 func readRules(b []byte) ([]rules.Rule, error) {
-	n, off, err := wire.Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(b)) { // each rule takes >= 5 bytes
-		return nil, fmt.Errorf("model: rule count %d exceeds payload", n)
-	}
+	d := wire.NewDec(b)
+	n := d.Count(5) // two itemsets, a count, two floats
 	out := make([]rules.Rule, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var r rules.Rule
-		var used int
-		if r.Antecedent, used, err = wire.Items(b[off:], nil); err != nil {
-			return nil, err
-		}
-		off += used
-		if r.Consequent, used, err = wire.Items(b[off:], nil); err != nil {
-			return nil, err
-		}
-		off += used
-		c, u, err := wire.Uvarint(b[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += u
-		r.Count = int64(c)
-		if r.Support, u, err = readFloat(b[off:]); err != nil {
-			return nil, err
-		}
-		off += u
-		if r.Confidence, u, err = readFloat(b[off:]); err != nil {
-			return nil, err
-		}
-		off += u
-		out = append(out, r)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, rules.Rule{
+			Antecedent: d.Items(nil),
+			Consequent: d.Items(nil),
+			Count:      d.I64(),
+			Support:    d.F64(),
+			Confidence: d.F64(),
+		})
 	}
-	return out, nil
+	return out, d.Err()
 }

@@ -48,7 +48,7 @@ func Encode(m *Model) ([]byte, error) {
 	}
 	section(secMeta, appendMeta(nil, m.Meta))
 	section(secTaxonomy, appendTaxonomy(nil, m.Taxonomy))
-	section(secItemsets, appendItemsets(nil, m.Large))
+	section(secItemsets, appendLevels(nil, m.Large))
 	section(secRules, appendRules(nil, m.Rules))
 	if m.State != nil {
 		section(secState, appendState(nil, m.State))
@@ -151,24 +151,15 @@ func NewReader(data []byte) (*Reader, error) {
 	}
 
 	r := &Reader{checksum: sum, sections: make(map[uint64][]byte)}
-	for off := 0; off < len(body); {
-		id, u, err := wire.Uvarint(body[off:])
-		if err != nil {
-			return nil, fmt.Errorf("model: corrupt section table: %v", err)
-		}
-		off += u
-		n, u, err := wire.Uvarint(body[off:])
-		if err != nil {
-			return nil, fmt.Errorf("model: corrupt section table: %v", err)
-		}
-		off += u
-		if n > uint64(len(body)-off) {
-			return nil, fmt.Errorf("model: section %d length %d exceeds body", id, n)
-		}
+	d := wire.NewDec(body)
+	for d.More() {
 		// Last section of a given id wins; unknown ids are retained but
 		// ignored, so future writers can append sections compatibly.
-		r.sections[id] = body[off : off+int(n)]
-		off += int(n)
+		id := d.U64()
+		r.sections[id] = d.Bytes()
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("model: corrupt section table: %v", err)
 	}
 	metaSec, ok := r.sections[secMeta]
 	if !ok {

@@ -75,56 +75,20 @@ func appendState(dst []byte, s *MiningState) []byte {
 	dst = wire.AppendUvarint(dst, uint64(s.LogByte))
 	dst = wire.AppendUvarint(dst, uint64(s.LogTxns))
 	dst = wire.AppendCountsAuto(dst, s.ItemCounts)
-	dst = wire.AppendUvarint(dst, uint64(len(s.Levels)))
-	for _, level := range s.Levels {
-		dst = itemset.AppendCounted(dst, level)
-	}
-	return dst
+	return appendLevels(dst, s.Levels)
 }
 
-// readState decodes a state section payload.
-func readState(b []byte) (*MiningState, error) {
-	s := &MiningState{}
-	seg, off, err := wire.Uvarint(b)
-	if err != nil {
-		return nil, err
+// readState decodes a state section payload of a model over numItems items.
+func readState(b []byte, numItems int) (*MiningState, error) {
+	d := wire.NewDec(b)
+	s := &MiningState{
+		LogSeg:     d.U64(),
+		LogByte:    d.I64(),
+		LogTxns:    d.I64(),
+		ItemCounts: d.CountsAuto(numItems),
+		Levels:     readLevels(&d),
 	}
-	s.LogSeg = seg
-	b = b[off:]
-	byteOff, off, err := wire.Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	s.LogByte = int64(byteOff)
-	b = b[off:]
-	txns, off, err := wire.Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	s.LogTxns = int64(txns)
-	b = b[off:]
-	if s.ItemCounts, off, err = wire.CountsAuto(b); err != nil {
-		return nil, err
-	}
-	b = b[off:]
-	levels, off, err := wire.Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if levels > uint64(len(b)) {
-		return nil, fmt.Errorf("model: state level count %d exceeds payload", levels)
-	}
-	b = b[off:]
-	s.Levels = make([][]itemset.Counted, 0, levels)
-	for k := uint64(0); k < levels; k++ {
-		level, used, err := itemset.ParseCounted(b)
-		if err != nil {
-			return nil, err
-		}
-		b = b[used:]
-		s.Levels = append(s.Levels, level)
-	}
-	return s, nil
+	return s, d.Err()
 }
 
 // State decodes (once) and returns the incremental mining state, or nil if
@@ -133,7 +97,11 @@ func (r *Reader) State() (*MiningState, error) {
 	if !r.stateDone {
 		sec, ok := r.sections[secState]
 		if ok {
-			s, err := readState(sec)
+			tax, err := r.Taxonomy() // the universe the item count vector is indexed by
+			if err != nil {
+				return nil, err
+			}
+			s, err := readState(sec, tax.NumItems())
 			if err != nil {
 				return nil, fmt.Errorf("model: corrupt state section: %v", err)
 			}

@@ -270,12 +270,12 @@ func (m *seqMiner) countPartitioned(n *driver.Node, k int, st *metrics.NodeStats
 	xsp := n.Span("exchange")
 	cp := n.NewExchange(driver.KData, func(batch []byte) (int64, error) {
 		var items int64
-		for off := 0; off < len(batch); {
-			closures, used, err := wire.ItemsList(batch[off:])
-			if err != nil {
-				return items, err
+		d := wire.NewDec(batch)
+		for d.More() {
+			closures := d.ItemsList()
+			if d.Err() != nil {
+				break
 			}
-			off += used
 			items += closureItems(closures)
 			for _, i := range ownedIdx {
 				st.Probes++
@@ -285,7 +285,7 @@ func (m *seqMiner) countPartitioned(n *driver.Node, k int, st *metrics.NodeStats
 				}
 			}
 		}
-		return items, nil
+		return items, d.Err()
 	})
 
 	wunit := make([][]byte, W) // per-worker encode scratch
@@ -377,8 +377,9 @@ func (m *seqMiner) countPartitioned(n *driver.Node, k int, st *metrics.NodeStats
 func (m *seqMiner) MergeFrequents(n *driver.Node, _ int, peerOwned [][]byte, dupTotal []int64) ([]byte, int, error) {
 	all := append([]Pattern(nil), m.owned...)
 	for _, p := range peerOwned {
-		pats, counts, _, err := wire.PatternList(p)
-		if err != nil {
+		d := wire.NewDec(p)
+		pats, counts := d.PatternList()
+		if err := d.Done(); err != nil {
 			return nil, 0, fmt.Errorf("seq: decode owned frequents: %w", err)
 		}
 		for i := range pats {
@@ -397,8 +398,9 @@ func (m *seqMiner) MergeFrequents(n *driver.Node, _ int, peerOwned [][]byte, dup
 
 // FinishPass decodes the coordinator's F_k broadcast on a follower.
 func (m *seqMiner) FinishPass(n *driver.Node, _ int, payload []byte) (int, error) {
-	pats, counts, _, err := wire.PatternList(payload)
-	if err != nil {
+	d := wire.NewDec(payload)
+	pats, counts := d.PatternList()
+	if err := d.Done(); err != nil {
 		return 0, fmt.Errorf("seq: decode F_k broadcast: %w", err)
 	}
 	fk := make([]Pattern, len(pats))

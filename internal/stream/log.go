@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -250,7 +249,8 @@ func validateSegment(path string, seg uint64, base, prevTID int64, last bool) (n
 }
 
 // checkHeader validates a segment header against the expected index and
-// cumulative transaction count.
+// cumulative transaction count; base < 0 means the caller does not know the
+// count (a reader resuming mid-segment) and it is not compared.
 func checkHeader(b []byte, seg uint64, base int64) error {
 	if len(b) < headerSize {
 		return fmt.Errorf("short segment header: %d bytes", len(b))
@@ -264,7 +264,7 @@ func checkHeader(b []byte, seg uint64, base int64) error {
 	if i := binary.BigEndian.Uint64(b[5:]); i != seg {
 		return fmt.Errorf("header names segment %d, file is segment %d", i, seg)
 	}
-	if bt := binary.BigEndian.Uint64(b[13:]); bt != uint64(base) {
+	if bt := binary.BigEndian.Uint64(b[13:]); base >= 0 && bt != uint64(base) {
 		return fmt.Errorf("header base txns %d, expected %d", bt, base)
 	}
 	return nil
@@ -306,71 +306,29 @@ func sliceFrame(b []byte, off int64) (payload []byte, next int64, err error) {
 // then the first transaction's TID is accepted as-is and ascent is only
 // enforced from the second transaction on.
 func decodeFrame(payload []byte, prevTID int64, scratch *[]item.Item, fn func(txn.Transaction) error) (n, lastTID int64, err error) {
-	count, used, err := wire.Uvarint(payload)
-	if err != nil {
-		return 0, 0, err
+	d := wire.NewDec(payload)
+	count := d.Count(3) // a TID, a size and at least one item
+	if count == 0 {
+		d.Fail("frame holds no transactions")
 	}
-	if count == 0 || count > uint64(len(payload)) { // each txn takes >= 3 bytes
-		return 0, 0, fmt.Errorf("frame txn count %d out of range", count)
-	}
-	off := used
 	tid := prevTID
-	for i := uint64(0); i < count; i++ {
-		v, u, err := wire.Uvarint(payload[off:])
-		if err != nil {
-			return 0, 0, err
+	for i := 0; i < count; i++ {
+		tid = d.TID(tid, i == 0)
+		nitems := d.Count(1)
+		if nitems == 0 || nitems > maxBasketSize {
+			d.Fail("frame basket size %d out of range", nitems)
 		}
-		off += u
-		if i == 0 {
-			if v > math.MaxInt64 {
-				return 0, 0, fmt.Errorf("frame TID %d overflows", v)
-			}
-			if tid >= 0 && int64(v) <= tid {
-				return 0, 0, fmt.Errorf("frame TID %d not above prior %d", v, tid)
-			}
-			tid = int64(v)
-		} else {
-			if v == 0 || v > math.MaxInt64-uint64(tid) {
-				return 0, 0, fmt.Errorf("frame TID delta %d invalid after %d", v, tid)
-			}
-			tid += int64(v)
-		}
-		nitems, u, err := wire.Uvarint(payload[off:])
-		if err != nil {
-			return 0, 0, err
-		}
-		off += u
-		if nitems == 0 || nitems > maxBasketSize || nitems > uint64(len(payload)-off) {
-			return 0, 0, fmt.Errorf("frame basket size %d out of range", nitems)
-		}
-		basket := (*scratch)[:0]
-		prev := item.Item(0)
-		for j := uint64(0); j < nitems; j++ {
-			d, u, err := wire.Uvarint(payload[off:])
-			if err != nil {
-				return 0, 0, err
-			}
-			off += u
-			if j == 0 {
-				if d > math.MaxInt32 {
-					return 0, 0, fmt.Errorf("frame item %d overflows", d)
-				}
-				prev = item.Item(d)
-			} else {
-				if d == 0 || d > uint64(math.MaxInt32-prev) {
-					return 0, 0, fmt.Errorf("frame item delta %d invalid after %d", d, prev)
-				}
-				prev += item.Item(d)
-			}
-			basket = append(basket, prev)
+		basket := d.Run((*scratch)[:0], nitems)
+		if d.Err() != nil {
+			break
 		}
 		*scratch = basket
 		if err := fn(txn.Transaction{TID: tid, Items: basket}); err != nil {
 			return 0, 0, err
 		}
 	}
-	if off != len(payload) {
-		return 0, 0, fmt.Errorf("frame has %d trailing bytes", len(payload)-off)
+	if err := d.Done(); err != nil {
+		return 0, 0, err
 	}
 	return int64(count), tid, nil
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -61,8 +60,8 @@ func (r *Reader) ReadFrom(off Offset, fn func(t txn.Transaction) error) (Offset,
 		if off.Byte == headerSize {
 			base = off.Txns
 		}
-		if err := headerOK(b, off.Seg, base); err != nil {
-			return off, err
+		if err := checkHeader(b, off.Seg, base); err != nil {
+			return off, fmt.Errorf("stream: segment %d: %w", off.Seg, err)
 		}
 		if off.Byte > int64(len(b)) {
 			return off, fmt.Errorf("stream: offset byte %d past segment %d end %d", off.Byte, off.Seg, len(b))
@@ -108,19 +107,6 @@ func (r *Reader) ReadFrom(off Offset, fn func(t txn.Transaction) error) (Offset,
 			off = Offset{Seg: off.Seg, Byte: next, Txns: off.Txns + n}
 		}
 	}
-}
-
-// headerOK validates a segment header, checking the cumulative base count
-// only when base >= 0.
-func headerOK(b []byte, seg uint64, base int64) error {
-	if base >= 0 {
-		return checkHeader(b, seg, base)
-	}
-	if len(b) < headerSize {
-		return fmt.Errorf("stream: segment %d: short header", seg)
-	}
-	// Reuse checkHeader for magic/version/index by echoing the stored base.
-	return checkHeader(b, seg, int64(binary.BigEndian.Uint64(b[13:])))
 }
 
 // Prefix returns a txn.Scanner over exactly the first off.Txns transactions

@@ -204,85 +204,52 @@ func parseColumnar(f *os.File) (*ColumnarFile, error) {
 		return nil, fmt.Errorf("directory checksum mismatch (%08x != %08x)", got, want)
 	}
 
-	numBlocks, off, err := wire.Uvarint(dir)
-	if err != nil {
-		return nil, fmt.Errorf("directory: %w", err)
-	}
-	if numBlocks > uint64(len(dir)) { // each entry takes >= 6 bytes
-		return nil, fmt.Errorf("directory block count %d exceeds payload", numBlocks)
-	}
+	d := wire.NewDec(dir)
+	numBlocks := d.Count(6) // six fields per entry
 	cf.metas = make([]BlockMeta, 0, numBlocks)
-	nextOff := uint64(columnarHeaderSize)
+	nextOff := int64(columnarHeaderSize)
 	prevTID := int64(0)
-	u := func() (uint64, error) {
-		v, n, err := wire.Uvarint(dir[off:])
-		off += n
-		return v, err
-	}
-	for b := uint64(0); b < numBlocks; b++ {
-		blockOff, err := u()
-		if err != nil {
-			return nil, fmt.Errorf("directory entry %d: %w", b, err)
+	for b := 0; b < numBlocks; b++ {
+		m := BlockMeta{
+			Ordinal:  b,
+			Offset:   d.I64(),
+			Length:   d.I64(),
+			Count:    d.Int(),
+			FirstTID: d.I64(),
+			MinItem:  d.Item(),
+			MaxItem:  d.Item(),
 		}
-		length, err := u()
-		if err != nil {
-			return nil, fmt.Errorf("directory entry %d: %w", b, err)
-		}
-		count, err := u()
-		if err != nil {
-			return nil, fmt.Errorf("directory entry %d: %w", b, err)
-		}
-		firstTID, err := u()
-		if err != nil {
-			return nil, fmt.Errorf("directory entry %d: %w", b, err)
-		}
-		minIt, err := u()
-		if err != nil {
-			return nil, fmt.Errorf("directory entry %d: %w", b, err)
-		}
-		maxIt, err := u()
-		if err != nil {
+		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("directory entry %d: %w", b, err)
 		}
 		// Blocks must tile [header, directory) exactly, in order: that makes
 		// every block independently locatable and rules out overlapping or
 		// dangling extents in corrupt directories.
-		if blockOff != nextOff || length == 0 || blockOff+length > dirOff {
-			return nil, fmt.Errorf("directory entry %d: block extent [%d,+%d) out of place", b, blockOff, length)
+		if m.Offset != nextOff || m.Length == 0 || m.Length > int64(dirOff)-m.Offset {
+			return nil, fmt.Errorf("directory entry %d: block extent [%d,+%d) out of place", b, m.Offset, m.Length)
 		}
-		nextOff = blockOff + length
+		nextOff = m.Offset + m.Length
 		// The sizes column alone needs one byte per transaction, so a count
 		// beyond the block's byte length is corruption; rejecting it here also
 		// bounds the decoder's count-sized scratch by the block size.
-		if count == 0 || count > maxTxnsPerBlock || count > length {
-			return nil, fmt.Errorf("directory entry %d: implausible block count %d", b, count)
+		if m.Count == 0 || m.Count > maxTxnsPerBlock || int64(m.Count) > m.Length {
+			return nil, fmt.Errorf("directory entry %d: implausible block count %d", b, m.Count)
 		}
 		// TIDs are strictly ascending file-wide and in-block deltas are
 		// >= 1, so block b's first TID must clear the previous block's
 		// minimum possible last TID (its first TID + count - 1).
-		if firstTID > math.MaxInt64-count || (b > 0 && int64(firstTID) < prevTID) {
-			return nil, fmt.Errorf("directory entry %d: first TID %d not ascending", b, firstTID)
+		if m.FirstTID > math.MaxInt64-int64(m.Count) || (b > 0 && m.FirstTID < prevTID) {
+			return nil, fmt.Errorf("directory entry %d: first TID %d not ascending", b, m.FirstTID)
 		}
-		prevTID = int64(firstTID) + int64(count)
-		if minIt > math.MaxInt32 || maxIt > math.MaxInt32 {
-			return nil, fmt.Errorf("directory entry %d: item bound out of range", b)
-		}
-		cf.metas = append(cf.metas, BlockMeta{
-			Ordinal:  int(b),
-			Offset:   int64(blockOff),
-			Length:   int64(length),
-			Count:    int(count),
-			FirstTID: int64(firstTID),
-			MinItem:  item.Item(minIt),
-			MaxItem:  item.Item(maxIt),
-		})
-		cf.count += int(count)
+		prevTID = m.FirstTID + int64(m.Count)
+		cf.metas = append(cf.metas, m)
+		cf.count += m.Count
 	}
-	if nextOff != dirOff {
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("directory: %w", err)
+	}
+	if nextOff != int64(dirOff) {
 		return nil, fmt.Errorf("blocks end at %d but directory starts at %d", nextOff, dirOff)
-	}
-	if off != len(dir) {
-		return nil, fmt.Errorf("%d trailing bytes after directory entries", len(dir)-off)
 	}
 	return cf, nil
 }
@@ -410,41 +377,33 @@ type blockDecoder struct {
 // column lengths, ascending TIDs, canonical in-range itemsets, items inside
 // the directory's bounds, no trailing bytes — so a corrupt block is an error,
 // never a silently short or wrong scan.
-func (d *blockDecoder) decode(m *BlockMeta, buf []byte) ([]Transaction, error) {
+func (bd *blockDecoder) decode(m *BlockMeta, buf []byte) ([]Transaction, error) {
 	n := m.Count
-	if cap(d.txns) < n {
-		d.txns = make([]Transaction, n)
-		d.sizes = make([]int, n)
+	if cap(bd.txns) < n {
+		bd.txns = make([]Transaction, n)
+		bd.sizes = make([]int, n)
 	}
-	txns := d.txns[:n]
-	sizes := d.sizes[:n]
-	off := 0
-	u := func() (uint64, bool) {
-		v, used, err := wire.Uvarint(buf[off:])
-		if err != nil {
-			return 0, false
-		}
-		off += used
-		return v, true
-	}
+	txns := bd.txns[:n]
+	sizes := bd.sizes[:n]
+	d := wire.NewDec(buf)
 
 	// Sizes column; the total sizes the item arena.
 	total := 0
-	for i := 0; i < n; i++ {
-		sz, ok := u()
-		if !ok {
-			return nil, fmt.Errorf("truncated sizes column at txn %d", i)
-		}
+	for i := range sizes {
+		sz := d.U64()
 		if sz > maxBasketSize {
 			return nil, fmt.Errorf("implausible basket size %d", sz)
 		}
 		sizes[i] = int(sz)
 		total += int(sz)
 	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("sizes column: %w", err)
+	}
 	// Every item takes at least one encoded byte, so the item column cannot
 	// hold more items than the block has bytes left; rejecting impossible
 	// totals here keeps the arena allocation bounded by the block size.
-	if total > len(buf)-off {
+	if total > d.Len() {
 		return nil, fmt.Errorf("item total %d exceeds block capacity", total)
 	}
 
@@ -452,51 +411,29 @@ func (d *blockDecoder) decode(m *BlockMeta, buf []byte) ([]Transaction, error) {
 	tid := m.FirstTID
 	txns[0].TID = tid
 	for i := 1; i < n; i++ {
-		dt, ok := u()
-		if !ok {
-			return nil, fmt.Errorf("truncated TID column at txn %d", i)
-		}
-		if dt == 0 || dt > uint64(math.MaxInt64-tid) {
-			return nil, fmt.Errorf("non-canonical TID delta at txn %d", i)
-		}
-		tid += int64(dt)
+		tid = d.TID(tid, false)
 		txns[i].TID = tid
 	}
-
-	// Item column into the arena; itemsets are sub-slices of it.
-	if cap(d.arena) < total {
-		d.arena = make([]item.Item, total)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("TID column: %w", err)
 	}
-	arena := d.arena[:0]
-	for i := 0; i < n; i++ {
+
+	// Item column into the arena; itemsets are sub-slices of it. A run is
+	// strictly ascending, so its ends carry the directory's bounds check.
+	if cap(bd.arena) < total {
+		bd.arena = make([]item.Item, total)
+	}
+	arena := bd.arena[:0]
+	for i, sz := range sizes {
 		start := len(arena)
-		prev := item.Item(0)
-		for j := 0; j < sizes[i]; j++ {
-			dv, ok := u()
-			if !ok {
-				return nil, fmt.Errorf("truncated item column at txn %d", i)
-			}
-			if j == 0 {
-				if dv > math.MaxInt32 {
-					return nil, fmt.Errorf("item out of range at txn %d", i)
-				}
-				prev = item.Item(dv)
-			} else {
-				if dv == 0 || dv > uint64(math.MaxInt32-int64(prev)) {
-					return nil, fmt.Errorf("non-canonical item delta at txn %d", i)
-				}
-				prev += item.Item(dv)
-			}
-			if prev < m.MinItem || prev > m.MaxItem {
-				return nil, fmt.Errorf("item %d outside block bounds at txn %d", prev, i)
-			}
-			arena = append(arena, prev)
+		arena = d.Run(arena, sz)
+		if s := arena[start:]; len(s) > 0 && (s[0] < m.MinItem || s[len(s)-1] > m.MaxItem) {
+			return nil, fmt.Errorf("item outside block bounds [%d,%d] at txn %d", m.MinItem, m.MaxItem, i)
 		}
 		txns[i].Items = arena[start:len(arena):len(arena)]
 	}
-	d.arena = arena[:0]
-	if off != len(buf) {
-		return nil, fmt.Errorf("%d trailing bytes in block body", len(buf)-off)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("item column: %w", err)
 	}
 	return txns, nil
 }

@@ -1,7 +1,9 @@
 package txn
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"pgarm/internal/item"
 	"pgarm/internal/taxonomy"
+	"pgarm/internal/wire"
 )
 
 // testTaxonomy returns a small balanced hierarchy covering sampleDB's items.
@@ -312,5 +315,120 @@ func TestScanAllocsConstant(t *testing.T) {
 	// transactions must not add to it.
 	if large > small+4 {
 		t.Errorf("scan of 5000 txns allocates %.0f vs %.0f for 50: per-transaction allocation crept back in", large, small)
+	}
+}
+
+// withDirectory returns a copy of the columnar file data whose directory is
+// replaced by one holding the given raw entries (six uvarints each), with the
+// trailer's length and checksum made right — what a corrupt writer, not a
+// flipped bit, would leave behind.
+func withDirectory(data []byte, entries [][6]uint64) []byte {
+	tr := data[len(data)-columnarTrailerSize:]
+	dirOff := binary.BigEndian.Uint64(tr[0:8])
+	dir := wire.AppendUvarint(nil, uint64(len(entries)))
+	for _, e := range entries {
+		for _, v := range e {
+			dir = wire.AppendUvarint(dir, v)
+		}
+	}
+	out := append(append([]byte(nil), data[:dirOff]...), dir...)
+	out = binary.BigEndian.AppendUint64(out, dirOff)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(dir)))
+	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(dir))
+	return binary.BigEndian.AppendUint32(out, columnarMagic)
+}
+
+// TestColumnarDirectoryRejectsOutOfRangeFields: the six directory fields are
+// narrowed through the cursor. A block length of 2^64-1 used to wrap the
+// extent check (offset+length), open cleanly and panic the first scan on a
+// negative buffer length.
+func TestColumnarDirectoryRejectsOutOfRangeFields(t *testing.T) {
+	db := sampleDB()
+	orig, err := os.ReadFile(writeColumnarOrDie(t, db, nil, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenColumnar(writeBytes(t, orig))
+	if err != nil || f.NumBlocks() < 2 {
+		t.Fatalf("control file: %v", err)
+	}
+	var good [][6]uint64
+	for _, m := range f.metas {
+		good = append(good, [6]uint64{uint64(m.Offset), uint64(m.Length), uint64(m.Count), uint64(m.FirstTID), uint64(m.MinItem), uint64(m.MaxItem)})
+	}
+	dirOff := uint64(f.metas[len(f.metas)-1].Offset + f.metas[len(f.metas)-1].Length)
+	edit := func(block, field int, v uint64) [][6]uint64 {
+		es := append([][6]uint64(nil), good...)
+		es[block][field] = v
+		return es
+	}
+	const big = 1<<63 + 5
+	for _, c := range []struct {
+		name    string
+		entries [][6]uint64
+		ok      bool
+	}{
+		{"control", good, true},
+		// Block 0 claims 2^64-1 bytes, so its extent wraps to end at 12;
+		// block 1 then tiles [12, dirOff) and every check used to pass.
+		{"length wraps the extent check", [][6]uint64{
+			{columnarHeaderSize, 1<<64 - 1, 1, 1, 0, 1 << 20},
+			{columnarHeaderSize - 1, dirOff - (columnarHeaderSize - 1), 1, 5, 0, 1 << 20},
+		}, false},
+		{"offset beyond int64", edit(1, 0, big), false},
+		{"length beyond int64", edit(1, 1, big), false},
+		{"count beyond int", edit(0, 2, big), false},
+		{"first TID beyond int64", edit(0, 3, big), false},
+		{"min item beyond int32", edit(0, 4, 1<<32+1), false},
+		{"max item beyond int32", edit(0, 5, 1<<31), false},
+	} {
+		f, err := OpenColumnar(writeBytes(t, withDirectory(orig, c.entries)))
+		if err == nil {
+			n := 0
+			err = f.Scan(func(Transaction) error { n++; return nil })
+			if err == nil && n != db.Len() {
+				t.Errorf("%s: scan delivered %d of %d transactions", c.name, n, db.Len())
+			}
+		}
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+func writeBytes(t *testing.T, b []byte) string {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "c.ptc")
+	if err := os.WriteFile(p, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestBlockDecodeNoAllocs: once its scratch has grown to the largest block, a
+// scan's decoder allocates nothing per block.
+func TestBlockDecodeNoAllocs(t *testing.T) {
+	db, tax := writerTestDB(t)
+	path := writeColumnarOrDie(t, db, tax, 64)
+	f, err := OpenColumnar(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec blockDecoder
+	decodeAll := func() {
+		for i := range f.metas {
+			m := &f.metas[i]
+			if _, err := dec.decode(m, data[m.Offset:m.Offset+m.Length]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decodeAll() // grow the scratch
+	if allocs := testing.AllocsPerRun(20, decodeAll); allocs != 0 {
+		t.Errorf("steady-state block decode: %v allocs per %d blocks", allocs, len(f.metas))
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"pgarm/internal/item"
+	"pgarm/internal/wire"
 )
 
 // Binary transaction file format, a node's simulated local disk:
@@ -166,7 +166,7 @@ func (f *File) Scan(fn func(Transaction) error) error {
 	if err != nil {
 		return fmt.Errorf("txn: reread count of %s: %w", f.path, err)
 	}
-	tid := int64(0)
+	tid := int64(-1) // nothing precedes the first TID
 	items := make([]item.Item, 0, 64)
 	for i := uint64(0); i < count; i++ {
 		t, err := readTxn(r, i == 0, &tid, items[:0])
@@ -181,23 +181,21 @@ func (f *File) Scan(fn func(Transaction) error) error {
 	return nil
 }
 
-// readTxn decodes one transaction into the caller's scratch buffer. The
-// decoder rejects anything the writer cannot produce: TID overflow,
-// implausible basket sizes, item values outside int32, and non-canonical
-// (zero or overflowing) item deltas — so a decoded transaction is always
-// canonical and corruption surfaces as an error, never as silently wrong
-// itemsets.
+// readTxn decodes one transaction into the caller's scratch buffer, streaming
+// from r (row files are scanned, not slurped, so this is the one decoder not
+// on a wire.Dec). It takes each step from the rule functions the cursor uses
+// — wire.NextTID, wire.NextItem — and so rejects exactly what a block or a
+// frame decoder rejects: a decoded transaction is always canonical and
+// corruption surfaces as an error, never as silently wrong itemsets.
 func readTxn(r *bufio.Reader, first bool, tid *int64, items []item.Item) (Transaction, error) {
 	d, err := binary.ReadUvarint(r)
 	if err != nil {
 		return Transaction{}, err
 	}
-	// TIDs are strictly ascending, so only the first transaction (whose
-	// "delta" is its absolute TID, possibly 0) may encode a zero here.
-	if (d == 0 && !first) || d > uint64(math.MaxInt64-*tid) {
+	var ok bool
+	if *tid, ok = wire.NextTID(*tid, d, first); !ok {
 		return Transaction{}, errors.New("non-canonical TID delta (corrupt file?)")
 	}
-	*tid += int64(d)
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return Transaction{}, err
@@ -211,16 +209,8 @@ func readTxn(r *bufio.Reader, first bool, tid *int64, items []item.Item) (Transa
 		if err != nil {
 			return Transaction{}, err
 		}
-		if i == 0 {
-			if d > math.MaxInt32 {
-				return Transaction{}, errors.New("item out of range (corrupt file?)")
-			}
-			prev = item.Item(d)
-		} else {
-			if d == 0 || d > uint64(math.MaxInt32-int64(prev)) {
-				return Transaction{}, errors.New("non-canonical item delta (corrupt file?)")
-			}
-			prev += item.Item(d)
+		if prev, ok = wire.NextItem(prev, d, i == 0); !ok {
+			return Transaction{}, errors.New("non-canonical item (corrupt file?)")
 		}
 		items = append(items, prev)
 	}

@@ -4,31 +4,32 @@
 // self-describing enough for the TCP fabric to carry them between real
 // processes; the channel fabric carries the same bytes so both fabrics
 // report identical communication volume.
+//
+// This file is the encode side; dec.go holds Dec, the one cursor every
+// decoder in the repo reads these (and the on-disk) formats through.
 package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"pgarm/internal/item"
 )
 
 // AppendUvarint appends v to dst.
-func AppendUvarint(dst []byte, v uint64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	return append(dst, buf[:n]...)
+func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+
+// AppendStr appends a length-prefixed string.
+func AppendStr(dst []byte, s string) []byte {
+	return append(AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-// Uvarint decodes a uvarint from b, returning the value and bytes consumed.
-func Uvarint(b []byte) (uint64, int, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("wire: truncated or overlong uvarint")
-	}
-	return v, n, nil
-}
+// AppendF64 appends a float64 as the uvarint of its IEEE-754 bits.
+func AppendF64(dst []byte, f float64) []byte { return AppendUvarint(dst, math.Float64bits(f)) }
+
+// AppendZig appends a signed value zigzag-coded, so small magnitudes of
+// either sign stay short.
+func AppendZig(dst []byte, v int64) []byte { return AppendUvarint(dst, uint64(v<<1)^uint64(v>>63)) }
 
 // AppendItems appends a delta-encoded canonical itemset: count, then first
 // item absolute and the rest as deltas.
@@ -46,38 +47,17 @@ func AppendItems(dst []byte, items []item.Item) []byte {
 	return dst
 }
 
+// Items, SparseCounts and Counted below are Dec reads in the (value, bytes
+// consumed, error) shape bench/ compiles against; code in this repo uses the
+// cursor directly. The byte count means nothing when err is non-nil.
+
 // Items decodes an itemset encoded by AppendItems, appending the items to
-// out. It returns the extended slice and the number of bytes consumed. Only
-// what AppendItems emits for a canonical itemset is accepted: an item beyond
-// int32, a zero delta or a delta that would wrap is a corrupt payload, not a
-// negative or repeated item handed to the caller.
+// out. Only what AppendItems emits for a canonical itemset is accepted
+// (Dec.Run).
 func Items(b []byte, out []item.Item) ([]item.Item, int, error) {
-	n, used, err := Uvarint(b)
-	if err != nil {
-		return out, 0, err
-	}
-	if n > uint64(len(b)) { // each item takes >= 1 byte
-		return out, 0, fmt.Errorf("wire: itemset length %d exceeds payload", n)
-	}
-	off := used
-	prev := item.Item(0)
-	for i := uint64(0); i < n; i++ {
-		v, u, err := Uvarint(b[off:])
-		if err != nil {
-			return out, 0, err
-		}
-		off += u
-		switch {
-		case i == 0 && v <= math.MaxInt32:
-			prev = item.Item(v)
-		case i > 0 && v > 0 && v <= uint64(math.MaxInt32-prev):
-			prev += item.Item(v)
-		default:
-			return out, 0, fmt.Errorf("wire: item %d of itemset is not canonical (delta %d after %d)", i, v, prev)
-		}
-		out = append(out, prev)
-	}
-	return out, off, nil
+	d := NewDec(b)
+	out = d.Items(out)
+	return out, len(b) - d.Len(), d.Err()
 }
 
 // AppendItemsList appends a list of itemsets: count, then each itemset.
@@ -87,27 +67,6 @@ func AppendItemsList(dst []byte, sets [][]item.Item) []byte {
 		dst = AppendItems(dst, s)
 	}
 	return dst
-}
-
-// ItemsList decodes a list of itemsets encoded by AppendItemsList.
-func ItemsList(b []byte) ([][]item.Item, int, error) {
-	n, off, err := Uvarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > uint64(len(b)) {
-		return nil, 0, fmt.Errorf("wire: list length %d exceeds payload", n)
-	}
-	out := make([][]item.Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		items, used, err := Items(b[off:], nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		off += used
-		out = append(out, items)
-	}
-	return out, off, nil
 }
 
 // AppendPatternList appends sequential-pattern/count pairs: each pattern is
@@ -124,34 +83,6 @@ func AppendPatternList(dst []byte, patterns [][][]item.Item, counts []int64) []b
 	return dst
 }
 
-// PatternList decodes pairs encoded by AppendPatternList.
-func PatternList(b []byte) (patterns [][][]item.Item, counts []int64, used int, err error) {
-	n, off, err := Uvarint(b)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if n > uint64(len(b)) { // each pattern takes >= 2 bytes
-		return nil, nil, 0, fmt.Errorf("wire: pattern list length %d exceeds payload", n)
-	}
-	patterns = make([][][]item.Item, 0, n)
-	counts = make([]int64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		elements, u, err := ItemsList(b[off:])
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		off += u
-		c, u2, err := Uvarint(b[off:])
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		off += u2
-		patterns = append(patterns, elements)
-		counts = append(counts, int64(c))
-	}
-	return patterns, counts, off, nil
-}
-
 // AppendCounts appends a dense support-count vector (what nodes send to the
 // coordinator when gathering sup_cou of replicated candidates).
 func AppendCounts(dst []byte, counts []int64) []byte {
@@ -160,27 +91,6 @@ func AppendCounts(dst []byte, counts []int64) []byte {
 		dst = AppendUvarint(dst, uint64(c))
 	}
 	return dst
-}
-
-// Counts decodes a count vector encoded by AppendCounts.
-func Counts(b []byte) ([]int64, int, error) {
-	n, off, err := Uvarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > uint64(len(b)) {
-		return nil, 0, fmt.Errorf("wire: count vector length %d exceeds payload", n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		v, u, err := Uvarint(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += u
-		out[i] = int64(v)
-	}
-	return out, off, nil
 }
 
 // uvarintLen returns the encoded size of v in bytes.
@@ -219,40 +129,13 @@ func AppendSparseCounts(dst []byte, counts []int64) []byte {
 	return dst
 }
 
-// SparseCounts decodes a count vector encoded by AppendSparseCounts.
+// SparseCounts decodes a count vector encoded by AppendSparseCounts that the
+// caller trusts: the declared length is allocated as it stands. Peer and file
+// bytes go through Dec.CountsAuto with the length the receiver expects.
 func SparseCounts(b []byte) ([]int64, int, error) {
-	n, off, err := Uvarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	nnz, u, err := Uvarint(b[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	off += u
-	if nnz > n || 2*nnz > uint64(len(b)) { // each entry takes >= 2 bytes
-		return nil, 0, fmt.Errorf("wire: sparse count entries %d exceed payload", nnz)
-	}
-	out := make([]int64, n)
-	idx := uint64(0)
-	for i := uint64(0); i < nnz; i++ {
-		gap, u, err := Uvarint(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += u
-		v, u2, err := Uvarint(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += u2
-		idx += gap
-		if idx >= n {
-			return nil, 0, fmt.Errorf("wire: sparse count index %d out of range %d", idx, n)
-		}
-		out[idx] = int64(v)
-	}
-	return out, off, nil
+	d := NewDec(b)
+	out := d.SparseCounts(math.MaxInt)
+	return out, len(b) - d.Len(), d.Err()
 }
 
 // Encoding tags for AppendCountsAuto.
@@ -286,22 +169,6 @@ func AppendCountsAuto(dst []byte, counts []int64) []byte {
 	return AppendCounts(dst, counts)
 }
 
-// CountsAuto decodes a count vector encoded by AppendCountsAuto.
-func CountsAuto(b []byte) ([]int64, int, error) {
-	if len(b) == 0 {
-		return nil, 0, fmt.Errorf("wire: empty tagged count vector")
-	}
-	switch b[0] {
-	case countsDense:
-		out, used, err := Counts(b[1:])
-		return out, used + 1, err
-	case countsSparse:
-		out, used, err := SparseCounts(b[1:])
-		return out, used + 1, err
-	}
-	return nil, 0, fmt.Errorf("wire: unknown count vector tag %d", b[0])
-}
-
 // AppendCounted appends itemset/count pairs (what partitioned nodes send the
 // coordinator as their locally determined large itemsets).
 func AppendCounted(dst []byte, sets [][]item.Item, counts []int64) []byte {
@@ -315,28 +182,7 @@ func AppendCounted(dst []byte, sets [][]item.Item, counts []int64) []byte {
 
 // Counted decodes pairs encoded by AppendCounted.
 func Counted(b []byte) (sets [][]item.Item, counts []int64, used int, err error) {
-	n, off, err := Uvarint(b)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if n > uint64(len(b)) {
-		return nil, nil, 0, fmt.Errorf("wire: counted length %d exceeds payload", n)
-	}
-	sets = make([][]item.Item, 0, n)
-	counts = make([]int64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		items, u, err := Items(b[off:], nil)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		off += u
-		c, u2, err := Uvarint(b[off:])
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		off += u2
-		sets = append(sets, items)
-		counts = append(counts, int64(c))
-	}
-	return sets, counts, off, nil
+	d := NewDec(b)
+	sets, counts = d.Counted()
+	return sets, counts, len(b) - d.Len(), d.Err()
 }

@@ -1,13 +1,39 @@
 package wire
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"pgarm/internal/item"
 )
+
+// The list decoders exist only as cursor methods; these adapters give the
+// tables below the (value, bytes used, error) shape of Items/SparseCounts/
+// Counted.
+func cursor[T any](read func(*Dec) T) func([]byte) (T, int, error) {
+	return func(b []byte) (T, int, error) {
+		d := NewDec(b)
+		v := read(&d)
+		return v, len(b) - d.Len(), d.Err()
+	}
+}
+
+var (
+	Uvarint    = cursor((*Dec).U64)
+	ItemsList  = cursor((*Dec).ItemsList)
+	Counts     = cursor(func(d *Dec) []int64 { return d.Counts(maxVec) })
+	CountsAuto = cursor(func(d *Dec) []int64 { return d.CountsAuto(maxVec) })
+)
+
+// maxVec is the count vector length the tests expect at most.
+const maxVec = 1 << 16
+
+func PatternList(b []byte) ([][][]item.Item, []int64, int, error) {
+	d := NewDec(b)
+	p, c := d.PatternList()
+	return p, c, len(b) - d.Len(), d.Err()
+}
 
 func TestUvarintRoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 1 << 20, 1<<63 - 1} {
@@ -181,38 +207,16 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 // to decode into a repeated or negative item and index out of range on the
 // receiver goroutine.
 func TestItemsRejectsNonCanonical(t *testing.T) {
-	enc := func(vs ...uint64) []byte {
-		b := AppendUvarint(nil, uint64(len(vs)))
-		for _, v := range vs {
-			b = AppendUvarint(b, v)
-		}
-		return b
-	}
-	for _, c := range []struct {
-		name string
-		b    []byte
-		ok   bool
-	}{
-		{"empty", enc(), true},
-		{"single zero", enc(0), true},
-		{"ascending", enc(0, 1, 5), true},
-		{"largest item", enc(math.MaxInt32), true},
-		{"ascending to largest item", enc(math.MaxInt32-1, 1), true},
-		{"zero delta", enc(4, 0), false},
-		{"zero delta late", enc(4, 2, 0), false},
-		{"first item beyond int32", enc(math.MaxInt32 + 1), false},
-		{"first item wraps negative", enc(1 << 32), false},
-		{"delta wraps int32", enc(7, math.MaxInt32), false},
-		{"delta wraps to a larger item", enc(7, 1<<32+1), false},
-		{"delta past largest item by one", enc(math.MaxInt32-1, 2), false},
-	} {
-		items, used, err := Items(c.b, nil)
-		if c.ok {
-			if err != nil || used != len(c.b) || !item.IsSorted(items) {
-				t.Errorf("%s: items %v used %d err %v", c.name, items, used, err)
+	enc := func(vs ...uint64) []byte { return append(uvs(uint64(len(vs))), uvs(vs...)...) }
+	for _, c := range CanonicalRunCases {
+		b := enc(c.Vals...)
+		items, used, err := Items(b, nil)
+		if c.OK {
+			if err != nil || used != len(b) || !item.IsSorted(items) {
+				t.Errorf("%s: items %v used %d err %v", c.Name, items, used, err)
 			}
 		} else if err == nil {
-			t.Errorf("%s: accepted as %v", c.name, items)
+			t.Errorf("%s: accepted as %v", c.Name, items)
 		}
 	}
 	// The list decoders built on Items inherit the check.
