@@ -163,9 +163,6 @@ func main() {
 		Adaptive:     *adaptive,
 		Tracer:       tracer,
 		Registry:     reg,
-		// The coordinator rebases remote span timestamps with the offsets
-		// estimated during the mesh handshake; nil everywhere else.
-		ClockOffsets: mesh.ClockOffsets(),
 		View:         view,
 		OnPassStart:  onPassStart,
 		OnPass:       onPass,

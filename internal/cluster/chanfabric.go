@@ -11,6 +11,7 @@ import (
 // happens at send time, just before delivery.
 type ChanFabric struct {
 	endpoints []*chanEndpoint
+	closed    chan struct{} // closed by Close, before any inbox
 	closeOnce sync.Once
 }
 
@@ -21,7 +22,7 @@ func NewChanFabric(n, buffer int) *ChanFabric {
 	if buffer <= 0 {
 		buffer = 1024
 	}
-	f := &ChanFabric{endpoints: make([]*chanEndpoint, n)}
+	f := &ChanFabric{endpoints: make([]*chanEndpoint, n), closed: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		f.endpoints[i] = &chanEndpoint{
 			id:     i,
@@ -38,12 +39,13 @@ func (f *ChanFabric) N() int { return len(f.endpoints) }
 // Endpoint returns node i's attachment.
 func (f *ChanFabric) Endpoint(i int) Endpoint { return f.endpoints[i] }
 
-// Close closes every inbox. Sends after Close return an error.
+// Close closes every inbox. Sends after Close return an error, and so does a
+// send that was blocked on a full inbox when Close ran.
 func (f *ChanFabric) Close() error {
 	f.closeOnce.Do(func() {
+		close(f.closed) // releases blocked senders, which hold their destination's mu shared
 		for _, ep := range f.endpoints {
 			ep.mu.Lock()
-			ep.closed = true
 			close(ep.inbox)
 			ep.mu.Unlock()
 		}
@@ -55,10 +57,12 @@ type chanEndpoint struct {
 	id     int
 	fabric *ChanFabric
 	inbox  chan Message
-	stats  counters
+	counters
 
-	mu     sync.Mutex // guards closed vs. inflight sends into inbox
-	closed bool
+	// mu orders sends into inbox against its close: Send holds it shared
+	// while it delivers, Close takes it exclusively after closing
+	// fabric.closed, so no send ever meets a closed channel.
+	mu sync.RWMutex
 }
 
 func (e *chanEndpoint) ID() int { return e.id }
@@ -70,37 +74,33 @@ func (e *chanEndpoint) Send(to int, kind uint8, payload []byte) error {
 		return fmt.Errorf("cluster: send to unknown node %d (cluster size %d)", to, e.N())
 	}
 	dst := e.fabric.endpoints[to]
-	msg := Message{From: e.id, Kind: kind, Payload: payload}
-	// Serialize against Close so we never send on a closed channel. The
-	// blocking send happens outside the critical section only when the
-	// inbox has room; holding the lock across a full inbox would deadlock
-	// Close, so probe first and fall back to a locked blocking send with
-	// the closed flag checked.
-	dst.mu.Lock()
-	if dst.closed {
-		dst.mu.Unlock()
+	dst.mu.RLock()
+	defer dst.mu.RUnlock()
+	select {
+	case <-e.fabric.closed:
 		return fmt.Errorf("cluster: send to node %d after close", to)
+	default:
 	}
 	// Account before delivery: the receiver may consume the message and
 	// close its last accounting window before this goroutine runs again, and
 	// a receive counted after that window breaks RunStats.ReconcileEndpoints.
-	e.stats.onSend(kind, len(payload))
-	dst.stats.onRecv(kind, len(payload))
+	e.onSend(kind, len(payload))
+	dst.onRecv(kind, len(payload))
+	msg := Message{From: e.id, Kind: kind, Payload: payload}
 	select {
 	case dst.inbox <- msg:
-		dst.mu.Unlock()
-	default:
-		dst.mu.Unlock()
-		dst.inbox <- msg // inbox full: block without the lock
+		return nil
+	default: // inbox full: wait for room, or for Close
 	}
-	return nil
+	select {
+	case dst.inbox <- msg:
+		return nil
+	case <-e.fabric.closed:
+		return fmt.Errorf("cluster: send to node %d interrupted by close", to)
+	}
 }
 
 func (e *chanEndpoint) Inbox() <-chan Message { return e.inbox }
-
-func (e *chanEndpoint) Stats() Stats { return e.stats.snapshot() }
-
-func (e *chanEndpoint) KindStats() []KindStat { return e.stats.kindSnapshot() }
 
 // Err is always nil: in-process channels cannot lose a peer.
 func (e *chanEndpoint) Err() error { return nil }

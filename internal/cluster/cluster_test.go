@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -117,10 +118,10 @@ func TestAccountingSymmetry(t *testing.T) {
 			if s0.BytesSent != want || s0.MsgsSent != int64(len(sizes)) {
 				t.Errorf("sender stats %v", s0)
 			}
-			if s1.BytesRecv != want || s1.MsgsRecv != int64(len(sizes)) {
+			if s1.BytesReceived != want || s1.MsgsReceived != int64(len(sizes)) {
 				t.Errorf("receiver stats %v", s1)
 			}
-			if s0.BytesRecv != 0 || s1.BytesSent != 0 {
+			if s0.BytesReceived != 0 || s1.BytesSent != 0 {
 				t.Errorf("phantom traffic: %v / %v", s0, s1)
 			}
 			// Counters are monotonic: per-window accounting subtracts
@@ -170,9 +171,9 @@ func TestKindStatsReconcile(t *testing.T) {
 				ep := f.Endpoint(i)
 				total := ep.Stats()
 				byKind := ep.KindStats()
-				var got Stats
+				var got Traffic
 				for _, k := range byKind {
-					got = got.Add(Stats(k))
+					got = got.Add(k)
 				}
 				if got != total {
 					t.Errorf("node %d: kind sum %+v != totals %+v", i, got, total)
@@ -191,13 +192,13 @@ func TestKindStatsReconcile(t *testing.T) {
 }
 
 func TestStatsAddAndString(t *testing.T) {
-	a := Stats{MsgsSent: 1, MsgsRecv: 2, BytesSent: 3, BytesRecv: 4}
+	a := Traffic{MsgsSent: 1, MsgsReceived: 2, BytesSent: 3, BytesReceived: 4}
 	b := a.Add(a)
-	if b.MsgsSent != 2 || b.BytesRecv != 8 {
+	if b.MsgsSent != 2 || b.BytesReceived != 8 {
 		t.Errorf("Add = %+v", b)
 	}
-	if a.String() == "" {
-		t.Error("empty String")
+	if a.Summary() == "" {
+		t.Error("empty Summary")
 	}
 }
 
@@ -245,7 +246,7 @@ func TestTCPSelfSendLoopsBack(t *testing.T) {
 		t.Errorf("self-send got %+v", m)
 	}
 	s := f.Endpoint(1).Stats()
-	if s.BytesSent != 2 || s.BytesRecv != 2 {
+	if s.BytesSent != 2 || s.BytesReceived != 2 {
 		t.Errorf("self-send accounting %v", s)
 	}
 }
@@ -323,4 +324,28 @@ func TestManyNodesMesh(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestChanSendBlockedAtClose: closing the fabric while senders are blocked on
+// a full inbox ends those sends with an error. They used to panic on the
+// closed channel.
+func TestChanSendBlockedAtClose(t *testing.T) {
+	f := NewChanFabric(2, 1)
+	if err := f.Endpoint(0).Send(1, 3, nil); err != nil { // fills node 1's inbox
+		t.Fatal(err)
+	}
+	const senders = 4
+	errs := make(chan error, senders)
+	for i := 0; i < senders; i++ {
+		go func() { errs <- f.Endpoint(0).Send(1, 3, nil) }()
+	}
+	// Whether a sender is already blocked or only arrives after the close,
+	// its send must fail: nobody drains node 1.
+	runtime.Gosched()
+	f.Close()
+	for i := 0; i < senders; i++ {
+		if err := <-errs; err == nil {
+			t.Error("send into a full, closed inbox succeeded")
+		}
+	}
 }

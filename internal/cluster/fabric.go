@@ -41,12 +41,12 @@ type Endpoint interface {
 	Inbox() <-chan Message
 	// Stats returns a snapshot of this endpoint's traffic counters. Counters
 	// are monotonic for the lifetime of the endpoint; callers that need
-	// per-window accounting snapshot and subtract (Stats.Sub).
-	Stats() Stats
+	// per-window accounting snapshot and subtract (Traffic.Sub).
+	Stats() Traffic
 	// KindStats returns per-message-kind traffic counters, indexed by kind.
 	// The slice covers every kind seen so far (len = max kind + 1); entries
 	// for unseen kinds are zero.
-	KindStats() []KindStat
+	KindStats() []Traffic
 	// Err reports why the endpoint is unusable, or nil while it is healthy.
 	// A peer dropping mid-run (TCP fabric) surfaces here after the inbox
 	// closes.
@@ -63,124 +63,108 @@ type Fabric interface {
 	Close() error
 }
 
-// Stats are per-endpoint traffic counters. Bytes count payload sizes; the
-// fixed per-message envelope is excluded so both fabrics report identical
-// volumes.
-type Stats struct {
-	MsgsSent, MsgsRecv   int64
-	BytesSent, BytesRecv int64
+// Traffic is the fabric's accounting record: messages and payload bytes,
+// sent and received — of one endpoint, of one message kind on it, or of a
+// window between two snapshots of either. It is declared here and nowhere
+// else; metrics embeds it wherever a report carries the four figures. Bytes
+// count payload sizes; the fixed per-message envelope is excluded so both
+// fabrics report identical volumes.
+type Traffic struct {
+	MsgsSent      int64 `json:"msgs_sent"`
+	MsgsReceived  int64 `json:"msgs_received"`
+	BytesSent     int64 `json:"bytes_sent"`
+	BytesReceived int64 `json:"bytes_received"`
 }
 
-// Add returns the element-wise sum of two snapshots.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		MsgsSent:  s.MsgsSent + o.MsgsSent,
-		MsgsRecv:  s.MsgsRecv + o.MsgsRecv,
-		BytesSent: s.BytesSent + o.BytesSent,
-		BytesRecv: s.BytesRecv + o.BytesRecv,
+// Add returns the element-wise sum of two records.
+func (t Traffic) Add(o Traffic) Traffic {
+	return Traffic{
+		MsgsSent:      t.MsgsSent + o.MsgsSent,
+		MsgsReceived:  t.MsgsReceived + o.MsgsReceived,
+		BytesSent:     t.BytesSent + o.BytesSent,
+		BytesReceived: t.BytesReceived + o.BytesReceived,
 	}
 }
 
-// Sub returns the element-wise difference s − o. With monotonic endpoint
+// Sub returns the element-wise difference t − o. With monotonic endpoint
 // counters this is how per-pass windows are computed: snapshot at the window
 // start, subtract from the snapshot at its end.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		MsgsSent:  s.MsgsSent - o.MsgsSent,
-		MsgsRecv:  s.MsgsRecv - o.MsgsRecv,
-		BytesSent: s.BytesSent - o.BytesSent,
-		BytesRecv: s.BytesRecv - o.BytesRecv,
+func (t Traffic) Sub(o Traffic) Traffic {
+	return Traffic{
+		MsgsSent:      t.MsgsSent - o.MsgsSent,
+		MsgsReceived:  t.MsgsReceived - o.MsgsReceived,
+		BytesSent:     t.BytesSent - o.BytesSent,
+		BytesReceived: t.BytesReceived - o.BytesReceived,
 	}
 }
 
-// KindStat is one message kind's traffic counters on one endpoint.
-type KindStat struct {
-	MsgsSent, MsgsRecv   int64
-	BytesSent, BytesRecv int64
-}
-
-// Sub returns the element-wise difference k − o.
-func (k KindStat) Sub(o KindStat) KindStat {
-	return KindStat{
-		MsgsSent:  k.MsgsSent - o.MsgsSent,
-		MsgsRecv:  k.MsgsRecv - o.MsgsRecv,
-		BytesSent: k.BytesSent - o.BytesSent,
-		BytesRecv: k.BytesRecv - o.BytesRecv,
-	}
-}
-
-// String renders the counters compactly.
-func (s Stats) String() string {
+// Summary renders the counters compactly. It is not named String: the
+// structs embedding Traffic would inherit a Stringer that hides their other
+// fields under %v.
+func (t Traffic) Summary() string {
 	return fmt.Sprintf("sent %d msgs/%d B, recv %d msgs/%d B",
-		s.MsgsSent, s.BytesSent, s.MsgsRecv, s.BytesRecv)
+		t.MsgsSent, t.BytesSent, t.MsgsReceived, t.BytesReceived)
 }
 
-// counters is the shared atomic implementation of Stats, with a parallel
-// per-kind breakdown. Counters only ever increase; per-pass attribution is
-// done by snapshot deltas, never by resetting.
-type counters struct {
-	msgsSent, msgsRecv   atomic.Int64
-	bytesSent, bytesRecv atomic.Int64
-	kinds                [256]kindCounters // indexed by Message.Kind
-	kindLim              atomic.Int64      // 1 + highest kind seen; 0 = none
+// tally is the atomic form of Traffic. Counters only ever increase;
+// per-pass attribution is done by snapshot deltas, never by resetting.
+type tally struct {
+	msgsSent, msgsReceived   atomic.Int64
+	bytesSent, bytesReceived atomic.Int64
 }
 
-type kindCounters struct {
-	msgsSent, msgsRecv   atomic.Int64
-	bytesSent, bytesRecv atomic.Int64
+func (t *tally) sent(n int) {
+	t.msgsSent.Add(1)
+	t.bytesSent.Add(int64(n))
 }
 
-func (c *counters) noteKind(kind uint8) {
-	lim := int64(kind) + 1
-	for {
-		cur := c.kindLim.Load()
-		if cur >= lim || c.kindLim.CompareAndSwap(cur, lim) {
-			return
-		}
+func (t *tally) received(n int) {
+	t.msgsReceived.Add(1)
+	t.bytesReceived.Add(int64(n))
+}
+
+func (t *tally) load() Traffic {
+	return Traffic{
+		MsgsSent:      t.msgsSent.Load(),
+		MsgsReceived:  t.msgsReceived.Load(),
+		BytesSent:     t.bytesSent.Load(),
+		BytesReceived: t.bytesReceived.Load(),
 	}
+}
+
+// counters is one endpoint's accounting: the total and a parallel per-kind
+// breakdown, both the same tally.
+type counters struct {
+	total tally
+	kinds [256]tally // indexed by Message.Kind
 }
 
 func (c *counters) onSend(kind uint8, n int) {
-	c.msgsSent.Add(1)
-	c.bytesSent.Add(int64(n))
-	kc := &c.kinds[kind]
-	kc.msgsSent.Add(1)
-	kc.bytesSent.Add(int64(n))
-	c.noteKind(kind)
+	c.total.sent(n)
+	c.kinds[kind].sent(n)
 }
 
 func (c *counters) onRecv(kind uint8, n int) {
-	c.msgsRecv.Add(1)
-	c.bytesRecv.Add(int64(n))
-	kc := &c.kinds[kind]
-	kc.msgsRecv.Add(1)
-	kc.bytesRecv.Add(int64(n))
-	c.noteKind(kind)
+	c.total.received(n)
+	c.kinds[kind].received(n)
 }
 
-func (c *counters) snapshot() Stats {
-	return Stats{
-		MsgsSent:  c.msgsSent.Load(),
-		MsgsRecv:  c.msgsRecv.Load(),
-		BytesSent: c.bytesSent.Load(),
-		BytesRecv: c.bytesRecv.Load(),
+// Stats and KindStats implement the Endpoint snapshot methods for both
+// endpoint types, which embed counters.
+func (c *counters) Stats() Traffic { return c.total.load() }
+
+// KindStats covers kinds 0 through the highest one that has carried traffic.
+func (c *counters) KindStats() []Traffic {
+	lim := len(c.kinds)
+	for lim > 0 && c.kinds[lim-1].load() == (Traffic{}) {
+		lim--
 	}
-}
-
-func (c *counters) kindSnapshot() []KindStat {
-	lim := c.kindLim.Load()
 	if lim == 0 {
 		return nil
 	}
-	out := make([]KindStat, lim)
-	for k := int64(0); k < lim; k++ {
-		kc := &c.kinds[k]
-		out[k] = KindStat{
-			MsgsSent:  kc.msgsSent.Load(),
-			MsgsRecv:  kc.msgsRecv.Load(),
-			BytesSent: kc.bytesSent.Load(),
-			BytesRecv: kc.bytesRecv.Load(),
-		}
+	out := make([]Traffic, lim)
+	for k := range out {
+		out[k] = c.kinds[k].load()
 	}
 	return out
 }

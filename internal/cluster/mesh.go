@@ -29,11 +29,9 @@ type MeshOptions struct {
 }
 
 // Mesh is the handle DialMesh returns alongside the Endpoint: it tears the
-// mesh down and, on node 0, carries the per-peer clock-offset estimates
-// measured during the handshake.
+// mesh down.
 type Mesh struct {
-	ep      *tcpEndpoint
-	offsets []time.Duration
+	ep *tcpEndpoint
 }
 
 // Close shuts the endpoint down cleanly: connections are closed, reader
@@ -45,15 +43,9 @@ func (m *Mesh) Close() error {
 	return nil
 }
 
-// ClockOffsets returns the estimated wall-clock offset of every node relative
-// to node 0 (offsets[0] is always 0): positive means that node's clock reads
-// ahead of node 0's. Non-nil only on node 0 and only when clock sync ran.
-func (m *Mesh) ClockOffsets() []time.Duration {
-	if m.offsets == nil {
-		return nil
-	}
-	return append([]time.Duration(nil), m.offsets...)
-}
+// ClockOffsets returns the endpoint's clock-offset estimates (see
+// tcpEndpoint.ClockOffsets).
+func (m *Mesh) ClockOffsets() []time.Duration { return m.ep.ClockOffsets() }
 
 // DialMesh joins this process into a cross-process shared-nothing mesh: one
 // node per process, full TCP mesh between them — the deployment shape of the
@@ -67,7 +59,8 @@ func (m *Mesh) ClockOffsets() []time.Duration {
 //
 // Before the read loops start, node 0 runs a clock-offset estimation exchange
 // with every peer on the raw connections (see clock.go); the estimates are
-// exposed through Mesh.ClockOffsets for merged-trace timestamp rebasing.
+// exposed through the endpoint's ClockOffsets for merged-trace timestamp
+// rebasing.
 func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, error) {
 	n := len(addrs)
 	if self < 0 || self >= n {
@@ -158,7 +151,6 @@ func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, erro
 	// start, so the ping/pong bytes cannot interleave with framed protocol
 	// traffic. Peers cannot send app frames on their node-0 connection until
 	// their own DialMesh returns, which requires completing this exchange.
-	var offsets []time.Duration
 	if opts.ClockSyncRounds >= 0 {
 		rounds := opts.ClockSyncRounds
 		if rounds == 0 {
@@ -166,13 +158,13 @@ func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, erro
 		}
 		deadline := time.Now().Add(opts.DialTimeout)
 		if self == 0 {
-			offsets = make([]time.Duration, n)
+			ep.offsets = make([]time.Duration, n)
 			for j := 1; j < n; j++ {
 				samples, err := syncClockWith(ep.conns[j].c, rounds, deadline)
 				if err != nil {
 					return nil, nil, teardown(ep, fmt.Errorf("cluster: clock sync with node %d: %w", j, err))
 				}
-				offsets[j], _ = EstimateOffset(samples)
+				ep.offsets[j], _ = EstimateOffset(samples)
 			}
 		} else {
 			if err := answerClockSync(ep.conns[0].c, deadline); err != nil {
@@ -187,7 +179,7 @@ func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, erro
 			go ep.readLoop(peer, tc)
 		}
 	}
-	return ep, &Mesh{ep: ep, offsets: offsets}, nil
+	return ep, &Mesh{ep: ep}, nil
 }
 
 // teardown closes every live connection after a handshake failure.

@@ -85,7 +85,7 @@ func TestMeshDelivery(t *testing.T) {
 	wg.Wait()
 	// Accounting.
 	s := eps[0].Stats()
-	if s.MsgsSent != 1 || s.MsgsRecv != 1 || s.BytesSent != 1 {
+	if s.MsgsSent != 1 || s.MsgsReceived != 1 || s.BytesSent != 1 {
 		t.Errorf("stats = %v", s)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // TCPFabric connects N nodes over loopback TCP, one full-duplex connection
@@ -115,7 +116,7 @@ type tcpEndpoint struct {
 	inbox   chan Message
 	conns   []*tcpConn
 	connsMu sync.Mutex
-	stats   counters
+	counters
 	readers sync.WaitGroup
 	closed  chan struct{}
 	// selfMu orders self-sends against the inbox close: Send holds it shared
@@ -136,6 +137,19 @@ type tcpEndpoint struct {
 	// errors include it so an abort names the pass and phase the run died in.
 	phaseMu sync.Mutex
 	phaseFn func() string
+
+	// offsets are DialMesh's clock-offset estimates, written before the
+	// endpoint is handed out and read-only afterwards.
+	offsets []time.Duration
+}
+
+// ClockOffsets returns the estimated wall-clock offset of every node relative
+// to node 0 (offsets[0] is always 0): positive means that node's clock reads
+// ahead of node 0's. Non-nil only on node 0 of a DialMesh whose clock sync
+// ran. The driver rebases remote span timestamps by it when it merges them
+// into the coordinator's trace.
+func (e *tcpEndpoint) ClockOffsets() []time.Duration {
+	return append([]time.Duration(nil), e.offsets...)
 }
 
 // QuiescePeer marks one peer's departure as part of the protocol's orderly
@@ -229,8 +243,8 @@ func (e *tcpEndpoint) Send(to int, kind uint8, payload []byte) error {
 		// Account before delivery, as chanEndpoint.Send does: the receiver
 		// may consume the message and close its last accounting window
 		// before this goroutine runs again.
-		e.stats.onSend(kind, len(payload))
-		e.stats.onRecv(kind, len(payload))
+		e.onSend(kind, len(payload))
+		e.onRecv(kind, len(payload))
 		select {
 		case e.inbox <- Message{From: e.id, Kind: kind, Payload: payload}:
 			return nil
@@ -259,7 +273,7 @@ func (e *tcpEndpoint) Send(to int, kind uint8, payload []byte) error {
 	if err := tc.w.Flush(); err != nil {
 		return fmt.Errorf("cluster: flush %d->%d: %w", e.id, to, err)
 	}
-	e.stats.onSend(kind, len(payload))
+	e.onSend(kind, len(payload))
 	return nil
 }
 
@@ -280,7 +294,7 @@ func (e *tcpEndpoint) readLoop(peer int, tc *tcpConn) {
 			e.onReadError(peer, err)
 			return
 		}
-		e.stats.onRecv(kind, int(n))
+		e.onRecv(kind, int(n))
 		select {
 		case e.inbox <- Message{From: from, Kind: kind, Payload: payload}:
 		case <-e.closed:
@@ -324,10 +338,6 @@ func (e *tcpEndpoint) phase() string {
 }
 
 func (e *tcpEndpoint) Inbox() <-chan Message { return e.inbox }
-
-func (e *tcpEndpoint) Stats() Stats { return e.stats.snapshot() }
-
-func (e *tcpEndpoint) KindStats() []KindStat { return e.stats.kindSnapshot() }
 
 // Err reports the failure that shut this endpoint down, or nil after a clean
 // run. Callers check it once the inbox closes to tell peer loss from Close.

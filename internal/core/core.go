@@ -49,20 +49,6 @@ func Algorithms() []Algorithm {
 	return []Algorithm{NPGM, HPGM, HHPGM, HHPGMTGD, HHPGMPGD, HHPGMFGD}
 }
 
-// FabricKind selects the interconnect emulation (see internal/driver).
-type FabricKind = driver.FabricKind
-
-const (
-	// FabricChan runs the nodes over in-process channels (default).
-	FabricChan = driver.FabricChan
-	// FabricTCP runs the nodes over loopback TCP connections.
-	FabricTCP = driver.FabricTCP
-)
-
-// PassProgress is the per-pass progress callback payload (Config.OnPass),
-// delivered on the coordinator when a pass completes.
-type PassProgress = driver.PassProgress
-
 // Config and Result are the one run description and the one result shape
 // (driver.Spec, driver.Result) under the names bench/ compiles against;
 // new callers go through internal/engines. See DESIGN §3.

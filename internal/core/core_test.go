@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pgarm/internal/cumulate"
+	"pgarm/internal/driver"
 	"pgarm/internal/gen"
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
@@ -131,7 +132,7 @@ func TestTCPFabricMatchesChanFabric(t *testing.T) {
 			got, err := Mine(ds.Taxonomy, parts, Config{
 				Algorithm:  alg,
 				MinSupport: minSup,
-				Fabric:     FabricTCP,
+				Fabric:     driver.FabricTCP,
 			})
 			if err != nil {
 				t.Fatalf("mine over TCP: %v", err)

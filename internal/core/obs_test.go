@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pgarm/internal/cumulate"
+	"pgarm/internal/driver"
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
 )
@@ -78,16 +79,16 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	algos := []Algorithm{HPGM, HHPGM, NPGM}
-	fabrics := []FabricKind{FabricChan}
+	fabrics := []driver.FabricKind{driver.FabricChan}
 	if traceFullSweep() {
 		algos = Algorithms()
-		fabrics = append(fabrics, FabricTCP)
+		fabrics = append(fabrics, driver.FabricTCP)
 	}
 	for _, fk := range fabrics {
 		for _, algo := range algos {
 			algo, fk := algo, fk
 			name := string(algo)
-			if fk == FabricTCP {
+			if fk == driver.FabricTCP {
 				name += "/tcp"
 			}
 			t.Run(name, func(t *testing.T) {
@@ -97,7 +98,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 					pass, cands int
 				}
 				var starts []passEvt
-				var done []PassProgress
+				var done []driver.PassProgress
 				cfg := Config{
 					Algorithm:   algo,
 					MinSupport:  minSup,
@@ -106,7 +107,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 					Tracer:      tr,
 					Registry:    reg,
 					OnPassStart: func(pass, cands int) { starts = append(starts, passEvt{pass, cands}) },
-					OnPass:      func(p PassProgress) { done = append(done, p) },
+					OnPass:      func(p driver.PassProgress) { done = append(done, p) },
 				}
 				res, err := Mine(ds.Taxonomy, partsOf(ds.DB, 3), cfg)
 				if err != nil {

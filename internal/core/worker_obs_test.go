@@ -100,10 +100,9 @@ func TestMeshMergedClusterTelemetry(t *testing.T) {
 			defer mesh.Close()
 			tracers[i] = obs.NewTracer()
 			cfg := Config{
-				Algorithm:    HHPGMFGD,
-				MinSupport:   minSup,
-				Tracer:       tracers[i],
-				ClockOffsets: mesh.ClockOffsets(),
+				Algorithm:  HHPGMFGD,
+				MinSupport: minSup,
+				Tracer:     tracers[i],
 			}
 			if i == 0 {
 				cfg.View = view

@@ -12,7 +12,6 @@ import (
 
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
-	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
@@ -43,23 +42,6 @@ type Result struct {
 	// Probes counts the k-subsets of extended transactions offered to the
 	// candidate table across all passes k >= 2: C(|t'|, k) per transaction.
 	Probes int64
-	// Plan records one plan decision per executed pass — the sequential
-	// run's trivial instance of the plan/execute/replan seam the parallel
-	// driver formalizes: a single node counts every candidate locally, so
-	// every pass is the static "sequential/all" plan.
-	Plan []metrics.PlanDecision
-}
-
-// StaticPlan is the sequential baseline's per-pass plan decision: no
-// partitioning, every candidate counted locally ("all" granule).
-func StaticPlan(pass, candidates int) metrics.PlanDecision {
-	return metrics.PlanDecision{
-		Pass:        pass,
-		Partitioner: "sequential",
-		Granule:     "all",
-		Candidates:  candidates,
-		Duplicated:  candidates,
-	}
 }
 
 // Mine runs sequential Cumulate: pass 1 counts every item and its ancestors;
@@ -111,7 +93,6 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cumulate: pass 1: %w", err)
 	}
-	res.Plan = append(res.Plan, StaticPlan(1, tax.NumItems()))
 	large := make([]bool, tax.NumItems())
 	var l1 []itemset.Counted
 	var largeItems []item.Item
@@ -136,7 +117,6 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 		if len(cands) == 0 {
 			break
 		}
-		res.Plan = append(res.Plan, StaticPlan(k, len(cands)))
 		index := itemset.BuildIndex(cands)
 		counts := make([]int64, len(cands))
 		member := KeepSet(tax, cands)

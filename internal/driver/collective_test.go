@@ -1,11 +1,13 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/item"
@@ -166,6 +168,47 @@ func TestRunSurvivesWorkerPanic(t *testing.T) {
 					t.Errorf("inPlan=%v nodes=%d: got %v, want it to contain %q", c.inPlan, size, err, want)
 				}
 			}
+		}
+	}
+}
+
+// failMiner is panicMiner's quiet sibling: pass 2 returns an error on node 1
+// only. Node 0 goes straight to the barrier and node 2 through a count-phase
+// exchange, so the failure finds one peer blocked in recvKind and the other in
+// the exchange receiver, both waiting on node 1.
+type failMiner struct{ panicMiner }
+
+func (m *failMiner) CountPass(n *Node, _ int, _ *metrics.NodeStats) (PassOutcome, error) {
+	switch n.ID() {
+	case 1:
+		return PassOutcome{}, errors.New("corrupt block in partition 1")
+	case 2:
+		if err := n.NewExchange(KData, ItemsApplier(func([]item.Item) {})).Finish(); err != nil {
+			return PassOutcome{}, err
+		}
+	}
+	return PassOutcome{Owned: []byte{0}}, nil
+}
+
+// TestRunEndsWhenOneNodeFails: one node of three returning an error ends the
+// whole in-process run, on both fabrics, with that node's error — its peers
+// are released by the fabric shutdown instead of waiting on it forever.
+func TestRunEndsWhenOneNodeFails(t *testing.T) {
+	for _, fk := range []FabricKind{FabricChan, FabricTCP} {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := Run(Spec{MinSupport: 0.5, Fabric: fk}, 3, func(int) (Miner, error) { return &failMiner{}, nil })
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			for _, want := range []string{"driver: node 1 pass 2: ", "corrupt block in partition 1"} {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("fabric %d: got %v, want it to contain %q", fk, err, want)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("fabric %d: Run still blocked 10s after node 1 failed", fk)
 		}
 	}
 }

@@ -21,9 +21,9 @@
 //
 // What varies per workload — candidate representation, partitioning,
 // counting a local shard, encoding frequents — is behind the Miner
-// interface. internal/core (the paper's six itemset algorithms) and
-// internal/seq (the SK98 NPSPM/SPSPM/HPSPM sequence miners) are both Miner
-// implementations.
+// interface, which has three implementations: internal/core (the paper's six
+// itemset algorithms), internal/fpg (taxonomy-aware parallel FP-Growth) and
+// internal/seq (the SK98 NPSPM/SPSPM/HPSPM sequence miners).
 package driver
 
 import (
@@ -139,11 +139,6 @@ type Spec struct {
 	OnPassStart func(pass, candidates int)
 	// OnPass, when non-nil, fires on the coordinator as each pass completes.
 	OnPass func(PassProgress)
-	// ClockOffsets, on the coordinator of a multi-process mesh, holds the
-	// estimated wall-clock offset of every node relative to node 0 (from
-	// cluster.Mesh.ClockOffsets). Remote span timestamps are rebased by it
-	// when merged into the coordinator's trace; nil means offset 0.
-	ClockOffsets []time.Duration
 	// View, when non-nil, receives live run-introspection updates (current
 	// pass, per-node progress, last skew snapshot) for /debug/cluster. The
 	// coordinator feeds it cluster-wide data from the telemetry stream;
@@ -201,23 +196,6 @@ func (s *Spec) workers() int {
 // pass, recorded in pass metadata and the run report.
 type PlanDecision = metrics.PlanDecision
 
-// PassPlanner is the planning facet of a Miner: it turns the pass's
-// candidate set into an explicit candidate-to-node assignment before any
-// scanning starts. Extracted from Generate/CountPass so the assignment is a
-// first-class, inspectable artifact (report `plan` section, /debug/cluster)
-// instead of a side effect of the count phase.
-type PassPlanner interface {
-	// PlanPass computes pass k's assignment plan. prev is the latest
-	// complete cluster skew snapshot, broadcast by the coordinator at the
-	// start of the pass (nil while none is complete — the first passes of a
-	// run); adaptive miners may escalate duplication per hot taxonomy
-	// subtree from it. The decision must be a pure function of prev and
-	// state replicated on every node, so all nodes compute the identical
-	// plan. Runs strictly before CountPass; any state the plan derives
-	// (owners, duplication choice) is held by the miner for the count phase.
-	PlanPass(n *Node, k int, prev *metrics.SkewReport) (PlanDecision, error)
-}
-
 // Miner is the mining-logic half of a run. The runtime calls these hooks
 // from the node goroutine in protocol order; every hook receives the Node
 // for access to cluster position (ID/NumNodes), the derived global state
@@ -229,10 +207,6 @@ type PassPlanner interface {
 // must be pure functions of state identical on every node after each
 // barrier.
 type Miner interface {
-	// PassPlanner runs between Generate and CountPass (the plan phase of the
-	// pass).
-	PassPlanner
-
 	// LocalSize is the size of the local partition (transactions, customers)
 	// reported during the size exchange.
 	LocalSize() int
@@ -252,6 +226,20 @@ type Miner interface {
 	// Generate materializes C_k from F_(k-1) — identical on every node — and
 	// returns |C_k|. Returning 0 ends the run.
 	Generate(n *Node, k int) (int, error)
+
+	// PlanPass runs between Generate and CountPass — the plan phase of the
+	// pass: it turns the pass's candidate set into an explicit
+	// candidate-to-node assignment before any scanning starts, so the
+	// assignment is an inspectable artifact (report `plan` section,
+	// /debug/cluster) rather than a side effect of the count phase. prev is
+	// the latest complete cluster skew snapshot, broadcast by the coordinator
+	// at the start of the pass (nil while none is complete — the first passes
+	// of a run); adaptive miners may escalate duplication per hot taxonomy
+	// subtree from it. The decision must be a pure function of prev and state
+	// replicated on every node, so all nodes compute the identical plan; any
+	// state the plan derives (owners, duplication choice) is held by the
+	// miner for the count phase.
+	PlanPass(n *Node, k int, prev *metrics.SkewReport) (PlanDecision, error)
 
 	// CountPass runs pass k's partition and count-support phase over the
 	// local shard (routing units through n.NewExchange as needed) and

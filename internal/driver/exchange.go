@@ -35,6 +35,10 @@ type Exchange struct {
 	apply func(batch []byte) (int64, error)
 	selfq chan []byte
 	done  chan error
+	// dead is closed when the receiver returns, so a scan worker flushing
+	// into a full loopback queue ends with an error when the receiver has
+	// failed (a closed inbox, a bad batch) instead of blocking forever.
+	dead  chan struct{}
 	stash []cluster.Message // non-count-phase messages that arrived early
 	// free recycles drained loopback batch buffers back to the batchers, so
 	// steady-state local routing allocates no fresh batch buffers. Remote
@@ -68,6 +72,7 @@ func (n *Node) NewExchange(kind uint8, apply func(batch []byte) (int64, error)) 
 		apply: apply,
 		selfq: make(chan []byte, 64),
 		done:  make(chan error, 1),
+		dead:  make(chan struct{}),
 		free:  make(chan []byte, 64),
 	}
 	// Hand any already-stashed count-phase messages (a fast peer may have
@@ -84,6 +89,7 @@ func (n *Node) NewExchange(kind uint8, apply func(batch []byte) (int64, error)) 
 	}
 	n.pending = rest
 	itemset.Go("recv", ex.done, func() error {
+		defer close(ex.dead)
 		sp := n.beginRecv()
 		err := ex.loop(pre)
 		sp.Arg("items", ex.itemsRecv)
@@ -268,8 +274,12 @@ func (b *Batcher) Flush(dest int) error {
 	}
 	b.bufs[dest] = nil // receiver takes ownership of the buffer
 	if dest == b.ex.n.id {
-		b.ex.selfq <- buf
-		return nil
+		select {
+		case b.ex.selfq <- buf:
+			return nil
+		case <-b.ex.dead:
+			return fmt.Errorf("driver: node %d receiver stopped mid count phase", dest)
+		}
 	}
 	return b.ex.n.ep.Send(dest, b.ex.kind, buf)
 }

@@ -20,6 +20,7 @@ import (
 type Node struct {
 	id    int
 	ep    cluster.Endpoint
+	conn  connEndpoint // ep when it is connection-oriented, else nil
 	cfg   Spec
 	miner Miner
 
@@ -55,8 +56,8 @@ type Node struct {
 	// current pass's communication window.
 	tr       *obs.Tracer
 	ins      nodeInstruments
-	base     cluster.Stats
-	baseKind []cluster.KindStat
+	base     cluster.Traffic
+	baseKind []cluster.Traffic
 
 	// lastGenerate is the wall time of the most recent candidate generation,
 	// recorded into the following pass's metadata.
@@ -82,7 +83,9 @@ func newNode(ep cluster.Endpoint, cfg Spec, m Miner) *Node {
 		tr:    cfg.Tracer,
 		ins:   newNodeInstruments(cfg.Registry, ep.ID()),
 	}
-	installPhaseHook(ep, n)
+	if n.conn, _ = ep.(connEndpoint); n.conn != nil {
+		n.conn.SetPhase(n.phaseLabel)
+	}
 	return n
 }
 
@@ -439,7 +442,7 @@ func (n *Node) closePass(pr *passRun) {
 //
 //	Plan     exchange the coordinator's latest complete skew snapshot
 //	         (KPlan) and compute the pass's candidate-to-node assignment via
-//	         the miner's PassPlanner facet; identical on every node.
+//	         the miner's PlanPass; identical on every node.
 //	Execute  the miner's count-support phase over the plan.
 //	Barrier  the F_k gather/broadcast (gatherFrequents), which also carries
 //	         the followers' telemetry batches.

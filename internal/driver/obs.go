@@ -22,25 +22,20 @@ func kindName(k uint8) string {
 	return fmt.Sprintf("kind-%d", k)
 }
 
-// kindDeltas converts the per-kind window delta (cur − base) into the
-// metrics form, naming each kind.
-func kindDeltas(cur, base []cluster.KindStat) []metrics.KindIO {
-	if len(cur) == 0 {
-		return nil
+// addKinds adds the per-kind window cur − base into dst element-wise, naming
+// and appending the kinds dst has not seen (the telemetry kind first appears
+// mid-run). A nil base is a window that opened at zero.
+func addKinds(dst []metrics.KindIO, cur, base []cluster.Traffic) []metrics.KindIO {
+	for k := len(dst); k < len(cur); k++ {
+		dst = append(dst, metrics.KindIO{Kind: uint8(k), Name: kindName(uint8(k))})
 	}
-	out := make([]metrics.KindIO, len(cur))
-	for k := range cur {
-		d := cur[k]
+	for k, t := range cur {
 		if k < len(base) {
-			d = d.Sub(base[k])
+			t = t.Sub(base[k])
 		}
-		out[k] = metrics.KindIO{
-			Kind: uint8(k), Name: kindName(uint8(k)),
-			MsgsSent: d.MsgsSent, MsgsReceived: d.MsgsRecv,
-			BytesSent: d.BytesSent, BytesReceived: d.BytesRecv,
-		}
+		dst[k].Traffic = dst[k].Traffic.Add(t)
 	}
-	return out
+	return dst
 }
 
 // capturePassComm closes the current pass's communication window: the fabric
@@ -67,12 +62,8 @@ func (n *Node) capturePassComm() {
 // st and advances the window base.
 func (n *Node) addCommWindow(st *metrics.NodeStats) {
 	now, kinds := n.ep.Stats(), n.ep.KindStats()
-	d := now.Sub(n.base)
-	st.BytesSent += d.BytesSent
-	st.BytesReceived += d.BytesRecv
-	st.MsgsSent += d.MsgsSent
-	st.MsgsReceived += d.MsgsRecv
-	st.ByKind = mergeKindIO(st.ByKind, kindDeltas(kinds, n.baseKind))
+	st.Traffic = st.Traffic.Add(now.Sub(n.base))
+	st.ByKind = addKinds(st.ByKind, kinds, n.baseKind)
 	n.base, n.baseKind = now, kinds
 }
 
@@ -86,54 +77,20 @@ func (n *Node) foldFlushWindow() {
 	}
 }
 
-// mergeKindIO adds the per-kind deltas of add into dst element-wise,
-// extending dst when add covers kinds dst has not seen (the telemetry kind
-// first appears mid-run).
-func mergeKindIO(dst, add []metrics.KindIO) []metrics.KindIO {
-	if len(add) > len(dst) {
-		grown := make([]metrics.KindIO, len(add))
-		copy(grown, dst)
-		for k := len(dst); k < len(add); k++ {
-			grown[k] = metrics.KindIO{Kind: uint8(k), Name: kindName(uint8(k))}
-		}
-		dst = grown
-	}
-	for k := range add {
-		dst[k].MsgsSent += add[k].MsgsSent
-		dst[k].MsgsReceived += add[k].MsgsReceived
-		dst[k].BytesSent += add[k].BytesSent
-		dst[k].BytesReceived += add[k].BytesReceived
-	}
-	return dst
-}
-
 // EndpointTotals snapshots one node's lifetime fabric counters for RunStats.
 func EndpointTotals(id int, ep cluster.Endpoint) metrics.EndpointTotals {
-	st := ep.Stats()
-	return metrics.EndpointTotals{
-		Node:          id,
-		MsgsSent:      st.MsgsSent,
-		MsgsReceived:  st.MsgsRecv,
-		BytesSent:     st.BytesSent,
-		BytesReceived: st.BytesRecv,
-		ByKind:        kindDeltas(ep.KindStats(), nil),
-	}
+	return metrics.EndpointTotals{Node: id, Traffic: ep.Stats(), ByKind: addKinds(nil, ep.KindStats(), nil)}
 }
 
 // nodeInstruments are one node's live registry series. The zero value (no
 // registry configured) is fully inert.
 type nodeInstruments struct {
-	pass          *obs.Gauge
-	candidates    *obs.Gauge
-	txns          *obs.Counter
-	probes        *obs.Counter
-	increments    *obs.Counter
-	itemsSent     *obs.Counter
-	blocksScanned *obs.Counter
-	blocksSkipped *obs.Counter
-	bytesDecoded  *obs.Counter
-	scanSec       *obs.Histogram
-	barrierSec    *obs.Histogram
+	pass       *obs.Gauge
+	candidates *obs.Gauge
+	scanSec    *obs.Histogram
+	// perPass[i], when non-nil, feeds the series metrics.Counters[i] names
+	// with that counter's value as each pass closes.
+	perPass [len(metrics.Counters)]func(v int64)
 }
 
 func newNodeInstruments(r *obs.Registry, node int) nodeInstruments {
@@ -141,19 +98,23 @@ func newNodeInstruments(r *obs.Registry, node int) nodeInstruments {
 		return nodeInstruments{}
 	}
 	l := obs.L("node", strconv.Itoa(node))
-	return nodeInstruments{
-		pass:          r.Gauge("pgarm_pass", "Pass currently executing.", l),
-		candidates:    r.Gauge("pgarm_pass_candidates", "Candidate itemsets |C_k| of the current pass.", l),
-		txns:          r.Counter("pgarm_txns_scanned_total", "Transactions scanned across all passes.", l),
-		probes:        r.Counter("pgarm_probes_total", "Candidate-table probes.", l),
-		increments:    r.Counter("pgarm_increments_total", "Support-count increments applied.", l),
-		itemsSent:     r.Counter("pgarm_items_sent_total", "Items shipped to other nodes.", l),
-		blocksScanned: r.Counter("pgarm_blocks_scanned_total", "Columnar partition blocks decoded during local scans.", l),
-		blocksSkipped: r.Counter("pgarm_blocks_skipped_total", "Customer sequences the sequence miners' root-mask test ruled out before matching.", l),
-		bytesDecoded:  r.Counter("pgarm_bytes_decoded_total", "Encoded bytes of decoded columnar blocks.", l),
-		scanSec:       r.Histogram("pgarm_scan_shard_seconds", "Per-shard local scan wall time.", nil, l),
-		barrierSec:    r.Histogram("pgarm_barrier_wait_seconds", "Per-pass L_k barrier wait.", nil, l),
+	ins := nodeInstruments{
+		pass:       r.Gauge("pgarm_pass", "Pass currently executing.", l),
+		candidates: r.Gauge("pgarm_pass_candidates", "Candidate itemsets |C_k| of the current pass.", l),
+		scanSec:    r.Histogram("pgarm_scan_shard_seconds", "Per-shard local scan wall time.", nil, l),
 	}
+	for i, c := range metrics.Counters {
+		if c.Series == "" {
+			continue
+		}
+		if c.Duration {
+			h := r.Histogram(c.Series, c.Help, nil, l)
+			ins.perPass[i] = func(v int64) { h.Observe(time.Duration(v).Seconds()) }
+		} else {
+			ins.perPass[i] = r.Counter(c.Series, c.Help, l).Add
+		}
+	}
+	return ins
 }
 
 func (ins *nodeInstruments) startPass(k, candidates int) {
@@ -162,14 +123,11 @@ func (ins *nodeInstruments) startPass(k, candidates int) {
 }
 
 func (ins *nodeInstruments) endPass(cur *metrics.NodeStats) {
-	ins.txns.Add(cur.TxnsScanned)
-	ins.probes.Add(cur.Probes)
-	ins.increments.Add(cur.Increments)
-	ins.itemsSent.Add(cur.ItemsSent)
-	ins.blocksScanned.Add(cur.BlocksScanned)
-	ins.blocksSkipped.Add(cur.BlocksSkipped)
-	ins.bytesDecoded.Add(cur.BytesDecoded)
-	ins.barrierSec.Observe(cur.BarrierWait.Seconds())
+	for i, feed := range ins.perPass {
+		if feed != nil {
+			feed(*metrics.Counters[i].At(cur))
+		}
+	}
 }
 
 // ShardObs carries the per-shard observability hooks of one sharded scan;

@@ -2,8 +2,8 @@ package driver
 
 import (
 	"fmt"
+	"time"
 
-	"pgarm/internal/cluster"
 	"pgarm/internal/metrics"
 	"pgarm/internal/wire"
 )
@@ -64,16 +64,15 @@ func (n *Node) phaseLabel() string {
 	return fmt.Sprintf("pass %d/%s", pass, ph)
 }
 
-// phaseSetter is implemented by connection-oriented endpoints (TCP fabric,
-// DialMesh): a callback describing the protocol position, woven into
-// peer-loss errors. Channel fabrics have no connections to lose and simply
-// don't implement it.
-type phaseSetter interface{ SetPhase(fn func() string) }
-
-func installPhaseHook(ep cluster.Endpoint, n *Node) {
-	if ps, ok := ep.(phaseSetter); ok {
-		ps.SetPhase(n.phaseLabel)
-	}
+// connEndpoint is what a connection-oriented endpoint (TCP fabric, DialMesh)
+// adds to cluster.Endpoint: a hook for the protocol position woven into
+// peer-loss errors, marking a peer's coming EOF as orderly shutdown, and the
+// handshake's clock-offset estimates. Channel endpoints have no connections
+// to lose and share one clock, and simply don't implement it.
+type connEndpoint interface {
+	SetPhase(fn func() string)
+	QuiescePeer(peer int)
+	ClockOffsets() []time.Duration
 }
 
 // exchangeSkewHint runs the plan phase's protocol step for pass k: the

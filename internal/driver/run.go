@@ -13,8 +13,10 @@ import (
 // (where the family rejects what only it can judge), build the fabric, execute
 // the protocol with one goroutine per node (node 0 coordinates) and assemble
 // the run statistics. It returns the coordinator node — whose Miner now holds
-// the results — and the stats. The first node error, if any, is returned after
-// every node has exited.
+// the results — and the stats. The first node to fail takes the fabric down
+// with it, so its peers' blocked receives and sends end with an error instead
+// of waiting on it forever; that first error is returned once every node has
+// exited.
 func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Node, *metrics.RunStats, error) {
 	if n == 0 {
 		return nil, nil, fmt.Errorf("driver: no database partitions")
@@ -50,13 +52,13 @@ func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Node, *metr
 	for range nodes {
 		if err := <-errs; err != nil && firstErr == nil {
 			firstErr = err
+			fabric.Close()
 		}
 	}
 	if firstErr != nil {
 		return nil, nil, firstErr
 	}
-	elapsed := time.Since(start)
-	return nodes[0], AssembleStats(string(spec.Algorithm), spec.MinSupport, nodes, elapsed), nil
+	return nodes[0], assembleStats(spec, nodes, time.Since(start)), nil
 }
 
 // RunWorker is Run's multi-process twin: it executes one node of the protocol
@@ -80,19 +82,22 @@ func RunWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (
 	if err := nd.Run(); err != nil {
 		return nil, nil, err
 	}
-	elapsed := time.Since(start)
-	return nd, AssembleClusterStats(string(spec.Algorithm), spec.MinSupport, nd, elapsed), nil
+	return nd, assembleStats(spec, []*Node{nd}, time.Since(start)), nil
 }
 
-// AssembleStats merges each node's per-pass counters with the coordinator's
-// per-pass metadata into a RunStats. nodes[0] must be the node that recorded
-// pass metadata (the coordinator, or the single local node of a worker run).
-func AssembleStats(algorithm string, minSup float64, nodes []*Node, elapsed time.Duration) *metrics.RunStats {
+// assembleStats builds the RunStats of a finished run from the nodes this
+// process ran — every rank of an in-process run, one rank of a worker process
+// — nodes[0] being the one that recorded pass metadata. The ranks it did not
+// run are filled from what nodes[0] ingested over the telemetry plane: only a
+// worker-mode coordinator has any, and its peers' shipped pass windows and
+// endpoint-totals snapshots reconcile exactly. On a follower the stats cover
+// the local node alone.
+func assembleStats(spec Spec, nodes []*Node, elapsed time.Duration) *metrics.RunStats {
 	coord := nodes[0]
 	rs := &metrics.RunStats{
-		Algorithm: algorithm,
-		Nodes:     len(nodes),
-		MinSup:    minSup,
+		Algorithm: string(spec.Algorithm),
+		Nodes:     coord.ep.N(),
+		MinSup:    spec.MinSupport,
 		Elapsed:   elapsed,
 	}
 	for pi, ps := range coord.passMeta {
@@ -101,10 +106,20 @@ func AssembleStats(algorithm string, minSup float64, nodes []*Node, elapsed time
 				ps.Nodes = append(ps.Nodes, nd.perPass[pi])
 			}
 		}
+		for p := len(nodes); p < len(coord.tel.remote); p++ {
+			if pi < len(coord.tel.remote[p]) {
+				ps.Nodes = append(ps.Nodes, coord.tel.remote[p][pi])
+			}
+		}
 		rs.Passes = append(rs.Passes, ps)
 	}
 	for _, nd := range nodes {
 		rs.Endpoints = append(rs.Endpoints, EndpointTotals(nd.id, nd.ep))
+	}
+	for p := len(nodes); p < len(coord.tel.totals); p++ {
+		if t := coord.tel.totals[p]; t != nil {
+			rs.Endpoints = append(rs.Endpoints, *t)
+		}
 	}
 	return rs
 }

@@ -130,11 +130,13 @@ func (n *Node) ingestTelemetry(m cluster.Message) error {
 		// Rebase: a remote span at s nanos past its epoch E_r happened at
 		// wall time E_r+s on the remote clock, which is E_r+s-offset on the
 		// coordinator's clock, i.e. E_r+s-offset-E_c past our epoch.
-		var offset int64
-		if node < len(n.cfg.ClockOffsets) {
-			offset = int64(n.cfg.ClockOffsets[node])
+		var offset time.Duration
+		if n.conn != nil {
+			if offsets := n.conn.ClockOffsets(); node < len(offsets) {
+				offset = offsets[node]
+			}
 		}
-		shift := b.epoch - offset - n.tr.EpochWallNanos()
+		shift := b.epoch - int64(offset) - n.tr.EpochWallNanos()
 		for _, tr := range b.tracks {
 			n.tr.SetThreadName(int(tr.Node), int(tr.Lane), tr.Name)
 		}
@@ -148,24 +150,19 @@ func (n *Node) ingestTelemetry(m cluster.Message) error {
 		t.dropped[node] = b.dropped
 	}
 	if b.totals != nil {
-		tt := *b.totals
-		tt.Node = node
-		t.totals[node] = &tt
+		b.totals.Node = node
+		t.totals[node] = b.totals
 	}
 	n.cfg.View.SetNodePass(node, len(t.remote[node]))
 	n.updateSkew()
 	return nil
 }
 
-// peerQuiescer is implemented by connection-oriented fabrics (TCP): marking
-// a peer quiesced makes its subsequent EOF part of orderly shutdown instead
-// of a failure. Channel fabrics have no connections to lose and simply don't
-// implement it.
-type peerQuiescer interface{ QuiescePeer(peer int) }
-
-func quiescePeer(ep cluster.Endpoint, peer int) {
-	if q, ok := ep.(peerQuiescer); ok {
-		q.QuiescePeer(peer)
+// quiescePeer tells a connection-oriented endpoint that this node no longer
+// owes peer anything, so its EOF is a clean exit rather than a failure.
+func (n *Node) quiescePeer(peer int) {
+	if n.conn != nil {
+		n.conn.QuiescePeer(peer)
 	}
 }
 
@@ -192,13 +189,13 @@ func (n *Node) flushTelemetry() error {
 		if err := n.gather(n.ingestTelemetry, KTelemetry); err != nil {
 			return err
 		}
-		if _, err := n.bcast(KTelemetry, nil, func(p int) { quiescePeer(n.ep, p) }); err != nil {
+		if _, err := n.bcast(KTelemetry, nil, n.quiescePeer); err != nil {
 			return err
 		}
 	} else {
 		for p := 1; p < n.ep.N(); p++ {
 			if p != n.ep.ID() {
-				quiescePeer(n.ep, p)
+				n.quiescePeer(p)
 			}
 		}
 		if err := n.shipTelemetry(true); err != nil {
@@ -207,7 +204,7 @@ func (n *Node) flushTelemetry() error {
 		if _, err := n.bcast(KTelemetry, nil, nil); err != nil {
 			return err
 		}
-		quiescePeer(n.ep, 0)
+		n.quiescePeer(0)
 	}
 	n.foldFlushWindow()
 	return nil
@@ -275,39 +272,6 @@ func (g skewGauges) set(s metrics.SkewReport) {
 	g.blocksCV.Set(s.BlocksScannedCV)
 }
 
-// AssembleClusterStats builds a RunStats from one node's view of the run. On
-// the coordinator of a multi-node run this is the merged cluster view: its
-// own pass windows plus every follower's shipped windows and endpoint-totals
-// snapshots, reconciling exactly. On a follower (or a single-node run) it
-// degrades to that node's own stats, identical to a single-node
-// AssembleStats.
-func AssembleClusterStats(algorithm string, minSup float64, nd *Node, elapsed time.Duration) *metrics.RunStats {
-	rs := &metrics.RunStats{
-		Algorithm: algorithm,
-		Nodes:     nd.ep.N(),
-		MinSup:    minSup,
-		Elapsed:   elapsed,
-	}
-	for pi, ps := range nd.passMeta {
-		if pi < len(nd.perPass) {
-			ps.Nodes = append(ps.Nodes, nd.perPass[pi])
-		}
-		for p := 1; p < nd.ep.N(); p++ {
-			if nd.tel.remote != nil && pi < len(nd.tel.remote[p]) {
-				ps.Nodes = append(ps.Nodes, nd.tel.remote[p][pi])
-			}
-		}
-		rs.Passes = append(rs.Passes, ps)
-	}
-	rs.Endpoints = append(rs.Endpoints, EndpointTotals(nd.id, nd.ep))
-	for p := 1; p < nd.ep.N(); p++ {
-		if nd.tel.totals != nil && nd.tel.totals[p] != nil {
-			rs.Endpoints = append(rs.Endpoints, *nd.tel.totals[p])
-		}
-	}
-	return rs
-}
-
 // --- wire codec -----------------------------------------------------------
 
 // appendTelemetry encodes a batch with the repo's varint conventions:
@@ -318,7 +282,9 @@ func AssembleClusterStats(algorithm string, minSup float64, nd *Node, elapsed ti
 //
 // All scalars are uvarints except span arg values (zigzag — they may be
 // negative) and span starts (zigzag — rebasing can shift them negative). A
-// pass is metrics.NodeStats.Counters in order, then its per-kind traffic.
+// pass is the rows of metrics.Counters in order, then its per-kind traffic;
+// a traffic record is always msgs sent, msgs received, bytes sent, bytes
+// received.
 func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 	dst = append(dst, telemetryVersion)
 	var flags byte
@@ -332,8 +298,8 @@ func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 
 	dst = wire.AppendUvarint(dst, uint64(len(b.passes)))
 	for i := range b.passes {
-		for _, p := range b.passes[i].Counters() {
-			dst = wire.AppendUvarint(dst, uint64(*p))
+		for _, c := range metrics.Counters {
+			dst = wire.AppendUvarint(dst, uint64(*c.At(&b.passes[i])))
 		}
 		dst = appendKindIO(dst, b.passes[i].ByKind)
 	}
@@ -358,30 +324,32 @@ func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 		}
 	}
 	if b.final {
-		t := b.totals
-		dst = wire.AppendUvarint(dst, uint64(t.MsgsSent))
-		dst = wire.AppendUvarint(dst, uint64(t.MsgsReceived))
-		dst = wire.AppendUvarint(dst, uint64(t.BytesSent))
-		dst = wire.AppendUvarint(dst, uint64(t.BytesReceived))
-		dst = appendKindIO(dst, t.ByKind)
+		dst = appendKindIO(appendTraffic(dst, b.totals.Traffic), b.totals.ByKind)
 	}
 	return dst
+}
+
+func appendTraffic(dst []byte, t cluster.Traffic) []byte {
+	for _, v := range [...]int64{t.MsgsSent, t.MsgsReceived, t.BytesSent, t.BytesReceived} {
+		dst = wire.AppendUvarint(dst, uint64(v))
+	}
+	return dst
+}
+
+func decodeTraffic(d *wire.Dec) cluster.Traffic {
+	return cluster.Traffic{MsgsSent: d.I64(), MsgsReceived: d.I64(), BytesSent: d.I64(), BytesReceived: d.I64()}
 }
 
 func appendKindIO(dst []byte, ks []metrics.KindIO) []byte {
 	dst = wire.AppendUvarint(dst, uint64(len(ks)))
 	for _, k := range ks {
-		dst = append(dst, k.Kind)
-		dst = wire.AppendUvarint(dst, uint64(k.MsgsSent))
-		dst = wire.AppendUvarint(dst, uint64(k.MsgsReceived))
-		dst = wire.AppendUvarint(dst, uint64(k.BytesSent))
-		dst = wire.AppendUvarint(dst, uint64(k.BytesReceived))
+		dst = appendTraffic(append(dst, k.Kind), k.Traffic)
 	}
 	return dst
 }
 
 // decodeTelemetry is appendTelemetry's inverse. Every collection length is
-// bounded by the payload through its smallest element (a pass is 16 counters
+// bounded by the payload through its smallest element (a pass is its counters
 // and a kind count, a track two ids and a name length, ...).
 func decodeTelemetry(p []byte) (*telemetryBatch, error) {
 	d := wire.NewDec(p)
@@ -394,10 +362,10 @@ func decodeTelemetry(p []byte) (*telemetryBatch, error) {
 		dropped:   d.I64(),
 		firstPass: d.Int(),
 	}
-	for i, n := 0, d.Count(17); i < n && d.Err() == nil; i++ {
+	for i, n := 0, d.Count(len(metrics.Counters)+1); i < n && d.Err() == nil; i++ {
 		var s metrics.NodeStats
-		for _, p := range s.Counters() {
-			*p = d.I64()
+		for _, c := range metrics.Counters {
+			*c.At(&s) = d.I64()
 		}
 		s.ByKind = decodeKindIO(&d)
 		b.passes = append(b.passes, s)
@@ -419,13 +387,7 @@ func decodeTelemetry(p []byte) (*telemetryBatch, error) {
 		b.spans = append(b.spans, sp)
 	}
 	if b.final {
-		b.totals = &metrics.EndpointTotals{
-			MsgsSent:      d.I64(),
-			MsgsReceived:  d.I64(),
-			BytesSent:     d.I64(),
-			BytesReceived: d.I64(),
-			ByKind:        decodeKindIO(&d),
-		}
+		b.totals = &metrics.EndpointTotals{Traffic: decodeTraffic(&d), ByKind: decodeKindIO(&d)}
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
@@ -441,11 +403,7 @@ func decodeKindIO(d *wire.Dec) []metrics.KindIO {
 	out := make([]metrics.KindIO, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		k := d.Byte()
-		out = append(out, metrics.KindIO{
-			Kind: k, Name: kindName(k),
-			MsgsSent: d.I64(), MsgsReceived: d.I64(),
-			BytesSent: d.I64(), BytesReceived: d.I64(),
-		})
+		out = append(out, metrics.KindIO{Kind: k, Name: kindName(k), Traffic: decodeTraffic(d)})
 	}
 	return out
 }

@@ -1,13 +1,16 @@
 package driver
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
+	"pgarm/internal/cluster"
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
 	"pgarm/internal/wire"
@@ -35,13 +38,14 @@ func testBatch(final bool) *telemetryBatch {
 		passes: []metrics.NodeStats{
 			{
 				TxnsScanned: 1200, Probes: 33000, Increments: 8100,
-				ItemsSent: 41, ItemsReceived: 52, BytesSent: 9001, BytesReceived: 777,
-				DataBytesSent: 8000, DataBytesReceived: 600, MsgsSent: 12, MsgsReceived: 9,
+				ItemsSent: 41, ItemsReceived: 52,
+				Traffic:       cluster.Traffic{BytesSent: 9001, BytesReceived: 777, MsgsSent: 12, MsgsReceived: 9},
+				DataBytesSent: 8000, DataBytesReceived: 600,
 				BlocksScanned: 5, BlocksSkipped: 2, BytesDecoded: 4096,
 				ScanTime: 18 * time.Millisecond, BarrierWait: 3 * time.Millisecond,
 				ByKind: []metrics.KindIO{
-					{Kind: uint8(KData), Name: kindName(uint8(KData)), MsgsSent: 4, MsgsReceived: 3, BytesSent: 8000, BytesReceived: 600},
-					{Kind: uint8(KTelemetry), Name: kindName(uint8(KTelemetry)), MsgsSent: 1, BytesSent: 120},
+					{Kind: uint8(KData), Name: kindName(uint8(KData)), Traffic: cluster.Traffic{MsgsSent: 4, MsgsReceived: 3, BytesSent: 8000, BytesReceived: 600}},
+					{Kind: uint8(KTelemetry), Name: kindName(uint8(KTelemetry)), Traffic: cluster.Traffic{MsgsSent: 1, BytesSent: 120}},
 				},
 			},
 			{TxnsScanned: 900, ScanTime: 2 * time.Millisecond},
@@ -58,9 +62,9 @@ func testBatch(final bool) *telemetryBatch {
 	}
 	if final {
 		b.totals = &metrics.EndpointTotals{
-			MsgsSent: 240, MsgsReceived: 238, BytesSent: 131072, BytesReceived: 99000,
+			Traffic: cluster.Traffic{MsgsSent: 240, MsgsReceived: 238, BytesSent: 131072, BytesReceived: 99000},
 			ByKind: []metrics.KindIO{
-				{Kind: uint8(KSize), Name: kindName(uint8(KSize)), MsgsSent: 1, MsgsReceived: 1, BytesSent: 9, BytesReceived: 9},
+				{Kind: uint8(KSize), Name: kindName(uint8(KSize)), Traffic: cluster.Traffic{MsgsSent: 1, MsgsReceived: 1, BytesSent: 9, BytesReceived: 9}},
 			},
 		}
 	}
@@ -77,6 +81,22 @@ func TestTelemetryCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, in) {
 			t.Fatalf("final=%v: round trip mismatch:\n got %+v\nwant %+v", final, got, in)
 		}
+	}
+}
+
+// TestTelemetryGolden pins the KTelemetry bytes of one final batch — passes,
+// per-kind traffic, spans, totals — against the encoding recorded before the
+// counter list moved into metrics.Counters. The order of the counters, of a
+// traffic record's four figures and telemetryVersion cannot drift unnoticed:
+// a change that means to move them bumps the version and regenerates the file
+// (hex.Dump of the payload).
+func TestTelemetryGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/telemetry_final.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.Dump(appendTelemetry(nil, testBatch(true))); got != string(want) {
+		t.Errorf("KTelemetry v%d encoding differs from testdata/telemetry_final.golden:\n%s", telemetryVersion, got)
 	}
 }
 

@@ -44,16 +44,6 @@ import (
 // internal/engines); also the algorithm label in run reports.
 const Engine = "FPG"
 
-// FabricKind selects the interconnect emulation (see internal/driver).
-type FabricKind = driver.FabricKind
-
-const (
-	// FabricChan runs the nodes over in-process channels (default).
-	FabricChan = driver.FabricChan
-	// FabricTCP runs the nodes over loopback TCP connections.
-	FabricTCP = driver.FabricTCP
-)
-
 // Config and Result are the one run description and the one result shape
 // (driver.Spec, driver.Result) under the names bench/ compiles against;
 // new callers go through internal/engines. See DESIGN §3. MaxK bounds the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pgarm/internal/cumulate"
+	"pgarm/internal/driver"
 	"pgarm/internal/gen"
 	"pgarm/internal/item"
 	"pgarm/internal/taxonomy"
@@ -118,7 +119,7 @@ func TestFpgTCPFabricMatches(t *testing.T) {
 				got, err := Mine(ds.Taxonomy, partsOf(ds.DB, 4), Config{
 					MinSupport: minSup,
 					Workers:    workers,
-					Fabric:     FabricTCP,
+					Fabric:     driver.FabricTCP,
 				})
 				if err != nil {
 					t.Fatalf("fpg mine over TCP: %v", err)

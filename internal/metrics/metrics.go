@@ -6,13 +6,19 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
+
+	"pgarm/internal/cluster"
 )
 
-// NodeStats are the counters one node accumulates during one pass.
+// NodeStats are the counters one node accumulates during one pass. Every
+// scalar here has exactly one row in Counters, which is what carries it onto
+// the telemetry plane, into the run report and onto /metrics.
 type NodeStats struct {
 	Node          int
 	TxnsScanned   int64 // transactions read from local disk
@@ -20,20 +26,18 @@ type NodeStats struct {
 	Increments    int64 // sup_cou increments actually applied
 	ItemsSent     int64 // items shipped to other nodes (paper's "sends N items")
 	ItemsReceived int64 // items received from other nodes during count support
-	// BytesSent/Received are the whole-pass fabric counters, computed as
-	// deltas between monotonic endpoint snapshots taken at pass boundaries.
-	// The per-pass windows tile the run exactly: summed over all passes they
-	// equal the endpoint's lifetime totals.
-	BytesSent     int64
-	BytesReceived int64
+	// Traffic is the whole-pass fabric window (MsgsSent, MsgsReceived,
+	// BytesSent, BytesReceived), computed as the delta between monotonic
+	// endpoint snapshots taken at pass boundaries. The per-pass windows tile
+	// the run exactly: summed over all passes they equal the endpoint's
+	// lifetime totals.
+	cluster.Traffic
 	// DataBytesSent/Received cover only the count-support exchange (message
 	// kind "data") — the traffic Table 6 reports — excluding the L_k gather
 	// and broadcast. The sent side is the per-kind snapshot delta, the
 	// received side counted at delivery.
 	DataBytesSent     int64
 	DataBytesReceived int64
-	MsgsSent          int64 // fabric messages sent
-	MsgsReceived      int64 // fabric messages received
 	// BlocksScanned/BytesDecoded profile the block-granular scan path of
 	// columnar partitions: blocks decoded and their encoded bytes. Sources
 	// without blocks leave them zero. BlocksSkipped is written only by the
@@ -52,42 +56,101 @@ type NodeStats struct {
 	ByKind []KindIO
 }
 
+// Counter declares one scalar counter of a node's pass window: where it
+// lives in NodeStats and how every consumer spells it. The telemetry codec,
+// AddScanCounters, the run report's per-node JSON and the driver's registry
+// updates all walk Counters, so a new per-pass fact is one NodeStats field
+// plus one row (a test checks the pairing).
+type Counter struct {
+	// Key is the counter's JSON key in the run report. A Duration counter is
+	// reported in milliseconds; Optional ones are omitted when zero.
+	Key      string
+	Duration bool
+	Optional bool
+	// Series and Help name the per-node /metrics series the driver feeds as
+	// each pass closes — a counter, or for a Duration a histogram in seconds
+	// observed once per pass. Empty: no series.
+	Series, Help string
+	// Scan marks what a partition scan accumulates per scan worker and
+	// AddScanCounters folds. The rest — communication windows, wall times —
+	// is owned by the node.
+	Scan bool
+	// At addresses the counter in a window (a Duration through its int64
+	// nanoseconds).
+	At func(*NodeStats) *int64
+}
+
 // Counters lists the pass window's scalar counters in the order KTelemetry
-// carries them. Encoder and decoder both walk this one list, so a counter
-// added here reaches both ends of the plane (and needs a telemetryVersion
-// bump, like any change to the order).
-func (s *NodeStats) Counters() [16]*int64 {
-	return [...]*int64{
-		&s.TxnsScanned, &s.Probes, &s.Increments, &s.ItemsSent, &s.ItemsReceived,
-		&s.BytesSent, &s.BytesReceived, &s.DataBytesSent, &s.DataBytesReceived,
-		&s.MsgsSent, &s.MsgsReceived, &s.BlocksScanned, &s.BlocksSkipped,
-		&s.BytesDecoded, (*int64)(&s.ScanTime), (*int64)(&s.BarrierWait),
-	}
+// carries them, which is also the report's key order. Changing the order or
+// adding a row changes the wire format and needs a telemetryVersion bump.
+var Counters = [...]Counter{
+	{Key: "txns_scanned", Scan: true, Series: "pgarm_txns_scanned_total", Help: "Transactions scanned across all passes.",
+		At: func(s *NodeStats) *int64 { return &s.TxnsScanned }},
+	{Key: "probes", Scan: true, Series: "pgarm_probes_total", Help: "Candidate-table probes.",
+		At: func(s *NodeStats) *int64 { return &s.Probes }},
+	{Key: "increments", Scan: true, Series: "pgarm_increments_total", Help: "Support-count increments applied.",
+		At: func(s *NodeStats) *int64 { return &s.Increments }},
+	{Key: "items_sent", Scan: true, Series: "pgarm_items_sent_total", Help: "Items shipped to other nodes.",
+		At: func(s *NodeStats) *int64 { return &s.ItemsSent }},
+	{Key: "items_received", At: func(s *NodeStats) *int64 { return &s.ItemsReceived }},
+	{Key: "bytes_sent", At: func(s *NodeStats) *int64 { return &s.BytesSent }},
+	{Key: "bytes_received", At: func(s *NodeStats) *int64 { return &s.BytesReceived }},
+	{Key: "data_bytes_sent", At: func(s *NodeStats) *int64 { return &s.DataBytesSent }},
+	{Key: "data_bytes_received", At: func(s *NodeStats) *int64 { return &s.DataBytesReceived }},
+	{Key: "msgs_sent", At: func(s *NodeStats) *int64 { return &s.MsgsSent }},
+	{Key: "msgs_received", At: func(s *NodeStats) *int64 { return &s.MsgsReceived }},
+	{Key: "blocks_scanned", Optional: true, Scan: true, Series: "pgarm_blocks_scanned_total", Help: "Columnar partition blocks decoded during local scans.",
+		At: func(s *NodeStats) *int64 { return &s.BlocksScanned }},
+	{Key: "blocks_skipped", Optional: true, Scan: true, Series: "pgarm_blocks_skipped_total", Help: "Customer sequences the sequence miners' root-mask test ruled out before matching.",
+		At: func(s *NodeStats) *int64 { return &s.BlocksSkipped }},
+	{Key: "bytes_decoded", Optional: true, Scan: true, Series: "pgarm_bytes_decoded_total", Help: "Encoded bytes of decoded columnar blocks.",
+		At: func(s *NodeStats) *int64 { return &s.BytesDecoded }},
+	{Key: "scan_ms", Duration: true, At: func(s *NodeStats) *int64 { return (*int64)(&s.ScanTime) }},
+	{Key: "barrier_wait_ms", Duration: true, Series: "pgarm_barrier_wait_seconds", Help: "Per-pass L_k barrier wait.",
+		At: func(s *NodeStats) *int64 { return (*int64)(&s.BarrierWait) }},
 }
 
 // KindIO is one message kind's traffic during one node's pass window.
 type KindIO struct {
-	Kind          uint8  `json:"kind"`
-	Name          string `json:"name,omitempty"`
-	MsgsSent      int64  `json:"msgs_sent"`
-	MsgsReceived  int64  `json:"msgs_received"`
-	BytesSent     int64  `json:"bytes_sent"`
-	BytesReceived int64  `json:"bytes_received"`
+	Kind uint8  `json:"kind"`
+	Name string `json:"name,omitempty"`
+	cluster.Traffic
 }
 
 // AddScanCounters folds a scan worker's counters into the node's pass
-// totals: the additive quantities a sharded partition scan accumulates per
-// worker (transactions, probes, increments, items shipped). Communication
-// byte/message counters and wall times are owned by the node, not its
-// workers, and are left untouched.
+// totals: the Scan rows of Counters.
 func (s *NodeStats) AddScanCounters(w *NodeStats) {
-	s.TxnsScanned += w.TxnsScanned
-	s.Probes += w.Probes
-	s.Increments += w.Increments
-	s.ItemsSent += w.ItemsSent
-	s.BlocksScanned += w.BlocksScanned
-	s.BlocksSkipped += w.BlocksSkipped
-	s.BytesDecoded += w.BytesDecoded
+	for _, c := range Counters {
+		if c.Scan {
+			*c.At(s) += *c.At(w)
+		}
+	}
+}
+
+// MarshalJSON renders the window as the run report's per-node object: the
+// node id, every row of Counters under its key, then the per-kind traffic.
+func (s NodeStats) MarshalJSON() ([]byte, error) {
+	b := strconv.AppendInt([]byte(`{"node":`), int64(s.Node), 10)
+	for _, c := range Counters {
+		v := *c.At(&s)
+		if v == 0 && c.Optional {
+			continue
+		}
+		b = append(b, `,"`+c.Key+`":`...)
+		if c.Duration { // printed as encoding/json prints a float64 of this range
+			b = strconv.AppendFloat(b, ms(time.Duration(v)), 'f', -1, 64)
+		} else {
+			b = strconv.AppendInt(b, v, 10)
+		}
+	}
+	if len(s.ByKind) > 0 {
+		kinds, err := json.Marshal(s.ByKind)
+		if err != nil {
+			return nil, err
+		}
+		b = append(append(b, `,"by_kind":`...), kinds...)
+	}
+	return append(b, '}'), nil
 }
 
 // PassStats aggregates one pass across the cluster.
@@ -127,13 +190,24 @@ func (p *PassStats) TotalItemsSent() int64 {
 	return sum
 }
 
+// column lists one figure of every node's window, in node order.
+func column(nodes []NodeStats, of func(*NodeStats) int64) []float64 {
+	vals := make([]float64, len(nodes))
+	for i := range nodes {
+		vals[i] = float64(of(&nodes[i]))
+	}
+	return vals
+}
+
 // ProbeSkew summarizes the per-node probe distribution.
 func (p *PassStats) ProbeSkew() Skew {
-	vals := make([]float64, len(p.Nodes))
-	for i, n := range p.Nodes {
-		vals[i] = float64(n.Probes)
-	}
-	return Summarize(vals)
+	return Summarize(column(p.Nodes, func(n *NodeStats) int64 { return n.Probes }))
+}
+
+// BarrierWaitSkew summarizes the per-node barrier-wait distribution — high
+// max/mean means one straggler held the whole cluster at the pass barrier.
+func (p *PassStats) BarrierWaitSkew() Skew {
+	return Summarize(column(p.Nodes, func(n *NodeStats) int64 { return int64(n.BarrierWait) }))
 }
 
 // Skew describes how evenly a per-node quantity is distributed.
@@ -205,22 +279,16 @@ func ComputeSkew(pass int, nodes []NodeStats) SkewReport {
 	if len(nodes) == 0 {
 		return sr
 	}
-	bw := make([]float64, len(nodes))
-	bs := make([]float64, len(nodes))
-	bl := make([]float64, len(nodes))
 	straggler := nodes[0]
-	for i, n := range nodes {
-		bw[i] = float64(n.BarrierWait)
-		bs[i] = float64(n.BytesSent)
-		bl[i] = float64(n.BlocksScanned)
+	for _, n := range nodes {
 		if n.ScanTime > straggler.ScanTime ||
 			(n.ScanTime == straggler.ScanTime && n.Node < straggler.Node) {
 			straggler = n
 		}
 	}
-	sr.BarrierWaitMaxOverMean = Summarize(bw).MaxOverMean
-	sr.BytesSentCV = Summarize(bs).CV
-	sr.BlocksScannedCV = Summarize(bl).CV
+	sr.BarrierWaitMaxOverMean = Summarize(column(nodes, func(n *NodeStats) int64 { return int64(n.BarrierWait) })).MaxOverMean
+	sr.BytesSentCV = Summarize(column(nodes, func(n *NodeStats) int64 { return n.BytesSent })).CV
+	sr.BlocksScannedCV = Summarize(column(nodes, func(n *NodeStats) int64 { return n.BlocksScanned })).CV
 	sr.Straggler = straggler.Node
 	return sr
 }
@@ -247,12 +315,9 @@ type RunStats struct {
 
 // EndpointTotals are one node's lifetime fabric counters.
 type EndpointTotals struct {
-	Node          int      `json:"node"`
-	MsgsSent      int64    `json:"msgs_sent"`
-	MsgsReceived  int64    `json:"msgs_received"`
-	BytesSent     int64    `json:"bytes_sent"`
-	BytesReceived int64    `json:"bytes_received"`
-	ByKind        []KindIO `json:"by_kind,omitempty"`
+	Node int `json:"node"`
+	cluster.Traffic
+	ByKind []KindIO `json:"by_kind,omitempty"`
 }
 
 // FinalPlan returns the last pass's plan decision — the granule map the run

@@ -1,9 +1,12 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"pgarm/internal/cluster"
 )
 
 func samplePass() PassStats {
@@ -12,9 +15,9 @@ func samplePass() PassStats {
 		Candidates: 100,
 		Large:      40,
 		Nodes: []NodeStats{
-			{Node: 0, Probes: 100, BytesReceived: 1500, DataBytesReceived: 1000, ItemsSent: 10, TxnsScanned: 50},
-			{Node: 1, Probes: 300, BytesReceived: 3500, DataBytesReceived: 3000, ItemsSent: 30, TxnsScanned: 50},
-			{Node: 2, Probes: 200, BytesReceived: 2500, DataBytesReceived: 2000, ItemsSent: 20, TxnsScanned: 50},
+			{Node: 0, Probes: 100, Traffic: cluster.Traffic{BytesReceived: 1500}, DataBytesReceived: 1000, ItemsSent: 10, TxnsScanned: 50},
+			{Node: 1, Probes: 300, Traffic: cluster.Traffic{BytesReceived: 3500}, DataBytesReceived: 3000, ItemsSent: 30, TxnsScanned: 50},
+			{Node: 2, Probes: 200, Traffic: cluster.Traffic{BytesReceived: 2500}, DataBytesReceived: 2000, ItemsSent: 20, TxnsScanned: 50},
 		},
 	}
 }
@@ -94,7 +97,7 @@ func TestCostModel(t *testing.T) {
 		TxnsScanned: 2,
 		// Whole-pass bytes include control traffic the model must ignore;
 		// only the data-plane portion is charged.
-		BytesSent: 9999, BytesReceived: 9999,
+		Traffic:       cluster.Traffic{BytesSent: 9999, BytesReceived: 9999},
 		DataBytesSent: 500, DataBytesReceived: 500,
 	}
 	want := 1000*time.Microsecond + 10*2*time.Microsecond + 1000*time.Nanosecond + 2*time.Millisecond
@@ -109,5 +112,51 @@ func TestCostModel(t *testing.T) {
 	}
 	if d := DefaultCostModel(); d.ProbePerOp <= 0 || d.PerByte <= 0 || d.PerTxn <= 0 {
 		t.Error("default model has non-positive constants")
+	}
+}
+
+// TestCountersCoverNodeStats: every int64 or time.Duration field of NodeStats
+// (the embedded traffic record's included) is addressed by exactly one row of
+// Counters, and every row names its key. A counter added to the struct but not
+// to the list would otherwise be silently missing from the telemetry plane,
+// the run report and /metrics.
+func TestCountersCoverNodeStats(t *testing.T) {
+	var s NodeStats
+	rows := map[*int64]string{}
+	keys := map[string]bool{}
+	for _, c := range Counters {
+		p := c.At(&s)
+		if prev, dup := rows[p]; dup {
+			t.Errorf("rows %q and %q address the same field", prev, c.Key)
+		}
+		if c.Key == "" || keys[c.Key] {
+			t.Errorf("row key %q is empty or repeated", c.Key)
+		}
+		if (c.Series == "") != (c.Help == "") {
+			t.Errorf("row %q: a series needs a help text and only a series has one", c.Key)
+		}
+		rows[p], keys[c.Key] = c.Key, true
+	}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			switch f.Interface().(type) {
+			case int64, time.Duration:
+				p := (*int64)(f.Addr().UnsafePointer())
+				if _, ok := rows[p]; !ok {
+					t.Errorf("NodeStats.%s has no row in Counters", name)
+				}
+				delete(rows, p)
+			default:
+				if f.Kind() == reflect.Struct {
+					walk(f, name+".")
+				}
+			}
+		}
+	}
+	walk(reflect.ValueOf(&s).Elem(), "")
+	for _, key := range rows {
+		t.Errorf("row %q addresses no int64 or time.Duration field of NodeStats", key)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"pgarm/internal/cluster"
 	"pgarm/internal/obs"
 )
 
@@ -12,6 +13,9 @@ import (
 // It is the diffable artifact `pgarm-bench -json` emits. The schema carries
 // no version number: a report is a set of named sections, each present when
 // that part of the run happened, and the key set is pinned by a golden test.
+// A Report is written, never read back: nothing in the repo decodes one, and
+// the per-node objects have only a marshaller (NodeStats.MarshalJSON), so
+// json.Unmarshal into a Report loses most of each node's counters.
 type Report struct {
 	Algorithm string       `json:"algorithm"`
 	Dataset   string       `json:"dataset"`
@@ -46,32 +50,12 @@ type PassReport struct {
 	GenerateMS float64 `json:"generate_ms,omitempty"`
 	// AvgDataBytesReceived is Table 6's quantity: mean count-support payload
 	// bytes received per node.
-	AvgDataBytesReceived float64      `json:"avg_data_bytes_received"`
-	ProbeSkew            Skew         `json:"probe_skew"`
-	BarrierWaitSkew      Skew         `json:"barrier_wait_skew"`
-	Nodes                []NodeReport `json:"nodes"`
-}
-
-// NodeReport is one node's counters within one pass.
-type NodeReport struct {
-	Node              int      `json:"node"`
-	TxnsScanned       int64    `json:"txns_scanned"`
-	Probes            int64    `json:"probes"`
-	Increments        int64    `json:"increments"`
-	ItemsSent         int64    `json:"items_sent"`
-	ItemsReceived     int64    `json:"items_received"`
-	BytesSent         int64    `json:"bytes_sent"`
-	BytesReceived     int64    `json:"bytes_received"`
-	DataBytesSent     int64    `json:"data_bytes_sent"`
-	DataBytesReceived int64    `json:"data_bytes_received"`
-	MsgsSent          int64    `json:"msgs_sent"`
-	MsgsReceived      int64    `json:"msgs_received"`
-	BlocksScanned     int64    `json:"blocks_scanned,omitempty"`
-	BlocksSkipped     int64    `json:"blocks_skipped,omitempty"`
-	BytesDecoded      int64    `json:"bytes_decoded,omitempty"`
-	ScanMS            float64  `json:"scan_ms"`
-	BarrierWaitMS     float64  `json:"barrier_wait_ms"`
-	ByKind            []KindIO `json:"by_kind,omitempty"`
+	AvgDataBytesReceived float64 `json:"avg_data_bytes_received"`
+	ProbeSkew            Skew    `json:"probe_skew"`
+	BarrierWaitSkew      Skew    `json:"barrier_wait_skew"`
+	// Nodes are the pass windows themselves; NodeStats.MarshalJSON renders
+	// each from the Counters list.
+	Nodes []NodeStats `json:"nodes"`
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -101,28 +85,7 @@ func BuildReport(rs *RunStats, tracer *obs.Tracer) Report {
 			AvgDataBytesReceived: p.AvgBytesReceived(),
 			ProbeSkew:            p.ProbeSkew(),
 			BarrierWaitSkew:      p.BarrierWaitSkew(),
-		}
-		for _, n := range p.Nodes {
-			pr.Nodes = append(pr.Nodes, NodeReport{
-				Node:              n.Node,
-				TxnsScanned:       n.TxnsScanned,
-				Probes:            n.Probes,
-				Increments:        n.Increments,
-				ItemsSent:         n.ItemsSent,
-				ItemsReceived:     n.ItemsReceived,
-				BytesSent:         n.BytesSent,
-				BytesReceived:     n.BytesReceived,
-				DataBytesSent:     n.DataBytesSent,
-				DataBytesReceived: n.DataBytesReceived,
-				MsgsSent:          n.MsgsSent,
-				MsgsReceived:      n.MsgsReceived,
-				BlocksScanned:     n.BlocksScanned,
-				BlocksSkipped:     n.BlocksSkipped,
-				BytesDecoded:      n.BytesDecoded,
-				ScanMS:            ms(n.ScanTime),
-				BarrierWaitMS:     ms(n.BarrierWait),
-				ByKind:            n.ByKind,
-			})
+			Nodes:                p.Nodes,
 		}
 		rep.Passes = append(rep.Passes, pr)
 		rep.Skew = append(rep.Skew, ComputeSkew(p.Pass, p.Nodes))
@@ -140,62 +103,27 @@ func (r *RunStats) ReconcileEndpoints() error {
 	if len(r.Endpoints) == 0 {
 		return fmt.Errorf("metrics: no endpoint totals recorded")
 	}
-	type agg struct {
-		msgsSent, msgsRecv, bytesSent, bytesRecv int64
-		byKind                                   map[uint8]KindIO
-	}
-	perNode := make(map[int]*agg)
+	// Pass sums per (node, kind); kind -1 is the node's aggregate window.
+	type key struct{ node, kind int }
+	sums := make(map[key]cluster.Traffic)
 	for _, p := range r.Passes {
 		for _, n := range p.Nodes {
-			a := perNode[n.Node]
-			if a == nil {
-				a = &agg{byKind: make(map[uint8]KindIO)}
-				perNode[n.Node] = a
-			}
-			a.msgsSent += n.MsgsSent
-			a.msgsRecv += n.MsgsReceived
-			a.bytesSent += n.BytesSent
-			a.bytesRecv += n.BytesReceived
+			sums[key{n.Node, -1}] = sums[key{n.Node, -1}].Add(n.Traffic)
 			for _, k := range n.ByKind {
-				cur := a.byKind[k.Kind]
-				cur.Kind = k.Kind
-				cur.MsgsSent += k.MsgsSent
-				cur.MsgsReceived += k.MsgsReceived
-				cur.BytesSent += k.BytesSent
-				cur.BytesReceived += k.BytesReceived
-				a.byKind[k.Kind] = cur
+				sums[key{n.Node, int(k.Kind)}] = sums[key{n.Node, int(k.Kind)}].Add(k.Traffic)
 			}
 		}
 	}
 	for _, ep := range r.Endpoints {
-		a := perNode[ep.Node]
-		if a == nil {
-			a = &agg{byKind: make(map[uint8]KindIO)}
-		}
-		if a.msgsSent != ep.MsgsSent || a.msgsRecv != ep.MsgsReceived ||
-			a.bytesSent != ep.BytesSent || a.bytesRecv != ep.BytesReceived {
-			return fmt.Errorf("metrics: node %d pass sums (sent %d msgs/%d B, recv %d msgs/%d B) != endpoint totals (sent %d msgs/%d B, recv %d msgs/%d B)",
-				ep.Node, a.msgsSent, a.bytesSent, a.msgsRecv, a.bytesRecv,
-				ep.MsgsSent, ep.BytesSent, ep.MsgsReceived, ep.BytesReceived)
+		if got := sums[key{ep.Node, -1}]; got != ep.Traffic {
+			return fmt.Errorf("metrics: node %d pass sums %+v != endpoint totals %+v", ep.Node, got, ep.Traffic)
 		}
 		for _, k := range ep.ByKind {
-			got := a.byKind[k.Kind]
-			if got.MsgsSent != k.MsgsSent || got.MsgsReceived != k.MsgsReceived ||
-				got.BytesSent != k.BytesSent || got.BytesReceived != k.BytesReceived {
+			if got := sums[key{ep.Node, int(k.Kind)}]; got != k.Traffic {
 				return fmt.Errorf("metrics: node %d kind %d (%s): pass sums %+v != endpoint totals %+v",
-					ep.Node, k.Kind, k.Name, got, k)
+					ep.Node, k.Kind, k.Name, got, k.Traffic)
 			}
 		}
 	}
 	return nil
-}
-
-// BarrierWaitSkew summarizes the per-node barrier-wait distribution — high
-// max/mean means one straggler held the whole cluster at the pass barrier.
-func (p *PassStats) BarrierWaitSkew() Skew {
-	vals := make([]float64, len(p.Nodes))
-	for i, n := range p.Nodes {
-		vals[i] = float64(n.BarrierWait)
-	}
-	return Summarize(vals)
 }

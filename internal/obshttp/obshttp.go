@@ -65,11 +65,11 @@ func NewMux(cfg Config) *http.ServeMux {
 		reg.GaugeFunc("pgarm_fabric_bytes_sent", "Fabric payload bytes sent since start.",
 			func() float64 { return float64(ep.Stats().BytesSent) }, l)
 		reg.GaugeFunc("pgarm_fabric_bytes_received", "Fabric payload bytes received since start.",
-			func() float64 { return float64(ep.Stats().BytesRecv) }, l)
+			func() float64 { return float64(ep.Stats().BytesReceived) }, l)
 		reg.GaugeFunc("pgarm_fabric_msgs_sent", "Fabric messages sent since start.",
 			func() float64 { return float64(ep.Stats().MsgsSent) }, l)
 		reg.GaugeFunc("pgarm_fabric_msgs_received", "Fabric messages received since start.",
-			func() float64 { return float64(ep.Stats().MsgsRecv) }, l)
+			func() float64 { return float64(ep.Stats().MsgsReceived) }, l)
 	}
 	passGauge := reg.Gauge("pgarm_pass", "Pass currently executing.", l)
 

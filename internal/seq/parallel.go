@@ -48,16 +48,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return "", fmt.Errorf("seq: unknown algorithm %q", s)
 }
 
-// FabricKind selects the interconnect emulation (see internal/driver).
-type FabricKind = driver.FabricKind
-
-const (
-	// FabricChan runs the nodes over in-process channels (default).
-	FabricChan = driver.FabricChan
-	// FabricTCP runs the nodes over loopback TCP connections.
-	FabricTCP = driver.FabricTCP
-)
-
 // ParallelResult carries the frequent patterns and per-pass statistics.
 type ParallelResult struct {
 	*Result

@@ -25,12 +25,12 @@ func TestSeqFabricsMatchSequential(t *testing.T) {
 	}
 	fabrics := []struct {
 		name string
-		kind FabricKind
-	}{{"chan", FabricChan}, {"tcp", FabricTCP}}
+		kind driver.FabricKind
+	}{{"chan", driver.FabricChan}, {"tcp", driver.FabricTCP}}
 	for _, alg := range Algorithms() {
 		for _, f := range fabrics {
 			t.Run(fmt.Sprintf("%s/%s", alg, f.name), func(t *testing.T) {
-				if f.kind == FabricTCP && testing.Short() {
+				if f.kind == driver.FabricTCP && testing.Short() {
 					t.Skip("tcp fabric in short mode")
 				}
 				got, err := MineParallel(tax, Partition(db, 3), driver.Spec{

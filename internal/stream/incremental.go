@@ -119,9 +119,6 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 	}
 	state.ItemCounts = counts
 	stats.Passes = 1
-	res.Plan = append(res.Plan, metrics.PlanDecision{
-		Pass: 1, Partitioner: "incremental", Granule: "delta", Candidates: numItems,
-	})
 	large := make([]bool, numItems)
 	var l1 []itemset.Counted
 	nLarge := 0
@@ -212,9 +209,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		}
 
 		// Prefix scan: only candidates the prior checkpoint never counted.
-		granule := "delta"
 		if len(newCands) > 0 && prefixN > 0 {
-			granule = "delta+prefix"
 			stats.PrefixScans++
 			memberNew := cumulate.KeepSet(tax, newCands)
 			viewNew := taxonomy.NewView(tax, large, memberNew)
@@ -233,13 +228,6 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 			}
 		}
 		res.Probes += scanned.Probes
-		res.Plan = append(res.Plan, metrics.PlanDecision{
-			Pass:        k,
-			Partitioner: "incremental",
-			Granule:     granule,
-			Candidates:  len(cands),
-			Duplicated:  len(newCands),
-		})
 
 		// The state stores every candidate with its union count — the full
 		// positive and negative border the next checkpoint seeds from. The
