@@ -253,14 +253,14 @@ func (b *Batcher) AddRaw(dest int, unit []byte) error {
 	return nil
 }
 
-// take returns dest's batch buffer, preferring a recycled loopback buffer
-// over a fresh allocation when the batch is empty.
+// take returns dest's batch buffer. An empty batch gets a recycled loopback
+// buffer, or else a fresh one at full size: the limit plus room for a unit.
 func (b *Batcher) take(dest int) []byte {
 	if b.bufs[dest] == nil {
 		select {
-		case buf := <-b.ex.free:
-			b.bufs[dest] = buf
+		case b.bufs[dest] = <-b.ex.free:
 		default:
+			b.bufs[dest] = make([]byte, 0, b.limit+b.limit/16)
 		}
 	}
 	return b.bufs[dest]

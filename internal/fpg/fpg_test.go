@@ -2,12 +2,14 @@ package fpg
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
 	"pgarm/internal/gen"
 	"pgarm/internal/item"
+	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
@@ -200,9 +202,92 @@ func TestFpgCondBaseAccounting(t *testing.T) {
 	}
 }
 
+// forestProbe is an FPG miner that, at the start of pass 2, builds its
+// forest once more and hands it to check before the real pass runs.
+type forestProbe struct {
+	*fpgMiner
+	check func(m *fpgMiner, forest []*fpTree)
+}
+
+func (p forestProbe) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
+	forest, err := p.buildForest(n, nil)
+	if err != nil {
+		return driver.PassOutcome{}, err
+	}
+	p.check(p.fpgMiner, forest)
+	return p.fpgMiner.CountPass(n, k, st)
+}
+
+// TestForestWithinPass1Bound: on random forests and datasets, every node's
+// forest has at most as many tree nodes as the pass-1 bound its arena is
+// sized from, and with one worker the arena is allocated once — its capacity
+// is still the bound's after the build.
+func TestForestWithinPass1Bound(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 8; trial++ {
+		p := gen.Params{
+			Name:            "bound",
+			NumTxns:         200 + rng.Intn(1200),
+			AvgTxnSize:      3 + 5*rng.Float64(),
+			AvgPatternSize:  2 + 2*rng.Float64(),
+			NumPatterns:     50 + rng.Intn(250),
+			NumItems:        100 + rng.Intn(600),
+			Roots:           2 + rng.Intn(9),
+			Fanout:          2 + rng.Intn(4),
+			CorrelationMean: 0.25,
+			CorruptionMean:  0.5,
+			CorruptionSD:    0.1,
+			Seed:            rng.Int63(),
+		}
+		ds, err := gen.Generate(p)
+		if err != nil {
+			t.Fatalf("generate %+v: %v", p, err)
+		}
+		parts := partsOf(ds.DB, 1+rng.Intn(3))
+		minSup := []float64{0.005, 0.01, 0.02, 0.05}[rng.Intn(4)]
+		for _, workers := range []int{1, 3} {
+			name := fmt.Sprintf("trial%d/%dnodes/%dworkers", trial, len(parts), workers)
+			check := func(m *fpgMiner, forest []*fpTree) {
+				var nodes int64
+				for _, tr := range forest {
+					nodes += int64(len(tr.nodes) - 1)
+				}
+				if nodes > m.forestNodes {
+					t.Errorf("%s: node %d forest has %d nodes, bound %d", name, m.nodeID, nodes, m.forestNodes)
+				}
+				if len(forest) == 1 && int64(cap(forest[0].nodes)) != m.forestNodes+1 {
+					t.Errorf("%s: node %d arena capacity %d after the build, want the bound %d", name, m.nodeID, cap(forest[0].nodes), m.forestNodes+1)
+				}
+			}
+			cfg := Config{Algorithm: Engine, MinSupport: minSup, Workers: workers}
+			_, _, err := driver.Run(runSpec(cfg), len(parts), func(i int) (driver.Miner, error) {
+				return forestProbe{newFpgMiner(ds.Taxonomy, parts[i], cfg), check}, nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}
+
+// BenchmarkMine records what a whole FPG run allocates: 2 nodes on the
+// channel fabric over testDataset(4000), minsup 1 %. Run with -benchmem;
+// B/op is the figure the pass-2 arena and cond-base changes move.
+func BenchmarkMine(b *testing.B) {
+	ds := testDataset(b, 4000)
+	parts := partsOf(ds.DB, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Mine(ds.Taxonomy, parts, Config{MinSupport: 0.01, Fabric: driver.FabricChan}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuildTree is the allocs/op regression fence for the FP-tree build
-// hot path: inserting a transaction into the arena tree must not allocate
-// beyond arena growth (amortized ~0 allocs/op at steady state).
+// hot path: with the arena sized from the pass-1 bound, as buildForest sizes
+// it, inserting transactions allocates nothing beyond the tree itself.
 func BenchmarkBuildTree(b *testing.B) {
 	ds := testDataset(b, 4000)
 	// Fix the frequency order the way pass 1 would.
@@ -230,6 +315,7 @@ func BenchmarkBuildTree(b *testing.B) {
 	// Pre-extend every transaction to its sorted rank list, so the benchmark
 	// isolates tree insertion.
 	var txns [][]item.Item
+	bound := 1 // the root
 	_ = ds.DB.Scan(func(t txn.Transaction) error {
 		ext = ds.Taxonomy.ExtendTransaction(ext[:0], t.Items)
 		var rs []item.Item
@@ -240,13 +326,14 @@ func BenchmarkBuildTree(b *testing.B) {
 		}
 		item.Sort(rs)
 		txns = append(txns, rs)
+		bound += len(rs)
 		return nil
 	})
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := newFPTree(len(order))
+		t := newFPTree(len(order), bound)
 		for _, rs := range txns {
 			t.add(rs, 1)
 		}

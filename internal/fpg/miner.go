@@ -2,6 +2,7 @@ package fpg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -39,9 +40,15 @@ type fpgMiner struct {
 	numNodes   int
 	nodeID     int
 
+	// localCounts is this node's own pass-1 vector until FinishPass1 sums
+	// the large items' entries into forestNodes, the forest arena's bound.
+	localCounts []int64
+	forestNodes int64
+
 	// bases[q] is the conditional pattern base of owned suffix rank
-	// id + q*NumNodes, accumulated by the cond-base exchange receiver.
-	bases []*pathSet
+	// id + q*NumNodes as the bytes received: runs of consecutive checked
+	// units, appended by the cond-base exchange receiver in arrival order.
+	bases [][][]byte
 
 	// The pass-2 barrier, which resolves every pattern size at once: the
 	// merged sets are split into per-size levels, each in canonical order.
@@ -61,9 +68,13 @@ func (m *fpgMiner) NumItems() int { return m.tax.NumItems() }
 
 // CountPass1 counts every item and all its ancestors over the local
 // partition — the Cumulate family's pass 1, which is what fixes the frequency
-// order from the same vector the candidate engines use.
+// order from the same vector the candidate engines use. The coordinator's
+// reduce sums the peers into the returned slice, so the forest bound is taken
+// from a copy.
 func (m *fpgMiner) CountPass1(n *driver.Node, st *metrics.NodeStats) ([]int64, error) {
-	return driver.CountItems(m.tax, m.db, n.Workers(), n.ShardObs("scan"), st)
+	counts, err := driver.CountItems(m.tax, m.db, n.Workers(), n.ShardObs("scan"), st)
+	m.localCounts = slices.Clone(counts)
+	return counts, err
 }
 
 // FinishPass1 records F_1 and derives the global frequency order: large
@@ -90,7 +101,11 @@ func (m *fpgMiner) FinishPass1(n *driver.Node, global []int64) (int, error) {
 	})
 	for r, it := range m.itemAt {
 		m.rank[it] = int32(r)
+		// Every forest node is made by inserting one large item of one local
+		// transaction, so these counts add up to at least the node count.
+		m.forestNodes += m.localCounts[it]
 	}
+	m.localCounts = nil
 	m.numLarge = len(m.itemAt)
 	return len(l1), nil
 }
@@ -150,7 +165,7 @@ func (m *fpgMiner) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driv
 	if n.ID() < m.numLarge {
 		slots = (m.numLarge-1-n.ID())/m.numNodes + 1
 	}
-	m.bases = make([]*pathSet, slots)
+	m.bases = make([][][]byte, slots)
 	ex := n.NewExchange(driver.KCondBase, m.applyBases)
 	shipErr := m.shipBases(n, ex, forest, st)
 	finErr := ex.Finish()
@@ -175,13 +190,15 @@ func (m *fpgMiner) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driv
 // of the local partition, restricted to large items and mapped to frequency
 // ranks. The trees are never merged: conditional-base extraction walks a
 // rank's header chain in every tree, and counts are exact sums either way.
+// Each worker's arena is allocated once, at its share of the pass-1 bound;
+// with one worker the bound is exact and the arena never grows.
 func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree, error) {
 	W := n.Workers()
 	sp := n.Span("build-forest")
 	defer sp.End()
 	trees := make([]*fpTree, W)
 	for w := range trees {
-		trees[w] = newFPTree(m.numLarge)
+		trees[w] = newFPTree(m.numLarge, int((m.forestNodes+int64(W)-1)/int64(W))+1)
 	}
 	wranks := make([][]item.Item, W)
 	err := driver.CountPhase(m.db, W, n.ShardObs("build"), st,
@@ -252,30 +269,63 @@ func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTr
 	return err
 }
 
-// applyBases is the cond-base exchange's receive callback: it decodes one
-// batch of (suffix rank, count, path) units into the owned bases. Runs on
-// the exchange receiver goroutine only, which has exclusive access to
-// m.bases until Finish returns.
-func (m *fpgMiner) applyBases(b []byte) (int64, error) {
+// applyBases is the cond-base exchange's receive callback. It checks every
+// (suffix rank, count, path) unit of a batch, copies the batch once (the
+// exchange recycles loopback buffers) and appends each run of consecutive
+// units of one owned slot to that slot as a sub-slice of the copy; units
+// before a rejected one are kept. Runs on the exchange receiver goroutine
+// only, which has exclusive access to m.bases until Finish returns.
+func (m *fpgMiner) applyBases(batch []byte) (int64, error) {
+	b := slices.Clone(batch)
 	var items int64
+	var err error
 	path := make([]item.Item, 0, 32)
 	d := wire.NewDec(b)
+	q, start, end := -1, 0, 0 // the open run: slot q's units b[start:end]
+	keep := func() {
+		if q >= 0 {
+			m.bases[q] = append(m.bases[q], b[start:end])
+		}
+	}
 	for d.More() {
-		r, count := d.Int(), d.I64()
+		r := d.Int()
+		d.I64() // the count, decoded again by mineTask
 		if path = d.Items(path[:0]); d.Err() != nil {
 			break
 		}
 		items += int64(len(path))
-		q := r / m.numNodes
-		if r >= m.numLarge || r%m.numNodes != m.nodeID || q >= len(m.bases) {
-			return items, fmt.Errorf("fpg: cond base for foreign rank %d", r)
+		slot := r / m.numNodes
+		if r >= m.numLarge || r%m.numNodes != m.nodeID || slot >= len(m.bases) {
+			err = fmt.Errorf("fpg: cond base for foreign rank %d", r)
+			break
 		}
-		if m.bases[q] == nil {
-			m.bases[q] = &pathSet{}
+		if slot != q {
+			keep()
+			q, start = slot, end
 		}
-		m.bases[q].add(path, count)
+		end = len(b) - d.Len()
 	}
-	return items, d.Err()
+	keep()
+	if err == nil {
+		err = d.Err()
+	}
+	return items, err
+}
+
+// baseUnits decodes owned slot q's units in arrival order, handing each
+// path and count to add (path is scratch, returned grown). applyBases
+// checked every unit, so the decode cannot fail.
+func (m *fpgMiner) baseUnits(q int, path []item.Item, add func(path []item.Item, count int64)) []item.Item {
+	for _, run := range m.bases[q] {
+		d := wire.NewDec(run)
+		for d.More() {
+			d.Int() // the suffix rank, which the slot names
+			count := d.I64()
+			path = d.Items(path[:0])
+			add(path, count)
+		}
+	}
+	return path
 }
 
 // mineOwned mines every owned suffix task across Workers. Tasks are claimed
@@ -327,14 +377,12 @@ func (m *fpgMiner) mineOwned(n *driver.Node, st *metrics.NodeStats) error {
 // mineTask grows every frequent pattern whose highest-frequency-rank item is
 // the suffix rank r, from r's (now global) conditional pattern base.
 func (m *fpgMiner) mineTask(r item.Item, minCount int64, sc *mineScratch) []itemset.Counted {
-	ps := m.bases[int(r)/m.numNodes]
-	if ps == nil || ps.size() == 0 {
+	q := int(r) / m.numNodes
+	if len(m.bases[q]) == 0 {
 		return nil
 	}
 	t := sc.getTree(m.numLarge)
-	for i := 0; i < ps.size(); i++ {
-		t.add(ps.path(i), ps.counts[i])
-	}
+	sc.climb = m.baseUnits(q, sc.climb, t.add)
 	var out []itemset.Counted
 	m.grow([]*fpTree{t}, []item.Item{m.itemAt[r]}, 2, minCount, sc, &out)
 	sc.putTree(t)
@@ -387,22 +435,18 @@ func (m *fpgMiner) grow(trees []*fpTree, suffix []item.Item, size int, minCount 
 		if m.cfg.MaxK > 0 && size >= m.cfg.MaxK {
 			continue
 		}
-		ps := sc.getPaths()
+		// sub comes off the free list, so it is never one of the trees being
+		// walked: the extracted paths go straight into it.
+		sub := sc.getTree(m.numLarge)
 		skip := func(pr item.Item) bool { return m.conflicts(m.itemAt[pr], x) }
-		var err error
-		sc.climb, err = extractPaths(trees, r, skip, sc.climb, func(path []item.Item, count int64) error {
-			ps.add(path, count)
+		sc.climb, _ = extractPaths(trees, r, skip, sc.climb, func(path []item.Item, count int64) error {
+			sub.add(path, count)
 			return nil
 		})
-		if err == nil && ps.size() > 0 {
-			sub := sc.getTree(m.numLarge)
-			for i := 0; i < ps.size(); i++ {
-				sub.add(ps.path(i), ps.counts[i])
-			}
+		if len(sub.nodes) > 1 {
 			m.grow([]*fpTree{sub}, set, size+1, minCount, sc, out)
-			sc.putTree(sub)
 		}
-		sc.putPaths(ps)
+		sc.putTree(sub)
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 // none); node 0 is the root. Keeping the tree in one flat slice with int32
 // links — instead of pointer-linked heap nodes with per-node child maps —
 // is what makes tree build allocation-free in steady state (see
-// BenchmarkBuildTree): growing the arena is the only allocation, and child
-// lookup is a sibling scan with move-to-front, so hot branches resolve in
-// O(1) without any map.
+// BenchmarkBuildTree): the arena is the only allocation — made once at the
+// pass-1 bound for the forest, grown by append only for conditional trees and
+// an over-full worker share — and child lookup is a sibling scan with
+// move-to-front, so hot branches resolve in O(1) without any map.
 type fpNode struct {
 	rank   item.Item // frequency rank of the item at this node (-1 at the root)
 	parent int32
@@ -35,10 +36,11 @@ type fpTree struct {
 	present []item.Item
 }
 
-// newFPTree returns an empty tree over numRanks frequency ranks.
-func newFPTree(numRanks int) *fpTree {
+// newFPTree returns an empty tree over numRanks frequency ranks whose arena
+// holds capNodes >= 1 nodes (the root included) before it has to grow.
+func newFPTree(numRanks, capNodes int) *fpTree {
 	t := &fpTree{
-		nodes: make([]fpNode, 1, 256),
+		nodes: make([]fpNode, 1, capNodes),
 		heads: make([]int32, numRanks),
 	}
 	for i := range t.heads {
@@ -97,38 +99,6 @@ func (t *fpTree) add(path []item.Item, count int64) {
 	}
 }
 
-// pathSet is a flat store of rank-ascending paths with per-path counts — a
-// conditional pattern base. Paths share one backing arena, so accumulating a
-// base (locally or from the cond-base exchange) costs three appends, not a
-// slice allocation per path.
-type pathSet struct {
-	ranks  []item.Item // all paths, concatenated
-	ends   []int32     // ends[i] = end offset of path i in ranks
-	counts []int64
-}
-
-func (ps *pathSet) add(path []item.Item, count int64) {
-	ps.ranks = append(ps.ranks, path...)
-	ps.ends = append(ps.ends, int32(len(ps.ranks)))
-	ps.counts = append(ps.counts, count)
-}
-
-func (ps *pathSet) size() int { return len(ps.counts) }
-
-func (ps *pathSet) path(i int) []item.Item {
-	lo := int32(0)
-	if i > 0 {
-		lo = ps.ends[i-1]
-	}
-	return ps.ranks[lo:ps.ends[i]]
-}
-
-func (ps *pathSet) reset() {
-	ps.ranks = ps.ranks[:0]
-	ps.ends = ps.ends[:0]
-	ps.counts = ps.counts[:0]
-}
-
 // extractPaths walks rank r's header chains across trees and emits, for each
 // tree node of rank r, its prefix path (rank-ascending, r excluded) filtered
 // by skip, with the node's count. Empty filtered paths are skipped — they
@@ -165,14 +135,13 @@ func extractPaths(trees []*fpTree, r item.Item, skip func(item.Item) bool,
 }
 
 // mineScratch is one mining worker's reusable state: the dense tally vector,
-// free lists of conditional trees and path sets for the recursion, and climb
-// scratch. One instance per worker goroutine; never shared.
+// the free list of conditional trees for the recursion, and climb scratch.
+// One instance per worker goroutine; never shared.
 type mineScratch struct {
 	tally      []int64
 	touched    []item.Item
 	climb      []item.Item
 	trees      []*fpTree
-	paths      []*pathSet
 	increments int64
 }
 
@@ -186,24 +155,10 @@ func (sc *mineScratch) getTree(numRanks int) *fpTree {
 		sc.trees = sc.trees[:n-1]
 		return t
 	}
-	return newFPTree(numRanks)
+	return newFPTree(numRanks, 256)
 }
 
 func (sc *mineScratch) putTree(t *fpTree) {
 	t.reset()
 	sc.trees = append(sc.trees, t)
-}
-
-func (sc *mineScratch) getPaths() *pathSet {
-	if n := len(sc.paths); n > 0 {
-		ps := sc.paths[n-1]
-		sc.paths = sc.paths[:n-1]
-		return ps
-	}
-	return &pathSet{}
-}
-
-func (sc *mineScratch) putPaths(ps *pathSet) {
-	ps.reset()
-	sc.paths = append(sc.paths, ps)
 }
