@@ -1,9 +1,8 @@
 // Command pgarm-bench regenerates the paper's evaluation tables and
-// figures (§4) on scaled versions of the Table 5 datasets, plus the two
-// experiments that extend them: the [SK98] sequence-miner sweep and the
-// skew-adaptation comparison. The repo's performance numbers — serving,
-// scanning, streaming, engine family against engine family — come from the
-// pipeline benchmark in bench/, not from here.
+// figures (§4) on scaled versions of the Table 5 datasets, plus the [SK98]
+// sequence-miner sweep that extends them. The repo's performance numbers —
+// serving, scanning, streaming, engine family against engine family — come
+// from the pipeline benchmark in bench/, not from here.
 //
 // Usage:
 //
@@ -12,14 +11,6 @@
 //	pgarm-bench -experiment all -scale 0.01 | tee results.txt
 //	pgarm-bench -experiment table6 -scale 0.002 -trace trace.json -json report.json
 //	pgarm-bench -experiment seq -nodes 8 -json seq.json
-//
-// -experiment adapt is the skew-adaptation bench: it splits the dataset into
-// zipf-sized partitions (node 0 hoards data and straggles) and mines them
-// statically and with -adaptive granule escalation, reporting per-pass
-// barrier waits, traffic, the granule map each pass ran with and bit-identity
-// against the sequential reference:
-//
-//	pgarm-bench -experiment adapt -scale 0.005 -nodes 4 -zipf 1.5 -json adapt.json
 //
 // -trace writes a Chrome trace_event file (load it in chrome://tracing or
 // https://ui.perfetto.dev) covering every mining run; -json writes a
@@ -46,8 +37,7 @@ import (
 var logger *slog.Logger
 
 // benchReport is the top-level -json document: one report per mining run the
-// selected experiments executed, plus a named section for each part that ran
-// (absent otherwise).
+// selected experiments executed.
 type benchReport struct {
 	Experiment string           `json:"experiment"`
 	Scale      float64          `json:"scale"`
@@ -55,15 +45,12 @@ type benchReport struct {
 	Reports    []metrics.Report `json:"reports"`
 	// Spans holds the span rollups when -trace was on.
 	Spans []obs.Rollup `json:"spans,omitempty"`
-	// Adapt holds the skew-adaptation arms (sequential reference, static,
-	// adaptive) when `-experiment adapt` ran.
-	Adapt []metrics.AdaptReport `json:"adapt,omitempty"`
 }
 
 func main() {
 	def := experiment.Defaults()
 	var (
-		exp      = flag.String("experiment", "all", "table5, table6, fig13, fig14, fig15, fig16, seq, adapt or all (all = everything but adapt)")
+		exp      = flag.String("experiment", "all", "table5, table6, fig13, fig14, fig15, fig16, seq or all")
 		scale    = flag.Float64("scale", def.Scale, "fraction of the paper's 3.2M transactions")
 		nodes    = flag.Int("nodes", def.Nodes, "cluster size for the fixed-size experiments")
 		budget   = flag.Int64("budget", 0, "per-node memory budget in bytes (0 = auto-derived)")
@@ -74,12 +61,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "write a machine-readable run report to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		adef        = experiment.AdaptDefaults()
-		adaptMinSup = flag.Float64("adapt-minsup", adef.MinSup, "adapt bench: support threshold")
-		adaptZipf   = flag.Float64("zipf", adef.Zipf, "adapt bench: partition-size skew exponent (0 = even split)")
-		adaptEsc    = flag.Float64("escalate-at", 0, "adapt bench: barrier-wait max/mean ratio triggering escalation (0 = default 1.25)")
-		logOpts     = logx.Flags()
+		logOpts  = logx.Flags()
 	)
 	flag.Parse()
 	logger = logOpts.Init("pgarm-bench")
@@ -188,24 +170,6 @@ func main() {
 		}
 		fmt.Println(t.Render())
 	}
-	var adaptReports []metrics.AdaptReport
-	// The adapt bench measures real barrier wall-clock on whatever machine
-	// runs it, under deliberately skewed partitions, unlike the modeled mining
-	// experiments — so it is opt-in rather than part of "all".
-	if *exp == "adapt" {
-		ran = true
-		step("skew adaptation bench")
-		ao := adef
-		ao.MinSup = *adaptMinSup
-		ao.Zipf = *adaptZipf
-		ao.EscalateAt = *adaptEsc
-		t, reps, err := env.Adapt(ao)
-		if err != nil {
-			logx.Fatal(logger, "experiment failed", "err", err)
-		}
-		fmt.Println(t.Render())
-		adaptReports = reps
-	}
 	if !ran {
 		logx.Fatal(logger, "unknown experiment", "experiment", *exp)
 	}
@@ -221,7 +185,6 @@ func main() {
 			Scale:      *scale,
 			Nodes:      *nodes,
 			Spans:      tracer.Rollups(),
-			Adapt:      adaptReports,
 		}
 		for _, rs := range env.Runs() {
 			rep.Reports = append(rep.Reports, metrics.BuildReport(rs, nil))

@@ -113,7 +113,6 @@ func main() {
 		interest = flag.Float64("interest", 0, "R-interestingness prune factor, e.g. 1.1 (0 = keep all rules)")
 		outModel = flag.String("o", "", "write the mined model (taxonomy, itemsets, rules, metadata) to this snapshot file")
 		budget   = flag.Int64("budget", 0, "per-node candidate memory budget in bytes (0 = unlimited)")
-		adaptive = flag.Bool("adaptive", false, "H-HPGM family: escalate duplication granules per hot taxonomy subtree from observed barrier skew")
 		maxK     = flag.Int("maxk", 0, "stop after this pass (0 = run to completion)")
 		tcp      = flag.Bool("tcp", false, "run the nodes over loopback TCP instead of channels")
 		quiet    = flag.Bool("quiet", false, "suppress the itemset listing, print stats only")
@@ -149,7 +148,6 @@ func main() {
 		MaxK:         *maxK,
 		Workers:      *workers,
 		MemoryBudget: *budget,
-		Adaptive:     *adaptive,
 	}
 	if *tcp {
 		spec.Fabric = driver.FabricTCP
@@ -311,6 +309,10 @@ func main() {
 			}
 		}
 		if *outModel != "" {
+			var granule string
+			if fp := stats.FinalPlan(); fp != nil {
+				granule = fp.Granule
+			}
 			m := &model.Model{
 				Meta: model.Meta{
 					Dataset:       params.Name,
@@ -320,7 +322,7 @@ func main() {
 					MinSupport:    *minsup,
 					MinConfidence: *minconf,
 					CreatedUnix:   time.Now().Unix(),
-					Granules:      stats.FinalPlan().GranuleMap(),
+					Granules:      granule,
 				},
 				Taxonomy: tax,
 				Large:    large,

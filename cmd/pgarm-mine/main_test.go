@@ -85,7 +85,7 @@ func TestFlagErrors(t *testing.T) {
 		{"-engine nope", "unknown engine"},
 		{"-scale 0.0005 -nodes 2 -engine FPG -budget 4096", "knob not supported"},
 		{"-scale 0.0005 -nodes 2 -maxk -1", "negative MaxK"},
-		{"-mode seq -customers 50 -adaptive", "knob not supported"},
+		{"-mode seq -customers 50 -budget 4096", "knob not supported"},
 		{"-dataset R30F3 -in " + r30f5, "different taxonomy"},
 	} {
 		out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()

@@ -71,7 +71,6 @@ func main() {
 		engName  = flag.String("engine", "", "mining engine: "+engines.Names()+" (must match on every worker)")
 		minsup   = flag.Float64("minsup", 0.005, "minimum support fraction")
 		budget   = flag.Int64("budget", 0, "per-node candidate memory budget in bytes")
-		adaptive = flag.Bool("adaptive", false, "H-HPGM family: escalate duplication granules per hot taxonomy subtree from observed barrier skew (must match on every worker)")
 		maxK     = flag.Int("maxk", 0, "stop after this pass (0 = completion)")
 		workers  = flag.Int("workers", 0, "scan workers on this node (0 or 1 = scan on the node goroutine)")
 		verify   = flag.String("verify", "", "coordinator: comma-separated partition files of EVERY node; re-mine sequentially after the run and report bit-identity in -json")
@@ -160,7 +159,6 @@ func main() {
 		MaxK:         *maxK,
 		MemoryBudget: *budget,
 		Workers:      *workers,
-		Adaptive:     *adaptive,
 		Tracer:       tracer,
 		Registry:     reg,
 		View:         view,

@@ -2,19 +2,14 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 )
 
 // TCPFabric connects N nodes over loopback TCP, one full-duplex connection
-// per unordered node pair, with length-prefixed frames:
-//
-//	frame = len uint32 | from uint16 | kind uint8 | payload
-//
+// per unordered node pair, with length-prefixed frames (see frame.go).
 // Unlike ChanFabric, payloads are really copied through the kernel, so this
 // fabric charges genuine serialization and transport cost — the closest
 // one-box stand-in for the SP-2's High-Performance Switch.
@@ -258,14 +253,7 @@ func (e *tcpEndpoint) Send(to int, kind uint8, payload []byte) error {
 	tc := e.conns[to]
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	var hdr [7]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint16(hdr[4:6], uint16(e.id))
-	hdr[6] = kind
-	if _, err := tc.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("cluster: send %d->%d: %w", e.id, to, err)
-	}
-	if _, err := tc.w.Write(payload); err != nil {
+	if err := writeFrame(tc.w, e.id, kind, payload); err != nil {
 		return fmt.Errorf("cluster: send %d->%d: %w", e.id, to, err)
 	}
 	// Flush eagerly: the mining protocol interleaves small control messages
@@ -281,22 +269,14 @@ func (e *tcpEndpoint) readLoop(peer int, tc *tcpConn) {
 	defer e.readers.Done()
 	r := bufio.NewReaderSize(tc.c, 64<<10)
 	for {
-		var hdr [7]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		m, err := readFrame(r, peer)
+		if err != nil {
 			e.onReadError(peer, err)
 			return
 		}
-		n := binary.BigEndian.Uint32(hdr[:4])
-		from := int(binary.BigEndian.Uint16(hdr[4:6]))
-		kind := hdr[6]
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			e.onReadError(peer, err)
-			return
-		}
-		e.onRecv(kind, int(n))
+		e.onRecv(m.Kind, len(m.Payload))
 		select {
-		case e.inbox <- Message{From: from, Kind: kind, Payload: payload}:
+		case e.inbox <- m:
 		case <-e.closed:
 			return
 		}

@@ -66,21 +66,6 @@ type candCache struct {
 	gen   passOnce[[][]item.Item]
 	plan  passOnce[*passPlan]
 	index passOnce[*itemset.Index]
-
-	// esc is the adaptive-granule escalation state of the H-HPGM family,
-	// advanced exactly once per pass inside the hierPlan compute (the one
-	// place that runs once per process per pass in both in-process and
-	// worker modes). Its inputs — the broadcast skew hint and replicated
-	// candidate state — are identical on every node, so the state evolves
-	// identically everywhere.
-	esc escState
-}
-
-// escState tracks, per taxonomy root, how far duplication has been escalated
-// beyond the configured base granule (H-HPGM -> TGD -> PGD -> FGD).
-type escState struct {
-	levels []dupKind // per item id; only root entries are ever raised
-	upAt   int       // pass the state last advanced at (once per pass)
 }
 
 // passPlan is the H-HPGM family's shared partition plan for one pass.
@@ -98,8 +83,8 @@ type passPlan struct {
 	dupSets  [][]item.Item
 	dupIndex *itemset.Index
 	// decision is the plan's report-facing summary (partitioner, granule,
-	// escalations); shared like the rest of the plan so every in-process
-	// node publishes the identical decision.
+	// duplicated count); shared like the rest of the plan so every
+	// in-process node publishes the identical decision.
 	decision metrics.PlanDecision
 }
 

@@ -97,20 +97,28 @@ func TestAlgorithmsMatchCumulateWithMemoryBudget(t *testing.T) {
 		t.Fatalf("cumulate: %v", err)
 	}
 	// A budget tight enough to force NPGM fragmentation and to restrict
-	// TGD/PGD/FGD duplication to a subset.
+	// TGD/PGD/FGD duplication to a subset, over even and skewed partitions:
+	// a hoarding node changes which candidates the largest partitioned share
+	// leaves room to duplicate, never which itemsets are frequent.
 	for _, budget := range []int64{2 << 10, 16 << 10, 1 << 20} {
 		for _, alg := range Algorithms() {
 			t.Run(fmt.Sprintf("%s/budget%d", alg, budget), func(t *testing.T) {
-				parts := partsOf(ds.DB, 4)
-				got, err := Mine(ds.Taxonomy, parts, Config{
-					Algorithm:    alg,
-					MinSupport:   minSup,
-					MemoryBudget: budget,
-				})
-				if err != nil {
-					t.Fatalf("mine: %v", err)
+				for _, split := range []struct {
+					name  string
+					parts func(*txn.DB, int) []txn.Scanner
+				}{{"even", partsOf}, {"skewed", skewedParts}} {
+					t.Run(split.name, func(t *testing.T) {
+						got, err := Mine(ds.Taxonomy, split.parts(ds.DB, 4), Config{
+							Algorithm:    alg,
+							MinSupport:   minSup,
+							MemoryBudget: budget,
+						})
+						if err != nil {
+							t.Fatalf("mine: %v", err)
+						}
+						assertSameLarge(t, want, got)
+					})
 				}
-				assertSameLarge(t, want, got)
 			})
 		}
 	}
@@ -204,6 +212,38 @@ func partsOf(db *txn.DB, n int) []txn.Scanner {
 		out[i] = p
 	}
 	return out
+}
+
+// skewedParts splits the database so node 0 hoards half the transactions and
+// the rest spread evenly — the load-skew regime of §3.4. Contiguous slices,
+// so the split is deterministic.
+func skewedParts(db *txn.DB, n int) []txn.Scanner {
+	if n == 1 {
+		return partsOf(db, 1)
+	}
+	total := db.Len()
+	first := total / 2
+	parts := make([]txn.Scanner, 0, n)
+	p := &txn.DB{}
+	for i := 0; i < first; i++ {
+		p.Append(db.At(i))
+	}
+	parts = append(parts, p)
+	rest := total - first
+	off := first
+	for i := 1; i < n; i++ {
+		sz := rest / (n - 1)
+		if i <= rest%(n-1) {
+			sz++
+		}
+		q := &txn.DB{}
+		for j := 0; j < sz; j++ {
+			q.Append(db.At(off + j))
+		}
+		off += sz
+		parts = append(parts, q)
+	}
+	return parts
 }
 
 // sanity for the helper itself

@@ -22,28 +22,17 @@ const (
 // index into cands. The decision is a pure function of globally replicated
 // state (L1 counts, candidates, owners), so every node computes the same
 // set without communication — the paper's step 1 of Figures 7/9/11.
-//
-// candKind, when non-nil, is the per-candidate effective granule of an
-// adaptive plan (escalated per hot taxonomy subtree); selection then runs in
-// stages from the finest grain down — FGD candidates first (they target the
-// hottest subtrees), then PGD, then TGD — all drawing from one shared free
-// space. A nil candKind is the static configuration: every candidate uses
-// the uniform base kind and the selection is bit-identical to the
-// pre-adaptive behaviour.
-func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item, vecHashes []uint64, owners []int, workers int, candKind []dupKind) bitset {
+func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item, vecHashes []uint64, owners []int, workers int) bitset {
 	dup := newBitset(len(cands))
-	if len(cands) == 0 || (kind == dupNone && candKind == nil) {
+	if len(cands) == 0 || kind == dupNone {
 		return dup
 	}
 
-	// With no budget configured memory is unlimited and every candidate whose
-	// granule allows duplication is duplicated — the static variants
-	// degenerate to fully local counting.
+	// With no budget configured memory is unlimited and every candidate is
+	// duplicated — the variants degenerate to fully local counting.
 	if m.cfg.MemoryBudget <= 0 {
 		for i := range cands {
-			if candKind == nil || candKind[i] > dupNone {
-				dup.set(int32(i))
-			}
+			dup.set(int32(i))
 		}
 		return dup
 	}
@@ -68,28 +57,13 @@ func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands []
 		}
 	}
 
-	if candKind == nil {
-		switch kind {
-		case dupTree:
-			selectTreeGrain(m, cands, vecHashes, capLeft, dup, nil)
-		case dupPath:
-			selectItemGrain(m, cands, capLeft, dup, workers, nil, lowestLargePred(m))
-		case dupFine:
-			selectItemGrain(m, cands, capLeft, dup, workers, nil, func(item.Item) bool { return true })
-		}
-		return dup
-	}
-
-	// Adaptive: finest first, stages sharing one free-space budget.
-	ofKind := func(want dupKind) func(i int32) bool {
-		return func(i int32) bool { return candKind[i] == want }
-	}
-	capLeft = selectItemGrain(m, cands, capLeft, dup, workers, ofKind(dupFine), func(item.Item) bool { return true })
-	if capLeft > 0 {
-		capLeft = selectItemGrain(m, cands, capLeft, dup, workers, ofKind(dupPath), lowestLargePred(m))
-	}
-	if capLeft > 0 {
-		selectTreeGrain(m, cands, vecHashes, capLeft, dup, ofKind(dupTree))
+	switch kind {
+	case dupTree:
+		selectTreeGrain(m, cands, vecHashes, capLeft, dup)
+	case dupPath:
+		selectItemGrain(m, cands, capLeft, dup, workers, lowestLargePred(m))
+	case dupFine:
+		selectItemGrain(m, cands, capLeft, dup, workers, func(item.Item) bool { return true })
 	}
 	return dup
 }
@@ -107,15 +81,10 @@ func lowestLargePred(m *itemsetMiner) func(item.Item) bool {
 // selectTreeGrain duplicates whole root k-itemset groups ("trees") in
 // decreasing order of root frequency until the next group no longer fits —
 // the coarse grain that wastes free space at small minimum support
-// (Figure 14's TGD-equals-H-HPGM regime). include, when non-nil, restricts
-// the groups to the candidates it admits (the tree-grain share of an
-// adaptive plan); members a finer stage already duplicated cost no space.
-func selectTreeGrain(m *itemsetMiner, cands [][]item.Item, vecHashes []uint64, capLeft int, dup bitset, include func(i int32) bool) {
+// (Figure 14's TGD-equals-H-HPGM regime).
+func selectTreeGrain(m *itemsetMiner, cands [][]item.Item, vecHashes []uint64, capLeft int, dup bitset) {
 	groups := make(map[uint64][]int32)
 	for i := range cands {
-		if include != nil && !include(int32(i)) {
-			continue
-		}
 		groups[vecHashes[i]] = append(groups[vecHashes[i]], int32(i))
 	}
 	type scored struct {
@@ -144,19 +113,13 @@ func selectTreeGrain(m *itemsetMiner, cands [][]item.Item, vecHashes []uint64, c
 	})
 	for _, g := range order {
 		members := groups[g.hash]
-		cost := 0
-		for _, idx := range members {
-			if !dup.get(idx) {
-				cost++
-			}
-		}
-		if cost > capLeft {
+		if len(members) > capLeft {
 			break // tree grain: the whole hierarchy group or nothing
 		}
 		for _, idx := range members {
 			dup.set(idx)
 		}
-		capLeft -= cost
+		capLeft -= len(members)
 	}
 }
 
@@ -166,10 +129,7 @@ func selectTreeGrain(m *itemsetMiner, cands [][]item.Item, vecHashes []uint64, c
 // items' summed frequency — the order the paper obtains by generating
 // k-itemsets from the frequency-sorted item list — and duplicate each one
 // together with all its ancestor candidates, while the free space lasts.
-// include, when non-nil, restricts the considered seeds to the candidates it
-// admits (one granule's share of an adaptive plan); ancestors join their
-// seed's group regardless. Returns the free space left for coarser stages.
-func selectItemGrain(m *itemsetMiner, cands [][]item.Item, capLeft int, dup bitset, workers int, include func(i int32) bool, eligible func(item.Item) bool) int {
+func selectItemGrain(m *itemsetMiner, cands [][]item.Item, capLeft int, dup bitset, workers int, eligible func(item.Item) bool) {
 	type scored struct {
 		idx   int32
 		score int64
@@ -179,9 +139,6 @@ func selectItemGrain(m *itemsetMiner, cands [][]item.Item, capLeft int, dup bits
 	candIdx := itemset.BuildIndexParallel(cands, workers)
 	order := make([]scored, 0, len(cands))
 	for i, c := range cands {
-		if include != nil && !include(int32(i)) {
-			continue
-		}
 		ok := true
 		var s int64
 		for _, x := range c {
@@ -227,7 +184,6 @@ func selectItemGrain(m *itemsetMiner, cands [][]item.Item, capLeft int, dup bits
 			break
 		}
 	}
-	return capLeft
 }
 
 // lowestLargeItems returns the large items closest to the bottom of the

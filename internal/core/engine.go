@@ -29,10 +29,10 @@ type engineOut struct {
 // phase).
 type engine interface {
 	// plan computes pass k's candidate-to-node assignment — a pure function
-	// of globally replicated state plus the broadcast skew hint, so every
-	// node derives the identical plan. Any state the count phase needs
-	// (owners, duplication choice) is held by the engine.
-	plan(n *driver.Node, k int, cands [][]item.Item, prev *metrics.SkewReport) (driver.PlanDecision, error)
+	// of globally replicated state, so every node derives the identical plan.
+	// Any state the count phase needs (owners, duplication choice) is held by
+	// the engine.
+	plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error)
 	// pass counts support for pass k over the plan computed by plan.
 	pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (engineOut, error)
 }
@@ -90,8 +90,8 @@ type npgmEngine struct {
 }
 
 // plan is trivial for NPGM: the candidate set is fully replicated, so there
-// is no assignment to compute and nothing to adapt.
-func (e *npgmEngine) plan(_ *driver.Node, k int, cands [][]item.Item, _ *metrics.SkewReport) (driver.PlanDecision, error) {
+// is no assignment to compute.
+func (e *npgmEngine) plan(_ *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error) {
 	return driver.PlanDecision{
 		Partitioner: "replicated",
 		Granule:     "all",

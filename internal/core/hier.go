@@ -50,14 +50,13 @@ type hierEngine struct {
 // duplication choice are deterministic on every node; computed once and
 // shared (see candCache). The first node goroutine to arrive builds the plan
 // across its scan workers — every other node goroutine is blocked on the
-// same value. With Config.Adaptive, prev (the broadcast skew hint, identical
-// everywhere) escalates the duplication granule of hot taxonomy subtrees.
-func (e *hierEngine) plan(n *driver.Node, k int, cands [][]item.Item, prev *metrics.SkewReport) (driver.PlanDecision, error) {
+// same value.
+func (e *hierEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error) {
 	m := e.m
 	psp := n.Span("partition")
 	W := n.Workers()
 	e.cur = m.cands.hierPlan(k, func() *passPlan {
-		return computeHierPlan(m, n.NumNodes(), e.dup, k, cands, W, prev,
+		return computeHierPlan(m, n.NumNodes(), e.dup, k, cands, W,
 			n.BoundaryObs("partition shard").Hook())
 	})
 	psp.Arg("duplicated", int64(len(e.cur.dupSets)))
@@ -233,20 +232,13 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 // granuleNames maps a dupKind to its report-facing name.
 var granuleNames = [...]string{"none", "tree", "path", "fine"}
 
-func granuleName(kind dupKind) string {
-	if int(kind) < len(granuleNames) {
-		return granuleNames[kind]
-	}
-	return "unknown"
-}
-
 // computeHierPlan derives the H-HPGM family's partition plan for one pass:
 // root-vector hashes and owners sharded across workers, the duplication
 // choice, and the duplicated-candidate list with its index. Every input is
-// globally replicated state (plus the broadcast skew hint), so the result is
-// identical on whichever node computes it first — and identical across
-// processes in worker mode, where each process computes it once.
-func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item, workers int, prev *metrics.SkewReport, hook itemset.Hook) *passPlan {
+// globally replicated state (C_k, the pass-1 counts, owners, M), so the
+// result is identical on whichever node computes it first — and identical
+// across processes in worker mode, where each process computes it once.
+func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item, workers int, hook itemset.Hook) *passPlan {
 	vecHashes := make([]uint64, len(cands))
 	owners := make([]int, len(cands))
 	itemset.ForShards(len(cands), workers, hook, func(w, lo, hi int) {
@@ -258,16 +250,7 @@ func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][
 			owners[i] = int(h % uint64(nNodes))
 		}
 	})
-	dec := metrics.PlanDecision{
-		Partitioner: "root-vector-hash",
-		Granule:     granuleName(kind),
-		Adaptive:    m.cfg.Adaptive,
-	}
-	var candKind []dupKind
-	if m.cfg.Adaptive {
-		candKind = escalateGranules(m, k, kind, cands, owners, prev, &dec)
-	}
-	dup := selectDuplicates(m, nNodes, kind, k, cands, vecHashes, owners, workers, candKind)
+	dup := selectDuplicates(m, nNodes, kind, k, cands, vecHashes, owners, workers)
 	// Duplicated candidates in ascending id order: the layout of every
 	// node's count vector and of the coordinator reduce.
 	dupSets := make([][]item.Item, 0, dup.count())
@@ -276,97 +259,18 @@ func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][
 			dupSets = append(dupSets, c)
 		}
 	}
-	dec.Duplicated = len(dupSets)
 	return &passPlan{
 		vecHashes: vecHashes,
 		owners:    owners,
 		dup:       dup,
 		dupSets:   dupSets,
 		dupIndex:  itemset.BuildIndexParallel(dupSets, workers),
-		decision:  dec,
+		decision: metrics.PlanDecision{
+			Partitioner: "root-vector-hash",
+			Granule:     granuleNames[kind],
+			Duplicated:  len(dupSets),
+		},
 	}
-}
-
-// escalateAt and jumpAt resolve the adaptive thresholds' zero values to their
-// defaults.
-func escalateAt(c *Config) float64 {
-	if c.EscalateAt <= 0 {
-		return 1.25
-	}
-	return c.EscalateAt
-}
-
-func jumpAt(c *Config) float64 {
-	if c.JumpAt <= 0 {
-		return 4.0
-	}
-	return c.JumpAt
-}
-
-// escalateGranules advances the adaptive escalation state for pass k and
-// returns the per-candidate effective granule (nil when nothing is escalated
-// yet, which makes selectDuplicates take the static path bit-for-bit).
-//
-// Decision rule, applied at most once per pass: when the previous complete
-// skew snapshot reports a barrier-wait max/mean ratio at or above EscalateAt,
-// the taxonomy roots of the candidates the straggler owns this pass are "hot"
-// and their granule steps up one level (H-HPGM -> TGD -> PGD -> FGD), or
-// straight to FGD at or above JumpAt. Escalations are sticky: a calmed
-// subtree keeps its level, so the plan never oscillates.
-//
-// Every input is identical on all nodes — prev is the coordinator's KPlan
-// broadcast, cands/owners/itemCounts are replicated state — so the escalation
-// state and the resulting plan evolve identically everywhere.
-func escalateGranules(m *itemsetMiner, k int, base dupKind, cands [][]item.Item, owners []int, prev *metrics.SkewReport, dec *metrics.PlanDecision) []dupKind {
-	esc := &m.cands.esc
-	if prev != nil && esc.upAt < k && prev.Straggler >= 0 && prev.BarrierWaitMaxOverMean >= escalateAt(&m.cfg) {
-		esc.upAt = k
-		if len(esc.levels) == 0 {
-			esc.levels = make([]dupKind, m.tax.NumItems())
-		}
-		jump := prev.BarrierWaitMaxOverMean >= jumpAt(&m.cfg)
-		for i, c := range cands {
-			if owners[i] != prev.Straggler {
-				continue
-			}
-			for _, x := range c {
-				r := m.tax.Root(x)
-				cur := esc.levels[r]
-				if cur < base {
-					cur = base
-				}
-				next := cur + 1
-				if jump || next > dupFine {
-					next = dupFine
-				}
-				if next > esc.levels[r] {
-					esc.levels[r] = next
-				}
-			}
-		}
-	}
-	var candKind []dupKind
-	for r, lv := range esc.levels {
-		if lv <= base {
-			continue
-		}
-		dec.Escalations = append(dec.Escalations, metrics.Escalation{Root: r, Granule: granuleName(lv)})
-		if candKind == nil {
-			candKind = make([]dupKind, len(cands))
-			for i := range candKind {
-				candKind[i] = base
-			}
-		}
-		for i, c := range cands {
-			for _, x := range c {
-				if int(m.tax.Root(x)) == r && lv > candKind[i] {
-					candKind[i] = lv
-					break
-				}
-			}
-		}
-	}
-	return candKind
 }
 
 // rootVector computes the sorted multiset of roots of an itemset's members,

@@ -28,7 +28,7 @@ type hpgmEngine struct {
 // plan partitions C_k: node i keeps the candidates hashing to i. The hashing
 // is sharded across the scan workers into disjoint ranges of ownedFlag; the
 // owned list is then collected in id order.
-func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item, _ *metrics.SkewReport) (driver.PlanDecision, error) {
+func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error) {
 	nNodes := n.NumNodes()
 	self := n.ID()
 	psp := n.Span("partition")

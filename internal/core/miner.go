@@ -72,11 +72,9 @@ func (m *itemsetMiner) Generate(n *driver.Node, k int) (int, error) {
 }
 
 // PlanPass delegates pass k's candidate-to-node assignment to the algorithm
-// engine. prev is the cluster skew snapshot the coordinator broadcast for
-// this pass (nil in the first passes); adaptive H-HPGM configurations use it
-// to escalate duplication per hot taxonomy subtree.
-func (m *itemsetMiner) PlanPass(n *driver.Node, k int, prev *metrics.SkewReport) (driver.PlanDecision, error) {
-	dec, err := m.eng.plan(n, k, m.curCands, prev)
+// engine.
+func (m *itemsetMiner) PlanPass(n *driver.Node, k int) (driver.PlanDecision, error) {
+	dec, err := m.eng.plan(n, k, m.curCands)
 	if err != nil {
 		return driver.PlanDecision{}, err
 	}

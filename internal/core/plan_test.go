@@ -51,9 +51,9 @@ func planFixture(t testing.TB, budget int64) (*itemsetMiner, [][]item.Item) {
 func TestComputeHierPlanParallelMatches(t *testing.T) {
 	m, cands := planFixture(t, 32<<10)
 	for _, kind := range []dupKind{dupNone, dupTree, dupPath, dupFine} {
-		want := computeHierPlan(m, 8, kind, 2, cands, 1, nil, nil)
+		want := computeHierPlan(m, 8, kind, 2, cands, 1, nil)
 		for _, w := range []int{2, 4, 8} {
-			got := computeHierPlan(m, 8, kind, 2, cands, w, nil, nil)
+			got := computeHierPlan(m, 8, kind, 2, cands, w, nil)
 			if !reflect.DeepEqual(got.vecHashes, want.vecHashes) {
 				t.Fatalf("kind=%d workers=%d: vecHashes diverged", kind, w)
 			}
@@ -81,8 +81,8 @@ func TestComputeHierPlanParallelMatches(t *testing.T) {
 // duplicated path across worker counts.
 func TestComputeHierPlanUnlimitedBudget(t *testing.T) {
 	m, cands := planFixture(t, 0)
-	want := computeHierPlan(m, 4, dupFine, 2, cands, 1, nil, nil)
-	got := computeHierPlan(m, 4, dupFine, 2, cands, 4, nil, nil)
+	want := computeHierPlan(m, 4, dupFine, 2, cands, 1, nil)
+	got := computeHierPlan(m, 4, dupFine, 2, cands, 4, nil)
 	if !reflect.DeepEqual(got.dup, want.dup) || got.dup.count() != len(cands) {
 		t.Fatalf("unlimited budget: %d duplicated, want all %d", got.dup.count(), len(cands))
 	}
@@ -114,7 +114,7 @@ func BenchmarkPassPlan(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				computeHierPlan(m, 8, dupNone, 2, cands, w, nil, nil)
+				computeHierPlan(m, 8, dupNone, 2, cands, w, nil)
 			}
 		})
 	}
@@ -122,7 +122,7 @@ func BenchmarkPassPlan(b *testing.B) {
 		b.Run(fmt.Sprintf("fgd/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				computeHierPlan(m, 8, dupFine, 2, cands, w, nil, nil)
+				computeHierPlan(m, 8, dupFine, 2, cands, w, nil)
 			}
 		})
 	}

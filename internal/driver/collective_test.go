@@ -124,7 +124,7 @@ func (m *panicMiner) FinishPass1(n *Node, global []int64) (int, error) {
 
 func (m *panicMiner) Generate(*Node, int) (int, error) { return 3, nil }
 
-func (m *panicMiner) PlanPass(*Node, int, *metrics.SkewReport) (PlanDecision, error) {
+func (m *panicMiner) PlanPass(*Node, int) (PlanDecision, error) {
 	if m.inPlan {
 		itemset.ForShards(8, 2, nil, func(w, _, _ int) {
 			if w == 1 {

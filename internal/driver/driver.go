@@ -52,7 +52,7 @@ const (
 	KDupCounts                   // node -> coord: duplicated/replicated table counts
 	KLarge                       // coord -> node: global F_k broadcast
 	KTelemetry                   // node -> coord: per-pass stats + span batches (see telemetry.go)
-	KPlan                        // coord -> node: pass-k skew hint for the plan phase (see plan.go)
+	kRetired9                    // never sent: held so no later kind's wire value moves
 	KCondBase                    // node -> node: FP-Growth conditional pattern-base batch (see internal/fpg)
 )
 
@@ -86,9 +86,9 @@ type Algorithm string
 // Spec is the one description of a mining run, shared by every miner family
 // and every way in (engines.Run/RunWorker, the family Mine/MineWorker entry
 // points, seq.MineParallel). The runtime fields are consumed here; the
-// candidate-family knobs (MemoryBudget, Adaptive, EscalateAt, JumpAt) are
-// consumed by internal/core, and a family that does not have them rejects a
-// Spec that sets them with ErrUnsupportedKnob.
+// candidate-family knob MemoryBudget is consumed by internal/core, and a
+// family that does not have it rejects a Spec that sets it with
+// ErrUnsupportedKnob.
 type Spec struct {
 	// Algorithm selects the miner. The fpg entry points treat "" as FPG;
 	// every other entry point requires a name of its family.
@@ -111,21 +111,6 @@ type Spec struct {
 	// space available for TGD/PGD/FGD duplication. 0 means unlimited: NPGM
 	// never fragments and the duplicating variants copy everything.
 	MemoryBudget int64
-	// Adaptive enables skew-adaptive duplication granules for the H-HPGM
-	// family: each pass's plan phase inspects the previous complete skew
-	// snapshot and, when the barrier-wait imbalance crosses EscalateAt,
-	// escalates the duplication granule for the straggler's hot taxonomy
-	// subtrees one level (H-HPGM -> TGD -> PGD -> FGD), or straight to FGD
-	// past JumpAt. The decision is computed from globally broadcast state,
-	// so every node derives the identical plan and results stay
-	// bit-identical. Ignored by NPGM and HPGM, which have no granule.
-	Adaptive bool
-	// EscalateAt is the barrier-wait max/mean ratio that triggers a one-level
-	// escalation; 0 means the default 1.25.
-	EscalateAt float64
-	// JumpAt is the ratio past which escalation jumps straight to the fine
-	// grain; 0 means the default 4.0.
-	JumpAt float64
 
 	// Tracer, when non-nil, records phase spans for every node (pass,
 	// generate, scan shards, exchange, barrier) for Chrome-trace export.
@@ -156,7 +141,7 @@ type Result struct {
 
 // ErrUnsupportedKnob is wrapped by a family's validation when the Spec sets
 // a knob that family does not have (FPG or a sequence miner handed
-// MemoryBudget, Adaptive, EscalateAt or JumpAt).
+// MemoryBudget).
 var ErrUnsupportedKnob = errors.New("knob not supported by this engine")
 
 // Validate rejects a malformed Spec. Run and RunWorker call it before any
@@ -177,10 +162,10 @@ func (s *Spec) Validate() error {
 
 // RejectCandidateKnobs is the validation of every family without a candidate
 // memory model: it errors, wrapping ErrUnsupportedKnob, when the Spec sets
-// one of the internal/core knobs.
+// MemoryBudget.
 func (s *Spec) RejectCandidateKnobs() error {
-	if s.MemoryBudget != 0 || s.Adaptive || s.EscalateAt != 0 || s.JumpAt != 0 {
-		return fmt.Errorf("driver: %s has no MemoryBudget/Adaptive/EscalateAt/JumpAt: %w", s.Algorithm, ErrUnsupportedKnob)
+	if s.MemoryBudget != 0 {
+		return fmt.Errorf("driver: %s has no MemoryBudget: %w", s.Algorithm, ErrUnsupportedKnob)
 	}
 	return nil
 }
@@ -231,15 +216,12 @@ type Miner interface {
 	// pass: it turns the pass's candidate set into an explicit
 	// candidate-to-node assignment before any scanning starts, so the
 	// assignment is an inspectable artifact (report `plan` section,
-	// /debug/cluster) rather than a side effect of the count phase. prev is
-	// the latest complete cluster skew snapshot, broadcast by the coordinator
-	// at the start of the pass (nil while none is complete — the first passes
-	// of a run); adaptive miners may escalate duplication per hot taxonomy
-	// subtree from it. The decision must be a pure function of prev and state
-	// replicated on every node, so all nodes compute the identical plan; any
-	// state the plan derives (owners, duplication choice) is held by the
-	// miner for the count phase.
-	PlanPass(n *Node, k int, prev *metrics.SkewReport) (PlanDecision, error)
+	// /debug/cluster) rather than a side effect of the count phase. The
+	// decision must be a pure function of state replicated on every node
+	// (C_k, the pass-1 counts, the configuration), so all nodes compute the
+	// identical plan with no message; any state the plan derives (owners,
+	// duplication choice) is held by the miner for the count phase.
+	PlanPass(n *Node, k int) (PlanDecision, error)
 
 	// CountPass runs pass k's partition and count-support phase over the
 	// local shard (routing units through n.NewExchange as needed) and

@@ -187,9 +187,8 @@ func (n *Node) runProtocol() error {
 	}
 	for k := 2; n.cfg.MaxK == 0 || k <= n.cfg.MaxK; k++ {
 		// Candidate generation opens the plan phase: deterministic on every
-		// node (same F_(k-1), same generator), and the nc == 0 termination
-		// below is therefore decided identically everywhere — which is what
-		// lets the plan phase exchange messages without stranding them.
+		// node (same F_(k-1), same generator), so the nc == 0 termination
+		// below is decided identically everywhere.
 		n.setPhase(k, phasePlan)
 		gsp := n.tr.Begin(n.id, 0, "generate")
 		genStart := time.Now()
@@ -404,12 +403,11 @@ func (n *Node) openPass(k, nCands int) *passRun {
 	return pr
 }
 
-// closePass closes the pass window and stages the replan input: the
-// telemetry the barrier ingested advances the coordinator's complete skew
-// snapshot (updateSkew), which the *next* pass's plan phase broadcasts. Pass
-// metadata — including the plan decision — is recorded here.
+// closePass is the bookkeeping at the tail of the barrier: it closes the pass
+// window, lets the coordinator advance its skew snapshot over the telemetry
+// the barrier ingested (updateSkew), and records the pass metadata —
+// including the plan decision.
 func (n *Node) closePass(pr *passRun) {
-	n.setPhase(pr.k, phaseReplan)
 	n.capturePassComm()
 	n.ins.endPass(&n.cur)
 	n.perPass = append(n.perPass, n.cur)
@@ -436,19 +434,16 @@ func (n *Node) closePass(pr *passRun) {
 	n.emitProgress(pr.k, pr.nCands, pr.large, elapsed)
 }
 
-// runPass executes one count-support pass for k >= 2 as four named phases,
+// runPass executes one count-support pass for k >= 2 as three named phases,
 // in the only order they can run, and returns |F_k| (identical on every node
 // after the broadcast).
 //
-//	Plan     exchange the coordinator's latest complete skew snapshot
-//	         (KPlan) and compute the pass's candidate-to-node assignment via
-//	         the miner's PlanPass; identical on every node.
+//	Plan     compute the pass's candidate-to-node assignment via the miner's
+//	         PlanPass, from replicated state alone; identical on every node,
+//	         with no message.
 //	Execute  the miner's count-support phase over the plan.
 //	Barrier  the F_k gather/broadcast (gatherFrequents), which also carries
-//	         the followers' telemetry batches.
-//	Replan   close the pass window (closePass): capture communication,
-//	         advance the coordinator's skew snapshot (the input to the *next*
-//	         pass's Plan phase) and record the pass metadata.
+//	         the followers' telemetry batches, then closePass.
 func (n *Node) runPass(k, nCands int) (int, error) {
 	pr := n.openPass(k, nCands) // still in the plan phase generation opened
 	if err := n.planPhase(pr); err != nil {
@@ -468,32 +463,20 @@ func (n *Node) runPass(k, nCands int) (int, error) {
 	return pr.large, nil
 }
 
-// planPhase turns the latest complete skew snapshot into this pass's plan.
-// The KPlan exchange happens here — after every node has decided (via the
-// identical nc > 0 check) that the run continues, so no hint message can be
-// stranded by termination. A follower blocking on the hint is barrier-like
-// idle time, and bcast charges it so.
+// planPhase computes this pass's plan and publishes it.
 func (n *Node) planPhase(pr *passRun) error {
 	if n.IsCoord() && n.cfg.OnPassStart != nil {
 		n.cfg.OnPassStart(pr.k, pr.nCands)
 	}
-	hint, err := n.exchangeSkewHint(pr.k)
-	if err != nil {
-		return err
-	}
 	plsp := n.tr.Begin(n.id, 0, "plan")
-	dec, err := n.miner.PlanPass(n, pr.k, hint)
+	dec, err := n.miner.PlanPass(n, pr.k)
 	if err != nil {
 		return fmt.Errorf("driver: node %d pass %d plan: %w", n.id, pr.k, err)
 	}
 	dec.Pass = pr.k
-	if hint != nil {
-		dec.SkewPass = hint.Pass
-	}
 	pr.plan = dec
 	n.cfg.View.SetPlan(dec)
 	plsp.Arg("duplicated", int64(dec.Duplicated))
-	plsp.Arg("escalations", int64(len(dec.Escalations)))
 	plsp.End()
 	return nil
 }

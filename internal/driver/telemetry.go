@@ -70,11 +70,6 @@ type telemetryState struct {
 	dropped  []int64
 	skewNext int
 	gauges   skewGauges
-
-	// lastSkew is the latest *complete* skew snapshot — the replan state's
-	// output and the next plan phase's input (broadcast as the KPlan hint).
-	// On followers and single-node runs it advances from local stats only.
-	lastSkew *metrics.SkewReport
 }
 
 // shipTelemetry encodes and sends this follower's batch: pass windows
@@ -238,8 +233,6 @@ func (n *Node) updateSkew() {
 		}
 		n.tel.gauges.set(s)
 		n.cfg.View.SetSkew(s)
-		sc := s
-		n.tel.lastSkew = &sc
 		n.tel.skewNext++
 	}
 }

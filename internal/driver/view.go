@@ -29,7 +29,7 @@ type ClusterSnapshot struct {
 	// Done flips when the protocol has completed on this node.
 	Done bool `json:"done"`
 	// Phase is the state-machine state this node is currently in (plan,
-	// execute, barrier, replan; startup/flush outside the pass loop).
+	// execute, barrier; startup/flush outside the pass loop).
 	Phase string `json:"phase,omitempty"`
 	// Progress lists, per node, the last pass this view has complete stats
 	// for, and its lag behind the current pass. On a follower only the local
@@ -39,9 +39,8 @@ type ClusterSnapshot struct {
 	Progress []NodeProgress `json:"progress,omitempty"`
 	// Skew is the most recent complete-pass skew snapshot (coordinator only).
 	Skew *metrics.SkewReport `json:"skew,omitempty"`
-	// Plan is the current pass's plan decision — the live granule map: which
-	// partitioner the pass runs, the base duplication granule and any
-	// adaptive per-subtree escalations.
+	// Plan is the current pass's plan decision: which partitioner the pass
+	// runs and its duplication granule.
 	Plan *metrics.PlanDecision `json:"plan,omitempty"`
 }
 
@@ -101,7 +100,7 @@ func (cv *ClusterView) SetSkew(s metrics.SkewReport) {
 	cv.update(func(v *ClusterSnapshot) { v.Skew = &s })
 }
 
-// SetPlan publishes the current pass's plan decision (the live granule map).
+// SetPlan publishes the current pass's plan decision.
 func (cv *ClusterView) SetPlan(d metrics.PlanDecision) {
 	cv.update(func(v *ClusterSnapshot) { v.Plan = &d })
 }
@@ -131,7 +130,6 @@ func (cv *ClusterView) Snapshot() ClusterSnapshot {
 	}
 	if cv.v.Plan != nil {
 		p := *cv.v.Plan
-		p.Escalations = append([]metrics.Escalation(nil), cv.v.Plan.Escalations...)
 		out.Plan = &p
 	}
 	return out

@@ -8,7 +8,9 @@ import (
 	"pgarm/internal/cluster"
 	"pgarm/internal/core"
 	"pgarm/internal/driver"
+	"pgarm/internal/gen"
 	"pgarm/internal/item"
+	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
@@ -83,25 +85,87 @@ func TestValidationParity(t *testing.T) {
 	}
 
 	// What only the chosen family can judge.
-	for _, knob := range []struct {
-		name string
-		set  func(*Spec)
-	}{
-		{"MemoryBudget", func(s *Spec) { s.MemoryBudget = 1 << 20 }},
-		{"Adaptive", func(s *Spec) { s.Adaptive = true }},
-		{"EscalateAt", func(s *Spec) { s.EscalateAt = 1.5 }},
-		{"JumpAt", func(s *Spec) { s.JumpAt = 3 }},
-	} {
-		spec := Spec{Algorithm: FPG, MinSupport: 0.5}
-		knob.set(&spec)
-		runErr, workerErr := run(spec)
-		if !errors.Is(runErr, driver.ErrUnsupportedKnob) || !errors.Is(workerErr, driver.ErrUnsupportedKnob) {
-			t.Errorf("FPG given %s: Run err %v, RunWorker err %v; want ErrUnsupportedKnob", knob.name, runErr, workerErr)
-		}
+	runErr, workerErr := run(Spec{Algorithm: FPG, MinSupport: 0.5, MemoryBudget: 1 << 20})
+	if !errors.Is(runErr, driver.ErrUnsupportedKnob) || !errors.Is(workerErr, driver.ErrUnsupportedKnob) {
+		t.Errorf("FPG given MemoryBudget: Run err %v, RunWorker err %v; want ErrUnsupportedKnob", runErr, workerErr)
 	}
 	for _, alg := range []Engine{"", "nope", "NPSPM"} {
 		if runErr, workerErr := run(Spec{Algorithm: alg, MinSupport: 0.5}); runErr == nil || workerErr == nil {
 			t.Errorf("algorithm %q: Run err %v, RunWorker err %v; want both rejected", alg, runErr, workerErr)
 		}
+	}
+}
+
+// kindTraffic is one kind's entry of a per-kind breakdown (zero when the
+// breakdown stops short of it).
+func kindTraffic(ks []metrics.KindIO, kind uint8) cluster.Traffic {
+	for _, k := range ks {
+		if k.Kind == kind {
+			return k.Traffic
+		}
+	}
+	return cluster.Traffic{}
+}
+
+// TestPassProtocolKinds pins the messages of the pass protocol on both engine
+// families. The plan phase sends nothing: kind 9 is reserved and carries no
+// traffic in any window. Each pass k >= 2 costs the coordinator exactly one
+// local-large, one dup-counts and one telemetry message per follower; the
+// last window also folds in the run-end telemetry flush, one more batch per
+// follower.
+func TestPassProtocolKinds(t *testing.T) {
+	const nodes, reserved = 3, 9
+	ds, err := gen.Generate(gen.Params{
+		Name: "kinds", NumTxns: 1200, AvgTxnSize: 6, AvgPatternSize: 3, NumPatterns: 200,
+		NumItems: 600, Roots: 8, Fanout: 4, CorrelationMean: 0.25, CorruptionMean: 0.6,
+		CorruptionSD: 0.1, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []txn.Scanner
+	for _, p := range txn.Partition(ds.DB, nodes) {
+		parts = append(parts, p)
+	}
+	for _, e := range []Engine{core.HHPGMFGD, FPG} {
+		t.Run(string(e), func(t *testing.T) {
+			res, err := Run(ds.Taxonomy, parts, Spec{Algorithm: e, MinSupport: 0.02})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := res.Stats
+			if len(rs.Passes) < 2 {
+				t.Fatalf("%d passes: need a pass k >= 2", len(rs.Passes))
+			}
+			for _, ep := range rs.Endpoints {
+				if tr := kindTraffic(ep.ByKind, reserved); tr != (cluster.Traffic{}) {
+					t.Errorf("node %d lifetime: kind %d traffic %+v", ep.Node, reserved, tr)
+				}
+			}
+			for i, ps := range rs.Passes {
+				for _, ns := range ps.Nodes {
+					if tr := kindTraffic(ns.ByKind, reserved); tr != (cluster.Traffic{}) {
+						t.Errorf("pass %d node %d: kind %d traffic %+v", ps.Pass, ns.Node, reserved, tr)
+					}
+				}
+				if ps.Pass < 2 {
+					continue
+				}
+				want := map[uint8]int64{driver.KLocalLarge: nodes - 1, driver.KDupCounts: nodes - 1, driver.KTelemetry: nodes - 1}
+				if i == len(rs.Passes)-1 {
+					want[driver.KTelemetry] += nodes - 1
+				}
+				for _, ns := range ps.Nodes {
+					if ns.Node != 0 {
+						continue
+					}
+					for kind, w := range want {
+						if got := kindTraffic(ns.ByKind, kind).MsgsReceived; got != w {
+							t.Errorf("pass %d: coordinator received %d messages of kind %d, want %d", ps.Pass, got, kind, w)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -128,7 +128,7 @@ func (m *fpgMiner) Generate(_ *driver.Node, k int) (int, error) {
 // by node r mod N. Frequency ranks of hot items are low and the modulo
 // stripes them across nodes, so the heaviest conditional trees spread evenly
 // without any skew feedback.
-func (m *fpgMiner) PlanPass(n *driver.Node, k int, _ *metrics.SkewReport) (driver.PlanDecision, error) {
+func (m *fpgMiner) PlanPass(n *driver.Node, k int) (driver.PlanDecision, error) {
 	m.numNodes = n.NumNodes()
 	m.nodeID = n.ID()
 	return driver.PlanDecision{

@@ -254,8 +254,7 @@ func Summarize(vals []float64) Skew {
 
 // SkewReport is the per-pass cluster-imbalance summary the coordinator's
 // telemetry plane computes and the JSON run report carries: how unevenly one
-// pass's work landed across nodes, and who the straggler was — the direct
-// input for adaptive re-partitioning.
+// pass's work landed across nodes, and who the straggler was.
 type SkewReport struct {
 	Pass int `json:"pass"`
 	// BarrierWaitMaxOverMean is the barrier-wait imbalance ratio: 1.0 means
@@ -320,7 +319,7 @@ type EndpointTotals struct {
 	ByKind []KindIO `json:"by_kind,omitempty"`
 }
 
-// FinalPlan returns the last pass's plan decision — the granule map the run
+// FinalPlan returns the last pass's plan decision — the granule the run
 // ended on — or nil when no pass recorded one.
 func (r *RunStats) FinalPlan() *PlanDecision {
 	for i := len(r.Passes) - 1; i >= 0; i-- {

@@ -1,16 +1,12 @@
 package metrics
 
-import (
-	"fmt"
-	"strings"
-)
-
 // PlanDecision is one pass's candidate-to-node assignment, made first-class:
 // the artifact the driver's plan phase produces before any scanning starts.
 // Every node computes the identical decision from globally replicated inputs
-// (the broadcast skew hint, C_k, the pass-1 counts), so the decision is both
-// inspectable (report, /debug/cluster) and bit-identity-safe — duplication
-// only moves where a candidate is counted, never whether it is counted.
+// (C_k, the pass-1 counts, owners, the memory budget), so the decision is
+// both inspectable (report, /debug/cluster) and bit-identity-safe —
+// duplication only moves where a candidate is counted, never whether it is
+// counted.
 type PlanDecision struct {
 	Pass int `json:"pass"`
 	// Partitioner names the assignment rule: "root-vector-hash" (H-HPGM
@@ -18,47 +14,11 @@ type PlanDecision struct {
 	// "pattern-hash"/"pattern-root-hash" (sequence miners), "dense-reduce"
 	// (pass 1), "sequential" (the single-node baseline).
 	Partitioner string `json:"partitioner"`
-	// Granule is the base duplication granule the pass ran with: "none",
-	// "tree", "path", "fine", or "all" for fully replicated candidate sets.
-	// Adaptive runs may escalate individual taxonomy subtrees above it (see
-	// Escalations).
+	// Granule is the duplication granule the pass ran with: "none", "tree",
+	// "path", "fine", or "all" for fully replicated candidate sets.
 	Granule string `json:"granule"`
 	// Candidates is |C_k|; Duplicated how many of them every node counts
 	// locally under this plan.
 	Candidates int `json:"candidates"`
 	Duplicated int `json:"duplicated,omitempty"`
-	// Adaptive reports whether skew-adaptive granule escalation was enabled.
-	Adaptive bool `json:"adaptive,omitempty"`
-	// SkewPass is the pass of the skew snapshot this decision consumed, 0
-	// when none was complete yet (the first passes of a run, or single-pass
-	// runs).
-	SkewPass int `json:"skew_pass,omitempty"`
-	// Escalations is the live granule map of an adaptive pass: the taxonomy
-	// roots whose subtrees were escalated above the base granule, with the
-	// granule each runs at now. Empty when no subtree is escalated.
-	Escalations []Escalation `json:"escalations,omitempty"`
-}
-
-// Escalation is one hot taxonomy subtree's granule override.
-type Escalation struct {
-	// Root is the taxonomy root item of the escalated subtree.
-	Root int `json:"root"`
-	// Granule is the duplication granule the subtree was escalated to
-	// ("tree", "path" or "fine").
-	Granule string `json:"granule"`
-}
-
-// GranuleMap renders the decision's effective granule assignment compactly:
-// the base granule, then one ",root<id>=<granule>" per escalated subtree —
-// e.g. "none,root3=fine". The form model snapshots record.
-func (d *PlanDecision) GranuleMap() string {
-	if d == nil || d.Granule == "" {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(d.Granule)
-	for _, e := range d.Escalations {
-		fmt.Fprintf(&b, ",root%d=%s", e.Root, e.Granule)
-	}
-	return b.String()
 }

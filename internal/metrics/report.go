@@ -28,8 +28,7 @@ type Report struct {
 	// construction.
 	Skew []SkewReport `json:"skew,omitempty"`
 	// Plan carries one candidate-assignment decision per pass: the
-	// partitioner, the duplication granule and any adaptive per-subtree
-	// escalations the pass ran with.
+	// partitioner and the duplication granule the pass ran with.
 	Plan      []PlanDecision   `json:"plan,omitempty"`
 	Endpoints []EndpointTotals `json:"endpoints,omitempty"`
 	Spans     []obs.Rollup     `json:"spans,omitempty"`

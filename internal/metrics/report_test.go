@@ -204,10 +204,7 @@ func TestReportKeySet(t *testing.T) {
 	rs := reconciledRun()
 	p := &rs.Passes[0]
 	p.Duplicated, p.Fragments, p.Generate = 3, 2, time.Millisecond
-	p.Plan = &PlanDecision{
-		Pass: 1, Partitioner: "root-vector-hash", Granule: "none", Candidates: 10, Duplicated: 3,
-		Adaptive: true, SkewPass: 1, Escalations: []Escalation{{Root: 3, Granule: "fine"}},
-	}
+	p.Plan = &PlanDecision{Pass: 1, Partitioner: "root-vector-hash", Granule: "none", Candidates: 10, Duplicated: 3}
 	n := &p.Nodes[0]
 	n.BlocksScanned, n.BlocksSkipped, n.BytesDecoded = 4, 1, 512
 	tr := obs.NewTracer()

@@ -51,9 +51,10 @@ type Meta struct {
 	MinConfidence float64 `json:"min_confidence"`
 	// CreatedUnix is the snapshot creation time (Unix seconds).
 	CreatedUnix int64 `json:"created_unix"`
-	// Granules records the duplication granule map the final pass ran with
-	// (e.g. "none" or "none,root3=fine" after adaptive escalation). Empty for
-	// algorithms without a plan and for snapshots written by older builds.
+	// Granules records the duplication granule the final pass ran with (e.g.
+	// "none" or "fine"). Empty for algorithms without a plan and for
+	// snapshots written by older builds; snapshots from builds that escalated
+	// granules per subtree may carry a map such as "none,root3=fine".
 	Granules string `json:"granules,omitempty"`
 }
 

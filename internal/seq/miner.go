@@ -105,17 +105,15 @@ func (m *seqMiner) Generate(n *driver.Node, k int) (int, error) {
 	return len(m.cands), nil
 }
 
-// PlanPass computes pass k's candidate-to-node assignment. The sequence
-// miners are static planners — the skew hint is ignored — which keeps the
-// planner seam honest: the driver's plan phase imposes no adaptivity,
-// only an explicit, inspectable assignment per pass.
+// PlanPass computes pass k's candidate-to-node assignment: an explicit,
+// inspectable assignment per pass.
 //
 // SPSPM hashes the canonical pattern key; HPSPM hashes the pattern's root
 // vector (the sorted multiset of its items' hierarchy roots), the H-HPGM
 // rule: all candidates of one tree combination live on one node, so a
 // destination's item filter covers whole subtrees. NPSPM replicates C_k and
 // assigns nothing.
-func (m *seqMiner) PlanPass(n *driver.Node, k int, _ *metrics.SkewReport) (driver.PlanDecision, error) {
+func (m *seqMiner) PlanPass(n *driver.Node, k int) (driver.PlanDecision, error) {
 	switch m.cfg.Algorithm {
 	case NPSPM:
 		m.owners = nil

@@ -257,9 +257,8 @@ func TestParallelConfigValidationExtended(t *testing.T) {
 		{Algorithm: NPSPM, MinSupport: 0.1, Workers: -2},
 		{Algorithm: NPSPM, MinSupport: 0.1, MaxK: -1},
 		{Algorithm: NPSPM, MinSupport: 1.5},
-		// Candidate-family knobs the sequence miners do not have.
+		// The candidate-family knob the sequence miners do not have.
 		{Algorithm: NPSPM, MinSupport: 0.1, MemoryBudget: 1 << 20},
-		{Algorithm: HPSPM, MinSupport: 0.1, Adaptive: true},
 	}
 	for i, cfg := range bad {
 		if _, err := MineParallel(tax, parts, cfg); err == nil {
