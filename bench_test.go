@@ -19,7 +19,6 @@ import (
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
-	"pgarm/internal/seq"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
@@ -475,32 +474,5 @@ func BenchmarkSequentialCumulate(b *testing.B) {
 		if _, err := cumulate.Mine(ds.Taxonomy, ds.DB, cumulate.Config{MinSupport: 0.01, MaxK: 2}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSequentialPatterns covers the future-work extension: generalized
-// sequential pattern mining, sequential GSP vs the two parallel variants.
-func BenchmarkSequentialPatterns(b *testing.B) {
-	tax := taxonomy.MustBalanced(2000, 10, 5)
-	p := seq.DefaultGenParams()
-	p.NumCustomers = 1500
-	db := seq.GenerateSequences(tax, p)
-	b.Run("GSP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := seq.Mine(tax, db, seq.Config{MinSupport: 0.03, MaxK: 3}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, alg := range []seq.Algorithm{seq.NPSPM, seq.SPSPM} {
-		b.Run(string(alg), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := seq.MineParallel(tax, seq.Partition(db, 8), engines.Spec{
-					Algorithm: alg, MinSupport: 0.03, MaxK: 3,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -1,8 +1,7 @@
 // Command pgarm-bench regenerates the paper's evaluation tables and
-// figures (§4) on scaled versions of the Table 5 datasets, plus the [SK98]
-// sequence-miner sweep that extends them. The repo's performance numbers —
-// serving, scanning, streaming, engine family against engine family — come
-// from the pipeline benchmark in bench/, not from here.
+// figures (§4) on scaled versions of the Table 5 datasets. The repo's
+// performance numbers — serving, scanning, streaming, engine family against
+// engine family — come from the pipeline benchmark in bench/, not from here.
 //
 // Usage:
 //
@@ -10,7 +9,6 @@
 //	pgarm-bench -experiment fig14 -scale 0.02 -nodes 16
 //	pgarm-bench -experiment all -scale 0.01 | tee results.txt
 //	pgarm-bench -experiment table6 -scale 0.002 -trace trace.json -json report.json
-//	pgarm-bench -experiment seq -nodes 8 -json seq.json
 //
 // -trace writes a Chrome trace_event file (load it in chrome://tracing or
 // https://ui.perfetto.dev) covering every mining run; -json writes a
@@ -50,7 +48,7 @@ type benchReport struct {
 func main() {
 	def := experiment.Defaults()
 	var (
-		exp      = flag.String("experiment", "all", "table5, table6, fig13, fig14, fig15, fig16, seq or all")
+		exp      = flag.String("experiment", "all", "table5, table6, fig13, fig14, fig15, fig16 or all")
 		scale    = flag.Float64("scale", def.Scale, "fraction of the paper's 3.2M transactions")
 		nodes    = flag.Int("nodes", def.Nodes, "cluster size for the fixed-size experiments")
 		budget   = flag.Int64("budget", 0, "per-node memory budget in bytes (0 = auto-derived)")
@@ -160,15 +158,6 @@ func main() {
 		for _, t := range ts {
 			fmt.Println(t.Render())
 		}
-	}
-	if want("seq") {
-		ran = true
-		step("sequence sweep")
-		t, err := env.SeqSweep()
-		if err != nil {
-			logx.Fatal(logger, "experiment failed", "err", err)
-		}
-		fmt.Println(t.Render())
 	}
 	if !ran {
 		logx.Fatal(logger, "unknown experiment", "experiment", *exp)

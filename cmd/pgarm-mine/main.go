@@ -1,19 +1,15 @@
 // Command pgarm-mine runs one parallel mining job and prints the results
 // and per-pass statistics.
 //
-// The default mode mines generalized association rules (-mode itemset): the
-// transaction source is either generated on the fly (-scale) or loaded from
-// files produced by pgarm-gen (-in, repeatable or comma-separated), with the
-// classification hierarchy reconstructed deterministically from the dataset
-// configuration. With -mode seq it instead mines generalized sequential
-// patterns with the [SK98] miners (NPSPM, SPSPM, HPSPM) over a generated
-// customer-sequence database (-customers, -items, -roots, -fanout).
+// It mines generalized association rules: the transaction source is either
+// generated on the fly (-scale) or loaded from files produced by pgarm-gen
+// (-in, comma-separated), with the classification hierarchy reconstructed
+// deterministically from the dataset configuration.
 //
 // -engine selects the miner family (internal/engines): the six candidate-
-// based algorithms of the paper, or FPG — the taxonomy-aware parallel
-// FP-Growth engine (internal/fpg), bit-identical output at any node and
-// worker count. -algorithm is the older spelling of the same choice; naming
-// two different engines is an error.
+// based algorithms of the paper (default H-HPGM-FGD), or FPG — the
+// taxonomy-aware parallel FP-Growth engine (internal/fpg), bit-identical
+// output at any node and worker count.
 //
 // With -rules the run continues past itemset mining into rule derivation
 // (internal/rules) at the -minconf threshold; with -o the complete mined
@@ -33,12 +29,11 @@
 //
 // Examples:
 //
-//	pgarm-mine -algorithm H-HPGM-FGD -dataset R30F5 -scale 0.005 -nodes 8 -minsup 0.005
+//	pgarm-mine -engine H-HPGM-FGD -dataset R30F5 -scale 0.005 -nodes 8 -minsup 0.005
 //	pgarm-mine -engine FPG -dataset R30F5 -scale 0.005 -nodes 4 -minsup 0.003
-//	pgarm-mine -algorithm HPGM -dataset R30F5 -in /tmp/r30f5.n00.ptx,/tmp/r30f5.n01.ptx -minsup 0.01 -rules -minconf 0.6
+//	pgarm-mine -engine HPGM -dataset R30F5 -in /tmp/r30f5.n00.ptx,/tmp/r30f5.n01.ptx -minsup 0.01 -rules -minconf 0.6
 //	pgarm-mine -dataset R30F5 -scale 0.002 -minsup 0.01 -minconf 0.3 -o /tmp/model.pgarm -quiet
 //	pgarm-mine -follow -log /tmp/stream -dataset R30F5 -minsup 0.01 -delta-txns 2000 -o /tmp/model.pgarm -reload-url http://localhost:8080/reload
-//	pgarm-mine -mode seq -algorithm HPSPM -customers 5000 -nodes 4 -minsup 0.05 -trace seq.json
 package main
 
 import (
@@ -48,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"pgarm/internal/core"
 	"pgarm/internal/driver"
 	"pgarm/internal/engines"
 	"pgarm/internal/gen"
@@ -58,7 +54,6 @@ import (
 	"pgarm/internal/obshttp"
 	"pgarm/internal/profiling"
 	"pgarm/internal/rules"
-	"pgarm/internal/seq"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
@@ -95,14 +90,8 @@ func observe(spec *engines.Spec, traceOut, httpAddr string, nodes int, logger *s
 
 func main() {
 	var (
-		mode     = flag.String("mode", "itemset", "itemset (association rules) or seq (sequential patterns)")
-		algName  = flag.String("algorithm", "", "itemset: older spelling of -engine (default H-HPGM-FGD); seq: NPSPM, SPSPM or HPSPM (default HPSPM)")
-		engName  = flag.String("engine", "", "itemset mining engine: "+engines.Names()+" (FPG = pattern growth, no candidate sets)")
+		engName  = flag.String("engine", string(core.HHPGMFGD), "mining engine: "+engines.Names()+" (FPG = pattern growth, no candidate sets)")
 		dataset  = flag.String("dataset", "R30F5", "dataset configuration (defines the hierarchy): R30F5, R30F3 or R30F10")
-		cust     = flag.Int("customers", 2000, "seq mode: customers to generate")
-		seqItems = flag.Int("items", 300, "seq mode: item universe size")
-		seqRoots = flag.Int("roots", 5, "seq mode: hierarchy roots")
-		seqFan   = flag.Int("fanout", 4, "seq mode: hierarchy fanout")
 		scale    = flag.Float64("scale", 0.005, "generate this fraction of the paper dataset (ignored with -in)")
 		seed     = flag.Int64("seed", 1998, "generator seed (ignored with -in)")
 		inFiles  = flag.String("in", "", "comma-separated per-node transaction files from pgarm-gen")
@@ -142,7 +131,7 @@ func main() {
 	}
 	defer stopProf()
 
-	// One run description for both batch modes; the engine validates it.
+	// One run description; the engine validates it.
 	spec := engines.Spec{
 		MinSupport:   *minsup,
 		MaxK:         *maxK,
@@ -154,12 +143,11 @@ func main() {
 	}
 
 	if *follow {
-		if *mode != "itemset" {
-			logx.Fatal(logger, "-follow requires -mode itemset")
-		}
-		if *engName != "" {
-			logx.Fatal(logger, "-engine applies to batch itemset mining; -follow always uses the incremental Cumulate miner")
-		}
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "engine" {
+				logx.Fatal(logger, "-engine applies to batch mining; -follow always uses the incremental Cumulate miner")
+			}
+		})
 		followStream(logger, followOptions{
 			logDir:    *streamLog,
 			dataset:   *dataset,
@@ -177,32 +165,7 @@ func main() {
 		})
 		return
 	}
-	if *mode == "seq" {
-		if *outModel != "" {
-			logx.Fatal(logger, "-o snapshots require -mode itemset (sequential patterns have no serving format yet)")
-		}
-		if *engName != "" {
-			logx.Fatal(logger, "-engine applies to -mode itemset; seq selects its miner with -algorithm")
-		}
-		spec.Algorithm = seq.Algorithm(*algName)
-		mineSequences(logger, spec, seqOptions{
-			customers: *cust,
-			items:     *seqItems,
-			roots:     *seqRoots,
-			fanout:    *seqFan,
-			seed:      *seed,
-			nodes:     *nodes,
-			traceOut:  *traceOut,
-			quiet:     *quiet,
-			topN:      *topN,
-			httpAddr:  *httpAddr,
-		})
-		return
-	}
-	if *mode != "itemset" {
-		logx.Fatal(logger, "unknown mode (itemset or seq)", "mode", *mode)
-	}
-	spec.Algorithm, err = engines.Resolve(*engName, *algName)
+	spec.Algorithm, err = engines.Parse(*engName)
 	if err != nil {
 		logx.Fatal(logger, "bad engine", "err", err)
 	}
@@ -333,72 +296,6 @@ func main() {
 			}
 			logger.Info("wrote model snapshot", "path", *outModel,
 				"itemsets", m.NumItemsets(), "rules", len(m.Rules))
-		}
-	}
-}
-
-// seqOptions are the flags relevant to -mode seq beyond the run Spec.
-type seqOptions struct {
-	customers int
-	items     int
-	roots     int
-	fanout    int
-	seed      int64
-	nodes     int
-	traceOut  string
-	quiet     bool
-	topN      int
-	httpAddr  string
-}
-
-// mineSequences runs one parallel sequential-pattern job: generate a
-// customer-sequence database, mine it with the selected [SK98] miner and
-// print the frequent patterns with per-pass statistics.
-func mineSequences(logger *slog.Logger, spec engines.Spec, o seqOptions) {
-	if spec.Algorithm == "" {
-		spec.Algorithm = seq.HPSPM
-	}
-	tax, err := taxonomy.Balanced(o.items, o.roots, o.fanout)
-	if err != nil {
-		logx.Fatal(logger, "taxonomy", "err", err)
-	}
-	p := seq.DefaultGenParams()
-	p.NumCustomers = o.customers
-	p.Seed = o.seed
-	logger.Info("generating customer sequences", "customers", p.NumCustomers, "taxonomy", tax.String())
-	db := seq.GenerateSequences(tax, p)
-
-	observe(&spec, o.traceOut, o.httpAddr, o.nodes, logger)
-	logger.Info("mining", "algorithm", string(spec.Algorithm), "nodes", o.nodes, "minsup", spec.MinSupport)
-	res, err := seq.MineParallel(tax, seq.Partition(db, o.nodes), spec)
-	if err != nil {
-		logx.Fatal(logger, "mining failed", "err", err)
-	}
-	res.Stats.Dataset = fmt.Sprintf("SEQ-C%d", db.Len())
-	if spec.Tracer != nil {
-		if err := obs.WriteTraceFile(o.traceOut, spec.Tracer, logger); err != nil {
-			logx.Fatal(logger, "trace write failed", "err", err)
-		}
-	}
-
-	fmt.Print(res.Stats.String())
-	if o.quiet {
-		return
-	}
-	for k := 1; k <= len(res.Frequent); k++ {
-		fk := res.FrequentK(k)
-		fmt.Printf("\nF_%d: %d patterns", k, len(fk))
-		if k == 1 {
-			fmt.Println()
-			continue
-		}
-		fmt.Println(":")
-		for i, pat := range fk {
-			if i >= o.topN {
-				fmt.Printf("  ... %d more\n", len(fk)-i)
-				break
-			}
-			fmt.Printf("  %s\n", pat)
 		}
 	}
 }

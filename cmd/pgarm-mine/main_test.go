@@ -37,17 +37,16 @@ func TestMain(m *testing.M) {
 // non-deterministic part of stdout (the sed in .claude/skills/verify/SKILL.md).
 var durations = regexp.MustCompile(`[0-9.]+m?s( total)?`)
 
-// TestGoldenStdout pins stdout of one run per engine family, fabric and mode
+// TestGoldenStdout pins stdout of one run per engine family and fabric
 // against files recorded at the commit before the engines.Run refactor: the
 // per-pass statistics (candidates, duplicates, large counts, bytes, probe
 // skew), the L_k listings and the derived rules must not move.
 func TestGoldenStdout(t *testing.T) {
 	itemset := "-dataset R30F5 -scale 0.001 -nodes 3 -minsup 0.02 -maxk 3 -rules -minconf 0.6 -top 5"
 	for _, c := range []struct{ golden, args string }{
-		{"h-hpgm-fgd", itemset + " -algorithm H-HPGM-FGD"},
-		{"hpgm-tcp", itemset + " -algorithm HPGM -tcp"},
+		{"h-hpgm-fgd", itemset + " -engine H-HPGM-FGD"},
+		{"hpgm-tcp", itemset + " -engine HPGM -tcp"},
 		{"fpg", itemset + " -engine FPG"},
-		{"seq-hpspm", "-mode seq -algorithm HPSPM -customers 300 -nodes 3 -minsup 0.05 -maxk 3 -top 5"},
 	} {
 		t.Run(c.golden, func(t *testing.T) {
 			t.Parallel()
@@ -81,11 +80,9 @@ func TestFlagErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ args, want string }{
-		{"-engine FPG -algorithm HPGM", "name different engines"},
 		{"-engine nope", "unknown engine"},
 		{"-scale 0.0005 -nodes 2 -engine FPG -budget 4096", "knob not supported"},
 		{"-scale 0.0005 -nodes 2 -maxk -1", "negative MaxK"},
-		{"-mode seq -customers 50 -budget 4096", "knob not supported"},
 		{"-dataset R30F3 -in " + r30f5, "different taxonomy"},
 	} {
 		out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()

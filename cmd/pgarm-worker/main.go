@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"pgarm/internal/cluster"
+	"pgarm/internal/core"
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
 	"pgarm/internal/engines"
@@ -67,8 +68,7 @@ func main() {
 		addrs    = flag.String("addrs", "", "comma-separated listen addresses of every node, in id order")
 		inFile   = flag.String("in", "", "this node's transaction partition (from pgarm-gen -nodes)")
 		dataset  = flag.String("dataset", "R30F5", "dataset configuration defining the hierarchy")
-		algName  = flag.String("algorithm", "", "older spelling of -engine (default H-HPGM-FGD)")
-		engName  = flag.String("engine", "", "mining engine: "+engines.Names()+" (must match on every worker)")
+		engName  = flag.String("engine", string(core.HHPGMFGD), "mining engine: "+engines.Names()+" (must match on every worker)")
 		minsup   = flag.Float64("minsup", 0.005, "minimum support fraction")
 		budget   = flag.Int64("budget", 0, "per-node candidate memory budget in bytes")
 		maxK     = flag.Int("maxk", 0, "stop after this pass (0 = completion)")
@@ -91,7 +91,7 @@ func main() {
 	if *inFile == "" {
 		logx.Fatal(logger, "missing -in partition file")
 	}
-	eng, err := engines.Resolve(*engName, *algName)
+	eng, err := engines.Parse(*engName)
 	if err != nil {
 		logx.Fatal(logger, "bad engine", "err", err)
 	}

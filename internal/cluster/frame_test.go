@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -123,4 +124,45 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("re-encoded %+v differs from the %d bytes read", m, len(consumed))
 		}
 	})
+}
+
+// TestReadHelloExhaustive checks readHello against every two-byte hello in a
+// few handshake states: it accepts exactly the ids of lower-numbered nodes
+// not yet connected, rejects everything else with an error naming both
+// nodes, and reads back what writeHello wrote.
+func TestReadHelloExhaustive(t *testing.T) {
+	for _, s := range []struct {
+		self int
+		seen []bool
+	}{
+		{0, []bool{false, false}},
+		{1, []bool{false, false}},
+		{2, []bool{true, false, false}},
+		{3, []bool{false, true, false, false, false}},
+	} {
+		for v := 0; v < 1<<16; v++ {
+			from, err := readHello(bytes.NewReader([]byte{byte(v >> 8), byte(v)}), s.self, s.seen)
+			if ok := v < s.self && !s.seen[v]; ok {
+				if err != nil || from != v {
+					t.Fatalf("self %d, seen %v: hello %d read as %d, %v", s.self, s.seen, v, from, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node %d", s.self)) || !strings.Contains(err.Error(), fmt.Sprintf("node %d", v)) {
+				t.Fatalf("self %d, seen %v: hello %d: err %v, want one naming both nodes", s.self, s.seen, v, err)
+			}
+		}
+		for from := 0; from < s.self; from++ {
+			var b bytes.Buffer
+			if err := writeHello(&b, from); err != nil || b.Len() != helloLen {
+				t.Fatalf("writeHello(%d): %d bytes, %v", from, b.Len(), err)
+			}
+			if got, err := readHello(&b, s.self, make([]bool, len(s.seen))); err != nil || got != from {
+				t.Errorf("writeHello(%d) read back as %d, %v", from, got, err)
+			}
+		}
+		for _, short := range [][]byte{nil, {0}} {
+			if _, err := readHello(bytes.NewReader(short), s.self, s.seen); err == nil {
+				t.Errorf("self %d: %d-byte hello accepted", s.self, len(short))
+			}
+		}
+	}
 }

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -17,8 +15,9 @@ type MeshOptions struct {
 	Listener net.Listener
 	// InboxBuffer sizes the delivery channel (default 1024).
 	InboxBuffer int
-	// DialTimeout bounds how long to keep retrying peers that have not
-	// started yet (default 30s).
+	// DialTimeout bounds the handshake (default 30s): how long to keep
+	// retrying peers that have not started yet, to wait for every
+	// lower-numbered peer to connect, and for each connection's hello.
 	DialTimeout time.Duration
 	// ClockSyncRounds is the number of clock-offset ping round-trips node 0
 	// runs against each peer during the handshake (0 = default 8, negative =
@@ -53,9 +52,11 @@ func (m *Mesh) ClockOffsets() []time.Duration { return m.ep.ClockOffsets() }
 // node's listen address in node-id order; self is this process's id.
 //
 // Connection protocol (the in-process TCPFabric is n of these): node i dials
-// every j > i with a 2-byte hello carrying its id, and accepts connections
-// from every j < i. Dials retry until the peer's listener is up or
-// DialTimeout expires, so workers may start in any order.
+// every j > i with a hello carrying its id (frame.go), and accepts connections
+// from every j < i. Dials retry until the peer's listener is up, so workers
+// may start in any order. The whole handshake ends within DialTimeout: a peer
+// that never connects or never says hello fails it, as does a hello naming a
+// node that is not a lower-numbered peer or is already connected.
 //
 // Before the read loops start, node 0 runs a clock-offset estimation exchange
 // with every peer on the raw connections (see clock.go); the estimates are
@@ -72,6 +73,7 @@ func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, erro
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 30 * time.Second
 	}
+	handshake := time.Now().Add(opts.DialTimeout)
 	ln := opts.Listener
 	if ln == nil {
 		var err error
@@ -90,26 +92,32 @@ func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, erro
 
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
-	// Accept from every lower-numbered node.
+	// Accept from every lower-numbered node. A listener without deadlines
+	// (none in the repo) leaves Accept unbounded.
+	if dl, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
+		dl.SetDeadline(handshake)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		seen := make([]bool, n)
 		for k := 0; k < self; k++ {
 			c, err := ln.Accept()
 			if err != nil {
-				errs <- fmt.Errorf("cluster: accept at node %d: %w", self, err)
+				errs <- fmt.Errorf("cluster: node %d accepted %d of %d lower-numbered peers: %w", self, k, self, err)
 				return
 			}
-			var hello [2]byte
-			if _, err := io.ReadFull(c, hello[:]); err != nil {
-				errs <- fmt.Errorf("cluster: read hello at node %d: %w", self, err)
+			c.SetReadDeadline(handshake)
+			from, err := readHello(c, self, seen)
+			if err == nil {
+				err = c.SetReadDeadline(time.Time{})
+			}
+			if err != nil {
+				c.Close()
+				errs <- err
 				return
 			}
-			from := int(binary.BigEndian.Uint16(hello[:]))
-			if from >= n || from >= self {
-				errs <- fmt.Errorf("cluster: node %d got hello from unexpected node %d", self, from)
-				return
-			}
+			seen[from] = true
 			ep.setConn(from, c)
 		}
 	}()
@@ -118,20 +126,18 @@ func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, erro
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			deadline := time.Now().Add(opts.DialTimeout)
 			for {
 				c, err := net.DialTimeout("tcp", addrs[j], time.Second)
 				if err != nil {
-					if time.Now().After(deadline) {
+					if time.Now().After(handshake) {
 						errs <- fmt.Errorf("cluster: dial %d->%d (%s): %w", self, j, addrs[j], err)
 						return
 					}
 					time.Sleep(100 * time.Millisecond)
 					continue
 				}
-				var hello [2]byte
-				binary.BigEndian.PutUint16(hello[:], uint16(self))
-				if _, err := c.Write(hello[:]); err != nil {
+				if err := writeHello(c, self); err != nil {
+					c.Close()
 					errs <- fmt.Errorf("cluster: hello %d->%d: %w", self, j, err)
 					return
 				}

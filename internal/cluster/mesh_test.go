@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,4 +199,72 @@ func TestMeshCloseIdempotent(t *testing.T) {
 		t.Error("inbox should be closed")
 	}
 	_ = epA
+}
+
+// TestDialMeshRejectsBadHello: the accept side of the handshake ends within
+// DialTimeout and with an error naming the node — whether a peer connects
+// and never says hello, two connections claim the same peer, or nobody
+// connects at all. A guard turns a hang into a failure.
+func TestDialMeshRejectsBadHello(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	for _, c := range []struct {
+		name     string
+		self, n  int
+		connect  func(t *testing.T, addr string) []net.Conn
+		wantText string
+	}{
+		{"silent peer", 1, 2, func(t *testing.T, addr string) []net.Conn {
+			return []net.Conn{dialRaw(t, addr, nil)}
+		}, "read hello at node 1"},
+		{"duplicate id", 2, 3, func(t *testing.T, addr string) []net.Conn {
+			return []net.Conn{dialRaw(t, addr, []byte{0, 0}), dialRaw(t, addr, []byte{0, 0})}
+		}, "node 2 got a second hello from node 0"},
+		{"nobody connects", 1, 2, func(*testing.T, string) []net.Conn { return nil },
+			"node 1 accepted 0 of 1 lower-numbered peers"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs := make([]string, c.n)
+			addrs[c.self] = ln.Addr().String()
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() {
+				_, m, err := DialMesh(c.self, addrs, MeshOptions{Listener: ln, DialTimeout: timeout, ClockSyncRounds: -1})
+				if err == nil {
+					m.Close()
+				}
+				done <- err
+			}()
+			for _, conn := range c.connect(t, addrs[c.self]) {
+				defer conn.Close()
+			}
+			select {
+			case err := <-done:
+				if elapsed := time.Since(start); elapsed > 2*timeout {
+					t.Errorf("DialMesh returned after %v, want within %v", elapsed, 2*timeout)
+				}
+				if err == nil || !strings.Contains(err.Error(), c.wantText) {
+					t.Errorf("DialMesh err %v, want one mentioning %q", err, c.wantText)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("DialMesh hung")
+			}
+		})
+	}
+}
+
+// dialRaw connects to addr and sends hello, if any, as raw bytes.
+func dialRaw(t *testing.T, addr string, hello []byte) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -21,9 +21,8 @@
 //
 // What varies per workload — candidate representation, partitioning,
 // counting a local shard, encoding frequents — is behind the Miner
-// interface, which has three implementations: internal/core (the paper's six
-// itemset algorithms), internal/fpg (taxonomy-aware parallel FP-Growth) and
-// internal/seq (the SK98 NPSPM/SPSPM/HPSPM sequence miners).
+// interface, which has two implementations: internal/core (the paper's six
+// itemset algorithms) and internal/fpg (taxonomy-aware parallel FP-Growth).
 package driver
 
 import (
@@ -78,17 +77,15 @@ func NewFabric(kind FabricKind, n, buffer int) (cluster.Fabric, error) {
 }
 
 // Algorithm names the miner a Spec selects: one of the paper's six candidate
-// algorithms (internal/core), "FPG" (internal/fpg) or a sequence miner
-// (internal/seq). Each family declares its own names as constants of this
-// type; internal/engines lists the itemset ones.
+// algorithms (internal/core) or "FPG" (internal/fpg). Each family declares
+// its own names as constants of this type; internal/engines lists them all.
 type Algorithm string
 
 // Spec is the one description of a mining run, shared by every miner family
 // and every way in (engines.Run/RunWorker, the family Mine/MineWorker entry
-// points, seq.MineParallel). The runtime fields are consumed here; the
-// candidate-family knob MemoryBudget is consumed by internal/core, and a
-// family that does not have it rejects a Spec that sets it with
-// ErrUnsupportedKnob.
+// points). The runtime fields are consumed here; the candidate-family knob
+// MemoryBudget is consumed by internal/core, and FPG, which does not have it,
+// rejects a Spec that sets it with ErrUnsupportedKnob.
 type Spec struct {
 	// Algorithm selects the miner. The fpg entry points treat "" as FPG;
 	// every other entry point requires a name of its family.
@@ -140,8 +137,7 @@ type Result struct {
 }
 
 // ErrUnsupportedKnob is wrapped by a family's validation when the Spec sets
-// a knob that family does not have (FPG or a sequence miner handed
-// MemoryBudget).
+// a knob that family does not have (FPG handed MemoryBudget).
 var ErrUnsupportedKnob = errors.New("knob not supported by this engine")
 
 // Validate rejects a malformed Spec. Run and RunWorker call it before any
@@ -184,16 +180,15 @@ type PlanDecision = metrics.PlanDecision
 // Miner is the mining-logic half of a run. The runtime calls these hooks
 // from the node goroutine in protocol order; every hook receives the Node
 // for access to cluster position (ID/NumNodes), the derived global state
-// (TotalSize/MinCount) and the communication helpers (NewExchange,
-// ShardObs, Span).
+// (MinCount) and the communication helpers (NewExchange, ShardObs, Span).
 //
 // A Miner instance belongs to exactly one node and is never called
 // concurrently with itself; replicated derivations (candidate generation)
 // must be pure functions of state identical on every node after each
 // barrier.
 type Miner interface {
-	// LocalSize is the size of the local partition (transactions, customers)
-	// reported during the size exchange.
+	// LocalSize is the size of the local partition in transactions, reported
+	// during the size exchange.
 	LocalSize() int
 
 	// NumItems is the size of the dense pass-1 count vector (the item

@@ -13,7 +13,7 @@ import (
 // scan side — the node goroutine itself, or Spec.Workers sharded scan
 // workers — reads the local partition and routes payload units (single
 // k-itemsets for HPGM, per-transaction item groups for the H-HPGM family,
-// encoded customer sequences for SPSPM/HPSPM) while a single receiver
+// conditional pattern bases for FPG) while a single receiver
 // goroutine owns the node's partitioned candidate state and applies every
 // batch — remote batches from the fabric inbox and local batches through an
 // in-memory loopback queue. Splitting producer and consumer this way is

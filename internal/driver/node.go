@@ -34,8 +34,7 @@ type Node struct {
 	// coordinator's skew analytics and View stay live. Set by Run.
 	sharedObs bool
 
-	totalSize int
-	minCount  int64
+	minCount int64
 
 	// pending holds inbox messages that arrived ahead of the phase that
 	// consumes them (e.g. a fast peer's pass-k data while we still await the
@@ -105,10 +104,6 @@ func (n *Node) Keep() bool { return n.IsCoord() || n.keepResults }
 // Miner is the mining logic attached to this node; after a run it holds the
 // family's results (see Keep).
 func (n *Node) Miner() Miner { return n.miner }
-
-// TotalSize is the global database size |D| established by the size
-// exchange.
-func (n *Node) TotalSize() int { return n.totalSize }
 
 // MinCount is the absolute minimum support count derived from |D|.
 func (n *Node) MinCount() int64 { return n.minCount }
@@ -295,11 +290,11 @@ func (n *Node) sizeExchange() error {
 		return err
 	}
 	d := wire.NewDec(payload)
-	n.totalSize = d.Int()
+	size := d.Int()
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("driver: decode |D| broadcast: %w", err)
 	}
-	n.minCount = cumulate.MinCount(n.cfg.MinSupport, n.totalSize)
+	n.minCount = cumulate.MinCount(n.cfg.MinSupport, size)
 	return nil
 }
 

@@ -31,15 +31,6 @@ func runShards(workers int, so ShardObs, body func(w, nShards, lane int) error) 
 		func(w int) error { return body(w, nShards, lane(w)) })
 }
 
-// Source is a partition a count phase scans: a txn.Scanner (T is
-// txn.Transaction) or a seq.DB (T is seq.Sequence). Scan must support
-// concurrent independent calls when the phase has more than one worker; every
-// storage type in the repo does (slice iteration, or a private file handle
-// per scan).
-type Source[T any] interface {
-	Scan(fn func(T) error) error
-}
-
 // Worker is one scan worker's private state in a count phase. The body gets
 // its worker with every record and never synchronizes; per-worker state the
 // skeleton does not own (count vectors, trees, scratch) lives in a caller
@@ -55,15 +46,19 @@ type Worker struct {
 // transaction t in the local partition: extend t with its ancestors, then
 // increment locally or ship to the owner" — with everything but the last
 // clause owned here. It scans src with `workers` scan workers (<= 1 scans
-// inline on the caller's goroutine) and calls body once per record.
+// inline on the caller's goroutine) and calls body once per transaction.
+// src.Scan must support concurrent independent calls when there is more
+// than one worker; every txn.Scanner in the repo does (slice iteration, or a
+// private file handle per scan).
 //
 // A txn.BlockScanner source (columnar partition) is sharded by block: worker
 // w preads and decodes exactly the blocks whose ordinal o satisfies
-// o % workers == w, so decode itself parallelizes. Any other source is
-// sharded by record: every worker runs its own full scan and keeps the
-// records whose scan ordinal o satisfies o % workers == w. Either way the
-// assignment is a pure function of storage order, body runs serially within
-// a worker, and every body call happens-before CountPhase returns.
+// o % workers == w, so decode itself parallelizes. Any other source (a row
+// file, a txn.DB partition) is sharded by record: every worker runs its own
+// full scan and keeps the transactions whose scan ordinal o satisfies
+// o % workers == w. Either way the assignment is a pure function of storage
+// order, body runs serially within a worker, and every body call
+// happens-before CountPhase returns.
 //
 // extend, when non-nil, computes each record's extension into Worker.Ext
 // before body runs. ex, when non-nil, is the pass's Exchange: every worker
@@ -75,9 +70,9 @@ type Worker struct {
 // On success the workers' counters are merged into st in worker order (exact
 // integer sums, so bit-identical at every worker count) and the phase's wall
 // time is added to st.ScanTime. A nil st drops the counters.
-func CountPhase[T any](src Source[T], workers int, so ShardObs, st *metrics.NodeStats,
-	extend func(dst []item.Item, t T) []item.Item, ex *Exchange,
-	body func(w *Worker, t T) error) error {
+func CountPhase(src txn.Scanner, workers int, so ShardObs, st *metrics.NodeStats,
+	extend func(dst []item.Item, t txn.Transaction) []item.Item, ex *Exchange,
+	body func(w *Worker, t txn.Transaction) error) error {
 	started := time.Now()
 	ws := make([]Worker, max(workers, 1))
 	for i := range ws {
@@ -89,22 +84,19 @@ func CountPhase[T any](src Source[T], workers int, so ShardObs, st *metrics.Node
 			ws[i].Bat = ex.NewBatcher()
 		}
 	}
-	blocks, _ := any(src).(txn.BlockScanner)
+	blocks, _ := src.(txn.BlockScanner)
 	err := runShards(len(ws), so, func(i, nShards, lane int) error {
 		w := &ws[i]
-		each := func(t T) error {
+		each := func(t txn.Transaction) error {
 			w.Stats.TxnsScanned++
 			if extend != nil {
 				w.Ext = extend(w.Ext[:0], t)
 			}
 			return body(w, t)
 		}
-		// A BlockScanner yields transactions, so T is txn.Transaction and
-		// the instantiated closure has exactly the asserted type.
-		eachTxn, ok := any(each).(func(txn.Transaction) error)
-		if !ok || blocks == nil {
+		if blocks == nil {
 			ord := 0
-			return src.Scan(func(t T) error {
+			return src.Scan(func(t txn.Transaction) error {
 				mine := ord%nShards == i
 				ord++
 				if !mine {
@@ -118,7 +110,7 @@ func CountPhase[T any](src Source[T], workers int, so ShardObs, st *metrics.Node
 		defer done()
 		err := blocks.ScanBlocks(txn.BlockScanOptions{Shard: i, NumShards: nShards, Stats: &bst}, func(b txn.Block) error {
 			for _, t := range b.Txns {
-				if err := eachTxn(t); err != nil {
+				if err := each(t); err != nil {
 					return err
 				}
 			}

@@ -42,7 +42,7 @@ import (
 //     coordinator's merged RunStats reconciles too (the flush message itself
 //     belongs to neither view's totals — it is accounted only in the
 //     follower's local post-fold stats).
-const telemetryVersion = 1
+const telemetryVersion = 2
 
 // telemetryBatch is the decoded form of one KTelemetry payload.
 type telemetryBatch struct {

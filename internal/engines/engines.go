@@ -7,7 +7,6 @@
 package engines
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -56,25 +55,6 @@ func Parse(s string) (Engine, error) {
 		}
 	}
 	return "", fmt.Errorf("engines: unknown engine %q (valid: %s)", s, Names())
-}
-
-// ErrConflict is wrapped by Resolve when -engine and -algorithm name
-// different engines.
-var ErrConflict = errors.New("-engine and -algorithm name different engines")
-
-// Resolve picks the engine from the two CLI spellings of the same choice:
-// -engine, or -algorithm, which predates the second engine family. Neither
-// given selects H-HPGM-FGD, the paper's winner; both given must agree.
-func Resolve(engine, algorithm string) (Engine, error) {
-	switch {
-	case engine == "" && algorithm == "":
-		return core.HHPGMFGD, nil
-	case engine == "":
-		engine = algorithm
-	case algorithm != "" && algorithm != engine:
-		return "", fmt.Errorf("engines: -engine %s, -algorithm %s: %w", engine, algorithm, ErrConflict)
-	}
-	return Parse(engine)
 }
 
 // Run mines parts — parts[i] is node i's local partition — with the engine

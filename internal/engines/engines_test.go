@@ -89,6 +89,8 @@ func TestValidationParity(t *testing.T) {
 	if !errors.Is(runErr, driver.ErrUnsupportedKnob) || !errors.Is(workerErr, driver.ErrUnsupportedKnob) {
 		t.Errorf("FPG given MemoryBudget: Run err %v, RunWorker err %v; want ErrUnsupportedKnob", runErr, workerErr)
 	}
+	// NPSPM named a sequence miner, a family since removed: it must read as
+	// an unknown engine, not as a silent default.
 	for _, alg := range []Engine{"", "nope", "NPSPM"} {
 		if runErr, workerErr := run(Spec{Algorithm: alg, MinSupport: 0.5}); runErr == nil || workerErr == nil {
 			t.Errorf("algorithm %q: Run err %v, RunWorker err %v; want both rejected", alg, runErr, workerErr)

@@ -17,13 +17,6 @@ func TestKeyOrderMatchesItemsetOrder(t *testing.T) {
 	}
 }
 
-func TestAppendKeyMatchesKey(t *testing.T) {
-	s := []item.Item{3, 9, 1000}
-	if string(AppendKey(nil, s)) != Key(s) {
-		t.Error("AppendKey and Key disagree")
-	}
-}
-
 func TestHashStability(t *testing.T) {
 	s := []item.Item{4, 7, 22}
 	if Hash(s) != Hash(append([]item.Item(nil), s...)) {

@@ -24,17 +24,6 @@ func Key(items []item.Item) string {
 	return string(buf)
 }
 
-// AppendKey is Key but appends the encoding to dst, avoiding a second
-// allocation when the caller reuses a scratch buffer.
-func AppendKey(dst []byte, items []item.Item) []byte {
-	for _, it := range items {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(it))
-		dst = append(dst, b[:]...)
-	}
-	return dst
-}
-
 // Hash computes a stable FNV-1a style hash of a canonical itemset. It is the
 // hash function HPGM applies to whole itemsets and the H-HPGM family applies
 // to root vectors; stability across processes matters for the TCP fabric.

@@ -17,8 +17,9 @@ import (
 )
 
 // NodeStats are the counters one node accumulates during one pass. Every
-// scalar here has exactly one row in Counters, which is what carries it onto
-// the telemetry plane, into the run report and onto /metrics.
+// scalar here but BlocksSkipped has exactly one row in Counters, which is
+// what carries it onto the telemetry plane, into the run report and onto
+// /metrics.
 type NodeStats struct {
 	Node          int
 	TxnsScanned   int64 // transactions read from local disk
@@ -40,12 +41,13 @@ type NodeStats struct {
 	DataBytesReceived int64
 	// BlocksScanned/BytesDecoded profile the block-granular scan path of
 	// columnar partitions: blocks decoded and their encoded bytes. Sources
-	// without blocks leave them zero. BlocksSkipped is written only by the
-	// sequence miners: customer sequences their root-mask test ruled out
-	// before any closure build or probe.
+	// without blocks leave them zero.
 	BlocksScanned int64
-	BlocksSkipped int64
 	BytesDecoded  int64
+	// BlocksSkipped is always zero; read by bench/ only; deleted with ROADMAP
+	// item 1's bench port. It has no Counters row, so it never reaches the
+	// wire, a report or /metrics.
+	BlocksSkipped int64
 	ScanTime      time.Duration // local scan + counting wall time
 	// BarrierWait is how long this node blocked in the pass-end L_k
 	// gather/broadcast barrier — the direct measure of load skew: an idle
@@ -101,8 +103,6 @@ var Counters = [...]Counter{
 	{Key: "msgs_received", At: func(s *NodeStats) *int64 { return &s.MsgsReceived }},
 	{Key: "blocks_scanned", Optional: true, Scan: true, Series: "pgarm_blocks_scanned_total", Help: "Columnar partition blocks decoded during local scans.",
 		At: func(s *NodeStats) *int64 { return &s.BlocksScanned }},
-	{Key: "blocks_skipped", Optional: true, Scan: true, Series: "pgarm_blocks_skipped_total", Help: "Customer sequences the sequence miners' root-mask test ruled out before matching.",
-		At: func(s *NodeStats) *int64 { return &s.BlocksSkipped }},
 	{Key: "bytes_decoded", Optional: true, Scan: true, Series: "pgarm_bytes_decoded_total", Help: "Encoded bytes of decoded columnar blocks.",
 		At: func(s *NodeStats) *int64 { return &s.BytesDecoded }},
 	{Key: "scan_ms", Duration: true, At: func(s *NodeStats) *int64 { return (*int64)(&s.ScanTime) }},

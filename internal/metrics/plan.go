@@ -10,9 +10,8 @@ package metrics
 type PlanDecision struct {
 	Pass int `json:"pass"`
 	// Partitioner names the assignment rule: "root-vector-hash" (H-HPGM
-	// family), "itemset-hash" (HPGM), "replicated" (NPGM/NPSPM),
-	// "pattern-hash"/"pattern-root-hash" (sequence miners), "dense-reduce"
-	// (pass 1), "sequential" (the single-node baseline).
+	// family), "itemset-hash" (HPGM), "replicated" (NPGM), "suffix-rank-mod"
+	// (FPG) or "dense-reduce" (pass 1).
 	Partitioner string `json:"partitioner"`
 	// Granule is the duplication granule the pass ran with: "none", "tree",
 	// "path", "fine", or "all" for fully replicated candidate sets.

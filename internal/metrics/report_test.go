@@ -142,8 +142,8 @@ func goldenNodes() []NodeStats {
 }
 
 // TestNodeReportGolden pins the report's per-node object byte for byte —
-// key order, omitted optionals, durations in milliseconds — against what the
-// struct-tagged NodeReport emitted at the parent of PR 24.
+// key order, omitted optionals, durations in milliseconds. BlocksSkipped is
+// set in the full window but has no Counters row, so it must not appear.
 func TestNodeReportGolden(t *testing.T) {
 	rs := &RunStats{Passes: []PassStats{{Pass: 1, Nodes: goldenNodes()}}}
 	var got []byte

@@ -223,28 +223,6 @@ func (d *Dec) TID(prev int64, first bool) int64 {
 	return tid
 }
 
-// ItemsList reads a list of itemsets written by AppendItemsList.
-func (d *Dec) ItemsList() [][]item.Item {
-	n := d.Count(1)
-	out := make([][]item.Item, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.Items(nil))
-	}
-	return out
-}
-
-// PatternList reads pattern/count pairs written by AppendPatternList.
-func (d *Dec) PatternList() (patterns [][][]item.Item, counts []int64) {
-	n := d.Count(2)
-	patterns = make([][][]item.Item, 0, n)
-	counts = make([]int64, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		patterns = append(patterns, d.ItemsList())
-		counts = append(counts, d.I64())
-	}
-	return patterns, counts
-}
-
 // Counted reads itemset/count pairs written by AppendCounted.
 func (d *Dec) Counted() (sets [][]item.Item, counts []int64) {
 	n := d.Count(2)

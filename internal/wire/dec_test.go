@@ -33,25 +33,23 @@ func TestDecFirstErrorWins(t *testing.T) {
 	d.Fail("a later format error")
 	scratch := []item.Item{42}
 	for name, zero := range map[string]bool{
-		"U64":         d.U64() == 0,
-		"I64":         d.I64() == 0,
-		"Int":         d.Int() == 0,
-		"I32":         d.I32() == 0,
-		"Item":        d.Item() == 0,
-		"Zig":         d.Zig() == 0,
-		"F64":         d.F64() == 0,
-		"Byte":        d.Byte() == 0,
-		"Str":         d.Str() == "",
-		"Count":       d.Count(1) == 0,
-		"TID":         d.TID(5, false) == 0,
-		"Items":       reflect.DeepEqual(d.Items(scratch), scratch),
-		"Run":         reflect.DeepEqual(d.Run(scratch, 3), scratch),
-		"More":        !d.More(),
-		"Len":         d.Len() == 0,
-		"CountsAuto":  len(d.CountsAuto(maxVec)) == 0,
-		"ItemsList":   len(d.ItemsList()) == 0,
-		"Counted":     func() bool { s, c := d.Counted(); return len(s)+len(c) == 0 }(),
-		"PatternList": func() bool { p, c := d.PatternList(); return len(p)+len(c) == 0 }(),
+		"U64":        d.U64() == 0,
+		"I64":        d.I64() == 0,
+		"Int":        d.Int() == 0,
+		"I32":        d.I32() == 0,
+		"Item":       d.Item() == 0,
+		"Zig":        d.Zig() == 0,
+		"F64":        d.F64() == 0,
+		"Byte":       d.Byte() == 0,
+		"Str":        d.Str() == "",
+		"Count":      d.Count(1) == 0,
+		"TID":        d.TID(5, false) == 0,
+		"Items":      reflect.DeepEqual(d.Items(scratch), scratch),
+		"Run":        reflect.DeepEqual(d.Run(scratch, 3), scratch),
+		"More":       !d.More(),
+		"Len":        d.Len() == 0,
+		"CountsAuto": len(d.CountsAuto(maxVec)) == 0,
+		"Counted":    func() bool { s, c := d.Counted(); return len(s)+len(c) == 0 }(),
 	} {
 		if !zero {
 			t.Errorf("%s on a failed cursor returned a non-zero value", name)
@@ -299,7 +297,6 @@ func TestListsRejectCorruptCounts(t *testing.T) {
 		{"tagged dense entry", append([]byte{countsDense}, uvs(1, big)...), func(d *Dec) { d.CountsAuto(maxVec) }},
 		{"sparse entry", uvs(4, 1, 2, big), func(d *Dec) { d.SparseCounts(maxVec) }},
 		{"counted pair", append(uvs(1), append(AppendItems(nil, []item.Item{3, 4}), uvs(big)...)...), func(d *Dec) { d.Counted() }},
-		{"pattern count", append(uvs(1), append(AppendItemsList(nil, [][]item.Item{{1}}), uvs(big)...)...), func(d *Dec) { d.PatternList() }},
 		{"sparse length beyond the receiver's universe", uvs(1<<40, 0), func(d *Dec) { d.SparseCounts(maxVec) }},
 		{"sparse length one past the expected", uvs(5, 1, 4, 9), func(d *Dec) { d.SparseCounts(4) }},
 		{"dense length one past the expected", uvs(3, 1, 2, 3), func(d *Dec) { d.Counts(2) }},
@@ -354,8 +351,9 @@ func TestSparseCountsLongVector(t *testing.T) {
 
 // FuzzWireLists feeds arbitrary bytes to every list decoder a peer payload or
 // a snapshot section reaches. Nothing may panic or allocate past the payload
-// (a count vector: past the maxVec entries the receiver expects), and whatever is accepted must survive a re-encode: the value, not the
-// bytes, is compared, because a uvarint has non-minimal spellings.
+// (a count vector: past the maxVec entries the receiver expects), and
+// whatever is accepted must survive a re-encode: the value, not the bytes, is
+// compared, because a uvarint has non-minimal spellings.
 func FuzzWireLists(f *testing.F) {
 	sets := [][]item.Item{{1, 5}, {2, 3, 4}, {math.MaxInt32}}
 	counts := []int64{42, 0, 1 << 40}
@@ -365,11 +363,9 @@ func FuzzWireLists(f *testing.F) {
 		AppendCountsAuto(nil, counts),
 		AppendCountsAuto(nil, sparse),
 		AppendCounted(nil, sets, counts),
-		AppendItemsList(nil, sets),
-		AppendPatternList(nil, [][][]item.Item{{{1, 2}, {3}}, {{9}}}, counts[:2]),
 		{},
 	} {
-		for which := byte(0); which < 4; which++ {
+		for which := byte(0); which < 2; which++ {
 			f.Add(which, seed)
 		}
 	}
@@ -378,7 +374,7 @@ func FuzzWireLists(f *testing.F) {
 		var re []byte
 		var again func(*Dec) any
 		var got any
-		switch which % 4 {
+		switch which % 2 {
 		case 0:
 			v := d.CountsAuto(maxVec)
 			got, re = v, AppendCountsAuto(nil, v)
@@ -387,14 +383,6 @@ func FuzzWireLists(f *testing.F) {
 			s, c := d.Counted()
 			got, re = [2]any{s, c}, AppendCounted(nil, s, c)
 			again = func(d *Dec) any { s, c := d.Counted(); return [2]any{s, c} }
-		case 2:
-			v := d.ItemsList()
-			got, re = v, AppendItemsList(nil, v)
-			again = func(d *Dec) any { return d.ItemsList() }
-		case 3:
-			p, c := d.PatternList()
-			got, re = [2]any{p, c}, AppendPatternList(nil, p, c)
-			again = func(d *Dec) any { p, c := d.PatternList(); return [2]any{p, c} }
 		}
 		if d.Err() != nil {
 			return

@@ -60,29 +60,6 @@ func Items(b []byte, out []item.Item) ([]item.Item, int, error) {
 	return out, len(b) - d.Len(), d.Err()
 }
 
-// AppendItemsList appends a list of itemsets: count, then each itemset.
-func AppendItemsList(dst []byte, sets [][]item.Item) []byte {
-	dst = AppendUvarint(dst, uint64(len(sets)))
-	for _, s := range sets {
-		dst = AppendItems(dst, s)
-	}
-	return dst
-}
-
-// AppendPatternList appends sequential-pattern/count pairs: each pattern is
-// its element list (itemsets in temporal order, encoded as an itemset list)
-// followed by its support count — what the partitioned sequence miners send
-// the coordinator as their locally determined frequent patterns, and what the
-// F_k broadcast carries back. len(counts) must equal len(patterns).
-func AppendPatternList(dst []byte, patterns [][][]item.Item, counts []int64) []byte {
-	dst = AppendUvarint(dst, uint64(len(patterns)))
-	for i, p := range patterns {
-		dst = AppendItemsList(dst, p)
-		dst = AppendUvarint(dst, uint64(counts[i]))
-	}
-	return dst
-}
-
 // AppendCounts appends a dense support-count vector (what nodes send to the
 // coordinator when gathering sup_cou of replicated candidates).
 func AppendCounts(dst []byte, counts []int64) []byte {

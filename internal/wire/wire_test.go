@@ -21,19 +21,12 @@ func cursor[T any](read func(*Dec) T) func([]byte) (T, int, error) {
 
 var (
 	Uvarint    = cursor((*Dec).U64)
-	ItemsList  = cursor((*Dec).ItemsList)
 	Counts     = cursor(func(d *Dec) []int64 { return d.Counts(maxVec) })
 	CountsAuto = cursor(func(d *Dec) []int64 { return d.CountsAuto(maxVec) })
 )
 
 // maxVec is the count vector length the tests expect at most.
 const maxVec = 1 << 16
-
-func PatternList(b []byte) ([][][]item.Item, []int64, int, error) {
-	d := NewDec(b)
-	p, c := d.PatternList()
-	return p, c, len(b) - d.Len(), d.Err()
-}
 
 func TestUvarintRoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 1 << 20, 1<<63 - 1} {
@@ -82,23 +75,6 @@ func TestItemsAppendsToDst(t *testing.T) {
 	}
 }
 
-func TestItemsListRoundTrip(t *testing.T) {
-	sets := [][]item.Item{{1, 2}, {9}, {3, 4, 5}}
-	b := AppendItemsList(nil, sets)
-	got, used, err := ItemsList(b)
-	if err != nil || used != len(b) {
-		t.Fatalf("decode: %v used=%d", err, used)
-	}
-	if len(got) != len(sets) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range sets {
-		if !item.Equal(got[i], sets[i]) {
-			t.Errorf("sets[%d] = %v", i, got[i])
-		}
-	}
-}
-
 func TestCountsRoundTrip(t *testing.T) {
 	cs := []int64{0, 1, 1 << 40, 7}
 	b := AppendCounts(nil, cs)
@@ -128,49 +104,12 @@ func TestCountedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPatternListRoundTrip(t *testing.T) {
-	patterns := [][][]item.Item{
-		{{1, 2}, {3}},
-		{{9}},
-		{{4, 5, 6}, {7}, {8}},
-	}
-	counts := []int64{42, 7, 1 << 33}
-	b := AppendPatternList(nil, patterns, counts)
-	gp, gc, used, err := PatternList(b)
-	if err != nil || used != len(b) {
-		t.Fatalf("decode: %v used=%d", err, used)
-	}
-	if len(gp) != len(patterns) {
-		t.Fatalf("len = %d", len(gp))
-	}
-	for i := range patterns {
-		if gc[i] != counts[i] || len(gp[i]) != len(patterns[i]) {
-			t.Fatalf("pattern %d: %v/%d", i, gp[i], gc[i])
-		}
-		for j := range patterns[i] {
-			if !item.Equal(gp[i][j], patterns[i][j]) {
-				t.Errorf("pattern %d element %d: %v", i, j, gp[i][j])
-			}
-		}
-	}
-	// Empty list round-trips (the partitioned miners send it when a node owns
-	// no frequent candidates).
-	ep, ec, used, err := PatternList(AppendPatternList(nil, nil, nil))
-	if err != nil || used != 1 || len(ep) != 0 || len(ec) != 0 {
-		t.Errorf("empty pattern list: %v %v used=%d err=%v", ep, ec, used, err)
-	}
-}
-
 func TestDecodeRejectsTruncation(t *testing.T) {
 	b := AppendItems(nil, []item.Item{1, 2, 3})
 	for cut := 1; cut < len(b); cut++ {
 		if _, _, err := Items(b[:cut], nil); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
-	}
-	bl := AppendItemsList(nil, [][]item.Item{{1}, {2}})
-	if _, _, err := ItemsList(bl[:1]); err == nil {
-		t.Error("truncated list accepted")
 	}
 	bc := AppendCounts(nil, []int64{1, 2, 3})
 	if _, _, err := Counts(bc[:2]); err == nil {
@@ -182,23 +121,11 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	if _, _, err := Items(huge, nil); err == nil {
 		t.Error("oversized itemset length accepted")
 	}
-	if _, _, err := ItemsList(huge); err == nil {
-		t.Error("oversized list length accepted")
-	}
 	if _, _, err := Counts(huge); err == nil {
 		t.Error("oversized count length accepted")
 	}
 	if _, _, _, err := Counted(huge); err == nil {
 		t.Error("oversized counted length accepted")
-	}
-	if _, _, _, err := PatternList(huge); err == nil {
-		t.Error("oversized pattern list length accepted")
-	}
-	bp := AppendPatternList(nil, [][][]item.Item{{{1, 2}, {3}}}, []int64{5})
-	for cut := 1; cut < len(bp); cut++ {
-		if _, _, _, err := PatternList(bp[:cut]); err == nil {
-			t.Errorf("truncated pattern list at %d accepted", cut)
-		}
 	}
 }
 
