@@ -7,7 +7,8 @@ import (
 
 // ChanFabric connects N nodes with in-process buffered channels. Payloads
 // are delivered by reference (no copying), so it measures algorithmic
-// communication volume without serialization overhead. Receive accounting
+// communication volume without serialization overhead, and a batch passes
+// to its receiver with its ownership (Endpoint.Send). Receive accounting
 // happens at send time, just before delivery.
 type ChanFabric struct {
 	endpoints []*chanEndpoint

@@ -35,6 +35,15 @@ type Endpoint interface {
 	// Send delivers a message to node `to`. Sending to yourself is allowed
 	// (it loops back through the inbox) but the mining algorithms avoid it:
 	// local work must not count as communication.
+	//
+	// Ownership: a NewBatch buffer passed to Send belongs to the fabric from
+	// then on; the sender must not touch it again. A fabric that copies the
+	// bytes out (to a TCP peer) releases it once they are written; one that
+	// delivers by reference (ChanFabric, a TCP self-send) hands it to the
+	// receiver. Any other payload stays the sender's and is never released,
+	// so one slice may go to every peer and be read afterwards. The receiver
+	// owns every payload it gets (TCP reads one of up to BatchCap bytes into
+	// a NewBatch buffer) and may Release one it does not keep.
 	Send(to int, kind uint8, payload []byte) error
 	// Inbox returns the stream of incoming messages. It is closed when the
 	// fabric shuts down.

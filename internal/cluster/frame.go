@@ -20,9 +20,10 @@ const (
 	frameHeaderLen = 7
 )
 
-// frameChunk is the largest payload read into one exact-size allocation.
-// Longer payloads grow as their bytes arrive, so a corrupt length costs what
-// the peer actually sent, not what the header claims.
+// frameChunk is the largest payload read into one exact-size allocation; one
+// of at most BatchCap bytes is read into a NewBatch buffer instead. Longer
+// payloads grow as their bytes arrive, so a corrupt length costs what the
+// peer actually sent, not what the header claims.
 const frameChunk = 64 << 10
 
 // writeHello writes the hello of a connection node from dialed.
@@ -82,7 +83,12 @@ func readFrame(r io.Reader, peer int) (Message, error) {
 	if from := int(binary.BigEndian.Uint16(hdr[4:6])); from != peer {
 		return Message{}, fmt.Errorf("cluster: frame on the connection from node %d claims sender node %d", peer, from)
 	}
-	p := make([]byte, 0, min(n, frameChunk))
+	var p []byte
+	if n > 0 && n <= BatchCap {
+		p = NewBatch()
+	} else {
+		p = make([]byte, 0, min(n, frameChunk))
+	}
 	for len(p) < n {
 		if len(p) == cap(p) {
 			p = slices.Grow(p, min(n-len(p), len(p)))

@@ -61,9 +61,9 @@ func TestFrameRejectsCorruptHeaders(t *testing.T) {
 	}
 }
 
-// TestFrameSmallPayloadOneAllocation: a payload up to frameChunk is read into
-// one exact-size buffer. The other allocation per frame is the header the
-// io.Reader interface makes escape.
+// TestFrameSmallPayloadOneAllocation: a payload longer than BatchCap and up
+// to frameChunk is read into one exact-size buffer. The other allocation per
+// frame is the header the io.Reader interface makes escape.
 func TestFrameSmallPayloadOneAllocation(t *testing.T) {
 	in := frame(1, 3, make([]byte, frameChunk))
 	r := bytes.NewReader(in)

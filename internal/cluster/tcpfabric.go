@@ -253,6 +253,7 @@ func (e *tcpEndpoint) Send(to int, kind uint8, payload []byte) error {
 	tc := e.conns[to]
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
+	defer Release(payload) // a batch's bytes are copied out by then
 	if err := writeFrame(tc.w, e.id, kind, payload); err != nil {
 		return fmt.Errorf("cluster: send %d->%d: %w", e.id, to, err)
 	}

@@ -27,7 +27,7 @@ type hpgmEngine struct {
 
 // plan partitions C_k: node i keeps the candidates hashing to i. The hashing
 // is sharded across the scan workers into disjoint ranges of ownedFlag; the
-// owned list is then collected in id order.
+// owned list is then counted, sized once and collected in id order.
 func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error) {
 	nNodes := n.NumNodes()
 	self := n.ID()
@@ -39,6 +39,15 @@ func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.Pl
 			ownedFlag[i] = int(itemset.Hash(cands[i])%uint64(nNodes)) == self
 		}
 	})
+	nOwned := 0
+	for _, own := range ownedFlag {
+		if own {
+			nOwned++
+		}
+	}
+	if cap(e.owned) < nOwned {
+		e.owned = make([][]item.Item, 0, nOwned)
+	}
 	e.owned = e.owned[:0]
 	for i, c := range cands {
 		if ownedFlag[i] {

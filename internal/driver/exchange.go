@@ -40,11 +40,6 @@ type Exchange struct {
 	// failed (a closed inbox, a bad batch) instead of blocking forever.
 	dead  chan struct{}
 	stash []cluster.Message // non-count-phase messages that arrived early
-	// free recycles drained loopback batch buffers back to the batchers, so
-	// steady-state local routing allocates no fresh batch buffers. Remote
-	// buffers are never recycled: the fabric hands them to the peer by
-	// reference.
-	free chan []byte
 	// itemsRecv/bytesRecv count items and payload bytes decoded from
 	// *remote* batches (loopback units excluded) — the receiver-side half
 	// of the paper's communication metrics. Counting at delivery rather
@@ -64,7 +59,8 @@ type Exchange struct {
 // until Finish returns. It must decode the batch's concatenated units and
 // return the number of items it decoded (the receive-side item accounting
 // for remote batches); ItemsApplier adapts the common one-itemset-per-unit
-// shape.
+// shape. apply must not keep the batch: it is released, remote or loopback,
+// once apply returns.
 func (n *Node) NewExchange(kind uint8, apply func(batch []byte) (int64, error)) *Exchange {
 	ex := &Exchange{
 		n:     n,
@@ -73,7 +69,6 @@ func (n *Node) NewExchange(kind uint8, apply func(batch []byte) (int64, error)) 
 		selfq: make(chan []byte, 64),
 		done:  make(chan error, 1),
 		dead:  make(chan struct{}),
-		free:  make(chan []byte, 64),
 	}
 	// Hand any already-stashed count-phase messages (a fast peer may have
 	// started this pass before our previous barrier receive completed) to
@@ -147,23 +142,17 @@ func (ex *Exchange) loop(pre []cluster.Message) error {
 	return nil
 }
 
-// applyBatch hands one batch to the miner's decoder and accounts for it.
+// applyBatch hands one batch to the miner's decoder, accounts for it and
+// releases it: the receiver owns every batch it is handed (Endpoint.Send).
 func (ex *Exchange) applyBatch(b []byte, remote bool) error {
 	items, err := ex.apply(b)
 	if remote {
 		ex.bytesRecv += int64(len(b))
 		ex.itemsRecv += items
 	}
+	cluster.Release(b)
 	if err != nil {
 		return fmt.Errorf("driver: node %d decode count batch: %w", ex.n.id, err)
-	}
-	if !remote {
-		// Loopback buffers are owned by this node end to end; hand the
-		// drained buffer back to the batchers.
-		select {
-		case ex.free <- b[:0]:
-		default:
-		}
 	}
 	return nil
 }
@@ -210,7 +199,8 @@ func ItemsApplier(apply func(items []item.Item)) func(batch []byte) (int64, erro
 }
 
 // batchBytes is the count-support send batching threshold: a destination's
-// batch is sent once it reaches 4 KB.
+// batch is sent once it reaches 4 KB. cluster.BatchCap leaves room above it
+// for the unit that crosses it.
 const batchBytes = 4 << 10
 
 // Batcher accumulates payload units per destination and flushes them as
@@ -253,15 +243,10 @@ func (b *Batcher) AddRaw(dest int, unit []byte) error {
 	return nil
 }
 
-// take returns dest's batch buffer. An empty batch gets a recycled loopback
-// buffer, or else a fresh one at full size: the limit plus room for a unit.
+// take returns dest's batch buffer, starting an empty one as a NewBatch.
 func (b *Batcher) take(dest int) []byte {
 	if b.bufs[dest] == nil {
-		select {
-		case b.bufs[dest] = <-b.ex.free:
-		default:
-			b.bufs[dest] = make([]byte, 0, b.limit+b.limit/16)
-		}
+		b.bufs[dest] = cluster.NewBatch()
 	}
 	return b.bufs[dest]
 }
@@ -272,7 +257,7 @@ func (b *Batcher) Flush(dest int) error {
 	if len(buf) == 0 {
 		return nil
 	}
-	b.bufs[dest] = nil // receiver takes ownership of the buffer
+	b.bufs[dest] = nil // the fabric or the loopback receiver owns it now
 	if dest == b.ex.n.id {
 		select {
 		case b.ex.selfq <- buf:

@@ -1,8 +1,12 @@
 package driver
 
 import (
+	"bytes"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/item"
@@ -237,4 +241,220 @@ func TestCountPhaseConsumesPreStashedData(t *testing.T) {
 	if len(a.pending) != 0 {
 		t.Errorf("pending not drained: %d", len(a.pending))
 	}
+}
+
+// TestExchangeRecyclesBatches: once a first exchange has filled the free
+// list, a 2-node exchange routing hundreds of full remote batches allocates
+// O(1) batch buffers on either fabric, not one or two per batch.
+func TestExchangeRecyclesBatches(t *testing.T) {
+	const batches = 500 // full remote batches each node sends per exchange
+	const bound = 64 * cluster.BatchCap
+	unit := make([]byte, batchBytes/8)
+	for _, fk := range []FabricKind{FabricChan, FabricTCP} {
+		f, err := NewFabric(fk, 2, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := []*Node{{id: 0, ep: f.Endpoint(0)}, {id: 1, ep: f.Endpoint(1)}}
+		exchange := func() {
+			var wg sync.WaitGroup
+			for i, nd := range nodes {
+				wg.Add(1)
+				go func(i int, nd *Node) {
+					defer wg.Done()
+					got := 0
+					ex := nd.NewExchange(KData, func(b []byte) (int64, error) { got += len(b); return 0, nil })
+					bat := ex.NewBatcher()
+					for u := 0; u < 8*batches; u++ {
+						if err := bat.AddRaw(1-i, unit); err != nil {
+							t.Error(err)
+							break
+						}
+					}
+					if err := bat.FlushAll(); err != nil {
+						t.Error(err)
+					}
+					if err := ex.Finish(); err != nil {
+						t.Error(err)
+					}
+					if got != batches*batchBytes {
+						t.Errorf("fabric %d: node %d applied %d bytes, want %d", fk, i, got, batches*batchBytes)
+					}
+				}(i, nd)
+			}
+			wg.Wait()
+		}
+		exchange()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		exchange()
+		runtime.ReadMemStats(&after)
+		f.Close()
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+			t.Errorf("fabric %d: %d remote batches per node allocated %d bytes, want O(1) batches (at most %d)", fk, batches, grew, bound)
+		}
+	}
+}
+
+// FuzzExchange drives one Exchange receiver, node 0 of three, through an
+// arbitrary script: peer data batches, valid or corrupt, each peer's KDone,
+// messages of foreign kinds (the other data kind included) before and after
+// it, loopback units from node 0's own Batcher, and a prefix of the peer
+// messages already stashed when the exchange starts. Every payload is a
+// NewBatch buffer, as a batcher's would be. The receiver must not panic or
+// hang; Finish must fail exactly when a peer batch does not decode, and
+// apply every item otherwise; and every foreign message must survive, in
+// order and intact, in pending or the inbox, even after the released
+// batches are rewritten.
+func FuzzExchange(f *testing.F) {
+	f.Add(byte(0), []byte{0x00, 0x01, 0x08, 0x0a, 0x04, 0x06, 0x10, 0x07})
+	f.Add(byte(3), []byte{0x02, 0x03, 0xff, 0x01, 0x00, 0x09, 0x0c, 0x06})
+	f.Add(byte(8), []byte{0x04, 0x05, 0x06, 0x07, 0x00, 0x0b, 0x12, 0x13})
+	f.Add(byte(1), []byte{})
+	f.Fuzz(func(t *testing.T, pre byte, script []byte) {
+		if len(script) > 256 {
+			script = script[:256]
+		}
+		kind, other := KData, KCondBase
+		if pre&1 == 1 {
+			kind, other = other, kind
+		}
+		type sent struct {
+			cluster.Message
+			want []byte // the payload's bytes as sent
+		}
+		var msgs, foreign []sent
+		var local [][]item.Item // loopback units, valid by construction
+		var wantItems int64
+		wantErr := false
+		var done [3]bool
+		for i := 0; i < len(script); i++ {
+			op := script[i]
+			from := 1 + int(op&1)
+			m := sent{Message: cluster.Message{From: from}}
+			switch (op >> 1) % 5 {
+			case 0: // a valid data batch
+				m.Kind = kind
+				m.Payload = wire.AppendItems(cluster.NewBatch(), []item.Item{item.Item(op), item.Item(op) + 1 + item.Item(i)})
+			case 1: // a data batch of raw bytes: a length byte, then that many
+				n := 0
+				if i+1 < len(script) {
+					i++
+					n = min(int(script[i])%16, len(script)-i-1)
+				}
+				m.Kind = kind
+				m.Payload = append(cluster.NewBatch(), script[i+1:i+1+n]...)
+				i += n
+			case 2:
+				m.Kind = other
+				m.Payload = append(cluster.NewBatch(), op, byte(i))
+			case 3:
+				m.Kind = KDone
+			case 4:
+				local = append(local, []item.Item{item.Item(i), item.Item(i) + item.Item(op)})
+				wantItems += 2
+				continue
+			}
+			if done[from] && (m.Kind == kind || m.Kind == KDone) {
+				m.Kind = KLarge // nothing of the exchange trails a peer's KDone
+			}
+			m.want = bytes.Clone(m.Payload)
+			switch m.Kind {
+			case kind:
+				n, err := ItemsApplier(func([]item.Item) {})(m.want)
+				wantItems += n
+				wantErr = wantErr || err != nil
+			case KDone:
+				done[from] = true
+			default:
+				foreign = append(foreign, m)
+			}
+			msgs = append(msgs, m)
+		}
+		for p := 1; p <= 2; p++ {
+			if !done[p] {
+				msgs = append(msgs, sent{Message: cluster.Message{From: p, Kind: KDone}})
+			}
+		}
+
+		fab := cluster.NewChanFabric(3, len(msgs)+2) // no send blocks
+		defer fab.Close()
+		nd := &Node{id: 0, ep: fab.Endpoint(0)}
+		stashed := int(pre>>1) % (len(msgs) + 1)
+		for _, m := range msgs[:stashed] {
+			nd.pending = append(nd.pending, m.Message)
+		}
+		var applied int64
+		ex := nd.NewExchange(kind, ItemsApplier(func(items []item.Item) { applied += int64(len(items)) }))
+		for _, m := range msgs[stashed:] {
+			if err := fab.Endpoint(m.From).Send(0, m.Kind, m.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A loopback flush fails, naming the stopped receiver, once a corrupt
+		// batch has ended it; Finish reports the decode error itself.
+		var addErr error
+		finished := make(chan error, 1)
+		go func() {
+			bat := smallBatcher(ex)
+			for _, u := range local {
+				if addErr = bat.AddItems(0, u); addErr != nil {
+					break
+				}
+			}
+			if addErr == nil {
+				addErr = bat.FlushAll()
+			}
+			finished <- ex.Finish()
+		}()
+		var err error
+		select {
+		case err = <-finished:
+		case <-time.After(10 * time.Second):
+			t.Fatal("exchange still running 10s after every peer's KDone")
+		}
+		if wantErr != (err != nil) || err != nil && !strings.Contains(err.Error(), "decode count batch") {
+			t.Fatalf("Finish: %v; a peer batch fails to decode: %v", err, wantErr)
+		}
+		if addErr != nil && (err == nil || !strings.Contains(addErr.Error(), "receiver stopped")) {
+			t.Fatalf("loopback flush: %v; Finish: %v", addErr, err)
+		}
+		if err == nil && applied != wantItems {
+			t.Fatalf("applied %d items, want %d", applied, wantItems)
+		}
+
+		// Rewrite whatever the exchange released, then check what is left.
+		scribbled := make([][]byte, 64)
+		for i := range scribbled {
+			scribbled[i] = append(cluster.NewBatch(), bytes.Repeat([]byte{0xee}, 64)...)
+		}
+		for _, b := range scribbled {
+			cluster.Release(b)
+		}
+		left := nd.pending
+		for drained := false; !drained; {
+			select {
+			case m := <-nd.ep.Inbox():
+				left = append(left, m)
+			default:
+				drained = true
+			}
+		}
+		var kept []cluster.Message
+		for _, m := range left {
+			if m.Kind != kind && m.Kind != KDone {
+				kept = append(kept, m)
+			} else if err == nil {
+				t.Fatalf("exchange finished cleanly but left a kind-%d message from node %d", m.Kind, m.From)
+			}
+		}
+		if len(kept) != len(foreign) {
+			t.Fatalf("%d foreign messages left, %d sent", len(kept), len(foreign))
+		}
+		for i, m := range kept {
+			if w := foreign[i]; m.From != w.From || m.Kind != w.Kind || !bytes.Equal(m.Payload, w.want) {
+				t.Fatalf("foreign message %d: from %d kind %d %x, sent from %d kind %d %x", i, m.From, m.Kind, m.Payload, w.From, w.Kind, w.want)
+			}
+		}
+	})
 }

@@ -127,8 +127,9 @@ func TestApplyBasesInterleavedRanks(t *testing.T) {
 	}
 }
 
-// TestApplyBasesCopiesBatch: the exchange recycles a loopback batch once
-// apply returns, so the kept bases must not alias the caller's bytes. A batch
+// TestApplyBasesCopiesBatch: the exchange releases every batch, remote or
+// loopback, once apply returns, and the free list hands it to the next
+// sender, so the kept bases must not alias the caller's bytes. A batch
 // is applied, the caller's slice overwritten, and the task mined from what
 // was kept.
 func TestApplyBasesCopiesBatch(t *testing.T) {

@@ -271,10 +271,10 @@ func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTr
 
 // applyBases is the cond-base exchange's receive callback. It checks every
 // (suffix rank, count, path) unit of a batch, copies the batch once (the
-// exchange recycles loopback buffers) and appends each run of consecutive
-// units of one owned slot to that slot as a sub-slice of the copy; units
-// before a rejected one are kept. Runs on the exchange receiver goroutine
-// only, which has exclusive access to m.bases until Finish returns.
+// exchange releases every batch once apply returns) and appends each run of
+// consecutive units of one owned slot to that slot as a sub-slice of the
+// copy; units before a rejected one are kept. Runs on the exchange receiver
+// goroutine only, which has exclusive access to m.bases until Finish returns.
 func (m *fpgMiner) applyBases(batch []byte) (int64, error) {
 	b := slices.Clone(batch)
 	var items int64

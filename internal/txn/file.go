@@ -102,6 +102,7 @@ func (e *rowEncoder) write(w *bufio.Writer, t Transaction) error {
 type File struct {
 	path  string
 	count int
+	size  int64 // bytes at open, which sizes each scan's read buffer
 }
 
 // OpenFile validates the header of a transaction file and returns a Scanner
@@ -134,7 +135,7 @@ func OpenFile(path string) (*File, error) {
 	if count > uint64(fi.Size())/2 {
 		return nil, fmt.Errorf("txn: %s: transaction count %d exceeds file capacity", path, count)
 	}
-	return &File{path: path, count: int(count)}, nil
+	return &File{path: path, count: int(count), size: fi.Size()}, nil
 }
 
 // Path returns the backing file path.
@@ -157,7 +158,9 @@ func (f *File) Scan(fn func(Transaction) error) error {
 		return fmt.Errorf("txn: open %s: %w", f.path, err)
 	}
 	defer file.Close()
-	r := bufio.NewReaderSize(file, 1<<20)
+	// Room for the whole file, up to 1 MiB: a partition is often far smaller,
+	// and every scan allocates its reader afresh.
+	r := bufio.NewReaderSize(file, int(min(f.size+1, 1<<20)))
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("txn: reread header of %s: %w", f.path, err)
