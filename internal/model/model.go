@@ -16,6 +16,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
@@ -68,8 +69,9 @@ type Model struct {
 	// lexicographically ordered — the shape core.Result and
 	// cumulate.Result produce.
 	Large [][]itemset.Counted
-	// Rules are the derived generalized association rules, sorted by
-	// descending confidence then support.
+	// Rules are the derived generalized association rules. A mine stores
+	// them in rules.Derive's order (descending confidence, then descending
+	// Count, then antecedent and consequent); serving accepts any order.
 	Rules []rules.Rule
 	// State, when non-nil, is the incremental-mining carry-forward (log
 	// offset + border-set counts) a follower needs to resume delta passes
@@ -78,8 +80,9 @@ type Model struct {
 }
 
 // Validate checks internal consistency: every itemset and rule item must be
-// inside the taxonomy's universe and in canonical form. Writers call it so a
-// snapshot on disk is well-formed by construction.
+// inside the taxonomy's universe and in canonical form, and every rule's
+// measures finite with a non-negative count. Writers call it so a snapshot on
+// disk is well-formed by construction.
 func (m *Model) Validate() error {
 	if m.Taxonomy == nil {
 		return fmt.Errorf("model: nil taxonomy")
@@ -106,9 +109,15 @@ func (m *Model) Validate() error {
 			}
 		}
 	}
-	for _, r := range m.Rules {
+	for i, r := range m.Rules {
 		if len(r.Antecedent) == 0 || len(r.Consequent) == 0 {
 			return fmt.Errorf("model: rule with empty side: %v", r)
+		}
+		// Serving ranks rules by confidence then count; a NaN would leave
+		// that order partial.
+		if !finite(r.Confidence) || !finite(r.Support) || r.Count < 0 {
+			return fmt.Errorf("model: rule %d (%s => %s): confidence %v and support %v must be finite, count %d non-negative",
+				i, item.Format(r.Antecedent), item.Format(r.Consequent), r.Confidence, r.Support, r.Count)
 		}
 		if err := checkItems("rule antecedent", r.Antecedent); err != nil {
 			return err
@@ -119,6 +128,8 @@ func (m *Model) Validate() error {
 	}
 	return m.validateState()
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // NumItemsets returns the total large itemset count across all levels.
 func (m *Model) NumItemsets() int {

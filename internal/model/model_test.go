@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -259,6 +260,13 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{Taxonomy: tax, Large: [][]itemset.Counted{{{Items: []item.Item{0, 1}, Count: 1}}}},            // 2-itemset at level 1
 		{Taxonomy: tax, Rules: []rules.Rule{{Antecedent: []item.Item{0}, Consequent: nil}}},            // empty consequent
 		{Taxonomy: tax, Rules: []rules.Rule{{Antecedent: []item.Item{9}, Consequent: []item.Item{1}}}}, // out of range
+		// Measures that would leave the serving rank order partial.
+		{Taxonomy: tax, Rules: []rules.Rule{{Antecedent: []item.Item{1}, Consequent: []item.Item{2}, Confidence: math.NaN()}}},
+		{Taxonomy: tax, Rules: []rules.Rule{{Antecedent: []item.Item{1}, Consequent: []item.Item{2}, Confidence: math.Inf(1)}}},
+		{Taxonomy: tax, Rules: []rules.Rule{{Antecedent: []item.Item{1}, Consequent: []item.Item{2}, Confidence: math.Inf(-1)}}},
+		{Taxonomy: tax, Rules: []rules.Rule{{Antecedent: []item.Item{1}, Consequent: []item.Item{2}, Support: math.NaN()}}},
+		{Taxonomy: tax, Rules: []rules.Rule{{Antecedent: []item.Item{1}, Consequent: []item.Item{2}, Support: math.Inf(-1)}}},
+		{Taxonomy: tax, Rules: []rules.Rule{{Antecedent: []item.Item{1}, Consequent: []item.Item{2}, Count: -1}}},
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {

@@ -54,7 +54,10 @@ type Config struct {
 // itemsets. support maps itemset keys (itemset.Key) to absolute counts and
 // must cover every subset of every large itemset of size >= 1 — exactly what
 // the mining result provides, because every subset of a large itemset is
-// large. Rules are returned sorted by descending confidence, then support.
+// large. Rules are returned sorted by descending confidence, then descending
+// absolute support count (Count), then antecedent and then consequent
+// (item.Compare), a total order. internal/serve ranks by the same first two
+// keys and relies on this order to skip sorting at index build.
 func Derive(tax *taxonomy.Taxonomy, large []itemset.Counted, support map[string]int64, cfg Config) ([]Rule, error) {
 	if cfg.NumTxns <= 0 {
 		return nil, fmt.Errorf("rules: NumTxns must be positive")

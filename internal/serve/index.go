@@ -17,8 +17,10 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"pgarm/internal/item"
 	"pgarm/internal/model"
@@ -50,9 +52,17 @@ type Index struct {
 	// from a file; free-form otherwise). It participates in cache keys.
 	version string
 
-	// byItem buckets rule ids by each antecedent item. Because baskets are
-	// ancestor-extended before lookup, bucketing by the *literal* antecedent
-	// items suffices to find every rule the extended basket can satisfy.
+	// Queries work in rank positions: rank p is the p-th rule in serving
+	// order (compareRank, then rule id). byRank[p] is the id of the
+	// rule at rank p; it is nil when m.Rules is already in rank order, as
+	// every rules.Derive output is, and then rank p is rule p.
+	byRank []int32
+	// anteLen[p] is the antecedent length of the rule at rank p.
+	anteLen []int32
+	// byItem lists, per antecedent item, the ranks of the rules whose
+	// antecedent holds it, ascending. Because baskets are ancestor-extended
+	// before lookup, posting the *literal* antecedent items suffices to find
+	// every rule the extended basket can satisfy.
 	byItem map[item.Item][]int32
 	// byRoot buckets rule ids by the root of each antecedent item — the
 	// coarse grain used for taxonomy-scoped rule listing (GET /v1/rules
@@ -76,13 +86,50 @@ func NewIndex(m *model.Model, version string) (*Index, error) {
 		rules:   m.Rules,
 		meta:    m.Meta,
 		version: version,
-		byItem:  make(map[item.Item][]int32),
+		anteLen: make([]int32, len(m.Rules)),
 		byRoot:  make(map[item.Item][]int32),
 	}
-	for id, r := range m.Rules {
-		roots := make([]item.Item, 0, len(r.Antecedent))
+	if !slices.IsSortedFunc(m.Rules, func(a, b rules.Rule) int { return compareRank(&a, &b) }) {
+		ix.byRank = make([]int32, len(m.Rules))
+		for p := range ix.byRank {
+			ix.byRank[p] = int32(p)
+		}
+		slices.SortFunc(ix.byRank, func(a, b int32) int {
+			if c := compareRank(&m.Rules[a], &m.Rules[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+
+	// Carve every posting list out of one array, sized by a counting pass.
+	listLen := make(map[item.Item]int32)
+	total := 0
+	for _, r := range m.Rules {
 		for _, x := range r.Antecedent {
-			ix.byItem[x] = append(ix.byItem[x], int32(id))
+			listLen[x]++
+		}
+		total += len(r.Antecedent)
+	}
+	flat := make([]int32, total)
+	ix.byItem = make(map[item.Item][]int32, len(listLen))
+	off := 0
+	for x, n := range listLen {
+		ix.byItem[x] = flat[off : off : off+int(n)]
+		off += int(n)
+	}
+	for p := range ix.anteLen {
+		ante := m.Rules[ix.ruleID(int32(p))].Antecedent
+		ix.anteLen[p] = int32(len(ante))
+		for _, x := range ante {
+			ix.byItem[x] = append(ix.byItem[x], int32(p))
+		}
+	}
+
+	var roots []item.Item
+	for id, r := range m.Rules {
+		roots = roots[:0]
+		for _, x := range r.Antecedent {
 			roots = append(roots, m.Taxonomy.Root(x))
 		}
 		for _, root := range item.Dedup(roots) {
@@ -90,6 +137,25 @@ func NewIndex(m *model.Model, version string) (*Index, error) {
 		}
 	}
 	return ix, nil
+}
+
+// compareRank orders rules by descending confidence, then descending
+// absolute support count: rules.Derive's first two sort keys, so its output
+// needs no permutation. NewIndex breaks the remaining ties by rule id.
+// model.Validate refuses NaN measures, which would leave the order partial.
+func compareRank(a, b *rules.Rule) int {
+	if c := cmp.Compare(b.Confidence, a.Confidence); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Count, a.Count)
+}
+
+// ruleID returns the id of the rule at rank p.
+func (ix *Index) ruleID(p int32) int32 {
+	if ix.byRank == nil {
+		return p
+	}
+	return ix.byRank[p]
 }
 
 // Version returns the snapshot identity string.
@@ -123,105 +189,113 @@ func (ix *Index) Normalize(basket []item.Item) []item.Item {
 	return item.Dedup(out)
 }
 
+// scratch is one query's working memory, pooled across queries and indexes.
+// count is all zeros between queries and at least as long as the rule count
+// of any index it served.
+type scratch struct {
+	extended []item.Item // the ancestor-extended basket
+	postings [][]int32   // the posting lists of the extended basket's items
+	count    []int32     // per rank: antecedent items found in extended
+	matched  []int32     // ranks whose whole antecedent was found
+	chosen   []item.Item // consequent items recommended so far
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // Recommend answers a basket query: the top-k rules whose antecedents are
-// satisfied by the basket's items or their ancestors, ranked by confidence
-// then support, with consequents deduped against the basket and against each
-// other along ancestor paths. basket must be normalized (Normalize); k <= 0
-// returns nil.
+// satisfied by the basket's items or their ancestors, in rank order
+// (descending confidence, then descending support count, then rule id), with
+// consequents deduped against the basket and against each other along
+// ancestor paths. basket must be normalized (Normalize); k <= 0 returns nil.
+//
+// The work is proportional to the postings of the extended basket's items
+// and the rules they match, not to the rule count: no per-request map or
+// candidate list, and only the matched ranks are sorted. The one allocation
+// is the result.
 func (ix *Index) Recommend(basket []item.Item, k int) []Recommendation {
 	if k <= 0 || len(basket) == 0 || len(ix.rules) == 0 {
 		return nil
 	}
-	// Extend the basket with the ancestor closure of its items — the mining
-	// transform, applied at query time.
-	extended := ix.tax.ExtendTransaction(make([]item.Item, 0, 4*len(basket)), basket)
-
-	// Gather candidate rules from the per-item buckets of every extended
-	// item, deduped by rule id.
-	seen := make(map[int32]struct{})
-	var cands []int32
-	for _, x := range extended {
-		for _, id := range ix.byItem[x] {
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			cands = append(cands, id)
-		}
+	s := scratchPool.Get().(*scratch)
+	if len(s.count) < len(ix.rules) {
+		s.count = make([]int32, len(ix.rules))
 	}
-	// Keep rules whose whole antecedent is inside the extended basket and
-	// whose consequent still adds something the (extended) basket lacks.
-	matched := cands[:0]
-	for _, id := range cands {
-		r := &ix.rules[id]
-		if !item.ContainsAll(extended, r.Antecedent) {
+	// Extend the basket with the ancestor closure of its items — the mining
+	// transform, applied at query time. It is canonical, and so is every
+	// antecedent (model.Validate): each antecedent item found counts once, and
+	// a rule matches when its count reaches its antecedent length.
+	s.extended = ix.tax.ExtendTransaction(s.extended[:0], basket)
+	s.postings, s.matched = s.postings[:0], s.matched[:0]
+	count, anteLen := s.count[:len(ix.rules)], ix.anteLen
+	for _, x := range s.extended {
+		ps := ix.byItem[x]
+		if len(ps) == 0 {
 			continue
 		}
-		novel := false
-		for _, y := range r.Consequent {
-			if !item.Contains(extended, y) {
-				novel = true
-				break
+		s.postings = append(s.postings, ps)
+		for _, p := range ps {
+			count[p]++
+			if count[p] == anteLen[p] {
+				s.matched = append(s.matched, p)
 			}
 		}
-		if novel {
-			matched = append(matched, id)
+	}
+	for _, ps := range s.postings {
+		for _, p := range ps {
+			count[p] = 0
 		}
 	}
-	if len(matched) == 0 {
-		return nil
-	}
-	// Rank exactly like rules.Derive orders its output: confidence, then
-	// absolute support count, then rule id for determinism.
-	sort.Slice(matched, func(a, b int) bool {
-		ra, rb := &ix.rules[matched[a]], &ix.rules[matched[b]]
-		if ra.Confidence != rb.Confidence {
-			return ra.Confidence > rb.Confidence
-		}
-		if ra.Count != rb.Count {
-			return ra.Count > rb.Count
-		}
-		return matched[a] < matched[b]
-	})
+	clear(s.postings) // a pooled scratch must not keep an old index alive
+	slices.Sort(s.matched)
 
-	// Greedy top-k selection with ancestor dedup: a rule is skipped when any
-	// item of its consequent lies on the root path of (or below) an already
-	// selected recommendation — never recommend both an item and its
-	// ancestor, and never recommend the same item twice.
-	out := make([]Recommendation, 0, k)
-	var chosen []item.Item
-	covered := func(y item.Item) bool {
+	// Greedy top-k selection in rank order. A rule is skipped when its
+	// consequent adds nothing the (extended) basket lacks, or when any item
+	// of it lies on the root path of (or below) an already selected
+	// recommendation — never recommend both an item and its ancestor, and
+	// never recommend the same item twice.
+	var out []Recommendation
+	s.chosen = s.chosen[:0]
+	for i, p := range s.matched {
+		id := ix.ruleID(p)
+		r := &ix.rules[id]
+		if !novel(s.extended, r.Consequent) || ix.covered(s.chosen, r.Consequent) {
+			continue
+		}
+		if out == nil {
+			out = make([]Recommendation, 0, min(k, len(s.matched)-i))
+		}
+		out = append(out, Recommendation{Items: r.Consequent, Confidence: r.Confidence, Support: r.Support, Rule: int(id)})
+		s.chosen = append(s.chosen, r.Consequent...)
+		if len(out) == k {
+			break
+		}
+	}
+	scratchPool.Put(s)
+	return out
+}
+
+// novel reports whether some consequent item is missing from the extended
+// basket.
+func novel(extended, consequent []item.Item) bool {
+	for _, y := range consequent {
+		if !item.Contains(extended, y) {
+			return true
+		}
+	}
+	return false
+}
+
+// covered reports whether some consequent item equals, or is an ancestor or
+// descendant of, an already chosen item.
+func (ix *Index) covered(chosen, consequent []item.Item) bool {
+	for _, y := range consequent {
 		for _, c := range chosen {
 			if y == c || ix.tax.IsAncestor(y, c) || ix.tax.IsAncestor(c, y) {
 				return true
 			}
 		}
-		return false
 	}
-	for _, id := range matched {
-		r := &ix.rules[id]
-		dup := false
-		for _, y := range r.Consequent {
-			if covered(y) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		out = append(out, Recommendation{
-			Items:      r.Consequent,
-			Confidence: r.Confidence,
-			Support:    r.Support,
-			Rule:       int(id),
-		})
-		chosen = append(chosen, r.Consequent...)
-		if len(out) == k {
-			break
-		}
-	}
-	return out
+	return false
 }
 
 // LoadFile reads a snapshot file and builds its index, labelling it with the
