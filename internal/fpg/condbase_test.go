@@ -18,10 +18,21 @@ func condUnit(dst []byte, rank, count uint64, path []item.Item) []byte {
 	return wire.AppendItems(dst, path)
 }
 
+// condSupport is every item's global support in a condMiner: the largest
+// count a cond-base unit may carry.
+const condSupport = 1000
+
 // condMiner is the receive-side state of node id of n after the pass-1
-// barrier found numLarge large items: the owned base slots, still empty.
+// barrier found numLarge large items, item i at rank i with support
+// condSupport: the owned base slots, still empty.
 func condMiner(id, n, numLarge int) *fpgMiner {
 	m := &fpgMiner{numLarge: numLarge, numNodes: n, nodeID: id}
+	m.itemCounts = make([]int64, numLarge)
+	m.itemAt = make([]item.Item, numLarge)
+	for i := range numLarge {
+		m.itemCounts[i] = condSupport
+		m.itemAt[i] = item.Item(i)
+	}
 	if id < numLarge {
 		m.bases = make([][][]byte, (numLarge-1-id)/n+1)
 	}
@@ -61,7 +72,11 @@ func keptBytes(m *fpgMiner) int {
 // narrowed through the cursor. A rank of 1<<63 used to become a negative int
 // that passed the ownership test on node 0 and indexed m.bases out of range
 // (a panic on the exchange receiver); a count above MaxInt64 used to be added
-// as a negative support. A rejected unit reaches no slot.
+// as a negative support. A count is one tree node's, so it lies in [1, the
+// suffix item's support]: a larger one could overflow a task's rank tallies,
+// and a zero one would break the tally's first-touch test. A prefix path
+// holds only ranks below its suffix rank, the range the task's tally vector
+// is indexed by. A rejected unit reaches no slot.
 func TestApplyBasesRejectsCorruptUnits(t *testing.T) {
 	path := []item.Item{0, 2}
 	for _, c := range []struct {
@@ -70,7 +85,10 @@ func TestApplyBasesRejectsCorruptUnits(t *testing.T) {
 		ok          bool
 	}{
 		{"owned rank", 4, 3, true},
-		{"largest count", 4, 1<<63 - 1, true},
+		{"largest count", 4, condSupport, true},
+		{"count above the suffix support", 4, condSupport + 1, false},
+		{"zero count", 4, 0, false},
+		{"count overflows a tally", 4, 1<<63 - 1, false},
 		{"rank wraps to a negative int", 1 << 63, 3, false},
 		{"rank wraps to a small negative int", 1<<64 - 2, 3, false},
 		{"count wraps negative", 4, 1<<63 + 5, false},
@@ -95,10 +113,17 @@ func TestApplyBasesRejectsCorruptUnits(t *testing.T) {
 			}
 		}
 	}
+	// Prefix paths that reach the suffix rank, or run past every large item.
+	for _, p := range [][]item.Item{{0, 4}, {1, 6}, {9}} {
+		m := condMiner(0, 2, 8)
+		if _, err := m.applyBases(condUnit(nil, 4, 3, p)); err == nil || len(m.bases[2]) != 0 {
+			t.Errorf("path %v for rank 4: err %v, base %x", p, err, m.bases[2])
+		}
+	}
 	// A good unit followed by a truncated one: the good one is kept and
 	// counted, the batch still fails.
 	m := condMiner(0, 2, 8)
-	b := condUnit(nil, 2, 9, path)
+	b := condUnit(nil, 2, 9, []item.Item{0, 1}) // a path below rank 2
 	good := len(b)
 	b = append(b, condUnit(nil, 4, 1, path)[:3]...)
 	items, err := m.applyBases(b)
@@ -166,6 +191,7 @@ func FuzzCondBase(f *testing.F) {
 	f.Add(byte(0), seed)
 	f.Add(byte(1), condUnit(nil, 3, 1, nil))
 	f.Add(byte(0), condUnit(nil, 1<<63, 1, []item.Item{1}))
+	f.Add(byte(0), condUnit(condUnit(nil, 2, 5, []item.Item{1}), 4, condSupport+1, []item.Item{0, 3}))
 	f.Add(byte(0), []byte{})
 	f.Fuzz(func(t *testing.T, node byte, data []byte) {
 		id := int(node % 2)
@@ -186,8 +212,8 @@ func FuzzCondBase(f *testing.F) {
 		var re []byte
 		for q, units := range got {
 			for _, u := range units {
-				if u.count < 0 {
-					t.Fatalf("negative support %d accepted", u.count)
+				if u.count < 1 || u.count > condSupport {
+					t.Fatalf("count %d outside [1, %d] accepted", u.count, condSupport)
 				}
 				re = condUnit(re, uint64(id+q*2), uint64(u.count), u.path)
 			}

@@ -15,7 +15,9 @@
 //   - Mining decomposes into independent per-suffix-item tasks: the patterns
 //     whose highest-frequency-rank item is r come exactly from r's
 //     conditional pattern base, so the tasks partition the output and fan
-//     out across nodes (rank mod N) and Workers with no deduplication.
+//     out across nodes (rank mod N) and Workers with no deduplication. A
+//     task grows its patterns through conditional trees that hold only the
+//     ranks frequent in their base: each is tallied before it is built.
 //   - In cluster mode each suffix rank's conditional base is shipped to its
 //     owner through the driver's exchange machinery as a dedicated fabric
 //     message kind (KCondBase) with exact per-kind byte accounting; once

@@ -1,6 +1,7 @@
 package fpg
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -231,7 +232,10 @@ func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree
 // local forest and routes it to the rank's owner through the exchange,
 // sharded over Workers. The taxonomy filter runs at the sender: prefix items
 // in the ancestor relation with the suffix item can never co-occur with it
-// in a frequent set, so they are dropped before they cost wire bytes.
+// in a frequent set, so they are dropped before they cost wire bytes. Each
+// prefix rank's verdict is taxonomy-checked once per suffix: verdict[pr] is
+// 2*r plus 1 for a conflict, so a mark left by an earlier suffix reads as
+// unknown and the vector never needs clearing.
 func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTree, st *metrics.NodeStats) error {
 	sp := n.Span("ship-bases")
 	defer sp.End()
@@ -242,11 +246,22 @@ func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTr
 		b := ex.NewBatcher()
 		var unit []byte
 		var climb []item.Item
+		verdict := make([]int32, m.numLarge)
 		for t := numTasks * w / W; t < numTasks*(w+1)/W; t++ {
 			r := item.Item(t + 1) // suffix ranks start at 1
 			x := m.itemAt[r]
 			dest := int(r) % m.numNodes
-			skip := func(pr item.Item) bool { return m.conflicts(m.itemAt[pr], x) }
+			skip := func(pr item.Item) bool {
+				v := verdict[pr]
+				if v>>1 != int32(r) {
+					v = int32(r) << 1
+					if m.conflicts(m.itemAt[pr], x) {
+						v |= 1
+					}
+					verdict[pr] = v
+				}
+				return v&1 == 1
+			}
 			var err error
 			climb, err = extractPaths(forest, r, skip, climb, func(path []item.Item, count int64) error {
 				unit = wire.AppendUvarint(unit[:0], uint64(r))
@@ -270,11 +285,13 @@ func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTr
 }
 
 // applyBases is the cond-base exchange's receive callback. It checks every
-// (suffix rank, count, path) unit of a batch, copies the batch once (the
-// exchange releases every batch once apply returns) and appends each run of
-// consecutive units of one owned slot to that slot as a sub-slice of the
-// copy; units before a rejected one are kept. Runs on the exchange receiver
-// goroutine only, which has exclusive access to m.bases until Finish returns.
+// (suffix rank, count, path) unit of a batch — rank owned, count within
+// [1, the suffix item's support], path canonical and below the rank —
+// copies the batch once (the exchange releases every batch once apply
+// returns) and appends each run of consecutive units of one owned slot to
+// that slot as a sub-slice of the copy; units before a rejected one are
+// kept. Runs on the exchange receiver goroutine only, which has exclusive
+// access to m.bases until Finish returns.
 func (m *fpgMiner) applyBases(batch []byte) (int64, error) {
 	b := slices.Clone(batch)
 	var items int64
@@ -289,7 +306,7 @@ func (m *fpgMiner) applyBases(batch []byte) (int64, error) {
 	}
 	for d.More() {
 		r := d.Int()
-		d.I64() // the count, decoded again by mineTask
+		count := d.I64() // decoded again by mineTask
 		if path = d.Items(path[:0]); d.Err() != nil {
 			break
 		}
@@ -297,6 +314,17 @@ func (m *fpgMiner) applyBases(batch []byte) (int64, error) {
 		slot := r / m.numNodes
 		if r >= m.numLarge || r%m.numNodes != m.nodeID || slot >= len(m.bases) {
 			err = fmt.Errorf("fpg: cond base for foreign rank %d", r)
+			break
+		}
+		// A unit is one tree node's count: at least 1, and at most the
+		// suffix item's global support.
+		if sup := m.itemCounts[m.itemAt[r]]; count < 1 || count > sup {
+			err = fmt.Errorf("fpg: cond base count %d for rank %d outside [1, %d]", count, r, sup)
+			break
+		}
+		// A prefix path holds only ranks below its suffix rank.
+		if len(path) > 0 && int(path[len(path)-1]) >= r {
+			err = fmt.Errorf("fpg: cond base path for rank %d holds rank %d", r, path[len(path)-1])
 			break
 		}
 		if slot != q {
@@ -332,7 +360,9 @@ func (m *fpgMiner) baseUnits(q int, path []item.Item, add func(path []item.Item,
 // dynamically (conditional tree sizes are highly skewed — a static split
 // would strand workers), but each task's output lands in its own slot and
 // the slots are concatenated in rank order, so the result is independent of
-// scheduling.
+// scheduling. Every task is timed, and the mine span names the slowest one
+// (slowest-rank, slowest-us): the suffix rank that held this node's workers
+// longest, and so the one most likely to gate the pass barrier.
 func (m *fpgMiner) mineOwned(n *driver.Node, st *metrics.NodeStats) error {
 	sp := n.Span("mine")
 	defer sp.End()
@@ -349,14 +379,22 @@ func (m *fpgMiner) mineOwned(n *driver.Node, st *metrics.NodeStats) error {
 	minCount := n.MinCount()
 	var next atomic.Int64
 	var incs atomic.Int64
-	err := itemset.Fan("mine", W, n.BoundaryObs("mine shard").Hook(), func(int) error {
+	slowest := make([]taskTime, W)
+	for w := range slowest {
+		slowest[w].d = -1 // a worker that claimed no task never wins
+	}
+	err := itemset.Fan("mine", W, n.BoundaryObs("mine shard").Hook(), func(w int) error {
 		sc := newMineScratch(m.numLarge)
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(tasks) {
 				break
 			}
+			t0 := time.Now()
 			results[i] = m.mineTask(tasks[i], minCount, sc)
+			if d := time.Since(t0); d > slowest[w].d {
+				slowest[w] = taskTime{tasks[i], d}
+			}
 		}
 		incs.Add(sc.increments)
 		return nil
@@ -371,7 +409,18 @@ func (m *fpgMiner) mineOwned(n *driver.Node, st *metrics.NodeStats) error {
 	}
 	sp.Arg("tasks", int64(len(tasks)))
 	sp.Arg("patterns", int64(len(m.Own)))
+	if len(tasks) > 0 {
+		slow := slices.MaxFunc(slowest, func(a, b taskTime) int { return cmp.Compare(a.d, b.d) })
+		sp.Arg("slowest-rank", int64(slow.rank))
+		sp.Arg("slowest-us", slow.d.Microseconds())
+	}
 	return nil
+}
+
+// taskTime is one suffix task's mining time.
+type taskTime struct {
+	rank item.Item
+	d    time.Duration
 }
 
 // mineTask grows every frequent pattern whose highest-frequency-rank item is
@@ -381,73 +430,128 @@ func (m *fpgMiner) mineTask(r item.Item, minCount int64, sc *mineScratch) []item
 	if len(m.bases[q]) == 0 {
 		return nil
 	}
-	t := sc.getTree(m.numLarge)
-	sc.climb = m.baseUnits(q, sc.climb, t.add)
+	t, surv := m.baseTree(q, minCount, !m.atMaxK(2), sc)
 	var out []itemset.Counted
-	m.grow([]*fpTree{t}, []item.Item{m.itemAt[r]}, 2, minCount, sc, &out)
-	sc.putTree(t)
+	m.grow(t, surv, []item.Item{m.itemAt[r]}, 2, minCount, sc, &out)
+	if t != nil {
+		sc.putTree(t)
+	}
 	return out
 }
 
-// grow is the conditional pattern-base recursion: tally the trees' per-rank
-// totals, emit suffix+item for every rank at or above minCount, and recurse
-// into each survivor's conditional tree. size is the size of the sets
-// emitted at this level; suffix holds size-1 items. The base was filtered
-// against every suffix item as it was added, so no tree path contains an
-// item in the ancestor relation with any suffix item.
-func (m *fpgMiner) grow(trees []*fpTree, suffix []item.Item, size int, minCount int64, sc *mineScratch, out *[]itemset.Counted) {
+// baseTree is condTree for owned slot q's received base: its bytes are
+// decoded twice. The first pass tallies every prefix rank, which yields the
+// size-2 survivors; the second, only when build is set, inserts each path
+// cut to those survivors. The sender already dropped the ranks in the
+// ancestor relation with the suffix item. applyBases bounds every count to
+// [1, the suffix item's support], so a rank's tally is positive once it is
+// touched and cannot overflow.
+func (m *fpgMiner) baseTree(q int, minCount int64, build bool, sc *mineScratch) (*fpTree, []rankCount) {
 	touched := sc.touched[:0]
-	for _, t := range trees {
-		for _, r := range t.present {
-			var sum int64
-			for ni := t.heads[r]; ni != -1; ni = t.nodes[ni].next {
-				sum += t.nodes[ni].count
-				sc.increments++
+	sc.climb = m.baseUnits(q, sc.climb, func(path []item.Item, count int64) {
+		sc.increments++
+		for _, pr := range path {
+			if sc.tally[pr] == 0 {
+				touched = append(touched, pr)
 			}
-			if sc.tally[r] == 0 && sum > 0 {
-				touched = append(touched, r)
+			sc.tally[pr] += count
+		}
+	})
+	sc.touched = touched
+	surv := sc.survivors(2, minCount)
+	var t *fpTree
+	if build && len(surv) > 0 {
+		t = sc.getTree(m.numLarge)
+		sc.climb = m.baseUnits(q, sc.climb, func(path []item.Item, count int64) {
+			keep := path[:0]
+			for _, pr := range path {
+				if sc.tally[pr] >= minCount {
+					keep = append(keep, pr)
+				}
 			}
-			sc.tally[r] += sum
-		}
+			t.add(keep, count)
+		})
 	}
-	sc.touched = touched[:0] // consumed below; recursion may reuse the buffer
+	sc.clearTally()
+	return t, surv
+}
 
-	var surv []rankCount
-	for _, r := range touched {
-		if sc.tally[r] >= minCount {
-			surv = append(surv, rankCount{rank: r, count: sc.tally[r]})
-		}
-		sc.tally[r] = 0
-	}
-	if len(surv) == 0 {
-		return
-	}
-	sort.Slice(surv, func(a, b int) bool { return surv[a].rank < surv[b].rank })
+// atMaxK reports whether sets of the given size are the longest MaxK allows.
+func (m *fpgMiner) atMaxK(size int) bool {
+	return m.cfg.MaxK > 0 && size >= m.cfg.MaxK
+}
 
+// grow is the conditional pattern-base recursion. surv holds t's ranks with
+// their exact totals, rank-ascending — every rank in t, since t was built
+// from frequent ranks only. grow emits suffix+item for each survivor and
+// recurses into the survivor's conditional tree. size is the size of the sets
+// emitted at this level; suffix holds size-1 items. At the MaxK level t is
+// nil: the sets are emitted from surv alone. Every tree path was filtered
+// against every suffix item as it was built, so none holds an item in the
+// ancestor relation with a suffix item.
+func (m *fpgMiner) grow(t *fpTree, surv []rankCount, suffix []item.Item, size int, minCount int64, sc *mineScratch, out *[]itemset.Counted) {
 	for _, s := range surv {
-		r, x := s.rank, m.itemAt[s.rank]
 		set := make([]item.Item, 0, size)
 		set = append(set, suffix...)
-		set = append(set, x)
+		set = append(set, m.itemAt[s.rank])
 		item.Sort(set)
 		*out = append(*out, itemset.Counted{Items: set, Count: s.count})
 
-		if m.cfg.MaxK > 0 && size >= m.cfg.MaxK {
+		if m.atMaxK(size) {
 			continue
 		}
-		// sub comes off the free list, so it is never one of the trees being
-		// walked: the extracted paths go straight into it.
-		sub := sc.getTree(m.numLarge)
-		skip := func(pr item.Item) bool { return m.conflicts(m.itemAt[pr], x) }
-		sc.climb, _ = extractPaths(trees, r, skip, sc.climb, func(path []item.Item, count int64) error {
+		sub, next := m.condTree(t, s.rank, minCount, size+1, !m.atMaxK(size+1), sc)
+		m.grow(sub, next, set, size+1, minCount, sc, out)
+		if sub != nil {
+			sc.putTree(sub)
+		}
+	}
+}
+
+// condTree is FP-Growth's tally-then-insert step: it returns rank r's
+// conditional tree in t and that tree's survivors, the ranks whose total
+// reaches minCount, rank-ascending with their totals (in sc's buffer for
+// depth, valid until the next call at that depth). Climb A walks r's header
+// chain and adds each node's count to every prefix rank; a rank's first touch
+// runs the one taxonomy check, and a rank in the ancestor relation with r's
+// item is never tallied. Climb B, only when build is set, inserts each prefix
+// path cut to the survivors into a tree from sc's free list, so its per-rank
+// totals are exactly the survivors' counts. The tree is nil when build is
+// unset or nothing survives.
+func (m *fpgMiner) condTree(t *fpTree, r item.Item, minCount int64, depth int, build bool, sc *mineScratch) (*fpTree, []rankCount) {
+	x := m.itemAt[r]
+	touched := sc.touched[:0]
+	for ni := t.heads[r]; ni != -1; ni = t.nodes[ni].next {
+		c := t.nodes[ni].count
+		sc.increments++
+		for p := t.nodes[ni].parent; p > 0; p = t.nodes[p].parent {
+			pr := t.nodes[p].rank
+			switch v := sc.tally[pr]; {
+			case v > 0:
+				sc.tally[pr] = v + c
+			case v == 0:
+				touched = append(touched, pr)
+				if m.conflicts(m.itemAt[pr], x) {
+					sc.tally[pr] = -1 // never tallied, never survives
+				} else {
+					sc.tally[pr] = c
+				}
+			}
+		}
+	}
+	sc.touched = touched
+	surv := sc.survivors(depth, minCount)
+	var sub *fpTree
+	if build && len(surv) > 0 {
+		sub = sc.getTree(m.numLarge)
+		skip := func(pr item.Item) bool { return sc.tally[pr] < minCount }
+		sc.climb, _ = extractPaths([]*fpTree{t}, r, skip, sc.climb, func(path []item.Item, count int64) error {
 			sub.add(path, count)
 			return nil
 		})
-		if len(sub.nodes) > 1 {
-			m.grow([]*fpTree{sub}, set, size+1, minCount, sc, out)
-		}
-		sc.putTree(sub)
 	}
+	sc.clearTally()
+	return sub, surv
 }
 
 // rankCount pairs a surviving rank with its exact tally.

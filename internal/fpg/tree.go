@@ -1,6 +1,9 @@
 package fpg
 
 import (
+	"cmp"
+	"slices"
+
 	"pgarm/internal/item"
 )
 
@@ -134,12 +137,14 @@ func extractPaths(trees []*fpTree, r item.Item, skip func(item.Item) bool,
 	return climb, nil
 }
 
-// mineScratch is one mining worker's reusable state: the dense tally vector,
-// the free list of conditional trees for the recursion, and climb scratch.
-// One instance per worker goroutine; never shared.
+// mineScratch is one mining worker's reusable state: the dense tally vector
+// and the ranks it touched, one survivor buffer per recursion depth, the free
+// list of conditional trees for the recursion, and climb scratch. One
+// instance per worker goroutine; never shared.
 type mineScratch struct {
 	tally      []int64
 	touched    []item.Item
+	levels     [][]rankCount
 	climb      []item.Item
 	trees      []*fpTree
 	increments int64
@@ -147,6 +152,31 @@ type mineScratch struct {
 
 func newMineScratch(numRanks int) *mineScratch {
 	return &mineScratch{tally: make([]int64, numRanks)}
+}
+
+// survivors collects the touched ranks whose tally reaches minCount into
+// depth's buffer, rank-ascending. The tallies stay until clearTally.
+func (sc *mineScratch) survivors(depth int, minCount int64) []rankCount {
+	for len(sc.levels) <= depth {
+		sc.levels = append(sc.levels, nil)
+	}
+	surv := sc.levels[depth][:0]
+	for _, r := range sc.touched {
+		if c := sc.tally[r]; c >= minCount {
+			surv = append(surv, rankCount{rank: r, count: c})
+		}
+	}
+	slices.SortFunc(surv, func(a, b rankCount) int { return cmp.Compare(a.rank, b.rank) })
+	sc.levels[depth] = surv
+	return surv
+}
+
+// clearTally zeroes every touched rank's tally.
+func (sc *mineScratch) clearTally() {
+	for _, r := range sc.touched {
+		sc.tally[r] = 0
+	}
+	sc.touched = sc.touched[:0]
 }
 
 func (sc *mineScratch) getTree(numRanks int) *fpTree {

@@ -24,7 +24,7 @@ type NodeStats struct {
 	Node          int
 	TxnsScanned   int64 // transactions read from local disk
 	Probes        int64 // k-subsets offered to the node's candidate table while counting
-	Increments    int64 // sup_cou increments actually applied
+	Increments    int64 // sup_cou increments actually applied; FPG: paths its tally passes sum (base units, climbed chain nodes)
 	ItemsSent     int64 // items shipped to other nodes (paper's "sends N items")
 	ItemsReceived int64 // items received from other nodes during count support
 	// Traffic is the whole-pass fabric window (MsgsSent, MsgsReceived,
