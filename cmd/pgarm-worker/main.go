@@ -23,7 +23,8 @@
 // ship theirs to the coordinator at each pass barrier over the telemetry
 // plane, so node 0's trace file is the merged cluster trace — every node's
 // spans on its own track group, remote timestamps rebased into the
-// coordinator's clock using the offsets estimated during the mesh handshake.
+// coordinator's clock using offsets estimated from the barrier round trips
+// (node 0's L_k bcast out, the worker's telemetry batch back).
 // -json writes the machine-readable run report (on the coordinator it covers
 // the whole cluster, including the per-pass skew section). If a peer process
 // dies mid-run, the remaining workers exit non-zero with the lost peer named
@@ -108,17 +109,19 @@ func main() {
 		logx.Fatal(logger, "open partition", "err", err)
 	}
 
+	// The trace clock starts with the process, before the handshake, so
+	// workers started at different times have clocks that differ by as much;
+	// node 0 rebases each worker's spans by its estimated offset.
+	var tracer *obs.Tracer
+	if *traceOut != "" {
+		tracer = obs.NewTracer()
+	}
 	logger.Info("joining mesh", "nodes", len(addrList))
 	ep, mesh, err := cluster.DialMesh(*nodeID, addrList, cluster.MeshOptions{DialTimeout: *timeout})
 	if err != nil {
 		logx.Fatal(logger, "mesh dial failed", "err", err)
 	}
 	defer mesh.Close()
-
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-	}
 	reg := obs.NewRegistry()
 	view := &driver.ClusterView{}
 	var mineDone atomic.Bool

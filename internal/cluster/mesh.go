@@ -19,12 +19,6 @@ type MeshOptions struct {
 	// retrying peers that have not started yet, to wait for every
 	// lower-numbered peer to connect, and for each connection's hello.
 	DialTimeout time.Duration
-	// ClockSyncRounds is the number of clock-offset ping round-trips node 0
-	// runs against each peer during the handshake (0 = default 8, negative =
-	// skip clock sync entirely). All processes in a mesh must agree on
-	// whether sync is enabled; the round count itself is negotiated on the
-	// wire.
-	ClockSyncRounds int
 }
 
 // Mesh is the handle DialMesh returns alongside the Endpoint: it tears the
@@ -42,10 +36,6 @@ func (m *Mesh) Close() error {
 	return nil
 }
 
-// ClockOffsets returns the endpoint's clock-offset estimates (see
-// tcpEndpoint.ClockOffsets).
-func (m *Mesh) ClockOffsets() []time.Duration { return m.ep.ClockOffsets() }
-
 // DialMesh joins this process into a cross-process shared-nothing mesh: one
 // node per process, full TCP mesh between them — the deployment shape of the
 // paper's SP-2, with OS processes standing in for nodes. addrs lists every
@@ -57,11 +47,6 @@ func (m *Mesh) ClockOffsets() []time.Duration { return m.ep.ClockOffsets() }
 // may start in any order. The whole handshake ends within DialTimeout: a peer
 // that never connects or never says hello fails it, as does a hello naming a
 // node that is not a lower-numbered peer or is already connected.
-//
-// Before the read loops start, node 0 runs a clock-offset estimation exchange
-// with every peer on the raw connections (see clock.go); the estimates are
-// exposed through the endpoint's ClockOffsets for merged-trace timestamp
-// rebasing.
 func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, error) {
 	n := len(addrs)
 	if self < 0 || self >= n {
@@ -151,32 +136,6 @@ func DialMesh(self int, addrs []string, opts MeshOptions) (Endpoint, *Mesh, erro
 	close(errs)
 	if err := <-errs; err != nil {
 		return nil, nil, teardown(ep, err)
-	}
-
-	// Clock sync runs on the raw connections strictly before the read loops
-	// start, so the ping/pong bytes cannot interleave with framed protocol
-	// traffic. Peers cannot send app frames on their node-0 connection until
-	// their own DialMesh returns, which requires completing this exchange.
-	if opts.ClockSyncRounds >= 0 {
-		rounds := opts.ClockSyncRounds
-		if rounds == 0 {
-			rounds = clockSyncRounds
-		}
-		deadline := time.Now().Add(opts.DialTimeout)
-		if self == 0 {
-			ep.offsets = make([]time.Duration, n)
-			for j := 1; j < n; j++ {
-				samples, err := syncClockWith(ep.conns[j].c, rounds, deadline)
-				if err != nil {
-					return nil, nil, teardown(ep, fmt.Errorf("cluster: clock sync with node %d: %w", j, err))
-				}
-				ep.offsets[j], _ = EstimateOffset(samples)
-			}
-		} else {
-			if err := answerClockSync(ep.conns[0].c, deadline); err != nil {
-				return nil, nil, teardown(ep, fmt.Errorf("cluster: clock sync at node %d: %w", self, err))
-			}
-		}
 	}
 
 	for peer, tc := range ep.conns {

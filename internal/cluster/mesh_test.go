@@ -232,7 +232,7 @@ func TestDialMeshRejectsBadHello(t *testing.T) {
 			done := make(chan error, 1)
 			start := time.Now()
 			go func() {
-				_, m, err := DialMesh(c.self, addrs, MeshOptions{Listener: ln, DialTimeout: timeout, ClockSyncRounds: -1})
+				_, m, err := DialMesh(c.self, addrs, MeshOptions{Listener: ln, DialTimeout: timeout})
 				if err == nil {
 					m.Close()
 				}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 )
 
 // TCPFabric connects N nodes over loopback TCP, one full-duplex connection
@@ -42,8 +41,7 @@ func NewTCPFabric(n, inboxBuffer int) (*TCPFabric, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// One process, one clock: no offset exchange.
-			_, m, err := DialMesh(i, addrs, MeshOptions{Listener: listeners[i], InboxBuffer: inboxBuffer, ClockSyncRounds: -1})
+			_, m, err := DialMesh(i, addrs, MeshOptions{Listener: listeners[i], InboxBuffer: inboxBuffer})
 			if err != nil {
 				errs[i] = err
 				// Release the peers still accepting from this node. (DialMesh
@@ -132,19 +130,6 @@ type tcpEndpoint struct {
 	// errors include it so an abort names the pass and phase the run died in.
 	phaseMu sync.Mutex
 	phaseFn func() string
-
-	// offsets are DialMesh's clock-offset estimates, written before the
-	// endpoint is handed out and read-only afterwards.
-	offsets []time.Duration
-}
-
-// ClockOffsets returns the estimated wall-clock offset of every node relative
-// to node 0 (offsets[0] is always 0): positive means that node's clock reads
-// ahead of node 0's. Non-nil only on node 0 of a DialMesh whose clock sync
-// ran. The driver rebases remote span timestamps by it when it merges them
-// into the coordinator's trace.
-func (e *tcpEndpoint) ClockOffsets() []time.Duration {
-	return append([]time.Duration(nil), e.offsets...)
 }
 
 // QuiescePeer marks one peer's departure as part of the protocol's orderly

@@ -25,7 +25,9 @@ import (
 //
 //   - the coordinator's trace is the merged cluster trace: valid trace_event
 //     JSON with spans on every node's track group, remote timestamps rebased
-//     into the coordinator's clock (all inside the run envelope);
+//     into the coordinator's clock (all inside the run envelope, and every
+//     pass barrier in causal order across nodes, although the tracers'
+//     clocks start 100 ms apart);
 //   - the coordinator's stats merge every worker's pass windows and endpoint
 //     totals, and reconcile exactly with telemetry traffic included;
 //   - the run report's per-pass skew section agrees with the per-node stats
@@ -83,10 +85,19 @@ func TestMeshMergedClusterTelemetry(t *testing.T) {
 		}()
 	}
 
+	// Each tracer's clock starts 100 ms after the previous one, so follower
+	// i's clock reads i*100 ms behind the coordinator's: a merge that skipped
+	// the offset, or flipped its sign, would misplace its spans by that much.
+	start := time.Now()
 	tracers := make([]*obs.Tracer, nodes)
+	for i := range tracers {
+		if i > 0 {
+			time.Sleep(100 * time.Millisecond)
+		}
+		tracers[i] = obs.NewTracer()
+	}
 	results := make([]*Result, nodes)
 	errs := make([]error, nodes)
-	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < nodes; i++ {
 		wg.Add(1)
@@ -98,7 +109,6 @@ func TestMeshMergedClusterTelemetry(t *testing.T) {
 				return
 			}
 			defer mesh.Close()
-			tracers[i] = obs.NewTracer()
 			cfg := Config{
 				Algorithm:  HHPGMFGD,
 				MinSupport: minSup,
@@ -186,8 +196,9 @@ func TestMeshMergedClusterTelemetry(t *testing.T) {
 
 // assertMergedTrace validates the coordinator's merged trace: structurally
 // valid trace_event JSON, at least one complete span on every node's track
-// group (pid = node), and every rebased timestamp inside the run envelope —
-// a remote span rebased with a wildly wrong offset would land far outside it.
+// group (pid = node), every rebased timestamp inside the run envelope — a
+// remote span rebased with a wildly wrong offset would land far outside it —
+// and the pass barriers in causal order (assertBarrierOrder).
 func assertMergedTrace(t *testing.T, tr *obs.Tracer, nodes int, elapsed time.Duration) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -206,12 +217,11 @@ func assertMergedTrace(t *testing.T, tr *obs.Tracer, nodes int, elapsed time.Dur
 	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 		t.Fatalf("merged trace is not valid JSON: %v", err)
 	}
-	// Envelope in trace microseconds, with slack for the gap between the
-	// workers' tracer epochs and for clock-offset estimation error (loopback
-	// offsets are microseconds; the slack is dominated by goroutine startup).
+	// Envelope in trace microseconds, with slack for goroutine startup.
 	slackUS := float64(2 * time.Second / time.Microsecond)
 	elapsedUS := float64(elapsed / time.Microsecond)
 	spansPerNode := make([]int, nodes)
+	barriers := make([][][2]float64, nodes)
 	for i, ev := range file.TraceEvents {
 		if ev.Ph != "X" {
 			continue
@@ -224,10 +234,53 @@ func assertMergedTrace(t *testing.T, tr *obs.Tracer, nodes int, elapsed time.Dur
 			t.Fatalf("span %q on node %d at [%f, %f]us outside run envelope [0, %f]us",
 				ev.Name, ev.Pid, ev.TS, ev.TS+ev.Dur, elapsedUS)
 		}
+		if ev.Name == "barrier" {
+			barriers[ev.Pid] = append(barriers[ev.Pid], [2]float64{ev.TS, ev.TS + ev.Dur})
+		}
 	}
 	for node, n := range spansPerNode {
 		if n == 0 {
 			t.Fatalf("merged trace has no spans for node %d (per-node counts: %v)", node, spansPerNode)
+		}
+	}
+	assertBarrierOrder(t, barriers)
+}
+
+// barrierToleranceUS bounds the clock-offset error a merged trace may show.
+// The estimate errs by at most half the delay of the round trip it comes
+// from, and that delay is mostly goroutine wake-ups: well under 1 ms in a
+// plain run, tens of ms under -race on two hardware threads with the
+// /debug/cluster readers spinning. 20 ms keeps the check clear of that and
+// far below the 100 ms a skipped or sign-flipped offset moves a follower.
+const barrierToleranceUS = 20000
+
+// assertBarrierOrder checks the merged trace's barrier spans ([start, end]
+// in trace microseconds, per node, in trace order — the i-th is the node's
+// pass-(i+1) barrier) against the protocol's causal order. A follower's
+// barrier cannot end before the coordinator's begins, because it waits for
+// the coordinator's L_k, nor begin after the coordinator's ends, because the
+// coordinator waits for the follower's batch.
+func assertBarrierOrder(t *testing.T, barriers [][][2]float64) {
+	t.Helper()
+	coord := barriers[0]
+	if len(coord) == 0 {
+		t.Fatal("merged trace has no coordinator barrier spans")
+	}
+	for node, spans := range barriers[1:] {
+		node++
+		if len(spans) != len(coord) {
+			t.Fatalf("node %d has %d barrier spans, the coordinator %d", node, len(spans), len(coord))
+		}
+		for i, b := range spans {
+			c := coord[i]
+			if b[1] < c[0]-barrierToleranceUS {
+				t.Errorf("pass %d: node %d's barrier ends at %.0fus, %.0fus before the coordinator's begins",
+					i+1, node, b[1], c[0]-b[1])
+			}
+			if b[0] > c[1]+barrierToleranceUS {
+				t.Errorf("pass %d: node %d's barrier begins at %.0fus, %.0fus after the coordinator's ends",
+					i+1, node, b[0], b[0]-c[1])
+			}
 		}
 	}
 }

@@ -85,6 +85,13 @@ func newNode(ep cluster.Endpoint, cfg Spec, m Miner) *Node {
 	if n.conn, _ = ep.(connEndpoint); n.conn != nil {
 		n.conn.SetPhase(n.phaseLabel)
 	}
+	if n.IsCoord() {
+		n.tel.remote = make([][]metrics.NodeStats, ep.N())
+		n.tel.totals = make([]*metrics.EndpointTotals, ep.N())
+		n.tel.dropped = make([]int64, ep.N())
+		n.tel.clocks = make([]peerClock, ep.N())
+		n.tel.held = make([][]obs.SpanRecord, ep.N())
+	}
 	return n
 }
 
@@ -215,7 +222,8 @@ func (n *Node) runProtocol() error {
 // meanwhile is stashed for the phase that consumes it (recvKind); a second
 // message of one kind from one peer is a protocol error. The blocked time is
 // this node's barrier wait, so fold should only stash or sum — work that must
-// stay out of the skew signal runs after gather returns.
+// stay out of the skew signal runs after gather returns. Each telemetry
+// batch's dequeue is stamped for the clock exchange (t4, see telemetry.go).
 func (n *Node) gather(fold func(m cluster.Message) error, kinds ...uint8) error {
 	wait := time.Now()
 	defer func() { n.cur.BarrierWait += time.Since(wait) }()
@@ -233,6 +241,9 @@ func (n *Node) gather(fold func(m cluster.Message) error, kinds ...uint8) error 
 			return fmt.Errorf("driver: second %s message from node %d in one gather", kindName(m.Kind), m.From)
 		}
 		seen[slot] = true
+		if m.Kind == KTelemetry {
+			n.tel.clocks[m.From].recv = n.tr.Now()
+		}
 		if err := fold(m); err != nil {
 			return err
 		}
@@ -244,18 +255,22 @@ func (n *Node) gather(fold func(m cluster.Message) error, kinds ...uint8) error 
 // every peer in rank order — calling sent(p), when non-nil, right after peer
 // p's send — and returns payload; on a follower it blocks for the
 // coordinator's message of that kind, charges the wait to the barrier, and
-// returns its payload (the argument is ignored).
+// returns its payload (the argument is ignored). Both sides stamp the
+// message for the clock exchange: t1 per peer on the coordinator, t2 on the
+// follower (see telemetry.go).
 func (n *Node) bcast(kind uint8, payload []byte, sent func(peer int)) ([]byte, error) {
 	if !n.IsCoord() {
 		wait := time.Now()
 		m, err := n.recvKind(kind)
 		n.cur.BarrierWait += time.Since(wait)
+		n.tel.bcastAt = n.tr.Now()
 		return m.Payload, err
 	}
 	for p := 1; p < n.ep.N(); p++ {
 		if err := n.ep.Send(p, kind, payload); err != nil {
 			return nil, err
 		}
+		n.tel.clocks[p].sent = n.tr.Now()
 		if sent != nil {
 			sent(p)
 		}

@@ -1,9 +1,6 @@
 package driver
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // passPhase labels a pass's phases for error context and the /debug/cluster
 // view.
@@ -46,11 +43,10 @@ func (n *Node) phaseLabel() string {
 
 // connEndpoint is what a connection-oriented endpoint (TCP fabric, DialMesh)
 // adds to cluster.Endpoint: a hook for the protocol position woven into
-// peer-loss errors, marking a peer's coming EOF as orderly shutdown, and the
-// handshake's clock-offset estimates. Channel endpoints have no connections
-// to lose and share one clock, and simply don't implement it.
+// peer-loss errors, and marking a peer's coming EOF as orderly shutdown.
+// Channel endpoints have no connections to lose, and simply don't
+// implement it.
 type connEndpoint interface {
 	SetPhase(fn func() string)
 	QuiescePeer(peer int)
-	ClockOffsets() []time.Duration
 }

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"fmt"
-	"time"
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/metrics"
@@ -42,12 +41,24 @@ import (
 //     coordinator's merged RunStats reconciles too (the flush message itself
 //     belongs to neither view's totals — it is accounted only in the
 //     follower's local post-fold stats).
-const telemetryVersion = 2
+//
+// Span batches also carry the follower's half of a clock exchange, so the
+// merged trace needs no handshake of its own. Every batch a follower ships
+// is a reply to the coordinator's latest bcast: the coordinator stamps each
+// bcast's send to a peer (t1, in bcast) and each batch's dequeue (t4, in
+// gather); the follower stamps the bcast's arrival (t2) and the batch's send
+// (t3). The coordinator ingests a batch before its next bcast, so t1 and t2
+// always name the same message. NTP's rule turns the four stamps into an
+// offset and a delay (see peerClock.observe). The coordinator holds remote
+// spans until the run ends and then rebases each follower's by the offset
+// of its least-delay sample of the whole run (recordRemoteSpans).
+const telemetryVersion = 3
 
 // telemetryBatch is the decoded form of one KTelemetry payload.
 type telemetryBatch struct {
 	final     bool
-	epoch     int64 // sender tracer epoch as wall-clock Unix nanos (0 = no spans)
+	sentAt    int64 // t3: the send, on the sender's tracer clock (0 = no spans)
+	bcastAt   int64 // t2: the latest bcast's arrival there (with sentAt only)
 	dropped   int64 // sender's cumulative dropped-span count
 	firstPass int   // 1-based pass number of passes[0]
 	passes    []metrics.NodeStats
@@ -59,23 +70,74 @@ type telemetryBatch struct {
 // telemetryState is the per-node state of the plane: ship cursors on
 // followers, the ingested cluster view on the coordinator.
 type telemetryState struct {
-	shipped  int // perPass entries already shipped
-	spanMark int // tracer export watermark
+	shipped  int   // perPass entries already shipped
+	spanMark int   // tracer export watermark
+	bcastAt  int64 // t2: when the latest bcast arrived, on the tracer clock
 
 	// Coordinator: ingested remote pass windows ([peer][passIdx]), final
-	// endpoint totals, last cumulative dropped count per peer, the next pass
-	// index awaiting a complete skew snapshot, and the skew gauges.
+	// endpoint totals, last cumulative dropped count per peer, the clock
+	// exchange with each peer and the spans awaiting its final offset, the
+	// next pass index awaiting a complete skew snapshot, and the skew
+	// gauges. newNode sizes the per-peer slices.
 	remote   [][]metrics.NodeStats
 	totals   []*metrics.EndpointTotals
 	dropped  []int64
+	clocks   []peerClock
+	held     [][]obs.SpanRecord
 	skewNext int
 	gauges   skewGauges
 }
 
+// peerClock is the coordinator's clock exchange with one follower, on the
+// coordinator's tracer clock: when its latest bcast went to the peer (t1),
+// when the peer's latest batch was dequeued (t4), and the sample with the
+// least delay so far.
+type peerClock struct {
+	sent, recv int64
+	best       clockSample
+	ok         bool
+}
+
+// clockSample is one round trip reduced to the follower's clock offset
+// (positive: its tracer clock reads ahead of the coordinator's) and the
+// delay the round trip spent in transit and in queues.
+type clockSample struct{ offset, delay int64 }
+
+// observe folds the follower's stamps of one round trip (t2, t3) into the
+// estimate. A sample's offset errs by half the asymmetry of its two legs,
+// at most half its delay, and a queue on either leg adds all of its wait to
+// the delay: the least-delay sample is the best bounded one.
+func (c *peerClock) observe(t2, t3 int64) {
+	s := clockSample{
+		offset: ((t2 - c.sent) + (t3 - c.recv)) / 2,
+		delay:  (c.recv - c.sent) - (t3 - t2),
+	}
+	if !c.ok || s.delay < c.best.delay {
+		c.best, c.ok = s, true
+	}
+}
+
+// recordRemoteSpans re-records every span the followers shipped on the
+// coordinator's tracer, on its clock: a remote span at s happened at
+// s-offset here. One offset per follower, that of its least-delay sample of
+// the run, keeps each follower's spans in the order its own clock put them.
+func (n *Node) recordRemoteSpans() {
+	for node, spans := range n.tel.held {
+		offset := n.tel.clocks[node].best.offset
+		for _, sp := range spans {
+			sp.Node = int32(node)
+			sp.Start -= offset
+			n.tr.Record(sp)
+		}
+		n.tel.held[node] = nil
+	}
+}
+
 // shipTelemetry encodes and sends this follower's batch: pass windows
 // completed since the last batch, plus (in per-process runs) the spans
-// recorded since the last export. final batches add the endpoint-totals
-// snapshot, taken before the send so the shipped windows tile to it exactly.
+// recorded since the last export and the clock stamps t2 and t3. final
+// batches add the endpoint-totals snapshot, taken before the send so the
+// shipped windows tile to it exactly.
 func (n *Node) shipTelemetry(final bool) error {
 	b := telemetryBatch{
 		final:     final,
@@ -84,10 +146,11 @@ func (n *Node) shipTelemetry(final bool) error {
 	}
 	n.tel.shipped = len(n.perPass)
 	if n.tr.Enabled() && !n.sharedObs {
-		b.epoch = n.tr.EpochWallNanos()
 		b.dropped = n.tr.Dropped()
 		b.tracks = n.tr.Tracks()
 		b.spans, n.tel.spanMark = n.tr.ExportSince(n.tel.spanMark)
+		// The tracer started before the run, so its clock is past 0 here.
+		b.bcastAt, b.sentAt = n.tel.bcastAt, n.tr.Now()
 	}
 	if final {
 		t := EndpointTotals(n.id, n.ep)
@@ -97,20 +160,17 @@ func (n *Node) shipTelemetry(final bool) error {
 }
 
 // ingestTelemetry merges one follower batch into the coordinator's view:
-// pass windows into tel.remote, spans (clock-rebased) into the tracer,
-// dropped-count deltas into the tracer's tally, totals into tel.totals —
-// then advances the live skew snapshot.
+// pass windows into tel.remote, the clock stamps into the sender's offset
+// estimate, track names into the tracer and spans into tel.held, dropped-count
+// deltas into the tracer's tally, totals into tel.totals — then advances the
+// live skew snapshot. Every record lands on the sender's track group: a
+// batch names no node, so it cannot write to another's.
 func (n *Node) ingestTelemetry(m cluster.Message) error {
 	b, err := decodeTelemetry(m.Payload)
 	if err != nil {
 		return fmt.Errorf("driver: decode telemetry from node %d: %w", m.From, err)
 	}
 	t := &n.tel
-	if t.remote == nil {
-		t.remote = make([][]metrics.NodeStats, n.ep.N())
-		t.totals = make([]*metrics.EndpointTotals, n.ep.N())
-		t.dropped = make([]int64, n.ep.N())
-	}
 	node := m.From // a peer's rank: gather checked it
 	if b.firstPass != len(t.remote[node])+1 {
 		return fmt.Errorf("driver: telemetry from node %d starts at pass %d, want %d",
@@ -121,24 +181,12 @@ func (n *Node) ingestTelemetry(m cluster.Message) error {
 		t.remote[node] = append(t.remote[node], ps)
 	}
 
-	if b.epoch != 0 && n.tr.Enabled() && !n.sharedObs {
-		// Rebase: a remote span at s nanos past its epoch E_r happened at
-		// wall time E_r+s on the remote clock, which is E_r+s-offset on the
-		// coordinator's clock, i.e. E_r+s-offset-E_c past our epoch.
-		var offset time.Duration
-		if n.conn != nil {
-			if offsets := n.conn.ClockOffsets(); node < len(offsets) {
-				offset = offsets[node]
-			}
-		}
-		shift := b.epoch - int64(offset) - n.tr.EpochWallNanos()
+	if b.sentAt != 0 && n.tr.Enabled() && !n.sharedObs {
+		t.clocks[node].observe(b.bcastAt, b.sentAt)
 		for _, tr := range b.tracks {
-			n.tr.SetThreadName(int(tr.Node), int(tr.Lane), tr.Name)
+			n.tr.SetThreadName(node, int(tr.Lane), tr.Name)
 		}
-		for _, sp := range b.spans {
-			sp.Start += shift
-			n.tr.Record(sp)
-		}
+		t.held[node] = append(t.held[node], b.spans...)
 	}
 	if d := b.dropped - t.dropped[node]; d > 0 {
 		n.tr.AddDropped(d)
@@ -184,6 +232,7 @@ func (n *Node) flushTelemetry() error {
 		if err := n.gather(n.ingestTelemetry, KTelemetry); err != nil {
 			return err
 		}
+		n.recordRemoteSpans()
 		if _, err := n.bcast(KTelemetry, nil, n.quiescePeer); err != nil {
 			return err
 		}
@@ -218,7 +267,7 @@ func (n *Node) updateSkew() {
 		nodes := make([]metrics.NodeStats, 0, n.ep.N())
 		nodes = append(nodes, n.perPass[pi])
 		for p := 1; p < n.ep.N(); p++ {
-			if n.tel.remote == nil || pi >= len(n.tel.remote[p]) {
+			if pi >= len(n.tel.remote[p]) {
 				return
 			}
 			nodes = append(nodes, n.tel.remote[p][pi])
@@ -269,15 +318,16 @@ func (g skewGauges) set(s metrics.SkewReport) {
 
 // appendTelemetry encodes a batch with the repo's varint conventions:
 //
-//	version byte | flags byte (bit0 = final) | epoch | dropped | firstPass
-//	| numPasses passes | numTracks tracks | numSpans spans
-//	| totals (final batches only)
+//	version byte | flags byte (bit0 = final) | t3 | t2 (when t3 != 0)
+//	| dropped | firstPass | numPasses passes | numTracks tracks
+//	| numSpans spans | totals (final batches only)
 //
 // All scalars are uvarints except span arg values (zigzag — they may be
-// negative) and span starts (zigzag — rebasing can shift them negative). A
-// pass is the rows of metrics.Counters in order, then its per-kind traffic;
-// a traffic record is always msgs sent, msgs received, bytes sent, bytes
-// received.
+// negative). A pass is the rows of metrics.Counters in order, then its
+// per-kind traffic; a traffic record is always msgs sent, msgs received,
+// bytes sent, bytes received. Tracks and spans carry a lane but no node:
+// they belong to the sender. t2 is spelled only when t3 is, so a batch
+// without spans spends no byte on the clock exchange.
 func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 	dst = append(dst, telemetryVersion)
 	var flags byte
@@ -285,7 +335,10 @@ func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 		flags |= 1
 	}
 	dst = append(dst, flags)
-	dst = wire.AppendUvarint(dst, uint64(b.epoch))
+	dst = wire.AppendUvarint(dst, uint64(b.sentAt))
+	if b.sentAt != 0 {
+		dst = wire.AppendUvarint(dst, uint64(b.bcastAt))
+	}
 	dst = wire.AppendUvarint(dst, uint64(b.dropped))
 	dst = wire.AppendUvarint(dst, uint64(b.firstPass))
 
@@ -298,7 +351,6 @@ func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(b.tracks)))
 	for _, t := range b.tracks {
-		dst = wire.AppendUvarint(dst, uint64(t.Node))
 		dst = wire.AppendUvarint(dst, uint64(t.Lane))
 		dst = wire.AppendStr(dst, t.Name)
 	}
@@ -306,9 +358,8 @@ func appendTelemetry(dst []byte, b *telemetryBatch) []byte {
 	for i := range b.spans {
 		sp := &b.spans[i]
 		dst = wire.AppendStr(dst, sp.Name)
-		dst = wire.AppendUvarint(dst, uint64(sp.Node))
 		dst = wire.AppendUvarint(dst, uint64(sp.Lane))
-		dst = wire.AppendZig(dst, sp.Start)
+		dst = wire.AppendUvarint(dst, uint64(sp.Start))
 		dst = wire.AppendUvarint(dst, uint64(sp.Dur))
 		dst = wire.AppendUvarint(dst, uint64(len(sp.Args)))
 		for _, a := range sp.Args {
@@ -349,12 +400,11 @@ func decodeTelemetry(p []byte) (*telemetryBatch, error) {
 	if v := d.Byte(); v != telemetryVersion {
 		d.Fail("driver: unsupported telemetry version %d", v)
 	}
-	b := &telemetryBatch{
-		final:     d.Byte()&1 != 0,
-		epoch:     d.I64(),
-		dropped:   d.I64(),
-		firstPass: d.Int(),
+	b := &telemetryBatch{final: d.Byte()&1 != 0, sentAt: d.I64()}
+	if b.sentAt != 0 {
+		b.bcastAt = d.I64()
 	}
+	b.dropped, b.firstPass = d.I64(), d.Int()
 	for i, n := 0, d.Count(len(metrics.Counters)+1); i < n && d.Err() == nil; i++ {
 		var s metrics.NodeStats
 		for _, c := range metrics.Counters {
@@ -363,15 +413,14 @@ func decodeTelemetry(p []byte) (*telemetryBatch, error) {
 		s.ByKind = decodeKindIO(&d)
 		b.passes = append(b.passes, s)
 	}
-	for i, n := 0, d.Count(3); i < n && d.Err() == nil; i++ {
-		b.tracks = append(b.tracks, obs.TrackName{Node: d.I32(), Lane: d.I32(), Name: d.Str()})
+	for i, n := 0, d.Count(2); i < n && d.Err() == nil; i++ {
+		b.tracks = append(b.tracks, obs.TrackName{Lane: d.I32(), Name: d.Str()})
 	}
-	for i, n := 0, d.Count(6); i < n && d.Err() == nil; i++ {
+	for i, n := 0, d.Count(5); i < n && d.Err() == nil; i++ {
 		sp := obs.SpanRecord{
 			Name:  d.Str(),
-			Node:  d.I32(),
 			Lane:  d.I32(),
-			Start: d.Zig(),
+			Start: d.I64(),
 			Dur:   d.I64(),
 		}
 		for j, m := 0, d.Count(2); j < m && d.Err() == nil; j++ {

@@ -25,14 +25,14 @@ func TestZigzagRoundTrip(t *testing.T) {
 	}
 }
 
-// testBatch builds a batch exercising every codec field: multiple passes with
-// per-kind breakdowns, named tracks, spans with negative starts (a rebased
-// remote span can precede the receiving epoch) and negative arg values, and —
-// when final — an endpoint-totals snapshot.
+// testBatch builds a batch exercising every codec field: both clock stamps,
+// multiple passes with per-kind breakdowns, named tracks, spans with negative
+// arg values, and — when final — an endpoint-totals snapshot.
 func testBatch(final bool) *telemetryBatch {
 	b := &telemetryBatch{
 		final:     final,
-		epoch:     time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC).UnixNano(),
+		sentAt:    int64(41 * time.Second),
+		bcastAt:   int64(40 * time.Second),
 		dropped:   7,
 		firstPass: 3,
 		passes: []metrics.NodeStats{
@@ -51,13 +51,13 @@ func testBatch(final bool) *telemetryBatch {
 			{TxnsScanned: 900, ScanTime: 2 * time.Millisecond},
 		},
 		tracks: []obs.TrackName{
-			{Node: 2, Lane: 0, Name: "node 2"},
-			{Node: 2, Lane: 1, Name: "scan w0"},
+			{Lane: 0, Name: "node 2"},
+			{Lane: 1, Name: "scan w0"},
 		},
 		spans: []obs.SpanRecord{
-			{Name: "pass 3", Node: 2, Lane: 0, Start: -1500, Dur: 900000,
+			{Name: "pass 3", Lane: 0, Start: 1500, Dur: 900000,
 				Args: []obs.Arg{{Key: "candidates", Val: 412}, {Key: "delta", Val: -9}}},
-			{Name: "barrier", Node: 2, Lane: 0, Start: 880000, Dur: 20000},
+			{Name: "barrier", Lane: 1, Start: 880000, Dur: 20000},
 		},
 	}
 	if final {
@@ -69,6 +69,56 @@ func testBatch(final bool) *telemetryBatch {
 		}
 	}
 	return b
+}
+
+// exchange runs one synthetic round trip against c and returns the offset
+// of the sample observe keeps. The follower's clock reads theta ahead of node 0's;
+// node 0 sends the bcast at t1, it spends out in transit, the follower holds
+// it for hold, and the batch back spends back in transit and in node 0's
+// inbox.
+func exchange(c *peerClock, theta, t1, out, hold, back int64) int64 {
+	c.sent = t1
+	t2 := t1 + out + theta
+	t3 := t2 + hold
+	c.recv = t3 - theta + back
+	c.observe(t2, t3)
+	return c.best.offset
+}
+
+// TestClockOffsetFromBarriers pins NTP's four-timestamp rule as the plane
+// applies it: symmetric legs give the exact offset whatever the follower's
+// hold, asymmetric legs bias it by half the asymmetry, and the least-delay
+// sample of the run wins over samples queued in node 0's inbox.
+func TestClockOffsetFromBarriers(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	for _, theta := range []int64{0, 100 * ms, -250 * ms} {
+		var c peerClock
+		if got := exchange(&c, theta, 5*ms, 2*ms, 40*ms, 2*ms); got != theta {
+			t.Errorf("symmetric legs, theta %d: offset %d", theta, got)
+		}
+		if c.best.delay != 4*ms {
+			t.Errorf("symmetric legs, theta %d: delay %d, want %d", theta, c.best.delay, 4*ms)
+		}
+
+		c = peerClock{}
+		if got, want := exchange(&c, theta, 5*ms, 1*ms, 40*ms, 5*ms), theta-2*ms; got != want {
+			t.Errorf("asymmetric legs, theta %d: offset %d, want %d", theta, got, want)
+		}
+
+		// A batch that waited 30 ms for node 0 to reach its gather is the
+		// only sample at first, so its bias stands; a prompt round trip
+		// replaces it, and a later queued one does not.
+		c = peerClock{}
+		if got, want := exchange(&c, theta, 5*ms, 1*ms, 40*ms, 31*ms), theta-15*ms; got != want {
+			t.Errorf("queued sample, theta %d: offset %d, want %d", theta, got, want)
+		}
+		if got := exchange(&c, theta, 90*ms, 1*ms, 40*ms, 1*ms); got != theta {
+			t.Errorf("prompt sample, theta %d: offset %d, want %d", theta, got, theta)
+		}
+		if got := exchange(&c, theta, 200*ms, 1*ms, 40*ms, 61*ms); got != theta {
+			t.Errorf("queued after prompt, theta %d: offset %d, want %d", theta, got, theta)
+		}
+	}
 }
 
 func TestTelemetryCodecRoundTrip(t *testing.T) {
@@ -128,7 +178,8 @@ func TestTelemetryCodecRejectsCorruption(t *testing.T) {
 	// A corrupt collection count larger than the payload must be rejected by
 	// the length bound, not drive a huge allocation.
 	huge := []byte{telemetryVersion, 0}
-	huge = append(huge, 0x80, 0x80, 0x80, 0x80, 0x10) // epoch
+	huge = append(huge, 0x80, 0x80, 0x80, 0x80, 0x10) // t3
+	huge = append(huge, 0x80, 0x80, 0x80, 0x80, 0x0f) // t2
 	huge = append(huge, 0)                            // dropped
 	huge = append(huge, 1)                            // firstPass
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f) // numPasses: absurd
@@ -205,8 +256,8 @@ func TestPlaneRejectsOutOfRangeValues(t *testing.T) {
 		}
 		return dst
 	}
-	head := func(epoch, dropped, firstPass uint64) []byte {
-		return uv([]byte{telemetryVersion, 0}, epoch, dropped, firstPass)
+	head := func(t3, t2, dropped, firstPass uint64) []byte {
+		return uv([]byte{telemetryVersion, 0}, t3, t2, dropped, firstPass)
 	}
 	pass := func(scanTime uint64) []byte {
 		b := uv(nil, 1) // one pass
@@ -222,14 +273,16 @@ func TestPlaneRejectsOutOfRangeValues(t *testing.T) {
 		p    []byte
 		ok   bool
 	}{
-		{"control", uv(head(1, 2, 3), 0, 0, 0), true},
-		{"dropped wraps negative", uv(head(1, big, 3), 0, 0, 0), false},
-		{"epoch wraps negative", uv(head(big, 2, 3), 0, 0, 0), false},
-		{"first pass wraps negative", uv(head(1, 2, big), 0, 0, 0), false},
-		{"control pass", uv(append(head(1, 2, 3), pass(5000)...), 0, 0), true},
-		{"scan time wraps negative", uv(append(head(1, 2, 3), pass(big)...), 0, 0), false},
-		{"track node beyond int32", append(uv(head(1, 2, 3), 0, 1, 1<<32+1, 0), wire.AppendStr(nil, "n")...), false},
-		{"span duration wraps negative", uv(append(uv(head(1, 2, 3), 0, 0, 1), wire.AppendStr(nil, "s")...), 0, 0, 0, big, 0), false},
+		{"control", uv(head(9, 1, 2, 3), 0, 0, 0), true},
+		{"dropped wraps negative", uv(head(9, 1, big, 3), 0, 0, 0), false},
+		{"t3 wraps negative", uv(head(big, 1, 2, 3), 0, 0, 0), false},
+		{"t2 wraps negative", uv(head(9, big, 2, 3), 0, 0, 0), false},
+		{"first pass wraps negative", uv(head(9, 1, 2, big), 0, 0, 0), false},
+		{"control pass", uv(append(head(9, 1, 2, 3), pass(5000)...), 0, 0), true},
+		{"scan time wraps negative", uv(append(head(9, 1, 2, 3), pass(big)...), 0, 0), false},
+		{"track lane beyond int32", append(uv(head(9, 1, 2, 3), 0, 1, 1<<32+1), wire.AppendStr(nil, "n")...), false},
+		{"span start wraps negative", uv(append(uv(head(9, 1, 2, 3), 0, 0, 1), wire.AppendStr(nil, "s")...), 0, big, 0, 0), false},
+		{"span duration wraps negative", uv(append(uv(head(9, 1, 2, 3), 0, 0, 1), wire.AppendStr(nil, "s")...), 0, 0, big, 0), false},
 	} {
 		if _, err := decodeTelemetry(c.p); (err == nil) != c.ok {
 			t.Errorf("telemetry %s: err %v, want ok=%v", c.name, err, c.ok)

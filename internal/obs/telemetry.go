@@ -8,8 +8,9 @@ package obs
 
 // SpanRecord is the portable form of one completed span: everything needed
 // to re-record it on another tracer's timeline. Start and Dur are
-// nanoseconds relative to the originating tracer's epoch; rebasing to the
-// receiving timeline is the caller's job (see internal/driver).
+// nanoseconds on the originating tracer's clock (Now); mapping them onto the
+// receiving tracer's clock is the caller's job (internal/driver estimates
+// the offset between the two from the protocol's own round trips).
 type SpanRecord struct {
 	Name       string
 	Node, Lane int32
@@ -22,17 +23,6 @@ type SpanRecord struct {
 type TrackName struct {
 	Node, Lane int32
 	Name       string
-}
-
-// EpochWallNanos returns the tracer's clock zero as wall-clock Unix
-// nanoseconds. Remote spans are shipped relative to their tracer's epoch;
-// the receiver maps them onto its own timeline via the two epochs and the
-// estimated inter-node clock offset.
-func (t *Tracer) EpochWallNanos() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.start.UnixNano()
 }
 
 // ExportSince returns copies of the spans recorded at index from onward,

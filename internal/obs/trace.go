@@ -70,7 +70,12 @@ func NewTracer() *Tracer {
 // span-name formatting when tracing is off.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-func (t *Tracer) since() int64 {
+// Now reads the tracer's clock: nanoseconds since NewTracer on the monotonic
+// clock, the timeline every span start sits on (0 on a nil tracer).
+func (t *Tracer) Now() int64 {
+	if t == nil {
+		return 0
+	}
 	return int64(time.Since(t.start))
 }
 
@@ -90,7 +95,7 @@ func (t *Tracer) Begin(node, lane int, name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, name: name, node: int32(node), lane: int32(lane), start: t.since()}
+	return Span{t: t, name: name, node: int32(node), lane: int32(lane), start: t.Now()}
 }
 
 // Span is an open interval on one track. The zero value (and any Span from a
@@ -117,7 +122,7 @@ func (s *Span) End() {
 		return
 	}
 	t := s.t
-	dur := t.since() - s.start
+	dur := t.Now() - s.start
 	t.mu.Lock()
 	if len(t.spans) >= maxSpans {
 		t.dropped++

@@ -85,8 +85,11 @@ func NewServer(h *Holder, c *Cache, opts ServerOptions) *Server {
 	reg.GaugeFunc("pgarm_serve_cache_entries", "Entries currently cached.", func() float64 {
 		return float64(c.Len())
 	})
-	reg.GaugeFunc("pgarm_snapshot_age_seconds", "Age of the live snapshot (now - created; -1 = none loaded).", s.snapshotAge)
-	s.generation.Set(h.Generation())
+	reg.GaugeFunc("pgarm_snapshot_age_seconds", "Age of the live snapshot (now - created; -1 = none loaded).", func() float64 {
+		return snapshotAge(h.Get())
+	})
+	_, gen := h.Current()
+	s.generation.Set(gen)
 	return s
 }
 
@@ -108,8 +111,7 @@ func (s *Server) ReloadFile(path string) error {
 		s.reloadFails.Inc()
 		return err
 	}
-	s.holder.Swap(ix)
-	s.generation.Set(s.holder.Generation())
+	s.generation.Set(s.holder.Swap(ix))
 	s.reloads.Inc()
 	return nil
 }
@@ -213,12 +215,11 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	// Pin the snapshot once; the whole request is answered by this index
 	// even if a reload swaps the holder mid-flight.
-	ix := s.holder.Get()
+	ix, gen := s.holder.Current()
 	if ix == nil {
 		writeError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
-	gen := s.holder.Generation()
 	basket := ix.Normalize(req.Basket)
 	resp := RecommendResponse{Model: ix.Version(), Generation: gen, Basket: basket}
 
@@ -340,16 +341,16 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "reload failed (previous snapshot still serving): %v", err)
 		return
 	}
-	ix := s.holder.Get()
+	ix, gen := s.holder.Current()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":      ix.Version(),
-		"generation": s.holder.Generation(),
+		"generation": gen,
 		"rules":      len(ix.Rules()),
 	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ix := s.holder.Get()
+	ix, gen := s.holder.Current()
 	if ix == nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ok": false, "error": "no model loaded"})
 		return
@@ -359,7 +360,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"ok":         true,
 		"model":      ix.Version(),
 		"checksum":   ix.Version(),
-		"generation": s.holder.Generation(),
+		"generation": gen,
 		"rules":      len(ix.Rules()),
 		"items":      ix.Taxonomy().NumItems(),
 		"dataset":    meta.Dataset,
@@ -367,14 +368,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"created":    meta.CreatedUnix,
 		// age_seconds is the staleness a streaming follower keeps bounded:
 		// now minus the snapshot's creation stamp (clamped at clock skew).
-		"age_seconds": s.snapshotAge(),
+		"age_seconds": snapshotAge(ix),
 	})
 }
 
-// snapshotAge returns the live snapshot's age in seconds, or -1 when no
-// model is loaded. Negative clock skew clamps to 0.
-func (s *Server) snapshotAge() float64 {
-	ix := s.holder.Get()
+// snapshotAge returns the snapshot's age in seconds, or -1 when no model is
+// loaded (ix nil). Negative clock skew clamps to 0.
+func snapshotAge(ix *Index) float64 {
 	if ix == nil {
 		return -1
 	}

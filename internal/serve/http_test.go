@@ -348,7 +348,7 @@ func TestHealthzFreshnessFields(t *testing.T) {
 	// With no snapshot loaded the gauge reports -1, distinguishable from
 	// "very fresh".
 	empty := NewServer(NewHolder(nil), nil, ServerOptions{Registry: obs.NewRegistry()})
-	if got := empty.snapshotAge(); got != -1 {
+	if got := snapshotAge(empty.Holder().Get()); got != -1 {
 		t.Fatalf("snapshotAge with no model = %v, want -1", got)
 	}
 }
