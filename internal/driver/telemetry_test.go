@@ -4,9 +4,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math"
+	"net"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,30 +87,52 @@ func exchange(c *peerClock, theta, t1, out, hold, back int64) int64 {
 	return c.best.offset
 }
 
-// TestClockOffsetFromBarriers pins NTP's four-timestamp rule as the plane
-// applies it: symmetric legs give the exact offset whatever the follower's
-// hold, asymmetric legs bias it by half the asymmetry, and the least-delay
-// sample of the run wins over samples queued in node 0's inbox.
-func TestClockOffsetFromBarriers(t *testing.T) {
+// clockThetas are the follower clock offsets the round-trip tests run at:
+// none, ahead and behind.
+var clockThetas = []int64{0, 100 * int64(time.Millisecond), -250 * int64(time.Millisecond)}
+
+// TestClockOffsetSymmetricLegs: NTP's four-timestamp rule, as the plane
+// applies it to a bcast out and a telemetry batch back, gives the exact
+// offset when the two legs take equal time, whatever the follower's hold.
+func TestClockOffsetSymmetricLegs(t *testing.T) {
 	const ms = int64(time.Millisecond)
-	for _, theta := range []int64{0, 100 * ms, -250 * ms} {
+	for _, theta := range clockThetas {
+		for _, hold := range []int64{0, 40 * ms} {
+			var c peerClock
+			if got := exchange(&c, theta, 5*ms, 2*ms, hold, 2*ms); got != theta {
+				t.Errorf("theta %d, hold %d: offset %d", theta, hold, got)
+			}
+			if c.best.delay != 4*ms {
+				t.Errorf("theta %d, hold %d: delay %d, want %d", theta, hold, c.best.delay, 4*ms)
+			}
+		}
+	}
+}
+
+// TestClockOffsetAsymmetricLegs: unequal legs bias the offset by half their
+// difference, toward the follower reading behind when the way back is slower.
+func TestClockOffsetAsymmetricLegs(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	for _, theta := range clockThetas {
 		var c peerClock
-		if got := exchange(&c, theta, 5*ms, 2*ms, 40*ms, 2*ms); got != theta {
-			t.Errorf("symmetric legs, theta %d: offset %d", theta, got)
-		}
-		if c.best.delay != 4*ms {
-			t.Errorf("symmetric legs, theta %d: delay %d, want %d", theta, c.best.delay, 4*ms)
-		}
-
-		c = peerClock{}
 		if got, want := exchange(&c, theta, 5*ms, 1*ms, 40*ms, 5*ms), theta-2*ms; got != want {
-			t.Errorf("asymmetric legs, theta %d: offset %d, want %d", theta, got, want)
+			t.Errorf("theta %d: offset %d, want %d", theta, got, want)
 		}
+		if c.best.delay != 6*ms {
+			t.Errorf("theta %d: delay %d, want %d", theta, c.best.delay, 6*ms)
+		}
+	}
+}
 
+// TestClockOffsetLeastDelayWins: the least-delay sample of the run wins over
+// samples queued in node 0's inbox, whichever order they arrive in.
+func TestClockOffsetLeastDelayWins(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	for _, theta := range clockThetas {
 		// A batch that waited 30 ms for node 0 to reach its gather is the
 		// only sample at first, so its bias stands; a prompt round trip
 		// replaces it, and a later queued one does not.
-		c = peerClock{}
+		var c peerClock
 		if got, want := exchange(&c, theta, 5*ms, 1*ms, 40*ms, 31*ms), theta-15*ms; got != want {
 			t.Errorf("queued sample, theta %d: offset %d, want %d", theta, got, want)
 		}
@@ -117,6 +141,96 @@ func TestClockOffsetFromBarriers(t *testing.T) {
 		}
 		if got := exchange(&c, theta, 200*ms, 1*ms, 40*ms, 61*ms); got != theta {
 			t.Errorf("queued after prompt, theta %d: offset %d, want %d", theta, got, theta)
+		}
+		if c.best.delay != 2*ms {
+			t.Errorf("theta %d: kept delay %d, want %d", theta, c.best.delay, 2*ms)
+		}
+	}
+}
+
+// quietMiner is panicMiner without the panics: every node reports no
+// frequents of its own in pass 2, so the run ends there.
+type quietMiner struct{ panicMiner }
+
+func (m *quietMiner) CountPass(n *Node, _ int, _ *metrics.NodeStats) (PassOutcome, error) {
+	return PassOutcome{Owned: m.EncodeOwn(n)}, nil
+}
+
+// TestMeshBarrierClockOffsets runs three workers over a loopback TCP mesh,
+// each with its own tracer, started 100 ms apart: follower i's tracer clock
+// reads i*100 ms behind the coordinator's. The coordinator's estimates from
+// the pass barriers must find that offset, sign included; it keeps no
+// estimate for itself and the followers keep none at all.
+func TestMeshBarrierClockOffsets(t *testing.T) {
+	const (
+		n       = 3
+		stagger = 100 * time.Millisecond
+		// The estimate errs by at most half the delay of its round trip:
+		// goroutine wake-ups on loopback, far below the stagger.
+		tolerance = 40 * time.Millisecond
+	)
+	listeners := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i] = ln
+		addrs[i] = ln.Addr().String()
+	}
+	tracers := make([]*obs.Tracer, n)
+	for i := range tracers {
+		if i > 0 {
+			time.Sleep(stagger)
+		}
+		tracers[i] = obs.NewTracer()
+	}
+	nodes := make([]*Node, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ep, mesh, err := cluster.DialMesh(i, addrs, cluster.MeshOptions{Listener: listeners[i], DialTimeout: 10 * time.Second})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer mesh.Close()
+			spec := Spec{MinSupport: 0.5, Tracer: tracers[i]}
+			nodes[i], _, errs[i] = RunWorker(spec, ep, func() (Miner, error) { return &quietMiner{}, nil })
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+
+	clocks := nodes[0].tel.clocks
+	if len(clocks) != n {
+		t.Fatalf("coordinator keeps %d clock exchanges, want %d", len(clocks), n)
+	}
+	if clocks[0] != (peerClock{}) {
+		t.Errorf("coordinator's own clock exchange = %+v, want none", clocks[0])
+	}
+	for i := 1; i < n; i++ {
+		c := clocks[i]
+		if !c.ok {
+			t.Errorf("node %d: no clock sample", i)
+			continue
+		}
+		want := -time.Duration(i) * stagger
+		if got := time.Duration(c.best.offset); (got - want).Abs() > tolerance {
+			t.Errorf("node %d: offset %v, want %v within %v (delay %v)", i, got, want, tolerance, time.Duration(c.best.delay))
+		}
+	}
+	for i := 1; i < n; i++ {
+		if got := nodes[i].tel.clocks; got != nil {
+			t.Errorf("follower %d keeps clock exchanges %v, want none", i, got)
 		}
 	}
 }
