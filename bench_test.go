@@ -392,12 +392,11 @@ func benchLevels(b *testing.B) (l1, l2 [][]item.Item, tax *taxonomy.Taxonomy) {
 	return l1, l2, ds.Taxonomy
 }
 
-// BenchmarkGenerate measures the candidate-generation pass boundary across
-// worker counts, against the retired serial path (Pairs + filter at k=2,
-// per-candidate-allocating Gen at k>2) as the reference. allocs/op is the
-// headline: the sharded generator builds candidates in per-shard flat arenas
-// and probes an open-addressed prune set, so allocations stop scaling with
-// the survivor count.
+// BenchmarkGenerate measures the candidate-generation pass boundary against
+// the retired path (Pairs + filter at k=2, per-candidate-allocating Gen at
+// k>2) as the reference. allocs/op is the headline: the generator builds
+// candidates in one flat arena and probes an open-addressed prune set, so
+// allocations stop scaling with the survivor count.
 func BenchmarkGenerate(b *testing.B) {
 	l1, l2, tax := benchLevels(b)
 	b.Run("k2/serial-reference", func(b *testing.B) {
@@ -425,24 +424,22 @@ func BenchmarkGenerate(b *testing.B) {
 			itemset.Gen(l2)
 		}
 	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("k2/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cumulate.GenerateCandidatesN(tax, l1, 2, workers, nil)
-			}
-		})
-		b.Run(fmt.Sprintf("k3/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cumulate.GenerateCandidatesN(tax, l2, 3, workers, nil)
-			}
-		})
-	}
+	b.Run("k2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cumulate.GenerateCandidates(tax, l1, 2)
+		}
+	})
+	b.Run("k3", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cumulate.GenerateCandidates(tax, l2, 3)
+		}
+	})
 }
 
-// BenchmarkBuildIndex measures the open-addressed candidate index build
-// (table fill) across worker counts over pass-2 candidates.
+// BenchmarkBuildIndex measures the candidate index build (open-addressed
+// table fill plus prefix layout) over pass-2 candidates.
 func BenchmarkBuildIndex(b *testing.B) {
 	l1, _, tax := benchLevels(b)
 	cands := cumulate.GenerateCandidates(tax, l1, 2)
@@ -455,14 +452,6 @@ func BenchmarkBuildIndex(b *testing.B) {
 			itemset.BuildIndex(cands)
 		}
 	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				itemset.BuildIndexParallel(cands, workers)
-			}
-		})
-	}
 }
 
 // BenchmarkSequentialCumulate is the single-node baseline all speedups are

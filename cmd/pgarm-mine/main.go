@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"time"
 
@@ -125,6 +126,19 @@ func main() {
 	flag.Parse()
 	logger := logOpts.Init("pgarm-mine")
 
+	// Each mode rejects the other mode's flags by name instead of dropping
+	// them silently.
+	misplaced, why := []string{"engine", "in", "scale", "seed", "nodes", "tcp", "budget", "rules", "top", "quiet", "trace", "http"},
+		"applies to batch mining, not -follow"
+	if !*follow {
+		misplaced, why = []string{"log", "delta-txns", "poll", "idle", "max-deltas", "reload-url"}, "applies only with -follow"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(misplaced, f.Name) {
+			logx.Fatal(logger, "-"+f.Name+" "+why)
+		}
+	})
+
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		logx.Fatal(logger, "profiling", "err", err)
@@ -143,11 +157,6 @@ func main() {
 	}
 
 	if *follow {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "engine" {
-				logx.Fatal(logger, "-engine applies to batch mining; -follow always uses the incremental Cumulate miner")
-			}
-		})
 		followStream(logger, followOptions{
 			logDir:    *streamLog,
 			dataset:   *dataset,

@@ -79,12 +79,24 @@ func TestFlagErrors(t *testing.T) {
 	if err := txn.WriteColumnar(r30f5, db, taxonomy.MustBalanced(p.NumItems, p.Roots, p.Fanout), 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ args, want string }{
+	type flagCase struct{ args, want string }
+	cases := []flagCase{
 		{"-engine nope", "unknown engine"},
 		{"-scale 0.0005 -nodes 2 -engine FPG -budget 4096", "knob not supported"},
 		{"-scale 0.0005 -nodes 2 -maxk -1", "negative MaxK"},
 		{"-dataset R30F3 -in " + r30f5, "different taxonomy"},
-	} {
+	}
+	// Each mode rejects every flag of the other one by name.
+	for _, f := range []string{"-engine FPG", "-in x.ptx", "-scale 0.001", "-seed 7", "-nodes 2", "-tcp",
+		"-budget 4096", "-rules", "-top 3", "-quiet", "-trace t.json", "-http 127.0.0.1:0"} {
+		cases = append(cases, flagCase{"-follow -log l -o m " + f,
+			strings.Fields(f)[0] + " applies to batch mining, not -follow"})
+	}
+	for _, f := range []string{"-log l", "-delta-txns 10", "-poll 1s", "-idle 1s", "-max-deltas 1",
+		"-reload-url http://127.0.0.1:1/"} {
+		cases = append(cases, flagCase{"-scale 0.0005 " + f, strings.Fields(f)[0] + " applies only with -follow"})
+	}
+	for _, c := range cases {
 		out, err := exec.Command(bin, strings.Fields(c.args)...).CombinedOutput()
 		if err == nil {
 			t.Errorf("pgarm-mine %s: exit 0, want failure", c.args)

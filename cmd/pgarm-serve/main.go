@@ -32,6 +32,7 @@ import (
 
 	"pgarm/internal/logx"
 	"pgarm/internal/obs"
+	"pgarm/internal/obshttp"
 	"pgarm/internal/serve"
 )
 
@@ -88,7 +89,8 @@ func main() {
 
 	logger.Info("serving", "addr", *addr,
 		"endpoints", "POST /v1/recommend, GET /v1/rules, POST /reload, /healthz, /metrics")
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: obshttp.ReadHeaderTimeout}
+	if err := hs.ListenAndServe(); err != nil {
 		logx.Fatal(logger, "http server failed", "err", err)
 	}
 }

@@ -61,6 +61,11 @@ func (p *passOnce[T]) get(k int, compute func() T) T {
 // quantity (candidate counts, probes, bytes) but keeps a 16-node in-process
 // cluster from holding 16 copies of multi-million-entry structures. Nodes
 // treat everything returned here as read-only.
+//
+// The first node goroutine to ask for a value builds it alone, in one loop;
+// its peers wait. A boundary build takes milliseconds, too small a task for
+// a worker fan-out to pay for itself (EXPERIMENTS.md, "Parallel pass
+// boundaries").
 type candCache struct {
 	tax   *taxonomy.Taxonomy
 	gen   passOnce[[][]item.Item]
@@ -93,13 +98,10 @@ func newCandCache(tax *taxonomy.Taxonomy) *candCache {
 }
 
 // generate returns C_k for pass k. prev must be the identical large
-// (k-1)-itemsets every caller holds after the pass barrier. The first caller
-// per pass runs the sharded generator across workers (its node goroutine is
-// the only one not blocked on this value, so the blocked peers' cores are
-// free); its hook observes the worker shards.
-func (c *candCache) generate(k int, prev [][]item.Item, workers int, hook itemset.Hook) [][]item.Item {
+// (k-1)-itemsets every caller holds after the pass barrier.
+func (c *candCache) generate(k int, prev [][]item.Item) [][]item.Item {
 	return c.gen.get(k, func() [][]item.Item {
-		return cumulate.GenerateCandidatesN(c.tax, prev, k, workers, hook)
+		return cumulate.GenerateCandidates(c.tax, prev, k)
 	})
 }
 
@@ -109,9 +111,9 @@ func (c *candCache) hierPlan(k int, compute func() *passPlan) *passPlan {
 }
 
 // fullIndex returns a shared index over all of C_k (used by NPGM, whose
-// candidate set is replicated on every node), built across workers.
-func (c *candCache) fullIndex(k int, cands [][]item.Item, workers int) *itemset.Index {
+// candidate set is replicated on every node).
+func (c *candCache) fullIndex(k int, cands [][]item.Item) *itemset.Index {
 	return c.index.get(k, func() *itemset.Index {
-		return itemset.BuildIndexParallel(cands, workers)
+		return itemset.BuildIndex(cands)
 	})
 }

@@ -22,7 +22,7 @@ const (
 // index into cands. The decision is a pure function of globally replicated
 // state (L1 counts, candidates, owners), so every node computes the same
 // set without communication — the paper's step 1 of Figures 7/9/11.
-func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item, vecHashes []uint64, owners []int, workers int) bitset {
+func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item, vecHashes []uint64, owners []int) bitset {
 	dup := newBitset(len(cands))
 	if len(cands) == 0 || kind == dupNone {
 		return dup
@@ -61,9 +61,9 @@ func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands []
 	case dupTree:
 		selectTreeGrain(m, cands, vecHashes, capLeft, dup)
 	case dupPath:
-		selectItemGrain(m, cands, capLeft, dup, workers, lowestLargePred(m))
+		selectItemGrain(m, cands, capLeft, dup, lowestLargePred(m))
 	case dupFine:
-		selectItemGrain(m, cands, capLeft, dup, workers, func(item.Item) bool { return true })
+		selectItemGrain(m, cands, capLeft, dup, func(item.Item) bool { return true })
 	}
 	return dup
 }
@@ -129,14 +129,14 @@ func selectTreeGrain(m *itemsetMiner, cands [][]item.Item, vecHashes []uint64, c
 // items' summed frequency — the order the paper obtains by generating
 // k-itemsets from the frequency-sorted item list — and duplicate each one
 // together with all its ancestor candidates, while the free space lasts.
-func selectItemGrain(m *itemsetMiner, cands [][]item.Item, capLeft int, dup bitset, workers int, eligible func(item.Item) bool) {
+func selectItemGrain(m *itemsetMiner, cands [][]item.Item, capLeft int, dup bitset, eligible func(item.Item) bool) {
 	type scored struct {
 		idx   int32
 		score int64
 	}
-	// Ancestor-candidate lookups go through the open-addressed index (built
-	// across workers) instead of a map of one packed string per candidate.
-	candIdx := itemset.BuildIndexParallel(cands, workers)
+	// Ancestor-candidate lookups go through the open-addressed index instead
+	// of a map of one packed string per candidate.
+	candIdx := itemset.BuildIndex(cands)
 	order := make([]scored, 0, len(cands))
 	for i, c := range cands {
 		ok := true

@@ -117,7 +117,7 @@ func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	// (Index.CountContained only reads it) into its own count vector, merged
 	// once after the last fragment.
 	W := n.Workers()
-	index := m.cands.fullIndex(k, cands, W)
+	index := m.cands.fullIndex(k, cands)
 	wcounts := driver.WorkerVectors(W, len(cands))
 	per := (len(cands) + frags - 1) / frags
 	for f := 0; f < frags; f++ {

@@ -48,19 +48,14 @@ type hierEngine struct {
 
 // plan derives the pass's partition plan: root vectors, owners and the
 // duplication choice are deterministic on every node; computed once and
-// shared (see candCache). The first node goroutine to arrive builds the plan
-// across its scan workers — every other node goroutine is blocked on the
-// same value.
+// shared (see candCache).
 func (e *hierEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error) {
 	m := e.m
 	psp := n.Span("partition")
-	W := n.Workers()
 	e.cur = m.cands.hierPlan(k, func() *passPlan {
-		return computeHierPlan(m, n.NumNodes(), e.dup, k, cands, W,
-			n.BoundaryObs("partition shard").Hook())
+		return computeHierPlan(m, n.NumNodes(), e.dup, k, cands)
 	})
 	psp.Arg("duplicated", int64(len(e.cur.dupSets)))
-	psp.Arg("workers", int64(W))
 	psp.End()
 	return e.cur.decision, nil
 }
@@ -117,7 +112,7 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	// goroutine during the count phase; duplicated candidates are counted
 	// into per-worker vectors (over the shared read-only dupIndex) merged at
 	// the scan barrier.
-	ownedIndex := itemset.BuildIndexParallel(ownedCands, W)
+	ownedIndex := itemset.BuildIndex(ownedCands)
 	ownedCounts := make([]int64, len(ownedCands))
 	ownedMember := cumulate.KeepSet(m.tax, ownedCands)
 	ownedView := taxonomy.NewView(m.tax, m.largeFlags, ownedMember)
@@ -233,24 +228,22 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 var granuleNames = [...]string{"none", "tree", "path", "fine"}
 
 // computeHierPlan derives the H-HPGM family's partition plan for one pass:
-// root-vector hashes and owners sharded across workers, the duplication
-// choice, and the duplicated-candidate list with its index. Every input is
-// globally replicated state (C_k, the pass-1 counts, owners, M), so the
-// result is identical on whichever node computes it first — and identical
-// across processes in worker mode, where each process computes it once.
-func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item, workers int, hook itemset.Hook) *passPlan {
+// root-vector hashes and owners, the duplication choice, and the
+// duplicated-candidate list with its index. Every input is globally
+// replicated state (C_k, the pass-1 counts, owners, M), so the result is
+// identical on whichever node computes it first — and identical across
+// processes in worker mode, where each process computes it once.
+func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item) *passPlan {
 	vecHashes := make([]uint64, len(cands))
 	owners := make([]int, len(cands))
-	itemset.ForShards(len(cands), workers, hook, func(w, lo, hi int) {
-		vecScratch := make([]item.Item, 0, k)
-		for i := lo; i < hi; i++ {
-			vecScratch = rootVector(m.tax, vecScratch[:0], cands[i])
-			h := itemset.Hash(vecScratch)
-			vecHashes[i] = h
-			owners[i] = int(h % uint64(nNodes))
-		}
-	})
-	dup := selectDuplicates(m, nNodes, kind, k, cands, vecHashes, owners, workers)
+	vecScratch := make([]item.Item, 0, k)
+	for i, c := range cands {
+		vecScratch = rootVector(m.tax, vecScratch[:0], c)
+		h := itemset.Hash(vecScratch)
+		vecHashes[i] = h
+		owners[i] = int(h % uint64(nNodes))
+	}
+	dup := selectDuplicates(m, nNodes, kind, k, cands, vecHashes, owners)
 	// Duplicated candidates in ascending id order: the layout of every
 	// node's count vector and of the coordinator reduce.
 	dupSets := make([][]item.Item, 0, dup.count())
@@ -264,7 +257,7 @@ func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][
 		owners:    owners,
 		dup:       dup,
 		dupSets:   dupSets,
-		dupIndex:  itemset.BuildIndexParallel(dupSets, workers),
+		dupIndex:  itemset.BuildIndex(dupSets),
 		decision: metrics.PlanDecision{
 			Partitioner: "root-vector-hash",
 			Granule:     granuleNames[kind],

@@ -25,23 +25,18 @@ type hpgmEngine struct {
 	owned [][]item.Item
 }
 
-// plan partitions C_k: node i keeps the candidates hashing to i. The hashing
-// is sharded across the scan workers into disjoint ranges of ownedFlag; the
-// owned list is then counted, sized once and collected in id order.
+// plan partitions C_k: node i keeps the candidates hashing to i. One loop
+// hashes every candidate and counts the owned ones; the owned list is then
+// sized once and collected in id order.
 func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error) {
 	nNodes := n.NumNodes()
 	self := n.ID()
 	psp := n.Span("partition")
-	W := n.Workers()
 	ownedFlag := make([]bool, len(cands))
-	itemset.ForShards(len(cands), W, n.BoundaryObs("partition shard").Hook(), func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ownedFlag[i] = int(itemset.Hash(cands[i])%uint64(nNodes)) == self
-		}
-	})
 	nOwned := 0
-	for _, own := range ownedFlag {
-		if own {
+	for i, c := range cands {
+		if int(itemset.Hash(c)%uint64(nNodes)) == self {
+			ownedFlag[i] = true
 			nOwned++
 		}
 	}
@@ -55,7 +50,6 @@ func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.Pl
 		}
 	}
 	psp.Arg("owned", int64(len(e.owned)))
-	psp.Arg("workers", int64(W))
 	psp.End()
 	return driver.PlanDecision{Partitioner: "itemset-hash", Granule: "none"}, nil
 }
@@ -66,7 +60,7 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	self := n.ID()
 
 	W := n.Workers()
-	index := itemset.BuildIndexParallel(e.owned, W)
+	index := itemset.BuildIndex(e.owned)
 	counts := make([]int64, len(e.owned))
 
 	member := cumulate.KeepSet(m.tax, cands)

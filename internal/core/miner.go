@@ -63,11 +63,9 @@ func (m *itemsetMiner) FinishPass1(n *driver.Node, global []int64) (int, error) 
 
 // Generate materializes C_k from L_{k-1}; deterministic on every node (same
 // L_{k-1}, same generator), materialized once and shared read-only via
-// candCache. The first node goroutine per pass runs the sharded generator
-// across its scan workers, with each shard visible as a worker-lane sub-span.
-func (m *itemsetMiner) Generate(n *driver.Node, k int) (int, error) {
-	m.curCands = m.cands.generate(k, m.Prev, n.Workers(),
-		n.BoundaryObs("generate shard").Hook())
+// candCache.
+func (m *itemsetMiner) Generate(_ *driver.Node, k int) (int, error) {
+	m.curCands = m.cands.generate(k, m.Prev)
 	return len(m.curCands), nil
 }
 

@@ -152,106 +152,61 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 }
 
 // GenerateCandidates produces C_k for pass k from the large (k-1)-itemsets:
-// apriori join + prune, and for k = 2 the deletion of candidates containing
-// an item and one of its ancestors.
+// apriori join + prune (itemset.GenFlat), and for k = 2 the deletion of
+// candidates containing an item and one of its ancestors.
 func GenerateCandidates(tax *taxonomy.Taxonomy, prev [][]item.Item, k int) [][]item.Item {
-	return GenerateCandidatesN(tax, prev, k, 1, nil)
-}
-
-// GenerateCandidatesN is GenerateCandidates with the pass boundary spread
-// across workers: the k = 2 pair filter shards rows of the L_1 × L_1 triangle
-// and k > 2 uses the sharded join+prune of itemset.GenParallel. Output is
-// bit-identical (order included) to the sequential path at every worker
-// count; hook, if non-nil, brackets each worker for tracing.
-func GenerateCandidatesN(tax *taxonomy.Taxonomy, prev [][]item.Item, k, workers int, hook itemset.Hook) [][]item.Item {
 	if k == 2 {
 		flat := make([]item.Item, len(prev))
 		for i, s := range prev {
 			flat[i] = s[0]
 		}
 		item.Sort(flat)
-		return pairsFiltered(tax, flat, workers, hook)
+		return pairsFiltered(tax, flat)
 	}
-	return itemset.GenParallel(prev, workers, hook)
+	return itemset.GenFlat(prev)
+}
+
+// GenerateCandidatesN is GenerateCandidates; workers and hook are unused. It
+// remains for the benchmark harness, which compiles against it.
+func GenerateCandidatesN(tax *taxonomy.Taxonomy, prev [][]item.Item, k, workers int, hook itemset.Hook) [][]item.Item {
+	return GenerateCandidates(tax, prev, k)
 }
 
 // pairsFiltered builds C_2 = L_1 × L_1 minus item/ancestor pairs. Survivors
 // are counted first and then written into an exactly-sized flat backing, so
 // rejected pairs pin no memory for the rest of the pass (each candidate is a
-// full cap-2 slice of the backing, unlike the old filter over Pairs output,
-// which kept the whole triangle's backing array alive). Rows are sharded on
-// cumulative pair count — row i contributes n-1-i pairs — so workers filter
-// comparable shares; each shard writes at its exact offset, reproducing the
-// sequential order bit-identically.
-func pairsFiltered(tax *taxonomy.Taxonomy, large []item.Item, workers int, hook itemset.Hook) [][]item.Item {
+// full cap-2 slice of the backing, unlike a filter over Pairs output, which
+// would keep the whole triangle's backing array alive).
+func pairsFiltered(tax *taxonomy.Taxonomy, large []item.Item) [][]item.Item {
 	n := len(large)
-	if n < 2 {
-		return nil
-	}
-	rows := n - 1 // row i pairs large[i] with every later item
-	if workers > rows {
-		workers = rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	totalPairs := n * (n - 1) / 2
-	bounds := make([]int, 1, workers+1)
-	for cum, i, next := 0, 0, 1; i < rows && next < workers; i++ {
-		cum += rows - i
-		if cum >= totalPairs*next/workers {
-			bounds = append(bounds, i+1)
-			next++
-		}
-	}
-	bounds = append(bounds, rows)
-	nShards := len(bounds) - 1
-
 	keepPair := func(a, b item.Item) bool {
 		return !tax.IsAncestor(a, b) && !tax.IsAncestor(b, a)
 	}
-
-	// Phase 1: count survivors per shard.
-	counts := make([]int, nShards)
-	itemset.MustFan("pairs", nShards, hook, func(s int) {
-		c := 0
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			for j := i + 1; j < n; j++ {
-				if keepPair(large[i], large[j]) {
-					c++
-				}
+	total := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if keepPair(large[i], large[j]) {
+				total++
 			}
 		}
-		counts[s] = c
-	})
-
-	total := 0
-	offs := make([]int, nShards+1)
-	for s, c := range counts {
-		total += c
-		offs[s+1] = total
 	}
 	if total == 0 {
 		return nil
 	}
-
-	// Phase 2: each shard fills its own range of the backing.
 	backing := make([]item.Item, 2*total)
 	out := make([][]item.Item, total)
-	itemset.MustFan("pairs", nShards, hook, func(s int) {
-		pos := offs[s]
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			for j := i + 1; j < n; j++ {
-				if !keepPair(large[i], large[j]) {
-					continue
-				}
-				p := backing[2*pos : 2*pos+2 : 2*pos+2]
-				p[0], p[1] = large[i], large[j]
-				out[pos] = p
-				pos++
+	pos := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if !keepPair(large[i], large[j]) {
+				continue
 			}
+			p := backing[2*pos : 2*pos+2 : 2*pos+2]
+			p[0], p[1] = large[i], large[j]
+			out[pos] = p
+			pos++
 		}
-	})
+	}
 	return out
 }
 

@@ -2,7 +2,6 @@ package cumulate
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"pgarm/internal/item"
@@ -29,34 +28,13 @@ func randomLevel(rng *rand.Rand, numItems, n, k1 int) [][]item.Item {
 	return sets
 }
 
-// TestGenerateCandidatesNMatchesSequential asserts the sharded pass-boundary
-// generator is bit-identical (order included) to the workers=1 path at every
-// worker count, for both the k=2 pair filter and the k>2 apriori join.
-func TestGenerateCandidatesNMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	tax := taxonomy.MustBalanced(120, 4, 3)
-	for trial := 0; trial < 30; trial++ {
-		k1 := 1 + rng.Intn(3)
-		prev := randomLevel(rng, tax.NumItems(), 20+rng.Intn(60), k1)
-		k := k1 + 1
-		want := GenerateCandidatesN(tax, prev, k, 1, nil)
-		for _, w := range []int{2, 4, 8} {
-			got := GenerateCandidatesN(tax, prev, k, w, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d workers=%d: output diverged from sequential (%d vs %d candidates, or order)",
-					k, w, len(got), len(want))
-			}
-		}
-	}
-}
-
 // TestPairsFilteredCompaction pins the k=2 memory-retention fix: every pair
 // candidate must be a full (cap==2) slice of an exactly-sized backing, so
 // rejected pairs pin nothing.
 func TestPairsFilteredCompaction(t *testing.T) {
 	tax := taxonomy.MustBalanced(120, 4, 3)
 	prev := randomLevel(rand.New(rand.NewSource(23)), tax.NumItems(), 60, 1)
-	cands := GenerateCandidatesN(tax, prev, 2, 4, nil)
+	cands := GenerateCandidates(tax, prev, 2)
 	if len(cands) == 0 {
 		t.Fatal("no pair candidates generated")
 	}

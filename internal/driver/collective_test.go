@@ -104,7 +104,7 @@ func TestGatherRejectsSecondMessage(t *testing.T) {
 }
 
 // panicMiner is a three-item miner whose pass 2 panics off the node goroutine:
-// in a ForShards shard of PlanPass, or in the apply callback of the
+// in an itemset.Fan worker of PlanPass, or in the apply callback of the
 // count-support receiver.
 type panicMiner struct {
 	LevelBarrier
@@ -126,10 +126,11 @@ func (m *panicMiner) Generate(*Node, int) (int, error) { return 3, nil }
 
 func (m *panicMiner) PlanPass(*Node, int) (PlanDecision, error) {
 	if m.inPlan {
-		itemset.ForShards(8, 2, nil, func(w, _, _ int) {
+		return PlanDecision{}, itemset.Fan("plan", 2, nil, func(w int) error {
 			if w == 1 {
 				panic("plan boom")
 			}
+			return nil
 		})
 	}
 	return PlanDecision{}, nil
@@ -149,14 +150,14 @@ func (m *panicMiner) CountPass(n *Node, _ int, _ *metrics.NodeStats) (PassOutcom
 }
 
 // TestRunSurvivesWorkerPanic: a panic on a goroutine the node started — a
-// pass-boundary shard, the exchange receiver — ends the run with an error
+// plan-phase fan-out worker, the exchange receiver — ends the run with an error
 // naming the node and the worker instead of killing the process.
 func TestRunSurvivesWorkerPanic(t *testing.T) {
 	for _, c := range []struct {
 		inPlan bool
 		want   []string
 	}{
-		{true, []string{"driver: node ", " panicked: shard worker 1 panicked: plan boom"}},
+		{true, []string{"driver: node ", " pass 2 plan: ", "plan worker 1 panicked: plan boom"}},
 		{false, []string{"driver: node ", " pass 2: ", "recv worker 0 panicked: apply boom"}},
 	} {
 		for _, size := range []int{1, 3} {

@@ -98,7 +98,10 @@ type Spec struct {
 	// 0 or 1 scans on the node goroutine itself; larger values shard the
 	// partition across a per-node pool with per-worker count vectors merged
 	// deterministically at the pass barrier, so results are bit-identical at
-	// every setting. Total parallelism is nodes × workers.
+	// every setting. Total parallelism is nodes × workers. FP-Growth also
+	// fans its pass-2 ship and mine tasks out over the same count; pass
+	// boundaries (candidate generation, partition plans, index builds) run
+	// in one loop whatever the setting.
 	Workers int
 
 	Fabric FabricKind // interconnect of an in-process run

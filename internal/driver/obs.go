@@ -149,11 +149,11 @@ func (n *Node) ShardObs(name string) ShardObs {
 	return ShardObs{tr: n.tr, hist: n.ins.scanSec, node: n.id, name: name}
 }
 
-// BoundaryObs builds tracer-only shard hooks for a pass-boundary build
-// (candidate generation, partition planning). Unlike ShardObs it carries no
-// scan histogram, so boundary sub-spans never feed pgarm_scan_shard_seconds.
-// name should differ from the lane-0 phase span ("generate shard",
-// "partition shard") so span rollups don't double-count the phase.
+// BoundaryObs builds tracer-only shard hooks for fan-out work that is not a
+// scan: FP-Growth's suffix-task mine fan. Unlike ShardObs it carries no
+// scan histogram, so its sub-spans never feed pgarm_scan_shard_seconds.
+// name should differ from the lane-0 phase span ("mine shard") so span
+// rollups don't double-count the phase.
 func (n *Node) BoundaryObs(name string) ShardObs {
 	if !n.tr.Enabled() {
 		return ShardObs{}
@@ -161,10 +161,9 @@ func (n *Node) BoundaryObs(name string) ShardObs {
 	return ShardObs{tr: n.tr, node: n.id, name: name}
 }
 
-// Hook adapts the observer to the hook shape the parallel pass-boundary
-// builders take (itemset.Hook): worker w's sub-span opens on lane w+1, lane 0
-// being the node driver. An inert observer returns nil, which the builders
-// treat as free.
+// Hook adapts the observer to the hook shape itemset.Fan takes
+// (itemset.Hook): worker w's sub-span opens on lane w+1, lane 0 being the
+// node driver. An inert observer returns nil, which Fan treats as free.
 func (so ShardObs) Hook() func(w int) func() {
 	if so.tr == nil && so.hist == nil {
 		return nil

@@ -34,15 +34,28 @@ func flatHash(items []item.Item) uint64 {
 	return h
 }
 
-// init sizes the slot array for n entries (power of two, ≥ 2n), so at most
-// half the slots ever fill and every probe sequence ends at an empty one.
-func (f *flatProbe) init(n int) {
+// fill sizes the slot array for sets (power of two, ≥ 2n, so at most half
+// the slots ever fill and every probe sequence ends at an empty one) and
+// inserts every set under its position, walking its probe sequence once to
+// the first empty slot. Candidate lists are duplicate-free by construction;
+// if a caller passes duplicates anyway, the walk stops at the earlier copy
+// and the first occurrence keeps the id.
+func (f *flatProbe) fill(sets [][]item.Item) {
 	size := 16
-	for size < 2*n {
+	for size < 2*len(sets) {
 		size <<= 1
 	}
 	f.slots = make([]int32, size)
 	f.mask = uint64(size - 1)
+	for i, items := range sets {
+		s := flatHash(items) & f.mask
+		for f.slots[s] != 0 && !item.Equal(sets[f.slots[s]-1], items) {
+			s = (s + 1) & f.mask
+		}
+		if f.slots[s] == 0 {
+			f.slots[s] = int32(i) + 1
+		}
+	}
 }
 
 // findItems returns the id stored for items, or -1. sets is the owner's
@@ -62,12 +75,80 @@ func (f *flatProbe) findItems(items []item.Item, sets [][]item.Item) int32 {
 	}
 }
 
-// place writes id, whose itemset is known to be absent, into the first free
-// slot of its probe sequence. The caller must not exceed init's n entries.
-func (f *flatProbe) place(id int32, items []item.Item) {
-	s := flatHash(items) & f.mask
-	for f.slots[s] != 0 {
-		s = (s + 1) & f.mask
+// GenFlat is Gen without the per-candidate allocations: the sorted L_{k-1}
+// is joined and pruned into one flat arena (one backing array instead of one
+// allocation per candidate), and prune membership is an open-addressed
+// probe over the sorted sets keyed by the FNV hash, replacing the map of
+// packed Key strings. The output is Gen's, order included.
+//
+// Every miner hands over the L_{k-1} its barrier recorded, which is already
+// in canonical order, so prev is only checked (one linear pass) and read in
+// place; unsorted input is copied and sorted first.
+func GenFlat(prev [][]item.Item) [][]item.Item {
+	if len(prev) == 0 {
+		return nil
 	}
-	f.slots[s] = id + 1
+	k1 := len(prev[0])
+	k := k1 + 1
+	sets := prev
+	if !setsSorted(sets) {
+		sets = make([][]item.Item, len(prev))
+		copy(sets, prev)
+		SortSets(sets)
+	}
+
+	var prune flatProbe
+	prune.fill(sets)
+
+	// Surviving candidates are appended to the arena and sliced out after
+	// it stops growing, so the join performs O(1) allocations however many
+	// candidates it emits.
+	scratch := make([]item.Item, 0, k)
+	sub := make([]item.Item, 0, k1)
+	var arena []item.Item
+	for i := range sets {
+		for j := i + 1; j < len(sets); j++ {
+			if !item.Equal(sets[i][:k1-1], sets[j][:k1-1]) {
+				break // sorted order: no further joins for i
+			}
+			scratch = append(scratch[:0], sets[i]...)
+			scratch = append(scratch, sets[j][k1-1])
+			ok := true
+			for drop := 0; drop < k-2; drop++ {
+				sub = sub[:0]
+				for x := range scratch {
+					if x != drop {
+						sub = append(sub, scratch[x])
+					}
+				}
+				if prune.findItems(sub, sets) < 0 {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				arena = append(arena, scratch...)
+			}
+		}
+	}
+	nc := len(arena) / k
+	if nc == 0 {
+		return nil
+	}
+	out := make([][]item.Item, nc)
+	for c := 0; c < nc; c++ {
+		out[c] = arena[c*k : (c+1)*k : (c+1)*k]
+	}
+	return out
+}
+
+// setsSorted reports whether sets is in strictly ascending lexicographic
+// order.
+func setsSorted(sets [][]item.Item) bool {
+	for i := 1; i < len(sets); i++ {
+		if item.Compare(sets[i-1], sets[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -24,14 +24,7 @@ type Index struct {
 // The slices are retained, not copied.
 func BuildIndex(sets [][]item.Item) *Index {
 	ix := &Index{sets: sets}
-	ix.idx.init(len(sets))
-	for i := range sets {
-		// Candidate lists are duplicate-free by construction; if a caller
-		// passes duplicates anyway, the first occurrence keeps the id.
-		if ix.idx.findItems(sets[i], sets) < 0 {
-			ix.idx.place(int32(i), sets[i])
-		}
-	}
+	ix.idx.fill(sets)
 	ix.pre.build(sets)
 	return ix
 }

@@ -38,57 +38,35 @@ func randomLevel(rng *rand.Rand, k1, n, universe int) [][]item.Item {
 	return out
 }
 
-// TestGenParallelMatchesGen is the bit-identity property the parallel pass
-// boundary must keep: for random L_{k-1} and every worker count, GenParallel
-// produces exactly Gen's output, order included.
+// TestGenParallelMatchesGen is the bit-identity property the flat-arena
+// generator must keep: for random L_{k-1}, sorted or not, GenFlat produces
+// exactly Gen's output, order included, and never reorders its input.
 func TestGenParallelMatchesGen(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		k1 := 1 + rng.Intn(4) // 1..4: includes the unsplittable empty-prefix case
+		k1 := 1 + rng.Intn(4) // 1..4: includes the empty-prefix case
 		prev := randomLevel(rng, k1, 10+rng.Intn(120), 4+rng.Intn(20))
 		want := Gen(prev)
 		// Production callers hand over a canonically ordered level, which is
 		// read in place; random order takes the copy-and-sort fallback.
 		sorted := append([][]item.Item(nil), prev...)
 		SortSets(sorted)
-		for _, w := range []int{1, 2, 4, 8} {
-			for _, in := range [][][]item.Item{prev, sorted} {
-				before := append([][]item.Item(nil), in...)
-				got := GenParallel(in, w, nil)
-				if !reflect.DeepEqual(got, want) {
-					t.Logf("seed=%d k1=%d workers=%d: got %d candidates, want %d",
-						seed, k1, w, len(got), len(want))
-					return false
-				}
-				if !reflect.DeepEqual(in, before) {
-					t.Logf("seed=%d k1=%d workers=%d: input reordered", seed, k1, w)
-					return false
-				}
+		for _, in := range [][][]item.Item{prev, sorted} {
+			before := append([][]item.Item(nil), in...)
+			got := GenFlat(in)
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("seed=%d k1=%d: got %d candidates, want %d", seed, k1, len(got), len(want))
+				return false
+			}
+			if !reflect.DeepEqual(in, before) {
+				t.Logf("seed=%d k1=%d: input reordered", seed, k1)
+				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBuildIndexParallelMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	sets := randomLevel(rng, 3, 4000, 40)
-	// Inject duplicates: parallel fill must keep the first occurrence's id.
-	sets = append(sets, sets[17], sets[42])
-	seq := BuildIndex(sets)
-	for _, w := range []int{1, 2, 4, 8} {
-		par := BuildIndexParallel(sets, w)
-		for _, s := range sets {
-			if got, want := par.Lookup(s), seq.Lookup(s); got != want {
-				t.Fatalf("workers=%d Lookup(%v) = %d, want %d", w, s, got, want)
-			}
-		}
-		if par.Lookup([]item.Item{1000, 1001, 1002}) != -1 {
-			t.Fatalf("workers=%d: absent set found", w)
-		}
 	}
 }
 
@@ -114,30 +92,27 @@ func TestProbeSetCollisions(t *testing.T) {
 	if sets == nil {
 		t.Fatal("no colliding bucket found (hash function changed?)")
 	}
-	for _, w := range []int{1, 4} {
-		var f flatProbe
-		f.fillParallel(sets, w)
-		for i, s := range sets {
-			if got := f.findItems(s, sets); got != int32(i) {
-				t.Fatalf("workers=%d: colliding set %v resolved to id %d, want %d", w, s, got, i)
-			}
+	var f flatProbe
+	f.fill(sets)
+	for i, s := range sets {
+		if got := f.findItems(s, sets); got != int32(i) {
+			t.Fatalf("colliding set %v resolved to id %d, want %d", s, got, i)
 		}
-		// Absent sets from the same slot chain must not false-positive.
-		absent := byBucket[bucket][4:]
-		for _, s := range absent {
-			if f.findItems(s, sets) != -1 {
-				t.Fatalf("workers=%d: absent colliding set %v reported present", w, s)
-			}
+	}
+	// Absent sets from the same slot chain must not false-positive.
+	for _, s := range byBucket[bucket][4:] {
+		if f.findItems(s, sets) != -1 {
+			t.Fatalf("absent colliding set %v reported present", s)
 		}
 	}
 }
 
 // TestGenParallelArenaShape pins the allocation contract: every candidate is
-// a full slice (len == cap) of a shard arena, not a private allocation.
+// a full slice (len == cap) of GenFlat's arena, not a private allocation.
 func TestGenParallelArenaShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	prev := randomLevel(rng, 2, 200, 12)
-	for _, c := range GenParallel(prev, 4, nil) {
+	for _, c := range GenFlat(prev) {
 		if cap(c) != len(c) {
 			t.Fatalf("candidate %v: cap %d != len %d (not arena-sliced)", c, cap(c), len(c))
 		}
@@ -209,28 +184,6 @@ func TestFan(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Errorf("workers=%d: got %v, want %q", workers, err, want)
 		}
-	}
-}
-
-// TestMustFanRepanics: with no error return, a worker's panic resurfaces on
-// the calling goroutine — ForShards included — still naming the worker.
-func TestMustFanRepanics(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				r := recover()
-				err, _ := r.(error)
-				if err == nil || !strings.Contains(err.Error(), "shard worker 0 panicked: boom") {
-					t.Errorf("workers=%d: recovered %v", workers, r)
-				}
-			}()
-			ForShards(100, workers, nil, func(w, lo, hi int) {
-				if w == 0 {
-					panic("boom")
-				}
-			})
-			t.Errorf("workers=%d: ForShards returned", workers)
-		}()
 	}
 }
 

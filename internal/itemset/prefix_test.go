@@ -70,12 +70,7 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			rng.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
 		}
-		var ix *Index
-		if rng.Intn(2) == 0 {
-			ix = BuildIndex(sets)
-		} else {
-			ix = BuildIndexParallel(sets, 3)
-		}
+		ix := BuildIndex(sets)
 		n := int32(ix.Len())
 
 		var txns [][]item.Item

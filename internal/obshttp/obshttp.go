@@ -14,6 +14,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/obs"
@@ -114,6 +115,12 @@ func NewMux(cfg Config) *http.ServeMux {
 	return mux
 }
 
+// ReadHeaderTimeout bounds how long a client may take to send its request
+// headers. A connection that sends nothing is closed once it passes, so an
+// idle client cannot hold a goroutine and a file descriptor forever. Every
+// HTTP server of the pgarm binaries uses it.
+const ReadHeaderTimeout = 5 * time.Second
+
 // Serve binds addr and serves the mux in a background goroutine, logging (not
 // crashing) on server errors — telemetry must never take the miner down. It
 // returns the bound address (useful with ":0") or an error if the listen
@@ -127,7 +134,8 @@ func Serve(addr string, mux http.Handler, logger *slog.Logger) (string, error) {
 		return "", err
 	}
 	go func() {
-		if err := http.Serve(ln, mux); err != nil {
+		srv := &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout}
+		if err := srv.Serve(ln); err != nil {
 			logger.Error("telemetry http server stopped", "err", err)
 		}
 	}()

@@ -2,11 +2,14 @@ package obshttp_test
 
 import (
 	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/core"
@@ -76,5 +79,33 @@ func TestMetricsSeriesGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("/metrics series set differs from testdata/metrics_series.golden:\n%s", got)
+	}
+}
+
+// TestServeClosesIdleConnection: a client that connects and sends nothing is
+// disconnected once ReadHeaderTimeout passes, instead of holding a server
+// goroutine and a file descriptor forever.
+func TestServeClosesIdleConnection(t *testing.T) {
+	t.Parallel()
+	addr, err := obshttp.Serve("127.0.0.1:0", http.NewServeMux(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	bound := obshttp.ReadHeaderTimeout + time.Second
+	if err := conn.SetReadDeadline(start.Add(2 * bound)); err != nil {
+		t.Fatal(err)
+	}
+	// ReadAll returns nil at EOF: the server closed the connection.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("idle connection still open after %v: %v", time.Since(start), err)
+	}
+	if elapsed := time.Since(start); elapsed > bound {
+		t.Fatalf("idle connection closed after %v, want within %v", elapsed, bound)
 	}
 }

@@ -20,7 +20,7 @@ type MineConfig struct {
 	MinSupport float64
 	// MaxK bounds the itemset size; 0 means run until L_k is empty.
 	MaxK int
-	// Workers is the scan/generate worker count (<= 1 runs inline).
+	// Workers is the scan worker count (<= 1 runs inline).
 	Workers int
 }
 
@@ -152,7 +152,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		prev[i] = c.Items
 	}
 	for k := 2; cfg.MaxK == 0 || k <= cfg.MaxK; k++ {
-		cands := cumulate.GenerateCandidatesN(tax, prev, k, W, nil)
+		cands := cumulate.GenerateCandidates(tax, prev, k)
 		if len(cands) == 0 {
 			break
 		}
@@ -160,30 +160,18 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		stats.Candidates += len(cands)
 
 		// Seed known candidates with their exact prefix counts; collect the
-		// rest for the scoped prefix rescan. The classification is a pure
-		// per-candidate lookup (itemset key + concurrent-read-safe map), so it
-		// shards across workers; per-shard collections concatenated in shard
-		// order keep newCands in ascending candidate-id order, exactly as the
-		// serial loop produced.
+		// rest, in ascending candidate-id order, for the scoped prefix rescan.
 		seeded := priorLevel(k)
 		candCounts := make([]int64, len(cands))
-		shardCands := make([][][]item.Item, W)
-		shardIDs := make([][]int, W)
-		itemset.ForShards(len(cands), W, nil, func(w, lo, hi int) {
-			for id := lo; id < hi; id++ {
-				if cnt, ok := seeded[itemset.Key(cands[id])]; ok {
-					candCounts[id] = cnt
-				} else {
-					shardCands[w] = append(shardCands[w], cands[id])
-					shardIDs[w] = append(shardIDs[w], id)
-				}
-			}
-		})
 		var newCands [][]item.Item
 		var newIDs []int
-		for w := 0; w < W; w++ {
-			newCands = append(newCands, shardCands[w]...)
-			newIDs = append(newIDs, shardIDs[w]...)
+		for id, c := range cands {
+			if cnt, ok := seeded[itemset.Key(c)]; ok {
+				candCounts[id] = cnt
+			} else {
+				newCands = append(newCands, c)
+				newIDs = append(newIDs, id)
+			}
 		}
 		stats.Recounted += len(newCands)
 
@@ -193,7 +181,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 
 		// Delta scan: every candidate advances by its delta support.
 		if deltaN > 0 {
-			index := itemset.BuildIndexParallel(cands, W)
+			index := itemset.BuildIndex(cands)
 			wcounts := driver.WorkerVectors(W, len(cands))
 			err := driver.CountTable(view, member, index, k, delta, wcounts, driver.CountOptions{
 				Workers: W,
@@ -213,7 +201,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 			stats.PrefixScans++
 			memberNew := cumulate.KeepSet(tax, newCands)
 			viewNew := taxonomy.NewView(tax, large, memberNew)
-			indexNew := itemset.BuildIndexParallel(newCands, W)
+			indexNew := itemset.BuildIndex(newCands)
 			wcounts := driver.WorkerVectors(W, len(newCands))
 			err := driver.CountTable(viewNew, memberNew, indexNew, k, prefix, wcounts, driver.CountOptions{
 				Workers: W,
@@ -232,28 +220,18 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		// The state stores every candidate with its union count — the full
 		// positive and negative border the next checkpoint seeds from. The
 		// level is stored even when L_k comes out empty: those "not large
-		// yet" counts are exactly what makes a later promotion cheap. Both
-		// assemblies shard across workers: the border writes to disjoint
-		// slots, and the large survivors concatenate in shard order —
-		// candidate order, as the serial loop collected them — before the
-		// canonical lexicographic sort.
+		// yet" counts are exactly what makes a later promotion cheap.
 		level := make([]itemset.Counted, len(cands))
-		shardLarge := make([][]itemset.Counted, W)
-		itemset.ForShards(len(cands), W, nil, func(w, lo, hi int) {
-			for id := lo; id < hi; id++ {
-				level[id] = itemset.Counted{Items: cands[id], Count: candCounts[id]}
-				if candCounts[id] >= minCount {
-					shardLarge[w] = append(shardLarge[w], level[id])
-				}
+		var lk []itemset.Counted
+		for id, c := range cands {
+			level[id] = itemset.Counted{Items: c, Count: candCounts[id]}
+			if candCounts[id] >= minCount {
+				lk = append(lk, level[id])
 			}
-		})
+		}
 		state.Levels = append(state.Levels, level)
 
-		// L_k: collect in candidate order, then sort lexicographically.
-		var lk []itemset.Counted
-		for w := 0; w < W; w++ {
-			lk = append(lk, shardLarge[w]...)
-		}
+		// L_k was collected in candidate order; sort it lexicographically.
 		itemset.SortCounted(lk)
 		if len(lk) == 0 {
 			break
