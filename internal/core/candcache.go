@@ -110,8 +110,8 @@ func (c *candCache) hierPlan(k int, compute func() *passPlan) *passPlan {
 	return c.plan.get(k, compute)
 }
 
-// fullIndex returns a shared index over all of C_k (used by NPGM, whose
-// candidate set is replicated on every node).
+// fullIndex returns a shared index over all of C_k, used by NPGM (whose
+// candidate set is replicated) when C_k fits in one memory fragment.
 func (c *candCache) fullIndex(k int, cands [][]item.Item) *itemset.Index {
 	return c.index.get(k, func() *itemset.Index {
 		return itemset.BuildIndex(cands)

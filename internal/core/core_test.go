@@ -124,6 +124,53 @@ func TestAlgorithmsMatchCumulateWithMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestNPGMFragmentScans runs NPGM under a budget that splits C_k into
+// several memory fragments, with two scan workers per node. Each fragment
+// scan counts into its [lo, hi) window of the worker vectors, which
+// driver.CountTable accepts only from an index of exactly hi-lo candidates,
+// so a scan holds its own fragment and nothing more. L_k must equal
+// Cumulate's, every fragment re-scans the partition against the same
+// member filter (Probes is the unbudgeted count times the fragment count),
+// and each contained candidate is counted once (Increments is unchanged).
+func TestNPGMFragmentScans(t *testing.T) {
+	ds := testDataset(t, 1500)
+	const minSup = 0.02
+	want, err := cumulate.Mine(ds.Taxonomy, ds.DB, cumulate.Config{MinSupport: minSup})
+	if err != nil {
+		t.Fatalf("cumulate: %v", err)
+	}
+	mine := func(budget int64) *Result {
+		t.Helper()
+		res, err := Mine(ds.Taxonomy, partsOf(ds.DB, 2), Config{
+			Algorithm:    NPGM,
+			MinSupport:   minSup,
+			MemoryBudget: budget,
+			Workers:      2,
+		})
+		if err != nil {
+			t.Fatalf("mine at budget %d: %v", budget, err)
+		}
+		return res
+	}
+	whole, split := mine(0), mine(4<<10)
+	assertSameLarge(t, want, split)
+	maxFrags := 0
+	for i, ps := range split.Stats.Passes {
+		ref := whole.Stats.Passes[i]
+		maxFrags = max(maxFrags, ps.Fragments)
+		for n, ns := range ps.Nodes {
+			rn := ref.Nodes[n]
+			if ns.Probes != int64(ps.Fragments)*rn.Probes || ns.Increments != rn.Increments {
+				t.Errorf("pass %d node %d, %d fragments: %d probes / %d increments, want %d / %d",
+					ps.Pass, n, ps.Fragments, ns.Probes, ns.Increments, int64(ps.Fragments)*rn.Probes, rn.Increments)
+			}
+		}
+	}
+	if maxFrags < 2 {
+		t.Fatalf("budget split no pass into fragments (max %d)", maxFrags)
+	}
+}
+
 func TestTCPFabricMatchesChanFabric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP fabric round in short mode")

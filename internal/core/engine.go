@@ -68,15 +68,8 @@ func fragmentCount(numCands, k int, budget int64) int {
 	if budget <= 0 {
 		return 1
 	}
-	perNode := budget / candBytes(k)
-	if perNode < 1 {
-		perNode = 1
-	}
-	f := (int64(numCands) + perNode - 1) / perNode
-	if f < 1 {
-		f = 1
-	}
-	return int(f)
+	perNode := max(budget/candBytes(k), 1)
+	return max(int((int64(numCands)+perNode-1)/perNode), 1)
 }
 
 // npgmEngine implements NPGM (§3.1): the candidate itemsets are replicated
@@ -107,29 +100,34 @@ func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	member := cumulate.KeepSet(m.tax, cands)
 	view := taxonomy.NewView(m.tax, m.largeFlags, member)
 
-	// The candidate set is replicated: one shared index plus a per-node
-	// count vector stands in for N identical hash tables (see candCache).
-	// Each fragment covers the id range [f*per, f*per+per); a contained
-	// candidate outside the current fragment is the simulated table miss.
+	// The candidate set is replicated. When C_k fits in one fragment, one
+	// shared index plus a per-node count vector stands in for N identical
+	// hash tables (see candCache). Otherwise a scan holds only its fragment
+	// [lo, hi): the node indexes it, counts into that window of every worker
+	// vector, and drops the index before the next fragment. Nodes move
+	// through fragments independently, so fragment indexes are not shared.
 	//
 	// NPGM has no count-support communication, so intra-node parallelism is
-	// pure sharding: every worker counts over the shared read-only index
+	// pure sharding: every worker counts over the read-only index
 	// (Index.CountContained only reads it) into its own count vector, merged
 	// once after the last fragment.
 	W := n.Workers()
-	index := m.cands.fullIndex(k, cands)
 	wcounts := driver.WorkerVectors(W, len(cands))
+	window := make([][]int64, W)
 	per := (len(cands) + frags - 1) / frags
 	for f := 0; f < frags; f++ {
-		lo := int32(f * per)
-		hi := lo + int32(per)
-		if hi > int32(len(cands)) {
-			hi = int32(len(cands))
+		lo, hi := f*per, min(f*per+per, len(cands))
+		var index *itemset.Index
+		if frags == 1 {
+			index = m.cands.fullIndex(k, cands)
+		} else {
+			index = itemset.BuildIndex(cands[lo:hi])
 		}
-		err := driver.CountTable(view, member, index, k, m.db, wcounts, driver.CountOptions{
+		for w := range window {
+			window[w] = wcounts[w][lo:hi]
+		}
+		err := driver.CountTable(view, member, index, k, m.db, window, driver.CountOptions{
 			Workers: W,
-			Lo:      lo,
-			Hi:      hi,
 			Obs:     n.ShardObs("scan"),
 			Stats:   st,
 		})

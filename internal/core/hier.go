@@ -132,7 +132,7 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
 		applyScratch = cumulate.ExtendFiltered(ownedView, ownedMember, applyScratch[:0], items)
 		st.Probes += itemset.Choose(len(applyScratch), k)
-		st.Increments += ownedIndex.CountContained(applyScratch, 0, int32(len(ownedCands)), ownedCounts, &applyStamps)
+		st.Increments += ownedIndex.CountContained(applyScratch, ownedCounts, &applyStamps)
 	}))
 
 	// Per-worker scan state: a duplicated-table count vector and every
@@ -160,7 +160,7 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		wk := &workers[w.ID]
 		if extendDup != nil {
 			w.Stats.Probes += itemset.Choose(len(w.Ext), k)
-			w.Stats.Increments += plan.dupIndex.CountContained(w.Ext, 0, int32(len(wk.dupCounts)), wk.dupCounts, &wk.dupStamps)
+			w.Stats.Increments += plan.dupIndex.CountContained(w.Ext, wk.dupCounts, &wk.dupStamps)
 		}
 		if !anyPartitioned {
 			return nil

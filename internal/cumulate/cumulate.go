@@ -125,7 +125,7 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 		err := db.Scan(func(t txn.Transaction) error {
 			scratch = ExtendFiltered(view, member, scratch[:0], t.Items)
 			res.Probes += itemset.Choose(len(scratch), k)
-			index.CountContained(scratch, 0, int32(len(cands)), counts, &stamps)
+			index.CountContained(scratch, counts, &stamps)
 			return nil
 		})
 		if err != nil {

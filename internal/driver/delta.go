@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"errors"
+
 	"pgarm/internal/cumulate"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
@@ -12,9 +14,6 @@ import (
 type CountOptions struct {
 	// Workers is the scan worker count (<= 1 scans inline).
 	Workers int
-	// Lo/Hi restrict counting to the candidate id range [Lo, Hi) — NPGM's
-	// memory fragments. Hi <= 0 means the whole index.
-	Lo, Hi int32
 	// Obs carries the per-shard observability hooks; the zero value
 	// disables them.
 	Obs ShardObs
@@ -29,6 +28,9 @@ type CountOptions struct {
 	WStats []metrics.NodeStats
 }
 
+// ErrCountVectors reports a count vector whose length is not the index's.
+var ErrCountVectors = errors.New("count vector length differs from the index")
+
 // CountTable counts support for the candidates behind index over one
 // transaction source: each transaction is extended with its kept ancestors
 // (view), filtered to candidate members (member), and every indexed
@@ -37,14 +39,15 @@ type CountOptions struct {
 // miner's delta and prefix scans, so both count bit-identically by
 // construction.
 //
-// wcounts must have opt.Workers (min 1) vectors of length index.Len();
-// callers fold them with MergeWorkerVectors. src must support concurrent
-// independent Scan calls when opt.Workers > 1 (every txn.Scanner in the
-// repo does).
+// wcounts must have opt.Workers (min 1) vectors of length index.Len() (any
+// other length is ErrCountVectors, before the scan); callers fold them with
+// MergeWorkerVectors. src must support concurrent independent Scan calls
+// when opt.Workers > 1 (every txn.Scanner in the repo does).
 func CountTable(view *taxonomy.View, member []bool, index *itemset.Index, k int, src txn.Scanner, wcounts [][]int64, opt CountOptions) error {
-	lo, hi := opt.Lo, opt.Hi
-	if hi <= 0 {
-		hi = int32(index.Len())
+	for _, c := range wcounts {
+		if len(c) != index.Len() {
+			return ErrCountVectors
+		}
 	}
 	st := opt.Stats
 	if st == nil && len(opt.WStats) > 0 {
@@ -54,7 +57,7 @@ func CountTable(view *taxonomy.View, member []bool, index *itemset.Index, k int,
 	return CountPhase(src, opt.Workers, opt.Obs, st, cumulate.FilteredExtension(view, member), nil,
 		func(w *Worker, _ txn.Transaction) error {
 			w.Stats.Probes += itemset.Choose(len(w.Ext), k)
-			w.Stats.Increments += index.CountContained(w.Ext, lo, hi, wcounts[w.ID], &wstamps[w.ID])
+			w.Stats.Increments += index.CountContained(w.Ext, wcounts[w.ID], &wstamps[w.ID])
 			return nil
 		})
 }

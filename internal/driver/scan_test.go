@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -228,5 +229,42 @@ func TestCountTableStatsOptional(t *testing.T) {
 	}
 	if st.TxnsScanned != int64(fx.db.Len()) || st.Probes == 0 || wstats[0].Probes != st.Probes {
 		t.Errorf("Stats %d txns / %d probes, WStats[0] %d probes", st.TxnsScanned, st.Probes, wstats[0].Probes)
+	}
+}
+
+// TestCountTableRejectsMismatchedVectors: CountTable counts only into
+// vectors exactly index.Len() long. A short vector would panic inside the
+// kernel and a long one would leave its tail uncounted, so both are refused
+// before the scan with ErrCountVectors, and nothing is counted.
+func TestCountTableRejectsMismatchedVectors(t *testing.T) {
+	fx := newScanFixture(t)
+	cands := [][]item.Item{{0, 1}, {0, 2}, {1, 2}}
+	member := cumulate.KeepSet(fx.tax, cands)
+	view := taxonomy.NewView(fx.tax, make([]bool, fx.tax.NumItems()), member)
+	index := itemset.BuildIndex(cands)
+	for _, c := range []struct {
+		name    string
+		workers int
+		wcounts [][]int64
+	}{
+		{"short", 1, WorkerVectors(1, index.Len()-1)},
+		{"long", 1, WorkerVectors(1, index.Len()+1)},
+		{"one short of two", 2, [][]int64{make([]int64, index.Len()), make([]int64, index.Len()-1)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var st metrics.NodeStats
+			err := CountTable(view, member, index, 2, fx.db, c.wcounts, CountOptions{Workers: c.workers, Stats: &st})
+			if !errors.Is(err, ErrCountVectors) {
+				t.Fatalf("got %v, want ErrCountVectors", err)
+			}
+			if st.TxnsScanned != 0 {
+				t.Errorf("scanned %d transactions before rejecting the vectors", st.TxnsScanned)
+			}
+			for w, v := range c.wcounts {
+				if slices.ContainsFunc(v, func(x int64) bool { return x != 0 }) {
+					t.Errorf("vector %d counted %v", w, v)
+				}
+			}
+		})
 	}
 }

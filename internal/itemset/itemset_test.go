@@ -208,7 +208,7 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	contained := []item.Item{3, 5, 9, 103, 105, 777, 1003, 1005, 1009, 5000}
 	counts := make([]int64, ix.Len())
 	var stamps Stamps
-	if got := ix.CountContained(contained, 0, int32(ix.Len()), counts, &stamps); got != 2 {
+	if got := ix.CountContained(contained, counts, &stamps); got != 2 {
 		t.Fatalf("CountContained found %d sets, want 2", got)
 	}
 
@@ -222,7 +222,7 @@ func TestProbePathZeroAlloc(t *testing.T) {
 			ForEachSubsetScratch(txn, 3, scratch, func(s []item.Item) bool { return true })
 		}},
 		{"Index.CountContained", func() {
-			ix.CountContained(contained, 0, int32(ix.Len()), counts, &stamps)
+			ix.CountContained(contained, counts, &stamps)
 		}},
 	}
 	for _, c := range cases {

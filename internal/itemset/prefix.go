@@ -188,24 +188,23 @@ type countWalk struct {
 	at     []uint32
 	base   uint32
 	counts []int64
-	lo, hi int32
-	hits   int64
+	found  int64
 }
 
-// CountContained adds one to counts[id] for every indexed itemset with id in
-// [lo, hi) that is contained in txn, and returns how many it found. txn must
-// be canonical. It is the count-support kernel: instead of materializing all
-// C(len(txn), k) subsets and probing each, it descends the prefix layout
-// only along prefixes that exist, so subsets no candidate starts with are
-// never formed. At every node the children and the remaining transaction
-// items are intersected from the smaller side: few children are tested
-// against st's position stamps, few remaining items are binary-searched
-// among the children.
+// CountContained adds one to counts[id] for every indexed itemset contained
+// in txn, and returns how many it found. txn must be canonical, and counts
+// needs an entry per indexed id (Len). It is the count-support kernel:
+// instead of materializing all C(len(txn), k) subsets and probing each, it
+// descends the prefix layout only along prefixes that exist, so subsets no
+// candidate starts with are never formed. At every node the children and
+// the remaining transaction items are intersected from the smaller side: few
+// children are tested against st's position stamps, few remaining items are
+// binary-searched among the children.
 //
 // The index is only read, so any number of goroutines may count over it
 // concurrently, each with its own counts and Stamps. It allocates nothing
 // once st has grown. All indexed sets must have one length.
-func (ix *Index) CountContained(txn []item.Item, lo, hi int32, counts []int64, st *Stamps) int64 {
+func (ix *Index) CountContained(txn []item.Item, counts []int64, st *Stamps) int64 {
 	p := &ix.pre
 	k := p.k
 	if k < 0 {
@@ -214,7 +213,7 @@ func (ix *Index) CountContained(txn []item.Item, lo, hi int32, counts []int64, s
 	if k == 0 || len(txn) < k {
 		return 0
 	}
-	w := countWalk{p: p, txn: txn, counts: counts, lo: lo, hi: hi}
+	w := countWalk{p: p, txn: txn, counts: counts}
 	w.base = st.stamp(txn, p.maxItem)
 	w.at = st.at
 	for i, last := 0, len(txn)-k; i <= last; i++ {
@@ -232,7 +231,7 @@ func (ix *Index) CountContained(txn []item.Item, lo, hi int32, counts []int64, s
 			w.descend(1, p.start[0][j], p.start[0][j+1], i+1)
 		}
 	}
-	return w.hits
+	return w.found
 }
 
 // bump counts the leaf at sorted position j.
@@ -241,10 +240,8 @@ func (w *countWalk) bump(j int32) {
 	if w.p.ids != nil {
 		id = w.p.ids[j]
 	}
-	if id >= w.lo && id < w.hi {
-		w.counts[id]++
-		w.hits++
-	}
+	w.counts[id]++
+	w.found++
 }
 
 // descend matches the level-l nodes [a, b) — the children of a prefix whose

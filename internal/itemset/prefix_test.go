@@ -50,9 +50,11 @@ func randomSets(rng *rand.Rand, numItems, k int) [][]item.Item {
 
 // Property: over ancestor-extended transactions of a random hierarchy,
 // CountContained yields exactly the count vector (and hit total) of
-// enumerate-every-k-subset-and-Lookup — for the whole index and for every
-// fragment of every NPGM-style [lo, hi) split, whether the index was built
-// from sorted or shuffled sets.
+// enumerate-every-k-subset-and-Lookup — for the whole index and, as NPGM
+// counts its memory fragments, for every fragment of every [lo, hi) split:
+// the fragment's own index BuildIndex(sets[lo:hi]) counts into got[lo:hi]
+// and must match the [lo, hi) window of the whole index's Lookup ids,
+// whether the sets were sorted or shuffled.
 func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -90,6 +92,10 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 			per := (n + frags - 1) / frags
 			for f := int32(0); f < frags; f++ {
 				lo, hi := min(f*per, n), min(f*per+per, n)
+				frag := ix
+				if frags > 1 {
+					frag = BuildIndex(sets[lo:hi])
+				}
 				want := make([]int64, n)
 				got := make([]int64, n)
 				var wantHits, gotHits int64
@@ -101,7 +107,7 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 						}
 						return true
 					})
-					gotHits += ix.CountContained(txn, lo, hi, got, &stamps)
+					gotHits += frag.CountContained(txn, got[lo:hi], &stamps)
 				}
 				if gotHits != wantHits {
 					t.Logf("seed %d k=%d [%d,%d): %d hits, want %d", seed, k, lo, hi, gotHits, wantHits)
@@ -130,7 +136,7 @@ func TestCountContainedDuplicateKeepsFirstID(t *testing.T) {
 	ix := BuildIndex(sets)
 	counts := make([]int64, len(sets))
 	var stamps Stamps
-	if hits := ix.CountContained([]item.Item{1, 3, 4, 9}, 0, 4, counts, &stamps); hits != 2 {
+	if hits := ix.CountContained([]item.Item{1, 3, 4, 9}, counts, &stamps); hits != 2 {
 		t.Fatalf("hits = %d, want 2", hits)
 	}
 	if want := []int64{1, 0, 0, 1}; !slices.Equal(counts, want) {
@@ -161,10 +167,10 @@ func TestStampsRestart(t *testing.T) {
 	ix := BuildIndex([][]item.Item{{1, 2}, {1, 7}, {2, 7}})
 	counts := make([]int64, 3)
 	var stamps Stamps
-	ix.CountContained([]item.Item{1, 7}, 0, 3, counts, &stamps)
+	ix.CountContained([]item.Item{1, 7}, counts, &stamps)
 	stamps.next = 1<<31 + 1
-	ix.CountContained([]item.Item{1, 2}, 0, 3, counts, &stamps)
-	ix.CountContained([]item.Item{2, 7}, 0, 3, counts, &stamps)
+	ix.CountContained([]item.Item{1, 2}, counts, &stamps)
+	ix.CountContained([]item.Item{2, 7}, counts, &stamps)
 	if want := []int64{1, 1, 1}; !slices.Equal(counts, want) {
 		t.Errorf("counts = %v, want %v", counts, want)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -192,13 +193,21 @@ func cacheKey(ix *Index, gen int64, k int, basket []item.Item) string {
 	return ix.Version() + "|" + strconv.FormatInt(gen, 10) + "|" + strconv.Itoa(k) + "|" + itemset.Key(basket)
 }
 
+// maxRecommendBody bounds a POST /v1/recommend body; a larger one gets 413.
+// A basket of 100k item ids fits with room to spare.
+const maxRecommendBody = 1 << 20
+
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req RecommendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRecommendBody)).Decode(&req); err != nil {
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxRecommendBody)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

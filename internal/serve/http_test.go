@@ -145,6 +145,37 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRecommendBodyBound: a recommend body over maxRecommendBody is refused
+// with 413 without being decoded, and the server goes on answering normal
+// queries.
+func TestRecommendBodyBound(t *testing.T) {
+	path, _ := writeSnapshot(t, t.TempDir(), "m.pgarm", shoes, 0.8)
+	ix, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(NewHolder(ix), nil, ServerOptions{}).Handler())
+	defer ts.Close()
+
+	// A well-formed basket, repeated past the bound so only its size is
+	// wrong.
+	body := `{"k":5,"basket":[` + strings.Repeat("1,", maxRecommendBody/2) + `1]}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/recommend", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d %s, want 413", resp.StatusCode, b)
+	}
+
+	out, code := postRecommend(t, ts.Client(), ts.URL, RecommendRequest{Basket: []item.Item{shirts}, K: 5})
+	if code != http.StatusOK || len(out.Recommendations) != 1 {
+		t.Fatalf("query after the oversized body: %d %+v", code, out)
+	}
+}
+
 func TestHTTPServesNothingBeforeLoad(t *testing.T) {
 	srv := NewServer(NewHolder(nil), nil, ServerOptions{Registry: obs.NewRegistry()})
 	ts := httptest.NewServer(srv.Handler())

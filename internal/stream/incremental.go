@@ -175,44 +175,35 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		}
 		stats.Recounted += len(newCands)
 
+		// count scans src for sets, adding set i's support to
+		// candCounts[ids[i]] (candCounts[i] when ids is nil).
 		var scanned metrics.NodeStats // both scans' counters
-		member := cumulate.KeepSet(tax, cands)
-		view := taxonomy.NewView(tax, large, member)
+		count := func(sets [][]item.Item, ids []int, src txn.Scanner) error {
+			member := cumulate.KeepSet(tax, sets)
+			wcounts := driver.WorkerVectors(W, len(sets))
+			err := driver.CountTable(taxonomy.NewView(tax, large, member), member, itemset.BuildIndex(sets), k, src, wcounts,
+				driver.CountOptions{Workers: W, Stats: &scanned})
+			for i, c := range driver.MergeWorkerVectors(wcounts) {
+				if ids != nil {
+					i = ids[i]
+				}
+				candCounts[i] += c
+			}
+			return err
+		}
 
 		// Delta scan: every candidate advances by its delta support.
 		if deltaN > 0 {
-			index := itemset.BuildIndex(cands)
-			wcounts := driver.WorkerVectors(W, len(cands))
-			err := driver.CountTable(view, member, index, k, delta, wcounts, driver.CountOptions{
-				Workers: W,
-				Stats:   &scanned,
-			})
-			if err != nil {
+			if err := count(cands, nil, delta); err != nil {
 				return nil, nil, nil, fmt.Errorf("stream: pass %d delta scan: %w", k, err)
-			}
-			merged := driver.MergeWorkerVectors(wcounts)
-			for id, c := range merged {
-				candCounts[id] += c
 			}
 		}
 
 		// Prefix scan: only candidates the prior checkpoint never counted.
 		if len(newCands) > 0 && prefixN > 0 {
 			stats.PrefixScans++
-			memberNew := cumulate.KeepSet(tax, newCands)
-			viewNew := taxonomy.NewView(tax, large, memberNew)
-			indexNew := itemset.BuildIndex(newCands)
-			wcounts := driver.WorkerVectors(W, len(newCands))
-			err := driver.CountTable(viewNew, memberNew, indexNew, k, prefix, wcounts, driver.CountOptions{
-				Workers: W,
-				Stats:   &scanned,
-			})
-			if err != nil {
+			if err := count(newCands, newIDs, prefix); err != nil {
 				return nil, nil, nil, fmt.Errorf("stream: pass %d prefix scan: %w", k, err)
-			}
-			merged := driver.MergeWorkerVectors(wcounts)
-			for i, c := range merged {
-				candCounts[newIDs[i]] += c
 			}
 		}
 		res.Probes += scanned.Probes
