@@ -247,10 +247,12 @@ func newCountFixture(b *testing.B, k int) countFixture {
 }
 
 // BenchmarkAblationIndex compares the two ways of counting one pass over the
-// same index: enumerate every k-subset and probe the flat hash (what every
-// counting site did before the prefix layout, and what HPGM's sender still
-// must do to ship them) against the prefix-pruned containment kernel. One
-// op is one full scan. This arm is what retired itemset.HashTree.
+// same index: enumerate every k-subset and look each up (what every counting
+// site did before the prefix layout, and what HPGM's sender still must do to
+// ship them) against the containment kernel. At k = 3 that is the flat hash
+// against the prefix-pruned walk; the dense C_2 at k = 2 keeps only its pair
+// table, which serves both arms. One op is one full scan. This arm is what
+// retired itemset.HashTree.
 func BenchmarkAblationIndex(b *testing.B) {
 	for _, k := range []int{2, 3} {
 		fx := newCountFixture(b, k)
@@ -287,9 +289,10 @@ func BenchmarkAblationIndex(b *testing.B) {
 }
 
 // BenchmarkCountContained measures the containment kernel per transaction
-// on its two regimes — the dense C_2, where nearly every pair is a candidate,
-// and the sparse C_3, where most triples are not — and must report
-// 0 allocs/op.
+// on its two regimes — the dense C_2, where nearly every pair is a candidate
+// and the pair table counts, and the sparse C_3, where most triples are not
+// and the prefix layout counts — and must report 0 allocs/op in both (CI
+// fails otherwise).
 func BenchmarkCountContained(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -438,8 +441,9 @@ func BenchmarkGenerate(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildIndex measures the candidate index build (open-addressed
-// table fill plus prefix layout) over pass-2 candidates.
+// BenchmarkBuildIndex measures the candidate index build over pass-2
+// candidates: the pair table when C_2 is dense, otherwise the open-addressed
+// table fill plus the prefix layout.
 func BenchmarkBuildIndex(b *testing.B) {
 	l1, _, tax := benchLevels(b)
 	cands := cumulate.GenerateCandidates(tax, l1, 2)

@@ -50,7 +50,7 @@ func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands []
 				maxOwned = c
 			}
 		}
-		slots := int(m.cfg.MemoryBudget / candBytes(k))
+		slots := int(m.cfg.MemoryBudget / CandBytes(k))
 		capLeft = slots - maxOwned
 		if capLeft <= 0 {
 			return dup

@@ -56,11 +56,11 @@ func newEngine(m *itemsetMiner) (engine, error) {
 	return nil, fmt.Errorf("core: unknown algorithm %q", m.cfg.Algorithm)
 }
 
-// candBytes estimates the per-candidate memory footprint the paper's M
+// CandBytes estimates the per-candidate memory footprint the paper's M
 // models: k 4-byte items plus table entry overhead (hash bucket, count,
 // header). The absolute constant only shifts where fragmentation and
 // duplication kick in; the experiments sweep MemoryBudget relative to it.
-func candBytes(k int) int64 { return 48 + 4*int64(k) }
+func CandBytes(k int) int64 { return 48 + 4*int64(k) }
 
 // fragmentCount returns how many memory-sized fragments NPGM must split
 // |C_k| candidates into.
@@ -68,7 +68,7 @@ func fragmentCount(numCands, k int, budget int64) int {
 	if budget <= 0 {
 		return 1
 	}
-	perNode := max(budget/candBytes(k), 1)
+	perNode := max(budget/CandBytes(k), 1)
 	return max(int((int64(numCands)+perNode-1)/perNode), 1)
 }
 

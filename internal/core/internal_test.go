@@ -118,7 +118,7 @@ func TestFragmentCount(t *testing.T) {
 	if got := fragmentCount(100, 2, 0); got != 1 {
 		t.Errorf("unlimited budget fragments = %d", got)
 	}
-	per := candBytes(2)
+	per := CandBytes(2)
 	if got := fragmentCount(100, 2, 100*per); got != 1 {
 		t.Errorf("exact fit fragments = %d", got)
 	}
@@ -168,7 +168,7 @@ func TestDuplicationRespectsBudget(t *testing.T) {
 				if ps == nil {
 					t.Skip("no pass 2 at this support")
 				}
-				slots := int(budget / candBytes(2))
+				slots := int(budget / CandBytes(2))
 				if ps.Duplicated > slots {
 					t.Errorf("duplicated %d candidates into %d slots", ps.Duplicated, slots)
 				}
@@ -204,7 +204,7 @@ func TestFinerGrainsDuplicateAtLeastAsMuchLoadRelief(t *testing.T) {
 }
 
 func TestCandBytesMonotone(t *testing.T) {
-	if candBytes(3) <= candBytes(2) {
+	if CandBytes(3) <= CandBytes(2) {
 		t.Error("larger itemsets must cost more memory")
 	}
 }

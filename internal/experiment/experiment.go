@@ -188,7 +188,7 @@ func (e *Env) autoBudget(d *dataset) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	b := int64(float64(n) * 56 * 0.2) // 56 ≈ candBytes(2)
+	b := int64(float64(n) * float64(core.CandBytes(2)) * 0.2)
 	if b < 1<<10 {
 		b = 1 << 10
 	}

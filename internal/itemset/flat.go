@@ -9,8 +9,10 @@ import "pgarm/internal/item"
 // compares against stored items without building a map key, and a lookup
 // performs zero heap allocations. It is sized once for a known set count and
 // never grows. It serves point lookups — HPGM's receiver, duplicate
-// selection, candidate generation's prune; whole-transaction support
-// counting goes through the prefix layout instead (Index.CountContained).
+// selection, candidate generation's prune — on every Index except a dense
+// C_2, which answers them from its pair table; whole-transaction support
+// counting goes through the prefix layout or the pair table instead
+// (Index.CountContained).
 type flatProbe struct {
 	slots []int32 // candidate id + 1; 0 marks an empty slot
 	mask  uint64

@@ -9,21 +9,29 @@ import "pgarm/internal/item"
 // in-process cluster replicate multi-million-entry candidate sets (NPGM, and
 // the TGD/PGD/FGD duplicated tables) without 16 physical copies.
 //
-// An Index answers two questions. Point lookups (Lookup) go through an
-// open-addressed flat probe: the query is hashed in place and compared
-// against the stored itemsets. Support counting (CountContained)
-// walks a prefix layout of the same sets and never forms a subset no indexed
-// set starts with. Neither allocates.
+// An Index answers two questions, point lookups (Lookup) and support
+// counting (CountContained), from one of two structures that BuildIndex
+// picks by the sets' own fill ratio. A dense C_2 — 2-itemsets covering at
+// least half the pairs of their n distinct items — keeps only a triangular
+// pair table, which answers both with direct reads. Every other index keeps
+// an open-addressed flat probe for lookups (the query is hashed in place and
+// compared against the stored itemsets) and a prefix layout for counting,
+// which never forms a subset no indexed set starts with. Neither allocates.
 type Index struct {
-	idx  flatProbe
-	pre  prefixLayout
-	sets [][]item.Item
+	pairs pairTable // a dense C_2; when built, idx and pre stay empty
+	idx   flatProbe
+	pre   prefixLayout
+	sets  [][]item.Item
 }
 
-// BuildIndex indexes the canonical itemsets; ids are positions in sets.
-// The slices are retained, not copied.
+// BuildIndex indexes the canonical itemsets; ids are positions in sets, and a
+// duplicated set keeps its first occurrence's id. The slices are retained,
+// not copied.
 func BuildIndex(sets [][]item.Item) *Index {
 	ix := &Index{sets: sets}
+	if ix.pairs.build(sets) {
+		return ix
+	}
 	ix.idx.fill(sets)
 	ix.pre.build(sets)
 	return ix
@@ -38,5 +46,8 @@ func (ix *Index) Items(id int32) []item.Item { return ix.sets[id] }
 // Lookup returns the id of a canonical itemset, or -1. It is pure, performs
 // no heap allocation, and is safe for concurrent use.
 func (ix *Index) Lookup(items []item.Item) int32 {
+	if ix.pairs.pair != nil {
+		return ix.pairs.lookup(items)
+	}
 	return ix.idx.findItems(items, ix.sets)
 }

@@ -131,11 +131,14 @@ func (p *prefixLayout) build(sets [][]item.Item) {
 // Stamps is one worker's scratch for Index.CountContained: for each item of
 // the transaction being counted, its position. Entries are stamped relative
 // to a base that advances past every transaction, so nothing is cleared
-// between transactions. The zero value is ready to use; it grows once to the
-// largest item id seen and then never allocates.
+// between transactions. A dense C_2 uses ranks instead, the transaction's
+// items mapped to pair-table ranks. The zero value is ready to use; it grows
+// once to the largest item id (or transaction) seen and then never
+// allocates.
 type Stamps struct {
-	at   []uint32 // at[x] - base - 1 = position of x when at[x] > base
-	next uint32   // base of the next transaction: past every stamp so far
+	at    []uint32 // at[x] - base - 1 = position of x when at[x] > base
+	next  uint32   // base of the next transaction: past every stamp so far
+	ranks []int32  // the transaction's pair-table ranks, dense C_2 only
 }
 
 // stamp records txn's item positions and returns the base they are relative
@@ -201,10 +204,18 @@ type countWalk struct {
 // children are tested against st's position stamps, few remaining items are
 // binary-searched among the children.
 //
+// A dense C_2 skips the descent: the transaction's items become pair-table
+// ranks and every pair of them is read from the table.
+//
 // The index is only read, so any number of goroutines may count over it
 // concurrently, each with its own counts and Stamps. It allocates nothing
 // once st has grown. All indexed sets must have one length.
 func (ix *Index) CountContained(txn []item.Item, counts []int64, st *Stamps) int64 {
+	if ix.pairs.pair != nil {
+		var found int64
+		st.ranks, found = ix.pairs.count(txn, counts, st.ranks)
+		return found
+	}
 	p := &ix.pre
 	k := p.k
 	if k < 0 {

@@ -48,13 +48,27 @@ func randomSets(rng *rand.Rand, numItems, k int) [][]item.Item {
 	return sets
 }
 
+// firstIDs maps every set's Key to the position of its first occurrence:
+// the ids an Index must report, kept apart from any structure the Index
+// builds.
+func firstIDs(sets [][]item.Item) map[string]int32 {
+	ref := make(map[string]int32, len(sets))
+	for id, s := range sets {
+		if _, ok := ref[Key(s)]; !ok {
+			ref[Key(s)] = int32(id)
+		}
+	}
+	return ref
+}
+
 // Property: over ancestor-extended transactions of a random hierarchy,
 // CountContained yields exactly the count vector (and hit total) of
-// enumerate-every-k-subset-and-Lookup — for the whole index and, as NPGM
-// counts its memory fragments, for every fragment of every [lo, hi) split:
-// the fragment's own index BuildIndex(sets[lo:hi]) counts into got[lo:hi]
-// and must match the [lo, hi) window of the whole index's Lookup ids,
-// whether the sets were sorted or shuffled.
+// enumerating every k-subset and looking it up in a map of the sets' keys —
+// for the whole index and, as NPGM counts its memory fragments, for every
+// fragment of every [lo, hi) split: the fragment's own index
+// BuildIndex(sets[lo:hi]) counts into got[lo:hi] and must match the [lo, hi)
+// window of the map's ids, whether the sets were sorted or shuffled and
+// whether a C_2 came out dense (pair table) or sparse (prefix layout).
 func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -74,6 +88,7 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 		}
 		ix := BuildIndex(sets)
 		n := int32(ix.Len())
+		ref := firstIDs(sets)
 
 		var txns [][]item.Item
 		for i := 0; i < 40; i++ {
@@ -101,7 +116,7 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 				var wantHits, gotHits int64
 				for _, txn := range txns {
 					ForEachSubsetScratch(txn, k, scratch, func(sub []item.Item) bool {
-						if id := ix.Lookup(sub); id >= lo && id < hi {
+						if id, ok := ref[Key(sub)]; ok && id >= lo && id < hi {
 							want[id]++
 							wantHits++
 						}
@@ -162,16 +177,20 @@ func TestChoose(t *testing.T) {
 
 // When the stamp base nears the top of its range the stamps are cleared and
 // restarted; stale entries must not resurface as members of a later
-// transaction.
+// transaction. {3, 9} keeps the C_2 below half full, so it counts through
+// the prefix layout, the path that stamps.
 func TestStampsRestart(t *testing.T) {
-	ix := BuildIndex([][]item.Item{{1, 2}, {1, 7}, {2, 7}})
-	counts := make([]int64, 3)
+	ix := BuildIndex([][]item.Item{{1, 2}, {1, 7}, {2, 7}, {3, 9}})
+	if ix.pairs.pair != nil {
+		t.Fatal("sparse C_2 built a pair table")
+	}
+	counts := make([]int64, 4)
 	var stamps Stamps
 	ix.CountContained([]item.Item{1, 7}, counts, &stamps)
 	stamps.next = 1<<31 + 1
 	ix.CountContained([]item.Item{1, 2}, counts, &stamps)
 	ix.CountContained([]item.Item{2, 7}, counts, &stamps)
-	if want := []int64{1, 1, 1}; !slices.Equal(counts, want) {
+	if want := []int64{1, 1, 1, 0}; !slices.Equal(counts, want) {
 		t.Errorf("counts = %v, want %v", counts, want)
 	}
 }
