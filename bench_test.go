@@ -7,7 +7,9 @@
 package pgarm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -211,11 +213,15 @@ func BenchmarkAblationFabric(b *testing.B) {
 
 // countFixture is one counting pass's inputs at bench scale: C_k at 1%
 // minimum support (the all-pairs-dense C_2, or the sparse C_3 generated from
-// L_2) and every transaction already extended and member-filtered, so the
-// arms below time counting alone.
+// L_2), its keep set, L_1, and every transaction already extended and
+// member-filtered, so the arms below time counting alone.
 type countFixture struct {
-	cands [][]item.Item
-	exts  [][]item.Item
+	tax    *taxonomy.Taxonomy
+	txns   [][]item.Item
+	cands  [][]item.Item
+	member []bool
+	l1     []itemset.Counted
+	exts   [][]item.Item
 }
 
 func newCountFixture(b *testing.B, k int) countFixture {
@@ -225,22 +231,20 @@ func newCountFixture(b *testing.B, k int) countFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	large := make([]bool, ds.Taxonomy.NumItems())
-	for _, c := range res.LargeK(1) {
-		large[c.Items[0]] = true
-	}
 	var prev [][]item.Item
 	for _, c := range res.LargeK(k - 1) {
 		prev = append(prev, c.Items)
 	}
-	fx := countFixture{cands: cumulate.GenerateCandidates(ds.Taxonomy, prev, k)}
+	fx := countFixture{tax: ds.Taxonomy, cands: cumulate.GenerateCandidates(ds.Taxonomy, prev, k), l1: res.LargeK(1)}
 	if len(fx.cands) == 0 {
 		b.Fatalf("no %d-candidates at bench scale", k)
 	}
-	member := cumulate.KeepSet(ds.Taxonomy, fx.cands)
-	view := taxonomy.NewView(ds.Taxonomy, large, member)
+	fx.member = cumulate.KeepSet(ds.Taxonomy, fx.cands)
+	closure := taxonomy.KeepClosure(ds.Taxonomy, fx.member)
+	set := make([]uint64, closure.Words())
 	ds.DB.Scan(func(t txn.Transaction) error {
-		fx.exts = append(fx.exts, cumulate.ExtendFiltered(view, member, nil, t.Items))
+		fx.txns = append(fx.txns, t.Items)
+		fx.exts = append(fx.exts, closure.Extend(nil, t.Items, set))
 		return nil
 	})
 	return fx
@@ -313,6 +317,51 @@ func BenchmarkCountContained(b *testing.B) {
 				hits += index.CountContained(fx.exts[i%len(fx.exts)], counts, &stamps)
 			}
 			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
+	}
+}
+
+// BenchmarkExtend measures the engines' ancestor-closure extension per
+// transaction on its three regimes: the keep-set closures of the k = 2 and
+// k = 3 passes (member items in id order) and FP-Growth's rank closure (L_1
+// ranked by count descending, id ascending, emitting ranks). It must report
+// 0 allocs/op in every regime (CI fails otherwise).
+func BenchmarkExtend(b *testing.B) {
+	k2, k3 := newCountFixture(b, 2), newCountFixture(b, 3)
+	tax := k2.tax
+	byCount := slices.Clone(k2.l1)
+	slices.SortStableFunc(byCount, func(x, y itemset.Counted) int { return cmp.Compare(y.Count, x.Count) })
+	rank := make([]int32, tax.NumItems())
+	for i := range rank {
+		rank[i] = -1
+	}
+	ranks := make([]item.Item, len(byCount))
+	for r, c := range byCount {
+		rank[c.Items[0]] = int32(r)
+		ranks[r] = item.Item(r)
+	}
+	for _, c := range []struct {
+		name    string
+		closure *taxonomy.Closure
+	}{
+		{"k2", taxonomy.KeepClosure(tax, k2.member)},
+		{"k3", taxonomy.KeepClosure(tax, k3.member)},
+		{"fpg-ranks", taxonomy.NewClosure(tax, rank, ranks)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			set := make([]uint64, c.closure.Words())
+			var dst []item.Item
+			for _, t := range k2.txns { // grow dst before the timer
+				dst = c.closure.Extend(dst[:0], t, set)
+			}
+			var out int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = c.closure.Extend(dst[:0], k2.txns[i%len(k2.txns)], set)
+				out += int64(len(dst))
+			}
+			b.ReportMetric(float64(out)/float64(b.N), "items/op")
 		})
 	}
 }

@@ -95,10 +95,11 @@ func (e *npgmEngine) plan(_ *driver.Node, k int, cands [][]item.Item) (driver.Pl
 func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (engineOut, error) {
 	m := e.m
 	frags := fragmentCount(len(cands), k, m.cfg.MemoryBudget)
-	// One KeepSet serves both roles: the View's ancestor keep set and the
-	// pre-enumeration membership filter.
+	// One KeepSet serves both roles, the ancestor keep set and the
+	// pre-enumeration membership filter, as one closure; the view builds
+	// nothing else.
 	member := cumulate.KeepSet(m.tax, cands)
-	view := taxonomy.NewView(m.tax, m.largeFlags, member)
+	view := taxonomy.NewView(m.tax, nil, member)
 
 	// The candidate set is replicated. When C_k fits in one fragment, one
 	// shared index plus a per-node count vector stands in for N identical

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
@@ -40,6 +39,10 @@ type hierWorker struct {
 type hierEngine struct {
 	m   *itemsetMiner
 	dup dupKind
+
+	// replace maps items to their closest-to-bottom large ancestor; built
+	// once, at the pass-1 barrier.
+	replace *taxonomy.View
 
 	// cur is the plan of the pass in flight, computed by plan, consumed by
 	// pass. Shared across in-process nodes via candCache.
@@ -114,23 +117,27 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	// the scan barrier.
 	ownedIndex := itemset.BuildIndex(ownedCands)
 	ownedCounts := make([]int64, len(ownedCands))
-	ownedMember := cumulate.KeepSet(m.tax, ownedCands)
-	ownedView := taxonomy.NewView(m.tax, m.largeFlags, ownedMember)
-	dupMember := cumulate.KeepSet(m.tax, plan.dupSets)
-	dupView := taxonomy.NewView(m.tax, m.largeFlags, dupMember)
-	replaceView := taxonomy.NewView(m.tax, m.largeFlags, nil)
+	var ownedClosure *taxonomy.Closure
+	if anyPartitioned {
+		ownedClosure = taxonomy.SetsClosure(m.tax, ownedCands)
+	}
 
 	// Receiver: one unit is the item group t'' a peer selected for us;
 	// candidates contained in its ancestor closure are counted, covering
 	// both the k-itemsets generated from t'' and "all its ancestor
 	// candidates" (Figure 5 lines (12)/(16)). Each group offers the owned
 	// table C(|t''-closure|, k) probes. The receiver alone touches the owned
-	// counts; scan workers only route.
+	// counts and its closure bitset; scan workers only route. Units arrive
+	// only when something is partitioned, which is when the closure exists.
 	applyScratch := make([]item.Item, 0, 64)
+	var applySet []uint64
+	if ownedClosure != nil {
+		applySet = make([]uint64, ownedClosure.Words())
+	}
 	var applyStamps itemset.Stamps
 	xsp := n.Span("exchange")
 	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
-		applyScratch = cumulate.ExtendFiltered(ownedView, ownedMember, applyScratch[:0], items)
+		applyScratch = ownedClosure.Extend(applyScratch[:0], items, applySet)
 		st.Probes += itemset.Choose(len(applyScratch), k)
 		st.Increments += ownedIndex.CountContained(applyScratch, ownedCounts, &applyStamps)
 	}))
@@ -152,13 +159,13 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	// transaction's closure (Figures 7/9/11 line (8.1)) — the phase's
 	// extension whenever anything is duplicated. The shared dupIndex is
 	// read-only; every worker counts into its own vector.
-	var extendDup func([]item.Item, txn.Transaction) []item.Item
+	var dupClosure *taxonomy.Closure
 	if len(plan.dupSets) > 0 {
-		extendDup = cumulate.FilteredExtension(dupView, dupMember)
+		dupClosure = taxonomy.SetsClosure(m.tax, plan.dupSets)
 	}
-	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, extendDup, cp, func(w *driver.Worker, t txn.Transaction) error {
+	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, dupClosure, cp, func(w *driver.Worker, t txn.Transaction) error {
 		wk := &workers[w.ID]
-		if extendDup != nil {
+		if dupClosure != nil {
 			w.Stats.Probes += itemset.Choose(len(w.Ext), k)
 			w.Stats.Increments += plan.dupIndex.CountContained(w.Ext, wk.dupCounts, &wk.dupStamps)
 		}
@@ -167,7 +174,7 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		}
 
 		// t': items replaced by their closest-to-bottom large ancestor.
-		wk.tPrime = replaceView.ReplaceWithLarge(wk.tPrime[:0], t.Items)
+		wk.tPrime = e.replace.ReplaceWithLarge(wk.tPrime[:0], t.Items)
 		if len(wk.tPrime) == 0 {
 			return nil
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
@@ -63,8 +62,7 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	index := itemset.BuildIndex(e.owned)
 	counts := make([]int64, len(e.owned))
 
-	member := cumulate.KeepSet(m.tax, cands)
-	view := taxonomy.NewView(m.tax, m.largeFlags, member)
+	closure := taxonomy.SetsClosure(m.tax, cands)
 
 	// The receiver goroutine alone touches the owned counts; scan workers
 	// only route units into per-worker batchers.
@@ -82,7 +80,7 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	for w := range wsub {
 		wsub[w] = make([]item.Item, k)
 	}
-	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, cumulate.FilteredExtension(view, member), cp,
+	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, closure, cp,
 		func(w *driver.Worker, _ txn.Transaction) error {
 			ws, bat := &w.Stats, w.Bat
 			var sendErr error

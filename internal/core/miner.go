@@ -58,6 +58,11 @@ func (m *itemsetMiner) FinishPass1(n *driver.Node, global []int64) (int, error) 
 	for _, c := range l1 {
 		m.largeFlags[c.Items[0]] = true
 	}
+	// H-HPGM's transaction replacement reads only L_1, so its view is built
+	// once, here, for every later pass.
+	if e, ok := m.eng.(*hierEngine); ok {
+		e.replace = taxonomy.NewView(m.tax, m.largeFlags, nil)
+	}
 	return len(l1), nil
 }
 

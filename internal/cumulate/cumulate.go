@@ -93,12 +93,10 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cumulate: pass 1: %w", err)
 	}
-	large := make([]bool, tax.NumItems())
 	var l1 []itemset.Counted
 	var largeItems []item.Item
 	for i, c := range counts {
 		if c >= minCount {
-			large[i] = true
 			largeItems = append(largeItems, item.Item(i))
 			l1 = append(l1, itemset.Counted{Items: []item.Item{item.Item(i)}, Count: c})
 		}
@@ -120,10 +118,12 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 		index := itemset.BuildIndex(cands)
 		counts := make([]int64, len(cands))
 		member := KeepSet(tax, cands)
-		view := taxonomy.NewView(tax, large, member)
 
+		// The oracle extends the reference way, every chain walked and the
+		// result sorted, then filters to candidate members; the engines' slot
+		// table (taxonomy.Closure) shares none of this code.
 		err := db.Scan(func(t txn.Transaction) error {
-			scratch = ExtendFiltered(view, member, scratch[:0], t.Items)
+			scratch = filterMembers(tax.ExtendTransaction(scratch[:0], t.Items), member)
 			res.Probes += itemset.Choose(len(scratch), k)
 			index.CountContained(scratch, counts, &stamps)
 			return nil
@@ -226,29 +226,14 @@ func KeepSet(tax *taxonomy.Taxonomy, cands [][]item.Item) []bool {
 	return keep
 }
 
-// ExtendFiltered computes the extended, candidate-filtered transaction used
-// for counting: items plus kept ancestors, restricted to candidate members.
-// A candidate is contained in the original transaction's ancestor closure
-// exactly when it is a subset of this extension, so enumerating its
-// k-subsets against a candidate table yields closure-semantics support
-// counts with no per-transaction deduplication (subsets of a set are
-// distinct). The parallel engines in internal/core share it.
-func ExtendFiltered(view *taxonomy.View, member []bool, dst []item.Item, items []item.Item) []item.Item {
-	dst = view.ExtendPruned(dst, items)
+// filterMembers drops, in place, the items of ext outside member.
+func filterMembers(ext []item.Item, member []bool) []item.Item {
 	w := 0
-	for _, x := range dst {
+	for _, x := range ext {
 		if member[x] {
-			dst[w] = x
+			ext[w] = x
 			w++
 		}
 	}
-	return dst[:w]
-}
-
-// FilteredExtension binds ExtendFiltered to one pass's view and member set,
-// in the shape a driver count phase takes as its extension function.
-func FilteredExtension(view *taxonomy.View, member []bool) func(dst []item.Item, t txn.Transaction) []item.Item {
-	return func(dst []item.Item, t txn.Transaction) []item.Item {
-		return ExtendFiltered(view, member, dst, t.Items)
-	}
+	return ext[:w]
 }

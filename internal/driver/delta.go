@@ -3,7 +3,6 @@ package driver
 import (
 	"errors"
 
-	"pgarm/internal/cumulate"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
@@ -31,19 +30,29 @@ type CountOptions struct {
 // ErrCountVectors reports a count vector whose length is not the index's.
 var ErrCountVectors = errors.New("count vector length differs from the index")
 
+// errNoClosure reports a CountTable view built without a keep set.
+var errNoClosure = errors.New("count table: view has no keep-set closure")
+
 // CountTable counts support for the candidates behind index over one
-// transaction source: each transaction is extended with its kept ancestors
-// (view), filtered to candidate members (member), and every indexed
-// k-itemset it contains increments wcounts (Index.CountContained). It is the
-// count-support scan shared by the batch NPGM pass and the incremental
-// miner's delta and prefix scans, so both count bit-identically by
-// construction.
+// transaction source: each transaction is replaced by its ancestor closure
+// restricted to the candidate members, through the view's Closure, and every
+// indexed k-itemset it contains increments wcounts (Index.CountContained).
+// It is the count-support scan shared by the batch NPGM pass and the
+// incremental miner's delta and prefix scans, so both count bit-identically
+// by construction.
+//
+// view must have been built with a keep set (taxonomy.NewView(t, nil,
+// member) is enough); member is that keep set — cumulate.KeepSet of the
+// indexed candidates — and is already applied by the view's closure.
 //
 // wcounts must have opt.Workers (min 1) vectors of length index.Len() (any
 // other length is ErrCountVectors, before the scan); callers fold them with
 // MergeWorkerVectors. src must support concurrent independent Scan calls
 // when opt.Workers > 1 (every txn.Scanner in the repo does).
 func CountTable(view *taxonomy.View, member []bool, index *itemset.Index, k int, src txn.Scanner, wcounts [][]int64, opt CountOptions) error {
+	if view.Closure() == nil {
+		return errNoClosure
+	}
 	for _, c := range wcounts {
 		if len(c) != index.Len() {
 			return ErrCountVectors
@@ -54,7 +63,7 @@ func CountTable(view *taxonomy.View, member []bool, index *itemset.Index, k int,
 		st = &opt.WStats[0]
 	}
 	wstamps := make([]itemset.Stamps, max(opt.Workers, 1))
-	return CountPhase(src, opt.Workers, opt.Obs, st, cumulate.FilteredExtension(view, member), nil,
+	return CountPhase(src, opt.Workers, opt.Obs, st, view.Closure(), nil,
 		func(w *Worker, _ txn.Transaction) error {
 			w.Stats.Probes += itemset.Choose(len(w.Ext), k)
 			w.Stats.Increments += index.CountContained(w.Ext, wcounts[w.ID], &wstamps[w.ID])

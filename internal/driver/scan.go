@@ -40,6 +40,8 @@ type Worker struct {
 	Stats metrics.NodeStats // this worker's counters; TxnsScanned and the block counters are counted here
 	Ext   []item.Item       // the record's extension when the phase extends; reused for the next record
 	Bat   *Batcher          // routes units to their owners when the phase has an Exchange
+
+	set []uint64 // the extension's scratch bitset, zero between records
 }
 
 // CountPhase is the count-support step every algorithm shares — "for each
@@ -60,18 +62,19 @@ type Worker struct {
 // order, body runs serially within a worker, and every body call
 // happens-before CountPhase returns.
 //
-// extend, when non-nil, computes each record's extension into Worker.Ext
-// before body runs. ex, when non-nil, is the pass's Exchange: every worker
-// routes through its own Batcher, and after the scan every batcher is
-// flushed in worker order unless an error occurred, and the exchange is
-// finished either way. The first error in worker order wins; with an
+// extend, when non-nil, is the pass's ancestor closure: each record's kept
+// closure is written to Worker.Ext, in the closure's slot order, before body
+// runs, through a bitset the worker owns; nil means no extension. ex, when
+// non-nil, is the pass's Exchange: every worker routes through its own
+// Batcher, and after the scan every batcher is flushed in worker order unless
+// an error occurred, and the exchange is finished either way. The first error in worker order wins; with an
 // exchange it is wrapped as a count-support error.
 //
 // On success the workers' counters are merged into st in worker order (exact
 // integer sums, so bit-identical at every worker count) and the phase's wall
 // time is added to st.ScanTime. A nil st drops the counters.
 func CountPhase(src txn.Scanner, workers int, so ShardObs, st *metrics.NodeStats,
-	extend func(dst []item.Item, t txn.Transaction) []item.Item, ex *Exchange,
+	extend *taxonomy.Closure, ex *Exchange,
 	body func(w *Worker, t txn.Transaction) error) error {
 	started := time.Now()
 	ws := make([]Worker, max(workers, 1))
@@ -79,6 +82,7 @@ func CountPhase(src txn.Scanner, workers int, so ShardObs, st *metrics.NodeStats
 		ws[i].ID = i
 		if extend != nil {
 			ws[i].Ext = make([]item.Item, 0, 64)
+			ws[i].set = make([]uint64, extend.Words())
 		}
 		if ex != nil {
 			ws[i].Bat = ex.NewBatcher()
@@ -90,7 +94,7 @@ func CountPhase(src txn.Scanner, workers int, so ShardObs, st *metrics.NodeStats
 		each := func(t txn.Transaction) error {
 			w.Stats.TxnsScanned++
 			if extend != nil {
-				w.Ext = extend(w.Ext[:0], t)
+				w.Ext = extend.Extend(w.Ext[:0], t.Items, w.set)
 			}
 			return body(w, t)
 		}
@@ -146,15 +150,18 @@ func CountPhase(src txn.Scanner, workers int, so ShardObs, st *metrics.NodeStats
 // CountItems is the dense pass-1 count every itemset miner shares: each
 // transaction's items and all their ancestors, counted once per transaction
 // into a vector indexed by item. C_1 is just that array, so there is nothing
-// to partition — only the scan is sharded.
+// to partition — only the scan is sharded. The closure is counted in place
+// (Taxonomy.CountClosure) through a per-worker bitset over the items; it is
+// never materialized or ordered.
 func CountItems(tax *taxonomy.Taxonomy, src txn.Scanner, workers int, so ShardObs, st *metrics.NodeStats) ([]int64, error) {
-	wcounts := WorkerVectors(max(workers, 1), tax.NumItems())
-	closure := func(dst []item.Item, t txn.Transaction) []item.Item { return tax.ExtendTransaction(dst, t.Items) }
-	err := CountPhase(src, workers, so, st, closure, nil, func(w *Worker, _ txn.Transaction) error {
-		counts := wcounts[w.ID]
-		for _, x := range w.Ext {
-			counts[x]++
-		}
+	W := max(workers, 1)
+	wcounts := WorkerVectors(W, tax.NumItems())
+	wseen := make([][]uint64, W)
+	for w := range wseen {
+		wseen[w] = make([]uint64, tax.ItemWords())
+	}
+	err := CountPhase(src, workers, so, st, nil, nil, func(w *Worker, t txn.Transaction) error {
+		tax.CountClosure(wcounts[w.ID], t.Items, wseen[w.ID])
 		return nil
 	})
 	if err != nil {

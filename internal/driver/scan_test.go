@@ -140,6 +140,37 @@ func TestCountItemsMatchesSerial(t *testing.T) {
 	})
 }
 
+// TestCountItemsMatchesExtendTransaction: the in-place pass-1 count equals
+// counting every item of ExtendTransaction, at 1 and 3 workers, over
+// transactions that repeat items and hold an item beside its own ancestor.
+func TestCountItemsMatchesExtendTransaction(t *testing.T) {
+	fx := newScanFixture(t)
+	rng := rand.New(rand.NewSource(38))
+	db := txn.NewDB(nil)
+	want := make([]int64, fx.tax.NumItems())
+	for tid := 0; tid < 200; tid++ {
+		items := slices.Clone(fx.db.At(tid).Items)
+		items = append(items, items[rng.Intn(len(items))])
+		if p := fx.tax.Parent(items[0]); p != item.None {
+			items = append(items, p)
+		}
+		rng.Shuffle(len(items), func(a, b int) { items[a], items[b] = items[b], items[a] })
+		db.Append(txn.Transaction{TID: int64(tid), Items: items})
+		for _, x := range fx.tax.ExtendTransaction(nil, items) {
+			want[x]++
+		}
+	}
+	for _, W := range []int{1, 3} {
+		got, err := CountItems(fx.tax, db, W, ShardObs{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("W=%d: CountItems = %v, want %v", W, got, want)
+		}
+	}
+}
+
 // TestCountPhaseBodyError: the first error in worker order is the one
 // returned, nothing is flushed after it, and the exchange is still finished
 // (its receiver has exited by the time CountPhase returns).
@@ -229,6 +260,19 @@ func TestCountTableStatsOptional(t *testing.T) {
 	}
 	if st.TxnsScanned != int64(fx.db.Len()) || st.Probes == 0 || wstats[0].Probes != st.Probes {
 		t.Errorf("Stats %d txns / %d probes, WStats[0] %d probes", st.TxnsScanned, st.Probes, wstats[0].Probes)
+	}
+}
+
+// TestCountTableNeedsClosure: a view built without a keep set has no
+// closure to count through, and CountTable refuses it before the scan.
+func TestCountTableNeedsClosure(t *testing.T) {
+	fx := newScanFixture(t)
+	cands := [][]item.Item{{0, 1}}
+	index := itemset.BuildIndex(cands)
+	view := taxonomy.NewView(fx.tax, make([]bool, fx.tax.NumItems()), nil)
+	err := CountTable(view, cumulate.KeepSet(fx.tax, cands), index, 2, fx.db, WorkerVectors(1, index.Len()), CountOptions{})
+	if !errors.Is(err, errNoClosure) {
+		t.Fatalf("got %v, want errNoClosure", err)
 	}
 }
 

@@ -201,20 +201,16 @@ func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree
 	for w := range trees {
 		trees[w] = newFPTree(m.numLarge, int((m.forestNodes+int64(W)-1)/int64(W))+1)
 	}
-	wranks := make([][]item.Item, W)
-	err := driver.CountPhase(m.db, W, n.ShardObs("build"), st,
-		func(dst []item.Item, t txn.Transaction) []item.Item { return m.tax.ExtendTransaction(dst, t.Items) },
-		nil,
+	// The closure's slot table is the rank vector and each slot emits its
+	// rank, so a transaction comes out as its large closure items in
+	// ascending rank (frequency-descending) order with no sort.
+	ranks := make([]item.Item, m.numLarge)
+	for r := range ranks {
+		ranks[r] = item.Item(r)
+	}
+	err := driver.CountPhase(m.db, W, n.ShardObs("build"), st, taxonomy.NewClosure(m.tax, m.rank, ranks), nil,
 		func(w *driver.Worker, _ txn.Transaction) error {
-			rs := wranks[w.ID][:0]
-			for _, x := range w.Ext {
-				if r := m.rank[x]; r >= 0 {
-					rs = append(rs, item.Item(r))
-				}
-			}
-			item.Sort(rs) // ascending rank = frequency-descending item order
-			wranks[w.ID] = rs
-			trees[w.ID].add(rs, 1)
+			trees[w.ID].add(w.Ext, 1)
 			return nil
 		})
 	if err != nil {

@@ -119,12 +119,10 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 	}
 	state.ItemCounts = counts
 	stats.Passes = 1
-	large := make([]bool, numItems)
 	var l1 []itemset.Counted
 	nLarge := 0
 	for i, c := range counts {
 		if c >= minCount {
-			large[i] = true
 			nLarge++
 			l1 = append(l1, itemset.Counted{Items: []item.Item{item.Item(i)}, Count: c})
 		}
@@ -181,7 +179,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		count := func(sets [][]item.Item, ids []int, src txn.Scanner) error {
 			member := cumulate.KeepSet(tax, sets)
 			wcounts := driver.WorkerVectors(W, len(sets))
-			err := driver.CountTable(taxonomy.NewView(tax, large, member), member, itemset.BuildIndex(sets), k, src, wcounts,
+			err := driver.CountTable(taxonomy.NewView(tax, nil, member), member, itemset.BuildIndex(sets), k, src, wcounts,
 				driver.CountOptions{Workers: W, Stats: &scanned})
 			for i, c := range driver.MergeWorkerVectors(wcounts) {
 				if ids != nil {

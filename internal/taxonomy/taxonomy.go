@@ -5,9 +5,15 @@
 // algorithms apply each pass:
 //
 //   - extending a transaction with all ancestors of its items (Cumulate,
-//     NPGM, HPGM), and
+//     NPGM, HPGM, and the H-HPGM family's duplicated candidates), and
 //   - replacing each item with the large item among its ancestors closest to
 //     the bottom of the hierarchy (H-HPGM family, line (8) of Figure 5).
+//
+// The engines extend through a Closure: a per-pass slot table that emits a
+// transaction's kept closure in slot order from a bitset, with no sort, and
+// pass 1 counts the closure in place (CountClosure). ExtendTransaction, which
+// walks every chain and sorts, is the reference the sequential Cumulate
+// oracle, the server and the tests use.
 //
 // A Taxonomy is immutable once built; all query methods are safe for
 // concurrent use.

@@ -249,26 +249,40 @@ func TestView(t *testing.T) {
 	}
 }
 
-func TestViewExtendPruned(t *testing.T) {
+// TestViewClosure: the view's keep-set closure adds only kept ancestors and
+// keeps a transaction item only when it is kept itself; a view built without
+// a keep set has no closure, and one without L_1 no replacement table.
+func TestViewClosure(t *testing.T) {
 	tax := figureTree(t)
 	large := make([]bool, tax.NumItems())
 	for i := range large {
 		large[i] = true
 	}
 	keep := make([]bool, tax.NumItems())
-	keep[3] = true // only ancestor 3 survives pruning
+	keep[3] = true // ancestor 3 survives pruning, root 0 does not
+	keep[8] = true // the transaction item is a candidate member
 	v := NewView(tax, large, keep)
-	got := v.ExtendPruned(nil, []item.Item{8})
+	set := make([]uint64, v.Closure().Words())
+	got := v.Closure().Extend(nil, []item.Item{8}, set)
 	if !item.Equal(got, []item.Item{3, 8}) {
-		t.Errorf("ExtendPruned = %v, want {3,8} (ancestor 0 pruned)", got)
+		t.Errorf("Extend = %v, want {3,8} (ancestor 0 pruned)", got)
 	}
-	if v.Kept(3) != true || v.Kept(0) != false {
-		t.Error("Kept flags wrong")
+	if got := v.Closure().Extend(nil, []item.Item{3}, set); !item.Equal(got, []item.Item{3}) {
+		t.Errorf("Extend({3}) = %v, want {3} (3 kept)", got)
 	}
-	// nil keep = keep everything.
-	all := NewView(tax, large, nil)
-	got = all.ExtendPruned(nil, []item.Item{8})
+	if got := v.Closure().Extend(nil, []item.Item{0}, set); len(got) != 0 {
+		t.Errorf("Extend({0}) = %v, want {} (0 not kept)", got)
+	}
+	// A keep set of every item keeps the whole closure.
+	all := NewView(tax, nil, large)
+	got = all.Closure().Extend(nil, []item.Item{8}, make([]uint64, all.Closure().Words()))
 	if !item.Equal(got, []item.Item{0, 3, 8}) {
-		t.Errorf("ExtendPruned nil-keep = %v", got)
+		t.Errorf("Extend full keep = %v", got)
+	}
+	if NewView(tax, large, nil).Closure() != nil {
+		t.Error("a view without a keep set built a closure")
+	}
+	if NewView(tax, nil, keep).nearestLarge != nil {
+		t.Error("a view without L_1 built the replacement table")
 	}
 }

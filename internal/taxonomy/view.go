@@ -2,46 +2,49 @@ package taxonomy
 
 import "pgarm/internal/item"
 
-// View is a per-pass overlay on a Taxonomy capturing the two pruning
-// optimizations Cumulate applies before scanning the database:
+// View is a per-pass overlay on a Taxonomy holding the two transaction
+// transforms a pass applies before counting:
 //
 //  1. the "closest-to-bottom large ancestor" replacement used by the H-HPGM
 //     family (small items are replaced by their nearest large ancestor, or
 //     dropped when no ancestor is large), and
-//  2. "delete any ancestors in T that are not present in any of the
-//     candidates in C_k": transaction extension only adds ancestors that can
-//     still contribute to a candidate.
+//  2. the candidate-pruned ancestor closure: "delete any ancestors in T that
+//     are not present in any of the candidates in C_k", applied together with
+//     the filter to candidate members, as one Closure over the keep set.
 //
-// A View is built once per pass and is then read-only, safe for concurrent
-// use by all node goroutines.
+// A view builds only the tables it is given inputs for. A View is built once
+// per pass (the replacement once per mine, since L_1 is fixed at the pass-1
+// barrier) and is then read-only, safe for concurrent use by all node
+// goroutines.
 type View struct {
 	tax *Taxonomy
 	// nearestLarge[i] = i if i is large, else the closest large strict
-	// ancestor of i, else item.None.
+	// ancestor of i, else item.None. nil when the view was built without L_1.
 	nearestLarge []item.Item
-	// keep[i] = true if ancestor i survives pruning (present in candidates).
-	// nil means "keep everything".
-	keep []bool
+	// closure emits a transaction's closure restricted to the keep set. nil
+	// when the view was built without one.
+	closure *Closure
 }
 
-// NewView builds a view for one pass. large[i] reports whether item i is a
-// large item (member of L1). keepAncestors, if non-nil, flags the ancestors
-// that appear in some current candidate; extension will only add flagged
-// ancestors. Pass nil to keep all ancestors.
-func NewView(t *Taxonomy, large []bool, keepAncestors []bool) *View {
-	v := &View{
-		tax:          t,
-		nearestLarge: make([]item.Item, t.NumItems()),
-		keep:         keepAncestors,
-	}
-	// Roots first (level order not required: walk up per item, memoizing is
-	// unnecessary at this scale but the parent chain is short).
-	for i := range v.nearestLarge {
-		x := item.Item(i)
-		for x != item.None && !large[x] {
-			x = t.Parent(x)
+// NewView builds a view for one pass. large, if non-nil, flags the large
+// items (members of L_1) and enables ReplaceWithLarge. keep, if non-nil,
+// flags the items that appear in some current candidate and enables
+// Closure: KeepClosure(t, keep), which keeps a transaction item or ancestor
+// exactly when it is flagged.
+func NewView(t *Taxonomy, large []bool, keep []bool) *View {
+	v := &View{tax: t}
+	if large != nil {
+		v.nearestLarge = make([]item.Item, t.NumItems())
+		for i := range v.nearestLarge {
+			x := item.Item(i)
+			for x != item.None && !large[x] {
+				x = t.Parent(x)
+			}
+			v.nearestLarge[i] = x
 		}
-		v.nearestLarge[i] = x
+	}
+	if keep != nil {
+		v.closure = KeepClosure(t, keep)
 	}
 	return v
 }
@@ -49,37 +52,23 @@ func NewView(t *Taxonomy, large []bool, keepAncestors []bool) *View {
 // Taxonomy returns the underlying hierarchy.
 func (v *View) Taxonomy() *Taxonomy { return v.tax }
 
+// Closure returns the view's keep-set closure, or nil when the view was
+// built without a keep set.
+func (v *View) Closure() *Closure { return v.closure }
+
 // NearestLarge returns x itself if large, otherwise the closest large
-// ancestor of x, otherwise item.None.
+// ancestor of x, otherwise item.None. The view must have been built with L_1.
 func (v *View) NearestLarge(x item.Item) item.Item { return v.nearestLarge[x] }
 
 // ReplaceWithLarge computes the H-HPGM transaction form t' (Figure 5 line
 // (8)): each item of txn is replaced by the large item among its ancestors
 // closest to the bottom of the hierarchy; items with no large ancestor are
-// dropped. The result is canonical (sorted, deduped), appended to dst.
+// dropped. The result is canonical (sorted, deduped), appended to dst. The
+// view must have been built with L_1.
 func (v *View) ReplaceWithLarge(dst []item.Item, txn []item.Item) []item.Item {
 	for _, x := range txn {
 		if y := v.nearestLarge[x]; y != item.None {
 			dst = append(dst, y)
-		}
-	}
-	return item.Dedup(dst)
-}
-
-// Kept reports whether ancestor x survives candidate-based pruning.
-func (v *View) Kept(x item.Item) bool { return v.keep == nil || v.keep[x] }
-
-// ExtendPruned computes the Cumulate extended transaction t' while honouring
-// ancestor pruning: every item of txn is kept (it may itself match a
-// candidate leaf), and only ancestors flagged in keepAncestors are added.
-// The result is canonical, appended to dst.
-func (v *View) ExtendPruned(dst []item.Item, txn []item.Item) []item.Item {
-	for _, x := range txn {
-		dst = append(dst, x)
-		for cur := v.tax.Parent(x); cur != item.None; cur = v.tax.Parent(cur) {
-			if v.Kept(cur) {
-				dst = append(dst, cur)
-			}
 		}
 	}
 	return item.Dedup(dst)
