@@ -232,11 +232,19 @@ func (b *Batcher) AddItems(dest int, items []item.Item) error {
 	return nil
 }
 
-// AddRaw appends one already-encoded unit for dest (the unit bytes are
-// copied), flushing if the batch is full. The unit encoding must match what
-// the exchange's apply callback decodes.
-func (b *Batcher) AddRaw(dest int, unit []byte) error {
-	b.bufs[dest] = append(b.take(dest), unit...)
+// AddRun appends one already-encoded run for dest, head then body (both
+// copied; either may be empty), and flushes if the batch is full. The bytes
+// must match what the exchange's apply callback decodes, and they arrive in
+// one batch. A run may be longer than the room cluster.BatchCap leaves above
+// the threshold: when it would not fit, the open batch is sent first, so the
+// run starts a recycled batch instead of outgrowing one.
+func (b *Batcher) AddRun(dest int, head, body []byte) error {
+	if buf := b.bufs[dest]; len(buf) > 0 && len(buf)+len(head)+len(body) > cluster.BatchCap {
+		if err := b.Flush(dest); err != nil {
+			return err
+		}
+	}
+	b.bufs[dest] = append(append(b.take(dest), head...), body...)
 	if len(b.bufs[dest]) >= b.limit {
 		return b.Flush(dest)
 	}

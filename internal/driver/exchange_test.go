@@ -3,6 +3,7 @@ package driver
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -149,7 +150,9 @@ func TestBatcherFlushesAtThreshold(t *testing.T) {
 	}
 }
 
-func TestBatcherAddRawMatchesAddItems(t *testing.T) {
+// TestBatcherAddRunMatchesAddItems: a unit handed to AddRun in two pieces
+// arrives as the one unit AddItems would have sent.
+func TestBatcherAddRunMatchesAddItems(t *testing.T) {
 	nodes, f := newTestNodes(t, 1)
 	defer f.Close()
 	nd := nodes[0]
@@ -160,7 +163,8 @@ func TestBatcherAddRawMatchesAddItems(t *testing.T) {
 		got = append(got, cp)
 	}))
 	bat := smallBatcher(cp)
-	if err := bat.AddRaw(0, wire.AppendItems(nil, []item.Item{4, 5, 6})); err != nil {
+	unit := wire.AppendItems(nil, []item.Item{4, 5, 6})
+	if err := bat.AddRun(0, unit[:2], unit[2:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := bat.FlushAll(); err != nil {
@@ -170,7 +174,7 @@ func TestBatcherAddRawMatchesAddItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || len(got[0]) != 3 || got[0][0] != 4 || got[0][2] != 6 {
-		t.Fatalf("AddRaw unit decoded as %v", got)
+		t.Fatalf("AddRun unit decoded as %v", got)
 	}
 }
 
@@ -266,7 +270,7 @@ func TestExchangeRecyclesBatches(t *testing.T) {
 					ex := nd.NewExchange(KData, func(b []byte) (int64, error) { got += len(b); return 0, nil })
 					bat := ex.NewBatcher()
 					for u := 0; u < 8*batches; u++ {
-						if err := bat.AddRaw(1-i, unit); err != nil {
+						if err := bat.AddRun(1-i, nil, unit); err != nil {
 							t.Error(err)
 							break
 						}
@@ -457,4 +461,38 @@ func FuzzExchange(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBatcherAddRunKeepsBatchCap: a run that would push the open batch past
+// cluster.BatchCap sends that batch first and starts a new one, so every
+// batch keeps the recyclable capacity and the run arrives whole; a run that
+// fits joins the open batch.
+func TestBatcherAddRunKeepsBatchCap(t *testing.T) {
+	nodes, f := newTestNodes(t, 1)
+	defer f.Close()
+	var lens []int
+	cp := nodes[0].NewExchange(KData, func(batch []byte) (int64, error) {
+		if cap(batch) != cluster.BatchCap {
+			t.Errorf("batch of %d bytes has capacity %d, want %d", len(batch), cap(batch), cluster.BatchCap)
+		}
+		lens = append(lens, len(batch))
+		return 0, nil
+	})
+	bat := cp.NewBatcher()
+	head, body := []byte{1, 2}, bytes.Repeat([]byte{3}, 600)
+	for _, step := range []func() error{
+		func() error { return bat.AddRun(0, nil, make([]byte, 100)) },
+		func() error { return bat.AddRun(0, head, body) }, // fits: 702 bytes open
+		func() error { return bat.AddRun(0, nil, make([]byte, 3300)) },
+		func() error { return bat.AddRun(0, head, body) }, // 4002 + 602 > BatchCap
+		bat.FlushAll,
+		cp.Finish,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []int{4002, 602}; !slices.Equal(lens, want) {
+		t.Fatalf("batches of %v bytes, want %v", lens, want)
+	}
 }

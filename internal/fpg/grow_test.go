@@ -49,9 +49,8 @@ func condBase(m *fpgMiner, t *fpTree, r item.Item) []baseUnit {
 	var base []baseUnit
 	x := m.itemAt[r]
 	skip := func(pr item.Item) bool { return m.conflicts(m.itemAt[pr], x) }
-	extractPaths([]*fpTree{t}, r, skip, nil, func(path []item.Item, count int64) error {
+	extractPaths(t, r, skip, nil, func(path []item.Item, count int64) {
 		base = append(base, baseUnit{count, slices.Clone(path)})
-		return nil
 	})
 	return base
 }
@@ -188,7 +187,8 @@ func TestBaseTreeKeepsFrequentRanks(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 100; trial++ {
 		m := condMiner(0, 1, 8)
-		var b []byte
+		var b, run []byte
+		units := 0
 		for u := rng.Intn(30); u >= 0; u-- {
 			var path []item.Item
 			for r := 0; r < 7; r++ {
@@ -196,7 +196,11 @@ func TestBaseTreeKeepsFrequentRanks(t *testing.T) {
 					path = append(path, item.Item(r))
 				}
 			}
-			b = condUnit(b, 7, uint64(1+rng.Intn(5)), path)
+			run = condUnit(run, uint64(1+rng.Intn(5)), path)
+			if units++; u == 0 || rng.Intn(4) == 0 {
+				b = condRun(b, 7, uint64(units), run)
+				run, units = run[:0], 0
+			}
 		}
 		if _, err := m.applyBases(b); err != nil {
 			t.Fatal(err)

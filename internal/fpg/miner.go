@@ -46,9 +46,14 @@ type fpgMiner struct {
 	localCounts []int64
 	forestNodes int64
 
+	// conf[r] lists, ascending, the ranks below r whose items are in the
+	// ancestor relation with r's item: the ranks the cond-base walk drops
+	// from r's prefix paths. Replicated, like the order it is derived from.
+	conf [][]item.Item
+
 	// bases[q] is the conditional pattern base of owned suffix rank
-	// id + q*NumNodes as the bytes received: runs of consecutive checked
-	// units, appended by the cond-base exchange receiver in arrival order.
+	// q*NumNodes + id as the bytes received: the unit bytes of each checked
+	// run, appended by the cond-base exchange receiver in arrival order.
 	bases [][][]byte
 
 	// The pass-2 barrier, which resolves every pattern size at once: the
@@ -108,7 +113,26 @@ func (m *fpgMiner) FinishPass1(n *driver.Node, global []int64) (int, error) {
 	}
 	m.localCounts = nil
 	m.numLarge = len(m.itemAt)
+	m.conf = conflictLists(m.tax, m.itemAt, m.rank)
 	return len(l1), nil
+}
+
+// conflictLists returns conf (see fpgMiner) for the frequency order itemAt,
+// whose inverse is rank. Every ancestor of a large item is large, since
+// closure counts only grow up the taxonomy, so each pair in the relation is
+// found once, on the ancestor chain of its lower item.
+func conflictLists(tax *taxonomy.Taxonomy, itemAt []item.Item, rank []int32) [][]item.Item {
+	conf := make([][]item.Item, len(itemAt))
+	for r, x := range itemAt {
+		for a := tax.Parent(x); a != item.None; a = tax.Parent(a) {
+			lo, hi := min(item.Item(r), item.Item(rank[a])), max(item.Item(r), item.Item(rank[a]))
+			conf[hi] = append(conf[hi], lo)
+		}
+	}
+	for _, c := range conf {
+		slices.Sort(c)
+	}
+	return conf
 }
 
 // Generate reports the pattern-growth task count for the single growth pass:
@@ -161,21 +185,8 @@ func (m *fpgMiner) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driv
 		return driver.PassOutcome{}, err
 	}
 
-	shipStart := time.Now()
-	slots := 0
-	if n.ID() < m.numLarge {
-		slots = (m.numLarge-1-n.ID())/m.numNodes + 1
-	}
-	m.bases = make([][][]byte, slots)
-	ex := n.NewExchange(driver.KCondBase, m.applyBases)
-	shipErr := m.shipBases(n, ex, forest, st)
-	finErr := ex.Finish()
-	st.ScanTime += time.Since(shipStart)
-	if shipErr != nil {
-		return driver.PassOutcome{}, shipErr
-	}
-	if finErr != nil {
-		return driver.PassOutcome{}, finErr
+	if err := m.exchangeBases(n, forest, st); err != nil {
+		return driver.PassOutcome{}, err
 	}
 	forest = nil
 
@@ -187,10 +198,29 @@ func (m *fpgMiner) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driv
 	return driver.PassOutcome{Owned: m.EncodeOwn(n)}, nil
 }
 
+// exchangeBases runs the cond-base exchange: it ships the bases in the local
+// forest while it receives this node's owned slots into m.bases.
+func (m *fpgMiner) exchangeBases(n *driver.Node, forest []*fpTree, st *metrics.NodeStats) error {
+	start := time.Now()
+	slots := 0
+	if n.ID() < m.numLarge {
+		slots = (m.numLarge-1-n.ID())/m.numNodes + 1
+	}
+	m.bases = make([][][]byte, slots)
+	ex := n.NewExchange(driver.KCondBase, m.applyBases)
+	shipErr := m.shipBases(n, ex, forest, st)
+	finErr := ex.Finish()
+	st.ScanTime += time.Since(start)
+	if shipErr != nil {
+		return shipErr
+	}
+	return finErr
+}
+
 // buildForest builds one FP-tree per scan worker over the ancestor-closure
 // of the local partition, restricted to large items and mapped to frequency
-// ranks. The trees are never merged: conditional-base extraction walks a
-// rank's header chain in every tree, and counts are exact sums either way.
+// ranks. The trees are never merged: each is walked for its conditional
+// bases (shipBases), and counts are exact sums either way.
 // Each worker's arena is allocated once, at its share of the pass-1 bound;
 // with one worker the bound is exact and the arena never grows.
 func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree, error) {
@@ -224,116 +254,208 @@ func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree
 	return trees, nil
 }
 
-// shipBases extracts every suffix rank's conditional pattern base from the
-// local forest and routes it to the rank's owner through the exchange,
-// sharded over Workers. The taxonomy filter runs at the sender: prefix items
-// in the ancestor relation with the suffix item can never co-occur with it
-// in a frequent set, so they are dropped before they cost wire bytes. Each
-// prefix rank's verdict is taxonomy-checked once per suffix: verdict[pr] is
-// 2*r plus 1 for a conflict, so a mark left by an earlier suffix reads as
-// unknown and the vector never needs clearing.
+// stageBytes is the size of a walker's per-rank stage: the units of one
+// suffix rank gathered before they go to its owner as one run.
+const stageBytes = 512
+
+// shipBases routes every suffix rank's conditional pattern base in the local
+// forest to the rank's owner through the exchange, one walker per forest tree
+// (see baseWalker). Its span counts the units, runs and run bytes handed to
+// the exchange, loopback included.
 func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTree, st *metrics.NodeStats) error {
 	sp := n.Span("ship-bases")
 	defer sp.End()
-	numTasks := m.numLarge - 1
-	W := max(min(n.Workers(), numTasks), 1)
-	wsent := make([]int64, W)
-	err := itemset.Fan("ship", W, n.ShardObs("ship").Hook(), func(w int) error {
-		b := ex.NewBatcher()
-		var unit []byte
-		var climb []item.Item
-		verdict := make([]int32, m.numLarge)
-		for t := numTasks * w / W; t < numTasks*(w+1)/W; t++ {
-			r := item.Item(t + 1) // suffix ranks start at 1
-			x := m.itemAt[r]
-			dest := int(r) % m.numNodes
-			skip := func(pr item.Item) bool {
-				v := verdict[pr]
-				if v>>1 != int32(r) {
-					v = int32(r) << 1
-					if m.conflicts(m.itemAt[pr], x) {
-						v |= 1
-					}
-					verdict[pr] = v
-				}
-				return v&1 == 1
-			}
-			var err error
-			climb, err = extractPaths(forest, r, skip, climb, func(path []item.Item, count int64) error {
-				unit = wire.AppendUvarint(unit[:0], uint64(r))
-				unit = wire.AppendUvarint(unit, uint64(count))
-				unit = wire.AppendItems(unit, path)
-				if dest != n.ID() {
-					wsent[w] += int64(len(path))
-				}
-				return b.AddRaw(dest, unit)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return b.FlushAll()
-	})
-	for _, it := range wsent {
-		st.ItemsSent += it
+	walkers := make([]*baseWalker, len(forest))
+	for w := range walkers {
+		walkers[w] = m.newBaseWalker(ex.NewBatcher())
 	}
+	err := itemset.Fan("ship", len(forest), n.ShardObs("ship").Hook(), func(w int) error {
+		return walkers[w].walk(forest[w])
+	})
+	var units, runs, bytes int64
+	for _, w := range walkers {
+		st.ItemsSent += w.itemsSent
+		units, runs, bytes = units+w.units, runs+w.runs, bytes+w.bytes
+	}
+	sp.Arg("units", units)
+	sp.Arg("runs", runs)
+	sp.Arg("bytes", bytes)
 	return err
 }
 
-// applyBases is the cond-base exchange's receive callback. It checks every
-// (suffix rank, count, path) unit of a batch — rank owned, count within
-// [1, the suffix item's support], path canonical and below the rank —
-// copies the batch once (the exchange releases every batch once apply
-// returns) and appends each run of consecutive units of one owned slot to
-// that slot as a sub-slice of the copy; units before a rejected one are
+// baseWalker ships one forest tree's conditional pattern bases. It walks the
+// tree once in preorder with the current path's ranks on a stack, so a
+// node's prefix path is the stack below it: no node climbs its parent chain.
+// Each node of rank r with a non-empty prefix stages one unit, (count, the
+// prefix minus conf[r]), in r's stage, a stageBytes window of one slab. A
+// stage that cannot take the next unit goes to r's owner as one run,
+// (rank, units, (count, path)*), so the rank is on the wire once per run and
+// the owner receives each rank's units grouped. A unit longer than a whole
+// stage goes alone as a one-unit run and never enters the slab.
+type baseWalker struct {
+	m     *fpgMiner
+	b     *driver.Batcher
+	stage [][]byte // stage[r]: rank r's staged units, capacity stageBytes
+	held  []int32  // held[r]: the number of units in stage[r]
+	path  []item.Item
+	at    []int32 // at[r]: where rank r was last pushed on path
+	keep  []item.Item
+	unit  []byte
+	head  []byte
+
+	units, runs, bytes, itemsSent int64
+}
+
+func (m *fpgMiner) newBaseWalker(b *driver.Batcher) *baseWalker {
+	slab := make([]byte, m.numLarge*stageBytes)
+	stage := make([][]byte, m.numLarge)
+	for r := range stage {
+		stage[r] = slab[r*stageBytes : r*stageBytes : (r+1)*stageBytes]
+	}
+	return &baseWalker{m: m, b: b, stage: stage, held: make([]int32, m.numLarge), at: make([]int32, m.numLarge)}
+}
+
+// walk stages a unit for every node of t below depth 1, then sends every
+// stage still holding units and flushes the batcher.
+func (w *baseWalker) walk(t *fpTree) error {
+	depth := 0 // ni's depth under the root's children: w.path[:depth] is its prefix
+	for ni := t.nodes[0].child; ni > 0; {
+		nd := &t.nodes[ni]
+		w.path = append(w.path[:depth], nd.rank)
+		w.at[nd.rank] = int32(depth)
+		if depth > 0 {
+			if err := w.stageUnit(nd.rank, w.path[:depth], nd.count); err != nil {
+				return err
+			}
+		}
+		if nd.child != -1 {
+			ni = nd.child
+			depth++
+			continue
+		}
+		// Step to the next sibling of ni or of its nearest ancestor with one.
+		for ni > 0 && t.nodes[ni].sib == -1 {
+			ni = t.nodes[ni].parent
+			depth--
+		}
+		if ni > 0 {
+			ni = t.nodes[ni].sib
+		}
+	}
+	for r, n := range w.held {
+		if n > 0 {
+			if err := w.sendStage(item.Item(r)); err != nil {
+				return err
+			}
+		}
+	}
+	return w.b.FlushAll()
+}
+
+// stageUnit stages rank r's unit for one node: its count and its prefix with
+// the ranks in the ancestor relation with r's item dropped. A prefix left
+// empty carries nothing beyond r's own support, which pass 1 already fixed.
+func (w *baseWalker) stageUnit(r item.Item, prefix []item.Item, count int64) error {
+	keep, from := w.keep[:0], 0
+	for _, c := range w.m.conf[r] { // ascending, like their stack positions
+		if i := int(w.at[c]); i < len(prefix) && prefix[i] == c {
+			keep = append(keep, prefix[from:i]...)
+			from = i + 1
+		}
+	}
+	if from == 0 {
+		keep = prefix
+	} else {
+		keep = append(keep, prefix[from:]...)
+		w.keep = keep
+	}
+	if len(keep) == 0 {
+		return nil
+	}
+	w.unit = wire.AppendItems(wire.AppendUvarint(w.unit[:0], uint64(count)), keep)
+	w.units++
+	if int(r)%w.m.numNodes != w.m.nodeID {
+		w.itemsSent += int64(len(keep))
+	}
+	if st := w.stage[r]; len(st)+len(w.unit) > cap(st) {
+		if len(st) > 0 {
+			if err := w.sendStage(r); err != nil {
+				return err
+			}
+		}
+		if len(w.unit) > stageBytes {
+			return w.send(r, 1, w.unit)
+		}
+	}
+	w.stage[r] = append(w.stage[r], w.unit...)
+	w.held[r]++
+	return nil
+}
+
+// sendStage sends rank r's stage as one run and empties it.
+func (w *baseWalker) sendStage(r item.Item) error {
+	err := w.send(r, w.held[r], w.stage[r])
+	w.stage[r], w.held[r] = w.stage[r][:0], 0
+	return err
+}
+
+// send hands one run of rank r, holding units units, to r's owner.
+func (w *baseWalker) send(r item.Item, units int32, body []byte) error {
+	w.head = wire.AppendUvarint(wire.AppendUvarint(w.head[:0], uint64(r)), uint64(units))
+	w.runs++
+	w.bytes += int64(len(w.head) + len(body))
+	return w.b.AddRun(int(r)%w.m.numNodes, w.head, body)
+}
+
+// applyBases is the cond-base exchange's receive callback. A batch is a
+// sequence of runs. Each run's header is checked once — rank owned and not
+// 0, at least one unit, no more units than the bytes left can hold — then
+// each unit: count within [1, the suffix item's support], path canonical and
+// below the rank. The batch is copied once (the exchange releases every
+// batch once apply returns), and each checked run's unit bytes are appended
+// to its slot as a sub-slice of the copy; runs before a rejected one are
 // kept. Runs on the exchange receiver goroutine only, which has exclusive
 // access to m.bases until Finish returns.
 func (m *fpgMiner) applyBases(batch []byte) (int64, error) {
 	b := slices.Clone(batch)
 	var items int64
-	var err error
 	path := make([]item.Item, 0, 32)
 	d := wire.NewDec(b)
-	q, start, end := -1, 0, 0 // the open run: slot q's units b[start:end]
-	keep := func() {
-		if q >= 0 {
-			m.bases[q] = append(m.bases[q], b[start:end])
-		}
-	}
 	for d.More() {
 		r := d.Int()
-		count := d.I64() // decoded again by mineTask
-		if path = d.Items(path[:0]); d.Err() != nil {
+		n := d.Count(2) // a unit is at least a count byte and a length byte
+		if d.Err() != nil {
 			break
 		}
-		items += int64(len(path))
-		slot := r / m.numNodes
-		if r >= m.numLarge || r%m.numNodes != m.nodeID || slot >= len(m.bases) {
-			err = fmt.Errorf("fpg: cond base for foreign rank %d", r)
-			break
+		if r == 0 || r >= m.numLarge || r%m.numNodes != m.nodeID {
+			return items, fmt.Errorf("fpg: cond base run for foreign rank %d", r)
 		}
-		// A unit is one tree node's count: at least 1, and at most the
-		// suffix item's global support.
-		if sup := m.itemCounts[m.itemAt[r]]; count < 1 || count > sup {
-			err = fmt.Errorf("fpg: cond base count %d for rank %d outside [1, %d]", count, r, sup)
-			break
+		if n == 0 {
+			return items, fmt.Errorf("fpg: empty cond base run for rank %d", r)
 		}
-		// A prefix path holds only ranks below its suffix rank.
-		if len(path) > 0 && int(path[len(path)-1]) >= r {
-			err = fmt.Errorf("fpg: cond base path for rank %d holds rank %d", r, path[len(path)-1])
-			break
+		sup := m.itemCounts[m.itemAt[r]]
+		start, runItems := len(b)-d.Len(), int64(0)
+		for range n {
+			count := d.I64() // decoded again by mineTask
+			if path = d.Items(path[:0]); d.Err() != nil {
+				return items, d.Err()
+			}
+			// A unit is one tree node's count: at least 1, and at most the
+			// suffix item's global support.
+			if count < 1 || count > sup {
+				return items, fmt.Errorf("fpg: cond base count %d for rank %d outside [1, %d]", count, r, sup)
+			}
+			// A prefix path holds only ranks below its suffix rank.
+			if len(path) > 0 && int(path[len(path)-1]) >= r {
+				return items, fmt.Errorf("fpg: cond base path for rank %d holds rank %d", r, path[len(path)-1])
+			}
+			runItems += int64(len(path))
 		}
-		if slot != q {
-			keep()
-			q, start = slot, end
-		}
-		end = len(b) - d.Len()
+		q := r / m.numNodes
+		m.bases[q] = append(m.bases[q], b[start:len(b)-d.Len()])
+		items += runItems
 	}
-	keep()
-	if err == nil {
-		err = d.Err()
-	}
-	return items, err
+	return items, d.Err()
 }
 
 // baseUnits decodes owned slot q's units in arrival order, handing each
@@ -343,7 +465,6 @@ func (m *fpgMiner) baseUnits(q int, path []item.Item, add func(path []item.Item,
 	for _, run := range m.bases[q] {
 		d := wire.NewDec(run)
 		for d.More() {
-			d.Int() // the suffix rank, which the slot names
 			count := d.I64()
 			path = d.Items(path[:0])
 			add(path, count)
@@ -541,9 +662,8 @@ func (m *fpgMiner) condTree(t *fpTree, r item.Item, minCount int64, depth int, b
 	if build && len(surv) > 0 {
 		sub = sc.getTree(m.numLarge)
 		skip := func(pr item.Item) bool { return sc.tally[pr] < minCount }
-		sc.climb, _ = extractPaths([]*fpTree{t}, r, skip, sc.climb, func(path []item.Item, count int64) error {
+		sc.climb = extractPaths(t, r, skip, sc.climb, func(path []item.Item, count int64) {
 			sub.add(path, count)
-			return nil
 		})
 	}
 	sc.clearTally()

@@ -102,39 +102,28 @@ func (t *fpTree) add(path []item.Item, count int64) {
 	}
 }
 
-// extractPaths walks rank r's header chains across trees and emits, for each
-// tree node of rank r, its prefix path (rank-ascending, r excluded) filtered
-// by skip, with the node's count. Empty filtered paths are skipped — they
-// carry no information beyond r's own support, which pass 1 already fixed.
-// climb is a reusable scratch buffer (returned grown).
-func extractPaths(trees []*fpTree, r item.Item, skip func(item.Item) bool,
-	climb []item.Item, emit func(path []item.Item, count int64) error) ([]item.Item, error) {
-	for _, t := range trees {
-		if int(r) >= len(t.heads) {
+// extractPaths walks rank r's header chain in t and emits, for each node of
+// rank r, its prefix path (rank-ascending, r excluded) filtered by skip, with
+// the node's count. Empty filtered paths are skipped: they carry nothing
+// beyond r's own support. climb is a reusable scratch buffer (returned grown).
+func extractPaths(t *fpTree, r item.Item, skip func(item.Item) bool,
+	climb []item.Item, emit func(path []item.Item, count int64)) []item.Item {
+	for ni := t.heads[r]; ni != -1; ni = t.nodes[ni].next {
+		climb = climb[:0]
+		for p := t.nodes[ni].parent; p > 0; p = t.nodes[p].parent {
+			if pr := t.nodes[p].rank; !skip(pr) {
+				climb = append(climb, pr)
+			}
+		}
+		if len(climb) == 0 {
 			continue
 		}
-		for ni := t.heads[r]; ni != -1; ni = t.nodes[ni].next {
-			climb = climb[:0]
-			for p := t.nodes[ni].parent; p > 0; p = t.nodes[p].parent {
-				pr := t.nodes[p].rank
-				if skip == nil || !skip(pr) {
-					climb = append(climb, pr)
-				}
-			}
-			if len(climb) == 0 {
-				continue
-			}
-			// The climb collected ranks root-ward (descending); reverse to
-			// the canonical ascending order.
-			for i, j := 0, len(climb)-1; i < j; i, j = i+1, j-1 {
-				climb[i], climb[j] = climb[j], climb[i]
-			}
-			if err := emit(climb, t.nodes[ni].count); err != nil {
-				return climb, err
-			}
-		}
+		// The climb collected ranks root-ward (descending); reverse to the
+		// canonical ascending order.
+		slices.Reverse(climb)
+		emit(climb, t.nodes[ni].count)
 	}
-	return climb, nil
+	return climb
 }
 
 // mineScratch is one mining worker's reusable state: the dense tally vector
