@@ -315,8 +315,8 @@ func (m *fpgMiner) newBaseWalker(b *driver.Batcher) *baseWalker {
 	return &baseWalker{m: m, b: b, stage: stage, held: make([]int32, m.numLarge), at: make([]int32, m.numLarge)}
 }
 
-// walk stages a unit for every node of t below depth 1, then sends every
-// stage still holding units and flushes the batcher.
+// walk stages a unit for every node of t that is not a child of the root,
+// then sends every stage still holding units and flushes the batcher.
 func (w *baseWalker) walk(t *fpTree) error {
 	depth := 0 // ni's depth under the root's children: w.path[:depth] is its prefix
 	for ni := t.nodes[0].child; ni > 0; {
