@@ -252,8 +252,8 @@ func newCountFixture(b *testing.B, k int) countFixture {
 
 // BenchmarkAblationIndex compares the two ways of counting one pass over the
 // same index: enumerate every k-subset and look each up (what every counting
-// site did before the prefix layout, and what HPGM's sender still must do to
-// ship them) against the containment kernel. At k = 3 that is the flat hash
+// site did before the prefix layout, and what an HPGM receiver still does
+// with the units it is shipped) against the containment kernel. At k = 3 that is the flat hash
 // against the prefix-pruned walk; the dense C_2 at k = 2 keeps only its pair
 // table, which serves both arms. One op is one full scan. This arm is what
 // retired itemset.HashTree.
@@ -263,16 +263,15 @@ func BenchmarkAblationIndex(b *testing.B) {
 		index := itemset.BuildIndex(fx.cands)
 		counts := make([]int64, len(fx.cands))
 		b.Run(fmt.Sprintf("k%d/probe", k), func(b *testing.B) {
-			scratch := make([]item.Item, k)
+			var walk itemset.Subsets
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, ext := range fx.exts {
-					itemset.ForEachSubsetScratch(ext, k, scratch, func(sub []item.Item) bool {
-						if id := index.Lookup(sub); id >= 0 {
+					for ok := walk.Reset(ext, k); ok; ok = walk.Next() {
+						if id := index.Lookup(walk.Items()); id >= 0 {
 							counts[id]++
 						}
-						return true
-					})
+					}
 				}
 			}
 		})
@@ -368,7 +367,8 @@ func BenchmarkExtend(b *testing.B) {
 
 // BenchmarkProbe isolates one candidate-table probe: the packed-string map
 // baseline allocates a key per lookup; the open-addressed flat index probes
-// in place and must report 0 allocs/op.
+// in place, on a hit (flat) and on a miss (miss), and must report 0
+// allocs/op in both.
 func BenchmarkProbe(b *testing.B) {
 	ds := benchDataset(b)
 	res, err := cumulate.Mine(ds.Taxonomy, ds.DB, cumulate.Config{MinSupport: 0.01, MaxK: 2})
@@ -402,6 +402,24 @@ func BenchmarkProbe(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if index.Lookup(cands[i%len(cands)]) < 0 {
 				b.Fatal("miss")
+			}
+		}
+	})
+	// Absent pairs over the same items, as most of HPGM's probes are.
+	var absent [][]item.Item
+	for _, c := range cands {
+		if s := []item.Item{c[0], c[1] + 1}; index.Lookup(s) < 0 {
+			absent = append(absent, s)
+		}
+	}
+	if len(absent) == 0 {
+		b.Fatal("no absent pairs at bench scale")
+	}
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if index.Lookup(absent[i%len(absent)]) >= 0 {
+				b.Fatal("hit")
 			}
 		}
 	})

@@ -9,8 +9,12 @@ const BatchCap = 4<<10 + 4<<10/16
 
 // freeBatches is the process's batch free list. A buffered channel rather
 // than a sync.Pool: a put boxes nothing and a garbage collection does not
-// empty it. Its size bounds what the list retains to about 2 MiB.
-var freeBatches = make(chan []byte, (2<<20)/BatchCap)
+// empty it. It holds as many batches as a fabric inbox holds messages (the
+// 1024 default), about 4.25 MiB: a count phase whose receiver trails its
+// senders keeps up to an inbox of batches outstanding, and a smaller list
+// would drop the surplus at every release and allocate it again at the next
+// burst.
+var freeBatches = make(chan []byte, 1024)
 
 // NewBatch returns an empty buffer of capacity BatchCap, a released one when
 // the free list has one.
@@ -36,3 +40,6 @@ func Release(p []byte) {
 	default:
 	}
 }
+
+// FreeBatches returns how many released batches the free list holds now.
+func FreeBatches() int { return len(freeBatches) }

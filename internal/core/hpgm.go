@@ -13,15 +13,23 @@ import (
 // the nodes by hashing the whole itemset, ignoring the hierarchy. During
 // count support every node extends each local transaction with all
 // ancestors, enumerates its k-subsets and ships every subset to the node
-// whose hash owns it. The ancestors travel too — Example 1's transaction of
-// 3 items turns into 18 shipped items — which is exactly the communication
-// blow-up H-HPGM eliminates (Table 6).
+// whose hash owns it; the subsets a node owns itself it counts in place.
+// The ancestors travel too — Example 1's transaction of 3 items turns into
+// 18 shipped items — which is exactly the communication blow-up H-HPGM
+// eliminates (Table 6).
 type hpgmEngine struct {
 	m *itemsetMiner
 
 	// owned is this node's candidate share, computed by plan for the pass in
 	// flight.
 	owned [][]item.Item
+
+	// Reused across passes: the owned share's count vectors, counts[0] the
+	// receiver's and counts[1+w] scan worker w's, and each worker's kernel
+	// stamps and subset walker.
+	counts [][]int64
+	stamps []itemset.Stamps
+	walks  []itemset.Subsets
 }
 
 // plan partitions C_k: node i keeps the candidates hashing to i. One loop
@@ -55,17 +63,23 @@ func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.Pl
 
 func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (engineOut, error) {
 	m := e.m
-	nNodes := n.NumNodes()
-	self := n.ID()
+	nNodes := uint64(n.NumNodes())
+	self := uint64(n.ID())
+	// A subset's owner is its itemset.Hash modulo the node count, as in plan;
+	// a power-of-two cluster masks instead of paying a 64-bit division per
+	// subset.
+	pow2, mask := nNodes&(nNodes-1) == 0, nNodes-1
 
 	W := n.Workers()
 	index := itemset.BuildIndex(e.owned)
-	counts := make([]int64, len(e.owned))
+	e.grow(W, len(e.owned))
+	counts := e.counts[0]
 
 	closure := taxonomy.SetsClosure(m.tax, cands)
 
-	// The receiver goroutine alone touches the owned counts; scan workers
-	// only route units into per-worker batchers.
+	// The receiver goroutine alone touches counts; each scan worker counts
+	// its own share into its own vector and routes the rest through its
+	// batcher.
 	xsp := n.Span("exchange")
 	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
 		// One unit = one k-itemset hashed to this node: one probe of its
@@ -76,36 +90,61 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			st.Increments++
 		}
 	}))
-	wsub := make([][]item.Item, W) // per-worker subset enumeration scratch
-	for w := range wsub {
-		wsub[w] = make([]item.Item, k)
-	}
 	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, closure, cp,
 		func(w *driver.Worker, _ txn.Transaction) error {
-			ws, bat := &w.Stats, w.Bat
-			var sendErr error
-			itemset.ForEachSubsetScratch(w.Ext, k, wsub[w.ID], func(sub []item.Item) bool {
-				dest := int(itemset.Hash(sub) % uint64(nNodes))
-				if dest != self {
-					ws.ItemsSent += int64(len(sub))
+			// Every k-subset is hashed to find its owner. One this node owns
+			// is a probe of its own table, answered for all of them at once
+			// by the containment kernel, since the owned candidates are
+			// exactly the k-subsets hashing here; the rest ship as units.
+			walk := &e.walks[w.ID]
+			var own, sent int64
+			for ok := walk.Reset(w.Ext, k); ok; ok = walk.Next() {
+				dest := walk.Hash() & mask
+				if !pow2 {
+					dest = walk.Hash() % nNodes
 				}
-				if err := bat.AddItems(dest, sub); err != nil {
-					sendErr = err
-					return false
+				if dest == self {
+					own++
+					continue
 				}
-				return true
-			})
-			return sendErr
+				sent++
+				if err := w.Bat.AddRun(int(dest), walk.Unit(), nil); err != nil {
+					return err
+				}
+			}
+			ws := &w.Stats
+			ws.Probes += own
+			ws.ItemsSent += sent * int64(k)
+			ws.Increments += index.CountContained(w.Ext, e.counts[1+w.ID], &e.stamps[w.ID])
+			return nil
 		})
 	xsp.End()
 	if err != nil {
 		return engineOut{}, err
 	}
-
 	return engineOut{
-		owned:     largeOf(e.owned, counts, n.MinCount()),
+		owned:     largeOf(e.owned, driver.MergeWorkerVectors(e.counts), n.MinCount()),
 		fragments: 1,
 	}, nil
+}
+
+// grow readies 1+W zeroed count vectors of length nOwned, plus W stamps
+// and subset walkers, reusing what earlier passes allocated (W is fixed for
+// the run).
+func (e *hpgmEngine) grow(W, nOwned int) {
+	if e.counts == nil {
+		e.counts = make([][]int64, 1+W)
+		e.stamps = make([]itemset.Stamps, W)
+		e.walks = make([]itemset.Subsets, W)
+	}
+	for i, c := range e.counts {
+		if cap(c) < nOwned {
+			e.counts[i] = make([]int64, nOwned)
+		} else {
+			e.counts[i] = c[:nOwned]
+			clear(e.counts[i])
+		}
+	}
 }
 
 // largeOf extracts L_k^n, the owned candidates meeting minCount that each

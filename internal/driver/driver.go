@@ -231,11 +231,13 @@ type Miner interface {
 	// outcome (held internally by the miner), the peers' encoded owned
 	// frequents and the reduced replicated counts into the global F_k,
 	// records it (when n.Keep()) and returns its encoded broadcast form plus
-	// |F_k|.
+	// |F_k|. The peer payloads are released once it returns: it must copy
+	// what it keeps, and must not return one of them.
 	MergeFrequents(n *Node, k int, peerOwned [][]byte, dupTotal []int64) ([]byte, int, error)
 
 	// FinishPass runs on followers only: it decodes the coordinator's F_k
-	// broadcast, records it (when n.Keep()) and returns |F_k|.
+	// broadcast, records it (when n.Keep()) and returns |F_k|. The payload is
+	// released once it returns, so it must copy what it keeps.
 	FinishPass(n *Node, k int, payload []byte) (int, error)
 }
 

@@ -16,7 +16,9 @@ import (
 // conditional pattern bases for FPG) while a single receiver
 // goroutine owns the node's partitioned candidate state and applies every
 // batch — remote batches from the fabric inbox and local batches through an
-// in-memory loopback queue. Splitting producer and consumer this way is
+// in-memory loopback queue. Only the H-HPGM family and FPG route units to
+// their own node; HPGM's scan workers count the subsets they own in place
+// and ship only the rest. Splitting producer and consumer this way is
 // what prevents the classic all-to-all deadlock of two nodes blocked
 // sending into each other's full inboxes, and it means scan parallelism
 // never contends on the candidate tables: workers batch into per-worker

@@ -289,6 +289,7 @@ func (n *Node) sizeExchange() error {
 		err := n.gather(func(m cluster.Message) error {
 			d := wire.NewDec(m.Payload)
 			total += d.Int()
+			cluster.Release(m.Payload)
 			if err := d.Done(); err != nil {
 				return fmt.Errorf("driver: decode size from node %d: %w", m.From, err)
 			}
@@ -306,6 +307,7 @@ func (n *Node) sizeExchange() error {
 	}
 	d := wire.NewDec(payload)
 	size := d.Int()
+	cluster.Release(payload)
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("driver: decode |D| broadcast: %w", err)
 	}
@@ -345,11 +347,12 @@ func (n *Node) pass1() (int, error) {
 	return pr.large, nil
 }
 
-// addCounts sums the count vector a peer sent into total; what names the
-// vector in errors.
+// addCounts sums the count vector a peer sent into total, then releases the
+// payload; what names the vector in errors.
 func addCounts(total []int64, m cluster.Message, what string) error {
 	d := wire.NewDec(m.Payload)
 	counts := d.CountsAuto(len(total))
+	cluster.Release(m.Payload)
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("driver: decode %s counts from node %d: %w", what, m.From, err)
 	}
@@ -382,6 +385,7 @@ func (n *Node) reduceCounts(counts []int64) ([]int64, error) {
 	}
 	d := wire.NewDec(payload)
 	global := d.CountsAuto(len(counts))
+	cluster.Release(payload)
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("driver: decode global pass-1 counts: %w", err)
 	}
@@ -519,6 +523,7 @@ func (n *Node) gatherFrequents(k int, out PassOutcome) (int, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer cluster.Release(payload)
 		return n.miner.FinishPass(n, k, payload)
 	}
 
@@ -549,6 +554,9 @@ func (n *Node) gatherFrequents(k int, out PassOutcome) (int, error) {
 		}
 	}
 	payload, nf, err := n.miner.MergeFrequents(n, k, peerOwned, dupTotal)
+	for _, p := range peerOwned {
+		cluster.Release(p)
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -167,6 +167,7 @@ func (n *Node) shipTelemetry(final bool) error {
 // batch names no node, so it cannot write to another's.
 func (n *Node) ingestTelemetry(m cluster.Message) error {
 	b, err := decodeTelemetry(m.Payload)
+	cluster.Release(m.Payload)
 	if err != nil {
 		return fmt.Errorf("driver: decode telemetry from node %d: %w", m.From, err)
 	}

@@ -94,26 +94,14 @@ func Pairs(large []item.Item) [][]item.Item {
 // ForEachSubset enumerates every k-subset of the canonical itemset txn in
 // lexicographic order, invoking fn with a scratch slice that is reused
 // between calls — fn must not retain it. Enumeration stops early if fn
-// returns false.
+// returns false. The combination is advanced iteratively, so the one
+// allocation is the scratch slice.
 func ForEachSubset(txn []item.Item, k int, fn func(subset []item.Item) bool) {
-	ForEachSubsetScratch(txn, k, nil, fn)
-}
-
-// ForEachSubsetScratch is ForEachSubset with a caller-provided scratch
-// buffer (cap >= k avoids the internal allocation). HPGM's sender calls this
-// once per transaction with a per-worker buffer — it must ship every
-// k-subset to its owner — so subset enumeration performs no heap allocation:
-// the combination is advanced iteratively rather than by a recursive closure.
-func ForEachSubsetScratch(txn []item.Item, k int, scratch []item.Item, fn func(subset []item.Item) bool) {
 	n := len(txn)
 	if k <= 0 || k > n {
 		return
 	}
-	if cap(scratch) < k {
-		scratch = make([]item.Item, k)
-	}
-	scratch = scratch[:k]
-
+	sub := make([]item.Item, k)
 	// idx[d] is the txn position chosen for depth d; stack-backed for every
 	// realistic subset size.
 	var idxBuf [48]int
@@ -123,10 +111,10 @@ func ForEachSubsetScratch(txn []item.Item, k int, scratch []item.Item, fn func(s
 	}
 	for d := 0; d < k; d++ {
 		idx[d] = d
-		scratch[d] = txn[d]
+		sub[d] = txn[d]
 	}
 	for {
-		if !fn(scratch) {
+		if !fn(sub) {
 			return
 		}
 		// Advance to the next combination: bump the rightmost position that
@@ -139,10 +127,10 @@ func ForEachSubsetScratch(txn []item.Item, k int, scratch []item.Item, fn func(s
 			return
 		}
 		idx[d]++
-		scratch[d] = txn[idx[d]]
+		sub[d] = txn[idx[d]]
 		for j := d + 1; j < k; j++ {
 			idx[j] = idx[j-1] + 1
-			scratch[j] = txn[idx[j]]
+			sub[j] = txn[idx[j]]
 		}
 	}
 }

@@ -1,78 +1,104 @@
 package itemset
 
-import "pgarm/internal/item"
+import (
+	"math/bits"
+
+	"pgarm/internal/item"
+)
 
 // flatProbe is the open-addressed id index behind Index and candidate
-// generation's prune set: a power-of-two slot array holding candidate id + 1
-// (0 = empty), probed linearly. Keys live with their owner, which keeps the
-// canonical itemsets by dense id, so a probe hashes the query in place and
-// compares against stored items without building a map key, and a lookup
-// performs zero heap allocations. It is sized once for a known set count and
-// never grows. It serves point lookups — HPGM's receiver, duplicate
-// selection, candidate generation's prune — on every Index except a dense
-// C_2, which answers them from its pair table; whole-transaction support
-// counting goes through the prefix layout or the pair table instead
-// (Index.CountContained).
+// generation's prune set: a power-of-two slot array probed linearly. Keys
+// live with their owner, which keeps the canonical itemsets by dense id, so
+// a probe hashes the query in place and compares against stored items without
+// building a map key, and a lookup performs zero heap allocations. It is
+// sized once for a known set count and never grows. It serves point lookups —
+// HPGM's receiver, duplicate selection, candidate generation's prune — on
+// every Index except a dense C_2, which answers them from its pair table;
+// whole-transaction support counting goes through the prefix layout or the
+// pair table instead (Index.CountContained).
+//
+// A slot packs two fields into 32 bits: the low idBits hold the id + 1 (0
+// marks an empty slot), and the bits above hold a tag, the top bits of the
+// hash, which the home slot does not use. A probe compares items only when
+// the tags match, so a miss — most of HPGM's probes — seldom reads a stored
+// itemset.
 type flatProbe struct {
-	slots []int32 // candidate id + 1; 0 marks an empty slot
-	mask  uint64
+	slots  []uint32
+	mask   uint64 // len(slots) - 1: a hash's home slot is h & mask
+	idMask uint32 // the id field: 1<<idBits - 1
 }
 
-// flatHash is FNV-1a over the itemset's packed-key bytes (4 bytes per item,
-// big-endian), computed without materializing the key.
+// flatHash is FNV-1a over 32-bit words, one multiply per item; each item's
+// high half is folded into its low half first, so every item bit reaches the
+// low hash bits that pick the home slot. Like FNV over bytes, and unlike a
+// well-mixed hash, it spreads the dense, sorted itemsets of one level evenly
+// over the slots: on L_2 of R30F5 × 0.002 at 1 % a set sits 0.11 slots past
+// its home on average, against 0.36 under a 128-bit-multiply hash, and
+// candidate generation's prune, which probes in sorted order, runs faster.
 func flatHash(items []item.Item) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	const prime64 = 1099511628211
+	h := uint64(hashOffset)
 	for _, it := range items {
 		v := uint32(it)
-		h = (h ^ uint64(v>>24)) * prime64
-		h = (h ^ uint64(v>>16&0xff)) * prime64
-		h = (h ^ uint64(v>>8&0xff)) * prime64
-		h = (h ^ uint64(v&0xff)) * prime64
+		h = (h ^ uint64(v^v>>16)) * prime64
 	}
 	return h
 }
 
+// tag is the tag field of a slot holding a set whose hash is h: the top 32
+// hash bits with the id field cleared.
+func (f *flatProbe) tag(h uint64) uint32 { return uint32(h>>32) &^ f.idMask }
+
 // fill sizes the slot array for sets (power of two, ≥ 2n, so at most half
-// the slots ever fill and every probe sequence ends at an empty one) and
-// inserts every set under its position, walking its probe sequence once to
-// the first empty slot. Candidate lists are duplicate-free by construction;
-// if a caller passes duplicates anyway, the walk stops at the earlier copy
-// and the first occurrence keeps the id.
+// the slots ever fill and every probe sequence ends at an empty one), sizes
+// the id field for ids up to len(sets) and inserts every set under its
+// position, walking its probe sequence once to the first empty slot.
+// Candidate lists are duplicate-free by construction; if a caller passes
+// duplicates anyway, the walk stops at the earlier copy and the first
+// occurrence keeps the id.
 func (f *flatProbe) fill(sets [][]item.Item) {
 	size := 16
 	for size < 2*len(sets) {
 		size <<= 1
 	}
-	f.slots = make([]int32, size)
+	f.slots = make([]uint32, size)
 	f.mask = uint64(size - 1)
+	f.idMask = 1<<bits.Len32(uint32(len(sets))) - 1
+next:
 	for i, items := range sets {
-		s := flatHash(items) & f.mask
-		for f.slots[s] != 0 && !item.Equal(sets[f.slots[s]-1], items) {
-			s = (s + 1) & f.mask
+		h := flatHash(items)
+		tag := f.tag(h)
+		s := h & f.mask
+		for ; f.slots[s] != 0; s = (s + 1) & f.mask {
+			if v := f.slots[s]; v&^f.idMask == tag && item.Equal(sets[v&f.idMask-1], items) {
+				continue next
+			}
 		}
-		if f.slots[s] == 0 {
-			f.slots[s] = int32(i) + 1
-		}
+		f.slots[s] = tag | uint32(i+1)
 	}
 }
 
 // findItems returns the id stored for items, or -1. sets is the owner's
 // itemset list, indexed by dense id. Zero-allocation.
 func (f *flatProbe) findItems(items []item.Item, sets [][]item.Item) int32 {
+	return f.find(items, flatHash(items), sets)
+}
+
+// find is findItems for a query whose flatHash is h.
+func (f *flatProbe) find(items []item.Item, h uint64, sets [][]item.Item) int32 {
 	if len(f.slots) == 0 {
 		return -1
 	}
-	for s := flatHash(items) & f.mask; ; s = (s + 1) & f.mask {
+	tag := f.tag(h)
+	for s := h & f.mask; ; s = (s + 1) & f.mask {
 		v := f.slots[s]
 		if v == 0 {
 			return -1
 		}
-		if id := v - 1; item.Equal(sets[id], items) {
-			return id
+		if v&^f.idMask == tag {
+			if id := int32(v&f.idMask) - 1; item.Equal(sets[id], items) {
+				return id
+			}
 		}
 	}
 }

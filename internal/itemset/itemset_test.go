@@ -25,6 +25,16 @@ func TestHashStability(t *testing.T) {
 	if Hash([]item.Item{1, 2}) == Hash([]item.Item{2, 1}) {
 		t.Error("order must matter (canonical input assumed, collision this cheap is a bug)")
 	}
+	// Owners are Hash modulo the cluster size on every node and process, so
+	// its values are pinned: FNV-1a over each item's four bytes, low first.
+	for _, c := range []struct {
+		s    []item.Item
+		want uint64
+	}{{s, 0x5ab4bcce7fe5c000}, {[]item.Item{70000, 1 << 20}, 0xe46f4b31ee817393}} {
+		if got := Hash(c.s); got != c.want {
+			t.Errorf("Hash(%v) = %#x, want %#x", c.s, got, c.want)
+		}
+	}
 }
 
 func TestGenJoinPrune(t *testing.T) {
@@ -193,7 +203,7 @@ func TestTableFlatProbeMatchesMap(t *testing.T) {
 }
 
 // The zero-allocation contract of the candidate counting hot path: Index
-// lookups, scratch-buffer subset enumeration and the
+// lookups, HPGM's subset walk (once it has grown) and the
 // containment kernel (once its stamps have grown) must not touch the heap.
 func TestProbePathZeroAlloc(t *testing.T) {
 	var sets [][]item.Item
@@ -204,7 +214,7 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	hit := []item.Item{5, 105, 1005}
 	miss := []item.Item{5, 105, 9999}
 	txn := []item.Item{1, 2, 3, 4, 5, 6, 7, 8}
-	scratch := make([]item.Item, 3)
+	var walk Subsets
 	contained := []item.Item{3, 5, 9, 103, 105, 777, 1003, 1005, 1009, 5000}
 	counts := make([]int64, ix.Len())
 	var stamps Stamps
@@ -218,8 +228,10 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	}{
 		{"Index.Lookup hit", func() { ix.Lookup(hit) }},
 		{"Index.Lookup miss", func() { ix.Lookup(miss) }},
-		{"ForEachSubsetScratch", func() {
-			ForEachSubsetScratch(txn, 3, scratch, func(s []item.Item) bool { return true })
+		{"Subsets", func() {
+			for ok := walk.Reset(txn, 3); ok; ok = walk.Next() {
+				walk.Unit()
+			}
 		}},
 		{"Index.CountContained", func() {
 			ix.CountContained(contained, counts, &stamps)
@@ -228,37 +240,6 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
 			t.Errorf("%s: %.1f allocs/op, want 0", c.name, allocs)
-		}
-	}
-}
-
-// ForEachSubsetScratch must enumerate exactly what ForEachSubset does, in
-// the same lexicographic order, for every (n, k).
-func TestForEachSubsetScratchMatches(t *testing.T) {
-	for n := 0; n <= 7; n++ {
-		txn := make([]item.Item, n)
-		for i := range txn {
-			txn[i] = item.Item(10 * (i + 1))
-		}
-		for k := 0; k <= n+1; k++ {
-			var a, b [][]item.Item
-			ForEachSubset(txn, k, func(s []item.Item) bool {
-				a = append(a, item.Clone(s))
-				return true
-			})
-			scratch := make([]item.Item, 0, k)
-			ForEachSubsetScratch(txn, k, scratch, func(s []item.Item) bool {
-				b = append(b, item.Clone(s))
-				return true
-			})
-			if len(a) != len(b) {
-				t.Fatalf("n=%d k=%d: %d vs %d subsets", n, k, len(a), len(b))
-			}
-			for i := range a {
-				if !item.Equal(a[i], b[i]) {
-					t.Fatalf("n=%d k=%d subset %d: %v vs %v", n, k, i, a[i], b[i])
-				}
-			}
 		}
 	}
 }

@@ -29,17 +29,24 @@ func Key(items []item.Item) string {
 // hash function HPGM applies to whole itemsets and the H-HPGM family applies
 // to root vectors; stability across processes matters for the TCP fabric.
 func Hash(items []item.Item) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(hashOffset)
 	for _, it := range items {
-		v := uint32(it)
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64((v >> s) & 0xff)
-			h *= prime64
-		}
+		h = hashStep(h, it)
 	}
 	return h
+}
+
+// hashOffset is Hash's state before any item.
+const hashOffset = 14695981039346656037
+
+// hashStep folds one item into a Hash state: its four bytes, low byte first.
+// Hash is hashStep over the items in order, so a caller that keeps the state
+// of a prefix (Subsets) extends it by one item at a time.
+func hashStep(h uint64, it item.Item) uint64 {
+	const prime64 = 1099511628211
+	v := uint64(uint32(it))
+	h = (h ^ v&0xff) * prime64
+	h = (h ^ v>>8&0xff) * prime64
+	h = (h ^ v>>16&0xff) * prime64
+	return (h ^ v>>24) * prime64
 }

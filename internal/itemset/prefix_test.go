@@ -102,7 +102,6 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 		}
 
 		var stamps Stamps
-		scratch := make([]item.Item, k)
 		for frags := int32(1); frags <= 4; frags++ {
 			per := (n + frags - 1) / frags
 			for f := int32(0); f < frags; f++ {
@@ -115,7 +114,7 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 				got := make([]int64, n)
 				var wantHits, gotHits int64
 				for _, txn := range txns {
-					ForEachSubsetScratch(txn, k, scratch, func(sub []item.Item) bool {
+					ForEachSubset(txn, k, func(sub []item.Item) bool {
 						if id, ok := ref[Key(sub)]; ok && id >= lo && id < hi {
 							want[id]++
 							wantHits++
