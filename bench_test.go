@@ -253,10 +253,10 @@ func newCountFixture(b *testing.B, k int) countFixture {
 // BenchmarkAblationIndex compares the two ways of counting one pass over the
 // same index: enumerate every k-subset and look each up (what every counting
 // site did before the prefix layout, and what an HPGM receiver still does
-// with the units it is shipped) against the containment kernel. At k = 3 that is the flat hash
-// against the prefix-pruned walk; the dense C_2 at k = 2 keeps only its pair
-// table, which serves both arms. One op is one full scan. This arm is what
-// retired itemset.HashTree.
+// with the units it is shipped) against the containment kernel. At k = 3
+// that is the flat hash against the prefix-pruned walk; the dense C_2 at
+// k = 2 keeps only its pair table, which serves both arms. One op is one
+// full scan. This arm is what retired itemset.HashTree.
 func BenchmarkAblationIndex(b *testing.B) {
 	for _, k := range []int{2, 3} {
 		fx := newCountFixture(b, k)
