@@ -65,10 +65,6 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	m := e.m
 	nNodes := uint64(n.NumNodes())
 	self := uint64(n.ID())
-	// A subset's owner is its itemset.Hash modulo the node count, as in plan;
-	// a power-of-two cluster masks instead of paying a 64-bit division per
-	// subset.
-	pow2, mask := nNodes&(nNodes-1) == 0, nNodes-1
 
 	W := n.Workers()
 	index := itemset.BuildIndex(e.owned)
@@ -99,10 +95,7 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			walk := &e.walks[w.ID]
 			var own, sent int64
 			for ok := walk.Reset(w.Ext, k); ok; ok = walk.Next() {
-				dest := walk.Hash() & mask
-				if !pow2 {
-					dest = walk.Hash() % nNodes
-				}
+				dest := walk.Hash() % nNodes
 				if dest == self {
 					own++
 					continue

@@ -30,11 +30,12 @@ type flatProbe struct {
 
 // flatHash is FNV-1a over 32-bit words, one multiply per item; each item's
 // high half is folded into its low half first, so every item bit reaches the
-// low hash bits that pick the home slot. Like FNV over bytes, and unlike a
-// well-mixed hash, it spreads the dense, sorted itemsets of one level evenly
-// over the slots: on L_2 of R30F5 × 0.002 at 1 % a set sits 0.11 slots past
-// its home on average, against 0.36 under a 128-bit-multiply hash, and
-// candidate generation's prune, which probes in sorted order, runs faster.
+// low hash bits that pick the home slot. It spreads the dense, sorted
+// itemsets of one level less evenly than FNV over bytes but far more evenly
+// than a well-mixed hash: on L_2 of R30F5 × 0.002 at 1 % a set sits 0.11
+// slots past its home on average, against 0.020 under byte-wise FNV and 0.36
+// under a 128-bit-multiply hash; only the latter measurably slowed candidate
+// generation's prune, which probes in sorted order.
 func flatHash(items []item.Item) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(hashOffset)
