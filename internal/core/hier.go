@@ -10,18 +10,41 @@ import (
 )
 
 // hierWorker is the routing state one scan worker keeps beside its
-// driver.Worker: a duplicated-candidate count vector and every
-// per-transaction scratch buffer. Nothing in here is shared, so the scan body
-// never synchronizes.
+// driver.Worker: a duplicated-candidate count vector, a counter for the item
+// groups it selects for its own node, and every per-transaction scratch
+// buffer. Nothing in here is shared, so the scan body never synchronizes.
 type hierWorker struct {
 	dupCounts   []int64
 	dupStamps   itemset.Stamps
+	own         groupCounter
 	tPrime      []item.Item
 	group       []item.Item
 	multiset    []item.Item
 	rootRuns    []rootRun
 	rootsByDest [][]item.Item
 	touched     []int
+}
+
+// groupCounter counts item groups into its own vector of the owned
+// candidates: the receiver has one for peers' groups, each scan worker one
+// for the groups it selects for its own node. The candidates contained in a
+// group's ancestor closure are counted, covering both the k-itemsets
+// generated from the group and "all its ancestor candidates" (Figure 5 lines
+// (12)/(16)), and the group offers the owned table C(|closure|, k) probes.
+type groupCounter struct {
+	counts []int64
+	stamps itemset.Stamps
+	set    []uint64 // the closure's scratch bitset, zero between groups
+	ext    []item.Item
+}
+
+func (g *groupCounter) count(cl *taxonomy.Closure, index *itemset.Index, k int, group []item.Item, st *metrics.NodeStats) {
+	if g.set == nil {
+		g.set = make([]uint64, cl.Words())
+	}
+	g.ext = cl.Extend(g.ext[:0], group, g.set)
+	st.Probes += itemset.Choose(len(g.ext), k)
+	st.Increments += index.CountContained(g.ext, g.counts, &g.stamps)
 }
 
 // hierEngine implements H-HPGM (§3.3) and its three skew-handling variants
@@ -111,44 +134,33 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		}
 	}
 
-	// Per-node state. Owned candidates are counted only by the receiver
-	// goroutine during the count phase; duplicated candidates are counted
-	// into per-worker vectors (over the shared read-only dupIndex) merged at
-	// the scan barrier.
+	// Per-node state. Owned candidates are counted into per-counter vectors
+	// over the shared read-only ownedIndex: wowned[0] by the receiver, whose
+	// unit is the item group t'' a peer selected for us, and wowned[1+w] by
+	// scan worker w. Duplicated candidates are counted into per-worker
+	// vectors over the shared read-only dupIndex. All merge at the scan
+	// barrier. Groups exist only when something is partitioned, which is
+	// when the closure exists.
 	ownedIndex := itemset.BuildIndex(ownedCands)
-	ownedCounts := make([]int64, len(ownedCands))
+	wowned := driver.WorkerVectors(1+W, len(ownedCands))
 	var ownedClosure *taxonomy.Closure
 	if anyPartitioned {
 		ownedClosure = taxonomy.SetsClosure(m.tax, ownedCands)
 	}
-
-	// Receiver: one unit is the item group t'' a peer selected for us;
-	// candidates contained in its ancestor closure are counted, covering
-	// both the k-itemsets generated from t'' and "all its ancestor
-	// candidates" (Figure 5 lines (12)/(16)). Each group offers the owned
-	// table C(|t''-closure|, k) probes. The receiver alone touches the owned
-	// counts and its closure bitset; scan workers only route. Units arrive
-	// only when something is partitioned, which is when the closure exists.
-	applyScratch := make([]item.Item, 0, 64)
-	var applySet []uint64
-	if ownedClosure != nil {
-		applySet = make([]uint64, ownedClosure.Words())
-	}
-	var applyStamps itemset.Stamps
+	recv := groupCounter{counts: wowned[0]}
 	xsp := n.Span("exchange")
 	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
-		applyScratch = ownedClosure.Extend(applyScratch[:0], items, applySet)
-		st.Probes += itemset.Choose(len(applyScratch), k)
-		st.Increments += ownedIndex.CountContained(applyScratch, ownedCounts, &applyStamps)
+		recv.count(ownedClosure, ownedIndex, k, items, st)
 	}))
 
-	// Per-worker scan state: a duplicated-table count vector and every
-	// per-transaction scratch buffer.
+	// Per-worker scan state: a duplicated-table count vector, an owned-group
+	// counter and every per-transaction scratch buffer.
 	wdup := driver.WorkerVectors(W, len(plan.dupSets))
 	workers := make([]hierWorker, W)
 	for w := range workers {
 		workers[w] = hierWorker{
 			dupCounts:   wdup[w],
+			own:         groupCounter{counts: wowned[1+w]},
 			rootsByDest: make([][]item.Item, nNodes),
 			touched:     make([]int, 0, nNodes),
 			rootRuns:    make([]rootRun, 0, 16),
@@ -182,7 +194,8 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		wk.rootRuns = rootRunsOf(m.tax, wk.rootRuns[:0], wk.tPrime)
 
 		// Enumerate realizable root k-multisets; union the roots each
-		// destination needs. vecInfo is shared read-only.
+		// destination needs. vecInfo is shared read-only. The group for this
+		// node is counted in place; the others ship to their owners.
 		wk.touched = wk.touched[:0]
 		wk.multiset = wk.multiset[:0]
 		enumerateMultisets(wk.rootRuns, k, wk.multiset, func(mv []item.Item) {
@@ -193,9 +206,7 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			if len(wk.rootsByDest[ve.owner]) == 0 {
 				wk.touched = append(wk.touched, ve.owner)
 			}
-			for _, r := range mv {
-				wk.rootsByDest[ve.owner] = append(wk.rootsByDest[ve.owner], r)
-			}
+			wk.rootsByDest[ve.owner] = append(wk.rootsByDest[ve.owner], mv...)
 		})
 
 		for _, dest := range wk.touched {
@@ -206,13 +217,15 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 					wk.group = append(wk.group, x)
 				}
 			}
-			if dest != self {
-				w.Stats.ItemsSent += int64(len(wk.group))
+			wk.rootsByDest[dest] = wk.rootsByDest[dest][:0]
+			if dest == self {
+				wk.own.count(ownedClosure, ownedIndex, k, wk.group, &w.Stats)
+				continue
 			}
+			w.Stats.ItemsSent += int64(len(wk.group))
 			if err := w.Bat.AddItems(dest, wk.group); err != nil {
 				return err
 			}
-			wk.rootsByDest[dest] = wk.rootsByDest[dest][:0]
 		}
 		return nil
 	})
@@ -220,12 +233,10 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	if err != nil {
 		return engineOut{}, err
 	}
-	dupCounts := driver.MergeWorkerVectors(wdup)
-
 	return engineOut{
-		owned:      largeOf(ownedCands, ownedCounts, n.MinCount()),
+		owned:      largeOf(ownedCands, driver.MergeWorkerVectors(wowned), n.MinCount()),
 		dupSets:    plan.dupSets,
-		dupCounts:  dupCounts,
+		dupCounts:  driver.MergeWorkerVectors(wdup),
 		duplicated: len(plan.dupSets),
 		fragments:  1,
 	}, nil

@@ -1,0 +1,77 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"pgarm/internal/cumulate"
+	"pgarm/internal/driver"
+)
+
+// TestHierRoutingMatchesAcrossWorkersAndFabrics runs the H-HPGM family under
+// a budget that leaves candidates partitioned, so item groups are routed:
+// each scan worker counts the group it selects for its own node in place,
+// and the receiver counts the groups peers send. At 1, 2 and 4 nodes, with 1
+// and 3 scan workers, over the channel and TCP fabrics, L_k equals
+// Cumulate's, and every node's probes, increments, items sent, items
+// received and data bytes received in every pass are the same whatever the
+// worker count and the fabric.
+func TestHierRoutingMatchesAcrossWorkersAndFabrics(t *testing.T) {
+	ds := testDataset(t, 1000)
+	const minSup, maxK = 0.02, 3
+	want, err := cumulate.Mine(ds.Taxonomy, ds.DB, cumulate.Config{MinSupport: minSup, MaxK: maxK})
+	if err != nil {
+		t.Fatalf("cumulate: %v", err)
+	}
+	type counters [5]int64
+	for _, alg := range []Algorithm{HHPGM, HHPGMTGD, HHPGMPGD, HHPGMFGD} {
+		for _, nodes := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/n%d", alg, nodes), func(t *testing.T) {
+				var ref [][]counters // per pass, per node: the first run's
+				var refName string
+				for _, fabric := range []driver.FabricKind{driver.FabricChan, driver.FabricTCP} {
+					for _, workers := range []int{1, 3} {
+						name := fmt.Sprintf("fabric %d, %d workers", fabric, workers)
+						got, err := Mine(ds.Taxonomy, partsOf(ds.DB, nodes), Config{
+							Algorithm: alg, MinSupport: minSup, MaxK: maxK,
+							MemoryBudget: 16 << 10, Workers: workers, Fabric: fabric,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						assertSameLarge(t, want, got)
+						var runs [][]counters
+						partitioned, sent := false, int64(0)
+						for _, ps := range got.Stats.Passes {
+							partitioned = partitioned || ps.Pass >= 2 && ps.Duplicated < ps.Candidates
+							row := make([]counters, len(ps.Nodes))
+							for j, ns := range ps.Nodes {
+								row[j] = counters{ns.Probes, ns.Increments, ns.ItemsSent, ns.ItemsReceived, ns.DataBytesReceived}
+								sent += ns.ItemsSent
+							}
+							runs = append(runs, row)
+						}
+						if !partitioned || nodes > 1 && sent == 0 {
+							t.Fatalf("%s: no pass left candidates partitioned and routed (items sent %d)", name, sent)
+						}
+						if ref == nil {
+							ref, refName = runs, name
+							continue
+						}
+						if len(runs) != len(ref) {
+							t.Fatalf("%s: %d passes, %s %d", name, len(runs), refName, len(ref))
+						}
+						for i := range ref {
+							for j := range ref[i] {
+								if runs[i][j] != ref[i][j] {
+									t.Errorf("%s: pass %d node %d probes, increments, items sent, items received, data bytes received %v; %s %v",
+										name, got.Stats.Passes[i].Pass, j, runs[i][j], refName, ref[i][j])
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}

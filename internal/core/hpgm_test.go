@@ -13,32 +13,36 @@ import (
 	"pgarm/internal/txn"
 )
 
-// refHPGM is HPGM's count phase without the own-share shortcut: every
-// k-subset of every extended transaction is encoded and routed to the node
-// its hash names, its own ones through the exchange loopback, and the
-// receiver probes each unit. The engine counts the same probes, increments
-// and traffic with its own share going through the containment kernel.
+// refHPGM is HPGM's count phase without the containment kernel: every
+// k-subset of every extended transaction is enumerated and hashed to its
+// owner. A scan worker probes each subset it owns with index.Lookup into its
+// own vector; the rest are encoded and routed, and the receiver probes each
+// unit. The engine counts the same probes, increments and traffic with its
+// own share going through the containment kernel.
 type refHPGM struct{ hpgmEngine }
 
 func (e *refHPGM) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (engineOut, error) {
 	nNodes, self := n.NumNodes(), n.ID()
 	index := itemset.BuildIndex(e.owned)
-	counts := make([]int64, len(e.owned))
-	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
+	counts := driver.WorkerVectors(1+n.Workers(), len(e.owned)) // the receiver's, then each worker's
+	probe := func(items []item.Item, counts []int64, st *metrics.NodeStats) {
 		st.Probes++
 		if id := index.Lookup(items); id >= 0 {
 			counts[id]++
 			st.Increments++
 		}
-	}))
+	}
+	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) { probe(items, counts[0], st) }))
 	err := driver.CountPhase(e.m.db, n.Workers(), n.ShardObs("count"), st, taxonomy.SetsClosure(e.m.tax, cands), cp,
 		func(w *driver.Worker, _ txn.Transaction) error {
 			var sendErr error
 			itemset.ForEachSubset(w.Ext, k, func(sub []item.Item) bool {
 				dest := int(itemset.Hash(sub) % uint64(nNodes))
-				if dest != self {
-					w.Stats.ItemsSent += int64(len(sub))
+				if dest == self {
+					probe(sub, counts[1+w.ID], &w.Stats)
+					return true
 				}
+				w.Stats.ItemsSent += int64(len(sub))
 				sendErr = w.Bat.AddItems(dest, sub)
 				return sendErr == nil
 			})
@@ -47,7 +51,7 @@ func (e *refHPGM) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.N
 	if err != nil {
 		return engineOut{}, err
 	}
-	return engineOut{owned: largeOf(e.owned, counts, n.MinCount()), fragments: 1}, nil
+	return engineOut{owned: largeOf(e.owned, driver.MergeWorkerVectors(counts), n.MinCount()), fragments: 1}, nil
 }
 
 // mineRefHPGM is Mine with every node's HPGM engine replaced by refHPGM.

@@ -11,7 +11,8 @@ import (
 
 // TestAccountingSymmetry checks the exact communication invariant: per
 // pass, Σ count-support data bytes sent == Σ received across the cluster
-// (self-loopback bypasses the fabric; every remote payload is conserved).
+// (a node's own share never enters the exchange; every peer payload is
+// conserved).
 // DataBytes* counters are exact by construction — the sent side is
 // snapshotted before any pass-end control traffic, and the received side
 // is counted at delivery. (The raw whole-pass Bytes*/Msgs* counters are

@@ -105,7 +105,7 @@ func TestGatherRejectsSecondMessage(t *testing.T) {
 
 // panicMiner is a three-item miner whose pass 2 panics off the node goroutine:
 // in an itemset.Fan worker of PlanPass, or in the apply callback of the
-// count-support receiver.
+// count-support receiver, which every node's next peer sends one unit.
 type panicMiner struct {
 	LevelBarrier
 	inPlan bool
@@ -139,7 +139,7 @@ func (m *panicMiner) PlanPass(*Node, int) (PlanDecision, error) {
 func (m *panicMiner) CountPass(n *Node, _ int, _ *metrics.NodeStats) (PassOutcome, error) {
 	ex := n.NewExchange(KData, func([]byte) (int64, error) { panic("apply boom") })
 	bat := ex.NewBatcher()
-	err := bat.AddItems(n.ID(), []item.Item{1, 2})
+	err := bat.AddItems((n.ID()+1)%n.NumNodes(), []item.Item{1, 2})
 	if err == nil {
 		err = bat.FlushAll()
 	}
@@ -155,12 +155,13 @@ func (m *panicMiner) CountPass(n *Node, _ int, _ *metrics.NodeStats) (PassOutcom
 func TestRunSurvivesWorkerPanic(t *testing.T) {
 	for _, c := range []struct {
 		inPlan bool
+		sizes  []int // a receiver needs a peer to apply anything
 		want   []string
 	}{
-		{true, []string{"driver: node ", " pass 2 plan: ", "plan worker 1 panicked: plan boom"}},
-		{false, []string{"driver: node ", " pass 2: ", "recv worker 0 panicked: apply boom"}},
+		{true, []int{1, 3}, []string{"driver: node ", " pass 2 plan: ", "plan worker 1 panicked: plan boom"}},
+		{false, []int{2, 3}, []string{"driver: node ", " pass 2: ", "recv worker 0 panicked: apply boom"}},
 	} {
-		for _, size := range []int{1, 3} {
+		for _, size := range c.sizes {
 			_, _, err := Run(Spec{MinSupport: 0.5}, size, func(int) (Miner, error) {
 				return &panicMiner{inPlan: c.inPlan}, nil
 			})

@@ -11,8 +11,9 @@
 //     stash (a fast peer's pass-k traffic must not be lost while this node
 //     still waits on its pass-(k-1) barrier);
 //   - the size exchange and the dense pass-1 count reduce;
-//   - the count-support Exchange (producer/consumer split with loopback,
-//     batching and buffer recycling) and the sharded local scan;
+//   - the count-support Exchange (scan workers handle their own node's
+//     share and batch the rest to peers; one receiver applies peer
+//     batches; buffer recycling) and the sharded local scan;
 //   - the F_k barrier: locally-owned frequents gathered from every node plus
 //     a reduce of replicated count vectors, merged and broadcast;
 //   - per-pass metrics.NodeStats capture with monotonic fabric snapshots

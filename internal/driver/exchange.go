@@ -11,42 +11,33 @@ import (
 
 // Exchange runs the count-support communication of one pass. The node's
 // scan side — the node goroutine itself, or Spec.Workers sharded scan
-// workers — reads the local partition and routes payload units (single
-// k-itemsets for HPGM, per-transaction item groups for the H-HPGM family,
-// conditional pattern bases for FPG) while a single receiver
-// goroutine owns the node's partitioned candidate state and applies every
-// batch — remote batches from the fabric inbox and local batches through an
-// in-memory loopback queue. Only the H-HPGM family and FPG route units to
-// their own node; HPGM's scan workers count the subsets they own in place
-// and ship only the rest. Splitting producer and consumer this way is
-// what prevents the classic all-to-all deadlock of two nodes blocked
-// sending into each other's full inboxes, and it means scan parallelism
-// never contends on the candidate tables: workers batch into per-worker
-// send buffers (one Batcher per worker) and all routed units funnel through
-// this one consumer.
+// workers — reads the local partition, handles in place every unit its own
+// node owns, and routes the rest (single k-itemsets for HPGM, per-transaction
+// item groups for the H-HPGM family, conditional pattern bases for FPG) to
+// their owners, while a single receiver goroutine applies every batch that
+// arrives from a peer. The exchange carries only peers' bytes: a Batcher
+// refuses a unit for its own node. Splitting producer and consumer this way
+// is what prevents the classic all-to-all deadlock of two nodes blocked
+// sending into each other's full inboxes: workers batch into per-worker send
+// buffers (one Batcher per worker) while the receiver keeps draining the
+// inbox.
 //
 // Termination: after the scan workers have joined and every per-worker
-// batch is flushed, the main goroutine sends KDone to every peer and closes
-// the loopback; the receiver finishes once it has seen KDone from every
-// peer and loopback close. Worker sends happen-before the KDone send (the
-// pool joins first), so per-sender FIFO delivery still guarantees no data
-// trails a peer's KDone.
+// batch is flushed, the main goroutine sends KDone to every peer; the
+// receiver reads the fabric inbox until it has seen KDone from every peer.
+// Worker sends happen-before the KDone send (the pool joins first), so
+// per-sender FIFO delivery guarantees no data trails a peer's KDone.
 type Exchange struct {
 	n     *Node
 	kind  uint8 // data-batch message kind (KData for count-support, KCondBase for pattern bases)
 	apply func(batch []byte) (int64, error)
-	selfq chan []byte
 	done  chan error
-	// dead is closed when the receiver returns, so a scan worker flushing
-	// into a full loopback queue ends with an error when the receiver has
-	// failed (a closed inbox, a bad batch) instead of blocking forever.
-	dead  chan struct{}
 	stash []cluster.Message // non-count-phase messages that arrived early
-	// itemsRecv/bytesRecv count items and payload bytes decoded from
-	// *remote* batches (loopback units excluded) — the receiver-side half
-	// of the paper's communication metrics. Counting at delivery rather
-	// than from fabric counters keeps pass attribution exact even when a
-	// peer's pass-end control messages arrive early.
+	// itemsRecv/bytesRecv count items and payload bytes decoded from peer
+	// batches — the receiver-side half of the paper's communication
+	// metrics. Counting at delivery rather than from fabric counters keeps
+	// pass attribution exact even when a peer's pass-end control messages
+	// arrive early.
 	itemsRecv int64
 	bytesRecv int64
 }
@@ -56,21 +47,18 @@ type Exchange struct {
 // kind is the data-batch message kind: KData for the count-support phase;
 // the FP-Growth engine routes conditional pattern bases as KCondBase so the
 // per-kind byte accounting separates the two streams. Termination is KDone in
-// either case. apply is invoked once per batch payload, from the receiver
-// goroutine only — it has exclusive access to the candidate state it touches
-// until Finish returns. It must decode the batch's concatenated units and
-// return the number of items it decoded (the receive-side item accounting
-// for remote batches); ItemsApplier adapts the common one-itemset-per-unit
-// shape. apply must not keep the batch: it is released, remote or loopback,
-// once apply returns.
+// either case. apply is invoked once per peer batch, from the receiver
+// goroutine only — it has exclusive access to the state it touches until
+// Finish returns. It must decode the batch's concatenated units and return
+// the number of items it decoded (the receive-side item accounting);
+// ItemsApplier adapts the common one-itemset-per-unit shape. apply must not
+// keep the batch: it is released once apply returns.
 func (n *Node) NewExchange(kind uint8, apply func(batch []byte) (int64, error)) *Exchange {
 	ex := &Exchange{
 		n:     n,
 		kind:  kind,
 		apply: apply,
-		selfq: make(chan []byte, 64),
 		done:  make(chan error, 1),
-		dead:  make(chan struct{}),
 	}
 	// Hand any already-stashed count-phase messages (a fast peer may have
 	// started this pass before our previous barrier receive completed) to
@@ -86,7 +74,6 @@ func (n *Node) NewExchange(kind uint8, apply func(batch []byte) (int64, error)) 
 	}
 	n.pending = rest
 	itemset.Go("recv", ex.done, func() error {
-		defer close(ex.dead)
 		sp := n.beginRecv()
 		err := ex.loop(pre)
 		sp.Arg("items", ex.itemsRecv)
@@ -97,61 +84,43 @@ func (n *Node) NewExchange(kind uint8, apply func(batch []byte) (int64, error)) 
 	return ex
 }
 
-// loop is the receiver body.
+// loop is the receiver body: the pre-stashed messages, then the inbox, until
+// every peer has sent KDone.
 func (ex *Exchange) loop(pre []cluster.Message) error {
 	peersLeft := ex.n.numPeers()
-	for _, m := range pre {
+	inbox := ex.n.ep.Inbox()
+	for i := 0; peersLeft > 0; i++ {
+		var m cluster.Message
+		ok := true
+		if i < len(pre) {
+			m = pre[i]
+		} else if m, ok = <-inbox; !ok {
+			if cause := ex.n.ep.Err(); cause != nil {
+				return fmt.Errorf("driver: node %d inbox closed mid count phase: %w", ex.n.id, cause)
+			}
+			return fmt.Errorf("driver: node %d inbox closed mid count phase", ex.n.id)
+		}
 		switch m.Kind {
 		case ex.kind:
-			if err := ex.applyBatch(m.Payload, true); err != nil {
+			if err := ex.applyBatch(m.Payload); err != nil {
 				return err
 			}
 		case KDone:
 			peersLeft--
-		}
-	}
-	selfq := ex.selfq
-	inbox := ex.n.ep.Inbox()
-	for peersLeft > 0 || selfq != nil {
-		select {
-		case m, ok := <-inbox:
-			if !ok {
-				if cause := ex.n.ep.Err(); cause != nil {
-					return fmt.Errorf("driver: node %d inbox closed mid count phase: %w", ex.n.id, cause)
-				}
-				return fmt.Errorf("driver: node %d inbox closed mid count phase", ex.n.id)
-			}
-			switch m.Kind {
-			case ex.kind:
-				if err := ex.applyBatch(m.Payload, true); err != nil {
-					return err
-				}
-			case KDone:
-				peersLeft--
-			default:
-				ex.stash = append(ex.stash, m)
-			}
-		case b, ok := <-selfq:
-			if !ok {
-				selfq = nil
-				continue
-			}
-			if err := ex.applyBatch(b, false); err != nil {
-				return err
-			}
+		default:
+			ex.stash = append(ex.stash, m)
 		}
 	}
 	return nil
 }
 
-// applyBatch hands one batch to the miner's decoder, accounts for it and
-// releases it: the receiver owns every batch it is handed (Endpoint.Send).
-func (ex *Exchange) applyBatch(b []byte, remote bool) error {
+// applyBatch hands one peer batch to the miner's decoder, accounts for it
+// and releases it: the receiver owns every batch it is handed
+// (Endpoint.Send).
+func (ex *Exchange) applyBatch(b []byte) error {
 	items, err := ex.apply(b)
-	if remote {
-		ex.bytesRecv += int64(len(b))
-		ex.itemsRecv += items
-	}
+	ex.bytesRecv += int64(len(b))
+	ex.itemsRecv += items
 	cluster.Release(b)
 	if err != nil {
 		return fmt.Errorf("driver: node %d decode count batch: %w", ex.n.id, err)
@@ -171,7 +140,6 @@ func (ex *Exchange) Finish() error {
 			return err
 		}
 	}
-	close(ex.selfq)
 	err := <-ex.done
 	ex.n.pending = append(ex.n.pending, ex.stash...)
 	ex.stash = nil
@@ -205,13 +173,14 @@ func ItemsApplier(apply func(items []item.Item)) func(batch []byte) (int64, erro
 // for the unit that crosses it.
 const batchBytes = 4 << 10
 
-// Batcher accumulates payload units per destination and flushes them as
-// data-batch messages once a batch reaches batchBytes; units for the local
-// node go through the loopback queue without touching the fabric. Each
-// producer (scan worker) must own its own Batcher.
+// Batcher accumulates payload units per peer and flushes them as data-batch
+// messages once a batch reaches batchBytes. A unit, or a flush, for the
+// batcher's own node is an error: a node handles its own share in place.
+// Each producer (scan worker) must own its own Batcher.
 type Batcher struct {
 	ex    *Exchange
 	bufs  [][]byte
+	unit  []byte // AddItems' encoding scratch
 	limit int
 }
 
@@ -224,17 +193,14 @@ func (ex *Exchange) NewBatcher() *Batcher {
 	}
 }
 
-// AddItems appends one itemset unit (wire item encoding) for dest, flushing
-// if the batch is full.
+// AddItems appends one itemset unit (wire item encoding) for peer dest,
+// flushing if the batch is full.
 func (b *Batcher) AddItems(dest int, items []item.Item) error {
-	b.bufs[dest] = wire.AppendItems(b.take(dest), items)
-	if len(b.bufs[dest]) >= b.limit {
-		return b.Flush(dest)
-	}
-	return nil
+	b.unit = wire.AppendItems(b.unit[:0], items)
+	return b.AddRun(dest, nil, b.unit)
 }
 
-// AddRun appends one already-encoded run for dest, head then body (both
+// AddRun appends one already-encoded run for peer dest, head then body (both
 // copied; either may be empty), and flushes if the batch is full. The bytes
 // must match what the exchange's apply callback decodes, and they arrive in
 // one batch. A run may be longer than the room cluster.BatchCap leaves above
@@ -246,42 +212,38 @@ func (b *Batcher) AddRun(dest int, head, body []byte) error {
 			return err
 		}
 	}
-	b.bufs[dest] = append(append(b.take(dest), head...), body...)
+	if b.bufs[dest] == nil { // the node's own buffer never starts
+		if dest == b.ex.n.id {
+			return b.Flush(dest) // which refuses it
+		}
+		b.bufs[dest] = cluster.NewBatch()
+	}
+	b.bufs[dest] = append(append(b.bufs[dest], head...), body...)
 	if len(b.bufs[dest]) >= b.limit {
 		return b.Flush(dest)
 	}
 	return nil
 }
 
-// take returns dest's batch buffer, starting an empty one as a NewBatch.
-func (b *Batcher) take(dest int) []byte {
-	if b.bufs[dest] == nil {
-		b.bufs[dest] = cluster.NewBatch()
-	}
-	return b.bufs[dest]
-}
-
-// Flush sends dest's accumulated batch, if any.
+// Flush sends peer dest's accumulated batch, if any.
 func (b *Batcher) Flush(dest int) error {
+	if dest == b.ex.n.id {
+		return fmt.Errorf("driver: node %d batched for itself: a node handles its own share in place", dest)
+	}
 	buf := b.bufs[dest]
 	if len(buf) == 0 {
 		return nil
 	}
-	b.bufs[dest] = nil // the fabric or the loopback receiver owns it now
-	if dest == b.ex.n.id {
-		select {
-		case b.ex.selfq <- buf:
-			return nil
-		case <-b.ex.dead:
-			return fmt.Errorf("driver: node %d receiver stopped mid count phase", dest)
-		}
-	}
+	b.bufs[dest] = nil // the fabric owns it now
 	return b.ex.n.ep.Send(dest, b.ex.kind, buf)
 }
 
-// FlushAll drains every destination buffer.
+// FlushAll drains every peer's buffer.
 func (b *Batcher) FlushAll() error {
 	for dest := range b.bufs {
+		if dest == b.ex.n.id {
+			continue
+		}
 		if err := b.Flush(dest); err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -35,6 +36,20 @@ func smallBatcher(ex *Exchange) *Batcher {
 	return b
 }
 
+// peerExchange runs node nd's exchange with apply on its own goroutine until
+// every peer has sent KDone; the returned function waits for it.
+func peerExchange(t *testing.T, nd *Node, apply func([]byte) (int64, error)) (wait func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := nd.NewExchange(KData, apply).Finish(); err != nil {
+			t.Errorf("node %d finish: %v", nd.id, err)
+		}
+	}()
+	return func() { <-done }
+}
+
 func TestCountPhaseDeliversAllUnits(t *testing.T) {
 	nodes, f := newTestNodes(t, 3)
 	defer f.Close()
@@ -56,6 +71,9 @@ func TestCountPhaseDeliversAllUnits(t *testing.T) {
 				// Unit value encodes the sender so receivers can verify.
 				unit := []item.Item{item.Item(i), item.Item(100 + u)}
 				for dest := 0; dest < 3; dest++ {
+					if dest == i {
+						continue
+					}
 					if err := bat.AddItems(dest, unit); err != nil {
 						t.Errorf("add: %v", err)
 					}
@@ -75,8 +93,8 @@ func TestCountPhaseDeliversAllUnits(t *testing.T) {
 		for _, c := range received[i] {
 			total += c
 		}
-		if total != 3*unitsPerPeer {
-			t.Errorf("node %d received %d units, want %d", i, total, 3*unitsPerPeer)
+		if total != 2*unitsPerPeer {
+			t.Errorf("node %d received %d units, want %d", i, total, 2*unitsPerPeer)
 		}
 		// Every unit must arrive exactly once.
 		for key, c := range received[i] {
@@ -87,26 +105,47 @@ func TestCountPhaseDeliversAllUnits(t *testing.T) {
 	}
 }
 
-func TestCountPhaseSingleNodeLoopback(t *testing.T) {
-	nodes, f := newTestNodes(t, 1)
-	defer f.Close()
-	nd := nodes[0]
-	got := 0
-	cp := nd.NewExchange(KData, ItemsApplier(func(items []item.Item) { got += len(items) }))
-	bat := smallBatcher(cp)
-	for i := 0; i < 10; i++ {
-		if err := bat.AddItems(0, []item.Item{1, 2, 3}); err != nil {
-			t.Fatal(err)
+// TestBatcherRejectsSelf: a node handles its own share in place, so every
+// way of batching for itself — AddItems, AddRun, Flush — is an error naming
+// the node, and nothing reaches the fabric. FlushAll skips the node itself,
+// and an exchange with no peers finishes at once.
+func TestBatcherRejectsSelf(t *testing.T) {
+	for _, size := range []int{1, 2} {
+		nodes, f := newTestNodes(t, size)
+		nd := nodes[size-1]
+		var wait func()
+		if size == 2 {
+			wait = peerExchange(t, nodes[0], func([]byte) (int64, error) { return 0, nil })
 		}
-	}
-	if err := bat.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 30 {
-		t.Errorf("received %d items, want 30", got)
+		ex := nd.NewExchange(KData, func([]byte) (int64, error) {
+			t.Error("a batch was applied")
+			return 0, nil
+		})
+		bat := ex.NewBatcher()
+		before := nd.ep.Stats()
+		want := fmt.Sprintf("node %d batched for itself", nd.id)
+		for name, add := range map[string]func() error{
+			"AddItems": func() error { return bat.AddItems(nd.id, []item.Item{1, 2}) },
+			"AddRun":   func() error { return bat.AddRun(nd.id, []byte{1}, []byte{2}) },
+			"Flush":    func() error { return bat.Flush(nd.id) },
+		} {
+			if err := add(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%d nodes: %s to self: got %v, want an error containing %q", size, name, err, want)
+			}
+		}
+		if err := bat.FlushAll(); err != nil {
+			t.Errorf("%d nodes: FlushAll: %v", size, err)
+		}
+		if after := nd.ep.Stats(); after != before {
+			t.Errorf("%d nodes: endpoint stats moved from %+v to %+v", size, before, after)
+		}
+		if err := ex.Finish(); err != nil {
+			t.Errorf("%d nodes: Finish: %v", size, err)
+		}
+		if wait != nil {
+			wait()
+		}
+		f.Close()
 	}
 }
 
@@ -153,18 +192,16 @@ func TestBatcherFlushesAtThreshold(t *testing.T) {
 // TestBatcherAddRunMatchesAddItems: a unit handed to AddRun in two pieces
 // arrives as the one unit AddItems would have sent.
 func TestBatcherAddRunMatchesAddItems(t *testing.T) {
-	nodes, f := newTestNodes(t, 1)
+	nodes, f := newTestNodes(t, 2)
 	defer f.Close()
-	nd := nodes[0]
 	var got [][]item.Item
-	cp := nd.NewExchange(KData, ItemsApplier(func(items []item.Item) {
-		cp := make([]item.Item, len(items))
-		copy(cp, items)
-		got = append(got, cp)
+	wait := peerExchange(t, nodes[1], ItemsApplier(func(items []item.Item) {
+		got = append(got, slices.Clone(items))
 	}))
+	cp := nodes[0].NewExchange(KData, ItemsApplier(func([]item.Item) {}))
 	bat := smallBatcher(cp)
 	unit := wire.AppendItems(nil, []item.Item{4, 5, 6})
-	if err := bat.AddRun(0, unit[:2], unit[2:]); err != nil {
+	if err := bat.AddRun(1, unit[:2], unit[2:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := bat.FlushAll(); err != nil {
@@ -173,6 +210,7 @@ func TestBatcherAddRunMatchesAddItems(t *testing.T) {
 	if err := cp.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	wait()
 	if len(got) != 1 || len(got[0]) != 3 || got[0][0] != 4 || got[0][2] != 6 {
 		t.Fatalf("AddRun unit decoded as %v", got)
 	}
@@ -303,8 +341,8 @@ func TestExchangeRecyclesBatches(t *testing.T) {
 // FuzzExchange drives one Exchange receiver, node 0 of three, through an
 // arbitrary script: peer data batches, valid or corrupt, each peer's KDone,
 // messages of foreign kinds (the other data kind included) before and after
-// it, loopback units from node 0's own Batcher, and a prefix of the peer
-// messages already stashed when the exchange starts. Every payload is a
+// it, and a prefix of the peer messages already stashed when the exchange
+// starts. Every payload is a
 // NewBatch buffer, as a batcher's would be. The receiver must not panic or
 // hang; Finish must fail exactly when a peer batch does not decode, and
 // apply every item otherwise; and every foreign message must survive, in
@@ -328,7 +366,6 @@ func FuzzExchange(f *testing.F) {
 			want []byte // the payload's bytes as sent
 		}
 		var msgs, foreign []sent
-		var local [][]item.Item // loopback units, valid by construction
 		var wantItems int64
 		wantErr := false
 		var done [3]bool
@@ -336,7 +373,7 @@ func FuzzExchange(f *testing.F) {
 			op := script[i]
 			from := 1 + int(op&1)
 			m := sent{Message: cluster.Message{From: from}}
-			switch (op >> 1) % 5 {
+			switch (op >> 1) % 4 {
 			case 0: // a valid data batch
 				m.Kind = kind
 				m.Payload = wire.AppendItems(cluster.NewBatch(), []item.Item{item.Item(op), item.Item(op) + 1 + item.Item(i)})
@@ -354,10 +391,6 @@ func FuzzExchange(f *testing.F) {
 				m.Payload = append(cluster.NewBatch(), op, byte(i))
 			case 3:
 				m.Kind = KDone
-			case 4:
-				local = append(local, []item.Item{item.Item(i), item.Item(i) + item.Item(op)})
-				wantItems += 2
-				continue
 			}
 			if done[from] && (m.Kind == kind || m.Kind == KDone) {
 				m.Kind = KLarge // nothing of the exchange trails a peer's KDone
@@ -395,22 +428,8 @@ func FuzzExchange(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		// A loopback flush fails, naming the stopped receiver, once a corrupt
-		// batch has ended it; Finish reports the decode error itself.
-		var addErr error
 		finished := make(chan error, 1)
-		go func() {
-			bat := smallBatcher(ex)
-			for _, u := range local {
-				if addErr = bat.AddItems(0, u); addErr != nil {
-					break
-				}
-			}
-			if addErr == nil {
-				addErr = bat.FlushAll()
-			}
-			finished <- ex.Finish()
-		}()
+		go func() { finished <- ex.Finish() }()
 		var err error
 		select {
 		case err = <-finished:
@@ -419,9 +438,6 @@ func FuzzExchange(f *testing.F) {
 		}
 		if wantErr != (err != nil) || err != nil && !strings.Contains(err.Error(), "decode count batch") {
 			t.Fatalf("Finish: %v; a peer batch fails to decode: %v", err, wantErr)
-		}
-		if addErr != nil && (err == nil || !strings.Contains(addErr.Error(), "receiver stopped")) {
-			t.Fatalf("loopback flush: %v; Finish: %v", addErr, err)
 		}
 		if err == nil && applied != wantItems {
 			t.Fatalf("applied %d items, want %d", applied, wantItems)
@@ -468,23 +484,24 @@ func FuzzExchange(f *testing.F) {
 // batch keeps the recyclable capacity and the run arrives whole; a run that
 // fits joins the open batch.
 func TestBatcherAddRunKeepsBatchCap(t *testing.T) {
-	nodes, f := newTestNodes(t, 1)
+	nodes, f := newTestNodes(t, 2)
 	defer f.Close()
 	var lens []int
-	cp := nodes[0].NewExchange(KData, func(batch []byte) (int64, error) {
+	wait := peerExchange(t, nodes[1], func(batch []byte) (int64, error) {
 		if cap(batch) != cluster.BatchCap {
 			t.Errorf("batch of %d bytes has capacity %d, want %d", len(batch), cap(batch), cluster.BatchCap)
 		}
 		lens = append(lens, len(batch))
 		return 0, nil
 	})
+	cp := nodes[0].NewExchange(KData, func([]byte) (int64, error) { return 0, nil })
 	bat := cp.NewBatcher()
 	head, body := []byte{1, 2}, bytes.Repeat([]byte{3}, 600)
 	for _, step := range []func() error{
-		func() error { return bat.AddRun(0, nil, make([]byte, 100)) },
-		func() error { return bat.AddRun(0, head, body) }, // fits: 702 bytes open
-		func() error { return bat.AddRun(0, nil, make([]byte, 3300)) },
-		func() error { return bat.AddRun(0, head, body) }, // 4002 + 602 > BatchCap
+		func() error { return bat.AddRun(1, nil, make([]byte, 100)) },
+		func() error { return bat.AddRun(1, head, body) }, // fits: 702 bytes open
+		func() error { return bat.AddRun(1, nil, make([]byte, 3300)) },
+		func() error { return bat.AddRun(1, head, body) }, // 4002 + 602 > BatchCap
 		bat.FlushAll,
 		cp.Finish,
 	} {
@@ -492,6 +509,7 @@ func TestBatcherAddRunKeepsBatchCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	wait()
 	if want := []int{4002, 602}; !slices.Equal(lens, want) {
 		t.Fatalf("batches of %v bytes, want %v", lens, want)
 	}

@@ -172,16 +172,18 @@ func TestCountItemsMatchesExtendTransaction(t *testing.T) {
 }
 
 // TestCountPhaseBodyError: the first error in worker order is the one
-// returned, nothing is flushed after it, and the exchange is still finished
-// (its receiver has exited by the time CountPhase returns).
+// returned, nothing is flushed after it, and the exchange is still finished:
+// node 1's inbox holds node 0's KDone and no data batch.
 func TestCountPhaseBodyError(t *testing.T) {
 	fx := newScanFixture(t)
 	errFirst, errLater := errors.New("first"), errors.New("later")
 	fx.each(t, func(t *testing.T, src txn.Scanner, W int) {
-		nodes, f := newTestNodes(t, 1)
+		nodes, f := newTestNodes(t, 2)
 		defer f.Close()
-		applied := 0
-		ex := nodes[0].NewExchange(KData, ItemsApplier(func([]item.Item) { applied++ }))
+		if err := nodes[1].ep.Send(0, KDone, nil); err != nil { // node 1 routes nothing
+			t.Fatal(err)
+		}
+		ex := nodes[0].NewExchange(KData, ItemsApplier(func([]item.Item) {}))
 		failing := min(1, W-1)
 		var st metrics.NodeStats
 		err := CountPhase(src, W, ShardObs{}, &st, nil, ex, func(w *Worker, tr txn.Transaction) error {
@@ -191,16 +193,17 @@ func TestCountPhaseBodyError(t *testing.T) {
 			case w.ID > failing:
 				return errLater
 			}
-			return w.Bat.AddItems(0, tr.Items[:1]) // far below the batch threshold: flushed only at the end
+			return w.Bat.AddItems(1, tr.Items[:1]) // far below the batch threshold: flushed only at the end
 		})
 		if !errors.Is(err, errFirst) {
 			t.Fatalf("got %v, want the error of worker %d", err, failing)
 		}
-		if applied != 0 {
-			t.Errorf("%d units applied: a batcher was flushed after the error", applied)
+		var kinds []uint8
+		for len(nodes[1].ep.Inbox()) > 0 {
+			kinds = append(kinds, (<-nodes[1].ep.Inbox()).Kind)
 		}
-		if _, open := <-ex.selfq; open {
-			t.Error("exchange not finished: loopback queue still open")
+		if !slices.Equal(kinds, []uint8{KDone}) {
+			t.Errorf("node 1 received kinds %v, want only node 0's KDone (%d)", kinds, KDone)
 		}
 		if st.TxnsScanned != 0 {
 			t.Errorf("%d transactions merged into the window despite the error", st.TxnsScanned)

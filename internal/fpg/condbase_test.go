@@ -196,9 +196,9 @@ func TestApplyBasesInterleavedRanks(t *testing.T) {
 	}
 }
 
-// TestApplyBasesCopiesBatch: the exchange releases every batch, remote or
-// loopback, once apply returns, and the free list hands it to the next
-// sender, so the kept bases must not alias the caller's bytes. A batch
+// TestApplyBasesCopiesBatch: the exchange releases every peer batch once
+// apply returns, and the free list hands it to the next sender, so the kept
+// bases must not alias the caller's bytes. A batch
 // is applied, the caller's slice overwritten, and the task mined from what
 // was kept.
 func TestApplyBasesCopiesBatch(t *testing.T) {
@@ -389,9 +389,11 @@ func multisetDiff(a, b []string) []string {
 // TestShipBasesMatchesClimb: the preorder walk ships the same conditional
 // pattern bases as a climb up every header-chain node's parent chain, over
 // random taxonomies, random transactions (some holding an item and its
-// ancestor), 1 to 3 nodes and 1 to 3 worker trees per node. The units reach their owners
-// in per-rank runs whose order the trees and fabric decide, so bases compare
-// as multisets.
+// ancestor), 1 to 3 nodes and 1 to 3 worker trees per node. Every trial also
+// runs 1 node, where every rank is owned and nothing ships, and 4 nodes, each
+// at 3 worker trees, so the own runs of several walkers always join their
+// slots. The units reach their owners in per-rank runs whose order the trees
+// and fabric decide, so bases compare as multisets.
 func TestShipBasesMatchesClimb(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	for trial := 0; trial < 30; trial++ {
@@ -421,10 +423,15 @@ func TestShipBasesMatchesClimb(t *testing.T) {
 			txns = append(txns, txn.Transaction{TID: int64(tid), Items: slices.Compact(items)})
 		}
 		db := txn.NewDB(txns)
+		check := func(nodes, w int, minSup float64) {
+			checkShipBases(t, fmt.Sprintf("trial %d: %d nodes x %d workers, minsup %g", trial, nodes, w, minSup), tax, db, nodes, w, minSup)
+		}
 		for _, w := range []int{1, 2, 3} {
 			nodes := 1 + rng.Intn(3)
-			minSup := []float64{0.01, 0.05, 0.1}[rng.Intn(3)]
-			checkShipBases(t, fmt.Sprintf("trial %d: %d nodes x %d workers, minsup %g", trial, nodes, w, minSup), tax, db, nodes, w, minSup)
+			check(nodes, w, []float64{0.01, 0.05, 0.1}[rng.Intn(3)])
+		}
+		for _, nodes := range []int{1, 4} {
+			check(nodes, 3, []float64{0.01, 0.05, 0.1}[trial%3])
 		}
 	}
 }

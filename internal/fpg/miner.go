@@ -52,8 +52,9 @@ type fpgMiner struct {
 	conf [][]item.Item
 
 	// bases[q] is the conditional pattern base of owned suffix rank
-	// q*NumNodes + id as the bytes received: the unit bytes of each checked
-	// run, appended by the cond-base exchange receiver in arrival order.
+	// q*NumNodes + id as runs of unit bytes: each peer run the cond-base
+	// exchange receiver checked, in arrival order, then this node's own
+	// runs, in worker order.
 	bases [][][]byte
 
 	// The pass-2 barrier, which resolves every pattern size at once: the
@@ -199,7 +200,8 @@ func (m *fpgMiner) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driv
 }
 
 // exchangeBases runs the cond-base exchange: it ships the bases in the local
-// forest while it receives this node's owned slots into m.bases.
+// forest to their owners while it receives this node's owned slots into
+// m.bases, then adds the runs the walkers kept for this node's own ranks.
 func (m *fpgMiner) exchangeBases(n *driver.Node, forest []*fpTree, st *metrics.NodeStats) error {
 	start := time.Now()
 	slots := 0
@@ -208,8 +210,16 @@ func (m *fpgMiner) exchangeBases(n *driver.Node, forest []*fpTree, st *metrics.N
 	}
 	m.bases = make([][][]byte, slots)
 	ex := n.NewExchange(driver.KCondBase, m.applyBases)
-	shipErr := m.shipBases(n, ex, forest, st)
+	walkers, shipErr := m.shipBases(n, ex, forest, st)
 	finErr := ex.Finish()
+	for _, w := range walkers { // the receiver is done with m.bases
+		for _, c := range w.own {
+			for d := wire.NewDec(c); d.More(); {
+				q := d.Int()
+				m.bases[q] = append(m.bases[q], d.Bytes())
+			}
+		}
+	}
 	st.ScanTime += time.Since(start)
 	if shipErr != nil {
 		return shipErr
@@ -259,10 +269,10 @@ func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree
 const stageBytes = 512
 
 // shipBases routes every suffix rank's conditional pattern base in the local
-// forest to the rank's owner through the exchange, one walker per forest tree
-// (see baseWalker). Its span counts the units, runs and run bytes handed to
-// the exchange, loopback included.
-func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTree, st *metrics.NodeStats) error {
+// forest to the rank's owner, one walker per forest tree (see baseWalker),
+// and returns the walkers. Its span counts the units, runs and run bytes of
+// all runs, own runs included.
+func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTree, st *metrics.NodeStats) ([]*baseWalker, error) {
 	sp := n.Span("ship-bases")
 	defer sp.End()
 	walkers := make([]*baseWalker, len(forest))
@@ -280,7 +290,7 @@ func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTr
 	sp.Arg("units", units)
 	sp.Arg("runs", runs)
 	sp.Arg("bytes", bytes)
-	return err
+	return walkers, err
 }
 
 // baseWalker ships one forest tree's conditional pattern bases. It walks the
@@ -291,7 +301,9 @@ func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTr
 // stage that cannot take the next unit goes to r's owner as one run,
 // (rank, units, (count, path)*), so the rank is on the wire once per run and
 // the owner receives each rank's units grouped. A unit longer than a whole
-// stage goes alone as a one-unit run and never enters the slab.
+// stage goes alone as a one-unit run and never enters the slab. A run for
+// this node itself never enters the exchange: its unit bytes are copied once
+// into the walker's own chunks, each a sequence of (slot, unit bytes).
 type baseWalker struct {
 	m     *fpgMiner
 	b     *driver.Batcher
@@ -302,9 +314,12 @@ type baseWalker struct {
 	keep  []item.Item
 	unit  []byte
 	head  []byte
+	own   [][]byte // the last chunk is open
 
 	units, runs, bytes, itemsSent int64
 }
+
+const ownChunkBytes = 16 << 10 // an own chunk's size, unless a run needs more
 
 func (m *fpgMiner) newBaseWalker(b *driver.Batcher) *baseWalker {
 	slab := make([]byte, m.numLarge*stageBytes)
@@ -399,12 +414,23 @@ func (w *baseWalker) sendStage(r item.Item) error {
 	return err
 }
 
-// send hands one run of rank r, holding units units, to r's owner.
+// send hands one run of rank r, holding units units, to r's owner: a peer
+// through the batcher, this node by appending the run's slot and body to the
+// open own chunk (a new one when it does not fit).
 func (w *baseWalker) send(r item.Item, units int32, body []byte) error {
 	w.head = wire.AppendUvarint(wire.AppendUvarint(w.head[:0], uint64(r)), uint64(units))
 	w.runs++
 	w.bytes += int64(len(w.head) + len(body))
-	return w.b.AddRun(int(r)%w.m.numNodes, w.head, body)
+	if owner := int(r) % w.m.numNodes; owner != w.m.nodeID {
+		return w.b.AddRun(owner, w.head, body)
+	}
+	need := len(body) + 20 // two uvarints at most
+	if n := len(w.own); n == 0 || need > cap(w.own[n-1])-len(w.own[n-1]) {
+		w.own = append(w.own, make([]byte, 0, max(ownChunkBytes, need)))
+	}
+	c := &w.own[len(w.own)-1]
+	*c = append(wire.AppendUvarint(wire.AppendUvarint(*c, uint64(int(r)/w.m.numNodes)), uint64(len(body))), body...)
+	return nil
 }
 
 // applyBases is the cond-base exchange's receive callback. A batch is a
