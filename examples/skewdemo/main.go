@@ -17,11 +17,37 @@ import (
 	"pgarm/internal/engines"
 	"pgarm/internal/experiment"
 	"pgarm/internal/item"
+	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
 
+// variants are the H-HPGM family in the order the demo prints them.
+var variants = []core.Algorithm{core.HHPGM, core.HHPGMTGD, core.HHPGMPGD, core.HHPGMFGD}
+
 func main() {
+	passes, err := pass2()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("per-node probe counts at pass 2 (8 nodes, hot-tree skewed data):")
+	for v, ps := range passes {
+		labels := make([]string, len(ps.Nodes))
+		vals := make([]float64, len(ps.Nodes))
+		for i, ns := range ps.Nodes {
+			labels[i] = fmt.Sprintf("node %d", ns.Node)
+			vals[i] = float64(ns.Probes)
+		}
+		fmt.Printf("\n%s  (duplicated %d of %d candidates; skew %s)\n%s",
+			variants[v], ps.Duplicated, ps.Candidates, ps.ProbeSkew(), experiment.Bars(labels, vals, 46))
+	}
+	fmt.Println("\nfiner duplication granules flatten the distribution, as in Figure 15 of the paper.")
+}
+
+// pass2 mines the skewed stream over 8 nodes with each of the variants, under
+// a memory budget small enough that the duplication choices matter, and
+// returns each run's pass-2 stats.
+func pass2() ([]*metrics.PassStats, error) {
 	// 6 trees × 3 levels, fanout 4.
 	tax := taxonomy.MustBalanced(500, 6, 4)
 	leaves := tax.Leaves()
@@ -53,10 +79,9 @@ func main() {
 		parts = append(parts, p)
 	}
 
-	// A budget small enough that duplication choices matter.
 	const budget = 640 << 10
-	fmt.Println("per-node probe counts at pass 2 (8 nodes, hot-tree skewed data):")
-	for _, alg := range []core.Algorithm{core.HHPGM, core.HHPGMTGD, core.HHPGMPGD, core.HHPGMFGD} {
+	var passes []*metrics.PassStats
+	for _, alg := range variants {
 		res, err := engines.Run(tax, parts, engines.Spec{
 			Algorithm:    alg,
 			MinSupport:   0.01,
@@ -64,20 +89,13 @@ func main() {
 			MemoryBudget: budget,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		ps := res.Stats.Pass(2)
 		if ps == nil {
-			log.Fatalf("%s: no pass 2", alg)
+			return nil, fmt.Errorf("%s: no pass 2", alg)
 		}
-		labels := make([]string, len(ps.Nodes))
-		vals := make([]float64, len(ps.Nodes))
-		for i, ns := range ps.Nodes {
-			labels[i] = fmt.Sprintf("node %d", ns.Node)
-			vals[i] = float64(ns.Probes)
-		}
-		fmt.Printf("\n%s  (duplicated %d of %d candidates; skew %s)\n%s",
-			alg, ps.Duplicated, ps.Candidates, ps.ProbeSkew(), experiment.Bars(labels, vals, 46))
+		passes = append(passes, ps)
 	}
-	fmt.Println("\nfiner duplication granules flatten the distribution, as in Figure 15 of the paper.")
+	return passes, nil
 }

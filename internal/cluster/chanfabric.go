@@ -74,6 +74,9 @@ func (e *chanEndpoint) Send(to int, kind uint8, payload []byte) error {
 	if to < 0 || to >= len(e.fabric.endpoints) {
 		return fmt.Errorf("cluster: send to unknown node %d (cluster size %d)", to, e.N())
 	}
+	if to == e.id {
+		return errSelfSend(e.id)
+	}
 	dst := e.fabric.endpoints[to]
 	dst.mu.RLock()
 	defer dst.mu.RUnlock()

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -153,7 +155,7 @@ func TestKindStatsReconcile(t *testing.T) {
 			txs := []tx{
 				{0, 1, 1, 64}, {0, 1, 3, 100}, {0, 2, 3, 9},
 				{1, 0, 7, 0}, {1, 2, 1, 2048}, {2, 0, 5, 1},
-				{2, 2, 3, 33}, // self-send counts both sides
+				{2, 1, 3, 33},
 			}
 			recvCount := make(map[int]int)
 			for _, x := range txs {
@@ -232,35 +234,51 @@ func TestCloseIsIdempotentAndClosesInboxes(t *testing.T) {
 	}
 }
 
-func TestTCPSelfSendLoopsBack(t *testing.T) {
-	f, err := NewTCPFabric(2, 8)
-	if err != nil {
+// checkSelfSendRefused is the self-send check every fabric shares: node 1
+// sending to itself gets an error naming it, nothing is delivered and its
+// traffic counters do not move, while the same endpoint still reaches node 0.
+func checkSelfSendRefused(t *testing.T, eps []Endpoint) {
+	t.Helper()
+	ep := eps[1]
+	stats, kinds := ep.Stats(), ep.KindStats()
+	err := ep.Send(1, 9, []byte("self"))
+	if err == nil || !strings.Contains(err.Error(), "node 1 ") {
+		t.Fatalf("self-send: got %v, want an error naming node 1", err)
+	}
+	if got := ep.Stats(); got != stats {
+		t.Errorf("Stats moved: %v -> %v", stats, got)
+	}
+	if got := ep.KindStats(); !slices.Equal(got, kinds) {
+		t.Errorf("KindStats moved: %v -> %v", kinds, got)
+	}
+	select {
+	case m := <-ep.Inbox():
+		t.Errorf("self-send delivered %+v", m)
+	default:
+	}
+	if err := ep.Send(0, 9, []byte("peer")); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := f.Endpoint(1).Send(1, 9, []byte("me")); err != nil {
-		t.Fatal(err)
-	}
-	m := <-f.Endpoint(1).Inbox()
-	if m.From != 1 || string(m.Payload) != "me" {
-		t.Errorf("self-send got %+v", m)
-	}
-	s := f.Endpoint(1).Stats()
-	if s.BytesSent != 2 || s.BytesReceived != 2 {
-		t.Errorf("self-send accounting %v", s)
+	if m := <-eps[0].Inbox(); m.From != 1 || string(m.Payload) != "peer" {
+		t.Errorf("peer got %+v", m)
 	}
 }
 
 func TestChanSelfSend(t *testing.T) {
-	f := NewChanFabric(1, 4)
+	f := NewChanFabric(2, 4)
 	defer f.Close()
-	if err := f.Endpoint(0).Send(0, 3, []byte("x")); err != nil {
+	checkSelfSendRefused(t, []Endpoint{f.Endpoint(0), f.Endpoint(1)})
+}
+
+// TestTCPSelfSendLoopsBack keeps its name from when a TCP self-send was
+// looped back in-process; it is now refused like on every other fabric.
+func TestTCPSelfSendLoopsBack(t *testing.T) {
+	f, err := NewTCPFabric(2, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := <-f.Endpoint(0).Inbox()
-	if m.From != 0 || m.Kind != 3 {
-		t.Errorf("got %+v", m)
-	}
+	defer f.Close()
+	checkSelfSendRefused(t, []Endpoint{f.Endpoint(0), f.Endpoint(1)})
 }
 
 func TestEndpointIdentity(t *testing.T) {

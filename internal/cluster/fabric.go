@@ -9,7 +9,9 @@
 //     serialization and kernel socket costs.
 //
 // Every byte that crosses the fabric is accounted per node, which is how the
-// repo reproduces the paper's communication-volume results (Table 6).
+// repo reproduces the paper's communication-volume results (Table 6). A node
+// sends only to its peers: a send to itself is an error on every fabric, so
+// local work never counts as communication.
 package cluster
 
 import (
@@ -32,16 +34,16 @@ type Endpoint interface {
 	ID() int
 	// N returns the cluster size.
 	N() int
-	// Send delivers a message to node `to`. Sending to yourself is allowed
-	// (it loops back through the inbox) but the mining algorithms avoid it:
-	// local work must not count as communication.
+	// Send delivers a message to node `to`, which must be a peer: sending to
+	// yourself is an error, since local work must not count as
+	// communication.
 	//
 	// Ownership: a NewBatch buffer passed to Send belongs to the fabric from
 	// then on; the sender must not touch it again. A fabric that copies the
 	// bytes out (to a TCP peer) releases it once they are written; one that
-	// delivers by reference (ChanFabric, a TCP self-send) hands it to the
-	// receiver. Any other payload stays the sender's and is never released,
-	// so one slice may go to every peer and be read afterwards. The receiver
+	// delivers by reference (ChanFabric) hands it to the receiver. Any other
+	// payload stays the sender's and is never released, so one slice may go
+	// to every peer and be read afterwards. The receiver
 	// owns every payload it gets (TCP reads one of up to BatchCap bytes into
 	// a NewBatch buffer) and may Release one it does not keep.
 	Send(to int, kind uint8, payload []byte) error
@@ -60,6 +62,11 @@ type Endpoint interface {
 	// A peer dropping mid-run (TCP fabric) surfaces here after the inbox
 	// closes.
 	Err() error
+}
+
+// errSelfSend is every fabric's answer to a node sending to itself.
+func errSelfSend(id int) error {
+	return fmt.Errorf("cluster: node %d cannot send to itself", id)
 }
 
 // Fabric is a cluster interconnect: N endpoints plus lifecycle.

@@ -94,13 +94,7 @@ func TestMeshDelivery(t *testing.T) {
 func TestMeshSelfSend(t *testing.T) {
 	eps, _, cleanup := startMesh(t, 2)
 	defer cleanup()
-	if err := eps[1].Send(1, 9, []byte("self")); err != nil {
-		t.Fatal(err)
-	}
-	m := <-eps[1].Inbox()
-	if m.From != 1 || string(m.Payload) != "self" {
-		t.Errorf("self-send got %+v", m)
-	}
+	checkSelfSendRefused(t, eps)
 }
 
 // TestMeshPeerDropSurfacesError kills one node of a live mesh and asserts the

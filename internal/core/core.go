@@ -65,13 +65,9 @@ func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, err
 	// The candidate cache shares each pass's replicated derivations between
 	// the in-process node goroutines; every node still holds its own miner.
 	cache := newCandCache(tax)
-	coord, stats, err := driver.Run(cfg, len(parts), func(i int) (driver.Miner, error) {
+	return driver.Run(cfg, len(parts), func(i int) (driver.Miner, error) {
 		return newItemsetMiner(tax, parts[i], cfg, cache)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return coord.Miner().(*itemsetMiner).Result(stats), nil
 }
 
 // MineWorker runs a single node of the mining protocol over a caller-
@@ -80,11 +76,7 @@ func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, err
 // the global large itemsets, identical on every node after the final
 // broadcast; see driver.RunWorker for what the Stats cover.
 func MineWorker(tax *taxonomy.Taxonomy, local txn.Scanner, cfg Config, ep cluster.Endpoint) (*Result, error) {
-	nd, stats, err := driver.RunWorker(cfg, ep, func() (driver.Miner, error) {
+	return driver.RunWorker(cfg, ep, func() (driver.Miner, error) {
 		return newItemsetMiner(tax, local, cfg, newCandCache(tax))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return nd.Miner().(*itemsetMiner).Result(stats), nil
 }

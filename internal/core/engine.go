@@ -11,22 +11,10 @@ import (
 	"pgarm/internal/taxonomy"
 )
 
-// engineOut is one node's barrier contribution for a pass: the frequents it
-// owns outright, the dense count vector of its replicated candidates (with
-// the deterministically identical itemset list behind it — only the
-// coordinator's copy is read), and the pass metadata.
-type engineOut struct {
-	owned      []itemset.Counted
-	dupSets    [][]item.Item
-	dupCounts  []int64
-	duplicated int
-	fragments  int
-}
-
-// engine is one algorithm's per-pass behaviour. The runtime (internal/driver)
-// owns candidate generation and the L_k barrier; the engine owns candidate
-// partitioning (the plan phase) and the count-support phase (the execute
-// phase).
+// engine is one algorithm's per-pass behaviour. The miner generates the
+// candidates and the runtime (internal/driver) owns the L_k barrier; the
+// engine owns candidate partitioning (the plan phase) and the count-support
+// phase (the execute phase).
 type engine interface {
 	// plan computes pass k's candidate-to-node assignment — a pure function
 	// of globally replicated state, so every node derives the identical plan.
@@ -34,7 +22,7 @@ type engine interface {
 	// the engine.
 	plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error)
 	// pass counts support for pass k over the plan computed by plan.
-	pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (engineOut, error)
+	pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error)
 }
 
 // newEngine instantiates the engine for the miner's configured algorithm.
@@ -92,7 +80,7 @@ func (e *npgmEngine) plan(_ *driver.Node, k int, cands [][]item.Item) (driver.Pl
 	}, nil
 }
 
-func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (engineOut, error) {
+func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	m := e.m
 	frags := fragmentCount(len(cands), k, m.cfg.MemoryBudget)
 	// One KeepSet serves both roles, the ancestor keep set and the
@@ -133,7 +121,7 @@ func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			Stats:   st,
 		})
 		if err != nil {
-			return engineOut{}, fmt.Errorf("fragment %d scan: %w", f, err)
+			return driver.PassOutcome{}, fmt.Errorf("fragment %d scan: %w", f, err)
 		}
 	}
 	counts := driver.MergeWorkerVectors(wcounts)
@@ -142,10 +130,10 @@ func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	// reduce of the replicated counts, which the runtime's barrier performs.
 	// (The paper broadcasts each fragment's L_k^d as it completes; reducing
 	// once after the last fragment yields the same L_k with one barrier.)
-	return engineOut{
-		dupSets:    cands,
-		dupCounts:  counts,
-		duplicated: len(cands),
-		fragments:  frags,
+	return driver.PassOutcome{
+		DupSets:    cands,
+		DupCounts:  counts,
+		Duplicated: len(cands),
+		Fragments:  frags,
 	}, nil
 }

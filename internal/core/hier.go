@@ -86,7 +86,7 @@ func (e *hierEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.Pl
 	return e.cur.decision, nil
 }
 
-func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (engineOut, error) {
+func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	m := e.m
 	nNodes := n.NumNodes()
 	self := n.ID()
@@ -231,14 +231,14 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	})
 	xsp.End()
 	if err != nil {
-		return engineOut{}, err
+		return driver.PassOutcome{}, err
 	}
-	return engineOut{
-		owned:      largeOf(ownedCands, driver.MergeWorkerVectors(wowned), n.MinCount()),
-		dupSets:    plan.dupSets,
-		dupCounts:  driver.MergeWorkerVectors(wdup),
-		duplicated: len(plan.dupSets),
-		fragments:  1,
+	return driver.PassOutcome{
+		Own:        largeOf(ownedCands, driver.MergeWorkerVectors(wowned), n.MinCount()),
+		DupSets:    plan.dupSets,
+		DupCounts:  driver.MergeWorkerVectors(wdup),
+		Duplicated: len(plan.dupSets),
+		Fragments:  1,
 	}, nil
 }
 

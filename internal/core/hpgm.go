@@ -61,7 +61,7 @@ func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.Pl
 	return driver.PlanDecision{Partitioner: "itemset-hash", Granule: "none"}, nil
 }
 
-func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (engineOut, error) {
+func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	m := e.m
 	nNodes := uint64(n.NumNodes())
 	self := uint64(n.ID())
@@ -113,11 +113,11 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		})
 	xsp.End()
 	if err != nil {
-		return engineOut{}, err
+		return driver.PassOutcome{}, err
 	}
-	return engineOut{
-		owned:     largeOf(e.owned, driver.MergeWorkerVectors(e.counts), n.MinCount()),
-		fragments: 1,
+	return driver.PassOutcome{
+		Own:       largeOf(e.owned, driver.MergeWorkerVectors(e.counts), n.MinCount()),
+		Fragments: 1,
 	}, nil
 }
 

@@ -21,7 +21,7 @@ import (
 // own share going through the containment kernel.
 type refHPGM struct{ hpgmEngine }
 
-func (e *refHPGM) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (engineOut, error) {
+func (e *refHPGM) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	nNodes, self := n.NumNodes(), n.ID()
 	index := itemset.BuildIndex(e.owned)
 	counts := driver.WorkerVectors(1+n.Workers(), len(e.owned)) // the receiver's, then each worker's
@@ -49,15 +49,15 @@ func (e *refHPGM) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.N
 			return sendErr
 		})
 	if err != nil {
-		return engineOut{}, err
+		return driver.PassOutcome{}, err
 	}
-	return engineOut{owned: largeOf(e.owned, driver.MergeWorkerVectors(counts), n.MinCount()), fragments: 1}, nil
+	return driver.PassOutcome{Own: largeOf(e.owned, driver.MergeWorkerVectors(counts), n.MinCount()), Fragments: 1}, nil
 }
 
 // mineRefHPGM is Mine with every node's HPGM engine replaced by refHPGM.
 func mineRefHPGM(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, error) {
 	cache := newCandCache(tax)
-	coord, stats, err := driver.Run(cfg, len(parts), func(i int) (driver.Miner, error) {
+	return driver.Run(cfg, len(parts), func(i int) (driver.Miner, error) {
 		m, err := newItemsetMiner(tax, parts[i], cfg, cache)
 		if err != nil {
 			return nil, err
@@ -65,10 +65,6 @@ func mineRefHPGM(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Resu
 		m.eng = &refHPGM{hpgmEngine{m: m}}
 		return m, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return coord.Miner().(*itemsetMiner).Result(stats), nil
 }
 
 // TestHPGMMatchesEnumerateAndShip: at every node count, worker count and

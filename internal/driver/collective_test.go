@@ -13,6 +13,7 @@ import (
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
+	"pgarm/internal/wire"
 )
 
 // TestGatherBcast drives the protocol's two collectives directly, at one node
@@ -107,7 +108,6 @@ func TestGatherRejectsSecondMessage(t *testing.T) {
 // in an itemset.Fan worker of PlanPass, or in the apply callback of the
 // count-support receiver, which every node's next peer sends one unit.
 type panicMiner struct {
-	LevelBarrier
 	inPlan bool
 }
 
@@ -118,11 +118,9 @@ func (m *panicMiner) CountPass1(*Node, *metrics.NodeStats) ([]int64, error) {
 	return []int64{4, 4, 4}, nil
 }
 
-func (m *panicMiner) FinishPass1(n *Node, global []int64) (int, error) {
-	return len(m.FinishItems(n, global)), nil
-}
+func (m *panicMiner) FinishPass1(*Node, []int64, []itemset.Counted) error { return nil }
 
-func (m *panicMiner) Generate(*Node, int) (int, error) { return 3, nil }
+func (m *panicMiner) Generate(*Node, int, [][]item.Item) (int, error) { return 3, nil }
 
 func (m *panicMiner) PlanPass(*Node, int) (PlanDecision, error) {
 	if m.inPlan {
@@ -162,7 +160,7 @@ func TestRunSurvivesWorkerPanic(t *testing.T) {
 		{false, []int{2, 3}, []string{"driver: node ", " pass 2: ", "recv worker 0 panicked: apply boom"}},
 	} {
 		for _, size := range c.sizes {
-			_, _, err := Run(Spec{MinSupport: 0.5}, size, func(int) (Miner, error) {
+			_, err := Run(Spec{MinSupport: 0.5}, size, func(int) (Miner, error) {
 				return &panicMiner{inPlan: c.inPlan}, nil
 			})
 			for _, want := range c.want {
@@ -189,7 +187,7 @@ func (m *failMiner) CountPass(n *Node, _ int, _ *metrics.NodeStats) (PassOutcome
 			return PassOutcome{}, err
 		}
 	}
-	return PassOutcome{Owned: []byte{0}}, nil
+	return PassOutcome{}, nil
 }
 
 // TestRunEndsWhenOneNodeFails: one node of three returning an error ends the
@@ -199,7 +197,7 @@ func TestRunEndsWhenOneNodeFails(t *testing.T) {
 	for _, fk := range []FabricKind{FabricChan, FabricTCP} {
 		done := make(chan error, 1)
 		go func() {
-			_, _, err := Run(Spec{MinSupport: 0.5, Fabric: fk}, 3, func(int) (Miner, error) { return &failMiner{}, nil })
+			_, err := Run(Spec{MinSupport: 0.5, Fabric: fk}, 3, func(int) (Miner, error) { return &failMiner{}, nil })
 			done <- err
 		}()
 		select {
@@ -211,6 +209,111 @@ func TestRunEndsWhenOneNodeFails(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("fabric %d: Run still blocked 10s after node 1 failed", fk)
+		}
+	}
+}
+
+// barrierMiner reports, in pass 2, one owned pair per node and two replicated
+// pairs, so the barrier carries a non-empty KLocalLarge and KDupCounts from
+// every follower.
+type barrierMiner struct{ panicMiner }
+
+func (m *barrierMiner) CountPass(n *Node, _ int, _ *metrics.NodeStats) (PassOutcome, error) {
+	own := itemset.Counted{Items: []item.Item{item.Item(n.ID()), item.Item(n.ID() + 3)}, Count: 6}
+	return PassOutcome{
+		Own:       []itemset.Counted{own},
+		DupSets:   [][]item.Item{{0, 1}, {1, 2}},
+		DupCounts: []int64{2, 3},
+	}, nil
+}
+
+// tamperEndpoint rewrites the payload of every message of one kind it sends.
+type tamperEndpoint struct {
+	cluster.Endpoint
+	kind   uint8
+	tamper func([]byte) []byte
+}
+
+func (e tamperEndpoint) Send(to int, kind uint8, payload []byte) error {
+	if kind == e.kind {
+		payload = e.tamper(payload)
+	}
+	return e.Endpoint.Send(to, kind, payload)
+}
+
+// TestBarrierFaultsEndRun: a follower whose F_k barrier message is malformed
+// — a truncated KLocalLarge, a KDupCounts vector of the wrong length — ends a
+// three-node run on both fabrics with the coordinator's named error and no
+// Result on any node, in bounded time. Untampered, the same run succeeds.
+func TestBarrierFaultsEndRun(t *testing.T) {
+	cases := []struct {
+		name   string
+		kind   uint8
+		tamper func([]byte) []byte
+		want   string
+	}{
+		{"intact", 0, nil, ""},
+		{"truncated-owned", KLocalLarge, func(p []byte) []byte { return p[:len(p)-1] },
+			"driver: decode owned frequents from node 1: "},
+		{"short-dup-counts", KDupCounts, func([]byte) []byte { return wire.AppendCountsAuto(nil, []int64{2}) },
+			"driver: node 1 sent 1 replicated counts, want 2"},
+	}
+	for _, fk := range []FabricKind{FabricChan, FabricTCP} {
+		for _, c := range cases {
+			name := fmt.Sprintf("fabric%d/%s", fk, c.name)
+			f, err := NewFabric(fk, 3, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type outcome struct {
+				node int
+				res  *Result
+				err  error
+			}
+			done := make(chan outcome, 3)
+			for i := 0; i < 3; i++ {
+				ep := f.Endpoint(i)
+				if i == 1 && c.tamper != nil {
+					ep = tamperEndpoint{ep, c.kind, c.tamper}
+				}
+				go func(i int, ep cluster.Endpoint) {
+					res, err := RunWorker(Spec{MinSupport: 0.5, MaxK: 2, Fabric: fk}, ep, func() (Miner, error) { return &barrierMiner{}, nil })
+					done <- outcome{i, res, err}
+				}(i, ep)
+			}
+			results := make([]*Result, 3)
+			errs := make([]error, 3)
+			for range 3 {
+				select {
+				case o := <-done:
+					results[o.node], errs[o.node] = o.res, o.err
+					if o.err != nil {
+						f.Close() // as Run does: the first failure takes the fabric down
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s: run still blocked after 10s", name)
+				}
+			}
+			f.Close()
+			if c.tamper == nil {
+				for i := range 3 {
+					if errs[i] != nil {
+						t.Fatalf("%s: node %d: %v", name, i, errs[i])
+					}
+					if got := len(results[i].LargeK(2)); got != 5 {
+						t.Errorf("%s: node %d has %d large pairs, want 5", name, i, got)
+					}
+				}
+				continue
+			}
+			if errs[0] == nil || !strings.Contains(errs[0].Error(), c.want) {
+				t.Errorf("%s: coordinator got %v, want it to contain %q", name, errs[0], c.want)
+			}
+			for i := range 3 {
+				if errs[i] == nil || results[i] != nil {
+					t.Errorf("%s: node %d ended with a result: %v, error %v; want no result and an error", name, i, results[i] != nil, errs[i])
+				}
+			}
 		}
 	}
 }

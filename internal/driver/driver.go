@@ -15,15 +15,18 @@
 //     share and batch the rest to peers; one receiver applies peer
 //     batches; buffer recycling) and the sharded local scan;
 //   - the F_k barrier: locally-owned frequents gathered from every node plus
-//     a reduce of replicated count vectors, merged and broadcast;
+//     a reduce of replicated count vectors, merged and broadcast; every node
+//     stages F_k as the next generation's input, and the result levels Run
+//     and RunWorker return are recorded here;
 //   - per-pass metrics.NodeStats capture with monotonic fabric snapshots
 //     whose windows tile the run, phase-span tracing and registry
 //     instruments.
 //
 // What varies per workload — candidate representation, partitioning,
-// counting a local shard, encoding frequents — is behind the Miner
-// interface, which has two implementations: internal/core (the paper's six
-// itemset algorithms) and internal/fpg (taxonomy-aware parallel FP-Growth).
+// counting a local shard — is behind the Miner interface, whose count phase
+// only says what it counted (PassOutcome). It has two implementations:
+// internal/core (the paper's six itemset algorithms) and internal/fpg
+// (taxonomy-aware parallel FP-Growth).
 package driver
 
 import (
@@ -32,6 +35,7 @@ import (
 	"time"
 
 	"pgarm/internal/cluster"
+	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
@@ -203,13 +207,15 @@ type Miner interface {
 	// support counts; scan counters (TxnsScanned, ...) go into st.
 	CountPass1(n *Node, st *metrics.NodeStats) ([]int64, error)
 
-	// FinishPass1 consumes the globally reduced pass-1 counts, records F_1
-	// (when n.Keep()) and returns |F_1|. Returning 0 ends the run.
-	FinishPass1(n *Node, global []int64) (int, error)
+	// FinishPass1 consumes the globally reduced pass-1 counts and L_1, the
+	// items whose count meets MinCount in item order, which the runtime has
+	// already recorded. An empty L_1 ends the run once it returns.
+	FinishPass1(n *Node, global []int64, l1 []itemset.Counted) error
 
-	// Generate materializes C_k from F_(k-1) — identical on every node — and
-	// returns |C_k|. Returning 0 ends the run.
-	Generate(n *Node, k int) (int, error)
+	// Generate materializes C_k from prev, the itemsets of F_(k-1) in
+	// canonical order — identical on every node — and returns |C_k|.
+	// Returning 0 ends the run.
+	Generate(n *Node, k int, prev [][]item.Item) (int, error)
 
 	// PlanPass runs between Generate and CountPass — the plan phase of the
 	// pass: it turns the pass's candidate set into an explicit
@@ -219,7 +225,8 @@ type Miner interface {
 	// decision must be a pure function of state replicated on every node
 	// (C_k, the pass-1 counts, the configuration), so all nodes compute the
 	// identical plan with no message; any state the plan derives (owners,
-	// duplication choice) is held by the miner for the count phase.
+	// duplication choice) is held by the miner for the count phase. The
+	// runtime fills in Pass and Candidates.
 	PlanPass(n *Node, k int) (PlanDecision, error)
 
 	// CountPass runs pass k's partition and count-support phase over the
@@ -227,34 +234,25 @@ type Miner interface {
 	// returns this node's barrier contribution. Scan and probe counters go
 	// into st, which is the node's live pass window.
 	CountPass(n *Node, k int, st *metrics.NodeStats) (PassOutcome, error)
-
-	// MergeFrequents runs on the coordinator only: it merges its own pass
-	// outcome (held internally by the miner), the peers' encoded owned
-	// frequents and the reduced replicated counts into the global F_k,
-	// records it (when n.Keep()) and returns its encoded broadcast form plus
-	// |F_k|. The peer payloads are released once it returns: it must copy
-	// what it keeps, and must not return one of them.
-	MergeFrequents(n *Node, k int, peerOwned [][]byte, dupTotal []int64) ([]byte, int, error)
-
-	// FinishPass runs on followers only: it decodes the coordinator's F_k
-	// broadcast, records it (when n.Keep()) and returns |F_k|. The payload is
-	// released once it returns, so it must copy what it keeps.
-	FinishPass(n *Node, k int, payload []byte) (int, error)
 }
 
-// PassOutcome is one node's contribution to the pass-k barrier.
+// PassOutcome is one node's contribution to the pass-k barrier: what it
+// counted. The runtime does the rest — a follower's Own travels to the
+// coordinator as KLocalLarge and its DupCounts as KDupCounts; the coordinator
+// merges every node's Own with the replicated candidates whose reduced count
+// meets MinCount, records the result and broadcasts it as KLarge.
 type PassOutcome struct {
-	// Owned is the encoded locally-determined frequents, sent to the
-	// coordinator as KLocalLarge. Followers must always set it (possibly to
-	// an encoded empty list); the coordinator keeps its own share in miner
-	// state for MergeFrequents and may leave Owned nil.
-	Owned []byte
+	// Own is the frequents this node determined outright, already filtered
+	// by MinCount, in any order. One pass may resolve several sizes at once
+	// (FP-Growth's single growth pass resolves every size >= 2).
+	Own []itemset.Counted
 
 	// DupCounts is the dense count vector of candidates this node counted
-	// redundantly (replicated or duplicated candidates); the coordinator
-	// reduces the vectors element-wise before thresholding. May be nil when
-	// the algorithm has no replicated candidates. The vector layout must be
-	// identical on every node.
+	// redundantly (replicated or duplicated candidates) and DupSets the
+	// itemsets behind it. The layout must be identical on every node; only
+	// the coordinator's DupSets is read. Both nil when the algorithm has no
+	// replicated candidates.
+	DupSets   [][]item.Item
 	DupCounts []int64
 
 	// Duplicated and Fragments feed the pass metadata (metrics.PassStats).

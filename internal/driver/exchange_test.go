@@ -107,8 +107,10 @@ func TestCountPhaseDeliversAllUnits(t *testing.T) {
 
 // TestBatcherRejectsSelf: a node handles its own share in place, so every
 // way of batching for itself — AddItems, AddRun, Flush — is an error naming
-// the node, and nothing reaches the fabric. FlushAll skips the node itself,
-// and an exchange with no peers finishes at once.
+// the node, and nothing reaches the fabric: the node sends nothing (its
+// receive counters may move, since the peer finishes its own exchange
+// concurrently). FlushAll skips the node itself, and an exchange with no
+// peers finishes at once.
 func TestBatcherRejectsSelf(t *testing.T) {
 	for _, size := range []int{1, 2} {
 		nodes, f := newTestNodes(t, size)
@@ -136,8 +138,8 @@ func TestBatcherRejectsSelf(t *testing.T) {
 		if err := bat.FlushAll(); err != nil {
 			t.Errorf("%d nodes: FlushAll: %v", size, err)
 		}
-		if after := nd.ep.Stats(); after != before {
-			t.Errorf("%d nodes: endpoint stats moved from %+v to %+v", size, before, after)
+		if after := nd.ep.Stats(); after.MsgsSent != before.MsgsSent || after.BytesSent != before.BytesSent {
+			t.Errorf("%d nodes: endpoint sent traffic moved from %+v to %+v", size, before, after)
 		}
 		if err := ex.Finish(); err != nil {
 			t.Errorf("%d nodes: Finish: %v", size, err)

@@ -8,6 +8,8 @@ import (
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/cumulate"
+	"pgarm/internal/item"
+	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
 	"pgarm/internal/wire"
@@ -16,7 +18,7 @@ import (
 // Node is one shared-nothing processor of the runtime: a fabric endpoint,
 // the pass driver and the per-pass instrumentation. Node 0 doubles as the
 // coordinator, as in the paper. The mining logic itself lives in the
-// attached Miner.
+// attached Miner; the result levels and the F_k barrier live here.
 type Node struct {
 	id    int
 	ep    cluster.Endpoint
@@ -35,6 +37,12 @@ type Node struct {
 	sharedObs bool
 
 	minCount int64
+
+	// levels holds the result where results are kept (Keep); prev is the
+	// itemsets of the newest level, in canonical order on every node: the
+	// next pass's generation input.
+	levels itemset.Levels
+	prev   [][]item.Item
 
 	// pending holds inbox messages that arrived ahead of the phase that
 	// consumes them (e.g. a fast peer's pass-k data while we still await the
@@ -107,10 +115,6 @@ func (n *Node) IsCoord() bool { return n.id == 0 }
 // Keep reports whether this node records result levels (the coordinator
 // always does; followers only in worker mode).
 func (n *Node) Keep() bool { return n.IsCoord() || n.keepResults }
-
-// Miner is the mining logic attached to this node; after a run it holds the
-// family's results (see Keep).
-func (n *Node) Miner() Miner { return n.miner }
 
 // MinCount is the absolute minimum support count derived from |D|.
 func (n *Node) MinCount() int64 { return n.minCount }
@@ -194,7 +198,7 @@ func (n *Node) runProtocol() error {
 		n.setPhase(k, phasePlan)
 		gsp := n.tr.Begin(n.id, 0, "generate")
 		genStart := time.Now()
-		nc, err := n.miner.Generate(n, k)
+		nc, err := n.miner.Generate(n, k, n.prev)
 		if err != nil {
 			return err
 		}
@@ -252,13 +256,13 @@ func (n *Node) gather(fold func(m cluster.Message) error, kinds ...uint8) error 
 }
 
 // bcast is the other collective. On the coordinator it sends payload to
-// every peer in rank order — calling sent(p), when non-nil, right after peer
-// p's send — and returns payload; on a follower it blocks for the
+// every peer in rank order — calling before(p), when non-nil, right before
+// peer p's send — and returns payload; on a follower it blocks for the
 // coordinator's message of that kind, charges the wait to the barrier, and
 // returns its payload (the argument is ignored). Both sides stamp the
 // message for the clock exchange: t1 per peer on the coordinator, t2 on the
 // follower (see telemetry.go).
-func (n *Node) bcast(kind uint8, payload []byte, sent func(peer int)) ([]byte, error) {
+func (n *Node) bcast(kind uint8, payload []byte, before func(peer int)) ([]byte, error) {
 	if !n.IsCoord() {
 		wait := time.Now()
 		m, err := n.recvKind(kind)
@@ -267,13 +271,13 @@ func (n *Node) bcast(kind uint8, payload []byte, sent func(peer int)) ([]byte, e
 		return m.Payload, err
 	}
 	for p := 1; p < n.ep.N(); p++ {
+		if before != nil {
+			before(p)
+		}
 		if err := n.ep.Send(p, kind, payload); err != nil {
 			return nil, err
 		}
 		n.tel.clocks[p].sent = n.tr.Now()
-		if sent != nil {
-			sent(p)
-		}
 	}
 	return payload, nil
 }
@@ -340,9 +344,11 @@ func (n *Node) pass1() (int, error) {
 		return 0, err
 	}
 	bsp.End()
-	if pr.large, err = n.miner.FinishPass1(n, global); err != nil {
+	l1 := n.finishItems(global)
+	if err := n.miner.FinishPass1(n, global, l1); err != nil {
 		return 0, err
 	}
+	pr.large = len(l1)
 	n.closePass(pr)
 	return pr.large, nil
 }
@@ -470,7 +476,7 @@ func (n *Node) runPass(k, nCands int) (int, error) {
 	}
 	pr.out = out
 	n.setPhase(k, phaseBarrier)
-	if pr.large, err = n.gatherFrequents(k, out); err != nil {
+	if pr.large, err = n.gatherFrequents(out); err != nil {
 		return 0, err
 	}
 	n.closePass(pr)
@@ -487,7 +493,7 @@ func (n *Node) planPhase(pr *passRun) error {
 	if err != nil {
 		return fmt.Errorf("driver: node %d pass %d plan: %w", n.id, pr.k, err)
 	}
-	dec.Pass = pr.k
+	dec.Pass, dec.Candidates = pr.k, pr.nCands
 	pr.plan = dec
 	n.cfg.View.SetPlan(dec)
 	plsp.Arg("duplicated", int64(dec.Duplicated))
@@ -497,17 +503,17 @@ func (n *Node) planPhase(pr *passRun) error {
 
 // gatherFrequents implements the pass-end protocol shared by every miner:
 //
-//   - every non-coordinator sends its locally determined frequents
-//     (out.Owned, already filtered by MinCount and encoded by the miner) and
-//     the dense count vector of its replicated candidates (out.DupCounts,
-//     may be empty);
-//   - the coordinator reduces the replicated counts, hands both to the
-//     miner's MergeFrequents, and broadcasts the returned global F_k.
-func (n *Node) gatherFrequents(k int, out PassOutcome) (int, error) {
+//   - every non-coordinator sends its locally determined frequents (out.Own,
+//     encoded as KLocalLarge) and the dense count vector of its replicated
+//     candidates (out.DupCounts, may be empty);
+//   - the coordinator reduces the replicated counts, merges them with every
+//     node's frequents (mergeFrequents) and broadcasts the global F_k, which
+//     every node records.
+func (n *Node) gatherFrequents(out PassOutcome) (int, error) {
 	bsp := n.tr.Begin(n.id, 0, "barrier")
 	defer bsp.End()
 	if !n.IsCoord() {
-		if err := n.ep.Send(0, KLocalLarge, out.Owned); err != nil {
+		if err := n.ep.Send(0, KLocalLarge, itemset.AppendCounted(nil, out.Own)); err != nil {
 			return 0, err
 		}
 		if err := n.ep.Send(0, KDupCounts, wire.AppendCountsAuto(nil, out.DupCounts)); err != nil {
@@ -523,21 +529,24 @@ func (n *Node) gatherFrequents(k int, out PassOutcome) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		defer cluster.Release(payload)
-		return n.miner.FinishPass(n, k, payload)
+		all, err := parseFrequents(payload)
+		if err != nil {
+			return 0, fmt.Errorf("driver: decode frequents broadcast: %w", err)
+		}
+		n.record(all)
+		return len(all), nil
 	}
 
 	// Coordinator: one owned-frequent message, one replicated count vector
-	// and one telemetry batch per peer. The batches are stashed raw and
-	// decoded only after the barrier wait is measured, so ingest cost never
-	// contaminates the skew signal it feeds.
+	// and one telemetry batch per peer. The frequents and telemetry batches
+	// are stashed raw and decoded only after the barrier wait is measured,
+	// so decode cost never contaminates the skew signal it feeds.
 	dupTotal := append([]int64(nil), out.DupCounts...)
-	var peerOwned [][]byte
-	var telem []cluster.Message
+	var peerOwned, telem []cluster.Message
 	err := n.gather(func(m cluster.Message) error {
 		switch m.Kind {
 		case KLocalLarge:
-			peerOwned = append(peerOwned, m.Payload)
+			peerOwned = append(peerOwned, m)
 		case KDupCounts:
 			return addCounts(dupTotal, m, "replicated")
 		case KTelemetry:
@@ -553,13 +562,11 @@ func (n *Node) gatherFrequents(k int, out PassOutcome) (int, error) {
 			return 0, err
 		}
 	}
-	payload, nf, err := n.miner.MergeFrequents(n, k, peerOwned, dupTotal)
-	for _, p := range peerOwned {
-		cluster.Release(p)
-	}
+	all, err := n.mergeFrequents(out, peerOwned, dupTotal)
 	if err != nil {
 		return 0, err
 	}
-	_, err = n.bcast(KLarge, payload, nil)
-	return nf, err
+	n.record(all)
+	_, err = n.bcast(KLarge, itemset.AppendCounted(nil, all), nil)
+	return len(all), err
 }

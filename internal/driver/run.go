@@ -12,29 +12,28 @@ import (
 // Spec, construct node i's Miner with newMiner(i) for each of the n partitions
 // (where the family rejects what only it can judge), build the fabric, execute
 // the protocol with one goroutine per node (node 0 coordinates) and assemble
-// the run statistics. It returns the coordinator node — whose Miner now holds
-// the results — and the stats. The first node to fail takes the fabric down
-// with it, so its peers' blocked receives and sends end with an error instead
-// of waiting on it forever; that first error is returned once every node has
-// exited.
-func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Node, *metrics.RunStats, error) {
+// the run statistics. It returns the levels the coordinator recorded and the
+// stats. The first node to fail takes the fabric down with it, so its peers'
+// blocked receives and sends end with an error instead of waiting on it
+// forever; that first error is returned once every node has exited.
+func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Result, error) {
 	if n == 0 {
-		return nil, nil, fmt.Errorf("driver: no database partitions")
+		return nil, fmt.Errorf("driver: no database partitions")
 	}
 	if err := spec.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	miners := make([]Miner, n)
 	for i := range miners {
 		m, err := newMiner(i)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		miners[i] = m
 	}
 	fabric, err := NewFabric(spec.Fabric, n, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer fabric.Close()
 
@@ -56,19 +55,29 @@ func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Node, *metr
 		}
 	}
 	if firstErr != nil {
-		return nil, nil, firstErr
+		return nil, firstErr
 	}
-	return nodes[0], assembleStats(spec, nodes, time.Since(start)), nil
+	return &Result{Levels: nodes[0].levels, Stats: assembleStats(spec, nodes, time.Since(start))}, nil
 }
 
 // RunWorker is Run's multi-process twin: it executes one node of the protocol
 // over a caller-provided endpoint (cluster.DialMesh). Every worker must run
-// the same Spec; node 0 coordinates. This process's miner records the global
-// frequents even when it is not the coordinator. On the coordinator the stats
-// also merge every worker's per-pass counters and endpoint totals — shipped at
-// each pass barrier over the telemetry plane — into a full cluster view; on a
-// follower they cover only the local node.
-func RunWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (*Node, *metrics.RunStats, error) {
+// the same Spec; node 0 coordinates. The Result carries the global frequents
+// on every node, identical after the final broadcast. On the coordinator the
+// stats also merge every worker's per-pass counters and endpoint totals —
+// shipped at each pass barrier over the telemetry plane — into a full cluster
+// view; on a follower they cover only the local node.
+func RunWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (*Result, error) {
+	nd, stats, err := runWorker(spec, ep, newMiner)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Levels: nd.levels, Stats: stats}, nil
+}
+
+// runWorker is RunWorker returning the node itself, whose protocol state
+// tests inspect.
+func runWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (*Node, *metrics.RunStats, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}

@@ -222,8 +222,9 @@ func (n *Node) quiescePeer(peer int) {
 // each node quiesces the peers it no longer owes anything — a follower owes
 // the other followers nothing once it enters the flush (only the
 // coordinator's ack is outstanding), and the coordinator owes a follower
-// nothing once its ack is sent — so those peers' EOFs read as the clean
-// exits they are. A peer dying *before* it is quiesced (e.g. a follower
+// nothing but its ack, so it quiesces each follower right before sending it
+// (a follower may close as soon as the ack lands) — so those peers' EOFs read
+// as the clean exits they are. A peer dying *before* it is quiesced (e.g. a follower
 // crashing before its final batch) still fails the run.
 func (n *Node) flushTelemetry() error {
 	if n.ep.N() == 1 {

@@ -152,8 +152,8 @@ func TestClockOffsetLeastDelayWins(t *testing.T) {
 // frequents of its own in pass 2, so the run ends there.
 type quietMiner struct{ panicMiner }
 
-func (m *quietMiner) CountPass(n *Node, _ int, _ *metrics.NodeStats) (PassOutcome, error) {
-	return PassOutcome{Owned: m.EncodeOwn(n)}, nil
+func (m *quietMiner) CountPass(*Node, int, *metrics.NodeStats) (PassOutcome, error) {
+	return PassOutcome{}, nil
 }
 
 // TestMeshBarrierClockOffsets runs three workers over a loopback TCP mesh,
@@ -200,7 +200,7 @@ func TestMeshBarrierClockOffsets(t *testing.T) {
 			}
 			defer mesh.Close()
 			spec := Spec{MinSupport: 0.5, Tracer: tracers[i]}
-			nodes[i], _, errs[i] = RunWorker(spec, ep, func() (Miner, error) { return &quietMiner{}, nil })
+			nodes[i], _, errs[i] = runWorker(spec, ep, func() (Miner, error) { return &quietMiner{}, nil })
 		}(i)
 	}
 	wg.Wait()

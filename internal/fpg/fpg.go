@@ -85,13 +85,9 @@ func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, err
 	if err := check(&cfg); err != nil {
 		return nil, err
 	}
-	coord, stats, err := driver.Run(runSpec(cfg), len(parts), func(i int) (driver.Miner, error) {
+	return driver.Run(runSpec(cfg), len(parts), func(i int) (driver.Miner, error) {
 		return newFpgMiner(tax, parts[i], cfg), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return coord.Miner().(*fpgMiner).Result(stats), nil
 }
 
 // MineWorker runs a single node of the FP-Growth protocol over a caller-
@@ -102,11 +98,7 @@ func MineWorker(tax *taxonomy.Taxonomy, local txn.Scanner, cfg Config, ep cluste
 	if err := check(&cfg); err != nil {
 		return nil, err
 	}
-	nd, stats, err := driver.RunWorker(runSpec(cfg), ep, func() (driver.Miner, error) {
+	return driver.RunWorker(runSpec(cfg), ep, func() (driver.Miner, error) {
 		return newFpgMiner(tax, local, cfg), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return nd.Miner().(*fpgMiner).Result(stats), nil
 }

@@ -260,7 +260,7 @@ func TestForestWithinPass1Bound(t *testing.T) {
 				}
 			}
 			cfg := Config{Algorithm: Engine, MinSupport: minSup, Workers: workers}
-			_, _, err := driver.Run(runSpec(cfg), len(parts), func(i int) (driver.Miner, error) {
+			_, err := driver.Run(runSpec(cfg), len(parts), func(i int) (driver.Miner, error) {
 				return forestProbe{newFpgMiner(ds.Taxonomy, parts[i], cfg), check}, nil
 			})
 			if err != nil {

@@ -57,12 +57,11 @@ type fpgMiner struct {
 	// runs, in worker order.
 	bases [][][]byte
 
-	// The pass-2 barrier, which resolves every pattern size at once: the
-	// merged sets are split into per-size levels, each in canonical order.
-	// Closure support is monotone and subsets of ancestor-free sets are
-	// ancestor-free, so the frequent sizes are contiguous from 2. Own is this
-	// node's mined share (all sizes mixed).
-	driver.LevelBarrier
+	// own is this node's mined share of the growth pass, all sizes mixed; the
+	// pass barrier splits the merged sets into per-size levels. Closure
+	// support is monotone and subsets of ancestor-free sets are
+	// ancestor-free, so the frequent sizes are contiguous from 2.
+	own []itemset.Counted
 }
 
 func newFpgMiner(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) *fpgMiner {
@@ -84,18 +83,17 @@ func (m *fpgMiner) CountPass1(n *driver.Node, st *metrics.NodeStats) ([]int64, e
 	return counts, err
 }
 
-// FinishPass1 records F_1 and derives the global frequency order: large
+// FinishPass1 derives the global frequency order from F_1: large
 // items ranked by (closure count descending, item id ascending). The order
 // is a pure function of the broadcast count vector, so every node derives
 // the identical ranking — the root of the engine's bit-identity at any node
 // and worker count.
-func (m *fpgMiner) FinishPass1(n *driver.Node, global []int64) (int, error) {
+func (m *fpgMiner) FinishPass1(_ *driver.Node, global []int64, l1 []itemset.Counted) error {
 	m.itemCounts = global
 	m.rank = make([]int32, m.tax.NumItems())
 	for i := range m.rank {
 		m.rank[i] = -1
 	}
-	l1 := m.FinishItems(n, global)
 	for _, c := range l1 {
 		m.itemAt = append(m.itemAt, c.Items[0])
 	}
@@ -115,7 +113,7 @@ func (m *fpgMiner) FinishPass1(n *driver.Node, global []int64) (int, error) {
 	m.localCounts = nil
 	m.numLarge = len(m.itemAt)
 	m.conf = conflictLists(m.tax, m.itemAt, m.rank)
-	return len(l1), nil
+	return nil
 }
 
 // conflictLists returns conf (see fpgMiner) for the frequency order itemAt,
@@ -140,7 +138,7 @@ func conflictLists(tax *taxonomy.Taxonomy, itemAt []item.Item, rank []int32) [][
 // one task per suffix rank 1..numLarge-1 (rank 0's prefix paths are always
 // empty). Returning 0 — fewer than two large items, or k >= 3 — ends the run
 // identically on every node.
-func (m *fpgMiner) Generate(_ *driver.Node, k int) (int, error) {
+func (m *fpgMiner) Generate(_ *driver.Node, k int, _ [][]item.Item) (int, error) {
 	if k != 2 {
 		return 0, nil
 	}
@@ -157,11 +155,7 @@ func (m *fpgMiner) Generate(_ *driver.Node, k int) (int, error) {
 func (m *fpgMiner) PlanPass(n *driver.Node, k int) (driver.PlanDecision, error) {
 	m.numNodes = n.NumNodes()
 	m.nodeID = n.ID()
-	return driver.PlanDecision{
-		Partitioner: "suffix-rank-mod",
-		Granule:     "none",
-		Candidates:  m.numLarge - 1,
-	}, nil
+	return driver.PlanDecision{Partitioner: "suffix-rank-mod", Granule: "none"}, nil
 }
 
 // conflicts reports whether two items are in the ancestor relation (either
@@ -196,7 +190,7 @@ func (m *fpgMiner) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driv
 	}
 	m.bases = nil
 
-	return driver.PassOutcome{Owned: m.EncodeOwn(n)}, nil
+	return driver.PassOutcome{Own: m.own}, nil
 }
 
 // exchangeBases runs the cond-base exchange: it ships the bases in the local
@@ -546,12 +540,12 @@ func (m *fpgMiner) mineOwned(n *driver.Node, st *metrics.NodeStats) error {
 		return err
 	}
 	st.Increments += incs.Load()
-	m.Own = m.Own[:0]
+	m.own = m.own[:0]
 	for _, res := range results {
-		m.Own = append(m.Own, res...)
+		m.own = append(m.own, res...)
 	}
 	sp.Arg("tasks", int64(len(tasks)))
-	sp.Arg("patterns", int64(len(m.Own)))
+	sp.Arg("patterns", int64(len(m.own)))
 	if len(tasks) > 0 {
 		slow := slices.MaxFunc(slowest, func(a, b taskTime) int { return cmp.Compare(a.d, b.d) })
 		sp.Arg("slowest-rank", int64(slow.rank))
