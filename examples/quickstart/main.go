@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pgarm/internal/core"
 	"pgarm/internal/engines"
@@ -18,6 +20,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run mines the example and writes its large itemsets and rules to w.
+func run(w io.Writer) error {
 	// A small retail hierarchy, in the spirit of the paper's Figure 1:
 	//
 	//	clothes ── outerwear ── jacket, ski pants
@@ -67,13 +76,13 @@ func main() {
 		MinSupport: 0.3, // 30% of 6 baskets = 2 transactions
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("Large itemsets (with closure support counts):")
+	fmt.Fprintln(w, "Large itemsets (with closure support counts):")
 	for k := 1; k <= len(res.Large); k++ {
 		for _, c := range res.LargeK(k) {
-			fmt.Printf("  k=%d %-28s sup_cou=%d\n", k, labelSet(c.Items, names), c.Count)
+			fmt.Fprintf(w, "  k=%d %-28s sup_cou=%d\n", k, labelSet(c.Items, names), c.Count)
 		}
 	}
 
@@ -82,9 +91,10 @@ func main() {
 		NumTxns:       db.Len(),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nGeneralized rules (confidence >= 60%%):\n%s", rules.Format(rs, names))
+	_, err = fmt.Fprintf(w, "\nGeneralized rules (confidence >= 60%%):\n%s", rules.Format(rs, names))
+	return err
 }
 
 func labelSet(items []item.Item, names []string) string {

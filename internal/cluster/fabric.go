@@ -114,14 +114,6 @@ func (t Traffic) Sub(o Traffic) Traffic {
 	}
 }
 
-// Summary renders the counters compactly. It is not named String: the
-// structs embedding Traffic would inherit a Stringer that hides their other
-// fields under %v.
-func (t Traffic) Summary() string {
-	return fmt.Sprintf("sent %d msgs/%d B, recv %d msgs/%d B",
-		t.MsgsSent, t.BytesSent, t.MsgsReceived, t.BytesReceived)
-}
-
 // tally is the atomic form of Traffic. Counters only ever increase;
 // per-pass attribution is done by snapshot deltas, never by resetting.
 type tally struct {

@@ -65,8 +65,8 @@ func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, err
 	// The candidate cache shares each pass's replicated derivations between
 	// the in-process node goroutines; every node still holds its own miner.
 	cache := newCandCache(tax)
-	return driver.Run(cfg, len(parts), func(i int) (driver.Miner, error) {
-		return newItemsetMiner(tax, parts[i], cfg, cache)
+	return driver.Run(cfg, tax, parts, func(int) (driver.Miner, error) {
+		return newMiner(tax, cfg, cache)
 	})
 }
 
@@ -76,7 +76,7 @@ func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, err
 // the global large itemsets, identical on every node after the final
 // broadcast; see driver.RunWorker for what the Stats cover.
 func MineWorker(tax *taxonomy.Taxonomy, local txn.Scanner, cfg Config, ep cluster.Endpoint) (*Result, error) {
-	return driver.RunWorker(cfg, ep, func() (driver.Miner, error) {
-		return newItemsetMiner(tax, local, cfg, newCandCache(tax))
+	return driver.RunWorker(cfg, tax, local, ep, func() (driver.Miner, error) {
+		return newMiner(tax, cfg, newCandCache(tax))
 	})
 }

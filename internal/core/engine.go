@@ -5,44 +5,10 @@ import (
 
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
-	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 )
-
-// engine is one algorithm's per-pass behaviour. The miner generates the
-// candidates and the runtime (internal/driver) owns the L_k barrier; the
-// engine owns candidate partitioning (the plan phase) and the count-support
-// phase (the execute phase).
-type engine interface {
-	// plan computes pass k's candidate-to-node assignment — a pure function
-	// of globally replicated state, so every node derives the identical plan.
-	// Any state the count phase needs (owners, duplication choice) is held by
-	// the engine.
-	plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error)
-	// pass counts support for pass k over the plan computed by plan.
-	pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error)
-}
-
-// newEngine instantiates the engine for the miner's configured algorithm.
-func newEngine(m *itemsetMiner) (engine, error) {
-	switch m.cfg.Algorithm {
-	case NPGM:
-		return &npgmEngine{m: m}, nil
-	case HPGM:
-		return &hpgmEngine{m: m}, nil
-	case HHPGM:
-		return &hierEngine{m: m, dup: dupNone}, nil
-	case HHPGMTGD:
-		return &hierEngine{m: m, dup: dupTree}, nil
-	case HHPGMPGD:
-		return &hierEngine{m: m, dup: dupPath}, nil
-	case HHPGMFGD:
-		return &hierEngine{m: m, dup: dupFine}, nil
-	}
-	return nil, fmt.Errorf("core: unknown algorithm %q", m.cfg.Algorithm)
-}
 
 // CandBytes estimates the per-candidate memory footprint the paper's M
 // models: k 4-byte items plus table entry overhead (hash bucket, count,
@@ -67,27 +33,27 @@ func fragmentCount(numCands, k int, budget int64) int {
 // re-scanned once per fragment — the cost that makes NPGM collapse at small
 // minimum support (Figure 14).
 type npgmEngine struct {
-	m *itemsetMiner
+	itemsetMiner
 }
 
-// plan is trivial for NPGM: the candidate set is fully replicated, so there
-// is no assignment to compute.
-func (e *npgmEngine) plan(_ *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error) {
+// PlanPass is trivial for NPGM: the candidate set is fully replicated, so
+// there is no assignment to compute.
+func (e *npgmEngine) PlanPass(*driver.Node, int) (driver.PlanDecision, error) {
 	return driver.PlanDecision{
 		Partitioner: "replicated",
 		Granule:     "all",
-		Duplicated:  len(cands),
+		Duplicated:  len(e.curCands),
 	}, nil
 }
 
-func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error) {
-	m := e.m
-	frags := fragmentCount(len(cands), k, m.cfg.MemoryBudget)
+func (e *npgmEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
+	cands := e.curCands
+	frags := fragmentCount(len(cands), k, e.cfg.MemoryBudget)
 	// One KeepSet serves both roles, the ancestor keep set and the
 	// pre-enumeration membership filter, as one closure; the view builds
 	// nothing else.
-	member := cumulate.KeepSet(m.tax, cands)
-	view := taxonomy.NewView(m.tax, nil, member)
+	member := cumulate.KeepSet(e.tax, cands)
+	view := taxonomy.NewView(e.tax, nil, member)
 
 	// The candidate set is replicated. When C_k fits in one fragment, one
 	// shared index plus a per-node count vector stands in for N identical
@@ -108,14 +74,14 @@ func (e *npgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 		lo, hi := f*per, min(f*per+per, len(cands))
 		var index *itemset.Index
 		if frags == 1 {
-			index = m.cands.fullIndex(k, cands)
+			index = e.cands.fullIndex(k, cands)
 		} else {
 			index = itemset.BuildIndex(cands[lo:hi])
 		}
 		for w := range window {
 			window[w] = wcounts[w][lo:hi]
 		}
-		err := driver.CountTable(view, member, index, k, m.db, window, driver.CountOptions{
+		err := driver.CountTable(view, member, index, k, n.Local(), window, driver.CountOptions{
 			Workers: W,
 			Obs:     n.ShardObs("scan"),
 			Stats:   st,

@@ -60,34 +60,42 @@ func (g *groupCounter) count(cl *taxonomy.Closure, index *itemset.Index, k int, 
 // hot itemsets plus their ancestor candidates — which are then counted
 // locally on every node, flattening the probe-load distribution (Fig 15).
 type hierEngine struct {
-	m   *itemsetMiner
+	itemsetMiner
 	dup dupKind
 
 	// replace maps items to their closest-to-bottom large ancestor; built
 	// once, at the pass-1 barrier.
 	replace *taxonomy.View
 
-	// cur is the plan of the pass in flight, computed by plan, consumed by
-	// pass. Shared across in-process nodes via candCache.
+	// cur is the plan of the pass in flight, computed by PlanPass, consumed
+	// by CountPass. Shared across in-process nodes via candCache.
 	cur *passPlan
 }
 
-// plan derives the pass's partition plan: root vectors, owners and the
+// FinishPass1 derives the shared L_1 state, then the transaction
+// replacement, which reads only L_1: its view is built once, here, for every
+// later pass.
+func (e *hierEngine) FinishPass1(n *driver.Node, local, global []int64, l1 []itemset.Counted) error {
+	err := e.itemsetMiner.FinishPass1(n, local, global, l1)
+	e.replace = taxonomy.NewView(e.tax, e.largeFlags, nil)
+	return err
+}
+
+// PlanPass derives the pass's partition plan: root vectors, owners and the
 // duplication choice are deterministic on every node; computed once and
 // shared (see candCache).
-func (e *hierEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error) {
-	m := e.m
+func (e *hierEngine) PlanPass(n *driver.Node, k int) (driver.PlanDecision, error) {
 	psp := n.Span("partition")
-	e.cur = m.cands.hierPlan(k, func() *passPlan {
-		return computeHierPlan(m, n.NumNodes(), e.dup, k, cands)
+	e.cur = e.cands.hierPlan(k, func() *passPlan {
+		return computeHierPlan(&e.itemsetMiner, n.NumNodes(), e.dup, k, e.curCands)
 	})
 	psp.Arg("duplicated", int64(len(e.cur.dupSets)))
 	psp.End()
 	return e.cur.decision, nil
 }
 
-func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error) {
-	m := e.m
+func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
+	cands := e.curCands
 	nNodes := n.NumNodes()
 	self := n.ID()
 
@@ -145,7 +153,7 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	wowned := driver.WorkerVectors(1+W, len(ownedCands))
 	var ownedClosure *taxonomy.Closure
 	if anyPartitioned {
-		ownedClosure = taxonomy.SetsClosure(m.tax, ownedCands)
+		ownedClosure = taxonomy.SetsClosure(e.tax, ownedCands)
 	}
 	recv := groupCounter{counts: wowned[0]}
 	xsp := n.Span("exchange")
@@ -173,9 +181,9 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	// read-only; every worker counts into its own vector.
 	var dupClosure *taxonomy.Closure
 	if len(plan.dupSets) > 0 {
-		dupClosure = taxonomy.SetsClosure(m.tax, plan.dupSets)
+		dupClosure = taxonomy.SetsClosure(e.tax, plan.dupSets)
 	}
-	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, dupClosure, cp, func(w *driver.Worker, t txn.Transaction) error {
+	err := driver.CountPhase(n.Local(), W, n.ShardObs("count"), st, dupClosure, cp, func(w *driver.Worker, t txn.Transaction) error {
 		wk := &workers[w.ID]
 		if dupClosure != nil {
 			w.Stats.Probes += itemset.Choose(len(w.Ext), k)
@@ -191,7 +199,7 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			return nil
 		}
 		// Distinct roots present with their item multiplicities.
-		wk.rootRuns = rootRunsOf(m.tax, wk.rootRuns[:0], wk.tPrime)
+		wk.rootRuns = rootRunsOf(e.tax, wk.rootRuns[:0], wk.tPrime)
 
 		// Enumerate realizable root k-multisets; union the roots each
 		// destination needs. vecInfo is shared read-only. The group for this
@@ -213,7 +221,7 @@ func (e *hierEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			roots := item.Dedup(wk.rootsByDest[dest])
 			wk.group = wk.group[:0]
 			for _, x := range wk.tPrime {
-				if item.Contains(roots, m.tax.Root(x)) {
+				if item.Contains(roots, e.tax.Root(x)) {
 					wk.group = append(wk.group, x)
 				}
 			}

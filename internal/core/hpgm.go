@@ -18,10 +18,10 @@ import (
 // 18 shipped items — which is exactly the communication blow-up H-HPGM
 // eliminates (Table 6).
 type hpgmEngine struct {
-	m *itemsetMiner
+	itemsetMiner
 
-	// owned is this node's candidate share, computed by plan for the pass in
-	// flight.
+	// owned is this node's candidate share, computed by PlanPass for the pass
+	// in flight.
 	owned [][]item.Item
 
 	// Reused across passes: the owned share's count vectors, counts[0] the
@@ -32,10 +32,11 @@ type hpgmEngine struct {
 	walks  []itemset.Subsets
 }
 
-// plan partitions C_k: node i keeps the candidates hashing to i. One loop
+// PlanPass partitions C_k: node i keeps the candidates hashing to i. One loop
 // hashes every candidate and counts the owned ones; the owned list is then
 // sized once and collected in id order.
-func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.PlanDecision, error) {
+func (e *hpgmEngine) PlanPass(n *driver.Node, _ int) (driver.PlanDecision, error) {
+	cands := e.curCands
 	nNodes := n.NumNodes()
 	self := n.ID()
 	psp := n.Span("partition")
@@ -61,8 +62,7 @@ func (e *hpgmEngine) plan(n *driver.Node, k int, cands [][]item.Item) (driver.Pl
 	return driver.PlanDecision{Partitioner: "itemset-hash", Granule: "none"}, nil
 }
 
-func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error) {
-	m := e.m
+func (e *hpgmEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	nNodes := uint64(n.NumNodes())
 	self := uint64(n.ID())
 
@@ -71,7 +71,7 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 	e.grow(W, len(e.owned))
 	counts := e.counts[0]
 
-	closure := taxonomy.SetsClosure(m.tax, cands)
+	closure := taxonomy.SetsClosure(e.tax, e.curCands)
 
 	// The receiver goroutine alone touches counts; each scan worker counts
 	// its own share into its own vector and routes the rest through its
@@ -86,7 +86,7 @@ func (e *hpgmEngine) pass(n *driver.Node, k int, cands [][]item.Item, st *metric
 			st.Increments++
 		}
 	}))
-	err := driver.CountPhase(m.db, W, n.ShardObs("count"), st, closure, cp,
+	err := driver.CountPhase(n.Local(), W, n.ShardObs("count"), st, closure, cp,
 		func(w *driver.Worker, _ txn.Transaction) error {
 			// Every k-subset is hashed to find its owner. One this node owns
 			// is a probe of its own table, answered for all of them at once

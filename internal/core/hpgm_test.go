@@ -21,7 +21,7 @@ import (
 // own share going through the containment kernel.
 type refHPGM struct{ hpgmEngine }
 
-func (e *refHPGM) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.NodeStats) (driver.PassOutcome, error) {
+func (e *refHPGM) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	nNodes, self := n.NumNodes(), n.ID()
 	index := itemset.BuildIndex(e.owned)
 	counts := driver.WorkerVectors(1+n.Workers(), len(e.owned)) // the receiver's, then each worker's
@@ -33,7 +33,7 @@ func (e *refHPGM) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.N
 		}
 	}
 	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) { probe(items, counts[0], st) }))
-	err := driver.CountPhase(e.m.db, n.Workers(), n.ShardObs("count"), st, taxonomy.SetsClosure(e.m.tax, cands), cp,
+	err := driver.CountPhase(n.Local(), n.Workers(), n.ShardObs("count"), st, taxonomy.SetsClosure(e.tax, e.curCands), cp,
 		func(w *driver.Worker, _ txn.Transaction) error {
 			var sendErr error
 			itemset.ForEachSubset(w.Ext, k, func(sub []item.Item) bool {
@@ -57,13 +57,8 @@ func (e *refHPGM) pass(n *driver.Node, k int, cands [][]item.Item, st *metrics.N
 // mineRefHPGM is Mine with every node's HPGM engine replaced by refHPGM.
 func mineRefHPGM(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, error) {
 	cache := newCandCache(tax)
-	return driver.Run(cfg, len(parts), func(i int) (driver.Miner, error) {
-		m, err := newItemsetMiner(tax, parts[i], cfg, cache)
-		if err != nil {
-			return nil, err
-		}
-		m.eng = &refHPGM{hpgmEngine{m: m}}
-		return m, nil
+	return driver.Run(cfg, tax, parts, func(int) (driver.Miner, error) {
+		return &refHPGM{hpgmEngine{itemsetMiner: itemsetMiner{tax: tax, cfg: cfg, cands: cache}}}, nil
 	})
 }
 

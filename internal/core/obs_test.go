@@ -129,7 +129,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 					t.Fatalf("tracer dropped %d spans", tr.Dropped())
 				}
 				names := validateTraceJSON(t, tr)
-				wantSpans := []string{"size-exchange", "pass 1", "generate", "barrier", "scan"}
+				wantSpans := []string{"pass 1", "generate", "barrier", "scan"}
 				if algo != NPGM {
 					wantSpans = append(wantSpans, "partition", "exchange", "count", "recv")
 				}

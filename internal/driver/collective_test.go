@@ -13,6 +13,8 @@ import (
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
+	"pgarm/internal/taxonomy"
+	"pgarm/internal/txn"
 	"pgarm/internal/wire"
 )
 
@@ -104,6 +106,28 @@ func TestGatherRejectsSecondMessage(t *testing.T) {
 	}
 }
 
+// threeItems is the test miners' hierarchy: three roots, no ancestors.
+var threeItems = taxonomy.MustNew([]item.Item{item.None, item.None, item.None})
+
+// basket is one node's partition for the test miners: four transactions of
+// all three items, so every item is large at minimum support 0.5.
+func basket() txn.Scanner {
+	db := txn.NewDB(nil)
+	for tid := range 4 {
+		db.Append(txn.Transaction{TID: int64(tid), Items: []item.Item{0, 1, 2}})
+	}
+	return db
+}
+
+// baskets is n nodes' partitions, each a basket.
+func baskets(n int) []txn.Scanner {
+	parts := make([]txn.Scanner, n)
+	for i := range parts {
+		parts[i] = basket()
+	}
+	return parts
+}
+
 // panicMiner is a three-item miner whose pass 2 panics off the node goroutine:
 // in an itemset.Fan worker of PlanPass, or in the apply callback of the
 // count-support receiver, which every node's next peer sends one unit.
@@ -111,14 +135,7 @@ type panicMiner struct {
 	inPlan bool
 }
 
-func (m *panicMiner) LocalSize() int { return 4 }
-func (m *panicMiner) NumItems() int  { return 3 }
-
-func (m *panicMiner) CountPass1(*Node, *metrics.NodeStats) ([]int64, error) {
-	return []int64{4, 4, 4}, nil
-}
-
-func (m *panicMiner) FinishPass1(*Node, []int64, []itemset.Counted) error { return nil }
+func (m *panicMiner) FinishPass1(*Node, []int64, []int64, []itemset.Counted) error { return nil }
 
 func (m *panicMiner) Generate(*Node, int, [][]item.Item) (int, error) { return 3, nil }
 
@@ -160,7 +177,7 @@ func TestRunSurvivesWorkerPanic(t *testing.T) {
 		{false, []int{2, 3}, []string{"driver: node ", " pass 2: ", "recv worker 0 panicked: apply boom"}},
 	} {
 		for _, size := range c.sizes {
-			_, err := Run(Spec{MinSupport: 0.5}, size, func(int) (Miner, error) {
+			_, err := Run(Spec{MinSupport: 0.5}, threeItems, baskets(size), func(int) (Miner, error) {
 				return &panicMiner{inPlan: c.inPlan}, nil
 			})
 			for _, want := range c.want {
@@ -197,7 +214,7 @@ func TestRunEndsWhenOneNodeFails(t *testing.T) {
 	for _, fk := range []FabricKind{FabricChan, FabricTCP} {
 		done := make(chan error, 1)
 		go func() {
-			_, err := Run(Spec{MinSupport: 0.5, Fabric: fk}, 3, func(int) (Miner, error) { return &failMiner{}, nil })
+			_, err := Run(Spec{MinSupport: 0.5, Fabric: fk}, threeItems, baskets(3), func(int) (Miner, error) { return &failMiner{}, nil })
 			done <- err
 		}()
 		select {
@@ -241,10 +258,11 @@ func (e tamperEndpoint) Send(to int, kind uint8, payload []byte) error {
 	return e.Endpoint.Send(to, kind, payload)
 }
 
-// TestBarrierFaultsEndRun: a follower whose F_k barrier message is malformed
-// — a truncated KLocalLarge, a KDupCounts vector of the wrong length — ends a
-// three-node run on both fabrics with the coordinator's named error and no
-// Result on any node, in bounded time. Untampered, the same run succeeds.
+// TestBarrierFaultsEndRun: a follower whose pass-1 or F_k barrier message is
+// malformed — a truncated KCounts1 or KLocalLarge, a KCounts1 or KDupCounts
+// vector of the wrong length — ends a three-node run on both fabrics with the
+// coordinator's named error and no Result on any node, in bounded time.
+// Untampered, the same run succeeds.
 func TestBarrierFaultsEndRun(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -253,6 +271,10 @@ func TestBarrierFaultsEndRun(t *testing.T) {
 		want   string
 	}{
 		{"intact", 0, nil, ""},
+		{"truncated-counts1", KCounts1, func(p []byte) []byte { return p[:len(p)-1] },
+			"driver: decode pass-1 item counts from node 1: "},
+		{"short-counts1", KCounts1, func([]byte) []byte { return sizedCounts(4, []int64{4, 4}) },
+			"driver: decode pass-1 item counts from node 1: 2 counts, want 3"},
 		{"truncated-owned", KLocalLarge, func(p []byte) []byte { return p[:len(p)-1] },
 			"driver: decode owned frequents from node 1: "},
 		{"short-dup-counts", KDupCounts, func([]byte) []byte { return wire.AppendCountsAuto(nil, []int64{2}) },
@@ -277,7 +299,7 @@ func TestBarrierFaultsEndRun(t *testing.T) {
 					ep = tamperEndpoint{ep, c.kind, c.tamper}
 				}
 				go func(i int, ep cluster.Endpoint) {
-					res, err := RunWorker(Spec{MinSupport: 0.5, MaxK: 2, Fabric: fk}, ep, func() (Miner, error) { return &barrierMiner{}, nil })
+					res, err := RunWorker(Spec{MinSupport: 0.5, MaxK: 2, Fabric: fk}, threeItems, basket(), ep, func() (Miner, error) { return &barrierMiner{}, nil })
 					done <- outcome{i, res, err}
 				}(i, ep)
 			}

@@ -1,16 +1,16 @@
 // Package driver is the shared-nothing pass runtime every parallel miner in
 // this repository runs on: N node goroutines (or processes) over a
 // cluster.Fabric, node 0 doubling as coordinator, executing the level-wise
-// protocol of the paper — size exchange, pass 1 reduce, then for each k a
-// candidate generation, a count-support phase and an F_k gather/broadcast
-// barrier.
+// protocol of the paper — pass 1, then for each k a candidate generation, a
+// count-support phase and an F_k gather/broadcast barrier.
 //
 // The runtime owns everything that is identical across workloads:
 //
 //   - coordinator/worker lifecycle and kind-filtered receive with a pending
 //     stash (a fast peer's pass-k traffic must not be lost while this node
 //     still waits on its pass-(k-1) barrier);
-//   - the size exchange and the dense pass-1 count reduce;
+//   - each node's partition and pass 1: the closure item count and one
+//     reduce of the partition sizes into |D| and the counts into global ones;
 //   - the count-support Exchange (scan workers handle their own node's
 //     share and batch the rest to peers; one receiver applies peer
 //     batches; buffer recycling) and the sharded local scan;
@@ -22,9 +22,10 @@
 //     whose windows tile the run, phase-span tracing and registry
 //     instruments.
 //
-// What varies per workload — candidate representation, partitioning,
-// counting a local shard — is behind the Miner interface, whose count phase
-// only says what it counted (PassOutcome). It has two implementations:
+// What varies per workload — what pass 1's counts set up, candidate
+// representation, partitioning, counting a local shard — is behind the
+// four-hook Miner interface, whose count phase only says what it counted
+// (PassOutcome). It has two implementations:
 // internal/core (the paper's six itemset algorithms) and internal/fpg
 // (taxonomy-aware parallel FP-Growth).
 package driver
@@ -44,17 +45,18 @@ import (
 // Message kinds of the mining protocol. Per-sender FIFO delivery (all
 // fabrics guarantee it) plus the pass barriers make each kind unambiguous:
 // within a pass a sender emits KData* messages, then one KDone, then its
-// results (KLocalLarge/KDupCounts), and the coordinator answers with one
-// KLarge. The numeric values and display names predate this package and are
-// part of the per-kind accounting surface (metrics.KindIO.Name).
+// results (KCounts1 in pass 1, KLocalLarge/KDupCounts after), and the
+// coordinator answers with one KLarge. The numeric values and display names
+// predate this package and are part of the per-kind accounting surface
+// (metrics.KindIO.Name); a retired kind keeps its value unsent.
 const (
-	KSize       uint8 = iota + 1 // node -> coord: local partition size; coord -> node: |D|
-	KCounts1                     // node -> coord: pass-1 dense item counts
+	kRetired1   uint8 = iota + 1 // never sent: held so no later kind's wire value moves
+	KCounts1                     // node -> coord: |D_i|, then the pass-1 dense item counts
 	KData                        // node -> node: count-support payload batch
 	KDone                        // node -> node: end of count-support stream
 	KLocalLarge                  // node -> coord: locally-owned frequents
 	KDupCounts                   // node -> coord: duplicated/replicated table counts
-	KLarge                       // coord -> node: global F_k broadcast
+	KLarge                       // coord -> node: global F_k broadcast (pass 1: |D|, then the global item counts)
 	KTelemetry                   // node -> coord: per-pass stats + span batches (see telemetry.go)
 	kRetired9                    // never sent: held so no later kind's wire value moves
 	KCondBase                    // node -> node: FP-Growth conditional pattern-base batch (see internal/fpg)
@@ -185,32 +187,22 @@ func (s *Spec) workers() int {
 // pass, recorded in pass metadata and the run report.
 type PlanDecision = metrics.PlanDecision
 
-// Miner is the mining-logic half of a run. The runtime calls these hooks
-// from the node goroutine in protocol order; every hook receives the Node
-// for access to cluster position (ID/NumNodes), the derived global state
-// (MinCount) and the communication helpers (NewExchange, ShardObs, Span).
+// Miner is the mining-logic half of a run. The runtime runs pass 1 itself
+// and calls these hooks from the node goroutine in protocol order; every hook
+// receives the Node for access to cluster position (ID/NumNodes), the local
+// partition (Local), the derived global state (MinCount) and the
+// communication helpers (NewExchange, ShardObs, Span).
 //
 // A Miner instance belongs to exactly one node and is never called
 // concurrently with itself; replicated derivations (candidate generation)
 // must be pure functions of state identical on every node after each
 // barrier.
 type Miner interface {
-	// LocalSize is the size of the local partition in transactions, reported
-	// during the size exchange.
-	LocalSize() int
-
-	// NumItems is the size of the dense pass-1 count vector (the item
-	// universe).
-	NumItems() int
-
-	// CountPass1 scans the local partition and returns the dense per-item
-	// support counts; scan counters (TxnsScanned, ...) go into st.
-	CountPass1(n *Node, st *metrics.NodeStats) ([]int64, error)
-
-	// FinishPass1 consumes the globally reduced pass-1 counts and L_1, the
-	// items whose count meets MinCount in item order, which the runtime has
-	// already recorded. An empty L_1 ends the run once it returns.
-	FinishPass1(n *Node, global []int64, l1 []itemset.Counted) error
+	// FinishPass1 consumes pass 1: this node's own item counts (local), the
+	// reduced ones (global; the same slice at one node, and neither may be
+	// modified) and L_1, the items whose global count meets MinCount in item
+	// order, already recorded. An empty L_1 ends the run once it returns.
+	FinishPass1(n *Node, local, global []int64, l1 []itemset.Counted) error
 
 	// Generate materializes C_k from prev, the itemsets of F_(k-1) in
 	// canonical order — identical on every node — and returns |C_k|.

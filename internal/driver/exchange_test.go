@@ -23,7 +23,7 @@ func newTestNodes(t *testing.T, n int) ([]*Node, cluster.Fabric) {
 	f := cluster.NewChanFabric(n, 16)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = newNode(f.Endpoint(i), Spec{}, nil)
+		nodes[i] = newNode(f.Endpoint(i), Spec{}, nil, nil, nil)
 	}
 	return nodes, f
 }

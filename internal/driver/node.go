@@ -12,18 +12,23 @@ import (
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
+	"pgarm/internal/taxonomy"
+	"pgarm/internal/txn"
 	"pgarm/internal/wire"
 )
 
 // Node is one shared-nothing processor of the runtime: a fabric endpoint,
 // the pass driver and the per-pass instrumentation. Node 0 doubles as the
 // coordinator, as in the paper. The mining logic itself lives in the
-// attached Miner; the result levels and the F_k barrier live here.
+// attached Miner; the local partition, pass 1, the result levels and the F_k
+// barrier live here.
 type Node struct {
 	id    int
 	ep    cluster.Endpoint
 	conn  connEndpoint // ep when it is connection-oriented, else nil
 	cfg   Spec
+	tax   *taxonomy.Taxonomy
+	local txn.Scanner
 	miner Miner
 
 	// keepResults makes this node record result levels and pass metadata
@@ -80,12 +85,14 @@ type Node struct {
 	phaseWord atomic.Uint64
 }
 
-// newNode wires one node of the protocol to an endpoint. Run executes it.
-func newNode(ep cluster.Endpoint, cfg Spec, m Miner) *Node {
+// newNode wires one node of the protocol and its partition to an endpoint.
+func newNode(ep cluster.Endpoint, cfg Spec, tax *taxonomy.Taxonomy, local txn.Scanner, m Miner) *Node {
 	n := &Node{
 		id:    ep.ID(),
 		ep:    ep,
 		cfg:   cfg,
+		tax:   tax,
+		local: local,
 		miner: m,
 		tr:    cfg.Tracer,
 		ins:   newNodeInstruments(cfg.Registry, ep.ID()),
@@ -118,6 +125,9 @@ func (n *Node) Keep() bool { return n.IsCoord() || n.keepResults }
 
 // MinCount is the absolute minimum support count derived from |D|.
 func (n *Node) MinCount() int64 { return n.minCount }
+
+// Local is this node's partition of the database (its simulated local disk).
+func (n *Node) Local() txn.Scanner { return n.local }
 
 // Workers is the effective scan-worker count (>= 1).
 func (n *Node) Workers() int { return n.cfg.workers() }
@@ -172,18 +182,13 @@ func (n *Node) Run() (err error) {
 	return nil
 }
 
-// runProtocol is the mining protocol proper: size exchange, pass 1, then the
-// level-wise generate/count/barrier loop.
+// runProtocol is the mining protocol proper: pass 1, then the level-wise
+// generate/count/barrier loop.
 func (n *Node) runProtocol() error {
 	if n.tr.Enabled() {
 		n.tr.SetThreadName(n.id, 0, "driver")
 	}
 	n.cfg.View.Init(n.id, n.ep.N())
-	ssp := n.tr.Begin(n.id, 0, "size-exchange")
-	if err := n.sizeExchange(); err != nil {
-		return err
-	}
-	ssp.End()
 	nf, err := n.pass1()
 	if err != nil {
 		return err
@@ -282,49 +287,12 @@ func (n *Node) bcast(kind uint8, payload []byte, before func(peer int)) ([]byte,
 	return payload, nil
 }
 
-// sizeExchange establishes the global database size |D| (and from it the
-// absolute minimum support count): every node reports its local partition
-// size to the coordinator, which broadcasts the sum. In-process clusters
-// could compute this directly, but routing it through the protocol keeps a
-// single code path for multi-process workers that only know their own disk.
-func (n *Node) sizeExchange() error {
-	total := n.miner.LocalSize()
-	if n.IsCoord() {
-		err := n.gather(func(m cluster.Message) error {
-			d := wire.NewDec(m.Payload)
-			total += d.Int()
-			cluster.Release(m.Payload)
-			if err := d.Done(); err != nil {
-				return fmt.Errorf("driver: decode size from node %d: %w", m.From, err)
-			}
-			return nil
-		}, KSize)
-		if err != nil {
-			return err
-		}
-	} else if err := n.ep.Send(0, KSize, wire.AppendUvarint(nil, uint64(total))); err != nil {
-		return err
-	}
-	payload, err := n.bcast(KSize, wire.AppendUvarint(nil, uint64(total)), nil)
-	if err != nil {
-		return err
-	}
-	d := wire.NewDec(payload)
-	size := d.Int()
-	cluster.Release(payload)
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("driver: decode |D| broadcast: %w", err)
-	}
-	n.minCount = cumulate.MinCount(n.cfg.MinSupport, size)
-	return nil
-}
-
-// pass1 runs the miner's dense pass-1 count over the local partition,
-// reduces the vectors on the coordinator and broadcasts the global result.
-// Every algorithm shares it: C_1 is just an array indexed by item, so there
-// is nothing to partition.
+// pass1 is the pass every miner shares: each node counts every item and all
+// its ancestors over its local partition, and one reduce (reduceItems) yields
+// |D|, MinCount and the global counts. C_1 is just an array indexed by item,
+// so there is nothing to partition.
 func (n *Node) pass1() (int, error) {
-	numItems := n.miner.NumItems()
+	numItems := n.tax.NumItems()
 	pr := n.openPass(1, numItems)
 	// Pass 1 has a fixed plan — the dense count vector is reduced, never
 	// partitioned — recorded anyway so the report's plan section covers every
@@ -332,20 +300,20 @@ func (n *Node) pass1() (int, error) {
 	pr.plan = PlanDecision{Pass: 1, Partitioner: "dense-reduce", Granule: "all", Candidates: numItems, Duplicated: numItems}
 	n.cfg.View.SetPlan(pr.plan)
 	n.setPhase(1, phaseExecute)
-	counts, err := n.miner.CountPass1(n, &n.cur)
+	local, err := CountItems(n.tax, n.local, n.Workers(), n.ShardObs("scan"), &n.cur)
 	if err != nil {
 		return 0, fmt.Errorf("driver: node %d pass 1 scan: %w", n.id, err)
 	}
 
 	n.setPhase(1, phaseBarrier)
 	bsp := n.tr.Begin(n.id, 0, "barrier")
-	global, err := n.reduceCounts(counts)
+	global, err := n.reduceItems(local)
 	if err != nil {
 		return 0, err
 	}
 	bsp.End()
 	l1 := n.finishItems(global)
-	if err := n.miner.FinishPass1(n, global, l1); err != nil {
+	if err := n.miner.FinishPass1(n, local, global, l1); err != nil {
 		return 0, err
 	}
 	pr.large = len(l1)
@@ -371,31 +339,63 @@ func addCounts(total []int64, m cluster.Message, what string) error {
 	return nil
 }
 
-// reduceCounts sums dense count vectors at the coordinator (KCounts1) and
-// broadcasts the global vector (KLarge).
-func (n *Node) reduceCounts(counts []int64) ([]int64, error) {
+// reduceItems is pass 1's one collective. Each follower sends its partition
+// size |D_i| and its item counts in one KCounts1; the coordinator sums both
+// and broadcasts |D| and the global counts in one KLarge; every node derives
+// MinCount from |D|. The coordinator adds its running sum into each peer
+// vector as it decodes it, so its own vector is never copied or changed; at
+// one node the global vector is local itself.
+func (n *Node) reduceItems(local []int64) ([]int64, error) {
+	size, global := n.local.Len(), local
 	if n.IsCoord() {
-		err := n.gather(func(m cluster.Message) error { return addCounts(counts, m, "pass-1 item") }, KCounts1)
+		err := n.gather(func(m cluster.Message) error {
+			peerSize, counts, err := parseSized(m.Payload, len(local))
+			if err != nil {
+				return fmt.Errorf("driver: decode pass-1 item counts from node %d: %w", m.From, err)
+			}
+			for i, c := range global {
+				counts[i] += c
+			}
+			size, global = size+peerSize, counts
+			return nil
+		}, KCounts1)
+		if err == nil {
+			_, err = n.bcast(KLarge, sizedCounts(size, global), nil)
+		}
 		if err != nil {
 			return nil, err
 		}
-		_, err = n.bcast(KLarge, wire.AppendCountsAuto(nil, counts), nil)
-		return counts, err
+	} else {
+		if err := n.ep.Send(0, KCounts1, sizedCounts(size, local)); err != nil {
+			return nil, err
+		}
+		payload, err := n.bcast(KLarge, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		if size, global, err = parseSized(payload, len(local)); err != nil {
+			return nil, fmt.Errorf("driver: decode global pass-1 counts: %w", err)
+		}
 	}
-	if err := n.ep.Send(0, KCounts1, wire.AppendCountsAuto(nil, counts)); err != nil {
-		return nil, err
-	}
-	payload, err := n.bcast(KLarge, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDec(payload)
-	global := d.CountsAuto(len(counts))
-	cluster.Release(payload)
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("driver: decode global pass-1 counts: %w", err)
-	}
+	n.minCount = cumulate.MinCount(n.cfg.MinSupport, size)
 	return global, nil
+}
+
+// sizedCounts encodes a pass-1 payload: a database size, then a count vector.
+func sizedCounts(size int, counts []int64) []byte {
+	return wire.AppendCountsAuto(wire.AppendUvarint(nil, uint64(size)), counts)
+}
+
+// parseSized decodes a sizedCounts payload whose vector must have want
+// entries, and releases it.
+func parseSized(payload []byte, want int) (int, []int64, error) {
+	d := wire.NewDec(payload)
+	size, counts := d.Int(), d.CountsAuto(want)
+	cluster.Release(payload)
+	if len(counts) != want {
+		d.Fail("%d counts, want %d", len(counts), want)
+	}
+	return size, counts, d.Done()
 }
 
 // passRun is one pass's window: what openPass starts, the phases fill in and

@@ -13,7 +13,7 @@ import (
 
 // kindNames maps the mining protocol's message kinds to stable display names
 // (index = kind value).
-var kindNames = [...]string{"", "size", "counts1", "data", "done", "local-large", "dup-counts", "large", "telemetry", "reserved-9", "cond-base"}
+var kindNames = [...]string{"", "reserved-1", "counts1", "data", "done", "local-large", "dup-counts", "large", "telemetry", "reserved-9", "cond-base"}
 
 func kindName(k uint8) string {
 	if int(k) < len(kindNames) {

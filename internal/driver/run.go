@@ -6,17 +6,21 @@ import (
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/metrics"
+	"pgarm/internal/taxonomy"
+	"pgarm/internal/txn"
 )
 
 // Run is the in-process run skeleton every miner family shares: validate the
-// Spec, construct node i's Miner with newMiner(i) for each of the n partitions
-// (where the family rejects what only it can judge), build the fabric, execute
-// the protocol with one goroutine per node (node 0 coordinates) and assemble
-// the run statistics. It returns the levels the coordinator recorded and the
-// stats. The first node to fail takes the fabric down with it, so its peers'
-// blocked receives and sends end with an error instead of waiting on it
-// forever; that first error is returned once every node has exited.
-func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Result, error) {
+// Spec, construct node i's Miner with newMiner(i) for each partition parts[i]
+// (where the family rejects what only it can judge), build the fabric,
+// execute the protocol with one goroutine per node over its partition and the
+// shared taxonomy (node 0 coordinates) and assemble the run statistics. It
+// returns the levels the coordinator recorded and the stats. The first node to
+// fail takes the fabric down with it, so its peers' blocked receives and sends
+// end with an error instead of waiting on it forever; that first error is
+// returned once every node has exited.
+func Run(spec Spec, tax *taxonomy.Taxonomy, parts []txn.Scanner, newMiner func(node int) (Miner, error)) (*Result, error) {
+	n := len(parts)
 	if n == 0 {
 		return nil, fmt.Errorf("driver: no database partitions")
 	}
@@ -39,7 +43,7 @@ func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Result, err
 
 	nodes := make([]*Node, n)
 	for i, m := range miners {
-		nodes[i] = newNode(fabric.Endpoint(i), spec, m)
+		nodes[i] = newNode(fabric.Endpoint(i), spec, tax, parts[i], m)
 		nodes[i].sharedObs = true // one Tracer for all in-process nodes
 	}
 	start := time.Now()
@@ -61,14 +65,15 @@ func Run(spec Spec, n int, newMiner func(node int) (Miner, error)) (*Result, err
 }
 
 // RunWorker is Run's multi-process twin: it executes one node of the protocol
-// over a caller-provided endpoint (cluster.DialMesh). Every worker must run
-// the same Spec; node 0 coordinates. The Result carries the global frequents
+// over a caller-provided endpoint (cluster.DialMesh), with local as the node's
+// partition. Every worker must run the same Spec and taxonomy; node 0
+// coordinates. The Result carries the global frequents
 // on every node, identical after the final broadcast. On the coordinator the
 // stats also merge every worker's per-pass counters and endpoint totals —
 // shipped at each pass barrier over the telemetry plane — into a full cluster
 // view; on a follower they cover only the local node.
-func RunWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (*Result, error) {
-	nd, stats, err := runWorker(spec, ep, newMiner)
+func RunWorker(spec Spec, tax *taxonomy.Taxonomy, local txn.Scanner, ep cluster.Endpoint, newMiner func() (Miner, error)) (*Result, error) {
+	nd, stats, err := runWorker(spec, tax, local, ep, newMiner)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +82,7 @@ func RunWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (
 
 // runWorker is RunWorker returning the node itself, whose protocol state
 // tests inspect.
-func runWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (*Node, *metrics.RunStats, error) {
+func runWorker(spec Spec, tax *taxonomy.Taxonomy, local txn.Scanner, ep cluster.Endpoint, newMiner func() (Miner, error)) (*Node, *metrics.RunStats, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -85,7 +90,7 @@ func runWorker(spec Spec, ep cluster.Endpoint, newMiner func() (Miner, error)) (
 	if err != nil {
 		return nil, nil, err
 	}
-	nd := newNode(ep, spec, m)
+	nd := newNode(ep, spec, tax, local, m)
 	nd.keepResults = true
 	start := time.Now()
 	if err := nd.Run(); err != nil {

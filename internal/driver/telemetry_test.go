@@ -66,7 +66,7 @@ func testBatch(final bool) *telemetryBatch {
 		b.totals = &metrics.EndpointTotals{
 			Traffic: cluster.Traffic{MsgsSent: 240, MsgsReceived: 238, BytesSent: 131072, BytesReceived: 99000},
 			ByKind: []metrics.KindIO{
-				{Kind: uint8(KSize), Name: kindName(uint8(KSize)), Traffic: cluster.Traffic{MsgsSent: 1, MsgsReceived: 1, BytesSent: 9, BytesReceived: 9}},
+				{Kind: kRetired1, Name: kindName(kRetired1), Traffic: cluster.Traffic{MsgsSent: 1, MsgsReceived: 1, BytesSent: 9, BytesReceived: 9}},
 			},
 		}
 	}
@@ -200,7 +200,7 @@ func TestMeshBarrierClockOffsets(t *testing.T) {
 			}
 			defer mesh.Close()
 			spec := Spec{MinSupport: 0.5, Tracer: tracers[i]}
-			nodes[i], _, errs[i] = runWorker(spec, ep, func() (Miner, error) { return &quietMiner{}, nil })
+			nodes[i], _, errs[i] = runWorker(spec, threeItems, basket(), ep, func() (Miner, error) { return &quietMiner{}, nil })
 		}(i)
 	}
 	wg.Wait()

@@ -110,13 +110,16 @@ func kindTraffic(ks []metrics.KindIO, kind uint8) cluster.Traffic {
 }
 
 // TestPassProtocolKinds pins the messages of the pass protocol on both engine
-// families. The plan phase sends nothing: kind 9 is reserved and carries no
-// traffic in any window. Each pass k >= 2 costs the coordinator exactly one
+// families. The retired kinds carry no traffic in any window or lifetime
+// total: kind 1, because |D| rides pass 1's count reduce, and kind 9, because
+// the plan phase sends nothing. Pass 1 costs the coordinator exactly one
+// counts1 message per follower. Each pass k >= 2 costs it exactly one
 // local-large, one dup-counts and one telemetry message per follower; the
 // last window also folds in the run-end telemetry flush, one more batch per
 // follower.
 func TestPassProtocolKinds(t *testing.T) {
-	const nodes, reserved = 3, 9
+	const nodes = 3
+	retired := []uint8{1, 9}
 	ds, err := gen.Generate(gen.Params{
 		Name: "kinds", NumTxns: 1200, AvgTxnSize: 6, AvgPatternSize: 3, NumPatterns: 200,
 		NumItems: 600, Roots: 8, Fanout: 4, CorrelationMean: 0.25, CorruptionMean: 0.6,
@@ -140,21 +143,24 @@ func TestPassProtocolKinds(t *testing.T) {
 				t.Fatalf("%d passes: need a pass k >= 2", len(rs.Passes))
 			}
 			for _, ep := range rs.Endpoints {
-				if tr := kindTraffic(ep.ByKind, reserved); tr != (cluster.Traffic{}) {
-					t.Errorf("node %d lifetime: kind %d traffic %+v", ep.Node, reserved, tr)
+				for _, kind := range retired {
+					if tr := kindTraffic(ep.ByKind, kind); tr != (cluster.Traffic{}) {
+						t.Errorf("node %d lifetime: kind %d traffic %+v", ep.Node, kind, tr)
+					}
 				}
 			}
 			for i, ps := range rs.Passes {
 				for _, ns := range ps.Nodes {
-					if tr := kindTraffic(ns.ByKind, reserved); tr != (cluster.Traffic{}) {
-						t.Errorf("pass %d node %d: kind %d traffic %+v", ps.Pass, ns.Node, reserved, tr)
+					for _, kind := range retired {
+						if tr := kindTraffic(ns.ByKind, kind); tr != (cluster.Traffic{}) {
+							t.Errorf("pass %d node %d: kind %d traffic %+v", ps.Pass, ns.Node, kind, tr)
+						}
 					}
 				}
-				if ps.Pass < 2 {
-					continue
-				}
 				want := map[uint8]int64{driver.KLocalLarge: nodes - 1, driver.KDupCounts: nodes - 1, driver.KTelemetry: nodes - 1}
-				if i == len(rs.Passes)-1 {
+				if ps.Pass == 1 {
+					want = map[uint8]int64{driver.KCounts1: nodes - 1}
+				} else if i == len(rs.Passes)-1 {
 					want[driver.KTelemetry] += nodes - 1
 				}
 				for _, ns := range ps.Nodes {

@@ -331,8 +331,8 @@ func checkShipBases(t *testing.T, name string, tax *taxonomy.Taxonomy, db *txn.D
 	}
 	probes := make([]*shipProbe, nodes)
 	parts := partsOf(db, nodes)
-	if _, err := driver.Run(runSpec(cfg), nodes, func(i int) (driver.Miner, error) {
-		probes[i] = &shipProbe{fpgMiner: newFpgMiner(tax, parts[i], cfg)}
+	if _, err := driver.Run(runSpec(cfg), tax, parts, func(i int) (driver.Miner, error) {
+		probes[i] = &shipProbe{fpgMiner: newFpgMiner(tax, cfg)}
 		return probes[i], nil
 	}); err != nil {
 		t.Fatalf("%s: %v", name, err)

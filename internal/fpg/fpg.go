@@ -85,8 +85,8 @@ func Mine(tax *taxonomy.Taxonomy, parts []txn.Scanner, cfg Config) (*Result, err
 	if err := check(&cfg); err != nil {
 		return nil, err
 	}
-	return driver.Run(runSpec(cfg), len(parts), func(i int) (driver.Miner, error) {
-		return newFpgMiner(tax, parts[i], cfg), nil
+	return driver.Run(runSpec(cfg), tax, parts, func(int) (driver.Miner, error) {
+		return newFpgMiner(tax, cfg), nil
 	})
 }
 
@@ -98,7 +98,7 @@ func MineWorker(tax *taxonomy.Taxonomy, local txn.Scanner, cfg Config, ep cluste
 	if err := check(&cfg); err != nil {
 		return nil, err
 	}
-	return driver.RunWorker(runSpec(cfg), ep, func() (driver.Miner, error) {
-		return newFpgMiner(tax, local, cfg), nil
+	return driver.RunWorker(runSpec(cfg), tax, local, ep, func() (driver.Miner, error) {
+		return newFpgMiner(tax, cfg), nil
 	})
 }

@@ -260,8 +260,8 @@ func TestForestWithinPass1Bound(t *testing.T) {
 				}
 			}
 			cfg := Config{Algorithm: Engine, MinSupport: minSup, Workers: workers}
-			_, err := driver.Run(runSpec(cfg), len(parts), func(i int) (driver.Miner, error) {
-				return forestProbe{newFpgMiner(ds.Taxonomy, parts[i], cfg), check}, nil
+			_, err := driver.Run(runSpec(cfg), ds.Taxonomy, parts, func(int) (driver.Miner, error) {
+				return forestProbe{newFpgMiner(ds.Taxonomy, cfg), check}, nil
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -30,7 +30,6 @@ import (
 // returns 0, ending the run on every node identically.
 type fpgMiner struct {
 	tax *taxonomy.Taxonomy
-	db  txn.Scanner
 	cfg Config
 
 	// Global mining state, identical on every node after the pass-1 barrier.
@@ -41,9 +40,9 @@ type fpgMiner struct {
 	numNodes   int
 	nodeID     int
 
-	// localCounts is this node's own pass-1 vector until FinishPass1 sums
-	// the large items' entries into forestNodes, the forest arena's bound.
-	localCounts []int64
+	// forestNodes bounds the node count of the local forest, the arena's
+	// size: FinishPass1 sums the large items' entries of this node's own
+	// pass-1 vector.
 	forestNodes int64
 
 	// conf[r] lists, ascending, the ranks below r whose items are in the
@@ -64,31 +63,17 @@ type fpgMiner struct {
 	own []itemset.Counted
 }
 
-func newFpgMiner(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) *fpgMiner {
-	return &fpgMiner{tax: tax, db: db, cfg: cfg}
+func newFpgMiner(tax *taxonomy.Taxonomy, cfg Config) *fpgMiner {
+	return &fpgMiner{tax: tax, cfg: cfg}
 }
 
-func (m *fpgMiner) LocalSize() int { return m.db.Len() }
-
-func (m *fpgMiner) NumItems() int { return m.tax.NumItems() }
-
-// CountPass1 counts every item and all its ancestors over the local
-// partition — the Cumulate family's pass 1, which is what fixes the frequency
-// order from the same vector the candidate engines use. The coordinator's
-// reduce sums the peers into the returned slice, so the forest bound is taken
-// from a copy.
-func (m *fpgMiner) CountPass1(n *driver.Node, st *metrics.NodeStats) ([]int64, error) {
-	counts, err := driver.CountItems(m.tax, m.db, n.Workers(), n.ShardObs("scan"), st)
-	m.localCounts = slices.Clone(counts)
-	return counts, err
-}
-
-// FinishPass1 derives the global frequency order from F_1: large
-// items ranked by (closure count descending, item id ascending). The order
-// is a pure function of the broadcast count vector, so every node derives
-// the identical ranking — the root of the engine's bit-identity at any node
-// and worker count.
-func (m *fpgMiner) FinishPass1(_ *driver.Node, global []int64, l1 []itemset.Counted) error {
+// FinishPass1 derives the global frequency order from F_1, out of the same
+// pass-1 closure counts the candidate engines use: large items ranked by
+// (closure count descending, item id ascending). The order is a pure function
+// of the broadcast count vector, so every node derives the identical ranking
+// — the root of the engine's bit-identity at any node and worker count. The
+// node's own vector, local, bounds its forest.
+func (m *fpgMiner) FinishPass1(_ *driver.Node, local, global []int64, l1 []itemset.Counted) error {
 	m.itemCounts = global
 	m.rank = make([]int32, m.tax.NumItems())
 	for i := range m.rank {
@@ -108,9 +93,8 @@ func (m *fpgMiner) FinishPass1(_ *driver.Node, global []int64, l1 []itemset.Coun
 		m.rank[it] = int32(r)
 		// Every forest node is made by inserting one large item of one local
 		// transaction, so these counts add up to at least the node count.
-		m.forestNodes += m.localCounts[it]
+		m.forestNodes += local[it]
 	}
-	m.localCounts = nil
 	m.numLarge = len(m.itemAt)
 	m.conf = conflictLists(m.tax, m.itemAt, m.rank)
 	return nil
@@ -242,7 +226,7 @@ func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree
 	for r := range ranks {
 		ranks[r] = item.Item(r)
 	}
-	err := driver.CountPhase(m.db, W, n.ShardObs("build"), st, taxonomy.NewClosure(m.tax, m.rank, ranks), nil,
+	err := driver.CountPhase(n.Local(), W, n.ShardObs("build"), st, taxonomy.NewClosure(m.tax, m.rank, ranks), nil,
 		func(w *driver.Worker, _ txn.Transaction) error {
 			trees[w.ID].add(w.Ext, 1)
 			return nil

@@ -231,17 +231,20 @@ func TestView(t *testing.T) {
 	large[3] = true // interior
 	large[5] = true // interior tree 1
 	v := NewView(tax, large, nil)
-	if got := v.NearestLarge(8); got != 3 {
-		t.Errorf("NearestLarge(8) = %v, want 3", got)
-	}
-	if got := v.NearestLarge(3); got != 3 {
-		t.Errorf("NearestLarge(3) = %v (large items map to themselves)", got)
-	}
-	if got := v.NearestLarge(4); got != 0 {
-		t.Errorf("NearestLarge(4) = %v, want root 0", got)
-	}
-	if got := v.NearestLarge(6); got != item.None {
-		t.Errorf("NearestLarge(6) = %v, want none (tree 2 has no large items)", got)
+	// One-item transactions read the replacement of each item on its own.
+	for _, c := range []struct {
+		x    item.Item
+		want []item.Item
+		why  string
+	}{
+		{8, []item.Item{3}, "closest large ancestor"},
+		{3, []item.Item{3}, "large items map to themselves"},
+		{4, []item.Item{0}, "root 0 is the only large ancestor"},
+		{6, nil, "tree 2 has no large items"},
+	} {
+		if got := v.ReplaceWithLarge(nil, []item.Item{c.x}); !item.Equal(got, c.want) {
+			t.Errorf("ReplaceWithLarge({%v}) = %v, want %v (%s)", c.x, got, c.want, c.why)
+		}
 	}
 	rep := v.ReplaceWithLarge(nil, []item.Item{8, 9, 6})
 	if !item.Equal(rep, []item.Item{3}) {

@@ -56,10 +56,6 @@ func (v *View) Taxonomy() *Taxonomy { return v.tax }
 // built without a keep set.
 func (v *View) Closure() *Closure { return v.closure }
 
-// NearestLarge returns x itself if large, otherwise the closest large
-// ancestor of x, otherwise item.None. The view must have been built with L_1.
-func (v *View) NearestLarge(x item.Item) item.Item { return v.nearestLarge[x] }
-
 // ReplaceWithLarge computes the H-HPGM transaction form t' (Figure 5 line
 // (8)): each item of txn is replaced by the large item among its ancestors
 // closest to the bottom of the hierarchy; items with no large ancestor are
