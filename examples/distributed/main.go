@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pgarm/internal/core"
 	"pgarm/internal/driver"
@@ -18,6 +20,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run mines the example with HPGM and H-HPGM and writes their pass-2
+// communication to w.
+func run(w io.Writer) error {
 	params := gen.Params{
 		Name:            "tcp-demo",
 		NumTxns:         8000,
@@ -34,7 +44,7 @@ func main() {
 	}
 	ds, err := gen.Generate(params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	const nodes = 6
 	parts := make([]txn.Scanner, 0, nodes)
@@ -42,7 +52,7 @@ func main() {
 		parts = append(parts, p)
 	}
 
-	fmt.Printf("%d transactions on %d TCP-connected nodes, minsup 1%%\n\n", ds.DB.Len(), nodes)
+	fmt.Fprintf(w, "%d transactions on %d TCP-connected nodes, minsup 1%%\n\n", ds.DB.Len(), nodes)
 	for _, alg := range []core.Algorithm{core.HPGM, core.HHPGM} {
 		res, err := engines.Run(ds.Taxonomy, parts, engines.Spec{
 			Algorithm:  alg,
@@ -51,15 +61,16 @@ func main() {
 			Fabric:     driver.FabricTCP,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ps := res.Stats.Pass(2)
 		if ps == nil {
-			log.Fatalf("%s: no pass 2", alg)
+			return fmt.Errorf("%s: no pass 2", alg)
 		}
-		fmt.Printf("%-8s |C2|=%-8d |L2|=%-6d items shipped=%-9d avg received/node=%.1f KB\n",
+		fmt.Fprintf(w, "%-8s |C2|=%-8d |L2|=%-6d items shipped=%-9d avg received/node=%.1f KB\n",
 			alg, ps.Candidates, ps.Large, ps.TotalItemsSent(), ps.AvgBytesReceived()/1024)
 	}
-	fmt.Println("\nH-HPGM ships only closest-to-bottom large items to the owners of their root")
-	fmt.Println("trees; HPGM ships every k-subset of every ancestor-extended transaction.")
+	fmt.Fprintln(w, "\nH-HPGM ships only closest-to-bottom large items to the owners of their root")
+	fmt.Fprintln(w, "trees; HPGM ships every k-subset of every ancestor-extended transaction.")
+	return nil
 }

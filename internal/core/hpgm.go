@@ -1,12 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"pgarm/internal/driver"
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
+	"pgarm/internal/wire"
 )
 
 // hpgmEngine implements HPGM (§3.2): candidates are hash-partitioned over
@@ -64,7 +67,7 @@ func (e *hpgmEngine) PlanPass(n *driver.Node, _ int) (driver.PlanDecision, error
 
 func (e *hpgmEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	nNodes := uint64(n.NumNodes())
-	self := uint64(n.ID())
+	self := n.ID()
 
 	W := n.Workers()
 	index := itemset.BuildIndex(e.owned)
@@ -75,33 +78,39 @@ func (e *hpgmEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 
 	// The receiver goroutine alone touches counts; each scan worker counts
 	// its own share into its own vector and routes the rest through its
-	// batcher.
+	// batcher. One unit = one k-itemset hashed to this node: one probe of
+	// its candidate table (the per-node quantity Figure 15 plots).
 	xsp := n.Span("exchange")
-	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
-		// One unit = one k-itemset hashed to this node: one probe of its
-		// candidate table (the per-node quantity Figure 15 plots).
-		st.Probes++
-		if id := index.Lookup(items); id >= 0 {
-			counts[id]++
-			st.Increments++
-		}
-	}))
+	var recv itemset.Stamps
+	cp := n.NewExchange(driver.KData, func(b []byte) (int64, error) {
+		units, items, hits, err := index.CountUnits(b, counts, &recv)
+		st.Probes += units
+		st.Increments += hits
+		return items, err
+	})
+	// A unit is its length k and k items, each a varint of at most 5 bytes.
+	maxUnit := (1 + k) * binary.MaxVarintLen32
 	err := driver.CountPhase(n.Local(), W, n.ShardObs("count"), st, closure, cp,
 		func(w *driver.Worker, _ txn.Transaction) error {
 			// Every k-subset is hashed to find its owner. One this node owns
 			// is a probe of its own table, answered for all of them at once
 			// by the containment kernel, since the owned candidates are
-			// exactly the k-subsets hashing here; the rest ship as units.
+			// exactly the k-subsets hashing here; the rest are encoded
+			// straight into their owner's batch.
 			walk := &e.walks[w.ID]
 			var own, sent int64
 			for ok := walk.Reset(w.Ext, k); ok; ok = walk.Next() {
-				dest := walk.Hash() % nNodes
+				dest := int(walk.Hash() % nNodes)
 				if dest == self {
 					own++
 					continue
 				}
 				sent++
-				if err := w.Bat.AddRun(int(dest), walk.Unit(), nil); err != nil {
+				buf, err := w.Bat.Open(dest, maxUnit)
+				if err != nil {
+					return err
+				}
+				if err := w.Bat.Commit(dest, wire.AppendItems(buf, walk.Items())); err != nil {
 					return err
 				}
 			}

@@ -243,7 +243,9 @@ type PassOutcome struct {
 	// redundantly (replicated or duplicated candidates) and DupSets the
 	// itemsets behind it. The layout must be identical on every node; only
 	// the coordinator's DupSets is read. Both nil when the algorithm has no
-	// replicated candidates.
+	// replicated candidates. The driver consumes DupCounts: the coordinator
+	// sums the peers' vectors into it in place, so a miner hands over a
+	// vector it does not read again.
 	DupSets   [][]item.Item
 	DupCounts []int64
 

@@ -174,9 +174,11 @@ func ItemsApplier(apply func(items []item.Item)) func(batch []byte) (int64, erro
 const batchBytes = 4 << 10
 
 // Batcher accumulates payload units per peer and flushes them as data-batch
-// messages once a batch reaches batchBytes. A unit, or a flush, for the
-// batcher's own node is an error: a node handles its own share in place.
-// Each producer (scan worker) must own its own Batcher.
+// messages once a batch reaches batchBytes. Every unit enters through Open
+// and Commit, which hold the room check, the threshold and the refusal of
+// the batcher's own node: a unit, or a flush, for it is an error, since a
+// node handles its own share in place. Each producer (scan worker) must own
+// its own Batcher.
 type Batcher struct {
 	ex    *Exchange
 	bufs  [][]byte
@@ -203,23 +205,44 @@ func (b *Batcher) AddItems(dest int, items []item.Item) error {
 // AddRun appends one already-encoded run for peer dest, head then body (both
 // copied; either may be empty), and flushes if the batch is full. The bytes
 // must match what the exchange's apply callback decodes, and they arrive in
-// one batch. A run may be longer than the room cluster.BatchCap leaves above
-// the threshold: when it would not fit, the open batch is sent first, so the
-// run starts a recycled batch instead of outgrowing one.
+// one batch.
 func (b *Batcher) AddRun(dest int, head, body []byte) error {
-	if buf := b.bufs[dest]; len(buf) > 0 && len(buf)+len(head)+len(body) > cluster.BatchCap {
+	buf, err := b.Open(dest, len(head)+len(body))
+	if err != nil {
+		return err
+	}
+	return b.Commit(dest, append(append(buf, head...), body...))
+}
+
+// Open hands over peer dest's open batch, for the caller to append at most
+// need bytes of whole units to and hand back through Commit before its next
+// call on dest. AddItems and AddRun go through it; a sender that encodes its
+// units in place (HPGM's) calls it directly. A unit may be longer than the
+// room cluster.BatchCap leaves above the threshold: when need would not fit,
+// the open batch is sent first, so the unit starts a recycled batch instead
+// of outgrowing one. Opening the batcher's own node is an error.
+func (b *Batcher) Open(dest, need int) ([]byte, error) {
+	buf := b.bufs[dest]
+	if len(buf) > 0 && len(buf)+need > cluster.BatchCap {
 		if err := b.Flush(dest); err != nil {
-			return err
+			return nil, err
 		}
+		buf = nil
 	}
-	if b.bufs[dest] == nil { // the node's own buffer never starts
+	if buf == nil { // the node's own batch never opens
 		if dest == b.ex.n.id {
-			return b.Flush(dest) // which refuses it
+			return nil, b.Flush(dest) // which refuses it
 		}
-		b.bufs[dest] = cluster.NewBatch()
+		buf = cluster.NewBatch()
 	}
-	b.bufs[dest] = append(append(b.bufs[dest], head...), body...)
-	if len(b.bufs[dest]) >= b.limit {
+	return buf, nil
+}
+
+// Commit takes back the batch Open handed over for dest, grown by the
+// caller's units, and sends it once it reaches the threshold.
+func (b *Batcher) Commit(dest int, buf []byte) error {
+	b.bufs[dest] = buf
+	if len(buf) >= b.limit {
 		return b.Flush(dest)
 	}
 	return nil

@@ -106,9 +106,9 @@ func TestCountPhaseDeliversAllUnits(t *testing.T) {
 }
 
 // TestBatcherRejectsSelf: a node handles its own share in place, so every
-// way of batching for itself — AddItems, AddRun, Flush — is an error naming
-// the node, and nothing reaches the fabric: the node sends nothing (its
-// receive counters may move, since the peer finishes its own exchange
+// way of batching for itself — AddItems, AddRun, Open, Flush — is an error
+// naming the node, and nothing reaches the fabric: the node sends nothing
+// (its receive counters may move, since the peer finishes its own exchange
 // concurrently). FlushAll skips the node itself, and an exchange with no
 // peers finishes at once.
 func TestBatcherRejectsSelf(t *testing.T) {
@@ -129,6 +129,7 @@ func TestBatcherRejectsSelf(t *testing.T) {
 		for name, add := range map[string]func() error{
 			"AddItems": func() error { return bat.AddItems(nd.id, []item.Item{1, 2}) },
 			"AddRun":   func() error { return bat.AddRun(nd.id, []byte{1}, []byte{2}) },
+			"Open":     func() error { _, err := bat.Open(nd.id, 1); return err },
 			"Flush":    func() error { return bat.Flush(nd.id) },
 		} {
 			if err := add(); err == nil || !strings.Contains(err.Error(), want) {

@@ -538,10 +538,12 @@ func (n *Node) gatherFrequents(out PassOutcome) (int, error) {
 	}
 
 	// Coordinator: one owned-frequent message, one replicated count vector
-	// and one telemetry batch per peer. The frequents and telemetry batches
-	// are stashed raw and decoded only after the barrier wait is measured,
-	// so decode cost never contaminates the skew signal it feeds.
-	dupTotal := append([]int64(nil), out.DupCounts...)
+	// and one telemetry batch per peer. The peers' vectors are summed into
+	// the coordinator's own, which the driver owns once CountPass returns.
+	// The frequents and telemetry batches are stashed raw and decoded only
+	// after the barrier wait is measured, so decode cost never contaminates
+	// the skew signal it feeds.
+	dupTotal := out.DupCounts
 	var peerOwned, telem []cluster.Message
 	err := n.gather(func(m cluster.Message) error {
 		switch m.Kind {

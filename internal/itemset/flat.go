@@ -12,10 +12,10 @@ import (
 // a probe hashes the query in place and compares against stored items without
 // building a map key, and a lookup performs zero heap allocations. It is
 // sized once for a known set count and never grows. It serves point lookups —
-// HPGM's receiver, duplicate selection, candidate generation's prune — on
-// every Index except a dense C_2, which answers them from its pair table;
-// whole-transaction support counting goes through the prefix layout or the
-// pair table instead (Index.CountContained).
+// HPGM's receiver (Index.CountUnits), duplicate selection, candidate
+// generation's prune — on every Index except a dense C_2, which answers them
+// from its pair table; whole-transaction support counting goes through the
+// prefix layout or the pair table instead (Index.CountContained).
 //
 // A slot packs two fields into 32 bits: the low idBits hold the id + 1 (0
 // marks an empty slot), and the bits above hold a tag, the top bits of the
@@ -37,13 +37,19 @@ type flatProbe struct {
 // under a 128-bit-multiply hash; only the latter measurably slowed candidate
 // generation's prune, which probes in sorted order.
 func flatHash(items []item.Item) uint64 {
-	const prime64 = 1099511628211
 	h := uint64(hashOffset)
 	for _, it := range items {
-		v := uint32(it)
-		h = (h ^ uint64(v^v>>16)) * prime64
+		h = flatStep(h, it)
 	}
 	return h
+}
+
+// flatStep folds one item into a flatHash state, so a decoder can hash a
+// unit's items as it reads them (Index.CountUnits).
+func flatStep(h uint64, it item.Item) uint64 {
+	const prime64 = 1099511628211
+	v := uint32(it)
+	return (h ^ uint64(v^v>>16)) * prime64
 }
 
 // tag is the tag field of a slot holding a set whose hash is h: the top 32

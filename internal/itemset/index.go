@@ -1,6 +1,11 @@
 package itemset
 
-import "pgarm/internal/item"
+import (
+	"encoding/binary"
+
+	"pgarm/internal/item"
+	"pgarm/internal/wire"
+)
 
 // Index is an immutable itemset -> dense-id structure over a fixed candidate
 // list. It carries no counts and no probe counter, so one Index can be
@@ -50,4 +55,69 @@ func (ix *Index) Lookup(items []item.Item) int32 {
 		return ix.pairs.lookup(items)
 	}
 	return ix.idx.findItems(items, ix.sets)
+}
+
+// CountUnits is HPGM's receiver: it counts one batch of itemset units — each
+// wire.AppendItems bytes, concatenated — as one Lookup per unit, adding one
+// to counts[id] for every hit. It reads each unit once: every item is
+// decoded under wire.NextItem and folded into the flat probe's hash as it
+// arrives, so the probe does not walk the unit again; a dense C_2 answers
+// from its pair table. It returns the units, items and hits it counted. A
+// malformed unit ends the batch with the error wire.Dec.Items gives for it,
+// after the units before it were counted — exactly what decoding the batch
+// with Dec.Items and counting each unit with Lookup would do. st.unit holds
+// the decoded unit; nothing is allocated once it has grown.
+func (ix *Index) CountUnits(batch []byte, counts []int64, st *Stamps) (units, items, hits int64, err error) {
+	b := batch
+	for len(b) > 0 {
+		at := b
+		n, w := uint64(b[0]), 1
+		if n >= 0x80 {
+			if n, w = binary.Uvarint(b); w <= 0 {
+				return units, items, hits, unitErr(at)
+			}
+		}
+		if b = b[w:]; n > uint64(len(b)) {
+			return units, items, hits, unitErr(at)
+		}
+		buf, h, prev := st.unit[:0], uint64(hashOffset), item.Item(0)
+		for i := range int(n) {
+			v, w := uint64(0), 0
+			if len(b) > 0 && b[0] < 0x80 {
+				v, w = uint64(b[0]), 1
+			} else if v, w = binary.Uvarint(b); w <= 0 {
+				return units, items, hits, unitErr(at)
+			}
+			b = b[w:]
+			var ok bool
+			if prev, ok = wire.NextItem(prev, v, i == 0); !ok {
+				return units, items, hits, unitErr(at)
+			}
+			buf = append(buf, prev)
+			h = flatStep(h, prev)
+		}
+		st.unit = buf
+		units++
+		items += int64(n)
+		var id int32
+		if ix.pairs.pair != nil {
+			id = ix.pairs.lookup(buf)
+		} else {
+			id = ix.idx.find(buf, h, ix.sets)
+		}
+		if id >= 0 {
+			counts[id]++
+			hits++
+		}
+	}
+	return units, items, hits, nil
+}
+
+// unitErr is the error wire.Dec.Items gives for the malformed unit at the
+// head of b.
+func unitErr(b []byte) error {
+	d := wire.NewDec(b)
+	d.Items(nil)
+	d.Fail("itemset: malformed unit") // kept only if Dec.Items accepted it
+	return d.Err()
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"pgarm/internal/item"
+	"pgarm/internal/wire"
 )
 
 func TestKeyOrderMatchesItemsetOrder(t *testing.T) {
@@ -203,8 +204,9 @@ func TestTableFlatProbeMatchesMap(t *testing.T) {
 }
 
 // The zero-allocation contract of the candidate counting hot path: Index
-// lookups, HPGM's subset walk (once it has grown) and the
-// containment kernel (once its stamps have grown) must not touch the heap.
+// lookups, HPGM's subset walk and unit encoding (once walker and batch have
+// grown), its receiver and the containment kernel (once their stamps have
+// grown) must not touch the heap.
 func TestProbePathZeroAlloc(t *testing.T) {
 	var sets [][]item.Item
 	for i := 0; i < 64; i++ {
@@ -221,6 +223,11 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	if got := ix.CountContained(contained, counts, &stamps); got != 2 {
 		t.Fatalf("CountContained found %d sets, want 2", got)
 	}
+	batch := make([]byte, 0, 1024)
+	units := wire.AppendItems(wire.AppendItems(nil, hit), miss)
+	if _, _, hits, err := ix.CountUnits(units, counts, &stamps); hits != 1 || err != nil {
+		t.Fatalf("CountUnits found %d sets (%v), want 1", hits, err)
+	}
 
 	cases := []struct {
 		name string
@@ -229,12 +236,16 @@ func TestProbePathZeroAlloc(t *testing.T) {
 		{"Index.Lookup hit", func() { ix.Lookup(hit) }},
 		{"Index.Lookup miss", func() { ix.Lookup(miss) }},
 		{"Subsets", func() {
+			batch = batch[:0]
 			for ok := walk.Reset(txn, 3); ok; ok = walk.Next() {
-				walk.Unit()
+				batch = wire.AppendItems(batch, walk.Items())
 			}
 		}},
 		{"Index.CountContained", func() {
 			ix.CountContained(contained, counts, &stamps)
+		}},
+		{"Index.CountUnits", func() {
+			ix.CountUnits(units, counts, &stamps)
 		}},
 	}
 	for _, c := range cases {

@@ -128,17 +128,18 @@ func (p *prefixLayout) build(sets [][]item.Item) {
 	}
 }
 
-// Stamps is one worker's scratch for Index.CountContained: for each item of
-// the transaction being counted, its position. Entries are stamped relative
-// to a base that advances past every transaction, so nothing is cleared
-// between transactions. A dense C_2 uses ranks instead, the transaction's
-// items mapped to pair-table ranks. The zero value is ready to use; it grows
-// once to the largest item id (or transaction) seen and then never
-// allocates.
+// Stamps is one counter's scratch for Index.CountContained and
+// Index.CountUnits: for each item of the transaction being counted, its
+// position. Entries are stamped relative to a base that advances past every
+// transaction, so nothing is cleared between transactions. A dense C_2 uses
+// ranks instead, the transaction's items mapped to pair-table ranks. The
+// zero value is ready to use; it grows once to the largest item id (or
+// transaction, or unit) seen and then never allocates.
 type Stamps struct {
-	at    []uint32 // at[x] - base - 1 = position of x when at[x] > base
-	next  uint32   // base of the next transaction: past every stamp so far
-	ranks []int32  // the transaction's pair-table ranks, dense C_2 only
+	at    []uint32    // at[x] - base - 1 = position of x when at[x] > base
+	next  uint32      // base of the next transaction: past every stamp so far
+	ranks []int32     // the transaction's pair-table ranks, dense C_2 only
+	unit  []item.Item // CountUnits' decoded unit
 }
 
 // stamp records txn's item positions and returns the base they are relative

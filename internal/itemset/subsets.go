@@ -1,20 +1,16 @@
 package itemset
 
-import (
-	"pgarm/internal/item"
-	"pgarm/internal/wire"
-)
+import "pgarm/internal/item"
 
 // Subsets walks the k-subsets of one canonical transaction in ForEachSubset's
 // lexicographic order, carrying per depth the Hash state of the subset's
-// prefix and the wire bytes of its unit (wire.AppendItems), so a step
-// re-hashes and re-encodes only the depths that changed. Most steps move
-// only the last position: such a subset costs one item of Hash, and one
-// varint if its unit is asked for. It is HPGM's sender: every subset of an
-// extended transaction is hashed to find its owner, and only those owned
-// elsewhere are encoded.
+// prefix, so a step re-hashes only the depths that changed. Most steps move
+// only the last position: such a subset costs one item of Hash. It is HPGM's
+// sender: every subset of an extended transaction is hashed to find its
+// owner, and only those owned elsewhere are encoded, straight into the
+// owner's batch.
 //
-//	for ok := s.Reset(txn, k); ok; ok = s.Next() { ... s.Hash() ... s.Unit() ... }
+//	for ok := s.Reset(txn, k); ok; ok = s.Next() { ... s.Hash() ... s.Items() ... }
 //
 // The zero value is ready to use. A walker grows once to the largest k it
 // sees and then allocates nothing; one walker serves one goroutine.
@@ -24,11 +20,6 @@ type Subsets struct {
 	idx []int       // idx[d]: the txn position chosen at depth d
 	sub []item.Item // the current subset
 	h   []uint64    // h[d]: the Hash state after sub[:d]
-	end []int       // end[d]: len(unit) once sub[:d] is encoded
-	// unit holds the current subset's unit bytes through depth enc: the
-	// length prefix and the items of sub[:enc].
-	unit []byte
-	enc  int
 }
 
 // Reset starts a walk over the k-subsets of txn, positioned at the first
@@ -43,13 +34,10 @@ func (s *Subsets) Reset(txn []item.Item, k int) bool {
 			s.idx = make([]int, k)
 			s.sub = make([]item.Item, k)
 			s.h = make([]uint64, k+1)
-			s.end = make([]int, k+1)
 		}
-		s.idx, s.sub, s.h, s.end = s.idx[:k], s.sub[:k], s.h[:k+1], s.end[:k+1]
+		s.idx, s.sub, s.h = s.idx[:k], s.sub[:k], s.h[:k+1]
 		s.k = k
 		s.h[0] = hashOffset
-		s.unit = wire.AppendUvarint(s.unit[:0], uint64(k))
-		s.end[0] = len(s.unit)
 	}
 	s.txn = txn
 	for d := range s.idx {
@@ -67,7 +55,6 @@ func (s *Subsets) Next() bool {
 		x := s.txn[i]
 		s.idx[k-1], s.sub[k-1] = i, x
 		s.h[k] = hashStep(s.h[k-1], x)
-		s.enc = min(s.enc, k-1)
 		return true
 	}
 	// Bump the rightmost earlier position that still has headroom, then
@@ -87,15 +74,13 @@ func (s *Subsets) Next() bool {
 	return true
 }
 
-// fill recomputes the subset and its hash states from depth d on, and marks
-// the unit's bytes stale from there.
+// fill recomputes the subset and its hash states from depth d on.
 func (s *Subsets) fill(d int) {
 	for j := d; j < s.k; j++ {
 		x := s.txn[s.idx[j]]
 		s.sub[j] = x
 		s.h[j+1] = hashStep(s.h[j], x)
 	}
-	s.enc = min(s.enc, d)
 }
 
 // Items returns the current subset. Shared scratch: valid until the next
@@ -104,18 +89,3 @@ func (s *Subsets) Items() []item.Item { return s.sub }
 
 // Hash returns Hash(Items()).
 func (s *Subsets) Hash() uint64 { return s.h[s.k] }
-
-// Unit returns wire.AppendItems(nil, Items()), encoding only the depths that
-// changed since it was last asked for. Shared scratch, like Items.
-func (s *Subsets) Unit() []byte {
-	for j := s.enc; j < s.k; j++ {
-		v := uint64(s.sub[j])
-		if j > 0 {
-			v = uint64(s.sub[j] - s.sub[j-1])
-		}
-		s.unit = wire.AppendUvarint(s.unit[:s.end[j]], v)
-		s.end[j+1] = len(s.unit)
-	}
-	s.enc = s.k
-	return s.unit
-}

@@ -1,20 +1,15 @@
 package itemset
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"pgarm/internal/item"
-	"pgarm/internal/wire"
 )
 
 // TestSubsetsMatchForEachSubset: over random canonical transactions and
 // k in 0..5 (k = |t| and k > |t| included), one reused walker yields
-// ForEachSubset's subsets in ForEachSubset's order, each with Hash(sub) and
-// the unit bytes wire.AppendItems(nil, sub). Units are asked for on a random
-// share of the subsets, so the lazy encoding must catch up over skipped
-// steps.
+// ForEachSubset's subsets in ForEachSubset's order, each with Hash(sub).
 func TestSubsetsMatchForEachSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var walk Subsets
@@ -22,7 +17,6 @@ func TestSubsetsMatchForEachSubset(t *testing.T) {
 		n := rng.Intn(9)
 		txn := make([]item.Item, 0, n)
 		for len(txn) < n {
-			// Items up to 2^21 take one to three varint bytes.
 			txn = item.Dedup(append(txn, item.Item(rng.Intn(1<<(7*(1+rng.Intn(3)))))))
 		}
 		for k := 0; k <= 5; k++ {
@@ -42,11 +36,6 @@ func TestSubsetsMatchForEachSubset(t *testing.T) {
 				}
 				if h := walk.Hash(); h != Hash(sub) {
 					t.Fatalf("txn %v k=%d subset %v: hash %#x, want %#x", txn, k, sub, h, Hash(sub))
-				}
-				if rng.Intn(3) == 0 {
-					if u, w := walk.Unit(), wire.AppendItems(nil, sub); !bytes.Equal(u, w) {
-						t.Fatalf("txn %v k=%d subset %v: unit % x, want % x", txn, k, sub, u, w)
-					}
 				}
 				got++
 			}
