@@ -1,15 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"pgarm/internal/driver"
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
-	"pgarm/internal/wire"
 )
 
 // hpgmEngine implements HPGM (§3.2): candidates are hash-partitioned over
@@ -88,8 +85,6 @@ func (e *hpgmEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 		st.Increments += hits
 		return items, err
 	})
-	// A unit is its length k and k items, each a varint of at most 5 bytes.
-	maxUnit := (1 + k) * binary.MaxVarintLen32
 	err := driver.CountPhase(n.Local(), W, n.ShardObs("count"), st, closure, cp,
 		func(w *driver.Worker, _ txn.Transaction) error {
 			// Every k-subset is hashed to find its owner. One this node owns
@@ -106,11 +101,7 @@ func (e *hpgmEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 					continue
 				}
 				sent++
-				buf, err := w.Bat.Open(dest, maxUnit)
-				if err != nil {
-					return err
-				}
-				if err := w.Bat.Commit(dest, wire.AppendItems(buf, walk.Items())); err != nil {
+				if err := w.Bat.AddItems(dest, walk.Items()); err != nil {
 					return err
 				}
 			}

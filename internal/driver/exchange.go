@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pgarm/internal/cluster"
@@ -174,15 +175,14 @@ func ItemsApplier(apply func(items []item.Item)) func(batch []byte) (int64, erro
 const batchBytes = 4 << 10
 
 // Batcher accumulates payload units per peer and flushes them as data-batch
-// messages once a batch reaches batchBytes. Every unit enters through Open
-// and Commit, which hold the room check, the threshold and the refusal of
-// the batcher's own node: a unit, or a flush, for it is an error, since a
-// node handles its own share in place. Each producer (scan worker) must own
-// its own Batcher.
+// messages once a batch reaches batchBytes. AddItems and AddRun append in
+// place through open and commit, which hold the room check, the threshold
+// and the refusal of the batcher's own node: a unit, or a flush, for it is
+// an error, since a node handles its own share in place. Each producer (scan
+// worker) must own its own Batcher.
 type Batcher struct {
 	ex    *Exchange
 	bufs  [][]byte
-	unit  []byte // AddItems' encoding scratch
 	limit int
 }
 
@@ -195,11 +195,16 @@ func (ex *Exchange) NewBatcher() *Batcher {
 	}
 }
 
-// AddItems appends one itemset unit (wire item encoding) for peer dest,
-// flushing if the batch is full.
+// AddItems encodes one itemset unit (wire.AppendItems) straight into peer
+// dest's batch, flushing if the batch is full. The room check counts the
+// unit's longest encoding, so only a unit of 50 items or more can send a
+// batch below the threshold that its exact size would have kept open.
 func (b *Batcher) AddItems(dest int, items []item.Item) error {
-	b.unit = wire.AppendItems(b.unit[:0], items)
-	return b.AddRun(dest, nil, b.unit)
+	buf, err := b.open(dest, binary.MaxVarintLen64+binary.MaxVarintLen32*len(items))
+	if err != nil {
+		return err
+	}
+	return b.commit(dest, wire.AppendItems(buf, items))
 }
 
 // AddRun appends one already-encoded run for peer dest, head then body (both
@@ -207,21 +212,20 @@ func (b *Batcher) AddItems(dest int, items []item.Item) error {
 // must match what the exchange's apply callback decodes, and they arrive in
 // one batch.
 func (b *Batcher) AddRun(dest int, head, body []byte) error {
-	buf, err := b.Open(dest, len(head)+len(body))
+	buf, err := b.open(dest, len(head)+len(body))
 	if err != nil {
 		return err
 	}
-	return b.Commit(dest, append(append(buf, head...), body...))
+	return b.commit(dest, append(append(buf, head...), body...))
 }
 
-// Open hands over peer dest's open batch, for the caller to append at most
-// need bytes of whole units to and hand back through Commit before its next
-// call on dest. AddItems and AddRun go through it; a sender that encodes its
-// units in place (HPGM's) calls it directly. A unit may be longer than the
-// room cluster.BatchCap leaves above the threshold: when need would not fit,
-// the open batch is sent first, so the unit starts a recycled batch instead
-// of outgrowing one. Opening the batcher's own node is an error.
-func (b *Batcher) Open(dest, need int) ([]byte, error) {
+// open returns peer dest's open batch with room for need more bytes; the
+// caller appends one unit of at most need bytes and hands the batch back
+// through commit. A unit may be longer than the room cluster.BatchCap
+// leaves above the threshold: when need would not fit, the open batch is
+// sent first, so the unit starts a recycled batch instead of outgrowing
+// one. Opening the batcher's own node is an error.
+func (b *Batcher) open(dest, need int) ([]byte, error) {
 	buf := b.bufs[dest]
 	if len(buf) > 0 && len(buf)+need > cluster.BatchCap {
 		if err := b.Flush(dest); err != nil {
@@ -238,9 +242,9 @@ func (b *Batcher) Open(dest, need int) ([]byte, error) {
 	return buf, nil
 }
 
-// Commit takes back the batch Open handed over for dest, grown by the
-// caller's units, and sends it once it reaches the threshold.
-func (b *Batcher) Commit(dest int, buf []byte) error {
+// commit takes back the batch open handed over for dest, grown by one unit,
+// and sends it once it reaches the threshold.
+func (b *Batcher) commit(dest int, buf []byte) error {
 	b.bufs[dest] = buf
 	if len(buf) >= b.limit {
 		return b.Flush(dest)

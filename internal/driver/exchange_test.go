@@ -106,7 +106,7 @@ func TestCountPhaseDeliversAllUnits(t *testing.T) {
 }
 
 // TestBatcherRejectsSelf: a node handles its own share in place, so every
-// way of batching for itself — AddItems, AddRun, Open, Flush — is an error
+// way of batching for itself — AddItems, AddRun, Flush — is an error
 // naming the node, and nothing reaches the fabric: the node sends nothing
 // (its receive counters may move, since the peer finishes its own exchange
 // concurrently). FlushAll skips the node itself, and an exchange with no
@@ -129,7 +129,6 @@ func TestBatcherRejectsSelf(t *testing.T) {
 		for name, add := range map[string]func() error{
 			"AddItems": func() error { return bat.AddItems(nd.id, []item.Item{1, 2}) },
 			"AddRun":   func() error { return bat.AddRun(nd.id, []byte{1}, []byte{2}) },
-			"Open":     func() error { _, err := bat.Open(nd.id, 1); return err },
 			"Flush":    func() error { return bat.Flush(nd.id) },
 		} {
 			if err := add(); err == nil || !strings.Contains(err.Error(), want) {
@@ -150,6 +149,33 @@ func TestBatcherRejectsSelf(t *testing.T) {
 		}
 		f.Close()
 	}
+}
+
+// TestBatcherAddItemsZeroAlloc: AddItems, HPGM's and H-HPGM's sender,
+// encodes a unit into its peer's open batch; units that do not fill the
+// batch allocate nothing.
+func TestBatcherAddItemsZeroAlloc(t *testing.T) {
+	nodes, f := newTestNodes(t, 2)
+	defer f.Close()
+	wait := peerExchange(t, nodes[1], func([]byte) (int64, error) { return 0, nil })
+	ex := nodes[0].NewExchange(KData, func([]byte) (int64, error) { return 0, nil })
+	bat := ex.NewBatcher()
+	unit := []item.Item{3, 200, 1 << 20} // 7 bytes: one-, two- and three-byte varints
+	add := func() {
+		for range 64 { // 448 bytes, under the threshold
+			if err := bat.AddItems(1, unit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bat.bufs[1] = bat.bufs[1][:0]
+	}
+	if allocs := testing.AllocsPerRun(20, add); allocs != 0 {
+		t.Errorf("AddItems: %.1f allocs per 64 units, want 0", allocs)
+	}
+	if err := ex.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	wait()
 }
 
 func TestBatcherFlushesAtThreshold(t *testing.T) {
