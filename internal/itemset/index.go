@@ -21,7 +21,9 @@ import (
 // pair table, which answers both with direct reads. Every other index keeps
 // an open-addressed flat probe for lookups (the query is hashed in place and
 // compared against the stored itemsets) and a prefix layout for counting,
-// which never forms a subset no indexed set starts with. Neither allocates.
+// which never forms a subset no indexed set starts with; the layout holds
+// its children as item lists or as rank bitsets, whichever takes fewer
+// bytes. Neither allocates.
 type Index struct {
 	pairs pairTable // a dense C_2; when built, idx and pre stay empty
 	idx   flatProbe
@@ -32,14 +34,25 @@ type Index struct {
 // BuildIndex indexes the canonical itemsets; ids are positions in sets, and a
 // duplicated set keeps its first occurrence's id. The slices are retained,
 // not copied.
-func BuildIndex(sets [][]item.Item) *Index {
+func BuildIndex(sets [][]item.Item) *Index { return buildIndex(sets, formAuto) }
+
+// buildIndex is BuildIndex with the prefix layout's child form forced, for
+// tests; formAuto picks it by size.
+func buildIndex(sets [][]item.Item, form layoutForm) *Index {
 	ix := &Index{sets: sets}
 	if ix.pairs.build(sets) {
 		return ix
 	}
 	ix.idx.fill(sets)
-	ix.pre.build(sets)
+	ix.pre.build(sets, form)
 	return ix
+}
+
+// Bytes returns the bytes the index holds beyond the itemsets it retains:
+// the pair table, or the flat probe and the prefix layout in the child form
+// it was built with.
+func (ix *Index) Bytes() int64 {
+	return 4*int64(len(ix.pairs.slot)+len(ix.pairs.pair)+len(ix.idx.slots)) + ix.pre.size
 }
 
 // Len returns the number of indexed itemsets.

@@ -205,14 +205,15 @@ func TestTableFlatProbeMatchesMap(t *testing.T) {
 
 // The zero-allocation contract of the candidate counting hot path: Index
 // lookups, HPGM's subset walk and unit encoding (once walker and batch have
-// grown), its receiver and the containment kernel (once their stamps have
-// grown) must not touch the heap.
+// grown), its receiver and the containment kernel in both child forms of the
+// prefix layout (once their stamps have grown) must not touch the heap.
 func TestProbePathZeroAlloc(t *testing.T) {
 	var sets [][]item.Item
 	for i := 0; i < 64; i++ {
 		sets = append(sets, []item.Item{item.Item(i), item.Item(i + 100), item.Item(i + 1000)})
 	}
-	ix := BuildIndex(sets)
+	ix := buildIndex(sets, formList)
+	bitsIx := buildIndex(sets, formBits)
 	hit := []item.Item{5, 105, 1005}
 	miss := []item.Item{5, 105, 9999}
 	txn := []item.Item{1, 2, 3, 4, 5, 6, 7, 8}
@@ -220,8 +221,10 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	contained := []item.Item{3, 5, 9, 103, 105, 777, 1003, 1005, 1009, 5000}
 	counts := make([]int64, ix.Len())
 	var stamps Stamps
-	if got := ix.CountContained(contained, counts, &stamps); got != 2 {
-		t.Fatalf("CountContained found %d sets, want 2", got)
+	for _, ix := range []*Index{ix, bitsIx} {
+		if got := ix.CountContained(contained, counts, &stamps); got != 2 {
+			t.Fatalf("CountContained (bitset form %v) found %d sets, want 2", ix.pre.bits != nil, got)
+		}
 	}
 	batch := make([]byte, 0, 1024)
 	units := wire.AppendItems(wire.AppendItems(nil, hit), miss)
@@ -241,8 +244,11 @@ func TestProbePathZeroAlloc(t *testing.T) {
 				batch = wire.AppendItems(batch, walk.Items())
 			}
 		}},
-		{"Index.CountContained", func() {
+		{"Index.CountContained list form", func() {
 			ix.CountContained(contained, counts, &stamps)
+		}},
+		{"Index.CountContained bitset form", func() {
+			bitsIx.CountContained(contained, counts, &stamps)
 		}},
 		{"Index.CountUnits", func() {
 			ix.CountUnits(units, counts, &stamps)

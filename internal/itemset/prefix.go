@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"math/bits"
 	"sort"
 
 	"pgarm/internal/item"
@@ -8,26 +9,80 @@ import (
 
 // prefixLayout is the counting side of an Index: the indexed k-itemsets as a
 // trie over their lexicographic order, flattened into per-level arrays. Level
-// l lists the distinct (l+1)-item prefixes in sorted order; items[l][j] is
-// prefix j's last item and, below the leaf level, its children are the
-// level-l+1 nodes [start[l][j], start[l][j+1]). Level 0 is reached through
-// the dense directory dir (first item -> level-0 node, -1 when no set starts
-// with it). Leaves are the sets themselves in sorted order, so when the
-// input was strictly ascending — every candidate list the generators emit —
-// a leaf's position is its dense id and ids stays nil; otherwise ids maps
-// leaf position to id.
+// l lists the distinct (l+1)-item prefixes in sorted order; below the leaf
+// level, node j's children are the level-l+1 nodes [start[l][j],
+// start[l][j+1]). Level 0 is reached through the dense directory dir (first
+// item -> level-0 node, -1 when no set starts with it). Leaves are the sets
+// themselves in sorted order, so when the input was strictly ascending —
+// every candidate list the generators emit — a leaf's position is its dense
+// id and ids stays nil; otherwise ids maps leaf position to id.
+//
+// A child's item is held in one of two forms, picked once per layout by
+// size (build). The list form keeps items[l][j], the last item of level-l
+// node j, for l ≥ 1. The bitset form ranks the distinct child items (items
+// at levels ≥ 1, in item order) and keeps each interior node's children as
+// a w-word bitset over those ranks, bits[l][j*w:(j+1)*w], with w = ⌈R/64⌉
+// for R ranks: a node's children ascend by item and so by rank, and the
+// child with rank r is the node start[l][j] plus the number of bits the node
+// sets below r.
 type prefixLayout struct {
 	k       int       // common set length; 0 for an empty index, -1 for mixed lengths
 	maxItem item.Item // largest item in any set
 	dir     []int32
-	items   [][]item.Item
 	start   [][]int32
 	ids     []int32
+	items   [][]item.Item // list form; items[0] stays nil, dir stands for it
+	rank    rankTable     // bitset form
+	bits    [][]uint64    // bitset form, levels 0..k-2
+	w       int           // bitset form: words per node
+	size    int64         // bytes held, counted as the form rule counts them
+}
+
+// rankTable maps a child item to its rank: has marks the ranked items, and
+// below[i] counts the ranked items under word i.
+type rankTable struct {
+	has   []uint64
+	below []int32
+}
+
+// of returns x's rank, or -1 when x is not ranked.
+func (t *rankTable) of(x item.Item) int32 {
+	i := int(x >> 6)
+	if i >= len(t.has) {
+		return -1
+	}
+	bit := uint64(1) << (x & 63)
+	if t.has[i]&bit == 0 {
+		return -1
+	}
+	return t.below[i] + int32(bits.OnesCount64(t.has[i]&(bit-1)))
+}
+
+// layoutForm names a child form; formAuto lets build pick by size, the
+// others force a form for tests.
+type layoutForm int
+
+const (
+	formAuto layoutForm = iota
+	formList
+	formBits
+)
+
+// listBytes and bitsBytes are the bytes the two child forms hold: a 4-byte
+// item per child node, or 8 bytes per word of every interior node plus the
+// rank table's 12 bytes per word of item space. The form rule and the
+// layout's size (Index.Bytes) both count with them.
+func listBytes(children int) int64 { return 4 * int64(children) }
+
+func bitsBytes(interior, w, rankWords int) int64 {
+	return 8*int64(interior)*int64(w) + 12*int64(rankWords)
 }
 
 // build lays out sets. Duplicate itemsets collapse into one leaf carrying the
-// lowest id, matching the hash side's first-occurrence rule.
-func (p *prefixLayout) build(sets [][]item.Item) {
+// lowest id, matching the hash side's first-occurrence rule. Under formAuto
+// the bitset form is built iff it holds no more bytes than the child item
+// arrays it replaces.
+func (p *prefixLayout) build(sets [][]item.Item, form layoutForm) {
 	if len(sets) == 0 {
 		return
 	}
@@ -82,20 +137,59 @@ func (p *prefixLayout) build(sets [][]item.Item) {
 		return l
 	}
 
-	// Pass 1 sizes every level exactly; pass 2 fills.
+	// Pass 1 sizes every level exactly and marks the child items; pass 2
+	// fills.
 	nodes := make([]int, k)
+	var has []uint64
+	if k > 1 {
+		has = make([]uint64, int(p.maxItem)>>6+1)
+	}
 	for pos := range sets {
+		s := at(pos)
 		for l := fresh(pos); l < k; l++ {
 			nodes[l]++
+			if l > 0 {
+				has[s[l]>>6] |= 1 << (s[l] & 63)
+			}
 		}
 	}
-	p.items = make([][]item.Item, k)
-	p.start = make([][]int32, k-1)
-	for l := 0; l < k; l++ {
-		p.items[l] = make([]item.Item, 0, nodes[l])
+	interior, children, r := 0, 0, 0
+	for l, n := range nodes {
 		if l < k-1 {
-			p.start[l] = make([]int32, 0, nodes[l]+1)
+			interior += n
 		}
+		if l > 0 {
+			children += n
+		}
+	}
+	for _, x := range has {
+		r += bits.OnesCount64(x)
+	}
+	w := (r + 63) / 64
+	if form == formAuto && k > 1 && bitsBytes(interior, w, len(has)) <= listBytes(children) {
+		form = formBits
+	}
+	if k > 1 && form == formBits {
+		p.rank = rankTable{has: has, below: make([]int32, len(has))}
+		for i := 1; i < len(has); i++ {
+			p.rank.below[i] = p.rank.below[i-1] + int32(bits.OnesCount64(has[i-1]))
+		}
+		p.w = w
+		p.bits = make([][]uint64, k-1)
+		for l := range p.bits {
+			p.bits[l] = make([]uint64, nodes[l]*w)
+		}
+		p.size = bitsBytes(interior, w, len(has))
+	} else {
+		p.items = make([][]item.Item, k)
+		for l := 1; l < k; l++ {
+			p.items[l] = make([]item.Item, 0, nodes[l])
+		}
+		p.size = listBytes(children)
+	}
+	p.start = make([][]int32, k-1)
+	for l := range p.start {
+		p.start[l] = make([]int32, 0, nodes[l]+1)
 	}
 	if order != nil {
 		p.ids = make([]int32, 0, nodes[k-1])
@@ -104,6 +198,9 @@ func (p *prefixLayout) build(sets [][]item.Item) {
 	for i := range p.dir {
 		p.dir[i] = -1
 	}
+	p.size += 4 * int64(len(p.dir)+interior+k-1+cap(p.ids)) // dir, start, ids
+
+	filled := make([]int32, k) // nodes laid out so far, per level
 	for pos := range sets {
 		s := at(pos)
 		l := fresh(pos)
@@ -111,33 +208,43 @@ func (p *prefixLayout) build(sets [][]item.Item) {
 			continue
 		}
 		if l == 0 {
-			p.dir[s[0]] = int32(len(p.items[0]))
+			p.dir[s[0]] = filled[0]
 		}
 		for ; l < k; l++ {
 			if l < k-1 {
-				p.start[l] = append(p.start[l], int32(len(p.items[l+1])))
+				p.start[l] = append(p.start[l], filled[l+1])
 			}
-			p.items[l] = append(p.items[l], s[l])
+			if l > 0 {
+				if p.bits != nil {
+					r := p.rank.of(s[l])
+					p.bits[l-1][int(filled[l-1]-1)*p.w+int(r>>6)] |= 1 << (r & 63)
+				} else {
+					p.items[l] = append(p.items[l], s[l])
+				}
+			}
+			filled[l]++
 		}
 		if order != nil {
 			p.ids = append(p.ids, order[pos])
 		}
 	}
-	for l := 0; l < k-1; l++ {
-		p.start[l] = append(p.start[l], int32(len(p.items[l+1])))
+	for l := range p.start {
+		p.start[l] = append(p.start[l], filled[l+1])
 	}
 }
 
 // Stamps is one counter's scratch for Index.CountContained and
 // Index.CountUnits: for each item of the transaction being counted, its
 // position. Entries are stamped relative to a base that advances past every
-// transaction, so nothing is cleared between transactions. A dense C_2 uses
-// ranks instead, the transaction's items mapped to pair-table ranks. The
+// transaction, so nothing is cleared between transactions. A bitset-form
+// layout sets the transaction's child-item ranks in words instead, cleared
+// per transaction, and a dense C_2 maps the items to pair-table ranks. The
 // zero value is ready to use; it grows once to the largest item id (or
-// transaction, or unit) seen and then never allocates.
+// transaction, unit or rank space) seen and then never allocates.
 type Stamps struct {
 	at    []uint32    // at[x] - base - 1 = position of x when at[x] > base
 	next  uint32      // base of the next transaction: past every stamp so far
+	words []uint64    // the transaction's child-item ranks, bitset form only
 	ranks []int32     // the transaction's pair-table ranks, dense C_2 only
 	unit  []item.Item // CountUnits' decoded unit
 }
@@ -189,8 +296,9 @@ func Choose(n, k int) int64 {
 type countWalk struct {
 	p      *prefixLayout
 	txn    []item.Item
-	at     []uint32
-	base   uint32
+	at     []uint32 // list form
+	base   uint32   // list form
+	words  []uint64 // bitset form
 	counts []int64
 	found  int64
 }
@@ -200,7 +308,9 @@ type countWalk struct {
 // needs an entry per indexed id (Len). It is the count-support kernel:
 // instead of materializing all C(len(txn), k) subsets and probing each, it
 // descends the prefix layout only along prefixes that exist, so subsets no
-// candidate starts with are never formed. At every node the children and
+// candidate starts with are never formed. In the bitset form every visited
+// node's words are ANDed with the transaction's rank words, and each
+// surviving bit is a child to descend to. In the list form the children and
 // the remaining transaction items are intersected from the smaller side: few
 // children are tested against st's position stamps, few remaining items are
 // binary-searched among the children.
@@ -226,24 +336,68 @@ func (ix *Index) CountContained(txn []item.Item, counts []int64, st *Stamps) int
 		return 0
 	}
 	w := countWalk{p: p, txn: txn, counts: counts}
-	w.base = st.stamp(txn, p.maxItem)
-	w.at = st.at
+	if p.bits != nil {
+		w.words = st.rankWords(txn, p)
+	} else {
+		w.base = st.stamp(txn, p.maxItem)
+		w.at = st.at
+	}
 	for i, last := 0, len(txn)-k; i <= last; i++ {
 		x := txn[i]
 		if int(x) >= len(p.dir) {
 			break
 		}
 		j := p.dir[x]
-		if j < 0 {
-			continue
-		}
-		if k == 1 {
+		switch {
+		case j < 0:
+		case k == 1:
 			w.bump(j)
-		} else {
+		case p.bits != nil:
+			w.visit(0, j)
+		default:
 			w.descend(1, p.start[0][j], p.start[0][j+1], i+1)
 		}
 	}
 	return w.found
+}
+
+// rankWords returns the transaction's child-item ranks as p.w words.
+func (s *Stamps) rankWords(txn []item.Item, p *prefixLayout) []uint64 {
+	if len(s.words) < p.w {
+		s.words = make([]uint64, p.w)
+	}
+	words := s.words[:p.w]
+	clear(words)
+	for _, x := range txn {
+		if int(x>>6) >= len(p.rank.has) {
+			break
+		}
+		if r := p.rank.of(x); r >= 0 {
+			words[r>>6] |= 1 << (r & 63)
+		}
+	}
+	return words
+}
+
+// visit counts below the bitset-form node j of level l: every child whose
+// rank bit the transaction also sets is a leaf to bump or a node to visit.
+func (w *countWalk) visit(l int, j int32) {
+	p := w.p
+	node := p.bits[l][int(j)*p.w : int(j+1)*p.w]
+	words := w.words[:len(node)]
+	child := p.start[l][j] // the first child of the word at hand
+	leaf := l == p.k-2
+	for i, nw := range node {
+		for m := nw & words[i]; m != 0; m &= m - 1 {
+			c := child + int32(bits.OnesCount64(nw&(m&-m-1)))
+			if leaf {
+				w.bump(c)
+			} else {
+				w.visit(l+1, c)
+			}
+		}
+		child += int32(bits.OnesCount64(nw))
+	}
 }
 
 // bump counts the leaf at sorted position j.
