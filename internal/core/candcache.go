@@ -67,10 +67,9 @@ func (p *passOnce[T]) get(k int, compute func() T) T {
 // a worker fan-out to pay for itself (EXPERIMENTS.md, "Parallel pass
 // boundaries").
 type candCache struct {
-	tax   *taxonomy.Taxonomy
-	gen   passOnce[[][]item.Item]
-	plan  passOnce[*passPlan]
-	index passOnce[*itemset.Index]
+	tax  *taxonomy.Taxonomy
+	gen  passOnce[[][]item.Item]
+	plan passOnce[*passPlan]
 }
 
 // passPlan is the H-HPGM family's shared partition plan for one pass.
@@ -83,10 +82,15 @@ type passPlan struct {
 	owners    []int
 	// dup flags duplicated candidate ids; dupSets lists them in ascending
 	// id order (the order of the per-node count vectors), and dupIndex
-	// indexes dupSets.
+	// indexes dupSets. A plan that replicates every candidate whatever C_k
+	// holds (NPGM's, an unbudgeted variant's) has no vecHashes, owners or
+	// dup, and no dupIndex when it has several fragments.
 	dup      bitset
 	dupSets  [][]item.Item
 	dupIndex *itemset.Index
+	// fragments is how many memory-sized scans count the pass: above 1 only
+	// for a fragmented NPGM pass (fragmentCount).
+	fragments int
 	// decision is the plan's report-facing summary (partitioner, granule,
 	// duplicated count); shared like the rest of the plan so every
 	// in-process node publishes the identical decision.
@@ -108,12 +112,4 @@ func (c *candCache) generate(k int, prev [][]item.Item) [][]item.Item {
 // hierPlan returns the shared partition plan for pass k.
 func (c *candCache) hierPlan(k int, compute func() *passPlan) *passPlan {
 	return c.plan.get(k, compute)
-}
-
-// fullIndex returns a shared index over all of C_k, used by NPGM (whose
-// candidate set is replicated) when C_k fits in one memory fragment.
-func (c *candCache) fullIndex(k int, cands [][]item.Item) *itemset.Index {
-	return c.index.get(k, func() *itemset.Index {
-		return itemset.BuildIndex(cands)
-	})
 }

@@ -125,10 +125,11 @@ func TestAlgorithmsMatchCumulateWithMemoryBudget(t *testing.T) {
 }
 
 // TestNPGMFragmentScans runs NPGM under a budget that splits C_k into
-// several memory fragments, with two scan workers per node. Each fragment
-// scan counts into its [lo, hi) window of the worker vectors, which
-// driver.CountTable accepts only from an index of exactly hi-lo candidates,
-// so a scan holds its own fragment and nothing more. L_k must equal
+// several memory fragments, with two scan workers per node. The replicated
+// count (hierEngine.countReplicated) hands each fragment scan its [lo, hi)
+// window of the worker vectors through driver.CountTable, which accepts it
+// only from an index of exactly hi-lo candidates, so a scan holds its own
+// fragment and nothing more: a scan handed all of C_k fails the mine. L_k must equal
 // Cumulate's, every fragment re-scans the partition against the same
 // member filter (Probes is the unbudgeted count times the fragment count),
 // and each contained candidate is counted once (Increments is unchanged).

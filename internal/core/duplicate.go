@@ -16,24 +16,34 @@ const (
 	dupTree                // H-HPGM-TGD: whole trees (root k-itemsets)
 	dupPath                // H-HPGM-PGD: frequent leaf itemsets + ancestors
 	dupFine                // H-HPGM-FGD: frequent any-level itemsets + ancestors
+	dupAll                 // NPGM: every candidate, fragmented past the budget
 )
+
+// CandBytes estimates the per-candidate memory footprint the paper's M
+// models: k 4-byte items plus table entry overhead (hash bucket, count,
+// header). The absolute constant only shifts where fragmentation and
+// duplication kick in; the experiments sweep MemoryBudget relative to it.
+func CandBytes(k int) int64 { return 48 + 4*int64(k) }
+
+// fragmentCount returns how many memory-sized fragments an all-replicated
+// pass must split |C_k| candidates into.
+func fragmentCount(numCands, k int, budget int64) int {
+	if budget <= 0 {
+		return 1
+	}
+	perNode := max(budget/CandBytes(k), 1)
+	return max(int((int64(numCands)+perNode-1)/perNode), 1)
+}
 
 // selectDuplicates picks the candidates to copy onto every node, flagged by
 // index into cands. The decision is a pure function of globally replicated
 // state (L1 counts, candidates, owners), so every node computes the same
-// set without communication — the paper's step 1 of Figures 7/9/11.
+// set without communication — the paper's step 1 of Figures 7/9/11. Only a
+// budgeted plan asks: with no budget a duplicating variant takes every
+// candidate (computeHierPlan).
 func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item, vecHashes []uint64, owners []int) bitset {
 	dup := newBitset(len(cands))
 	if len(cands) == 0 || kind == dupNone {
-		return dup
-	}
-
-	// With no budget configured memory is unlimited and every candidate is
-	// duplicated — the variants degenerate to fully local counting.
-	if m.cfg.MemoryBudget <= 0 {
-		for i := range cands {
-			dup.set(int32(i))
-		}
 		return dup
 	}
 	// Free space: per-node budget minus the largest partitioned share

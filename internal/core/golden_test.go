@@ -64,7 +64,8 @@ func TestGoldenCounters(t *testing.T) {
 		}
 	}
 
-	// FGD with no budget duplicates every candidate: the routing-free path.
+	// FGD with no budget duplicates every candidate: the replicated path NPGM
+	// counts through, here with one fragment.
 	res, err := Mine(ds.Taxonomy, partsOf(ds.DB, nodes), Config{Algorithm: HHPGMFGD, MinSupport: minSup, MaxK: 3})
 	if err != nil {
 		t.Fatal(err)

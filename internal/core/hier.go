@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+
+	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
@@ -59,6 +62,10 @@ func (g *groupCounter) count(cl *taxonomy.Closure, index *itemset.Index, k int, 
 // frequently occurring candidates — whole trees, leaf paths, or individual
 // hot itemsets plus their ancestor candidates — which are then counted
 // locally on every node, flattening the probe-load distribution (Fig 15).
+//
+// NPGM (§3.1) is the same engine with every candidate duplicated (dupAll),
+// which is also what the variants do when no budget limits memory: such a
+// pass is counted by countReplicated, without routing.
 type hierEngine struct {
 	itemsetMiner
 	dup dupKind
@@ -81,9 +88,9 @@ func (e *hierEngine) FinishPass1(n *driver.Node, local, global []int64, l1 []ite
 	return err
 }
 
-// PlanPass derives the pass's partition plan: root vectors, owners and the
-// duplication choice are deterministic on every node; computed once and
-// shared (see candCache).
+// PlanPass derives the pass's partition plan (computeHierPlan): it is
+// deterministic on every node, so it is computed once and shared (see
+// candCache).
 func (e *hierEngine) PlanPass(n *driver.Node, k int) (driver.PlanDecision, error) {
 	psp := n.Span("partition")
 	e.cur = e.cands.hierPlan(k, func() *passPlan {
@@ -96,17 +103,14 @@ func (e *hierEngine) PlanPass(n *driver.Node, k int) (driver.PlanDecision, error
 
 func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	cands := e.curCands
+	plan := e.cur
+	if len(plan.dupSets) == len(cands) {
+		return e.countReplicated(n, k, st)
+	}
 	nNodes := n.NumNodes()
 	self := n.ID()
-
 	W := n.Workers()
-	plan := e.cur
 	owners, dupFlag := plan.owners, plan.dup
-
-	// anyPartitioned is false when the plan duplicated every candidate (the
-	// no-budget TGD/PGD/FGD case): nothing is owned, so no item group can be
-	// of use to any node and the scan skips routing altogether.
-	anyPartitioned := len(plan.dupSets) < len(cands)
 
 	// vecInfo drives routing: owner of each root vector and how many
 	// candidates of that vector remain partitioned (not duplicated). A
@@ -123,21 +127,18 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 		owner     int
 		remaining int
 	}
-	var vecInfo map[uint64]*vecEntry
+	vecInfo := make(map[uint64]*vecEntry)
 	var ownedCands [][]item.Item
-	if anyPartitioned {
-		vecInfo = make(map[uint64]*vecEntry)
-		for i, c := range cands {
-			ve := vecInfo[plan.vecHashes[i]]
-			if ve == nil {
-				ve = &vecEntry{owner: owners[i]}
-				vecInfo[plan.vecHashes[i]] = ve
-			}
-			if !dupFlag.get(int32(i)) {
-				ve.remaining++
-				if owners[i] == self {
-					ownedCands = append(ownedCands, c)
-				}
+	for i, c := range cands {
+		ve := vecInfo[plan.vecHashes[i]]
+		if ve == nil {
+			ve = &vecEntry{owner: owners[i]}
+			vecInfo[plan.vecHashes[i]] = ve
+		}
+		if !dupFlag.get(int32(i)) {
+			ve.remaining++
+			if owners[i] == self {
+				ownedCands = append(ownedCands, c)
 			}
 		}
 	}
@@ -147,14 +148,10 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 	// unit is the item group t'' a peer selected for us, and wowned[1+w] by
 	// scan worker w. Duplicated candidates are counted into per-worker
 	// vectors over the shared read-only dupIndex. All merge at the scan
-	// barrier. Groups exist only when something is partitioned, which is
-	// when the closure exists.
+	// barrier.
 	ownedIndex := itemset.BuildIndex(ownedCands)
 	wowned := driver.WorkerVectors(1+W, len(ownedCands))
-	var ownedClosure *taxonomy.Closure
-	if anyPartitioned {
-		ownedClosure = taxonomy.SetsClosure(e.tax, ownedCands)
-	}
+	ownedClosure := taxonomy.SetsClosure(e.tax, ownedCands)
 	recv := groupCounter{counts: wowned[0]}
 	xsp := n.Span("exchange")
 	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
@@ -188,9 +185,6 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 		if dupClosure != nil {
 			w.Stats.Probes += itemset.Choose(len(w.Ext), k)
 			w.Stats.Increments += plan.dupIndex.CountContained(w.Ext, wk.dupCounts, &wk.dupStamps)
-		}
-		if !anyPartitioned {
-			return nil
 		}
 
 		// t': items replaced by their closest-to-bottom large ancestor.
@@ -250,8 +244,61 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 	}, nil
 }
 
+// countReplicated counts a pass whose plan duplicated every candidate:
+// NPGM's (§3.1), and a duplicating variant's when all of C_k fits. No item
+// group can be of use to another node, so the pass opens no exchange; each
+// node counts its local partition and the barrier reduces the counts (the
+// paper broadcasts each fragment's L_k^d as it completes; reducing once
+// after the last fragment yields the same L_k with one barrier).
+//
+// The pass is split into plan.fragments memory-sized fragments, and the
+// local partition is re-scanned once per fragment — the cost that makes
+// NPGM collapse at small minimum support (Figure 14). A scan holds only its
+// fragment [lo, hi): with one fragment that is the plan's shared index,
+// otherwise the node indexes the fragment itself (nodes move through
+// fragments independently) and drops the index before the next one.
+// driver.CountTable counts the fragment into that window of every worker
+// vector and refuses an index of any other length (ErrCountVectors). Every
+// worker counts over the read-only index into its own vector, merged once
+// after the last fragment.
+func (e *hierEngine) countReplicated(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
+	cands, plan := e.curCands, e.cur
+	// One KeepSet serves both roles, the ancestor keep set and the
+	// pre-enumeration membership filter, as one closure.
+	member := cumulate.KeepSet(e.tax, cands)
+	view := taxonomy.NewView(e.tax, nil, member)
+	W := n.Workers()
+	wcounts := driver.WorkerVectors(W, len(cands))
+	window := make([][]int64, W)
+	per := (len(cands) + plan.fragments - 1) / plan.fragments
+	for f := 0; f < plan.fragments; f++ {
+		lo, hi := f*per, min(f*per+per, len(cands))
+		index := plan.dupIndex
+		if plan.fragments > 1 {
+			index = itemset.BuildIndex(cands[lo:hi])
+		}
+		for w := range window {
+			window[w] = wcounts[w][lo:hi]
+		}
+		err := driver.CountTable(view, member, index, k, n.Local(), window, driver.CountOptions{
+			Workers: W,
+			Obs:     n.ShardObs("scan"),
+			Stats:   st,
+		})
+		if err != nil {
+			return driver.PassOutcome{}, fmt.Errorf("fragment %d scan: %w", f, err)
+		}
+	}
+	return driver.PassOutcome{
+		DupSets:    cands,
+		DupCounts:  driver.MergeWorkerVectors(wcounts),
+		Duplicated: len(cands),
+		Fragments:  plan.fragments,
+	}, nil
+}
+
 // granuleNames maps a dupKind to its report-facing name.
-var granuleNames = [...]string{"none", "tree", "path", "fine"}
+var granuleNames = [...]string{"none", "tree", "path", "fine", "all"}
 
 // computeHierPlan derives the H-HPGM family's partition plan for one pass:
 // root-vector hashes and owners, the duplication choice, and the
@@ -259,7 +306,28 @@ var granuleNames = [...]string{"none", "tree", "path", "fine"}
 // replicated state (C_k, the pass-1 counts, owners, M), so the result is
 // identical on whichever node computes it first — and identical across
 // processes in worker mode, where each process computes it once.
+//
+// NPGM, and a duplicating variant with no budget, replicate every candidate
+// whatever C_k holds: that plan has no root vectors, owners or duplication
+// flags, only C_k as its duplicated list, its fragment count, and the
+// shared index over C_k when one fragment holds it.
 func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item) *passPlan {
+	decision := metrics.PlanDecision{Partitioner: "root-vector-hash", Granule: granuleNames[kind]}
+	if kind == dupAll || kind != dupNone && m.cfg.MemoryBudget <= 0 {
+		if kind == dupAll {
+			decision.Partitioner = "replicated"
+		}
+		decision.Duplicated = len(cands)
+		plan := &passPlan{
+			dupSets:   cands,
+			fragments: fragmentCount(len(cands), k, m.cfg.MemoryBudget),
+			decision:  decision,
+		}
+		if plan.fragments == 1 {
+			plan.dupIndex = itemset.BuildIndex(cands)
+		}
+		return plan
+	}
 	vecHashes := make([]uint64, len(cands))
 	owners := make([]int, len(cands))
 	vecScratch := make([]item.Item, 0, k)
@@ -278,17 +346,15 @@ func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][
 			dupSets = append(dupSets, c)
 		}
 	}
+	decision.Duplicated = len(dupSets)
 	return &passPlan{
 		vecHashes: vecHashes,
 		owners:    owners,
 		dup:       dup,
 		dupSets:   dupSets,
 		dupIndex:  itemset.BuildIndex(dupSets),
-		decision: metrics.PlanDecision{
-			Partitioner: "root-vector-hash",
-			Granule:     granuleNames[kind],
-			Duplicated:  len(dupSets),
-		},
+		fragments: 1,
+		decision:  decision,
 	}
 }
 

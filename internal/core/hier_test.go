@@ -6,6 +6,7 @@ import (
 
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
+	"pgarm/internal/metrics"
 )
 
 // TestHierRoutingMatchesAcrossWorkersAndFabrics runs the H-HPGM family under
@@ -72,6 +73,82 @@ func TestHierRoutingMatchesAcrossWorkersAndFabrics(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestReplicatedPassesMatchNPGM: with no budget the duplicating variants
+// replicate every candidate, which is NPGM's pass, and all four count it
+// through the one replicated path. At 1, 2 and 4 nodes, with 1 and 3 scan
+// workers, over the channel and TCP fabrics, L_k equals Cumulate's, every
+// node's probes, increments and transactions scanned in every pass are the
+// same for all four algorithms, and no pass from 2 on moves an item or
+// sends a count-support message (KData or KDone).
+func TestReplicatedPassesMatchNPGM(t *testing.T) {
+	ds := testDataset(t, 600)
+	const minSup, maxK = 0.02, 3
+	want, err := cumulate.Mine(ds.Taxonomy, ds.DB, cumulate.Config{MinSupport: minSup, MaxK: maxK})
+	if err != nil {
+		t.Fatalf("cumulate: %v", err)
+	}
+	msgs := func(ns metrics.NodeStats, kind uint8) int64 {
+		if int(kind) >= len(ns.ByKind) {
+			return 0
+		}
+		io := ns.ByKind[kind]
+		return io.MsgsSent + io.MsgsReceived
+	}
+	type counters [3]int64
+	for _, fabric := range []driver.FabricKind{driver.FabricChan, driver.FabricTCP} {
+		for _, nodes := range []int{1, 2, 4} {
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("fabric%d/n%d/w%d", fabric, nodes, workers), func(t *testing.T) {
+					var ref [][]counters // per pass, per node: NPGM's
+					for _, alg := range []Algorithm{NPGM, HHPGMTGD, HHPGMPGD, HHPGMFGD} {
+						got, err := Mine(ds.Taxonomy, partsOf(ds.DB, nodes), Config{
+							Algorithm: alg, MinSupport: minSup, MaxK: maxK,
+							Workers: workers, Fabric: fabric,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", alg, err)
+						}
+						assertSameLarge(t, want, got)
+						var runs [][]counters
+						for _, ps := range got.Stats.Passes {
+							row := make([]counters, len(ps.Nodes))
+							for j, ns := range ps.Nodes {
+								row[j] = counters{ns.Probes, ns.Increments, ns.TxnsScanned}
+								if ps.Pass < 2 {
+									continue
+								}
+								if ns.ItemsSent != 0 || ns.ItemsReceived != 0 || msgs(ns, driver.KData) != 0 || msgs(ns, driver.KDone) != 0 {
+									t.Errorf("%s pass %d node %d: %d items sent, %d received, %d KData and %d KDone messages; want none",
+										alg, ps.Pass, j, ns.ItemsSent, ns.ItemsReceived, msgs(ns, driver.KData), msgs(ns, driver.KDone))
+								}
+							}
+							runs = append(runs, row)
+						}
+						if len(runs) < 3 || runs[2][0][0] == 0 {
+							t.Fatalf("%s: pass 3 probed nothing: the dataset does not exercise the count phase", alg)
+						}
+						if ref == nil {
+							ref = runs
+							continue
+						}
+						if len(runs) != len(ref) {
+							t.Fatalf("%s: %d passes, NPGM %d", alg, len(runs), len(ref))
+						}
+						for i := range ref {
+							for j := range ref[i] {
+								if runs[i][j] != ref[i][j] {
+									t.Errorf("%s pass %d node %d: probes, increments, txns scanned %v; NPGM %v",
+										alg, got.Stats.Passes[i].Pass, j, runs[i][j], ref[i][j])
+								}
+							}
+						}
+					}
+				})
+			}
 		}
 	}
 }

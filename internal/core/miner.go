@@ -32,7 +32,7 @@ func newMiner(tax *taxonomy.Taxonomy, cfg Config, cands *candCache) (driver.Mine
 	m := itemsetMiner{tax: tax, cfg: cfg, cands: cands}
 	switch cfg.Algorithm {
 	case NPGM:
-		return &npgmEngine{itemsetMiner: m}, nil
+		return &hierEngine{itemsetMiner: m, dup: dupAll}, nil
 	case HPGM:
 		return &hpgmEngine{itemsetMiner: m}, nil
 	case HHPGM:

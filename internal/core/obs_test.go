@@ -129,9 +129,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 					t.Fatalf("tracer dropped %d spans", tr.Dropped())
 				}
 				names := validateTraceJSON(t, tr)
-				wantSpans := []string{"pass 1", "generate", "barrier", "scan"}
-				if algo != NPGM {
-					wantSpans = append(wantSpans, "partition", "exchange", "count", "recv")
+				// Only the algorithms that route at no budget open a
+				// count-support exchange; NPGM and the duplicating variants
+				// replicate every candidate and scan without one.
+				wantSpans := []string{"pass 1", "generate", "barrier", "scan", "partition"}
+				if algo == HPGM || algo == HHPGM {
+					wantSpans = append(wantSpans, "exchange", "count", "recv")
+				} else if names["exchange"] != 0 || names["recv"] != 0 {
+					t.Errorf("all-replicated passes opened an exchange (got %v)", names)
 				}
 				for _, n := range wantSpans {
 					if names[n] == 0 {

@@ -44,13 +44,18 @@ func planFixture(t testing.TB, budget int64) (*itemsetMiner, [][]item.Item) {
 }
 
 // TestComputeHierPlanUnlimitedBudget covers the degenerate everything-
-// duplicated path: every candidate is flagged, listed in id order and
+// duplicated path: the plan carries no routing state (root-vector hashes,
+// owners, duplication flags), and every candidate is listed in id order and
 // indexed under its position in the duplicated list.
 func TestComputeHierPlanUnlimitedBudget(t *testing.T) {
 	m, cands := planFixture(t, 0)
 	got := computeHierPlan(m, 4, dupFine, 2, cands)
-	if got.dup.count() != len(cands) {
-		t.Fatalf("unlimited budget: %d duplicated, want all %d", got.dup.count(), len(cands))
+	if got.vecHashes != nil || got.owners != nil || got.dup != nil {
+		t.Fatal("unlimited budget: the plan carries root-vector hashes, owners or duplication flags")
+	}
+	if got.decision.Duplicated != len(cands) || got.fragments != 1 {
+		t.Fatalf("unlimited budget: %d duplicated in %d fragments, want all %d in 1",
+			got.decision.Duplicated, got.fragments, len(cands))
 	}
 	if !reflect.DeepEqual(got.dupSets, cands) {
 		t.Fatal("unlimited budget: dupSets is not C_k in id order")

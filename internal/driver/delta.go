@@ -37,8 +37,9 @@ var errNoClosure = errors.New("count table: view has no keep-set closure")
 // transaction source: each transaction is replaced by its ancestor closure
 // restricted to the candidate members, through the view's Closure, and every
 // indexed k-itemset it contains increments wcounts (Index.CountContained).
-// It is the count-support scan shared by the batch NPGM pass and the
-// incremental miner's delta and prefix scans, so both count bit-identically
+// It is the count-support scan of every batch pass that replicates all of
+// C_k (NPGM's, and a duplicating H-HPGM variant's when C_k fits) and of the
+// incremental miner's delta and prefix scans, so they count bit-identically
 // by construction.
 //
 // view must have been built with a keep set (taxonomy.NewView(t, nil,

@@ -52,7 +52,7 @@ func TestTransactionsAreCanonicalLeaves(t *testing.T) {
 			t.Fatalf("txn %d not canonical: %v", tr.TID, tr.Items)
 		}
 		for _, x := range tr.Items {
-			if !ds.Taxonomy.IsLeaf(x) {
+			if len(ds.Taxonomy.Children(x)) != 0 {
 				t.Fatalf("txn %d contains interior item %v", tr.TID, x)
 			}
 		}

@@ -11,8 +11,9 @@ import (
 // list. It carries no counts and no probe counter, so one Index can be
 // shared read-only by every node of a simulated cluster while each node
 // keeps its own count vector — the memory layout that lets a 16-node
-// in-process cluster replicate multi-million-entry candidate sets (NPGM, and
-// the TGD/PGD/FGD duplicated tables) without 16 physical copies.
+// in-process cluster replicate multi-million-entry candidate sets (the
+// H-HPGM engine's duplicated tables, NPGM's whole C_k among them) without
+// 16 physical copies.
 //
 // An Index answers two questions, point lookups (Lookup) and support
 // counting (CountContained), from one of two structures that BuildIndex

@@ -9,12 +9,14 @@ package metrics
 // counted.
 type PlanDecision struct {
 	Pass int `json:"pass"`
-	// Partitioner names the assignment rule: "root-vector-hash" (H-HPGM
-	// family), "itemset-hash" (HPGM), "replicated" (NPGM), "suffix-rank-mod"
+	// Partitioner names the assignment rule: "root-vector-hash" (H-HPGM and
+	// its duplicating variants), "itemset-hash" (HPGM), "replicated" (NPGM,
+	// the H-HPGM engine with every candidate duplicated), "suffix-rank-mod"
 	// (FPG) or "dense-reduce" (pass 1).
 	Partitioner string `json:"partitioner"`
 	// Granule is the duplication granule the pass ran with: "none", "tree",
-	// "path", "fine", or "all" for fully replicated candidate sets.
+	// "path", "fine", or "all" for NPGM. A duplicating variant with no
+	// budget duplicates all of C_k too but keeps its own granule.
 	Granule string `json:"granule"`
 	// Candidates is |C_k|; Duplicated how many of them every node counts
 	// locally under this plan.

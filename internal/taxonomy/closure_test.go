@@ -43,7 +43,7 @@ func randomTxn(rng *rand.Rand, tax *Taxonomy) []item.Item {
 	if rng.Intn(2) == 0 {
 		txn = append(txn, txn[rng.Intn(len(txn))]) // a duplicate
 	}
-	if x := txn[0]; rng.Intn(2) == 0 && !tax.IsRoot(x) {
+	if x := txn[0]; rng.Intn(2) == 0 && tax.Parent(x) != item.None {
 		anc := tax.Ancestors(nil, x)
 		txn = append(txn, anc[rng.Intn(len(anc))]) // an item and its ancestor
 	}

@@ -122,9 +122,6 @@ func (t *Taxonomy) Root(x item.Item) item.Item { return t.root[x] }
 // Level returns the depth of x below its root; roots are level 0.
 func (t *Taxonomy) Level(x item.Item) int32 { return t.level[x] }
 
-// MaxLevel returns the depth of the deepest item.
-func (t *Taxonomy) MaxLevel() int32 { return t.maxLevel }
-
 // Roots returns all root items in ascending order. Shared slice; do not
 // modify.
 func (t *Taxonomy) Roots() []item.Item { return t.roots }
@@ -132,12 +129,6 @@ func (t *Taxonomy) Roots() []item.Item { return t.roots }
 // Leaves returns all leaf items (no children) in ascending order. Shared
 // slice; do not modify.
 func (t *Taxonomy) Leaves() []item.Item { return t.leaves }
-
-// IsRoot reports whether x has no parent.
-func (t *Taxonomy) IsRoot(x item.Item) bool { return t.parent[x] == item.None }
-
-// IsLeaf reports whether x has no children.
-func (t *Taxonomy) IsLeaf(x item.Item) bool { return len(t.children[x]) == 0 }
 
 // IsAncestor reports whether a is a (strict) ancestor of d: a != d and a lies
 // on the path from d to its root.

@@ -56,17 +56,17 @@ func TestBasicRelations(t *testing.T) {
 	if got := tax.Level(10); got != 2 {
 		t.Errorf("Level(10) = %d", got)
 	}
-	if got := tax.MaxLevel(); got != 2 {
-		t.Errorf("MaxLevel = %d", got)
+	if got := maxLevel(tax); got != 2 {
+		t.Errorf("deepest level = %d", got)
 	}
 	if !item.Equal(tax.Roots(), []item.Item{0, 1, 2}) {
 		t.Errorf("Roots = %v", tax.Roots())
 	}
-	if !tax.IsRoot(1) || tax.IsRoot(3) {
-		t.Error("IsRoot wrong")
+	if tax.Parent(1) != item.None || tax.Parent(3) == item.None {
+		t.Error("Parent of a root / non-root wrong")
 	}
-	if !tax.IsLeaf(4) || tax.IsLeaf(3) {
-		t.Error("IsLeaf wrong")
+	if len(tax.Children(4)) != 0 || len(tax.Children(3)) == 0 {
+		t.Error("Children of a leaf / interior item wrong")
 	}
 	leaves := tax.Leaves()
 	for _, l := range leaves {
@@ -163,19 +163,19 @@ func TestBalancedShape(t *testing.T) {
 	deep := MustBalanced(30000, 30, 3)
 	mid := MustBalanced(30000, 30, 5)
 	shallow := MustBalanced(30000, 30, 10)
-	if !(deep.MaxLevel() > mid.MaxLevel() && mid.MaxLevel() > shallow.MaxLevel()) {
+	if !(maxLevel(deep) > maxLevel(mid) && maxLevel(mid) > maxLevel(shallow)) {
 		t.Errorf("level ordering wrong: F3=%d F5=%d F10=%d",
-			deep.MaxLevel(), mid.MaxLevel(), shallow.MaxLevel())
+			maxLevel(deep), maxLevel(mid), maxLevel(shallow))
 	}
-	// Table 5 reports levels 5-6 (F5), 6-7 (F3), 3-4 (F10); MaxLevel is
-	// 0-based depth, so levels = MaxLevel+1.
-	if l := mid.MaxLevel() + 1; l < 5 || l > 6 {
+	// Table 5 reports levels 5-6 (F5), 6-7 (F3), 3-4 (F10); Level is
+	// 0-based depth, so levels = deepest Level + 1.
+	if l := maxLevel(mid) + 1; l < 5 || l > 6 {
 		t.Errorf("R30F5 levels = %d, want 5-6", l)
 	}
-	if l := deep.MaxLevel() + 1; l < 6 || l > 7 {
+	if l := maxLevel(deep) + 1; l < 6 || l > 7 {
 		t.Errorf("R30F3 levels = %d, want 6-7", l)
 	}
-	if l := shallow.MaxLevel() + 1; l < 3 || l > 4 {
+	if l := maxLevel(shallow) + 1; l < 3 || l > 4 {
 		t.Errorf("R30F10 levels = %d, want 3-4", l)
 	}
 }
@@ -201,7 +201,7 @@ func TestHierarchyInvariants(t *testing.T) {
 		for i := 0; i < tax.NumItems(); i++ {
 			x := item.Item(i)
 			r := tax.Root(x)
-			if !tax.IsRoot(r) {
+			if tax.Parent(r) != item.None {
 				return false
 			}
 			chain := tax.SelfAndAncestors(nil, x)
@@ -288,4 +288,13 @@ func TestViewClosure(t *testing.T) {
 	if NewView(tax, nil, keep).nearestLarge != nil {
 		t.Error("a view without L_1 built the replacement table")
 	}
+}
+
+// maxLevel returns the depth of the deepest item.
+func maxLevel(t *Taxonomy) int32 {
+	var d int32
+	for i := 0; i < t.NumItems(); i++ {
+		d = max(d, t.Level(item.Item(i)))
+	}
+	return d
 }
