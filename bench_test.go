@@ -252,15 +252,16 @@ func newCountFixture(b *testing.B, k int) countFixture {
 }
 
 // BenchmarkAblationIndex compares the two ways of counting one pass over the
-// same index: enumerate every k-subset and look each up (what every counting
-// site did before the prefix layout, and what an HPGM receiver still does
-// with the units it is shipped) against the containment kernel. At k = 3
-// that is the flat hash against the prefix-pruned walk; the dense C_2 at
-// k = 2 keeps only its pair table, which serves both arms. One op is one
-// full scan. This arm is what retired itemset.HashTree.
+// same candidates: enumerate every k-subset and look each up in a Table
+// (what every counting site did before the prefix layout, and what an HPGM
+// receiver still does with the units it is shipped) against the Index's
+// containment kernel — the prefix-pruned walk at k = 3, the pair table of
+// the dense C_2 at k = 2. One op is one full scan. This arm is what retired
+// itemset.HashTree.
 func BenchmarkAblationIndex(b *testing.B) {
 	for _, k := range []int{2, 3} {
 		fx := newCountFixture(b, k)
+		table := itemset.BuildTable(fx.cands)
 		index := itemset.BuildIndex(fx.cands)
 		counts := make([]int64, len(fx.cands))
 		b.Run(fmt.Sprintf("k%d/probe", k), func(b *testing.B) {
@@ -269,7 +270,7 @@ func BenchmarkAblationIndex(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, ext := range fx.exts {
 					for ok := walk.Reset(ext, k); ok; ok = walk.Next() {
-						if id := index.Lookup(walk.Items()); id >= 0 {
+						if id := table.Lookup(walk.Items()); id >= 0 {
 							counts[id]++
 						}
 					}
@@ -376,10 +377,10 @@ func BenchmarkExtend(b *testing.B) {
 	}
 }
 
-// BenchmarkProbe isolates one candidate-table probe: the packed-string map
-// baseline allocates a key per lookup; the open-addressed flat index probes
-// in place, on a hit (flat) and on a miss (miss), and must report 0
-// allocs/op in both.
+// BenchmarkProbe isolates one candidate lookup: the packed-string map
+// baseline allocates a key per lookup; the open-addressed Table probes in
+// place, on a hit (flat) and on a miss (miss), and must report 0 allocs/op
+// in both.
 func BenchmarkProbe(b *testing.B) {
 	ds := benchDataset(b)
 	res, err := cumulate.Mine(ds.Taxonomy, ds.DB, cumulate.Config{MinSupport: 0.01, MaxK: 2})
@@ -393,7 +394,7 @@ func BenchmarkProbe(b *testing.B) {
 	if len(cands) == 0 {
 		b.Fatal("no 2-itemsets at bench scale")
 	}
-	index := itemset.BuildIndex(cands)
+	table := itemset.BuildTable(cands)
 	byKey := make(map[string]int32, len(cands))
 	for i, c := range cands {
 		byKey[itemset.Key(c)] = int32(i)
@@ -411,7 +412,7 @@ func BenchmarkProbe(b *testing.B) {
 	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if index.Lookup(cands[i%len(cands)]) < 0 {
+			if table.Lookup(cands[i%len(cands)]) < 0 {
 				b.Fatal("miss")
 			}
 		}
@@ -419,7 +420,7 @@ func BenchmarkProbe(b *testing.B) {
 	// Absent pairs over the same items, as most of HPGM's probes are.
 	var absent [][]item.Item
 	for _, c := range cands {
-		if s := []item.Item{c[0], c[1] + 1}; index.Lookup(s) < 0 {
+		if s := []item.Item{c[0], c[1] + 1}; table.Lookup(s) < 0 {
 			absent = append(absent, s)
 		}
 	}
@@ -429,7 +430,7 @@ func BenchmarkProbe(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if index.Lookup(absent[i%len(absent)]) >= 0 {
+			if table.Lookup(absent[i%len(absent)]) >= 0 {
 				b.Fatal("hit")
 			}
 		}
@@ -438,12 +439,12 @@ func BenchmarkProbe(b *testing.B) {
 
 // BenchmarkUnits measures HPGM's receiver: one op counts one 4 KB batch of
 // the k = 3 pass's units (every k-subset of the extended transactions,
-// encoded as the sender encodes them) against its flat candidate index. It
-// must report 0 allocs/op (CI fails otherwise).
+// encoded as the sender encodes them) against a Table over the candidates.
+// It must report 0 allocs/op (CI fails otherwise).
 func BenchmarkUnits(b *testing.B) {
 	const k, batchBytes = 3, 4 << 10
 	fx := newCountFixture(b, k)
-	index := itemset.BuildIndex(fx.cands)
+	table := itemset.BuildTable(fx.cands)
 	var batches [][]byte
 	batch := make([]byte, 0, 2*batchBytes)
 	var walk itemset.Subsets
@@ -458,14 +459,14 @@ func BenchmarkUnits(b *testing.B) {
 	if len(batches) == 0 {
 		b.Fatal("no full batch of units at bench scale")
 	}
-	counts := make([]int64, index.Len())
-	var st itemset.Stamps
-	index.CountUnits(batches[0], counts, &st) // grow the scratch before the timer
+	counts := make([]int64, len(fx.cands))
+	var unit []item.Item
+	table.CountUnits(batches[0], counts, &unit) // grow the scratch before the timer
 	var units int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, _, _, err := index.CountUnits(batches[i%len(batches)], counts, &st)
+		n, _, _, err := table.CountUnits(batches[i%len(batches)], counts, &unit)
 		if err != nil {
 			b.Fatal(err)
 		}

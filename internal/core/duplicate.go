@@ -144,9 +144,9 @@ func selectItemGrain(m *itemsetMiner, cands [][]item.Item, capLeft int, dup bits
 		idx   int32
 		score int64
 	}
-	// Ancestor-candidate lookups go through the open-addressed index instead
-	// of a map of one packed string per candidate.
-	candIdx := itemset.BuildIndex(cands)
+	// Ancestor-candidate lookups go through a Table instead of a map of one
+	// packed string per candidate.
+	candIdx := itemset.BuildTable(cands)
 	order := make([]scored, 0, len(cands))
 	for i, c := range cands {
 		ok := true

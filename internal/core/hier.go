@@ -70,22 +70,14 @@ type hierEngine struct {
 	itemsetMiner
 	dup dupKind
 
-	// replace maps items to their closest-to-bottom large ancestor; built
-	// once, at the pass-1 barrier.
+	// replace maps items to their closest-to-bottom large ancestor. It reads
+	// only L_1 and is built once, by the first pass that routes: a pass that
+	// replicates every candidate never replaces an item.
 	replace *taxonomy.View
 
 	// cur is the plan of the pass in flight, computed by PlanPass, consumed
 	// by CountPass. Shared across in-process nodes via candCache.
 	cur *passPlan
-}
-
-// FinishPass1 derives the shared L_1 state, then the transaction
-// replacement, which reads only L_1: its view is built once, here, for every
-// later pass.
-func (e *hierEngine) FinishPass1(n *driver.Node, local, global []int64, l1 []itemset.Counted) error {
-	err := e.itemsetMiner.FinishPass1(n, local, global, l1)
-	e.replace = taxonomy.NewView(e.tax, e.largeFlags, nil)
-	return err
 }
 
 // PlanPass derives the pass's partition plan (computeHierPlan): it is
@@ -106,6 +98,9 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 	plan := e.cur
 	if len(plan.dupSets) == len(cands) {
 		return e.countReplicated(n, k, st)
+	}
+	if e.replace == nil {
+		e.replace = taxonomy.NewView(e.tax, e.largeFlags, nil)
 	}
 	nNodes := n.NumNodes()
 	self := n.ID()

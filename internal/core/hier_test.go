@@ -152,3 +152,39 @@ func TestReplicatedPassesMatchNPGM(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedRunLeavesViewUnbuilt: the transaction replacement view is
+// built by the first pass that routes item groups, so a run whose every pass
+// replicates all of C_k — NPGM's, and a duplicating variant's with no budget
+// — never builds it on any node, while a budgeted run that partitions does.
+func TestReplicatedRunLeavesViewUnbuilt(t *testing.T) {
+	ds := testDataset(t, 600)
+	for _, c := range []struct {
+		alg    Algorithm
+		budget int64
+		built  bool
+	}{{NPGM, 0, false}, {HHPGMTGD, 0, false}, {HHPGMFGD, 0, false}, {HHPGMFGD, 16 << 10, true}} {
+		cfg := Config{Algorithm: c.alg, MinSupport: 0.02, MaxK: 3, MemoryBudget: c.budget}
+		cache := newCandCache(ds.Taxonomy)
+		engines := make([]*hierEngine, 2)
+		res, err := driver.Run(cfg, ds.Taxonomy, partsOf(ds.DB, len(engines)), func(i int) (driver.Miner, error) {
+			m, err := newMiner(ds.Taxonomy, cfg, cache)
+			if err != nil {
+				return nil, err
+			}
+			engines[i] = m.(*hierEngine)
+			return m, nil
+		})
+		if err != nil {
+			t.Fatalf("%s budget %d: %v", c.alg, c.budget, err)
+		}
+		if len(res.Stats.Passes) < 3 {
+			t.Fatalf("%s budget %d: %d passes; the dataset does not reach pass 3", c.alg, c.budget, len(res.Stats.Passes))
+		}
+		for i, e := range engines {
+			if built := e.replace != nil; built != c.built {
+				t.Errorf("%s budget %d node %d: replacement view built %v, want %v", c.alg, c.budget, i, built, c.built)
+			}
+		}
+	}
+}

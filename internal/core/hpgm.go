@@ -66,8 +66,12 @@ func (e *hpgmEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 	nNodes := uint64(n.NumNodes())
 	self := n.ID()
 
+	// Two questions are asked of the owned share: each scan worker counts
+	// its transactions' own subsets through the Index, and the receiver
+	// looks up each shipped unit in the Table.
 	W := n.Workers()
 	index := itemset.BuildIndex(e.owned)
+	table := itemset.BuildTable(e.owned)
 	e.grow(W, len(e.owned))
 	counts := e.counts[0]
 
@@ -78,9 +82,9 @@ func (e *hpgmEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 	// batcher. One unit = one k-itemset hashed to this node: one probe of
 	// its candidate table (the per-node quantity Figure 15 plots).
 	xsp := n.Span("exchange")
-	var recv itemset.Stamps
+	var unit []item.Item
 	cp := n.NewExchange(driver.KData, func(b []byte) (int64, error) {
-		units, items, hits, err := index.CountUnits(b, counts, &recv)
+		units, items, hits, err := table.CountUnits(b, counts, &unit)
 		st.Probes += units
 		st.Increments += hits
 		return items, err

@@ -15,7 +15,7 @@ import (
 
 // refHPGM is HPGM's count phase without the containment kernel: every
 // k-subset of every extended transaction is enumerated and hashed to its
-// owner. A scan worker probes each subset it owns with index.Lookup into its
+// owner. A scan worker probes each subset it owns with Table.Lookup into its
 // own vector; the rest are encoded and routed, and the receiver probes each
 // unit. The engine counts the same probes, increments and traffic with its
 // own share going through the containment kernel.
@@ -23,11 +23,11 @@ type refHPGM struct{ hpgmEngine }
 
 func (e *refHPGM) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	nNodes, self := n.NumNodes(), n.ID()
-	index := itemset.BuildIndex(e.owned)
+	table := itemset.BuildTable(e.owned)
 	counts := driver.WorkerVectors(1+n.Workers(), len(e.owned)) // the receiver's, then each worker's
 	probe := func(items []item.Item, counts []int64, st *metrics.NodeStats) {
 		st.Probes++
-		if id := index.Lookup(items); id >= 0 {
+		if id := table.Lookup(items); id >= 0 {
 			counts[id]++
 			st.Increments++
 		}

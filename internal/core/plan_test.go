@@ -60,9 +60,14 @@ func TestComputeHierPlanUnlimitedBudget(t *testing.T) {
 	if !reflect.DeepEqual(got.dupSets, cands) {
 		t.Fatal("unlimited budget: dupSets is not C_k in id order")
 	}
-	for i, s := range got.dupSets {
-		if id := got.dupIndex.Lookup(s); id != int32(i) {
-			t.Fatalf("dupIndex[%v] = %d, want %d", s, id, i)
+	if got.dupIndex.Len() != len(cands) {
+		t.Fatalf("dupIndex holds %d sets, want %d", got.dupIndex.Len(), len(cands))
+	}
+	var stamps itemset.Stamps
+	for i, s := range got.dupSets { // a set contains itself and no other k-set
+		counts := make([]int64, len(cands))
+		if hits := got.dupIndex.CountContained(s, counts, &stamps); hits != 1 || counts[i] != 1 {
+			t.Fatalf("dupIndex counts %v as %d hits, counts[%d] = %d; want 1 and 1", s, hits, i, counts[i])
 		}
 	}
 }

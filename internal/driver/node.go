@@ -66,10 +66,11 @@ type Node struct {
 	// Observability: phase-span tracer and live instruments (both inert when
 	// unconfigured), plus the monotonic fabric snapshots that delimit the
 	// current pass's communication window.
-	tr       *obs.Tracer
-	ins      nodeInstruments
-	base     cluster.Traffic
-	baseKind []cluster.Traffic
+	tr         *obs.Tracer
+	ins        nodeInstruments
+	base       cluster.Traffic
+	baseKind   []cluster.Traffic
+	commClosed bool // the coordinator closed this pass's window in bcastLarge
 
 	// lastGenerate is the wall time of the most recent candidate generation,
 	// recorded into the following pass's metadata.
@@ -360,7 +361,7 @@ func (n *Node) reduceItems(local []int64) ([]int64, error) {
 			return nil
 		}, KCounts1)
 		if err == nil {
-			_, err = n.bcast(KLarge, sizedCounts(size, global), nil)
+			err = n.bcastLarge(sizedCounts(size, global))
 		}
 		if err != nil {
 			return nil, err
@@ -569,6 +570,5 @@ func (n *Node) gatherFrequents(out PassOutcome) (int, error) {
 		return 0, err
 	}
 	n.record(all)
-	_, err = n.bcast(KLarge, itemset.AppendCounted(nil, all), nil)
-	return len(all), err
+	return len(all), n.bcastLarge(itemset.AppendCounted(nil, all))
 }

@@ -44,7 +44,10 @@ func addKinds(dst []metrics.KindIO, cur, base []cluster.Traffic) []metrics.KindI
 // (the first window opens at zero, before the size exchange), so summed over
 // all passes they reconcile exactly with the endpoint's lifetime totals.
 func (n *Node) capturePassComm() {
-	n.addCommWindow(&n.cur) // n.cur's communication counters are still zero
+	if !n.commClosed {
+		n.addCommWindow(&n.cur) // n.cur's communication counters are still zero
+	}
+	n.commClosed = false
 	// The count-support data plane (Table 6's sent side) is exactly the
 	// KData slice of this window: data batches are only sent during the
 	// node's own count phase, never across a pass boundary. The FP-Growth
@@ -65,6 +68,29 @@ func (n *Node) addCommWindow(st *metrics.NodeStats) {
 	st.Traffic = st.Traffic.Add(now.Sub(n.base))
 	st.ByKind = addKinds(st.ByKind, kinds, n.baseKind)
 	n.base, n.baseKind = now, kinds
+}
+
+// bcastLarge is the coordinator's barrier broadcast of a pass result. It
+// closes the pass window first and charges the broadcast — one KLarge of
+// payload to every peer — to it by hand: a follower enters the next pass as
+// soon as its copy lands, and a fabric counts a message as received when it
+// is sent, so what the follower sends next would land in this window if it
+// closed after the broadcast.
+func (n *Node) bcastLarge(payload []byte) error {
+	n.addCommWindow(&n.cur)
+	n.commClosed = true
+	peers := int64(n.ep.N() - 1)
+	kinds := make([]cluster.Traffic, KLarge+1)
+	kinds[KLarge] = cluster.Traffic{MsgsSent: peers, BytesSent: peers * int64(len(payload))}
+	n.cur.Traffic = n.cur.Traffic.Add(kinds[KLarge])
+	n.cur.ByKind = addKinds(n.cur.ByKind, kinds, nil)
+	n.base = n.base.Add(kinds[KLarge])
+	if len(n.baseKind) <= int(KLarge) {
+		n.baseKind = append(n.baseKind, make([]cluster.Traffic, int(KLarge)+1-len(n.baseKind))...)
+	}
+	n.baseKind[KLarge] = n.baseKind[KLarge].Add(kinds[KLarge])
+	_, err := n.bcast(KLarge, payload, nil)
+	return err
 }
 
 // foldFlushWindow folds the traffic of the run-end telemetry flush — which

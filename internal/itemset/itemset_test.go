@@ -162,51 +162,11 @@ func TestSortCounted(t *testing.T) {
 	}
 }
 
-// Property: the open-addressed flat probe agrees with a reference map over
-// random set lists with repeats (first occurrence keeps the id), for hits
-// and misses.
-func TestTableFlatProbeMatchesMap(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		randomSet := func() []item.Item {
-			k := 1 + rng.Intn(4)
-			s := make([]item.Item, 0, k)
-			for len(s) < k {
-				s = item.Dedup(append(s, item.Item(rng.Intn(40))))
-			}
-			return s
-		}
-		var sets [][]item.Item
-		ref := map[string]int32{}
-		for i := 0; i < 100; i++ {
-			s := randomSet()
-			if _, ok := ref[Key(s)]; !ok {
-				ref[Key(s)] = int32(len(sets))
-			}
-			sets = append(sets, s)
-		}
-		ix := BuildIndex(sets)
-		for i := 0; i < 200; i++ {
-			s := randomSet()
-			want, ok := ref[Key(s)]
-			if !ok {
-				want = -1
-			}
-			if ix.Lookup(s) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-// The zero-allocation contract of the candidate counting hot path: Index
+// The zero-allocation contract of the candidate counting hot path: Table
 // lookups, HPGM's subset walk and unit encoding (once walker and batch have
-// grown), its receiver and the containment kernel in both child forms of the
-// prefix layout (once their stamps have grown) must not touch the heap.
+// grown), its receiver (once its unit scratch has grown) and the containment
+// kernel in both child forms of the prefix layout (once their stamps have
+// grown) must not touch the heap.
 func TestProbePathZeroAlloc(t *testing.T) {
 	var sets [][]item.Item
 	for i := 0; i < 64; i++ {
@@ -214,6 +174,7 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	}
 	ix := buildIndex(sets, formList)
 	bitsIx := buildIndex(sets, formBits)
+	tab := BuildTable(sets)
 	hit := []item.Item{5, 105, 1005}
 	miss := []item.Item{5, 105, 9999}
 	txn := []item.Item{1, 2, 3, 4, 5, 6, 7, 8}
@@ -228,7 +189,8 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	}
 	batch := make([]byte, 0, 1024)
 	units := wire.AppendItems(wire.AppendItems(nil, hit), miss)
-	if _, _, hits, err := ix.CountUnits(units, counts, &stamps); hits != 1 || err != nil {
+	var unit []item.Item
+	if _, _, hits, err := tab.CountUnits(units, counts, &unit); hits != 1 || err != nil {
 		t.Fatalf("CountUnits found %d sets (%v), want 1", hits, err)
 	}
 
@@ -236,8 +198,8 @@ func TestProbePathZeroAlloc(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Index.Lookup hit", func() { ix.Lookup(hit) }},
-		{"Index.Lookup miss", func() { ix.Lookup(miss) }},
+		{"Table.Lookup hit", func() { tab.Lookup(hit) }},
+		{"Table.Lookup miss", func() { tab.Lookup(miss) }},
 		{"Subsets", func() {
 			batch = batch[:0]
 			for ok := walk.Reset(txn, 3); ok; ok = walk.Next() {
@@ -250,8 +212,8 @@ func TestProbePathZeroAlloc(t *testing.T) {
 		{"Index.CountContained bitset form", func() {
 			bitsIx.CountContained(contained, counts, &stamps)
 		}},
-		{"Index.CountUnits", func() {
-			ix.CountUnits(units, counts, &stamps)
+		{"Table.CountUnits", func() {
+			tab.CountUnits(units, counts, &unit)
 		}},
 	}
 	for _, c := range cases {

@@ -1,9 +1,11 @@
 // Package itemset provides the itemset machinery shared by the sequential
 // Cumulate baseline and all six parallel algorithms: canonical itemset keys,
-// candidate tables and the shared read-only candidate index (a triangular
-// pair table for a dense C_2; otherwise hash point lookups plus the
-// prefix-layout containment kernel that counts support),
-// the Apriori candidate generation (join + prune) and k-subset enumeration.
+// one read-only structure per question asked of a candidate list — Index
+// counts support ("which candidates does this transaction contain?": a
+// triangular pair table for a dense C_2, otherwise the prefix-layout
+// containment kernel) and Table answers point lookups ("which candidate is
+// this itemset?", by hash) — the Apriori candidate generation (join +
+// prune) and k-subset enumeration.
 //
 // An itemset is a canonical []item.Item: strictly ascending, no duplicates.
 package itemset

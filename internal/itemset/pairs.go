@@ -4,9 +4,9 @@ import "pgarm/internal/item"
 
 // pairTable is the whole of a dense C_2 index: a rank for every indexed item
 // and a triangular id table over every pair of ranks. BuildIndex keeps one in
-// place of the prefix layout and the flat probe when the 2-itemsets fill at
-// least half of the n(n-1)/2 pairs their n distinct items can form, which
-// holds the table to 8 bytes per indexed set. Counting a transaction then
+// place of the prefix layout when the 2-itemsets fill at least half of the
+// n(n-1)/2 pairs their n distinct items can form, which holds the table to 8
+// bytes per indexed set. Counting a transaction then
 // costs one table read per pair of its indexed items, with no descent and
 // no per-child stamp test.
 type pairTable struct {
@@ -65,22 +65,6 @@ func (p *pairTable) build(sets [][]item.Item) bool {
 		}
 	}
 	return true
-}
-
-// lookup returns the id of the pair items, or -1.
-func (p *pairTable) lookup(items []item.Item) int32 {
-	if len(items) != 2 {
-		return -1
-	}
-	x, y := items[0], items[1]
-	if x < 0 || x >= y || int(y) >= len(p.slot) {
-		return -1
-	}
-	a, b := p.slot[x], p.slot[y]
-	if a < 0 || b < 0 {
-		return -1
-	}
-	return p.pair[p.row(a)+int(b-a-1)]
 }
 
 // count adds one to counts[id] for every indexed pair in the canonical txn

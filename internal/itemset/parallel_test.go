@@ -92,16 +92,15 @@ func TestProbeSetCollisions(t *testing.T) {
 	if sets == nil {
 		t.Fatal("no colliding bucket found (hash function changed?)")
 	}
-	var f flatProbe
-	f.fill(sets)
+	tab := BuildTable(sets)
 	for i, s := range sets {
-		if got := f.findItems(s, sets); got != int32(i) {
+		if got := tab.Lookup(s); got != int32(i) {
 			t.Fatalf("colliding set %v resolved to id %d, want %d", s, got, i)
 		}
 	}
 	// Absent sets from the same slot chain must not false-positive.
 	for _, s := range byBucket[bucket][4:] {
-		if f.findItems(s, sets) != -1 {
+		if tab.Lookup(s) != -1 {
 			t.Fatalf("absent colliding set %v reported present", s)
 		}
 	}

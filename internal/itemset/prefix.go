@@ -79,7 +79,7 @@ func bitsBytes(interior, w, rankWords int) int64 {
 }
 
 // build lays out sets. Duplicate itemsets collapse into one leaf carrying the
-// lowest id, matching the hash side's first-occurrence rule. Under formAuto
+// lowest id, matching the first-occurrence rule of Table. Under formAuto
 // the bitset form is built iff it holds no more bytes than the child item
 // arrays it replaces.
 func (p *prefixLayout) build(sets [][]item.Item, form layoutForm) {
@@ -233,20 +233,19 @@ func (p *prefixLayout) build(sets [][]item.Item, form layoutForm) {
 	}
 }
 
-// Stamps is one counter's scratch for Index.CountContained and
-// Index.CountUnits: for each item of the transaction being counted, its
-// position. Entries are stamped relative to a base that advances past every
-// transaction, so nothing is cleared between transactions. A bitset-form
+// Stamps is one counter's scratch for Index.CountContained: for each item of
+// the transaction being counted, its position. Entries are stamped relative
+// to a base that advances past every transaction, so nothing is cleared
+// between transactions. A bitset-form
 // layout sets the transaction's child-item ranks in words instead, cleared
 // per transaction, and a dense C_2 maps the items to pair-table ranks. The
 // zero value is ready to use; it grows once to the largest item id (or
-// transaction, unit or rank space) seen and then never allocates.
+// transaction or rank space) seen and then never allocates.
 type Stamps struct {
-	at    []uint32    // at[x] - base - 1 = position of x when at[x] > base
-	next  uint32      // base of the next transaction: past every stamp so far
-	words []uint64    // the transaction's child-item ranks, bitset form only
-	ranks []int32     // the transaction's pair-table ranks, dense C_2 only
-	unit  []item.Item // CountUnits' decoded unit
+	at    []uint32 // at[x] - base - 1 = position of x when at[x] > base
+	next  uint32   // base of the next transaction: past every stamp so far
+	words []uint64 // the transaction's child-item ranks, bitset form only
+	ranks []int32  // the transaction's pair-table ranks, dense C_2 only
 }
 
 // stamp records txn's item positions and returns the base they are relative

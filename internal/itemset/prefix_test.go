@@ -50,8 +50,8 @@ func randomSets(rng *rand.Rand, numItems, k int) [][]item.Item {
 }
 
 // firstIDs maps every set's Key to the position of its first occurrence:
-// the ids an Index must report, kept apart from any structure the Index
-// builds.
+// the ids a Table must report and an Index must count under, kept apart
+// from any structure either builds.
 func firstIDs(sets [][]item.Item) map[string]int32 {
 	ref := make(map[string]int32, len(sets))
 	for id, s := range sets {
@@ -227,7 +227,7 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 }
 
 // A duplicated itemset counts once, under the first occurrence's id — the
-// same winner Lookup reports.
+// same winner Table.Lookup reports.
 func TestCountContainedDuplicateKeepsFirstID(t *testing.T) {
 	sets := [][]item.Item{{4, 9}, {1, 2}, {4, 9}, {1, 3}}
 	ix := BuildIndex(sets)
@@ -325,8 +325,8 @@ func TestBitsetConcurrentCount(t *testing.T) {
 // The child form follows the byte rule: a node's children become a bitset
 // once the interior nodes' words and the rank table hold no more bytes than
 // the child items they replace. Index.Bytes counts the form that was built,
-// beside the flat probe (16 slots here) or the pair table. Every figure is
-// worked out by hand in the comments.
+// or the pair table, and nothing else. Every figure is worked out by hand in
+// the comments.
 func TestLayoutFormAndBytes(t *testing.T) {
 	star := func(c int) [][]item.Item { // {0, 1}, …, {0, c}: one interior node
 		var sets [][]item.Item
@@ -343,17 +343,17 @@ func TestLayoutFormAndBytes(t *testing.T) {
 		bytes int64
 	}{
 		// dir 4 + start 8 + items 4·4; bitsets would take 8 + 12 = 20 > 16.
-		{"star of 4", BuildIndex(star(4)), false, 64 + 4 + 8 + 16},
+		{"star of 4", BuildIndex(star(4)), false, 4 + 8 + 16},
 		// dir 4 + start 8 + 8 (one word) + 12 (rank table) = 20 ≤ 5·4.
-		{"star of 5", BuildIndex(star(5)), true, 64 + 4 + 8 + 20},
+		{"star of 5", BuildIndex(star(5)), true, 4 + 8 + 20},
 		// dir 12 + start 12 + 16 + items (3 + 4)·4.
-		{"triples", BuildIndex(triples), false, 64 + 12 + 12 + 16 + 28},
+		{"triples", BuildIndex(triples), false, 12 + 12 + 16 + 28},
 		// dir 12 + start 12 + 16 + 5 interior nodes · 8 + rank table 12.
-		{"triples, bitset form", buildIndex(triples, formBits), true, 64 + 12 + 12 + 16 + 52},
+		{"triples, bitset form", buildIndex(triples, formBits), true, 12 + 12 + 16 + 52},
 		// slot 4·4 + pair 3·4.
 		{"dense C_2", BuildIndex(allPairs(0, 2, 3)), false, 16 + 12},
-		// The flat probe's 16 empty slots alone.
-		{"empty", BuildIndex(nil), false, 64},
+		// Nothing to count.
+		{"empty", BuildIndex(nil), false, 0},
 	} {
 		if got := c.ix.pre.bits != nil; got != c.bits {
 			t.Errorf("%s: bitset form %v, want %v", c.name, got, c.bits)

@@ -112,11 +112,35 @@ func TestReaderRejectsOutOfRangeValues(t *testing.T) {
 			t.Errorf("%s: err %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
-	// The state section is refused by its decoder, not only by Validate: a
-	// wrapped offset, and an item count vector longer than the taxonomy's
-	// universe — three bytes of sparse encoding that declare 2^40 entries.
+	// State alone refuses what a follower must not resume from, not only
+	// Model through Validate: a wrapped offset, an item count vector longer
+	// than the taxonomy's universe — three bytes of sparse encoding that
+	// declare 2^40 entries — and border levels that decode cleanly but hold a
+	// set of the wrong length, an item outside the universe, or sets out of
+	// order (a repeat among them).
 	longCounts := sec{secState, appendLevels(append(uv(nil, 1, 21, 10), append([]byte{1}, uv(nil, 1<<40, 0)...)...), nil)}
-	for name, st := range map[string]sec{"a wrapped log offset": state(big, 10), "an oversized item count vector": longCounts} {
+	levels := func(sets ...[]item.Item) sec {
+		b := uv(nil, 1, 21, 10)
+		b = wire.AppendCountsAuto(b, m.State.ItemCounts)
+		level := make([]itemset.Counted, len(sets))
+		for i, s := range sets {
+			level[i] = itemset.Counted{Items: s, Count: 1}
+		}
+		return sec{secState, appendLevels(b, [][]itemset.Counted{level})}
+	}
+	if r, err := NewReader(snapshotOf(goodMeta, goodTax, levels([]item.Item{1, 3}, []item.Item{2, 3}))); err != nil {
+		t.Fatal(err)
+	} else if _, err := r.State(); err != nil {
+		t.Fatalf("State refused an ordered border level: %v", err)
+	}
+	for name, st := range map[string]sec{
+		"a wrapped log offset":           state(big, 10),
+		"an oversized item count vector": longCounts,
+		"a 3-itemset at level 2":         levels([]item.Item{1, 3}, []item.Item{1, 2, 3}),
+		"an item outside the universe":   levels([]item.Item{1, 3}, []item.Item{2, 4}),
+		"an unordered level":             levels([]item.Item{2, 3}, []item.Item{1, 3}),
+		"a repeated set":                 levels([]item.Item{1, 3}, []item.Item{1, 3}),
+	} {
 		r, err := NewReader(snapshotOf(goodMeta, goodTax, st))
 		if err != nil {
 			t.Fatal(err)

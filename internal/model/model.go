@@ -126,7 +126,10 @@ func (m *Model) Validate() error {
 			return err
 		}
 	}
-	return m.validateState()
+	if m.State != nil {
+		return m.State.validate(m.Taxonomy.NumItems())
+	}
+	return nil
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

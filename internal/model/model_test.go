@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"os"
@@ -127,12 +126,12 @@ func equalModels(t *testing.T, want, got *Model) {
 func TestRoundTripQuick(t *testing.T) {
 	prop := func(seed int64) bool {
 		m := randomModel(rand.New(rand.NewSource(seed)))
-		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
-			t.Logf("seed %d: write: %v", seed, err)
+		b, err := Encode(m)
+		if err != nil {
+			t.Logf("seed %d: encode: %v", seed, err)
 			return false
 		}
-		r, err := NewReader(buf.Bytes())
+		r, err := NewReader(b)
 		if err != nil {
 			t.Logf("seed %d: open: %v", seed, err)
 			return false
@@ -160,8 +159,8 @@ func TestLazyReaderDecodesOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Meta() != m.Meta {
-		t.Fatalf("meta: want %+v, got %+v", m.Meta, r.Meta())
+	if r.meta != m.Meta {
+		t.Fatalf("meta: want %+v, got %+v", m.Meta, r.meta)
 	}
 	// Rules decode without touching taxonomy/itemsets.
 	rs, err := r.Rules()

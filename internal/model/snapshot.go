@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
-	"io"
 	"os"
 
 	"pgarm/internal/itemset"
@@ -60,16 +59,6 @@ func Encode(m *Model) ([]byte, error) {
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(body)))
 	out = binary.LittleEndian.AppendUint64(out, Checksum(body))
 	return append(out, body...), nil
-}
-
-// Write encodes the model and writes the snapshot to w.
-func Write(w io.Writer, m *Model) error {
-	b, err := Encode(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }
 
 // WriteFile writes the snapshot atomically: encode, write to a temp file in
@@ -172,9 +161,6 @@ func NewReader(data []byte) (*Reader, error) {
 	r.meta = meta
 	return r, nil
 }
-
-// Meta returns the generation metadata (decoded eagerly by NewReader).
-func (r *Reader) Meta() Meta { return r.meta }
 
 // Checksum returns the body CRC from the header — a stable identity for this
 // exact snapshot.

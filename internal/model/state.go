@@ -38,31 +38,32 @@ type MiningState struct {
 	Levels [][]itemset.Counted
 }
 
-// validateState checks the state against the model's universe size.
-func (m *Model) validateState() error {
-	s := m.State
-	if s == nil {
-		return nil
-	}
-	n := m.Taxonomy.NumItems()
-	if len(s.ItemCounts) != n {
-		return fmt.Errorf("model: state item counts %d != universe %d", len(s.ItemCounts), n)
+// validate checks the state against a universe of numItems items: one
+// count per item, non-negative offsets, and every border level k a strictly
+// ascending list of canonical k-itemsets over the universe. Generation emits
+// each level in that order, and the order rules out a set stored twice.
+// Encode and Reader.Model run it through Model.Validate, and Reader.State
+// runs it too, because a follower resumes from State alone.
+func (s *MiningState) validate(numItems int) error {
+	if len(s.ItemCounts) != numItems {
+		return fmt.Errorf("model: state item counts %d != universe %d", len(s.ItemCounts), numItems)
 	}
 	if s.LogByte < 0 || s.LogTxns < 0 {
 		return fmt.Errorf("model: negative state offset %d/%d", s.LogByte, s.LogTxns)
 	}
 	for k, level := range s.Levels {
-		for _, c := range level {
+		for i, c := range level {
 			if len(c.Items) != k+2 {
 				return fmt.Errorf("model: state %d-itemset %v stored at level k=%d", len(c.Items), c.Items, k+2)
 			}
 			if !item.IsSorted(c.Items) {
 				return fmt.Errorf("model: state itemset %v not canonical", c.Items)
 			}
-			for _, x := range c.Items {
-				if x < 0 || int(x) >= n {
-					return fmt.Errorf("model: state item %d outside universe [0,%d)", x, n)
-				}
+			if c.Items[0] < 0 || int(c.Items[k+1]) >= numItems {
+				return fmt.Errorf("model: state itemset %v outside universe [0,%d)", c.Items, numItems)
+			}
+			if i > 0 && item.Compare(level[i-1].Items, c.Items) >= 0 {
+				return fmt.Errorf("model: state level k=%d not strictly ascending at %v", k+2, c.Items)
 			}
 		}
 	}
@@ -91,8 +92,9 @@ func readState(b []byte, numItems int) (*MiningState, error) {
 	return s, d.Err()
 }
 
-// State decodes (once) and returns the incremental mining state, or nil if
-// the snapshot has none (plain batch mines do not write the section).
+// State decodes and validates (once) and returns the incremental mining
+// state, or nil if the snapshot has none (plain batch mines do not write the
+// section).
 func (r *Reader) State() (*MiningState, error) {
 	if !r.stateDone {
 		sec, ok := r.sections[secState]
@@ -104,6 +106,9 @@ func (r *Reader) State() (*MiningState, error) {
 			s, err := readState(sec, tax.NumItems())
 			if err != nil {
 				return nil, fmt.Errorf("model: corrupt state section: %v", err)
+			}
+			if err := s.validate(tax.NumItems()); err != nil {
+				return nil, err
 			}
 			r.state = s
 		}

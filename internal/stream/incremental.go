@@ -132,19 +132,6 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		return res, state, stats, nil
 	}
 
-	// Index the prior border sets once: pass k seeds from priorLevel(k).
-	priorLevel := func(k int) map[string]int64 {
-		if prior == nil || k-2 >= len(prior.Levels) {
-			return nil
-		}
-		level := prior.Levels[k-2]
-		m := make(map[string]int64, len(level))
-		for _, c := range level {
-			m[itemset.Key(c.Items)] = c.Count
-		}
-		return m
-	}
-
 	prev := make([][]item.Item, len(l1))
 	for i, c := range l1 {
 		prev[i] = c.Items
@@ -157,15 +144,25 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		stats.Passes++
 		stats.Candidates += len(cands)
 
-		// Seed known candidates with their exact prefix counts; collect the
-		// rest, in ascending candidate-id order, for the scoped prefix rescan.
-		seeded := priorLevel(k)
+		// Seed known candidates with their exact prefix counts, found through
+		// a Table over the prior border level (empty when the prior checkpoint
+		// never reached pass k); collect the rest, in ascending candidate-id
+		// order, for the scoped prefix rescan.
+		var border []itemset.Counted
+		if prior != nil && k-2 < len(prior.Levels) {
+			border = prior.Levels[k-2]
+		}
+		borderSets := make([][]item.Item, len(border))
+		for i, c := range border {
+			borderSets[i] = c.Items
+		}
+		seeded := itemset.BuildTable(borderSets)
 		candCounts := make([]int64, len(cands))
 		var newCands [][]item.Item
 		var newIDs []int
 		for id, c := range cands {
-			if cnt, ok := seeded[itemset.Key(c)]; ok {
-				candCounts[id] = cnt
+			if at := seeded.Lookup(c); at >= 0 {
+				candCounts[id] = border[at].Count
 			} else {
 				newCands = append(newCands, c)
 				newIDs = append(newIDs, id)

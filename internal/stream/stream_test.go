@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -145,6 +146,57 @@ func TestIncrementalBitIdentity(t *testing.T) {
 				prevOff = offs[ci]
 			}
 		}
+	}
+}
+
+// TestRecountedIsCandidatesAbsentFromBorder pins the seeding itself: a
+// candidate the prior border holds must be seeded, not recounted. A seeding
+// miss would only send that candidate to the prefix rescan, which keeps the
+// result bit-identical, so TestIncrementalBitIdentity cannot see one. Here
+// every checkpoint's Recounted must equal the number of its C_k candidates
+// (the levels of its own state) absent from the prior state's level k,
+// found with a map of the sets' printed form.
+func TestRecountedIsCandidatesAbsentFromBorder(t *testing.T) {
+	ds := smallDataset(t)
+	checkpoints := []int{250, 400, 430, 800}
+	dir := t.TempDir()
+	offs := writeLog(t, dir, ds, checkpoints)
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatalf("open reader: %v", err)
+	}
+	var prior *model.MiningState
+	prev, prevOff := 0, Offset{}
+	seededAny := false
+	for ci, end := range checkpoints {
+		_, state, stats, err := IncrementalMine(ds.Taxonomy, prior, r.Prefix(prevOff), sliceDB(ds, prev, end), MineConfig{MinSupport: 0.02})
+		if err != nil {
+			t.Fatalf("ckpt=%d: %v", ci, err)
+		}
+		candidates, absent := 0, 0
+		for i, level := range state.Levels {
+			border := map[string]bool{}
+			if prior != nil && i < len(prior.Levels) {
+				for _, c := range prior.Levels[i] {
+					border[fmt.Sprint(c.Items)] = true
+				}
+			}
+			for _, c := range level {
+				candidates++
+				if !border[fmt.Sprint(c.Items)] {
+					absent++
+				}
+			}
+		}
+		if stats.Candidates != candidates || stats.Recounted != absent {
+			t.Errorf("ckpt=%d: %d candidates, %d recounted; the levels hold %d, %d of them absent from the prior border",
+				ci, stats.Candidates, stats.Recounted, candidates, absent)
+		}
+		seededAny = seededAny || absent < candidates
+		prior, prev, prevOff = state, end, offs[ci]
+	}
+	if !seededAny {
+		t.Fatal("no checkpoint seeded a candidate from its prior border")
 	}
 }
 

@@ -161,16 +161,6 @@ func (t *Taxonomy) SelfAndAncestors(dst []item.Item, x item.Item) []item.Item {
 	return t.Ancestors(append(dst, x), x)
 }
 
-// Descendants appends every strict descendant of x to dst (pre-order) and
-// returns the extended slice.
-func (t *Taxonomy) Descendants(dst []item.Item, x item.Item) []item.Item {
-	for _, c := range t.children[x] {
-		dst = append(dst, c)
-		dst = t.Descendants(dst, c)
-	}
-	return dst
-}
-
 // ExtendTransaction computes the Cumulate transaction extension t': the
 // items of txn plus all their ancestors, as a canonical (sorted, deduped)
 // itemset appended to dst. This is step 2 of Cumulate ("add all ancestors of

@@ -106,18 +106,6 @@ func TestAncestry(t *testing.T) {
 	}
 }
 
-func TestDescendants(t *testing.T) {
-	tax := figureTree(t)
-	d := tax.Descendants(nil, 0)
-	item.Sort(d)
-	if !item.Equal(d, []item.Item{3, 4, 8, 9}) {
-		t.Errorf("Descendants(0) = %v", d)
-	}
-	if got := tax.Descendants(nil, 4); len(got) != 0 {
-		t.Errorf("leaf has descendants: %v", got)
-	}
-}
-
 func TestExtendTransaction(t *testing.T) {
 	tax := figureTree(t)
 	got := tax.ExtendTransaction(nil, []item.Item{10, 8})

@@ -49,9 +49,6 @@ func NewView(t *Taxonomy, large []bool, keep []bool) *View {
 	return v
 }
 
-// Taxonomy returns the underlying hierarchy.
-func (v *View) Taxonomy() *Taxonomy { return v.tax }
-
 // Closure returns the view's keep-set closure, or nil when the view was
 // built without a keep set.
 func (v *View) Closure() *Closure { return v.closure }

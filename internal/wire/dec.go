@@ -44,6 +44,34 @@ func NextItem(prev item.Item, v uint64, first bool) (item.Item, bool) {
 	return prev + item.Item(v), v-1 < uint64(math.MaxInt32-int64(prev))
 }
 
+// Uvarint is the raw varint step, one value from the head of b: it returns
+// the value and the bytes it took, or a width <= 0 when b holds no complete
+// uvarint that fits 64 bits — binary.Uvarint's results exactly. Most
+// lengths, deltas and small items take one byte, answered before the loop.
+// It is small enough to inline into every decode loop: Dec's reads, and
+// HPGM's receiver (itemset.Table.CountUnits), which folds each item into its
+// probe hash as it decodes and so cannot read a unit through a Dec without
+// walking it twice.
+func Uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	var x uint64
+	for i, c := range b {
+		if i == binary.MaxVarintLen64 {
+			return 0, -binary.MaxVarintLen64 - 1 // overflow
+		}
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				return 0, -binary.MaxVarintLen64 // overflow
+			}
+			return x | uint64(c)<<(7*i), i + 1
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+	}
+	return 0, 0
+}
+
 // NextTID is the ascending-TID rule, one step of it: the first value of a
 // sequence is an absolute TID that fits int64 and lies above prev (pass -1
 // when nothing precedes it); every later value is a non-zero delta that does
@@ -97,7 +125,7 @@ func (d *Dec) U64() uint64 {
 		d.b = b[1:]
 		return uint64(b[0])
 	}
-	v, n := binary.Uvarint(d.b)
+	v, n := Uvarint(d.b)
 	if n <= 0 {
 		d.fail(errUvarint) // also where every read of a failed cursor lands
 		return 0
@@ -192,7 +220,7 @@ func (d *Dec) Run(dst []item.Item, n int) []item.Item {
 			v, b = uint64(b[0]), b[1:]
 		} else {
 			var w int
-			if v, w = binary.Uvarint(b); w <= 0 {
+			if v, w = Uvarint(b); w <= 0 {
 				d.fail(errUvarint)
 				return dst[:start]
 			}

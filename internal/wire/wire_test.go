@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,7 +21,7 @@ func cursor[T any](read func(*Dec) T) func([]byte) (T, int, error) {
 }
 
 var (
-	Uvarint    = cursor((*Dec).U64)
+	u64        = cursor((*Dec).U64)
 	Counts     = cursor(func(d *Dec) []int64 { return d.Counts(maxVec) })
 	CountsAuto = cursor(func(d *Dec) []int64 { return d.CountsAuto(maxVec) })
 )
@@ -28,19 +29,48 @@ var (
 // maxVec is the count vector length the tests expect at most.
 const maxVec = 1 << 16
 
+// Dec.U64 and the raw step under it, Uvarint, read back what AppendUvarint
+// wrote, one-byte values and longer ones alike, and refuse empty, truncated
+// and overlong input.
 func TestUvarintRoundTrip(t *testing.T) {
-	for _, v := range []uint64{0, 1, 127, 128, 1 << 20, 1<<63 - 1} {
+	for _, v := range []uint64{0, 1, 127, 128, 1 << 20, 1<<63 - 1, 1<<64 - 1} {
 		b := AppendUvarint(nil, v)
-		got, n, err := Uvarint(b)
+		got, n, err := u64(b)
 		if err != nil || got != v || n != len(b) {
 			t.Errorf("round trip %d: got %d n=%d err=%v", v, got, n, err)
 		}
+		if got, n := Uvarint(append(b, 0x7f)); got != v || n != len(b) {
+			t.Errorf("raw step %d: got %d n=%d", v, got, n)
+		}
 	}
-	if _, _, err := Uvarint(nil); err == nil {
-		t.Error("empty input must fail")
+	overlong := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+	for _, b := range [][]byte{nil, {0x80}, overlong} {
+		if _, _, err := u64(b); err == nil {
+			t.Errorf("% x: U64 must fail", b)
+		}
+		if _, n := Uvarint(b); n > 0 {
+			t.Errorf("% x: Uvarint took %d bytes, want failure", b, n)
+		}
 	}
-	if _, _, err := Uvarint([]byte{0x80}); err == nil {
-		t.Error("truncated varint must fail")
+}
+
+// Uvarint gives binary.Uvarint's value and width on every input: each
+// 1- to 12-byte string of bytes drawn from the ones that end, continue or
+// overflow a varint, so truncated, overlong and 64-bit-overflowing input
+// fail exactly as there.
+func TestUvarintMatchesBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []byte{0x00, 0x01, 0x02, 0x7f, 0x80, 0x81, 0xff}
+	for round := 0; round < 200000; round++ {
+		b := make([]byte, 1+rng.Intn(12))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		v, n := Uvarint(b)
+		wv, wn := binary.Uvarint(b)
+		if v != wv || n != wn {
+			t.Fatalf("% x: Uvarint = %d, %d; binary.Uvarint = %d, %d", b, v, n, wv, wn)
+		}
 	}
 }
 
