@@ -180,8 +180,9 @@ func followStream(logger *slog.Logger, o followOptions) {
 			"delta_txns", stats.DeltaTxns, "total_txns", stats.TotalTxns,
 			"passes", stats.Passes, "candidates", stats.Candidates,
 			"recounted", stats.Recounted, "recount_fraction", recount,
-			"prefix_scans", stats.PrefixScans, "itemsets", m.NumItemsets(),
-			"rules", len(rs), "elapsed", time.Since(t0).Round(time.Millisecond))
+			"pruned", stats.Pruned, "prefix_scans", stats.PrefixScans,
+			"itemsets", m.NumItemsets(), "rules", len(rs),
+			"elapsed", time.Since(t0).Round(time.Millisecond))
 		if o.reloadURL != "" {
 			postReload(logger, o.reloadURL)
 		}

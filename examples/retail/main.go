@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pgarm/internal/core"
 	"pgarm/internal/cumulate"
@@ -19,6 +21,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run mines the catalog and writes the comparison, the rule counts, the top
+// rules and the pass-2 cluster statistics to w.
+func run(w io.Writer) error {
 	// A department-store-sized catalog: 12 departments, fanout 6,
 	// ~5000 SKUs, 20,000 baskets.
 	params := gen.Params{
@@ -37,9 +47,9 @@ func main() {
 	}
 	ds, err := gen.Generate(params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("catalog: %v; %d baskets, avg size %.1f\n\n",
+	fmt.Fprintf(w, "catalog: %v; %d baskets, avg size %.1f\n\n",
 		ds.Taxonomy, ds.DB.Len(), ds.DB.AvgSize())
 
 	const minSup, minConf = 0.01, 0.5
@@ -47,7 +57,7 @@ func main() {
 	// Flat mining sees only SKU-level co-occurrence.
 	flat, err := cumulate.Apriori(ds.DB, cumulate.Config{MinSupport: minSup}, ds.Taxonomy.NumItems())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	flatPairs := len(flat.LargeK(2))
 
@@ -61,33 +71,34 @@ func main() {
 		MinSupport: minSup,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	genPairs := len(res.LargeK(2))
-	fmt.Printf("large 2-itemsets: flat Apriori %d vs generalized %d\n", flatPairs, genPairs)
-	fmt.Println("(the hierarchy surfaces department/category associations invisible at SKU level)")
+	fmt.Fprintf(w, "large 2-itemsets: flat Apriori %d vs generalized %d\n", flatPairs, genPairs)
+	fmt.Fprintln(w, "(the hierarchy surfaces department/category associations invisible at SKU level)")
 
 	rs, err := rules.Derive(ds.Taxonomy, res.All(), res.SupportIndex(), rules.Config{
 		MinConfidence: minConf,
 		NumTxns:       ds.DB.Len(),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	interesting := rules.Prune(ds.Taxonomy, rs, res.SupportIndex(), ds.DB.Len(), 1.3)
-	fmt.Printf("\nrules at conf>=%.0f%%: %d total, %d survive R-interestingness (R=1.3)\n",
+	fmt.Fprintf(w, "\nrules at conf>=%.0f%%: %d total, %d survive R-interestingness (R=1.3)\n",
 		minConf*100, len(rs), len(interesting))
-	fmt.Println("\ntop rules by confidence:")
+	fmt.Fprintln(w, "\ntop rules by confidence:")
 	for i, r := range interesting {
 		if i >= 10 {
 			break
 		}
-		fmt.Printf("  %s\n", r)
+		fmt.Fprintf(w, "  %s\n", r)
 	}
 
 	st := res.Stats.Pass(2)
 	if st != nil {
-		fmt.Printf("\npass-2 cluster stats: %d candidates, %d duplicated, %.1f KB received/node, probe skew %s\n",
+		fmt.Fprintf(w, "\npass-2 cluster stats: %d candidates, %d duplicated, %.1f KB received/node, probe skew %s\n",
 			st.Candidates, st.Duplicated, st.AvgBytesReceived()/1024, st.ProbeSkew())
 	}
+	return nil
 }

@@ -30,6 +30,10 @@ type CountOptions struct {
 // ErrCountVectors reports a count vector whose length is not the index's.
 var ErrCountVectors = errors.New("count vector length differs from the index")
 
+// ErrMember reports a CountTable member set that is not the keep set the
+// view's closure was built from.
+var ErrMember = errors.New("count table: member differs from the view's keep set")
+
 // errNoClosure reports a CountTable view built without a keep set.
 var errNoClosure = errors.New("count table: view has no keep-set closure")
 
@@ -44,7 +48,9 @@ var errNoClosure = errors.New("count table: view has no keep-set closure")
 //
 // view must have been built with a keep set (taxonomy.NewView(t, nil,
 // member) is enough); member is that keep set — cumulate.KeepSet of the
-// indexed candidates — and is already applied by the view's closure.
+// indexed candidates — and is already applied by the view's closure. A
+// member that differs from the closure's keep set is ErrMember, before the
+// scan.
 //
 // wcounts must have opt.Workers (min 1) vectors of length index.Len() (any
 // other length is ErrCountVectors, before the scan); callers fold them with
@@ -53,6 +59,9 @@ var errNoClosure = errors.New("count table: view has no keep-set closure")
 func CountTable(view *taxonomy.View, member []bool, index *itemset.Index, k int, src txn.Scanner, wcounts [][]int64, opt CountOptions) error {
 	if view.Closure() == nil {
 		return errNoClosure
+	}
+	if !view.Closure().Keeps(member) {
+		return ErrMember
 	}
 	for _, c := range wcounts {
 		if len(c) != index.Len() {

@@ -279,6 +279,41 @@ func TestCountTableNeedsClosure(t *testing.T) {
 	}
 }
 
+// TestCountTableRejectsMismatchedMember: member must be the keep set the
+// view's closure was built from. One flag more, one flag fewer, or a vector
+// of the wrong length is ErrMember before the scan; the matching set counts.
+func TestCountTableRejectsMismatchedMember(t *testing.T) {
+	fx := newScanFixture(t)
+	cands := [][]item.Item{{0, 1}, {0, 2}, {1, 2}}
+	member := cumulate.KeepSet(fx.tax, cands)
+	view := taxonomy.NewView(fx.tax, nil, member)
+	index := itemset.BuildIndex(cands)
+	extra := slices.Clone(member)
+	extra[7] = true
+	for _, c := range []struct {
+		name   string
+		member []bool
+		want   error
+	}{
+		{"matching", member, nil},
+		{"one extra item", extra, ErrMember},
+		{"one missing item", cumulate.KeepSet(fx.tax, cands[:1]), ErrMember},
+		{"short", member[:len(member)-1], ErrMember},
+		{"nil", nil, ErrMember},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var st metrics.NodeStats
+			err := CountTable(view, c.member, index, 2, fx.db, WorkerVectors(1, index.Len()), CountOptions{Stats: &st})
+			if !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {
+				t.Fatalf("got %v, want %v", err, c.want)
+			}
+			if c.want != nil && st.TxnsScanned != 0 {
+				t.Errorf("scanned %d transactions before rejecting the member set", st.TxnsScanned)
+			}
+		})
+	}
+}
+
 // TestCountTableRejectsMismatchedVectors: CountTable counts only into
 // vectors exactly index.Len() long. A short vector would panic inside the
 // kernel and a long one would leave its tail uncounted, so both are refused

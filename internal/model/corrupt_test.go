@@ -57,6 +57,7 @@ func stateModel() *Model {
 			LogSeg: 1, LogByte: 21, LogTxns: 10,
 			ItemCounts: []int64{5, 4, 0, 3},
 			Levels:     [][]itemset.Counted{{{Items: []item.Item{1, 3}, Count: 2}, {Items: []item.Item{2, 3}, Count: 0}}},
+			Bounds:     [][]itemset.Counted{{{Items: []item.Item{0, 3}, Count: 1}}},
 		},
 	}
 }
@@ -130,24 +131,51 @@ func TestReaderRejectsOutOfRangeValues(t *testing.T) {
 	}
 	if r, err := NewReader(snapshotOf(goodMeta, goodTax, levels([]item.Item{1, 3}, []item.Item{2, 3}))); err != nil {
 		t.Fatal(err)
-	} else if _, err := r.State(); err != nil {
+	} else if s, err := r.State(); err != nil {
 		t.Fatalf("State refused an ordered border level: %v", err)
+	} else if s.Bounds != nil {
+		// No bounds section: the state resumes with no bounds at all.
+		t.Fatalf("a snapshot without a bounds section loaded bounds %v", s.Bounds)
 	}
-	for name, st := range map[string]sec{
-		"a wrapped log offset":           state(big, 10),
-		"an oversized item count vector": longCounts,
-		"a 3-itemset at level 2":         levels([]item.Item{1, 3}, []item.Item{1, 2, 3}),
-		"an item outside the universe":   levels([]item.Item{1, 3}, []item.Item{2, 4}),
-		"an unordered level":             levels([]item.Item{2, 3}, []item.Item{1, 3}),
-		"a repeated set":                 levels([]item.Item{1, 3}, []item.Item{1, 3}),
+	// bounds is the good state section with a bounds section beside it,
+	// holding one level of 2-itemset bounds.
+	bounds := func(count int64, sets ...[]item.Item) []sec {
+		level := make([]itemset.Counted, len(sets))
+		for i, s := range sets {
+			level[i] = itemset.Counted{Items: s, Count: count}
+		}
+		return []sec{state(21, 10), {secBounds, appendLevels(nil, [][]itemset.Counted{level})}}
+	}
+	if r, err := NewReader(snapshotOf(append([]sec{goodMeta, goodTax}, bounds(1, []item.Item{0, 3}, []item.Item{1, 2})...)...)); err != nil {
+		t.Fatal(err)
+	} else if s, err := r.State(); err != nil || len(s.Bounds) != 1 || len(s.Bounds[0]) != 2 {
+		t.Fatalf("State refused or dropped an ordered bound level: %+v, %v", s, err)
+	}
+	for name, st := range map[string][]sec{
+		"a wrapped log offset":           {state(big, 10)},
+		"an oversized item count vector": {longCounts},
+		"a 3-itemset at level 2":         {levels([]item.Item{1, 3}, []item.Item{1, 2, 3})},
+		"an item outside the universe":   {levels([]item.Item{1, 3}, []item.Item{2, 4})},
+		"an unordered level":             {levels([]item.Item{2, 3}, []item.Item{1, 3})},
+		"a repeated set":                 {levels([]item.Item{1, 3}, []item.Item{1, 3})},
+		"an unordered bound level":       bounds(1, []item.Item{1, 2}, []item.Item{0, 3}),
+		"a set in both levels":           bounds(1, []item.Item{0, 3}, []item.Item{1, 3}),
+		"a negative bound":               bounds(-1, []item.Item{0, 3}),
+		"a 3-itemset at bound level 2":   bounds(1, []item.Item{0, 1, 3}),
 	} {
-		r, err := NewReader(snapshotOf(goodMeta, goodTax, st))
+		r, err := NewReader(snapshotOf(append([]sec{goodMeta, goodTax}, st...)...))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s, err := r.State(); err == nil {
 			t.Errorf("State accepted %s: %+v", name, s)
 		}
+	}
+	// A bound that decodes (Validate sees the in-memory value) is refused too.
+	neg := stateModel()
+	neg.State.Bounds[0][0].Count = -1
+	if err := neg.Validate(); err == nil {
+		t.Error("Validate accepted a negative bound")
 	}
 }
 
@@ -164,12 +192,19 @@ func FuzzModelReader(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	withState, err := Encode(stateModel())
+	withState, err := Encode(stateModel()) // bounds section included
+	if err != nil {
+		f.Fatal(err)
+	}
+	noBounds := stateModel()
+	noBounds.State.Bounds = nil
+	withoutBounds, err := Encode(noBounds)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(withState)
 	f.Add(withState[:len(withState)-7])
+	f.Add(withoutBounds)
 	f.Add(snapshotOf(sec{secMeta, nil}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

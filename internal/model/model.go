@@ -74,8 +74,9 @@ type Model struct {
 	// Count, then antecedent and consequent); serving accepts any order.
 	Rules []rules.Rule
 	// State, when non-nil, is the incremental-mining carry-forward (log
-	// offset + border-set counts) a follower needs to resume delta passes
-	// from this snapshot. Batch mines leave it nil and write no section.
+	// offset, border-set counts and bounds) a follower needs to resume
+	// delta passes from this snapshot. Batch mines leave it nil and write
+	// no section.
 	State *MiningState
 }
 
@@ -151,6 +152,7 @@ const (
 	secItemsets = 3
 	secRules    = 4
 	secState    = 5
+	secBounds   = 6
 )
 
 // appendMeta encodes the meta section payload.

@@ -51,6 +51,9 @@ func Encode(m *Model) ([]byte, error) {
 	section(secRules, appendRules(nil, m.Rules))
 	if m.State != nil {
 		section(secState, appendState(nil, m.State))
+		if len(m.State.Bounds) > 0 {
+			section(secBounds, appendLevels(nil, m.State.Bounds))
+		}
 	}
 
 	out := make([]byte, 0, headerLen+len(body))

@@ -10,15 +10,18 @@ import (
 
 // MiningState is the FUP carry-forward an incremental miner stores alongside
 // a snapshot: the log offset the model covers, the full per-item
-// ancestor-closure count vector, and every candidate counted in the final
+// ancestor-closure count vector, every candidate counted in the final
 // checkpoint's passes with its exact count over the covered prefix — the
-// border sets. With this state, the next checkpoint re-counts candidates
-// over the delta only and rescans the prefix solely for candidates that did
-// not exist at the prior checkpoint.
+// border sets — and every candidate it pruned uncounted, with an upper
+// bound on that count. With this state, the next checkpoint re-counts
+// candidates over the delta only and rescans the prefix solely for new
+// candidates whose carried bounds cannot rule them out.
 //
-// The state travels in its own snapshot section (secState); snapshots
-// written without it (plain batch mines) simply lack the section, and older
-// readers skip it, so no format version bump is needed.
+// The state travels in its own snapshot sections (secState, and secBounds
+// when there are bounds); snapshots written without them (plain batch
+// mines) simply lack the sections, and older readers skip them, so no
+// format version bump is needed. A state read without secBounds has nil
+// Bounds, which is a valid, merely weaker, carry-forward.
 type MiningState struct {
 	// LogSeg/LogByte/LogTxns name the stream offset (frame boundary) the
 	// model was mined through — stream.Offset, spelled out here so model
@@ -36,14 +39,21 @@ type MiningState struct {
 	// order of that pass. A level may be empty: it records that the pass ran
 	// and produced no candidates.
 	Levels [][]itemset.Counted
+	// Bounds[k-2] holds the candidate k-itemsets of the final checkpoint
+	// that were pruned without a prefix count, each with an upper bound on
+	// its support over the covered prefix, built from exact counts alone.
+	// Each level is strictly ascending and shares no set with Levels[k-2].
+	Bounds [][]itemset.Counted
 }
 
 // validate checks the state against a universe of numItems items: one
-// count per item, non-negative offsets, and every border level k a strictly
-// ascending list of canonical k-itemsets over the universe. Generation emits
-// each level in that order, and the order rules out a set stored twice.
-// Encode and Reader.Model run it through Model.Validate, and Reader.State
-// runs it too, because a follower resumes from State alone.
+// count per item, non-negative offsets, every border and bound level k a
+// strictly ascending list of canonical k-itemsets over the universe with
+// non-negative counts, and no set both in a border level and its bound
+// level. Generation emits each level in that order, and the order rules out
+// a set stored twice. Encode and Reader.Model run it through
+// Model.Validate, and Reader.State runs it too, because a follower resumes
+// from State alone.
 func (s *MiningState) validate(numItems int) error {
 	if len(s.ItemCounts) != numItems {
 		return fmt.Errorf("model: state item counts %d != universe %d", len(s.ItemCounts), numItems)
@@ -52,19 +62,49 @@ func (s *MiningState) validate(numItems int) error {
 		return fmt.Errorf("model: negative state offset %d/%d", s.LogByte, s.LogTxns)
 	}
 	for k, level := range s.Levels {
-		for i, c := range level {
-			if len(c.Items) != k+2 {
-				return fmt.Errorf("model: state %d-itemset %v stored at level k=%d", len(c.Items), c.Items, k+2)
+		if err := validLevel("border", level, k+2, numItems); err != nil {
+			return err
+		}
+	}
+	for k, level := range s.Bounds {
+		if err := validLevel("bound", level, k+2, numItems); err != nil {
+			return err
+		}
+		if k >= len(s.Levels) {
+			continue
+		}
+		border := s.Levels[k]
+		for i, j := 0, 0; i < len(border) && j < len(level); {
+			switch item.Compare(border[i].Items, level[j].Items) {
+			case -1:
+				i++
+			case 1:
+				j++
+			default:
+				return fmt.Errorf("model: state itemset %v in both the border and the bound level k=%d", level[j].Items, k+2)
 			}
-			if !item.IsSorted(c.Items) {
-				return fmt.Errorf("model: state itemset %v not canonical", c.Items)
-			}
-			if c.Items[0] < 0 || int(c.Items[k+1]) >= numItems {
-				return fmt.Errorf("model: state itemset %v outside universe [0,%d)", c.Items, numItems)
-			}
-			if i > 0 && item.Compare(level[i-1].Items, c.Items) >= 0 {
-				return fmt.Errorf("model: state level k=%d not strictly ascending at %v", k+2, c.Items)
-			}
+		}
+	}
+	return nil
+}
+
+// validLevel checks one state level of k-itemsets over numItems items.
+func validLevel(what string, level []itemset.Counted, k, numItems int) error {
+	for i, c := range level {
+		if len(c.Items) != k {
+			return fmt.Errorf("model: state %d-itemset %v stored at %s level k=%d", len(c.Items), c.Items, what, k)
+		}
+		if !item.IsSorted(c.Items) {
+			return fmt.Errorf("model: state itemset %v not canonical", c.Items)
+		}
+		if c.Items[0] < 0 || int(c.Items[k-1]) >= numItems {
+			return fmt.Errorf("model: state itemset %v outside universe [0,%d)", c.Items, numItems)
+		}
+		if c.Count < 0 {
+			return fmt.Errorf("model: state itemset %v has negative count %d", c.Items, c.Count)
+		}
+		if i > 0 && item.Compare(level[i-1].Items, c.Items) >= 0 {
+			return fmt.Errorf("model: state %s level k=%d not strictly ascending at %v", what, k, c.Items)
 		}
 	}
 	return nil
@@ -94,7 +134,7 @@ func readState(b []byte, numItems int) (*MiningState, error) {
 
 // State decodes and validates (once) and returns the incremental mining
 // state, or nil if the snapshot has none (plain batch mines do not write the
-// section).
+// section). The bounds section is read only beside a state section.
 func (r *Reader) State() (*MiningState, error) {
 	if !r.stateDone {
 		sec, ok := r.sections[secState]
@@ -106,6 +146,12 @@ func (r *Reader) State() (*MiningState, error) {
 			s, err := readState(sec, tax.NumItems())
 			if err != nil {
 				return nil, fmt.Errorf("model: corrupt state section: %v", err)
+			}
+			if b, ok := r.sections[secBounds]; ok {
+				d := wire.NewDec(b)
+				if s.Bounds = readLevels(&d); d.Err() != nil {
+					return nil, fmt.Errorf("model: corrupt bounds section: %v", d.Err())
+				}
 			}
 			if err := s.validate(tax.NumItems()); err != nil {
 				return nil, err

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"pgarm/internal/cumulate"
 	"pgarm/internal/driver"
@@ -25,9 +27,10 @@ type MineConfig struct {
 }
 
 // CheckpointStats quantifies how much work the FUP carry-forward saved: of
-// all candidates the checkpoint's passes counted, only the re-counted ones
-// (absent from the prior border sets) needed a scan of the frozen prefix —
-// everything else was counted over the delta alone.
+// all candidates the checkpoint's passes generated, only the recounted ones
+// (absent from the prior border sets and not ruled out by a carried bound)
+// needed a scan of the frozen prefix — everything else was counted over the
+// delta alone.
 type CheckpointStats struct {
 	// DeltaTxns/TotalTxns are the new and cumulative transaction counts.
 	DeltaTxns int64 `json:"delta_txns"`
@@ -36,9 +39,13 @@ type CheckpointStats struct {
 	Passes int `json:"passes"`
 	// Candidates counts every candidate across the k >= 2 passes.
 	Candidates int `json:"candidates"`
-	// Recounted is how many of those candidates were new — not in the
-	// prior checkpoint's border — and therefore needed a prefix rescan.
+	// Recounted is how many of those candidates were rescanned over the
+	// prefix: absent from the prior checkpoint's border, and with no carried
+	// bound low enough to prune them.
 	Recounted int `json:"recounted"`
+	// Pruned is how many candidates absent from the prior border were
+	// proven small by a carried bound and skipped the prefix scan.
+	Pruned int `json:"pruned"`
 	// PrefixScans is the number of passes that scanned the prefix at all.
 	PrefixScans int `json:"prefix_scans"`
 }
@@ -50,27 +57,34 @@ type CheckpointStats struct {
 //   - Pass 1 never scans the prefix: the prior state's full per-item
 //     ancestor-closure count vector is advanced by counting the delta only.
 //   - Pass k >= 2 generates candidates exactly as the batch miner would
-//     (from this checkpoint's L_{k-1}). Candidates present in the prior
-//     border sets (state.Levels — every candidate the prior checkpoint
-//     counted, large or not) are seeded with their exact prefix counts and
-//     advanced over the delta only. Candidates absent from the border are
-//     counted over the delta and the prefix, but the prefix scan probes only
-//     those new candidates.
+//     (from this checkpoint's L_{k-1}) and counts all of them over the
+//     delta. Candidates present in the prior border sets (state.Levels —
+//     every candidate the prior checkpoint counted, large or not) are
+//     seeded with their exact prefix counts. A candidate absent from the
+//     border is bounded by the least prefix count the prior state holds
+//     for it (seed); if that bound plus its delta support is below the
+//     minimum count it cannot be large, and it goes into the new state's
+//     bound level uncounted. Only the candidates left are counted over the
+//     prefix, and that scan probes only them.
 //
 // The result is bit-identical to cumulate.Mine over the concatenated
 // database: candidate generation is deterministic from L_{k-1}; seeded
-// counts are exact by the state invariant; and a new candidate's prefix
-// count is exact even though it is counted with a smaller candidate set,
-// because a candidate c whose items all lie in the pass's member set is a
-// subset of the member-filtered ancestor extension of t exactly when c is a
-// subset of t's full ancestor closure — independent of which other
+// counts are exact by the state invariant; a pruned candidate is not large,
+// because closure support is anti-monotone and every term of its bound is
+// an exact prefix count or a bound built from them; and a new candidate's
+// prefix count is exact even though it is counted with a smaller candidate
+// set, because a candidate c whose items all lie in the pass's member set
+// is a subset of the member-filtered ancestor extension of t exactly when c
+// is a subset of t's full ancestor closure — independent of which other
 // candidates are in the set (see DESIGN.md §11 for the argument).
 //
 // prior is the previous checkpoint's state, or nil for the first checkpoint
-// (then prefix must be empty). prefix must cover exactly prior.LogTxns
-// transactions and support concurrent Scan calls (Reader.Prefix does). The
-// returned state covers prefix + delta with LogSeg/LogByte left zero — the
-// caller records the log offset it mined through.
+// (then prefix must be empty). It may have been mined at any minimum
+// support and MaxK: pruning reads only its counts. prefix must cover
+// exactly prior.LogTxns transactions and support concurrent Scan calls
+// (Reader.Prefix does). The returned state covers prefix + delta with
+// LogSeg/LogByte left zero — the caller records the log offset it mined
+// through.
 func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix txn.Scanner, delta txn.Scanner, cfg MineConfig) (*cumulate.Result, *model.MiningState, *CheckpointStats, error) {
 	if tax == nil {
 		return nil, nil, nil, fmt.Errorf("stream: nil taxonomy")
@@ -143,32 +157,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		}
 		stats.Passes++
 		stats.Candidates += len(cands)
-
-		// Seed known candidates with their exact prefix counts, found through
-		// a Table over the prior border level (empty when the prior checkpoint
-		// never reached pass k); collect the rest, in ascending candidate-id
-		// order, for the scoped prefix rescan.
-		var border []itemset.Counted
-		if prior != nil && k-2 < len(prior.Levels) {
-			border = prior.Levels[k-2]
-		}
-		borderSets := make([][]item.Item, len(border))
-		for i, c := range border {
-			borderSets[i] = c.Items
-		}
-		seeded := itemset.BuildTable(borderSets)
-		candCounts := make([]int64, len(cands))
-		var newCands [][]item.Item
-		var newIDs []int
-		for id, c := range cands {
-			if at := seeded.Lookup(c); at >= 0 {
-				candCounts[id] = border[at].Count
-			} else {
-				newCands = append(newCands, c)
-				newIDs = append(newIDs, id)
-			}
-		}
-		stats.Recounted += len(newCands)
+		candCounts, ub := seed(prior, cands, k)
 
 		// count scans src for sets, adding set i's support to
 		// candCounts[ids[i]] (candCounts[i] when ids is nil).
@@ -194,28 +183,53 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 			}
 		}
 
-		// Prefix scan: only candidates the prior checkpoint never counted.
-		if len(newCands) > 0 && prefixN > 0 {
+		// Prune what cannot be large, keeping bound + delta support as the
+		// new bound; the rest of the candidates absent from the border are
+		// rescanned. An empty prefix holds nothing to rescan, so every count
+		// is already exact there.
+		var rescan [][]item.Item
+		var rescanIDs []int
+		for id, u := range ub {
+			switch {
+			case u == exact:
+			case prefixN > 0 && u != noBound && u+candCounts[id] < minCount:
+				ub[id] = u + candCounts[id]
+				stats.Pruned++
+			default:
+				ub[id] = exact
+				rescan = append(rescan, cands[id])
+				rescanIDs = append(rescanIDs, id)
+			}
+		}
+		stats.Recounted += len(rescan)
+		if len(rescan) > 0 && prefixN > 0 {
 			stats.PrefixScans++
-			if err := count(newCands, newIDs, prefix); err != nil {
+			if err := count(rescan, rescanIDs, prefix); err != nil {
 				return nil, nil, nil, fmt.Errorf("stream: pass %d prefix scan: %w", k, err)
 			}
 		}
 		res.Probes += scanned.Probes
 
-		// The state stores every candidate with its union count — the full
-		// positive and negative border the next checkpoint seeds from. The
-		// level is stored even when L_k comes out empty: those "not large
-		// yet" counts are exactly what makes a later promotion cheap.
-		level := make([]itemset.Counted, len(cands))
+		// The state stores every counted candidate with its union count — the
+		// full positive and negative border the next checkpoint seeds from —
+		// and every pruned one with its bound. Both levels are stored even
+		// when L_k comes out empty: those "not large yet" counts and bounds
+		// are exactly what makes a later promotion or pruning cheap.
+		level := make([]itemset.Counted, 0, len(cands))
+		bounds := make([]itemset.Counted, 0)
 		var lk []itemset.Counted
 		for id, c := range cands {
-			level[id] = itemset.Counted{Items: c, Count: candCounts[id]}
+			if ub[id] != exact {
+				bounds = append(bounds, itemset.Counted{Items: c, Count: ub[id]})
+				continue
+			}
+			level = append(level, itemset.Counted{Items: c, Count: candCounts[id]})
 			if candCounts[id] >= minCount {
-				lk = append(lk, level[id])
+				lk = append(lk, level[len(level)-1])
 			}
 		}
 		state.Levels = append(state.Levels, level)
+		state.Bounds = append(state.Bounds, bounds)
 
 		// L_k was collected in candidate order; sort it lexicographically.
 		itemset.SortCounted(lk)
@@ -229,4 +243,70 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		}
 	}
 	return res, state, stats, nil
+}
+
+// exact marks a candidate whose prefix count is known exactly; noBound one
+// the prior state holds no count for. Every other ub value is an upper
+// bound on the prefix count.
+const (
+	exact   = -1
+	noBound = math.MaxInt64
+)
+
+// seed walks pass k's ascending candidates against the prior border and
+// bound levels of pass k (both ascending, and disjoint) in one merge. A
+// border candidate gets its exact prefix count in counts and ub[id] =
+// exact. Any other candidate gets in ub[id] the least of what the prior
+// state holds on its prefix support: its own carried bound, its items'
+// closure counts (k = 2), and the exact counts of its (k-1)-subsets in the
+// border level k-1 (binary search) — noBound when it holds none of them.
+// Closure support is anti-monotone, so each is an upper bound; none depends
+// on the minimum support or MaxK the prior checkpoint ran with.
+func seed(prior *model.MiningState, cands [][]item.Item, k int) (counts, ub []int64) {
+	counts = make([]int64, len(cands))
+	ub = make([]int64, len(cands))
+	var border, bounds, subs []itemset.Counted
+	if prior != nil {
+		border, bounds, subs = levelOf(prior.Levels, k), levelOf(prior.Bounds, k), levelOf(prior.Levels, k-1)
+	}
+	sub := make([]item.Item, 0, k-1)
+	b, n := 0, 0
+	for id, c := range cands {
+		for b < len(border) && item.Compare(border[b].Items, c) < 0 {
+			b++
+		}
+		if b < len(border) && item.Equal(border[b].Items, c) {
+			counts[id], ub[id] = border[b].Count, exact
+			continue
+		}
+		u := int64(noBound)
+		for n < len(bounds) && item.Compare(bounds[n].Items, c) < 0 {
+			n++
+		}
+		if n < len(bounds) && item.Equal(bounds[n].Items, c) {
+			u = bounds[n].Count
+		}
+		if prior != nil && k == 2 {
+			u = min(u, prior.ItemCounts[c[0]], prior.ItemCounts[c[1]])
+		}
+		for drop := 0; drop < k && len(subs) > 0; drop++ {
+			sub = append(append(sub[:0], c[:drop]...), c[drop+1:]...)
+			if i, ok := slices.BinarySearchFunc(subs, sub, compareCounted); ok {
+				u = min(u, subs[i].Count)
+			}
+		}
+		ub[id] = u
+	}
+	return counts, ub
+}
+
+func compareCounted(c itemset.Counted, s []item.Item) int { return item.Compare(c.Items, s) }
+
+// levelOf returns the k-itemset level of a state's levels, nil when the
+// state holds none.
+func levelOf(levels [][]itemset.Counted, k int) []itemset.Counted {
+	if k < 2 || k-2 >= len(levels) {
+		return nil
+	}
+	return levels[k-2]
 }

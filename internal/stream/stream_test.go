@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"pgarm/internal/cumulate"
 	"pgarm/internal/gen"
 	"pgarm/internal/item"
+	"pgarm/internal/itemset"
 	"pgarm/internal/model"
 	"pgarm/internal/txn"
 )
@@ -79,11 +81,12 @@ func sliceDB(ds *gen.Dataset, lo, hi int) *txn.DB {
 // TestIncrementalBitIdentity is the correctness bar of the streaming
 // subsystem: at every checkpoint, for every worker count and support level,
 // the incremental result must be bit-identical (itemsets, counts, order) to
-// a full batch re-mine over the whole log so far — including a mid-sequence
-// round-trip of the carry-forward state through the snapshot codec.
+// a full batch re-mine over the whole log so far — including a round-trip
+// of the carry-forward state, bound levels and all, through the snapshot
+// codec between checkpoints.
 func TestIncrementalBitIdentity(t *testing.T) {
 	ds := smallDataset(t)
-	checkpoints := []int{250, 400, 430, 800} // deliberately uneven deltas
+	checkpoints := []int{250, 400, 430, 520, 610, 700, 800} // deliberately uneven deltas
 	dir := t.TempDir()
 	offs := writeLog(t, dir, ds, checkpoints)
 	r, err := OpenReader(dir)
@@ -91,6 +94,7 @@ func TestIncrementalBitIdentity(t *testing.T) {
 		t.Fatalf("open reader: %v", err)
 	}
 
+	carried := false // some round-tripped state carried a bound
 	for _, workers := range []int{1, 2, 4} {
 		for _, minsup := range []float64{0.05, 0.02} {
 			cfg := MineConfig{MinSupport: minsup, Workers: workers}
@@ -118,8 +122,8 @@ func TestIncrementalBitIdentity(t *testing.T) {
 					t.Fatalf("ckpt=%d: no FUP savings: recounted %d of %d candidates",
 						ci, stats.Recounted, stats.Candidates)
 				}
-				// Round-trip the state through the snapshot codec mid-sequence,
-				// exactly as the follower does between checkpoints.
+				// Round-trip the state through the snapshot codec between
+				// checkpoints, exactly as the follower does.
 				state.LogSeg, state.LogByte = offs[ci].Seg, offs[ci].Byte
 				m := &model.Model{
 					Meta:     model.Meta{NumTxns: int64(end), MinSupport: minsup},
@@ -142,20 +146,33 @@ func TestIncrementalBitIdentity(t *testing.T) {
 				if prior == nil || !reflect.DeepEqual(prior, state) {
 					t.Fatalf("ckpt=%d: state did not round-trip", ci)
 				}
+				carried = carried || numSets(prior.Bounds) > 0
 				prev = end
 				prevOff = offs[ci]
 			}
 		}
 	}
+	if !carried {
+		t.Fatal("no checkpoint carried a bound through the snapshot codec")
+	}
+}
+
+func numSets(levels [][]itemset.Counted) int {
+	n := 0
+	for _, level := range levels {
+		n += len(level)
+	}
+	return n
 }
 
 // TestRecountedIsCandidatesAbsentFromBorder pins the seeding itself: a
 // candidate the prior border holds must be seeded, not recounted. A seeding
 // miss would only send that candidate to the prefix rescan, which keeps the
 // result bit-identical, so TestIncrementalBitIdentity cannot see one. Here
-// every checkpoint's Recounted must equal the number of its C_k candidates
-// (the levels of its own state) absent from the prior state's level k,
-// found with a map of the sets' printed form.
+// every checkpoint's Candidates must equal the sets of its own state's
+// levels and bound levels, Pruned the sets of its bound levels, and
+// Recounted the sets of its levels (the counted candidates) absent from the
+// prior state's level k, found with a map of the sets' printed form.
 func TestRecountedIsCandidatesAbsentFromBorder(t *testing.T) {
 	ds := smallDataset(t)
 	checkpoints := []int{250, 400, 430, 800}
@@ -167,13 +184,13 @@ func TestRecountedIsCandidatesAbsentFromBorder(t *testing.T) {
 	}
 	var prior *model.MiningState
 	prev, prevOff := 0, Offset{}
-	seededAny := false
+	seededAny, prunedAny := false, false
 	for ci, end := range checkpoints {
 		_, state, stats, err := IncrementalMine(ds.Taxonomy, prior, r.Prefix(prevOff), sliceDB(ds, prev, end), MineConfig{MinSupport: 0.02})
 		if err != nil {
 			t.Fatalf("ckpt=%d: %v", ci, err)
 		}
-		candidates, absent := 0, 0
+		counted, absent := 0, 0
 		for i, level := range state.Levels {
 			border := map[string]bool{}
 			if prior != nil && i < len(prior.Levels) {
@@ -182,21 +199,213 @@ func TestRecountedIsCandidatesAbsentFromBorder(t *testing.T) {
 				}
 			}
 			for _, c := range level {
-				candidates++
+				counted++
 				if !border[fmt.Sprint(c.Items)] {
 					absent++
 				}
 			}
 		}
-		if stats.Candidates != candidates || stats.Recounted != absent {
-			t.Errorf("ckpt=%d: %d candidates, %d recounted; the levels hold %d, %d of them absent from the prior border",
-				ci, stats.Candidates, stats.Recounted, candidates, absent)
+		pruned := numSets(state.Bounds)
+		if stats.Candidates != counted+pruned || stats.Recounted != absent || stats.Pruned != pruned {
+			t.Errorf("ckpt=%d: %d candidates, %d recounted, %d pruned; the levels hold %d, %d of them absent from the prior border, the bound levels %d",
+				ci, stats.Candidates, stats.Recounted, stats.Pruned, counted, absent, pruned)
 		}
-		seededAny = seededAny || absent < candidates
+		seededAny = seededAny || absent < counted
+		prunedAny = prunedAny || pruned > 0
 		prior, prev, prevOff = state, end, offs[ci]
 	}
-	if !seededAny {
-		t.Fatal("no checkpoint seeded a candidate from its prior border")
+	if !seededAny || !prunedAny {
+		t.Fatalf("seeded a candidate from its prior border: %v; pruned one: %v", seededAny, prunedAny)
+	}
+}
+
+// TestBoundsAreSound checks every bound level against brute force over
+// uneven checkpoints. Each bound must be at least its set's closure support
+// over the whole log so far, and below the minimum count, so no bounded set
+// is large. Each must equal a reference recomputed from maps over the prior
+// state — the least of the set's carried bound, its items' counts (k = 2)
+// and its (k-1)-subsets' border counts — plus its delta support, and every
+// counted set absent from the prior border must be one that reference could
+// not prune. The run must prune a set at two consecutive checkpoints
+// through its carried bound, and a set at k >= 3 through a subset's count.
+func TestBoundsAreSound(t *testing.T) {
+	ds := smallDataset(t)
+	checkpoints := []int{200, 260, 330, 350, 420, 500, 560, 640, 700, 800}
+	dir := t.TempDir()
+	offs := writeLog(t, dir, ds, checkpoints)
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatalf("open reader: %v", err)
+	}
+	// tids[x] flags the transactions whose ancestor closure holds item x.
+	words := (ds.DB.Len() + 63) / 64
+	tids := make([][]uint64, ds.Taxonomy.NumItems())
+	for x := range tids {
+		tids[x] = make([]uint64, words)
+	}
+	for i := 0; i < ds.DB.Len(); i++ {
+		for _, x := range ds.Taxonomy.ExtendTransaction(nil, ds.DB.At(i).Items) {
+			tids[x][i/64] |= 1 << (i % 64)
+		}
+	}
+	support := func(s []item.Item, lo, hi int) int64 {
+		n := 0
+		for w := lo / 64; w <= (hi-1)/64; w++ {
+			word := ^uint64(0)
+			for _, x := range s {
+				word &= tids[x][w]
+			}
+			if w == lo/64 {
+				word &= ^uint64(0) << (lo % 64)
+			}
+			if w == (hi-1)/64 {
+				word &= ^uint64(0) >> (63 - (hi-1)%64)
+			}
+			n += bits.OnesCount64(word)
+		}
+		return int64(n)
+	}
+	const minsup = 0.02
+	var prior *model.MiningState
+	prev, prevOff := 0, Offset{}
+	viaCarried, viaSubset := 0, 0
+	for ci, end := range checkpoints {
+		_, state, _, err := IncrementalMine(ds.Taxonomy, prior, r.Prefix(prevOff), sliceDB(ds, prev, end), MineConfig{MinSupport: minsup})
+		if err != nil {
+			t.Fatalf("ckpt=%d: %v", ci, err)
+		}
+		minCount := cumulate.MinCount(minsup, end)
+		if prior == nil {
+			if n := numSets(state.Bounds); n != 0 {
+				t.Fatalf("ckpt=0: %d sets bounded with no prefix to bound", n)
+			}
+			prior, prev, prevOff = state, end, offs[ci]
+			continue
+		}
+		border, carried := countsByKey(prior.Levels), countsByKey(prior.Bounds)
+		for _, level := range state.Bounds {
+			for _, c := range level {
+				if got := support(c.Items, 0, end); got > c.Count || c.Count >= minCount {
+					t.Fatalf("ckpt=%d: %v bounded by %d, support %d, min count %d", ci, c.Items, c.Count, got, minCount)
+				}
+				own, others := refBound(prior, border, carried, c.Items)
+				if want := min(own, others) + support(c.Items, prev, end); c.Count != want {
+					t.Fatalf("ckpt=%d: %v bounded by %d, reference %d", ci, c.Items, c.Count, want)
+				}
+				if own < others {
+					viaCarried++
+				}
+				if len(c.Items) >= 3 && others < own {
+					viaSubset++
+				}
+			}
+		}
+		for _, level := range state.Levels {
+			for _, c := range level {
+				if _, seeded := border[itemset.Key(c.Items)]; seeded {
+					continue
+				}
+				own, others := refBound(prior, border, carried, c.Items)
+				if u := min(own, others); u != noBound && u+support(c.Items, prev, end) < minCount {
+					t.Fatalf("ckpt=%d: %v rescanned, though bound %d plus its delta support is below %d", ci, c.Items, u, minCount)
+				}
+			}
+		}
+		prior, prev, prevOff = state, end, offs[ci]
+	}
+	t.Logf("pruned through a carried bound %d times, at k >= 3 through a subset %d times", viaCarried, viaSubset)
+	if viaCarried == 0 || viaSubset == 0 {
+		t.Fatalf("pruned through a carried bound %d times, at k >= 3 through a subset %d times; want both > 0", viaCarried, viaSubset)
+	}
+}
+
+// countsByKey maps every set of a state's levels, by its packed key, to
+// its count.
+func countsByKey(levels [][]itemset.Counted) map[string]int64 {
+	m := map[string]int64{}
+	for _, level := range levels {
+		for _, c := range level {
+			m[itemset.Key(c.Items)] = c.Count
+		}
+	}
+	return m
+}
+
+// refBound is seed's bound on s, recomputed from maps: own is s's carried
+// bound, others the least of its items' counts (k = 2) and its
+// (k-1)-subsets' border counts; noBound where the prior state has none.
+func refBound(prior *model.MiningState, border, carried map[string]int64, s []item.Item) (own, others int64) {
+	own, others = noBound, noBound
+	if b, ok := carried[itemset.Key(s)]; ok {
+		own = b
+	}
+	if len(s) == 2 {
+		others = min(prior.ItemCounts[s[0]], prior.ItemCounts[s[1]])
+	}
+	for drop := range s {
+		sub := append(append([]item.Item{}, s[:drop]...), s[drop+1:]...)
+		if c, ok := border[itemset.Key(sub)]; ok {
+			others = min(others, c)
+		}
+	}
+	return own, others
+}
+
+// TestResumeAcrossMinSupportAndMaxK resumes each checkpoint from a state
+// mined at a different minimum support and MaxK, lower and higher, through
+// the snapshot codec: pruning reads only the prior state's counts, so every
+// checkpoint must still equal cumulate.Mine at its own settings.
+func TestResumeAcrossMinSupportAndMaxK(t *testing.T) {
+	ds := smallDataset(t)
+	steps := []struct {
+		end    int
+		minsup float64
+		maxK   int
+	}{{300, 0.05, 2}, {420, 0.02, 0}, {560, 0.04, 3}, {640, 0.015, 0}, {800, 0.03, 2}}
+	checkpoints := make([]int, len(steps))
+	for i, st := range steps {
+		checkpoints[i] = st.end
+	}
+	dir := t.TempDir()
+	offs := writeLog(t, dir, ds, checkpoints)
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatalf("open reader: %v", err)
+	}
+	var prior *model.MiningState
+	prev, prevOff := 0, Offset{}
+	pruned := 0
+	for ci, st := range steps {
+		res, state, stats, err := IncrementalMine(ds.Taxonomy, prior, r.Prefix(prevOff), sliceDB(ds, prev, st.end),
+			MineConfig{MinSupport: st.minsup, MaxK: st.maxK, Workers: 2})
+		if err != nil {
+			t.Fatalf("ckpt=%d: %v", ci, err)
+		}
+		full, err := cumulate.Mine(ds.Taxonomy, sliceDB(ds, 0, st.end), cumulate.Config{MinSupport: st.minsup, MaxK: st.maxK})
+		if err != nil {
+			t.Fatalf("ckpt=%d: full: %v", ci, err)
+		}
+		if !reflect.DeepEqual(res.Large, full.Large) {
+			t.Fatalf("ckpt=%d (minsup %g, MaxK %d): incremental diverged from full re-mine", ci, st.minsup, st.maxK)
+		}
+		if ci > 0 {
+			pruned += stats.Pruned
+		}
+		buf, err := model.Encode(&model.Model{Taxonomy: ds.Taxonomy, Large: res.Large, State: state})
+		if err != nil {
+			t.Fatalf("ckpt=%d: encode: %v", ci, err)
+		}
+		mr, err := model.NewReader(buf)
+		if err != nil {
+			t.Fatalf("ckpt=%d: reopen: %v", ci, err)
+		}
+		if prior, err = mr.State(); err != nil {
+			t.Fatalf("ckpt=%d: decode state: %v", ci, err)
+		}
+		prev, prevOff = st.end, offs[ci]
+	}
+	if pruned == 0 {
+		t.Fatal("no resumed checkpoint pruned a candidate")
 	}
 }
 

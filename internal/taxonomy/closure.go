@@ -83,6 +83,20 @@ func numberSlots(t *Taxonomy, slot []int32) *Closure {
 	return NewClosure(t, slot, out)
 }
 
+// Keeps reports whether the closure keeps exactly the items flagged in keep,
+// one flag per item of the hierarchy.
+func (c *Closure) Keeps(keep []bool) bool {
+	if len(keep) != len(c.slot) {
+		return false
+	}
+	for i, k := range keep {
+		if k != (c.slot[i] >= 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Words returns the length of the bitset Extend needs.
 func (c *Closure) Words() int { return (len(c.out) + 63) / 64 }
 
