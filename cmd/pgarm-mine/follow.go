@@ -12,7 +12,6 @@ import (
 	"pgarm/internal/item"
 	"pgarm/internal/logx"
 	"pgarm/internal/model"
-	"pgarm/internal/rules"
 	"pgarm/internal/stream"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
@@ -142,17 +141,7 @@ func followStream(logger *slog.Logger, o followOptions) {
 		}
 		state.LogSeg, state.LogByte = curOff.Seg, curOff.Byte
 
-		support := res.SupportIndex()
-		rs, err := rules.Derive(tax, res.All(), support, rules.Config{
-			MinConfidence: o.minconf,
-			NumTxns:       res.NumTxns,
-		})
-		if err != nil {
-			logx.Fatal(logger, "rule derivation failed", "err", err)
-		}
-		if o.interest > 0 {
-			rs = rules.Prune(tax, rs, support, res.NumTxns, o.interest)
-		}
+		rs := deriveRules(logger, tax, &res.Levels, res.NumTxns, o.minconf, o.interest)
 		m := &model.Model{
 			Meta: model.Meta{
 				Dataset:       o.dataset,

@@ -49,6 +49,7 @@ import (
 	"pgarm/internal/engines"
 	"pgarm/internal/gen"
 	"pgarm/internal/item"
+	"pgarm/internal/itemset"
 	"pgarm/internal/logx"
 	"pgarm/internal/model"
 	"pgarm/internal/obs"
@@ -58,6 +59,24 @@ import (
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 )
+
+// deriveRules is the rules step of batch mining and of every -follow
+// checkpoint: rules at minconf over numTxns transactions, then, when r > 0,
+// the R-interestingness filter, logging how many rules it pruned. Exits on
+// a derivation error.
+func deriveRules(logger *slog.Logger, tax *taxonomy.Taxonomy, levels *itemset.Levels, numTxns int, minconf, r float64) []rules.Rule {
+	support := levels.SupportIndex()
+	rs, err := rules.Derive(tax, levels.All(), support, rules.Config{MinConfidence: minconf, NumTxns: numTxns})
+	if err != nil {
+		logx.Fatal(logger, "rule derivation failed", "err", err)
+	}
+	if r > 0 {
+		before := len(rs)
+		rs = rules.Prune(tax, rs, support, r)
+		logger.Info("R-interestingness pruned rules", "r", r, "pruned", before-len(rs), "before", before)
+	}
+	return rs
+}
 
 // observe wires the run's observability into spec: a tracer when -trace is
 // set, and with -http a registry plus cluster view served on the shared
@@ -257,19 +276,7 @@ func main() {
 		for _, p := range parts {
 			total += p.Len()
 		}
-		support := res.SupportIndex()
-		rs, err := rules.Derive(tax, res.All(), support, rules.Config{
-			MinConfidence: *minconf,
-			NumTxns:       total,
-		})
-		if err != nil {
-			logx.Fatal(logger, "rule derivation failed", "err", err)
-		}
-		if *interest > 0 {
-			before := len(rs)
-			rs = rules.Prune(tax, rs, support, total, *interest)
-			logger.Info("R-interestingness pruned rules", "r", *interest, "pruned", before-len(rs), "before", before)
-		}
+		rs := deriveRules(logger, tax, &res.Levels, total, *minconf, *interest)
 		if *rulesOn {
 			fmt.Printf("\n%d rules at confidence >= %.0f%%:\n", len(rs), *minconf*100)
 			for i, r := range rs {

@@ -61,14 +61,19 @@ func run(w io.Writer) error {
 	}
 	flatPairs := len(flat.LargeK(2))
 
-	// Generalized mining on an 8-node shared-nothing cluster.
+	// Generalized mining on an 8-node shared-nothing cluster. A 6 MB
+	// candidate budget per node is half of C_2's footprint (217,765 pairs at
+	// core.CandBytes(2) = 56 B), so pass 2 partitions C_2 by root vector and
+	// duplicates only what the space left over holds. The itemsets are the
+	// same at any budget.
 	parts := make([]txn.Scanner, 0, 8)
 	for _, p := range txn.Partition(ds.DB, 8) {
 		parts = append(parts, p)
 	}
 	res, err := engines.Run(ds.Taxonomy, parts, engines.Spec{
-		Algorithm:  core.HHPGMFGD,
-		MinSupport: minSup,
+		Algorithm:    core.HHPGMFGD,
+		MinSupport:   minSup,
+		MemoryBudget: 6 << 20,
 	})
 	if err != nil {
 		return err
@@ -77,14 +82,15 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "large 2-itemsets: flat Apriori %d vs generalized %d\n", flatPairs, genPairs)
 	fmt.Fprintln(w, "(the hierarchy surfaces department/category associations invisible at SKU level)")
 
-	rs, err := rules.Derive(ds.Taxonomy, res.All(), res.SupportIndex(), rules.Config{
+	support := res.SupportIndex()
+	rs, err := rules.Derive(ds.Taxonomy, res.All(), support, rules.Config{
 		MinConfidence: minConf,
 		NumTxns:       ds.DB.Len(),
 	})
 	if err != nil {
 		return err
 	}
-	interesting := rules.Prune(ds.Taxonomy, rs, res.SupportIndex(), ds.DB.Len(), 1.3)
+	interesting := rules.Prune(ds.Taxonomy, rs, support, 1.3)
 	fmt.Fprintf(w, "\nrules at conf>=%.0f%%: %d total, %d survive R-interestingness (R=1.3)\n",
 		minConf*100, len(rs), len(interesting))
 	fmt.Fprintln(w, "\ntop rules by confidence:")

@@ -7,8 +7,8 @@ import (
 
 // want is the demo's output: the flat-versus-generalized pair counts, the
 // rules before and after the R-interestingness filter, the top ten rules and
-// H-HPGM-FGD's pass-2 counters over eight nodes. Every figure is a count or
-// a ratio of counts, so it is the same on any host.
+// H-HPGM-FGD's pass-2 counters over eight nodes under a 6 MB budget. Every
+// figure is a count or a ratio of counts, so it is the same on any host.
 const want = `catalog: taxonomy{items:5000 roots:12 leaves:4168 maxLevel:4}; 20000 baskets, avg size 8.0
 
 large 2-itemsets: flat Apriori 7 vs generalized 4858
@@ -28,7 +28,7 @@ top rules by confidence:
   {18,440} => {0} (sup 1.05%, conf 97.2%)
   {23,214} => {0} (sup 1.04%, conf 97.2%)
 
-pass-2 cluster stats: 217765 candidates, 217765 duplicated, 0.0 KB received/node, probe skew min=876520 max=911897 mean=888250 cv=0.013 max/mean=1.03
+pass-2 cluster stats: 217765 candidates, 66964 duplicated, 130.3 KB received/node, probe skew min=1297286 max=1805297 mean=1526895 cv=0.136 max/mean=1.18
 `
 
 // TestOutput pins the demo's output byte for byte.

@@ -35,18 +35,20 @@ func (e *refHPGM) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (drive
 	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) { probe(items, counts[0], st) }))
 	err := driver.CountPhase(n.Local(), n.Workers(), n.ShardObs("count"), st, taxonomy.SetsClosure(e.tax, e.curCands), cp,
 		func(w *driver.Worker, _ txn.Transaction) error {
-			var sendErr error
-			itemset.ForEachSubset(w.Ext, k, func(sub []item.Item) bool {
+			var walk itemset.Subsets
+			for ok := walk.Reset(w.Ext, k); ok; ok = walk.Next() {
+				sub := walk.Items()
 				dest := int(itemset.Hash(sub) % uint64(nNodes))
 				if dest == self {
 					probe(sub, counts[1+w.ID], &w.Stats)
-					return true
+					continue
 				}
 				w.Stats.ItemsSent += int64(len(sub))
-				sendErr = w.Bat.AddItems(dest, sub)
-				return sendErr == nil
-			})
-			return sendErr
+				if err := w.Bat.AddItems(dest, sub); err != nil {
+					return err
+				}
+			}
+			return nil
 		})
 	if err != nil {
 		return driver.PassOutcome{}, err

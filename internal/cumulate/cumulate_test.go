@@ -190,14 +190,15 @@ func TestLargeMonotonicity(t *testing.T) {
 	idx := res.SupportIndex()
 	for k := 2; k <= len(res.Large); k++ {
 		for _, c := range res.LargeK(k) {
-			itemset.ForEachSubset(c.Items, k-1, func(sub []item.Item) bool {
+			var walk itemset.Subsets
+			for ok := walk.Reset(c.Items, k-1); ok; ok = walk.Next() {
+				sub := walk.Items()
 				if subCount, ok := idx[itemset.Key(sub)]; !ok {
 					t.Errorf("subset %v of large %v is not large (anti-monotone violation)", sub, c.Items)
 				} else if subCount < c.Count {
 					t.Errorf("sup(%v)=%d < sup(%v)=%d", sub, subCount, c.Items, c.Count)
 				}
-				return true
-			})
+			}
 		}
 	}
 	if res.Probes == 0 {

@@ -148,9 +148,9 @@ func Intersects(a, b []Item) bool {
 	return false
 }
 
-// Minus returns a \ b for canonical itemsets a and b, as a new slice.
-func Minus(a, b []Item) []Item {
-	out := make([]Item, 0, len(a))
+// AppendMinus appends a \ b to dst, for canonical itemsets a and b, and
+// returns the extended slice.
+func AppendMinus(dst, a, b []Item) []Item {
 	j := 0
 	for _, x := range a {
 		for j < len(b) && b[j] < x {
@@ -159,9 +159,9 @@ func Minus(a, b []Item) []Item {
 		if j < len(b) && b[j] == x {
 			continue
 		}
-		out = append(out, x)
+		dst = append(dst, x)
 	}
-	return out
+	return dst
 }
 
 // Format renders an itemset as "{i1,i5,i9}".

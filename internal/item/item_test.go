@@ -110,8 +110,8 @@ func TestCompare(t *testing.T) {
 func TestUnionMinusIntersects(t *testing.T) {
 	a := []Item{1, 3, 5}
 	b := []Item{3, 4}
-	if got := Minus(a, b); !Equal(got, []Item{1, 5}) {
-		t.Errorf("Minus = %v", got)
+	if got := AppendMinus(nil, a, b); !Equal(got, []Item{1, 5}) {
+		t.Errorf("AppendMinus = %v", got)
 	}
 	if !Intersects(a, b) {
 		t.Error("a and b share 3")
@@ -166,7 +166,7 @@ func TestDedupProperty(t *testing.T) {
 	}
 }
 
-// Property: Minus respects set algebra on random canonical inputs.
+// Property: AppendMinus respects set algebra on random canonical inputs.
 func TestSetAlgebraProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	randSet := func() []Item {
@@ -179,14 +179,14 @@ func TestSetAlgebraProperty(t *testing.T) {
 	}
 	for trial := 0; trial < 500; trial++ {
 		a, b := randSet(), randSet()
-		m := Minus(a, b)
+		m := AppendMinus(nil, a, b)
 		for _, x := range m {
 			if Contains(b, x) {
-				t.Fatalf("Minus kept %v from b", x)
+				t.Fatalf("AppendMinus kept %v from b", x)
 			}
 		}
 		if len(m)+countShared(a, b) != len(a) {
-			t.Fatalf("Minus size wrong: |a\\b|=%d shared=%d |a|=%d", len(m), countShared(a, b), len(a))
+			t.Fatalf("AppendMinus size wrong: |a\\b|=%d shared=%d |a|=%d", len(m), countShared(a, b), len(a))
 		}
 	}
 }

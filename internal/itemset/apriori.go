@@ -90,47 +90,3 @@ func Pairs(large []item.Item) [][]item.Item {
 	}
 	return out
 }
-
-// ForEachSubset enumerates every k-subset of the canonical itemset txn in
-// lexicographic order, invoking fn with a scratch slice that is reused
-// between calls — fn must not retain it. Enumeration stops early if fn
-// returns false. The combination is advanced iteratively, so the one
-// allocation is the scratch slice.
-func ForEachSubset(txn []item.Item, k int, fn func(subset []item.Item) bool) {
-	n := len(txn)
-	if k <= 0 || k > n {
-		return
-	}
-	sub := make([]item.Item, k)
-	// idx[d] is the txn position chosen for depth d; stack-backed for every
-	// realistic subset size.
-	var idxBuf [48]int
-	idx := idxBuf[:]
-	if k > len(idxBuf) {
-		idx = make([]int, k)
-	}
-	for d := 0; d < k; d++ {
-		idx[d] = d
-		sub[d] = txn[d]
-	}
-	for {
-		if !fn(sub) {
-			return
-		}
-		// Advance to the next combination: bump the rightmost position that
-		// still has headroom, then reset everything after it.
-		d := k - 1
-		for d >= 0 && idx[d] == n-k+d {
-			d--
-		}
-		if d < 0 {
-			return
-		}
-		idx[d]++
-		sub[d] = txn[idx[d]]
-		for j := d + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-			sub[j] = txn[idx[j]]
-		}
-	}
-}

@@ -78,32 +78,6 @@ func TestPairs(t *testing.T) {
 	}
 }
 
-func TestForEachSubset(t *testing.T) {
-	var got [][]item.Item
-	ForEachSubset([]item.Item{1, 2, 3, 4}, 2, func(s []item.Item) bool {
-		got = append(got, item.Clone(s))
-		return true
-	})
-	if len(got) != 6 {
-		t.Fatalf("C(4,2) = %d subsets", len(got))
-	}
-	if !item.Equal(got[0], []item.Item{1, 2}) || !item.Equal(got[5], []item.Item{3, 4}) {
-		t.Errorf("lexicographic order broken: %v", got)
-	}
-	// Early stop.
-	n := 0
-	ForEachSubset([]item.Item{1, 2, 3, 4}, 2, func([]item.Item) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Errorf("early stop after %d", n)
-	}
-	// Degenerate sizes.
-	ForEachSubset([]item.Item{1}, 2, func([]item.Item) bool { t.Error("k>n yields nothing"); return true })
-	ForEachSubset([]item.Item{1}, 0, func([]item.Item) bool { t.Error("k=0 yields nothing"); return true })
-}
-
 // Property: apriori-gen output is sorted, canonical, and every (k-1)-subset
 // of every candidate is in the input.
 func TestGenProperty(t *testing.T) {
@@ -132,16 +106,10 @@ func TestGenProperty(t *testing.T) {
 			if i > 0 && item.Compare(out[i-1], c) >= 0 {
 				return false
 			}
-			ok := true
-			ForEachSubset(c, 2, func(s []item.Item) bool {
+			for _, s := range subsetsOf(c, 2) {
 				if !seen[Key(s)] {
-					ok = false
 					return false
 				}
-				return true
-			})
-			if !ok {
-				return false
 			}
 		}
 		return true

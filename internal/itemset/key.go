@@ -12,19 +12,29 @@ package itemset
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"pgarm/internal/item"
 )
 
-// Key packs a canonical itemset into a compact string usable as a map key.
-// The encoding is 4 bytes per item, big-endian, so key ordering matches
-// itemset lexicographic ordering.
-func Key(items []item.Item) string {
-	buf := make([]byte, 4*len(items))
-	for i, it := range items {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(it))
+// AppendKey appends the packed key of a canonical itemset to dst and returns
+// the extended buffer: 4 bytes per item, big-endian, so key ordering matches
+// itemset lexicographic ordering. It is the one key encoder; a caller that
+// looks keys up in a map[string]V through one reused buffer, as
+// m[string(buf)], allocates nothing per lookup.
+func AppendKey(dst []byte, items []item.Item) []byte {
+	dst = slices.Grow(dst, 4*len(items))
+	for _, it := range items {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(it))
 	}
-	return string(buf)
+	return dst
+}
+
+// Key is AppendKey as a string: one allocation for itemsets of up to 16
+// items.
+func Key(items []item.Item) string {
+	var buf [64]byte
+	return string(AppendKey(buf[:0], items))
 }
 
 // Hash computes a stable FNV-1a style hash of a canonical itemset. It is the

@@ -74,13 +74,16 @@ func (l *Levels) All() []Counted {
 	return out
 }
 
-// SupportIndex builds a lookup from itemset key to support count over every
-// large itemset (all sizes). Rule derivation uses it for confidence.
+// SupportIndex builds a lookup from itemset key (Key) to support count over
+// every large itemset (all sizes). Rule derivation uses it for confidence.
+// Keys are encoded through one reused buffer: one allocation per key.
 func (l *Levels) SupportIndex() map[string]int64 {
 	idx := make(map[string]int64)
+	var key []byte
 	for _, lk := range l.Large {
 		for _, c := range lk {
-			idx[Key(c.Items)] = c.Count
+			key = AppendKey(key[:0], c.Items)
+			idx[string(key)] = c.Count
 		}
 	}
 	return idx

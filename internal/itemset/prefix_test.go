@@ -166,12 +166,11 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 		}
 		hits := make([][]int32, len(txns)) // each transaction's ids, by enumeration
 		for i, txn := range txns {
-			ForEachSubset(txn, k, func(sub []item.Item) bool {
+			for _, sub := range subsetsOf(txn, k) {
 				if id, ok := ref[Key(sub)]; ok {
 					hits[i] = append(hits[i], id)
 				}
-				return true
-			})
+			}
 		}
 
 		var stamps Stamps
@@ -248,9 +247,7 @@ func TestChoose(t *testing.T) {
 			txn[i] = item.Item(i)
 		}
 		for k := 1; k <= n+1; k++ {
-			var want int64
-			ForEachSubset(txn, k, func([]item.Item) bool { want++; return true })
-			if got := Choose(n, k); got != want {
+			if got, want := Choose(n, k), int64(len(subsetsOf(txn, k))); got != want {
 				t.Errorf("Choose(%d, %d) = %d, want %d", n, k, got, want)
 			}
 		}

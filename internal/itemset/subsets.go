@@ -2,13 +2,14 @@ package itemset
 
 import "pgarm/internal/item"
 
-// Subsets walks the k-subsets of one canonical transaction in ForEachSubset's
-// lexicographic order, carrying per depth the Hash state of the subset's
-// prefix, so a step re-hashes only the depths that changed. Most steps move
-// only the last position: such a subset costs one item of Hash. It is HPGM's
-// sender: every subset of an extended transaction is hashed to find its
-// owner, and only those owned elsewhere are encoded, straight into the
-// owner's batch.
+// Subsets walks the k-subsets of one canonical itemset in lexicographic
+// order, carrying per depth the Hash state of the subset's prefix, so a step
+// re-hashes only the depths that changed. Most steps move only the last
+// position: such a subset costs one item of Hash. It is the one subset
+// enumerator, with two callers: HPGM's sender hashes every subset of an
+// extended transaction to find its owner and encodes only those owned
+// elsewhere, straight into the owner's batch; rule derivation
+// (rules.Derive) walks every antecedent of a large itemset.
 //
 //	for ok := s.Reset(txn, k); ok; ok = s.Next() { ... s.Hash() ... s.Items() ... }
 //

@@ -15,17 +15,13 @@ import (
 // only some of the subsets, so probes also miss.
 func unitTables() [2]*Table {
 	its := []item.Item{1, 5, 127, 128, 200, 300, 16383, 16384, 70000, 1 << 20}
-	var pairs, triples [][]item.Item
-	ForEachSubset(its, 2, func(s []item.Item) bool {
-		pairs = append(pairs, item.Clone(s))
-		return true
-	})
-	ForEachSubset(its, 3, func(s []item.Item) bool {
+	pairs := subsetsOf(its, 2)
+	var triples [][]item.Item
+	for _, s := range subsetsOf(its, 3) {
 		if s[0]%2 == 1 || s[2] >= 16384 {
-			triples = append(triples, item.Clone(s))
+			triples = append(triples, s)
 		}
-		return true
-	})
+	}
 	return [2]*Table{BuildTable(pairs[:len(pairs)-3]), BuildTable(triples)}
 }
 
@@ -69,10 +65,10 @@ func checkCountUnits(t *testing.T, tab *Table, b []byte, unit *[]item.Item) {
 // prefix of earlier units.
 func unitBatch(prefix []byte, txn []item.Item, k int) []byte {
 	b := slices.Clone(prefix)
-	ForEachSubset(txn, k, func(s []item.Item) bool {
-		b = wire.AppendItems(b, s)
-		return true
-	})
+	var walk Subsets
+	for ok := walk.Reset(txn, k); ok; ok = walk.Next() {
+		b = wire.AppendItems(b, walk.Items())
+	}
 	return b
 }
 

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"encoding/binary"
+
 	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/taxonomy"
@@ -13,109 +15,115 @@ import (
 // up), or its confidence is at least R times the expected confidence. Rules
 // explainable by their ancestors carry no new information and are dropped.
 //
-// support maps itemset keys to absolute counts over the same database that
-// produced the rules; itemCount must cover every item appearing in the rules
-// and their ancestors (the pass-1 vector). Rules whose ancestor statistics
-// are unavailable are kept.
-func Prune(tax *taxonomy.Taxonomy, rs []Rule, support map[string]int64, numTxns int, r float64) []Rule {
+// support maps itemset keys (itemset.Key) to absolute counts over the same
+// database that produced the rules, as Levels.SupportIndex builds it. The
+// support expected from an ancestor rule that generalizes item x to its
+// parent p is the ancestor's support times sup(x)/sup(p); when either item
+// count is missing the ancestor's support is used as it is. Rules whose
+// ancestor rules were not derived are kept.
+func Prune(tax *taxonomy.Taxonomy, rs []Rule, support map[string]int64, r float64) []Rule {
 	if r <= 0 || len(rs) == 0 {
 		return rs
 	}
-	byKey := make(map[string]Rule, len(rs))
-	for _, rule := range rs {
-		byKey[ruleKey(rule)] = rule
+	p := pruner{tax: tax, rs: rs, support: support, r: r, byKey: make(map[string]int, len(rs))}
+	for i, rule := range rs {
+		p.key = appendRuleKey(p.key[:0], rule.Antecedent, rule.Consequent)
+		p.byKey[string(p.key)] = i
 	}
 	var out []Rule
 	for _, rule := range rs {
-		if interesting(tax, rule, byKey, support, numTxns, r) {
+		if p.interesting(rule) {
 			out = append(out, rule)
 		}
 	}
 	return out
 }
 
-func ruleKey(r Rule) string {
-	return itemset.Key(r.Antecedent) + "|" + itemset.Key(r.Consequent)
+// appendRuleKey appends the key of the rule ante ⇒ cons to dst: the
+// antecedent's length, then both sides' itemset keys.
+func appendRuleKey(dst []byte, ante, cons []item.Item) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ante)))
+	return itemset.AppendKey(itemset.AppendKey(dst, ante), cons)
+}
+
+// pruner holds one Prune call's lookups and the scratch they share: every
+// rule and item-support lookup goes through key, every generalized side is
+// built in gen.
+type pruner struct {
+	tax     *taxonomy.Taxonomy
+	rs      []Rule
+	support map[string]int64
+	byKey   map[string]int // rule key -> index into rs
+	r       float64
+	key     []byte
+	gen     []item.Item
 }
 
 // interesting checks the rule against every one-step generalization of each
 // of its items; transitivity over close ancestors makes one-step checks
 // sufficient, as in SA95.
-func interesting(tax *taxonomy.Taxonomy, rule Rule, byKey map[string]Rule, support map[string]int64, numTxns int, r float64) bool {
-	check := func(ante, cons []item.Item) (ok, decided bool) {
-		anc, present := byKey[itemset.Key(ante)+"|"+itemset.Key(cons)]
-		if !present {
-			return false, false // ancestor rule not derived; no evidence
-		}
-		// Expected support: ancestor support scaled by the product of
-		// item-level specialization ratios sup(x)/sup(ancestor(x)).
-		ratio := 1.0
-		scale := func(child, parent item.Item) {
-			cs, okc := support[itemset.Key([]item.Item{child})]
-			ps, okp := support[itemset.Key([]item.Item{parent})]
-			if okc && okp && ps > 0 {
-				ratio *= float64(cs) / float64(ps)
+func (p *pruner) interesting(rule Rule) bool {
+	sides := [2][]item.Item{rule.Antecedent, rule.Consequent}
+	for s, side := range sides {
+		for i, x := range side {
+			gen, parent, ok := p.generalize(side, i)
+			if !ok {
+				continue
+			}
+			anc := sides
+			anc[s] = gen
+			if item.Intersects(anc[0], anc[1]) {
+				continue
+			}
+			if pass, decided := p.check(rule, anc[0], anc[1], x, parent); decided && !pass {
+				return false
 			}
 		}
-		for i := range rule.Antecedent {
-			if rule.Antecedent[i] != ante[i] {
-				scale(rule.Antecedent[i], ante[i])
-			}
-		}
-		for i := range rule.Consequent {
-			if rule.Consequent[i] != cons[i] {
-				scale(rule.Consequent[i], cons[i])
-			}
-		}
-		expSup := anc.Support * ratio
-		expConf := anc.Confidence
-		if rule.Support >= r*expSup || rule.Confidence >= r*expConf {
-			return true, true
-		}
-		return false, true
 	}
-
-	// Generalize each antecedent and consequent item one level up. Items
-	// outside the taxonomy's universe have no ancestors to generalize to;
-	// skipping them (rather than indexing the parent vector out of range)
-	// keeps Prune total on malformed rules — the rule is simply kept.
-	universe := item.Item(tax.NumItems())
-	for i, x := range rule.Antecedent {
-		if x < 0 || x >= universe {
-			continue
-		}
-		p := tax.Parent(x)
-		if p == item.None {
-			continue
-		}
-		ante := item.Clone(rule.Antecedent)
-		ante[i] = p
-		ante = item.Dedup(ante)
-		if len(ante) != len(rule.Antecedent) || item.Intersects(ante, rule.Consequent) {
-			continue
-		}
-		if pass, decided := check(ante, rule.Consequent); decided && !pass {
-			return false
-		}
-	}
-	for i, y := range rule.Consequent {
-		if y < 0 || y >= universe {
-			continue
-		}
-		p := tax.Parent(y)
-		if p == item.None {
-			continue
-		}
-		cons := item.Clone(rule.Consequent)
-		cons[i] = p
-		cons = item.Dedup(cons)
-		if len(cons) != len(rule.Consequent) || item.Intersects(rule.Antecedent, cons) {
-			continue
-		}
-		if pass, decided := check(rule.Antecedent, cons); decided && !pass {
-			return false
-		}
-	}
-	_ = numTxns // reserved for support-based expectations over raw counts
 	return true
+}
+
+// generalize returns set with set[i] replaced by its parent, canonical, in
+// the gen scratch, and that parent. It reports false when set[i] has no
+// parent — a root, or an item outside the taxonomy's universe, which keeps
+// Prune total on malformed rules — or when the parent is already in set.
+func (p *pruner) generalize(set []item.Item, i int) ([]item.Item, item.Item, bool) {
+	x := set[i]
+	if x < 0 || int(x) >= p.tax.NumItems() {
+		return nil, item.None, false
+	}
+	parent := p.tax.Parent(x)
+	if parent == item.None {
+		return nil, item.None, false
+	}
+	p.gen = append(p.gen[:0], set...)
+	p.gen[i] = parent
+	p.gen = item.Dedup(p.gen)
+	return p.gen, parent, len(p.gen) == len(set)
+}
+
+// check judges the rule against its ancestor rule ante ⇒ cons, which
+// generalizes child to parent; decided is false when that rule was not
+// derived (no evidence either way).
+func (p *pruner) check(rule Rule, ante, cons []item.Item, child, parent item.Item) (pass, decided bool) {
+	p.key = appendRuleKey(p.key[:0], ante, cons)
+	i, ok := p.byKey[string(p.key)]
+	if !ok {
+		return false, false
+	}
+	anc := p.rs[i]
+	expSup := anc.Support
+	cs, okc := p.itemSupport(child)
+	ps, okp := p.itemSupport(parent)
+	if okc && okp && ps > 0 {
+		expSup *= float64(cs) / float64(ps)
+	}
+	return rule.Support >= p.r*expSup || rule.Confidence >= p.r*anc.Confidence, true
+}
+
+// itemSupport looks up the support count of the 1-itemset {x}.
+func (p *pruner) itemSupport(x item.Item) (int64, bool) {
+	p.key = itemset.AppendKey(p.key[:0], []item.Item{x})
+	s, ok := p.support[string(p.key)]
+	return s, ok
 }

@@ -58,6 +58,10 @@ type Config struct {
 // absolute support count (Count), then antecedent and then consequent
 // (item.Compare), a total order. internal/serve ranks by the same first two
 // keys and relies on this order to skip sorting at index build.
+//
+// Antecedents are walked with one itemset.Subsets and looked up through one
+// reused key buffer, so a subset that yields no rule allocates nothing; a
+// kept rule allocates its antecedent and consequent in one slice.
 func Derive(tax *taxonomy.Taxonomy, large []itemset.Counted, support map[string]int64, cfg Config) ([]Rule, error) {
 	if cfg.NumTxns <= 0 {
 		return nil, fmt.Errorf("rules: NumTxns must be positive")
@@ -65,7 +69,12 @@ func Derive(tax *taxonomy.Taxonomy, large []itemset.Counted, support map[string]
 	if cfg.MinConfidence < 0 || cfg.MinConfidence > 1 {
 		return nil, fmt.Errorf("rules: MinConfidence %g out of [0,1]", cfg.MinConfidence)
 	}
-	var out []Rule
+	var (
+		out  []Rule
+		walk itemset.Subsets
+		key  []byte      // the antecedent's support key
+		cons []item.Item // the consequent, until the rule is kept
+	)
 	universe := item.Item(tax.NumItems())
 	for _, l := range large {
 		// Empty and single-item itemsets admit no rule (a rule needs a
@@ -84,30 +93,36 @@ func Derive(tax *taxonomy.Taxonomy, large []itemset.Counted, support map[string]
 			return nil, fmt.Errorf("rules: itemset %v outside taxonomy universe [0,%d)", l.Items, universe)
 		}
 		k := len(l.Items)
-		// Enumerate non-empty proper subsets Y by antecedent size.
-		for asz := 1; asz < k; asz++ {
-			itemset.ForEachSubset(l.Items, asz, func(ante []item.Item) bool {
-				cons := item.Minus(l.Items, ante)
-				anteCount, ok := support[itemset.Key(ante)]
+		// Largest antecedents first, so the walker and the key buffer reach
+		// their size on an itemset's first walk; the final sort fixes the
+		// order.
+		for asz := k - 1; asz >= 1; asz-- {
+			for more := walk.Reset(l.Items, asz); more; more = walk.Next() {
+				ante := walk.Items()
+				key = itemset.AppendKey(key[:0], ante)
+				anteCount, ok := support[string(key)]
 				if !ok || anteCount <= 0 {
-					return true // should not happen for valid input
+					continue // should not happen for valid input
 				}
 				conf := float64(l.Count) / float64(anteCount)
 				if conf < cfg.MinConfidence {
-					return true
+					continue
 				}
+				cons = item.AppendMinus(cons[:0], l.Items, ante)
 				if consequentRedundant(tax, ante, cons) {
-					return true
+					continue
 				}
+				both := make([]item.Item, k)
+				copy(both, ante)
+				copy(both[asz:], cons)
 				out = append(out, Rule{
-					Antecedent: item.Clone(ante),
-					Consequent: cons,
+					Antecedent: both[:asz:asz],
+					Consequent: both[asz:],
 					Support:    float64(l.Count) / float64(cfg.NumTxns),
 					Confidence: conf,
 					Count:      l.Count,
 				})
-				return true
-			})
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

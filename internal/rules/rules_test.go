@@ -156,17 +156,17 @@ func TestPruneKeepsInterestingRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := Prune(tax, rs, res.SupportIndex(), n, 1.1)
+	kept := Prune(tax, rs, res.SupportIndex(), 1.1)
 	if len(kept) > len(rs) {
 		t.Fatal("Prune grew the rule set")
 	}
 	// R <= 0 disables pruning.
-	if got := Prune(tax, rs, res.SupportIndex(), n, 0); len(got) != len(rs) {
+	if got := Prune(tax, rs, res.SupportIndex(), 0); len(got) != len(rs) {
 		t.Error("r=0 must be a no-op")
 	}
 	// Leaf-level rules that merely mirror their ancestor rule should be
 	// dropped at a high interest threshold.
-	aggressive := Prune(tax, rs, res.SupportIndex(), n, 1000)
+	aggressive := Prune(tax, rs, res.SupportIndex(), 1000)
 	if len(aggressive) >= len(rs) {
 		t.Errorf("r=1000 pruned nothing (%d rules)", len(rs))
 	}
@@ -239,10 +239,10 @@ func TestPruneEmptyAndMalformedRules(t *testing.T) {
 	tax := testTaxonomy()
 	support := map[string]int64{}
 	// Empty rule set: identity, not a panic.
-	if got := Prune(tax, nil, support, 10, 1.1); len(got) != 0 {
+	if got := Prune(tax, nil, support, 1.1); len(got) != 0 {
 		t.Errorf("Prune(nil) = %v", got)
 	}
-	if got := Prune(tax, []Rule{}, support, 10, 1.1); len(got) != 0 {
+	if got := Prune(tax, []Rule{}, support, 1.1); len(got) != 0 {
 		t.Errorf("Prune(empty) = %v", got)
 	}
 	// Rules holding out-of-universe items have no ancestors to compare
@@ -252,7 +252,7 @@ func TestPruneEmptyAndMalformedRules(t *testing.T) {
 		{Antecedent: []item.Item{99}, Consequent: []item.Item{5}, Support: 0.1, Confidence: 0.5},
 		{Antecedent: []item.Item{5}, Consequent: []item.Item{-7}, Support: 0.1, Confidence: 0.5},
 	}
-	if got := Prune(tax, rs, support, 10, 1.1); len(got) != len(rs) {
+	if got := Prune(tax, rs, support, 1.1); len(got) != len(rs) {
 		t.Errorf("Prune dropped rules lacking ancestor evidence: kept %d of %d", len(got), len(rs))
 	}
 }

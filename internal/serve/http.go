@@ -29,8 +29,7 @@ type ServerOptions struct {
 }
 
 // Server is the HTTP face of a Holder: the pgarm-serve endpoints plus their
-// observability, reusable by the load bench (internal/experiment) through
-// Handler().
+// observability, reusable by the load bench (bench/) through Handler().
 type Server struct {
 	holder *Holder
 	cache  *Cache
