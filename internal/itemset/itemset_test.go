@@ -130,6 +130,77 @@ func TestSortCounted(t *testing.T) {
 	}
 }
 
+// TestCountedMatchesWireCodec: AppendCounted writes the bytes
+// wire.AppendCounted writes for the same pairs, and ParseCounted reads such
+// a block back pair for pair, up to its last byte.
+func TestCountedMatchesWireCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		cs := make([]Counted, rng.Intn(20))
+		sets := make([][]item.Item, len(cs))
+		counts := make([]int64, len(cs))
+		for i := range cs {
+			var s []item.Item
+			for j := rng.Intn(6); j >= 0; j-- {
+				s = append(s, item.Item(rng.Intn(1<<20)))
+			}
+			s = item.Dedup(s)
+			sets[i], counts[i] = s, rng.Int63n(1<<(1+rng.Intn(62)))
+			cs[i] = Counted{Items: s, Count: counts[i]}
+		}
+		want := wire.AppendCounted([]byte{0xee}, sets, counts)
+		if got := AppendCounted([]byte{0xee}, cs); string(got) != string(want) {
+			t.Fatalf("trial %d: AppendCounted %x, wire.AppendCounted %x", trial, got, want)
+		}
+		d := wire.NewDec(append(want[1:], 0xff))
+		got := ParseCounted(&d)
+		if d.Err() != nil || d.Len() != 1 || len(got) != len(cs) {
+			t.Fatalf("trial %d: parsed %d of %d pairs, %d bytes left, err %v", trial, len(got), len(cs), d.Len(), d.Err())
+		}
+		for i := range cs {
+			if got[i].Count != cs[i].Count || !item.Equal(got[i].Items, cs[i].Items) {
+				t.Fatalf("trial %d pair %d: got %v, want %v", trial, i, got[i], cs[i])
+			}
+		}
+		if len(want) > 2 {
+			d := wire.NewDec(want[1 : len(want)-1])
+			if ParseCounted(&d); d.Err() == nil {
+				t.Fatalf("trial %d: a block cut one byte short parsed cleanly", trial)
+			}
+		}
+	}
+}
+
+// FuzzParseCounted: on any bytes, ParseCounted reads what the wire
+// package's parallel-slice decoder (Dec.Counted) reads, fails exactly when
+// it fails, and leaves the same bytes.
+func FuzzParseCounted(f *testing.F) {
+	f.Add(AppendCounted(nil, []Counted{{Items: []item.Item{1, 128, 300}, Count: 7}, {Items: []item.Item{5}, Count: 1 << 40}}))
+	f.Add([]byte{1, 2, 7, 0, 3})                   // a zero delta
+	f.Add([]byte{1, 1, 4, 0xff, 0xff})             // a truncated count
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 1}) // a length past the bytes
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d, ref := wire.NewDec(b), wire.NewDec(b)
+		got := ParseCounted(&d)
+		sets, counts := ref.Counted()
+		if (d.Err() == nil) != (ref.Err() == nil) || d.Len() != ref.Len() {
+			t.Fatalf("ParseCounted err %v, %d bytes left; Dec.Counted err %v, %d left", d.Err(), d.Len(), ref.Err(), ref.Len())
+		}
+		if d.Err() != nil {
+			return
+		}
+		if len(got) != len(sets) {
+			t.Fatalf("%d pairs, Dec.Counted %d", len(got), len(sets))
+		}
+		for i := range got {
+			if got[i].Count != counts[i] || !item.Equal(got[i].Items, sets[i]) {
+				t.Fatalf("pair %d: %v, Dec.Counted %v/%d", i, got[i], sets[i], counts[i])
+			}
+		}
+	})
+}
+
 // The zero-allocation contract of the candidate counting hot path: Table
 // lookups, HPGM's subset walk and unit encoding (once walker and batch have
 // grown), its receiver (once its unit scratch has grown) and the containment

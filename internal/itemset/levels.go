@@ -26,23 +26,24 @@ func SortCounted(cs []Counted) {
 	})
 }
 
-// AppendCounted appends cs in the wire.AppendCounted encoding.
+// AppendCounted appends cs in the wire.AppendCounted encoding: the pair
+// count, then per pair the itemset and its count.
 func AppendCounted(dst []byte, cs []Counted) []byte {
-	sets := make([][]item.Item, len(cs))
-	counts := make([]int64, len(cs))
-	for i, c := range cs {
-		sets[i], counts[i] = c.Items, c.Count
+	dst = wire.AppendUvarint(dst, uint64(len(cs)))
+	for _, c := range cs {
+		dst = wire.AppendItems(dst, c.Items)
+		dst = wire.AppendUvarint(dst, uint64(c.Count))
 	}
-	return wire.AppendCounted(dst, sets, counts)
+	return dst
 }
 
-// ParseCounted reads one wire.AppendCounted block from d; the caller checks
-// d's error.
+// ParseCounted reads one AppendCounted block from d; the caller checks d's
+// error.
 func ParseCounted(d *wire.Dec) []Counted {
-	sets, counts := d.Counted()
-	cs := make([]Counted, len(sets))
-	for i := range sets {
-		cs[i] = Counted{Items: sets[i], Count: counts[i]}
+	n := d.Count(2) // an itemset and a count
+	cs := make([]Counted, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		cs = append(cs, Counted{Items: d.Items(nil), Count: d.I64()})
 	}
 	return cs
 }

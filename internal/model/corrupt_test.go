@@ -180,10 +180,12 @@ func TestReaderRejectsOutOfRangeValues(t *testing.T) {
 }
 
 // FuzzModelReader feeds arbitrary bytes to the snapshot reader as a serving
-// process would meet them: open, decode every section, read the state. It
-// must not panic, and a snapshot it accepts re-encodes to a snapshot that
-// decodes to the same model (compared through the deterministic encoder, so
-// NaN ratios and non-minimal varints do not matter).
+// process and a follower would meet them: open, decode what serving reads,
+// read the state, decode every section. It must not panic; what Model
+// accepts Serving accepts too, sharing a live taxonomy with the same
+// parents; and a snapshot it accepts re-encodes to a snapshot that decodes
+// to the same model (compared through the deterministic encoder, so NaN
+// ratios and non-minimal varints do not matter).
 func FuzzModelReader(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		b, err := Encode(randomModel(rand.New(rand.NewSource(seed))))
@@ -212,12 +214,21 @@ func FuzzModelReader(f *testing.F) {
 		if err != nil {
 			return
 		}
+		_, servingErr := r.Serving(nil)
 		if _, err := r.State(); err != nil {
 			return
 		}
 		m, err := r.Model()
 		if err != nil {
 			return
+		}
+		if servingErr != nil {
+			t.Fatalf("Model accepted a snapshot Serving refused: %v", servingErr)
+		}
+		if again, err := NewReader(data); err != nil {
+			t.Fatal(err)
+		} else if sv, err := again.Serving(m.Taxonomy); err != nil || sv.Taxonomy != m.Taxonomy {
+			t.Fatalf("Serving over the snapshot's own taxonomy rebuilt it or failed (err %v)", err)
 		}
 		enc, err := Encode(m)
 		if err != nil {

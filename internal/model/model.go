@@ -201,11 +201,24 @@ func appendTaxonomy(dst []byte, t *taxonomy.Taxonomy) []byte {
 	return dst
 }
 
-// readTaxonomy decodes and rebuilds the taxonomy, re-validating the forest
-// structure (New rejects cycles and out-of-range parents).
-func readTaxonomy(b []byte) (*taxonomy.Taxonomy, error) {
+// readTaxonomy decodes the parent vector and rebuilds the taxonomy,
+// re-validating the forest structure (New rejects cycles and out-of-range
+// parents). When live (possibly nil) has the decoded parent vector item for
+// item, it is returned instead: New would rebuild it exactly.
+func readTaxonomy(b []byte, live *taxonomy.Taxonomy) (*taxonomy.Taxonomy, error) {
 	d := wire.NewDec(b)
-	parent := make([]item.Item, d.Count(1))
+	n := d.Count(1)
+	if live != nil && live.NumItems() == n {
+		same := d // the cursor is a value: this copy reads ahead alone
+		i := 0
+		for i < n && same.Item()-1 == live.Parent(item.Item(i)) {
+			i++
+		}
+		if i == n && same.Err() == nil {
+			return live, nil
+		}
+	}
+	parent := make([]item.Item, n)
 	for i := range parent {
 		parent[i] = d.Item() - 1
 	}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"pgarm/internal/itemset"
 	"pgarm/internal/rules"
 	"pgarm/internal/taxonomy"
+	"pgarm/internal/wire"
 )
 
 // randomModel builds a structurally valid model from a seeded RNG: a random
@@ -272,4 +274,230 @@ func TestValidateRejectsMalformed(t *testing.T) {
 			t.Errorf("case %d: Validate accepted malformed model", i)
 		}
 	}
+}
+
+// withState gives m an incremental-mining state drawn from rng: one count
+// per item, and for each k in 2..4 a border and a bound level of distinct
+// k-itemsets, each strictly ascending, no set in both.
+func withState(rng *rand.Rand, m *Model) *Model {
+	n := m.Taxonomy.NumItems()
+	s := &MiningState{LogSeg: rng.Uint64() >> 1, LogByte: rng.Int63(), LogTxns: rng.Int63()}
+	s.ItemCounts = make([]int64, n)
+	for i := range s.ItemCounts {
+		if rng.Intn(3) > 0 {
+			s.ItemCounts[i] = rng.Int63n(1 << (1 + rng.Intn(40)))
+		}
+	}
+	for k := 2; k <= 4; k++ {
+		seen := map[string]bool{}
+		var border, bounds []itemset.Counted
+		for c := rng.Intn(12); c > 0; c-- {
+			items := make([]item.Item, 0, k)
+			for len(items) < k {
+				items = item.Dedup(append(items, item.Item(rng.Intn(n))))
+			}
+			if key := itemset.Key(items); !seen[key] {
+				seen[key] = true
+				c := itemset.Counted{Items: items, Count: rng.Int63n(1 << 20)}
+				if rng.Intn(2) == 0 {
+					border = append(border, c)
+				} else {
+					bounds = append(bounds, c)
+				}
+			}
+		}
+		itemset.SortCounted(border)
+		itemset.SortCounted(bounds)
+		s.Levels = append(s.Levels, border)
+		s.Bounds = append(s.Bounds, bounds)
+	}
+	m.State = s
+	return m
+}
+
+// refEncode is the snapshot encoder as first written: every section payload
+// in its own buffer, itemset levels through wire.AppendCounted's parallel
+// sets and counts, the body framed behind the header afterwards.
+func refEncode(m *Model) []byte {
+	levels := func(dst []byte, ls [][]itemset.Counted) []byte {
+		dst = wire.AppendUvarint(dst, uint64(len(ls)))
+		for _, level := range ls {
+			sets := make([][]item.Item, len(level))
+			counts := make([]int64, len(level))
+			for i, c := range level {
+				sets[i], counts[i] = c.Items, c.Count
+			}
+			dst = wire.AppendCounted(dst, sets, counts)
+		}
+		return dst
+	}
+	secs := []sec{
+		{secMeta, appendMeta(nil, m.Meta)},
+		{secTaxonomy, appendTaxonomy(nil, m.Taxonomy)},
+		{secItemsets, levels(nil, m.Large)},
+		{secRules, appendRules(nil, m.Rules)},
+	}
+	if s := m.State; s != nil {
+		st := uv(nil, s.LogSeg, uint64(s.LogByte), uint64(s.LogTxns))
+		st = wire.AppendCountsAuto(st, s.ItemCounts)
+		secs = append(secs, sec{secState, levels(st, s.Levels)})
+		if len(s.Bounds) > 0 {
+			secs = append(secs, sec{secBounds, levels(nil, s.Bounds)})
+		}
+	}
+	return snapshotOf(secs...)
+}
+
+// TestEncodeMatchesReference: Encode writes, byte for byte, the snapshot
+// the section-by-section reference encoder writes, with and without a state,
+// and the result reads back whole.
+func TestEncodeMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := randomModel(rng)
+		if seed%2 == 0 {
+			withState(rng, m)
+		}
+		got, err := Encode(m)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if want := refEncode(m); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: Encode wrote %d bytes differing from the reference's %d", seed, len(got), len(want))
+		}
+		r, err := NewReader(got)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		back, err := r.Model()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		equalModels(t, m, back)
+		if again, err := Encode(back); err != nil || !bytes.Equal(again, got) || (back.State == nil) != (m.State == nil) {
+			t.Fatalf("seed %d: the snapshot read back encodes differently (err %v)", seed, err)
+		}
+	}
+}
+
+// TestServingDecodesServedSectionsOnly: Serving returns meta, taxonomy and
+// rules, validated, and leaves the itemset levels and the state undecoded.
+// Given the live taxonomy it returns that pointer when the parent vector is
+// the snapshot's, and a rebuilt taxonomy when one parent differs.
+func TestServingDecodesServedSectionsOnly(t *testing.T) {
+	m := withState(rand.New(rand.NewSource(11)), randomModel(rand.New(rand.NewSource(11))))
+	data, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Serving(m.Taxonomy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.largeDone || r.stateDone || got.Large != nil || got.State != nil {
+		t.Fatal("Serving decoded the itemset levels or the state")
+	}
+	if got.Taxonomy != m.Taxonomy {
+		t.Fatal("Serving rebuilt a taxonomy identical to the live one")
+	}
+	served := *m
+	served.Large, served.State = nil, nil
+	equalModels(t, &served, got)
+
+	// One parent moved: Serving must build the snapshot's hierarchy.
+	n := m.Taxonomy.NumItems()
+	parent := make([]item.Item, n)
+	for i := range parent {
+		parent[i] = m.Taxonomy.Parent(item.Item(i))
+	}
+	parent[n-1] = item.None
+	if parent[n-1] == m.Taxonomy.Parent(item.Item(n-1)) {
+		parent[n-1] = 0
+	}
+	other := taxonomy.MustNew(parent)
+	for _, live := range []*taxonomy.Taxonomy{other, taxonomy.MustNew(parent[:n-1]), nil} {
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Serving(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Taxonomy == live {
+			t.Fatalf("Serving kept a live taxonomy of %d items whose parents differ", live.NumItems())
+		}
+		equalModels(t, &served, got)
+	}
+}
+
+// encodeSink keeps BenchmarkEncode's result alive.
+var encodeSink []byte
+
+// BenchmarkEncode: one snapshot of a stream-shaped model per op — a 30,000-
+// item taxonomy, itemset levels, rules, and a FUP state with bounds. It
+// fences Encode's allocations: the snapshot buffer and one section scratch,
+// each grown by doubling.
+func BenchmarkEncode(b *testing.B) {
+	tax, err := taxonomy.Balanced(30000, 30, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	m := &Model{Meta: Meta{Dataset: "bench", Algorithm: "Cumulate-FUP"}, Taxonomy: tax}
+	sets := func(k, count int) []itemset.Counted {
+		seen := map[string]bool{}
+		var out []itemset.Counted
+		for len(out) < count {
+			items := make([]item.Item, 0, k)
+			for len(items) < k {
+				items = item.Dedup(append(items, item.Item(rng.Intn(tax.NumItems()))))
+			}
+			if key := itemset.Key(items); !seen[key] {
+				seen[key] = true
+				out = append(out, itemset.Counted{Items: items, Count: rng.Int63n(1 << 16)})
+			}
+		}
+		itemset.SortCounted(out)
+		return out
+	}
+	m.Large = [][]itemset.Counted{sets(1, 400), sets(2, 600), sets(3, 200)}
+	for _, c := range m.Large[1] {
+		m.Rules = append(m.Rules, rules.Rule{Antecedent: c.Items[:1], Consequent: c.Items[1:], Count: c.Count, Support: 0.1, Confidence: 0.7})
+	}
+	m.State = &MiningState{LogTxns: 1 << 16, ItemCounts: make([]int64, tax.NumItems())}
+	for i := range m.State.ItemCounts {
+		m.State.ItemCounts[i] = rng.Int63n(1 << 12)
+	}
+	border3 := sets(3, 3000)
+	m.State.Levels = [][]itemset.Counted{sets(2, 12000), border3}
+	m.State.Bounds = [][]itemset.Counted{nil, subtract(sets(3, 6000), border3)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if encodeSink, err = Encode(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(encodeSink)), "snapshot-B")
+}
+
+// subtract returns the sets of level (ascending) not in drop (ascending).
+func subtract(level, drop []itemset.Counted) []itemset.Counted {
+	var out []itemset.Counted
+	j := 0
+	for _, c := range level {
+		for j < len(drop) && item.Compare(drop[j].Items, c.Items) < 0 {
+			j++
+		}
+		if j < len(drop) && item.Compare(drop[j].Items, c.Items) == 0 {
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
 }

@@ -22,8 +22,11 @@ import (
 //
 // The fixed-width header lets a reader validate completeness and integrity
 // with one stat-sized read before touching the body; the sectioned body lets
-// it locate and decode only what it needs (a serving process that only wants
-// rules never decodes the itemset levels).
+// it locate and decode only what it needs. A serving process (Reader.Serving)
+// decodes meta, taxonomy and rules and never the itemset levels, the state or
+// the bounds: Encode validated every section on write, and a follower
+// validates the state and bounds again when it resumes from them
+// (Reader.State).
 var magic = [8]byte{'p', 'g', 'a', 'r', 'm', 'm', 'd', 'l'}
 
 const headerLen = 8 + 4 + 8 + 8
@@ -34,34 +37,38 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // can label a loaded model (serve uses it as the snapshot version id).
 func Checksum(body []byte) uint64 { return crc64.Checksum(body, crcTable) }
 
-// Encode renders the model as a complete snapshot (header + body).
+// Encode renders the model as a complete snapshot (header + body). Header
+// and sections go into one buffer: each section payload is encoded into one
+// reused scratch and appended behind its id and length, and the header's body
+// length and checksum are filled in last.
 func Encode(m *Model) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	body := make([]byte, 0, 1<<16)
+	out := make([]byte, headerLen, 1<<16)
+	copy(out, magic[:])
+	binary.LittleEndian.PutUint32(out[8:], FormatVersion)
+	var scratch []byte
 	section := func(id uint64, payload []byte) {
-		body = wire.AppendUvarint(body, id)
-		body = wire.AppendUvarint(body, uint64(len(payload)))
-		body = append(body, payload...)
+		out = wire.AppendUvarint(out, id)
+		out = wire.AppendUvarint(out, uint64(len(payload)))
+		out = append(out, payload...)
+		scratch = payload[:0]
 	}
-	section(secMeta, appendMeta(nil, m.Meta))
-	section(secTaxonomy, appendTaxonomy(nil, m.Taxonomy))
-	section(secItemsets, appendLevels(nil, m.Large))
-	section(secRules, appendRules(nil, m.Rules))
+	section(secMeta, appendMeta(scratch, m.Meta))
+	section(secTaxonomy, appendTaxonomy(scratch, m.Taxonomy))
+	section(secItemsets, appendLevels(scratch, m.Large))
+	section(secRules, appendRules(scratch, m.Rules))
 	if m.State != nil {
-		section(secState, appendState(nil, m.State))
+		section(secState, appendState(scratch, m.State))
 		if len(m.State.Bounds) > 0 {
-			section(secBounds, appendLevels(nil, m.State.Bounds))
+			section(secBounds, appendLevels(scratch, m.State.Bounds))
 		}
 	}
-
-	out := make([]byte, 0, headerLen+len(body))
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, FormatVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(body)))
-	out = binary.LittleEndian.AppendUint64(out, Checksum(body))
-	return append(out, body...), nil
+	body := out[headerLen:]
+	binary.LittleEndian.PutUint64(out[12:], uint64(len(body)))
+	binary.LittleEndian.PutUint64(out[20:], Checksum(body))
+	return out, nil
 }
 
 // WriteFile writes the snapshot atomically: encode, write to a temp file in
@@ -170,13 +177,18 @@ func NewReader(data []byte) (*Reader, error) {
 func (r *Reader) Checksum() uint64 { return r.checksum }
 
 // Taxonomy decodes (once) and returns the hierarchy.
-func (r *Reader) Taxonomy() (*taxonomy.Taxonomy, error) {
+func (r *Reader) Taxonomy() (*taxonomy.Taxonomy, error) { return r.taxonomy(nil) }
+
+// taxonomy decodes (once) and returns the hierarchy: live itself when its
+// parent vector is the snapshot's, item for item, and a rebuilt one
+// otherwise.
+func (r *Reader) taxonomy(live *taxonomy.Taxonomy) (*taxonomy.Taxonomy, error) {
 	if !r.taxDone {
 		sec, ok := r.sections[secTaxonomy]
 		if !ok {
 			return nil, fmt.Errorf("model: snapshot has no taxonomy section")
 		}
-		t, err := readTaxonomy(sec)
+		t, err := readTaxonomy(sec, live)
 		if err != nil {
 			return nil, fmt.Errorf("model: corrupt taxonomy section: %v", err)
 		}
@@ -239,6 +251,27 @@ func (r *Reader) Model() (*Model, error) {
 		return nil, err
 	}
 	m := &Model{Meta: r.meta, Taxonomy: tax, Large: large, Rules: rs, State: st}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Serving decodes what a serving process reads — meta, taxonomy and rules —
+// and returns them as a validated Model with no itemset levels and no state;
+// the other sections stay undecoded. When live (the taxonomy of the model
+// being served, or nil) has the snapshot's parent vector, the returned model
+// shares it, so a reload over an unchanged hierarchy rebuilds none of it.
+func (r *Reader) Serving(live *taxonomy.Taxonomy) (*Model, error) {
+	tax, err := r.taxonomy(live)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := r.Rules()
+	if err != nil {
+		return nil, err
+	}
+	m := &Model{Meta: r.meta, Taxonomy: tax, Rules: rs}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"pgarm/internal/itemset"
 	"pgarm/internal/obs"
 	"pgarm/internal/rules"
+	"pgarm/internal/taxonomy"
 )
 
 // ServerOptions configure the HTTP surface.
@@ -99,21 +100,35 @@ func (s *Server) Holder() *Holder { return s.holder }
 // ReloadFile loads a snapshot file, builds its index off to the side and
 // swaps it in. On any error the previous snapshot keeps serving.
 func (s *Server) ReloadFile(path string) error {
+	_, _, err := s.reload(path)
+	return err
+}
+
+// reload is ReloadFile returning the index and generation its own swap
+// published: a concurrent reload may already have replaced them in the
+// holder. The live taxonomy carries over when the snapshot's hierarchy is
+// the same.
+func (s *Server) reload(path string) (*Index, int64, error) {
 	if path == "" {
 		path = s.opts.ModelPath
 	}
 	if path == "" {
 		s.reloadFails.Inc()
-		return fmt.Errorf("serve: no model path configured")
+		return nil, 0, fmt.Errorf("serve: no model path configured")
 	}
-	ix, err := LoadFile(path)
+	var live *taxonomy.Taxonomy
+	if cur := s.holder.Get(); cur != nil {
+		live = cur.tax
+	}
+	ix, err := loadFile(path, live)
 	if err != nil {
 		s.reloadFails.Inc()
-		return err
+		return nil, 0, err
 	}
-	s.generation.Set(s.holder.Swap(ix))
+	gen := s.holder.Swap(ix)
+	s.generation.Set(gen)
 	s.reloads.Inc()
-	return nil
+	return ix, gen, nil
 }
 
 // Handler returns the full endpoint mux: POST /v1/recommend, GET /v1/rules,
@@ -345,11 +360,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	path := r.URL.Query().Get("model")
-	if err := s.ReloadFile(path); err != nil {
+	ix, gen, err := s.reload(path)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "reload failed (previous snapshot still serving): %v", err)
 		return
 	}
-	ix, gen := s.holder.Current()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":      ix.Version(),
 		"generation": gen,

@@ -19,6 +19,7 @@ import (
 	"pgarm/internal/model"
 	"pgarm/internal/obs"
 	"pgarm/internal/rules"
+	"pgarm/internal/taxonomy"
 )
 
 // writeSnapshot persists a one-rule model whose consequent identifies the
@@ -381,5 +382,107 @@ func TestHealthzFreshnessFields(t *testing.T) {
 	empty := NewServer(NewHolder(nil), nil, ServerOptions{Registry: obs.NewRegistry()})
 	if got := snapshotAge(empty.Holder().Get()); got != -1 {
 		t.Fatalf("snapshotAge with no model = %v, want -1", got)
+	}
+}
+
+// TestReloadKeepsOrSwapsTaxonomy: a reload whose snapshot has the live
+// parent vector serves the live taxonomy pointer; one whose hierarchy moved
+// a single item builds the new taxonomy and answers through it.
+func TestReloadKeepsOrSwapsTaxonomy(t *testing.T) {
+	dir := t.TempDir()
+	pathA, _ := writeSnapshot(t, dir, "a.pgarm", shoes, 0.8)
+	pathB, versionB := writeSnapshot(t, dir, "b.pgarm", boots, 0.9)
+	ix, err := LoadFile(pathA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(NewHolder(ix), nil, ServerOptions{Registry: obs.NewRegistry()})
+	if err := srv.ReloadFile(pathB); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Holder().Get(); got.Version() != versionB || got.Taxonomy() != ix.Taxonomy() {
+		t.Fatalf("reload over the same hierarchy: version %s, taxonomy kept %v", got.Version(), got.Taxonomy() == ix.Taxonomy())
+	}
+
+	// jackets moves from outerwear to footwear: a jackets basket now
+	// reaches the footwear => shirts rule.
+	moved := taxonomy.MustNew([]item.Item{item.None, item.None, 0, 0, 1, 1, 2, 1})
+	pathC := filepath.Join(dir, "c.pgarm")
+	if err := model.WriteFile(pathC, &model.Model{
+		Meta:     model.Meta{Dataset: "test", Algorithm: "Cumulate", NumTxns: 100, CreatedUnix: 1},
+		Taxonomy: moved,
+		Rules:    []rules.Rule{rule([]item.Item{footwear}, []item.Item{shirts}, 0.7, 0.1, 10)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Holder().Get()
+	if recs := before.Recommend(before.Normalize([]item.Item{jackets}), 3); len(recs) != 0 {
+		t.Fatalf("old hierarchy answered a jackets basket: %+v", recs)
+	}
+	if err := srv.ReloadFile(pathC); err != nil {
+		t.Fatal(err)
+	}
+	after := srv.Holder().Get()
+	if after.Taxonomy() == ix.Taxonomy() || after.Taxonomy().Parent(jackets) != footwear {
+		t.Fatalf("reload over a moved hierarchy kept the old taxonomy (parent of jackets %d)", after.Taxonomy().Parent(jackets))
+	}
+	recs := after.Recommend(after.Normalize([]item.Item{jackets}), 3)
+	if len(recs) != 1 || !item.Equal(recs[0].Items, []item.Item{shirts}) {
+		t.Fatalf("jackets basket under the moved hierarchy: %+v, want shirts", recs)
+	}
+}
+
+// TestConcurrentReloadsReplyOwnGeneration: reloads racing each other (a
+// follower's POST against a SIGHUP or another POST) each reply with the
+// generation their own swap published, so no two replies share one.
+func TestConcurrentReloadsReplyOwnGeneration(t *testing.T) {
+	dir := t.TempDir()
+	path, version := writeSnapshot(t, dir, "m.pgarm", shoes, 0.8)
+	ix, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(NewHolder(ix), nil, ServerOptions{ModelPath: path, Registry: obs.NewRegistry()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const reloaders, each = 8, 100
+	gens := make(chan int64, reloaders*each)
+	var wg sync.WaitGroup
+	for g := 0; g < reloaders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				resp, err := http.Post(ts.URL+"/reload", "", nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out struct {
+					Model      string `json:"model"`
+					Generation int64  `json:"generation"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || out.Model != version {
+					t.Errorf("reload: status %d, reply %+v, err %v", resp.StatusCode, out, err)
+					return
+				}
+				gens <- out.Generation
+			}
+		}()
+	}
+	wg.Wait()
+	close(gens)
+	seen := make(map[int64]bool)
+	for g := range gens {
+		if seen[g] {
+			t.Fatalf("two reloads replied with generation %d", g)
+		}
+		seen[g] = true
+	}
+	if _, last := srv.Holder().Current(); len(seen) != reloaders*each || last != 1+reloaders*each {
+		t.Fatalf("%d distinct replies, holder at generation %d, want %d and %d", len(seen), last, reloaders*each, 1+reloaders*each)
 	}
 }

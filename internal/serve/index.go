@@ -81,6 +81,11 @@ func NewIndex(m *model.Model, version string) (*Index, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	return buildIndex(m, version), nil
+}
+
+// buildIndex is NewIndex over a model already validated.
+func buildIndex(m *model.Model, version string) *Index {
 	ix := &Index{
 		tax:     m.Taxonomy,
 		rules:   m.Rules,
@@ -136,7 +141,7 @@ func NewIndex(m *model.Model, version string) (*Index, error) {
 			ix.byRoot[root] = append(ix.byRoot[root], int32(id))
 		}
 	}
-	return ix, nil
+	return ix
 }
 
 // compareRank orders rules by descending confidence, then descending
@@ -299,15 +304,23 @@ func (ix *Index) covered(chosen, consequent []item.Item) bool {
 }
 
 // LoadFile reads a snapshot file and builds its index, labelling it with the
-// snapshot checksum as the version id.
-func LoadFile(path string) (*Index, error) {
+// snapshot checksum as the version id. It decodes only what serving reads —
+// meta, taxonomy and rules (model.Reader.Serving) — and validates them once;
+// the itemset levels, the mining state and its bounds stay undecoded, since
+// model.Encode validated them on write and a follower validates the state
+// when it resumes.
+func LoadFile(path string) (*Index, error) { return loadFile(path, nil) }
+
+// loadFile is LoadFile sharing live, the taxonomy being served (or nil), when
+// the snapshot's hierarchy is the same.
+func loadFile(path string, live *taxonomy.Taxonomy) (*Index, error) {
 	r, err := model.OpenReader(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := r.Model()
+	m, err := r.Serving(live)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return NewIndex(m, fmt.Sprintf("%016x", r.Checksum()))
+	return buildIndex(m, fmt.Sprintf("%016x", r.Checksum())), nil
 }

@@ -24,6 +24,7 @@ import (
 	"pgarm/internal/item"
 	"pgarm/internal/model"
 	"pgarm/internal/rules"
+	"pgarm/internal/stream"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
 	"pgarm/internal/wire"
@@ -544,6 +545,19 @@ var benchScale struct {
 	models map[string]*model.Model
 }
 
+// benchScaleData generates R30F5 x 0.002 on first use; the caller holds
+// benchScale.mu.
+func benchScaleData(tb testing.TB) *gen.Dataset {
+	if benchScale.ds == nil {
+		ds, err := gen.Generate(gen.R30F5().Scaled(0.002))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		benchScale.ds, benchScale.models = ds, make(map[string]*model.Model)
+	}
+	return benchScale.ds
+}
+
 // benchScaleModel mines R30F5 x 0.002 over two nodes with the given engine
 // and derives rules at the bench workloads' minconf 0.6. It also returns
 // baskets: the first transactions, cut at 12 items as the load bench cuts
@@ -552,14 +566,7 @@ func benchScaleModel(tb testing.TB, engine engines.Engine, minsup float64, maxK,
 	tb.Helper()
 	benchScale.mu.Lock()
 	defer benchScale.mu.Unlock()
-	if benchScale.ds == nil {
-		ds, err := gen.Generate(gen.R30F5().Scaled(0.002))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		benchScale.ds, benchScale.models = ds, make(map[string]*model.Model)
-	}
-	ds := benchScale.ds
+	ds := benchScaleData(tb)
 	key := fmt.Sprintf("%s/%g/%d", engine, minsup, maxK)
 	m := benchScale.models[key]
 	if m == nil {
@@ -735,4 +742,76 @@ func BenchmarkRecommend(b *testing.B) {
 			b.ReportMetric(float64(len(m.Rules)), "rules")
 		})
 	}
+}
+
+// streamSnapshot writes the snapshot a streaming follower writes at its
+// second checkpoint over R30F5 x 0.002 (the first three quarters, then the
+// rest, at minsup 2% and minconf 0.5): rules, itemset levels, the FUP state
+// and its bounds. It returns the path and the snapshot's size.
+func streamSnapshot(tb testing.TB) (string, int64) {
+	benchScale.mu.Lock()
+	ds := benchScaleData(tb)
+	benchScale.mu.Unlock()
+	prefix, delta := &txn.DB{}, &txn.DB{}
+	for i := 0; i < ds.DB.Len(); i++ {
+		if i < ds.DB.Len()*3/4 {
+			prefix.Append(ds.DB.At(i))
+		} else {
+			delta.Append(ds.DB.At(i))
+		}
+	}
+	cfg := stream.MineConfig{MinSupport: 0.02}
+	_, state, _, err := stream.IncrementalMine(ds.Taxonomy, nil, &txn.DB{}, prefix, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, state, _, err := stream.IncrementalMine(ds.Taxonomy, state, prefix, delta, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rs, err := rules.Derive(ds.Taxonomy, res.All(), res.SupportIndex(), rules.Config{MinConfidence: 0.5, NumTxns: res.NumTxns})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "stream.pgarm")
+	if err := model.WriteFile(path, &model.Model{
+		Meta:     model.Meta{Dataset: "R30F5@0.002", Algorithm: "Cumulate-FUP", NumTxns: int64(res.NumTxns)},
+		Taxonomy: ds.Taxonomy,
+		Large:    res.Large,
+		Rules:    rs,
+		State:    state,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	if len(state.Bounds) == 0 {
+		tb.Fatal("the second checkpoint carried no bounds")
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return path, fi.Size()
+}
+
+// BenchmarkReload: one hot swap per op of a stream-shaped snapshot
+// (streamSnapshot) into a server already serving it, as the follower's
+// -reload-url triggers after every checkpoint. It fences what a swap
+// decodes and allocates: meta, rules and the index, never the itemset
+// levels, the state or a second copy of the unchanged taxonomy.
+func BenchmarkReload(b *testing.B) {
+	path, size := streamSnapshot(b)
+	ix, err := LoadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(NewHolder(ix), nil, ServerOptions{ModelPath: path})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := srv.ReloadFile(""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(size), "snapshot-B")
+	b.ReportMetric(float64(len(ix.Rules())), "rules")
 }
