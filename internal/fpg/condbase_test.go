@@ -277,9 +277,31 @@ func FuzzCondBase(f *testing.F) {
 	})
 }
 
+// climbTwin returns a climbable tree over numRanks ranks that holds the
+// paths of the forest tree f with their counts: every root-to-node path of f
+// is inserted with the count of the transactions that end at its node. It is
+// found by recursion over child and sibling links, not by f's preorder walk.
+func climbTwin(f *fpTree, numRanks int) *fpTree {
+	twin := newFPTree(numRanks, 1)
+	var visit func(ni int32, path []item.Item)
+	visit = func(ni int32, path []item.Item) {
+		ends := int64(f.nodes[ni].count)
+		for c := f.nodes[ni].child; c != -1; c = f.nodes[c].sib {
+			ends -= int64(f.nodes[c].count)
+			visit(c, append(path, f.nodes[c].rank))
+		}
+		if ni > 0 && ends > 0 {
+			twin.add(path, ends)
+		}
+	}
+	visit(0, nil)
+	return twin
+}
+
 // shipProbe is an fpgMiner whose growth pass ends with the cond-base
-// exchange. It records the units the reference climb extracts from its forest
-// and the bases its owned slots received, with the runs and run bytes that
+// exchange. It records the units the reference climb extracts from a
+// climbable twin of each forest tree (the forest keeps no parent links) and
+// the bases its owned slots received, with the runs and run bytes that
 // carried them.
 type shipProbe struct {
 	*fpgMiner
@@ -293,7 +315,8 @@ func (p *shipProbe) CountPass(n *driver.Node, _ int, st *metrics.NodeStats) (dri
 	if err != nil {
 		return driver.PassOutcome{}, err
 	}
-	for _, t := range forest {
+	for _, f := range forest {
+		t := climbTwin(f, p.numLarge)
 		for r := item.Item(1); int(r) < p.numLarge; r++ {
 			for _, u := range condBase(p.fpgMiner, t, r) {
 				p.climbed = append(p.climbed, fmt.Sprint(int(r), u.count, u.path))

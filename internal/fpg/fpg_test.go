@@ -1,7 +1,9 @@
 package fpg
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"pgarm/internal/driver"
 	"pgarm/internal/gen"
 	"pgarm/internal/item"
+	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
 	"pgarm/internal/txn"
@@ -221,7 +224,7 @@ func (p forestProbe) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 // TestForestWithinPass1Bound: on random forests and datasets, every node's
 // forest has at most as many tree nodes as the pass-1 bound its arena is
 // sized from, and with one worker the arena is allocated once — its capacity
-// is still the bound's after the build.
+// is still the bound's after the build. No forest tree keeps climb links.
 func TestForestWithinPass1Bound(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 8; trial++ {
@@ -251,6 +254,9 @@ func TestForestWithinPass1Bound(t *testing.T) {
 				var nodes int64
 				for _, tr := range forest {
 					nodes += int64(len(tr.nodes) - 1)
+					if tr.links != nil || tr.heads != nil {
+						t.Errorf("%s: node %d forest tree keeps climb links", name, m.nodeID)
+					}
 				}
 				if nodes > m.forestNodes {
 					t.Errorf("%s: node %d forest has %d nodes, bound %d", name, m.nodeID, nodes, m.forestNodes)
@@ -266,6 +272,82 @@ func TestForestWithinPass1Bound(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+		}
+	}
+}
+
+// TestPreorderVisitsEveryNodeOnce: on random forest trees, which keep no
+// parent links, the stack-based preorder walk visits every node but the root
+// exactly once, and each step's path runs from a child of the root through
+// child links to the node it visits. An empty tree yields no step.
+func TestPreorderVisitsEveryNodeOnce(t *testing.T) {
+	isChild := func(tr *fpTree, parent, c int32) bool {
+		for x := tr.nodes[parent].child; x != -1; x = tr.nodes[x].sib {
+			if x == c {
+				return true
+			}
+		}
+		return false
+	}
+	if up := newForestTree(1).preorder(nil); len(up) != 0 {
+		t.Fatalf("empty tree: first step %v", up)
+	}
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		tr := newForestTree(1 + rng.Intn(4))
+		for p := rng.Intn(60); p >= 0; p-- {
+			var path []item.Item
+			for r := 0; r < n; r++ {
+				if rng.Intn(3) == 0 {
+					path = append(path, item.Item(r))
+				}
+			}
+			tr.add(path, 1)
+		}
+		if tr.links != nil || tr.heads != nil {
+			t.Fatalf("trial %d: a forest tree keeps climb links", trial)
+		}
+		seen := make([]int, len(tr.nodes))
+		steps := 0
+		for up := tr.preorder(nil); len(up) > 0; up = tr.preorder(up) {
+			steps++
+			parent := int32(0)
+			for d, ni := range up {
+				if !isChild(tr, parent, ni) {
+					t.Fatalf("trial %d: step %d path %v: node %d at depth %d is not a child of %d", trial, steps, up, ni, d, parent)
+				}
+				parent = ni
+			}
+			seen[up[len(up)-1]]++
+		}
+		if steps != len(tr.nodes)-1 {
+			t.Fatalf("trial %d: %d steps over %d nodes", trial, steps, len(tr.nodes)-1)
+		}
+		for ni, c := range seen[1:] {
+			if c != 1 {
+				t.Fatalf("trial %d: node %d visited %d times", trial, ni+1, c)
+			}
+		}
+	}
+}
+
+// TestFinishPass1RejectsSupportAboveUint32: a tree node counts at most a
+// large item's global support in a uint32, so a global count above
+// math.MaxUint32 ends pass 1 with ErrSupportTooLarge, and one at the limit
+// passes. The counts are synthetic: no data that large is needed.
+func TestFinishPass1RejectsSupportAboveUint32(t *testing.T) {
+	tax := taxonomy.MustNew([]item.Item{item.None, 0, item.None})
+	l1 := []itemset.Counted{{Items: []item.Item{0}}, {Items: []item.Item{1}}, {Items: []item.Item{2}}}
+	local := []int64{3, 2, 1}
+	for _, c := range []struct {
+		top  int64
+		fail bool
+	}{{math.MaxUint32, false}, {math.MaxUint32 + 1, true}, {math.MaxInt64, true}} {
+		m := newFpgMiner(tax, Config{MinSupport: 0.5})
+		err := m.FinishPass1(nil, local, []int64{c.top, 7, 5}, l1)
+		if c.fail != errors.Is(err, ErrSupportTooLarge) || !c.fail && err != nil {
+			t.Errorf("global count %d: err %v, want ErrSupportTooLarge %v", c.top, err, c.fail)
 		}
 	}
 }

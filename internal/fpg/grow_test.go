@@ -59,8 +59,8 @@ func condBase(m *fpgMiner, t *fpTree, r item.Item) []baseUnit {
 func rankTotals(t *fpTree) map[item.Item]int64 {
 	out := map[item.Item]int64{}
 	for _, r := range t.present {
-		for ni := t.heads[r]; ni != -1; ni = t.nodes[ni].next {
-			out[r] += t.nodes[ni].count
+		for ni := t.heads[r]; ni != -1; ni = t.links[ni].next {
+			out[r] += int64(t.nodes[ni].count)
 		}
 	}
 	return out
@@ -93,8 +93,8 @@ func checkTallyInsert(t *testing.T, name string, numRanks int, base []baseUnit, 
 			}
 			continue
 		}
-		if !reflect.DeepEqual(sub.nodes, want.nodes) || !reflect.DeepEqual(sub.present, want.present) ||
-			!reflect.DeepEqual(sub.heads, want.heads) {
+		if !reflect.DeepEqual(sub.nodes, want.nodes) || !reflect.DeepEqual(sub.links, want.links) ||
+			!reflect.DeepEqual(sub.present, want.present) || !reflect.DeepEqual(sub.heads, want.heads) {
 			t.Fatalf("%s: tree %+v, want %+v", name, sub.nodes, want.nodes)
 		}
 		totals := rankTotals(sub)
@@ -213,7 +213,9 @@ func TestBaseTreeKeepsFrequentRanks(t *testing.T) {
 
 // TestMineSpanNamesSlowestRank: each node's mine span carries the slowest
 // task's suffix rank and time next to its task and pattern counts, and the
-// rank is one that node owns.
+// rank is one that node owns. It also carries the bytes of the conditional
+// trees its workers hold, and each build-forest span the bytes of its
+// forest arenas: at least 16 B for every node and each worker's root.
 func TestMineSpanNamesSlowestRank(t *testing.T) {
 	ds := testDataset(t, 1500)
 	const nodes = 3
@@ -224,16 +226,25 @@ func TestMineSpanNamesSlowestRank(t *testing.T) {
 	}
 	numLarge := int64(len(res.LargeK(1)))
 	recs, _ := tr.ExportSince(0)
-	seen := map[int32]bool{}
+	seen, forests := map[int32]bool{}, 0
 	for _, rec := range recs {
-		if rec.Name != "mine" {
-			continue
-		}
 		args := map[string]int64{}
 		for _, a := range rec.Args {
 			args[a.Key] = a.Val
 		}
-		for _, k := range []string{"tasks", "patterns", "slowest-rank", "slowest-us"} {
+		if rec.Name == "build-forest" {
+			if b := args["arena-bytes"]; b%16 != 0 || b < 16*(args["tree-nodes"]+2) {
+				t.Errorf("node %d: forest arenas of %d bytes for %d nodes in 2 trees", rec.Node, b, args["tree-nodes"])
+			}
+			forests++
+		}
+		if rec.Name != "mine" {
+			continue
+		}
+		if args["patterns"] > 0 && args["tree-bytes"] <= 0 {
+			t.Errorf("node %d mined %d patterns holding %d tree bytes", rec.Node, args["patterns"], args["tree-bytes"])
+		}
+		for _, k := range []string{"tasks", "patterns", "slowest-rank", "slowest-us", "tree-bytes"} {
 			if _, ok := args[k]; !ok {
 				t.Fatalf("node %d mine span has no %s arg: %v", rec.Node, k, rec.Args)
 			}
@@ -246,8 +257,8 @@ func TestMineSpanNamesSlowestRank(t *testing.T) {
 		}
 		seen[rec.Node] = true
 	}
-	if len(seen) != nodes {
-		t.Fatalf("mine spans from %d nodes, want %d", len(seen), nodes)
+	if len(seen) != nodes || forests != nodes {
+		t.Fatalf("mine spans from %d nodes and %d build-forest spans, want %d", len(seen), forests, nodes)
 	}
 }
 

@@ -2,7 +2,9 @@ package fpg
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -63,6 +65,10 @@ type fpgMiner struct {
 	own []itemset.Counted
 }
 
+// ErrSupportTooLarge is FinishPass1's error for a large item whose global
+// closure count does not fit a tree node's uint32 count.
+var ErrSupportTooLarge = errors.New("fpg: an item's support exceeds an FP-tree node's count range")
+
 func newFpgMiner(tax *taxonomy.Taxonomy, cfg Config) *fpgMiner {
 	return &fpgMiner{tax: tax, cfg: cfg}
 }
@@ -72,7 +78,9 @@ func newFpgMiner(tax *taxonomy.Taxonomy, cfg Config) *fpgMiner {
 // (closure count descending, item id ascending). The order is a pure function
 // of the broadcast count vector, so every node derives the identical ranking
 // — the root of the engine's bit-identity at any node and worker count. The
-// node's own vector, local, bounds its forest.
+// node's own vector, local, bounds its forest. No tree node counts more than
+// a large item's global count, so that count must fit a node's uint32
+// (ErrSupportTooLarge).
 func (m *fpgMiner) FinishPass1(_ *driver.Node, local, global []int64, l1 []itemset.Counted) error {
 	m.itemCounts = global
 	m.rank = make([]int32, m.tax.NumItems())
@@ -90,6 +98,9 @@ func (m *fpgMiner) FinishPass1(_ *driver.Node, local, global []int64, l1 []items
 		return ia < ib
 	})
 	for r, it := range m.itemAt {
+		if global[it] > math.MaxUint32 {
+			return fmt.Errorf("%w: item %d counts %d", ErrSupportTooLarge, it, global[it])
+		}
 		m.rank[it] = int32(r)
 		// Every forest node is made by inserting one large item of one local
 		// transaction, so these counts add up to at least the node count.
@@ -210,14 +221,16 @@ func (m *fpgMiner) exchangeBases(n *driver.Node, forest []*fpTree, st *metrics.N
 // ranks. The trees are never merged: each is walked for its conditional
 // bases (shipBases), and counts are exact sums either way.
 // Each worker's arena is allocated once, at its share of the pass-1 bound;
-// with one worker the bound is exact and the arena never grows.
+// with one worker the bound is exact and the arena never grows. The trees
+// carry no climb links: the walk keeps its own stack. The span's arena-bytes
+// arg is the arenas' capacity in bytes.
 func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree, error) {
 	W := n.Workers()
 	sp := n.Span("build-forest")
 	defer sp.End()
 	trees := make([]*fpTree, W)
 	for w := range trees {
-		trees[w] = newFPTree(m.numLarge, int((m.forestNodes+int64(W)-1)/int64(W))+1)
+		trees[w] = newForestTree(int((m.forestNodes+int64(W)-1)/int64(W)) + 1)
 	}
 	// The closure's slot table is the rank vector and each slot emits its
 	// rank, so a transaction comes out as its large closure items in
@@ -234,11 +247,13 @@ func (m *fpgMiner) buildForest(n *driver.Node, st *metrics.NodeStats) ([]*fpTree
 	if err != nil {
 		return nil, err
 	}
-	var nodes int64
+	var nodes, arena int64
 	for _, t := range trees {
 		nodes += int64(len(t.nodes) - 1)
+		arena += t.arenaBytes()
 	}
 	sp.Arg("tree-nodes", nodes)
+	sp.Arg("arena-bytes", arena)
 	return trees, nil
 }
 
@@ -272,8 +287,9 @@ func (m *fpgMiner) shipBases(n *driver.Node, ex *driver.Exchange, forest []*fpTr
 }
 
 // baseWalker ships one forest tree's conditional pattern bases. It walks the
-// tree once in preorder with the current path's ranks on a stack, so a
-// node's prefix path is the stack below it: no node climbs its parent chain.
+// tree once in preorder with the current path's nodes and ranks on stacks, so
+// a node's prefix path is the stack below it: no node climbs its parent
+// chain, and the forest keeps none.
 // Each node of rank r with a non-empty prefix stages one unit, (count, the
 // prefix minus conf[r]), in r's stage, a stageBytes window of one slab. A
 // stage that cannot take the next unit goes to r's owner as one run,
@@ -287,6 +303,7 @@ type baseWalker struct {
 	b     *driver.Batcher
 	stage [][]byte // stage[r]: rank r's staged units, capacity stageBytes
 	held  []int32  // held[r]: the number of units in stage[r]
+	up    []int32  // the preorder walk's path of nodes
 	path  []item.Item
 	at    []int32 // at[r]: where rank r was last pushed on path
 	keep  []item.Item
@@ -311,30 +328,19 @@ func (m *fpgMiner) newBaseWalker(b *driver.Batcher) *baseWalker {
 // walk stages a unit for every node of t that is not a child of the root,
 // then sends every stage still holding units and flushes the batcher.
 func (w *baseWalker) walk(t *fpTree) error {
-	depth := 0 // ni's depth under the root's children: w.path[:depth] is its prefix
-	for ni := t.nodes[0].child; ni > 0; {
-		nd := &t.nodes[ni]
+	up := t.preorder(w.up[:0])
+	for ; len(up) > 0; up = t.preorder(up) {
+		depth := len(up) - 1 // the node's depth under the root's children: w.path[:depth] is its prefix
+		nd := &t.nodes[up[depth]]
 		w.path = append(w.path[:depth], nd.rank)
 		w.at[nd.rank] = int32(depth)
 		if depth > 0 {
-			if err := w.stageUnit(nd.rank, w.path[:depth], nd.count); err != nil {
+			if err := w.stageUnit(nd.rank, w.path[:depth], int64(nd.count)); err != nil {
 				return err
 			}
 		}
-		if nd.child != -1 {
-			ni = nd.child
-			depth++
-			continue
-		}
-		// Step to the next sibling of ni or of its nearest ancestor with one.
-		for ni > 0 && t.nodes[ni].sib == -1 {
-			ni = t.nodes[ni].parent
-			depth--
-		}
-		if ni > 0 {
-			ni = t.nodes[ni].sib
-		}
 	}
+	w.up = up
 	for r, n := range w.held {
 		if n > 0 {
 			if err := w.sendStage(item.Item(r)); err != nil {
@@ -483,7 +489,9 @@ func (m *fpgMiner) baseUnits(q int, path []item.Item, add func(path []item.Item,
 // the slots are concatenated in rank order, so the result is independent of
 // scheduling. Every task is timed, and the mine span names the slowest one
 // (slowest-rank, slowest-us): the suffix rank that held this node's workers
-// longest, and so the one most likely to gate the pass barrier.
+// longest, and so the one most likely to gate the pass barrier. Its
+// tree-bytes arg is the capacity, in bytes, of the conditional-tree arenas
+// the workers hold when the pass ends.
 func (m *fpgMiner) mineOwned(n *driver.Node, st *metrics.NodeStats) error {
 	sp := n.Span("mine")
 	defer sp.End()
@@ -499,7 +507,7 @@ func (m *fpgMiner) mineOwned(n *driver.Node, st *metrics.NodeStats) error {
 	W := max(min(n.Workers(), len(tasks)), 1)
 	minCount := n.MinCount()
 	var next atomic.Int64
-	var incs atomic.Int64
+	var incs, treeBytes atomic.Int64
 	slowest := make([]taskTime, W)
 	for w := range slowest {
 		slowest[w].d = -1 // a worker that claimed no task never wins
@@ -518,18 +526,26 @@ func (m *fpgMiner) mineOwned(n *driver.Node, st *metrics.NodeStats) error {
 			}
 		}
 		incs.Add(sc.increments)
+		for _, t := range sc.trees {
+			treeBytes.Add(t.arenaBytes())
+		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	st.Increments += incs.Load()
-	m.own = m.own[:0]
+	total := 0
+	for _, res := range results {
+		total += len(res)
+	}
+	m.own = make([]itemset.Counted, 0, total)
 	for _, res := range results {
 		m.own = append(m.own, res...)
 	}
 	sp.Arg("tasks", int64(len(tasks)))
 	sp.Arg("patterns", int64(len(m.own)))
+	sp.Arg("tree-bytes", treeBytes.Load())
 	if len(tasks) > 0 {
 		slow := slices.MaxFunc(slowest, func(a, b taskTime) int { return cmp.Compare(a.d, b.d) })
 		sp.Arg("slowest-rank", int64(slow.rank))
@@ -642,10 +658,10 @@ func (m *fpgMiner) grow(t *fpTree, surv []rankCount, suffix []item.Item, size in
 func (m *fpgMiner) condTree(t *fpTree, r item.Item, minCount int64, depth int, build bool, sc *mineScratch) (*fpTree, []rankCount) {
 	x := m.itemAt[r]
 	touched := sc.touched[:0]
-	for ni := t.heads[r]; ni != -1; ni = t.nodes[ni].next {
-		c := t.nodes[ni].count
+	for ni := t.heads[r]; ni != -1; ni = t.links[ni].next {
+		c := int64(t.nodes[ni].count)
 		sc.increments++
-		for p := t.nodes[ni].parent; p > 0; p = t.nodes[p].parent {
+		for p := t.links[ni].parent; p > 0; p = t.links[p].parent {
 			pr := t.nodes[p].rank
 			switch v := sc.tally[pr]; {
 			case v > 0:

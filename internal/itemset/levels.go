@@ -37,6 +37,15 @@ func AppendCounted(dst []byte, cs []Counted) []byte {
 	return dst
 }
 
+// CountedLen returns the size of AppendCounted(nil, cs).
+func CountedLen(cs []Counted) int {
+	n := wire.UvarintLen(uint64(len(cs)))
+	for _, c := range cs {
+		n += wire.ItemsLen(c.Items) + wire.UvarintLen(uint64(c.Count))
+	}
+	return n
+}
+
 // ParseCounted reads one AppendCounted block from d; the caller checks d's
 // error.
 func ParseCounted(d *wire.Dec) []Counted {

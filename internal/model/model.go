@@ -169,6 +169,17 @@ func appendMeta(dst []byte, m Meta) []byte {
 	return wire.AppendStr(dst, m.Granules)
 }
 
+// strLen is the size of wire.AppendStr(nil, s).
+func strLen(s string) int { return wire.UvarintLen(uint64(len(s))) + len(s) }
+
+// metaLen is the size of appendMeta(nil, m).
+func metaLen(m Meta) int {
+	return strLen(m.Dataset) + strLen(m.Algorithm) + strLen(m.Tool) +
+		wire.UvarintLen(uint64(m.NumTxns)) + wire.UvarintLen(math.Float64bits(m.MinSupport)) +
+		wire.UvarintLen(math.Float64bits(m.MinConfidence)) + wire.UvarintLen(uint64(m.CreatedUnix)) +
+		strLen(m.Granules)
+}
+
 // The section decoders below end on Err, not Done: a section may carry fields
 // a newer writer appended (as Granules was), which an older reader ignores.
 
@@ -199,6 +210,16 @@ func appendTaxonomy(dst []byte, t *taxonomy.Taxonomy) []byte {
 		dst = wire.AppendUvarint(dst, uint64(t.Parent(item.Item(i))+1))
 	}
 	return dst
+}
+
+// taxonomyLen is the size of appendTaxonomy(nil, t).
+func taxonomyLen(t *taxonomy.Taxonomy) int {
+	n := t.NumItems()
+	size := wire.UvarintLen(uint64(n))
+	for i := 0; i < n; i++ {
+		size += wire.UvarintLen(uint64(t.Parent(item.Item(i)) + 1))
+	}
+	return size
 }
 
 // readTaxonomy decodes the parent vector and rebuilds the taxonomy,
@@ -238,6 +259,15 @@ func appendLevels(dst []byte, levels [][]itemset.Counted) []byte {
 	return dst
 }
 
+// levelsLen is the size of appendLevels(nil, levels).
+func levelsLen(levels [][]itemset.Counted) int {
+	size := wire.UvarintLen(uint64(len(levels)))
+	for _, level := range levels {
+		size += itemset.CountedLen(level)
+	}
+	return size
+}
+
 // readLevels reads what appendLevels wrote.
 func readLevels(d *wire.Dec) [][]itemset.Counted {
 	n := d.Count(1)
@@ -268,15 +298,43 @@ func appendRules(dst []byte, rs []rules.Rule) []byte {
 	return dst
 }
 
-// readRules decodes the rules section.
+// rulesLen is the size of appendRules(nil, rs).
+func rulesLen(rs []rules.Rule) int {
+	size := wire.UvarintLen(uint64(len(rs)))
+	for _, r := range rs {
+		size += wire.ItemsLen(r.Antecedent) + wire.ItemsLen(r.Consequent) + wire.UvarintLen(uint64(r.Count)) +
+			wire.UvarintLen(math.Float64bits(r.Support)) + wire.UvarintLen(math.Float64bits(r.Confidence))
+	}
+	return size
+}
+
+// readRules decodes the rules section. Every rule's antecedent and
+// consequent are capacity-clipped windows of one item arena, so a section
+// costs two allocations however many rules it holds. The arena is sized
+// from the bytes: each uvarint ends in its one byte below 0x80, and besides
+// the items the section holds the rule count and five uvarints a rule. A
+// corrupt section may miscount; the arena then grows, and the windows stay
+// valid.
 func readRules(b []byte) ([]rules.Rule, error) {
 	d := wire.NewDec(b)
 	n := d.Count(5) // two itemsets, a count, two floats
+	items := -1 - 5*n
+	for _, c := range b {
+		if c < 0x80 {
+			items++
+		}
+	}
+	arena := make([]item.Item, 0, max(items, 0))
+	window := func() []item.Item {
+		at := len(arena)
+		arena = d.Items(arena)
+		return arena[at:len(arena):len(arena)]
+	}
 	out := make([]rules.Rule, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, rules.Rule{
-			Antecedent: d.Items(nil),
-			Consequent: d.Items(nil),
+			Antecedent: window(),
+			Consequent: window(),
 			Count:      d.I64(),
 			Support:    d.F64(),
 			Confidence: d.F64(),

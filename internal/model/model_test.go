@@ -380,6 +380,43 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestReadRulesAllocsIndependentOfRuleCount: a rules section decodes into
+// the rule slice and one item arena, whether it holds 100 rules or 2,000,
+// and every antecedent and consequent is a window of that arena clipped to
+// its length, equal to the rule written.
+func TestReadRulesAllocsIndependentOfRuleCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	section := func(n int) ([]rules.Rule, []byte) {
+		rs := make([]rules.Rule, n)
+		for i := range rs {
+			items := item.Dedup([]item.Item{item.Item(rng.Intn(500)), item.Item(rng.Intn(500)), item.Item(500 + rng.Intn(500))})
+			cut := 1 + rng.Intn(len(items)-1)
+			rs[i] = rules.Rule{Antecedent: items[:cut], Consequent: items[cut:], Count: rng.Int63n(1 << 20), Support: rng.Float64(), Confidence: rng.Float64()}
+		}
+		return rs, appendRules(nil, rs)
+	}
+	allocs := func(n int) float64 {
+		want, b := section(n)
+		got, err := readRules(b)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d rules: read back %d rules (err %v)", n, len(got), err)
+		}
+		for _, r := range got {
+			if cap(r.Antecedent) != len(r.Antecedent) || cap(r.Consequent) != len(r.Consequent) {
+				t.Fatalf("rule %v => %v: a window has spare capacity", r.Antecedent, r.Consequent)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := readRules(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(100), allocs(2000); few != many || many > 2 {
+		t.Errorf("readRules allocates %v times for 100 rules, %v for 2,000; want the same, at most 2", few, many)
+	}
+}
+
 // TestServingDecodesServedSectionsOnly: Serving returns meta, taxonomy and
 // rules, validated, and leaves the itemset levels and the state undecoded.
 // Given the live taxonomy it returns that pointer when the parent vector is

@@ -37,32 +37,44 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // can label a loaded model (serve uses it as the snapshot version id).
 func Checksum(body []byte) uint64 { return crc64.Checksum(body, crcTable) }
 
-// Encode renders the model as a complete snapshot (header + body). Header
-// and sections go into one buffer: each section payload is encoded into one
-// reused scratch and appended behind its id and length, and the header's body
-// length and checksum are filled in last.
+// Encode renders the model as a complete snapshot (header + body). Every
+// section is sized before any is written, so the snapshot is one allocation
+// of its exact length: each payload is appended in place behind its id and
+// length, and the header's body length and checksum are filled in last.
 func Encode(m *Model) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	out := make([]byte, headerLen, 1<<16)
+	type section struct {
+		id    uint64
+		size  int
+		write func([]byte) []byte
+	}
+	secs := []section{
+		{secMeta, metaLen(m.Meta), func(b []byte) []byte { return appendMeta(b, m.Meta) }},
+		{secTaxonomy, taxonomyLen(m.Taxonomy), func(b []byte) []byte { return appendTaxonomy(b, m.Taxonomy) }},
+		{secItemsets, levelsLen(m.Large), func(b []byte) []byte { return appendLevels(b, m.Large) }},
+		{secRules, rulesLen(m.Rules), func(b []byte) []byte { return appendRules(b, m.Rules) }},
+	}
+	if s := m.State; s != nil {
+		secs = append(secs, section{secState, stateLen(s), func(b []byte) []byte { return appendState(b, s) }})
+		if len(s.Bounds) > 0 {
+			secs = append(secs, section{secBounds, levelsLen(s.Bounds), func(b []byte) []byte { return appendLevels(b, s.Bounds) }})
+		}
+	}
+	size := headerLen
+	for _, sec := range secs {
+		size += wire.UvarintLen(sec.id) + wire.UvarintLen(uint64(sec.size)) + sec.size
+	}
+	out := make([]byte, headerLen, size)
 	copy(out, magic[:])
 	binary.LittleEndian.PutUint32(out[8:], FormatVersion)
-	var scratch []byte
-	section := func(id uint64, payload []byte) {
-		out = wire.AppendUvarint(out, id)
-		out = wire.AppendUvarint(out, uint64(len(payload)))
-		out = append(out, payload...)
-		scratch = payload[:0]
-	}
-	section(secMeta, appendMeta(scratch, m.Meta))
-	section(secTaxonomy, appendTaxonomy(scratch, m.Taxonomy))
-	section(secItemsets, appendLevels(scratch, m.Large))
-	section(secRules, appendRules(scratch, m.Rules))
-	if m.State != nil {
-		section(secState, appendState(scratch, m.State))
-		if len(m.State.Bounds) > 0 {
-			section(secBounds, appendLevels(scratch, m.State.Bounds))
+	for _, sec := range secs {
+		out = wire.AppendUvarint(out, sec.id)
+		out = wire.AppendUvarint(out, uint64(sec.size))
+		at := len(out)
+		if out = sec.write(out); len(out)-at != sec.size {
+			return nil, fmt.Errorf("model: section %d encoded %d bytes, sized %d", sec.id, len(out)-at, sec.size)
 		}
 	}
 	body := out[headerLen:]

@@ -119,6 +119,12 @@ func appendState(dst []byte, s *MiningState) []byte {
 	return appendLevels(dst, s.Levels)
 }
 
+// stateLen is the size of appendState(nil, s).
+func stateLen(s *MiningState) int {
+	return wire.UvarintLen(s.LogSeg) + wire.UvarintLen(uint64(s.LogByte)) + wire.UvarintLen(uint64(s.LogTxns)) +
+		wire.CountsAutoLen(s.ItemCounts) + levelsLen(s.Levels)
+}
+
 // readState decodes a state section payload of a model over numItems items.
 func readState(b []byte, numItems int) (*MiningState, error) {
 	d := wire.NewDec(b)

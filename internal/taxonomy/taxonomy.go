@@ -30,12 +30,15 @@ import (
 // from parent to child and represent is-a relationships: an edge x→y makes x
 // a parent of y, and the transitive closure defines ancestors/descendants.
 type Taxonomy struct {
-	parent   []item.Item   // parent[i] = parent of i, or item.None for roots
-	children [][]item.Item // children[i] = direct children of i
-	root     []item.Item   // root[i] = root of the tree containing i
-	level    []int32       // level[i] = depth from the root (root = 0)
-	roots    []item.Item   // all roots, ascending
-	leaves   []item.Item   // all leaf items, ascending
+	parent []item.Item // parent[i] = parent of i, or item.None for roots
+	// children[childAt[i]:childAt[i+1]] are the direct children of i,
+	// ascending: one array for the whole forest, not a slice per item.
+	children []item.Item
+	childAt  []int32
+	root     []item.Item // root[i] = root of the tree containing i
+	level    []int32     // level[i] = depth from the root (root = 0)
+	roots    []item.Item // all roots, ascending
+	leaves   []item.Item // all leaf items, ascending
 	maxLevel int32
 }
 
@@ -45,23 +48,45 @@ type Taxonomy struct {
 func New(parent []item.Item) (*Taxonomy, error) {
 	n := len(parent)
 	t := &Taxonomy{
-		parent:   make([]item.Item, n),
-		children: make([][]item.Item, n),
-		root:     make([]item.Item, n),
-		level:    make([]int32, n),
+		parent:  make([]item.Item, n),
+		childAt: make([]int32, n+1),
+		root:    make([]item.Item, n),
+		level:   make([]int32, n),
 	}
 	copy(t.parent, parent)
+	// Count each item's children at childAt[p+1], sum the counts to offsets,
+	// then place every child at its parent's cursor childAt[p], which ends at
+	// the next item's offset; one shift restores the offsets.
+	numRoots := 0
 	for i, p := range parent {
 		if p == item.Item(i) {
 			return nil, fmt.Errorf("taxonomy: item %d is its own parent", i)
 		}
+		if p == item.None {
+			numRoots++
+			continue
+		}
+		if p < 0 || int(p) >= n {
+			return nil, fmt.Errorf("taxonomy: item %d has out-of-range parent %d", i, p)
+		}
+		t.childAt[p+1]++
+	}
+	numLeaves := 0
+	for i := 0; i < n; i++ {
+		if t.childAt[i+1] == 0 {
+			numLeaves++
+		}
+		t.childAt[i+1] += t.childAt[i]
+	}
+	t.children = make([]item.Item, t.childAt[n])
+	for i, p := range parent {
 		if p != item.None {
-			if p < 0 || int(p) >= n {
-				return nil, fmt.Errorf("taxonomy: item %d has out-of-range parent %d", i, p)
-			}
-			t.children[p] = append(t.children[p], item.Item(i))
+			t.children[t.childAt[p]] = item.Item(i)
+			t.childAt[p]++
 		}
 	}
+	copy(t.childAt[1:], t.childAt[:n])
+	t.childAt[0] = 0
 	// Resolve root and level for every item, detecting cycles: walk up with a
 	// step bound of n.
 	for i := 0; i < n; i++ {
@@ -84,11 +109,13 @@ func New(parent []item.Item) (*Taxonomy, error) {
 			t.maxLevel = depth
 		}
 	}
+	t.roots = make([]item.Item, 0, numRoots)
+	t.leaves = make([]item.Item, 0, numLeaves)
 	for i := 0; i < n; i++ {
 		if t.parent[i] == item.None {
 			t.roots = append(t.roots, item.Item(i))
 		}
-		if len(t.children[i]) == 0 {
+		if t.childAt[i] == t.childAt[i+1] {
 			t.leaves = append(t.leaves, item.Item(i))
 		}
 	}
@@ -111,9 +138,13 @@ func (t *Taxonomy) NumItems() int { return len(t.parent) }
 // Parent returns the parent of x, or item.None if x is a root.
 func (t *Taxonomy) Parent(x item.Item) item.Item { return t.parent[x] }
 
-// Children returns the direct children of x. The returned slice is shared;
-// callers must not modify it.
-func (t *Taxonomy) Children(x item.Item) []item.Item { return t.children[x] }
+// Children returns the direct children of x, ascending. The returned slice
+// is shared; callers must not modify it. Its capacity ends at its length, so
+// an append copies instead of overwriting the next item's children.
+func (t *Taxonomy) Children(x item.Item) []item.Item {
+	lo, hi := t.childAt[x], t.childAt[x+1]
+	return t.children[lo:hi:hi]
+}
 
 // Root returns the root of the tree containing x. For a root item x itself
 // is returned.

@@ -286,3 +286,43 @@ func maxLevel(t *Taxonomy) int32 {
 	}
 	return d
 }
+
+// TestChildrenMatchParentVector: on random forests whose parents may sit above
+// or below their children's ids, Children(x) is exactly the items whose
+// parent is x, ascending, with no spare capacity; Leaves and Roots are the
+// childless and parentless items. New allocates a fixed number of arrays,
+// however many items have children.
+func TestChildrenMatchParentVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 50; trial++ {
+		tax := randomForest(rng, 1+rng.Intn(300))
+		var leaves, roots []item.Item
+		for x := item.Item(0); int(x) < tax.NumItems(); x++ {
+			var want []item.Item
+			for c := item.Item(0); int(c) < tax.NumItems(); c++ {
+				if tax.Parent(c) == x {
+					want = append(want, c)
+				}
+			}
+			got := tax.Children(x)
+			if !item.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("trial %d: Children(%d) = %v (cap %d), want %v", trial, x, got, cap(got), want)
+			}
+			if len(want) == 0 {
+				leaves = append(leaves, x)
+			}
+			if tax.Parent(x) == item.None {
+				roots = append(roots, x)
+			}
+		}
+		if !item.Equal(tax.Leaves(), leaves) || !item.Equal(tax.Roots(), roots) {
+			t.Fatalf("trial %d: Leaves %v Roots %v, want %v %v", trial, tax.Leaves(), tax.Roots(), leaves, roots)
+		}
+	}
+	for _, n := range []int{100, 10000} {
+		parent := MustBalanced(n, 5, 3).parent
+		if a := testing.AllocsPerRun(5, func() { MustNew(parent) }); a > 8 {
+			t.Errorf("New over %d items: %.0f allocs, want <= 8", n, a)
+		}
+	}
+}

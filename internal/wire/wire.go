@@ -47,6 +47,17 @@ func AppendItems(dst []byte, items []item.Item) []byte {
 	return dst
 }
 
+// ItemsLen returns the size of AppendItems(nil, items).
+func ItemsLen(items []item.Item) int {
+	n := UvarintLen(uint64(len(items)))
+	prev := item.Item(0)
+	for _, x := range items {
+		n += UvarintLen(uint64(x - prev))
+		prev = x
+	}
+	return n
+}
+
 // Items, SparseCounts and Counted below are Dec reads in the (value, bytes
 // consumed, error) shape bench/ compiles against; code in this repo uses the
 // cursor directly. The byte count means nothing when err is non-nil.
@@ -70,8 +81,8 @@ func AppendCounts(dst []byte, counts []int64) []byte {
 	return dst
 }
 
-// uvarintLen returns the encoded size of v in bytes.
-func uvarintLen(v uint64) int {
+// UvarintLen returns the encoded size of v in bytes.
+func UvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7
@@ -121,29 +132,40 @@ const (
 	countsSparse = 1
 )
 
-// AppendCountsAuto appends a count vector under whichever of the dense and
-// sparse encodings is smaller for this vector, prefixed with a one-byte tag.
-// Both sizes are computed exactly before encoding, so the choice never loses.
-func AppendCountsAuto(dst []byte, counts []int64) []byte {
-	dense := uvarintLen(uint64(len(counts)))
-	sparse := dense
+// countsSizes returns the sizes of the dense and the sparse encoding of
+// counts, without the tag byte.
+func countsSizes(counts []int64) (dense, sparse int) {
+	dense = UvarintLen(uint64(len(counts)))
+	sparse = dense
 	nnz := 0
 	prev := 0
 	for i, c := range counts {
-		dense += uvarintLen(uint64(c))
+		dense += UvarintLen(uint64(c))
 		if c != 0 {
-			sparse += uvarintLen(uint64(i-prev)) + uvarintLen(uint64(c))
+			sparse += UvarintLen(uint64(i-prev)) + UvarintLen(uint64(c))
 			prev = i
 			nnz++
 		}
 	}
-	sparse += uvarintLen(uint64(nnz))
-	if sparse < dense {
+	return dense, sparse + UvarintLen(uint64(nnz))
+}
+
+// AppendCountsAuto appends a count vector under whichever of the dense and
+// sparse encodings is smaller for this vector, prefixed with a one-byte tag.
+// Both sizes are computed exactly before encoding, so the choice never loses.
+func AppendCountsAuto(dst []byte, counts []int64) []byte {
+	if dense, sparse := countsSizes(counts); sparse < dense {
 		dst = append(dst, countsSparse)
 		return AppendSparseCounts(dst, counts)
 	}
 	dst = append(dst, countsDense)
 	return AppendCounts(dst, counts)
+}
+
+// CountsAutoLen returns the size of AppendCountsAuto(nil, counts).
+func CountsAutoLen(counts []int64) int {
+	dense, sparse := countsSizes(counts)
+	return 1 + min(dense, sparse)
 }
 
 // AppendCounted appends itemset/count pairs (what partitioned nodes send the
