@@ -219,7 +219,7 @@ func BenchmarkAblationFabric(b *testing.B) {
 type countFixture struct {
 	tax    *taxonomy.Taxonomy
 	txns   [][]item.Item
-	cands  [][]item.Item
+	cands  itemset.Sets
 	member []bool
 	l1     []itemset.Counted
 	exts   [][]item.Item
@@ -232,15 +232,11 @@ func newCountFixture(b *testing.B, k int) countFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var prev [][]item.Item
-	for _, c := range res.LargeK(k - 1) {
-		prev = append(prev, c.Items)
-	}
-	fx := countFixture{tax: ds.Taxonomy, cands: cumulate.GenerateCandidates(ds.Taxonomy, prev, k), l1: res.LargeK(1)}
-	if len(fx.cands) == 0 {
+	fx := countFixture{tax: ds.Taxonomy, cands: cumulate.GenerateCandidates(ds.Taxonomy, res.LargeK(k-1), k), l1: res.LargeK(1)}
+	if fx.cands.Len() == 0 {
 		b.Fatalf("no %d-candidates at bench scale", k)
 	}
-	fx.member = cumulate.KeepSet(ds.Taxonomy, fx.cands)
+	fx.member = cumulate.Keep(ds.Taxonomy, fx.cands)
 	closure := taxonomy.KeepClosure(ds.Taxonomy, fx.member)
 	set := make([]uint64, closure.Words())
 	ds.DB.Scan(func(t txn.Transaction) error {
@@ -261,9 +257,9 @@ func newCountFixture(b *testing.B, k int) countFixture {
 func BenchmarkAblationIndex(b *testing.B) {
 	for _, k := range []int{2, 3} {
 		fx := newCountFixture(b, k)
-		table := itemset.BuildTable(fx.cands)
-		index := itemset.BuildIndex(fx.cands)
-		counts := make([]int64, len(fx.cands))
+		table := itemset.NewTable(fx.cands)
+		index := itemset.NewIndex(fx.cands)
+		counts := make([]int64, fx.cands.Len())
 		b.Run(fmt.Sprintf("k%d/probe", k), func(b *testing.B) {
 			var walk itemset.Subsets
 			b.ReportAllocs()
@@ -302,18 +298,19 @@ func BenchmarkAblationIndex(b *testing.B) {
 // share — and must report 0 allocs/op in all three (CI fails otherwise).
 func BenchmarkCountContained(b *testing.B) {
 	k2, k3 := newCountFixture(b, 2), newCountFixture(b, 3)
-	var owned [][]item.Item
-	for _, c := range k2.cands {
-		if itemset.Hash(c)%2 == 0 {
-			owned = append(owned, c)
+	var ownedIDs []int32
+	for i := range k2.cands.Len() {
+		if itemset.Hash(k2.cands.At(i))%2 == 0 {
+			ownedIDs = append(ownedIDs, int32(i))
 		}
 	}
 	for _, c := range []struct {
-		name        string
-		cands, exts [][]item.Item
-	}{{"k2-dense", k2.cands, k2.exts}, {"k3-sparse", k3.cands, k3.exts}, {"k2-owned", owned, k2.exts}} {
-		index := itemset.BuildIndex(c.cands)
-		counts := make([]int64, len(c.cands))
+		name  string
+		cands itemset.Sets
+		exts  [][]item.Item
+	}{{"k2-dense", k2.cands, k2.exts}, {"k3-sparse", k3.cands, k3.exts}, {"k2-owned", k2.cands.Subset(ownedIDs), k2.exts}} {
+		index := itemset.NewIndex(c.cands)
+		counts := make([]int64, c.cands.Len())
 		exts := c.exts
 		b.Run(c.name, func(b *testing.B) {
 			var stamps itemset.Stamps
@@ -387,14 +384,12 @@ func BenchmarkProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var cands [][]item.Item
-	for _, c := range res.LargeK(2) {
-		cands = append(cands, c.Items)
-	}
+	l2 := itemset.LevelSets(res.LargeK(2))
+	cands := l2.Slices()
 	if len(cands) == 0 {
 		b.Fatal("no 2-itemsets at bench scale")
 	}
-	table := itemset.BuildTable(cands)
+	table := itemset.NewTable(l2)
 	byKey := make(map[string]int32, len(cands))
 	for i, c := range cands {
 		byKey[itemset.Key(c)] = int32(i)
@@ -444,7 +439,7 @@ func BenchmarkProbe(b *testing.B) {
 func BenchmarkUnits(b *testing.B) {
 	const k, batchBytes = 3, 4 << 10
 	fx := newCountFixture(b, k)
-	table := itemset.BuildTable(fx.cands)
+	table := itemset.NewTable(fx.cands)
 	var batches [][]byte
 	batch := make([]byte, 0, 2*batchBytes)
 	var walk itemset.Subsets
@@ -459,7 +454,7 @@ func BenchmarkUnits(b *testing.B) {
 	if len(batches) == 0 {
 		b.Fatal("no full batch of units at bench scale")
 	}
-	counts := make([]int64, len(fx.cands))
+	counts := make([]int64, fx.cands.Len())
 	var unit []item.Item
 	table.CountUnits(batches[0], counts, &unit) // grow the scratch before the timer
 	var units int64
@@ -491,59 +486,29 @@ func BenchmarkWorkers(b *testing.B) {
 	}
 }
 
-// benchLevels mines the bench dataset sequentially and returns L_1 (as
-// 1-itemsets) and L_2 — the real generation inputs for passes 2 and 3.
-func benchLevels(b *testing.B) (l1, l2 [][]item.Item, tax *taxonomy.Taxonomy) {
+// benchLevels mines the bench dataset sequentially and returns L_1 and L_2
+// as recorded — the real generation inputs for passes 2 and 3.
+func benchLevels(b *testing.B) (l1, l2 []itemset.Counted, tax *taxonomy.Taxonomy) {
 	b.Helper()
 	ds := benchDataset(b)
 	res, err := cumulate.Mine(ds.Taxonomy, ds.DB, cumulate.Config{MinSupport: 0.01, MaxK: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range res.LargeK(1) {
-		l1 = append(l1, c.Items)
-	}
-	for _, c := range res.LargeK(2) {
-		l2 = append(l2, c.Items)
-	}
+	l1, l2 = res.LargeK(1), res.LargeK(2)
 	if len(l1) == 0 || len(l2) == 0 {
 		b.Fatal("bench dataset produced empty levels")
 	}
 	return l1, l2, ds.Taxonomy
 }
 
-// BenchmarkGenerate measures the candidate-generation pass boundary against
-// the retired path (Pairs + filter at k=2, per-candidate-allocating Gen at
-// k>2) as the reference. allocs/op is the headline: the generator builds
-// candidates in one flat arena and probes an open-addressed prune set, so
-// allocations stop scaling with the survivor count.
+// BenchmarkGenerate measures the candidate-generation pass boundary: C_2
+// (pairs less item/ancestor pairs) and C_3 (join + prune), each written
+// into one arena from the level the barrier recorded. allocs/op is the
+// headline: it must not scale with the survivor count (CI fails k2 above 4
+// and k3 above 40).
 func BenchmarkGenerate(b *testing.B) {
 	l1, l2, tax := benchLevels(b)
-	b.Run("k2/serial-reference", func(b *testing.B) {
-		flat := make([]item.Item, len(l1))
-		for i, s := range l1 {
-			flat[i] = s[0]
-		}
-		item.Sort(flat)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pairs := itemset.Pairs(flat)
-			w := 0
-			for _, p := range pairs {
-				if !tax.IsAncestor(p[0], p[1]) && !tax.IsAncestor(p[1], p[0]) {
-					pairs[w] = p
-					w++
-				}
-			}
-			_ = pairs[:w]
-		}
-	})
-	b.Run("k3/serial-reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			itemset.Gen(l2)
-		}
-	})
 	b.Run("k2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -559,18 +524,18 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkBuildIndex measures the candidate index build over pass-2
-// candidates: the pair table when C_2 is dense, otherwise the open-addressed
-// table fill plus the prefix layout.
+// candidates: the pair table when C_2 is dense, otherwise the prefix
+// layout.
 func BenchmarkBuildIndex(b *testing.B) {
 	l1, _, tax := benchLevels(b)
 	cands := cumulate.GenerateCandidates(tax, l1, 2)
-	if len(cands) == 0 {
+	if cands.Len() == 0 {
 		b.Fatal("no candidates")
 	}
 	b.Run("serial-reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			itemset.BuildIndex(cands)
+			itemset.NewIndex(cands)
 		}
 	})
 }

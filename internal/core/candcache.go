@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"pgarm/internal/cumulate"
-	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/taxonomy"
@@ -68,7 +67,7 @@ func (p *passOnce[T]) get(k int, compute func() T) T {
 // boundaries").
 type candCache struct {
 	tax  *taxonomy.Taxonomy
-	gen  passOnce[[][]item.Item]
+	gen  passOnce[itemset.Sets]
 	plan passOnce[*passPlan]
 }
 
@@ -86,7 +85,7 @@ type passPlan struct {
 	// holds (NPGM's, an unbudgeted variant's) has no vecHashes, owners or
 	// dup, and no dupIndex when it has several fragments.
 	dup      bitset
-	dupSets  [][]item.Item
+	dupSets  itemset.Sets
 	dupIndex *itemset.Index
 	// fragments is how many memory-sized scans count the pass: above 1 only
 	// for a fragmented NPGM pass (fragmentCount).
@@ -103,8 +102,8 @@ func newCandCache(tax *taxonomy.Taxonomy) *candCache {
 
 // generate returns C_k for pass k. prev must be the identical large
 // (k-1)-itemsets every caller holds after the pass barrier.
-func (c *candCache) generate(k int, prev [][]item.Item) [][]item.Item {
-	return c.gen.get(k, func() [][]item.Item {
+func (c *candCache) generate(k int, prev []itemset.Counted) itemset.Sets {
+	return c.gen.get(k, func() itemset.Sets {
 		return cumulate.GenerateCandidates(c.tax, prev, k)
 	})
 }

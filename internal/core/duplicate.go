@@ -19,10 +19,11 @@ const (
 	dupAll                 // NPGM: every candidate, fragmented past the budget
 )
 
-// CandBytes estimates the per-candidate memory footprint the paper's M
-// models: k 4-byte items plus table entry overhead (hash bucket, count,
-// header). The absolute constant only shifts where fragmentation and
-// duplication kick in; the experiments sweep MemoryBudget relative to it.
+// CandBytes is the paper-era per-candidate constant the budget M is spent
+// in: k 4-byte items plus a fixed 48 bytes. The Figs 13–16 goldens depend
+// on it, since it sets where fragmentation and duplication kick in. It is
+// not a measured size: Index.Bytes() measures what a counting structure
+// holds, and ROADMAP item 4 replaces this constant with measured bytes.
 func CandBytes(k int) int64 { return 48 + 4*int64(k) }
 
 // fragmentCount returns how many memory-sized fragments an all-replicated
@@ -41,14 +42,14 @@ func fragmentCount(numCands, k int, budget int64) int {
 // set without communication — the paper's step 1 of Figures 7/9/11. Only a
 // budgeted plan asks: with no budget a duplicating variant takes every
 // candidate (computeHierPlan).
-func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item, vecHashes []uint64, owners []int) bitset {
-	dup := newBitset(len(cands))
-	if len(cands) == 0 || kind == dupNone {
+func selectDuplicates(m *itemsetMiner, nNodes int, kind dupKind, k int, cands itemset.Sets, vecHashes []uint64, owners []int) bitset {
+	dup := newBitset(cands.Len())
+	if cands.Len() == 0 || kind == dupNone {
 		return dup
 	}
 	// Free space: per-node budget minus the largest partitioned share
 	// ("count the number of candidates allocated for each node").
-	capLeft := len(cands)
+	capLeft := cands.Len()
 	{
 		ownedPerNode := make([]int, nNodes)
 		for _, o := range owners {
@@ -92,10 +93,10 @@ func lowestLargePred(m *itemsetMiner) func(item.Item) bool {
 // decreasing order of root frequency until the next group no longer fits —
 // the coarse grain that wastes free space at small minimum support
 // (Figure 14's TGD-equals-H-HPGM regime).
-func selectTreeGrain(m *itemsetMiner, cands [][]item.Item, vecHashes []uint64, capLeft int, dup bitset) {
+func selectTreeGrain(m *itemsetMiner, cands itemset.Sets, vecHashes []uint64, capLeft int, dup bitset) {
 	groups := make(map[uint64][]int32)
-	for i := range cands {
-		groups[vecHashes[i]] = append(groups[vecHashes[i]], int32(i))
+	for i, h := range vecHashes {
+		groups[h] = append(groups[h], int32(i))
 	}
 	type scored struct {
 		hash  uint64
@@ -108,7 +109,7 @@ func selectTreeGrain(m *itemsetMiner, cands [][]item.Item, vecHashes []uint64, c
 		// instead of one packed string per candidate. A hash collision merges
 		// two trees into one take-both group; the choice stays deterministic
 		// on every node, which is all correctness needs.
-		vec := rootVector(m.tax, nil, cands[members[0]])
+		vec := rootVector(m.tax, nil, cands.At(int(members[0])))
 		var s int64
 		for _, r := range vec {
 			s += m.itemCounts[r]
@@ -139,19 +140,19 @@ func selectTreeGrain(m *itemsetMiner, cands [][]item.Item, vecHashes []uint64, c
 // items' summed frequency — the order the paper obtains by generating
 // k-itemsets from the frequency-sorted item list — and duplicate each one
 // together with all its ancestor candidates, while the free space lasts.
-func selectItemGrain(m *itemsetMiner, cands [][]item.Item, capLeft int, dup bitset, eligible func(item.Item) bool) {
+func selectItemGrain(m *itemsetMiner, cands itemset.Sets, capLeft int, dup bitset, eligible func(item.Item) bool) {
 	type scored struct {
 		idx   int32
 		score int64
 	}
 	// Ancestor-candidate lookups go through a Table instead of a map of one
 	// packed string per candidate.
-	candIdx := itemset.BuildTable(cands)
-	order := make([]scored, 0, len(cands))
-	for i, c := range cands {
+	candIdx := itemset.NewTable(cands)
+	order := make([]scored, 0, cands.Len())
+	for i := range cands.Len() {
 		ok := true
 		var s int64
-		for _, x := range c {
+		for _, x := range cands.At(i) {
 			if !eligible(x) {
 				ok = false
 				break
@@ -178,7 +179,7 @@ func selectItemGrain(m *itemsetMiner, cands [][]item.Item, capLeft int, dup bits
 		// duplication group.
 		group = group[:0]
 		group = append(group, sc.idx)
-		forEachAncestorCombo(m.tax, cands[sc.idx], func(anc []item.Item) {
+		forEachAncestorCombo(m.tax, cands.At(int(sc.idx)), func(anc []item.Item) {
 			if aidx := candIdx.Lookup(anc); aidx >= 0 && !dup.get(aidx) {
 				group = append(group, aidx)
 			}
@@ -210,9 +211,9 @@ func lowestLargeItems(tax *taxonomy.Taxonomy, large []bool) []item.Item {
 		v := false
 		for _, c := range tax.Children(x) {
 			if large[c] || hasLarge(c) {
+				// One large descendant settles x; the rest of its subtree
+				// is memoized only if a later query walks into it.
 				v = true
-				// No break: memoize the whole subtree anyway via recursion
-				// triggered below when needed; cheap to stop here instead.
 				break
 			}
 		}

@@ -88,7 +88,7 @@ func (e *hierEngine) PlanPass(n *driver.Node, k int) (driver.PlanDecision, error
 	e.cur = e.cands.hierPlan(k, func() *passPlan {
 		return computeHierPlan(&e.itemsetMiner, n.NumNodes(), e.dup, k, e.curCands)
 	})
-	psp.Arg("duplicated", int64(len(e.cur.dupSets)))
+	psp.Arg("duplicated", int64(e.cur.dupSets.Len()))
 	psp.End()
 	return e.cur.decision, nil
 }
@@ -96,7 +96,7 @@ func (e *hierEngine) PlanPass(n *driver.Node, k int) (driver.PlanDecision, error
 func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	cands := e.curCands
 	plan := e.cur
-	if len(plan.dupSets) == len(cands) {
+	if plan.dupSets.Len() == cands.Len() {
 		return e.countReplicated(n, k, st)
 	}
 	if e.replace == nil {
@@ -123,20 +123,21 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 		remaining int
 	}
 	vecInfo := make(map[uint64]*vecEntry)
-	var ownedCands [][]item.Item
-	for i, c := range cands {
-		ve := vecInfo[plan.vecHashes[i]]
+	var ownedIDs []int32
+	for i, h := range plan.vecHashes {
+		ve := vecInfo[h]
 		if ve == nil {
 			ve = &vecEntry{owner: owners[i]}
-			vecInfo[plan.vecHashes[i]] = ve
+			vecInfo[h] = ve
 		}
 		if !dupFlag.get(int32(i)) {
 			ve.remaining++
 			if owners[i] == self {
-				ownedCands = append(ownedCands, c)
+				ownedIDs = append(ownedIDs, int32(i))
 			}
 		}
 	}
+	ownedCands := cands.Subset(ownedIDs)
 
 	// Per-node state. Owned candidates are counted into per-counter vectors
 	// over the shared read-only ownedIndex: wowned[0] by the receiver, whose
@@ -144,9 +145,9 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 	// scan worker w. Duplicated candidates are counted into per-worker
 	// vectors over the shared read-only dupIndex. All merge at the scan
 	// barrier.
-	ownedIndex := itemset.BuildIndex(ownedCands)
-	wowned := driver.WorkerVectors(1+W, len(ownedCands))
-	ownedClosure := taxonomy.SetsClosure(e.tax, ownedCands)
+	ownedIndex := itemset.NewIndex(ownedCands)
+	wowned := driver.WorkerVectors(1+W, ownedCands.Len())
+	ownedClosure := taxonomy.SetsClosure(e.tax, ownedCands.Items)
 	recv := groupCounter{counts: wowned[0]}
 	xsp := n.Span("exchange")
 	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) {
@@ -155,7 +156,7 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 
 	// Per-worker scan state: a duplicated-table count vector, an owned-group
 	// counter and every per-transaction scratch buffer.
-	wdup := driver.WorkerVectors(W, len(plan.dupSets))
+	wdup := driver.WorkerVectors(W, plan.dupSets.Len())
 	workers := make([]hierWorker, W)
 	for w := range workers {
 		workers[w] = hierWorker{
@@ -172,8 +173,8 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 	// extension whenever anything is duplicated. The shared dupIndex is
 	// read-only; every worker counts into its own vector.
 	var dupClosure *taxonomy.Closure
-	if len(plan.dupSets) > 0 {
-		dupClosure = taxonomy.SetsClosure(e.tax, plan.dupSets)
+	if plan.dupSets.Len() > 0 {
+		dupClosure = taxonomy.SetsClosure(e.tax, plan.dupSets.Items)
 	}
 	err := driver.CountPhase(n.Local(), W, n.ShardObs("count"), st, dupClosure, cp, func(w *driver.Worker, t txn.Transaction) error {
 		wk := &workers[w.ID]
@@ -234,7 +235,7 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 		Own:        largeOf(ownedCands, driver.MergeWorkerVectors(wowned), n.MinCount()),
 		DupSets:    plan.dupSets,
 		DupCounts:  driver.MergeWorkerVectors(wdup),
-		Duplicated: len(plan.dupSets),
+		Duplicated: plan.dupSets.Len(),
 		Fragments:  1,
 	}, nil
 }
@@ -258,19 +259,20 @@ func (e *hierEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 // after the last fragment.
 func (e *hierEngine) countReplicated(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	cands, plan := e.curCands, e.cur
-	// One KeepSet serves both roles, the ancestor keep set and the
+	// One keep set serves both roles, the ancestor keep set and the
 	// pre-enumeration membership filter, as one closure.
-	member := cumulate.KeepSet(e.tax, cands)
+	member := cumulate.Keep(e.tax, cands)
 	view := taxonomy.NewView(e.tax, nil, member)
 	W := n.Workers()
-	wcounts := driver.WorkerVectors(W, len(cands))
+	nc := cands.Len()
+	wcounts := driver.WorkerVectors(W, nc)
 	window := make([][]int64, W)
-	per := (len(cands) + plan.fragments - 1) / plan.fragments
+	per := (nc + plan.fragments - 1) / plan.fragments
 	for f := 0; f < plan.fragments; f++ {
-		lo, hi := f*per, min(f*per+per, len(cands))
+		lo, hi := f*per, min(f*per+per, nc)
 		index := plan.dupIndex
 		if plan.fragments > 1 {
-			index = itemset.BuildIndex(cands[lo:hi])
+			index = itemset.NewIndex(cands.Slice(lo, hi))
 		}
 		for w := range window {
 			window[w] = wcounts[w][lo:hi]
@@ -287,7 +289,7 @@ func (e *hierEngine) countReplicated(n *driver.Node, k int, st *metrics.NodeStat
 	return driver.PassOutcome{
 		DupSets:    cands,
 		DupCounts:  driver.MergeWorkerVectors(wcounts),
-		Duplicated: len(cands),
+		Duplicated: nc,
 		Fragments:  plan.fragments,
 	}, nil
 }
@@ -306,28 +308,28 @@ var granuleNames = [...]string{"none", "tree", "path", "fine", "all"}
 // whatever C_k holds: that plan has no root vectors, owners or duplication
 // flags, only C_k as its duplicated list, its fragment count, and the
 // shared index over C_k when one fragment holds it.
-func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][]item.Item) *passPlan {
+func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands itemset.Sets) *passPlan {
 	decision := metrics.PlanDecision{Partitioner: "root-vector-hash", Granule: granuleNames[kind]}
 	if kind == dupAll || kind != dupNone && m.cfg.MemoryBudget <= 0 {
 		if kind == dupAll {
 			decision.Partitioner = "replicated"
 		}
-		decision.Duplicated = len(cands)
+		decision.Duplicated = cands.Len()
 		plan := &passPlan{
 			dupSets:   cands,
-			fragments: fragmentCount(len(cands), k, m.cfg.MemoryBudget),
+			fragments: fragmentCount(cands.Len(), k, m.cfg.MemoryBudget),
 			decision:  decision,
 		}
 		if plan.fragments == 1 {
-			plan.dupIndex = itemset.BuildIndex(cands)
+			plan.dupIndex = itemset.NewIndex(cands)
 		}
 		return plan
 	}
-	vecHashes := make([]uint64, len(cands))
-	owners := make([]int, len(cands))
+	vecHashes := make([]uint64, cands.Len())
+	owners := make([]int, cands.Len())
 	vecScratch := make([]item.Item, 0, k)
-	for i, c := range cands {
-		vecScratch = rootVector(m.tax, vecScratch[:0], c)
+	for i := range vecHashes {
+		vecScratch = rootVector(m.tax, vecScratch[:0], cands.At(i))
 		h := itemset.Hash(vecScratch)
 		vecHashes[i] = h
 		owners[i] = int(h % uint64(nNodes))
@@ -335,19 +337,20 @@ func computeHierPlan(m *itemsetMiner, nNodes int, kind dupKind, k int, cands [][
 	dup := selectDuplicates(m, nNodes, kind, k, cands, vecHashes, owners)
 	// Duplicated candidates in ascending id order: the layout of every
 	// node's count vector and of the coordinator reduce.
-	dupSets := make([][]item.Item, 0, dup.count())
-	for i, c := range cands {
+	ids := make([]int32, 0, dup.count())
+	for i := range cands.Len() {
 		if dup.get(int32(i)) {
-			dupSets = append(dupSets, c)
+			ids = append(ids, int32(i))
 		}
 	}
-	decision.Duplicated = len(dupSets)
+	dupSets := cands.Subset(ids)
+	decision.Duplicated = dupSets.Len()
 	return &passPlan{
 		vecHashes: vecHashes,
 		owners:    owners,
 		dup:       dup,
 		dupSets:   dupSets,
-		dupIndex:  itemset.BuildIndex(dupSets),
+		dupIndex:  itemset.NewIndex(dupSets),
 		fragments: 1,
 		decision:  decision,
 	}

@@ -22,7 +22,7 @@ type hpgmEngine struct {
 
 	// owned is this node's candidate share, computed by PlanPass for the pass
 	// in flight.
-	owned [][]item.Item
+	owned itemset.Sets
 
 	// Reused across passes: the owned share's count vectors, counts[0] the
 	// receiver's and counts[1+w] scan worker w's, and each worker's kernel
@@ -32,32 +32,21 @@ type hpgmEngine struct {
 	walks  []itemset.Subsets
 }
 
-// PlanPass partitions C_k: node i keeps the candidates hashing to i. One loop
-// hashes every candidate and counts the owned ones; the owned list is then
-// sized once and collected in id order.
+// PlanPass partitions C_k: node i keeps the candidates hashing to i, copied
+// in id order into an arena of their own.
 func (e *hpgmEngine) PlanPass(n *driver.Node, _ int) (driver.PlanDecision, error) {
 	cands := e.curCands
-	nNodes := n.NumNodes()
+	nNodes := uint64(n.NumNodes())
 	self := n.ID()
 	psp := n.Span("partition")
-	ownedFlag := make([]bool, len(cands))
-	nOwned := 0
-	for i, c := range cands {
-		if int(itemset.Hash(c)%uint64(nNodes)) == self {
-			ownedFlag[i] = true
-			nOwned++
+	var ids []int32
+	for i := range cands.Len() {
+		if int(itemset.Hash(cands.At(i))%nNodes) == self {
+			ids = append(ids, int32(i))
 		}
 	}
-	if cap(e.owned) < nOwned {
-		e.owned = make([][]item.Item, 0, nOwned)
-	}
-	e.owned = e.owned[:0]
-	for i, c := range cands {
-		if ownedFlag[i] {
-			e.owned = append(e.owned, c)
-		}
-	}
-	psp.Arg("owned", int64(len(e.owned)))
+	e.owned = cands.Subset(ids)
+	psp.Arg("owned", int64(e.owned.Len()))
 	psp.End()
 	return driver.PlanDecision{Partitioner: "itemset-hash", Granule: "none"}, nil
 }
@@ -70,12 +59,12 @@ func (e *hpgmEngine) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (dr
 	// its transactions' own subsets through the Index, and the receiver
 	// looks up each shipped unit in the Table.
 	W := n.Workers()
-	index := itemset.BuildIndex(e.owned)
-	table := itemset.BuildTable(e.owned)
-	e.grow(W, len(e.owned))
+	index := itemset.NewIndex(e.owned)
+	table := itemset.NewTable(e.owned)
+	e.grow(W, e.owned.Len())
 	counts := e.counts[0]
 
-	closure := taxonomy.SetsClosure(e.tax, e.curCands)
+	closure := taxonomy.SetsClosure(e.tax, e.curCands.Items)
 
 	// The receiver goroutine alone touches counts; each scan worker counts
 	// its own share into its own vector and routes the rest through its
@@ -146,11 +135,11 @@ func (e *hpgmEngine) grow(W, nOwned int) {
 
 // largeOf extracts L_k^n, the owned candidates meeting minCount that each
 // partitioned node determines individually, in id order.
-func largeOf(owned [][]item.Item, counts []int64, minCount int64) []itemset.Counted {
+func largeOf(owned itemset.Sets, counts []int64, minCount int64) []itemset.Counted {
 	var large []itemset.Counted
 	for id, c := range counts {
 		if c >= minCount {
-			large = append(large, itemset.Counted{Items: owned[id], Count: c})
+			large = append(large, itemset.Counted{Items: owned.At(id), Count: c})
 		}
 	}
 	return large

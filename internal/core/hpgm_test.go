@@ -23,8 +23,8 @@ type refHPGM struct{ hpgmEngine }
 
 func (e *refHPGM) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (driver.PassOutcome, error) {
 	nNodes, self := n.NumNodes(), n.ID()
-	table := itemset.BuildTable(e.owned)
-	counts := driver.WorkerVectors(1+n.Workers(), len(e.owned)) // the receiver's, then each worker's
+	table := itemset.NewTable(e.owned)
+	counts := driver.WorkerVectors(1+n.Workers(), e.owned.Len()) // the receiver's, then each worker's
 	probe := func(items []item.Item, counts []int64, st *metrics.NodeStats) {
 		st.Probes++
 		if id := table.Lookup(items); id >= 0 {
@@ -33,7 +33,7 @@ func (e *refHPGM) CountPass(n *driver.Node, k int, st *metrics.NodeStats) (drive
 		}
 	}
 	cp := n.NewExchange(driver.KData, driver.ItemsApplier(func(items []item.Item) { probe(items, counts[0], st) }))
-	err := driver.CountPhase(n.Local(), n.Workers(), n.ShardObs("count"), st, taxonomy.SetsClosure(e.tax, e.curCands), cp,
+	err := driver.CountPhase(n.Local(), n.Workers(), n.ShardObs("count"), st, taxonomy.SetsClosure(e.tax, e.curCands.Items), cp,
 		func(w *driver.Worker, _ txn.Transaction) error {
 			var walk itemset.Subsets
 			for ok := walk.Reset(w.Ext, k); ok; ok = walk.Next() {

@@ -54,17 +54,18 @@ func TestPartitionCompleteness(t *testing.T) {
 		large = append(large, item.Item(i*3%200))
 	}
 	large = item.Dedup(large)
-	prev := make([][]item.Item, len(large))
+	prev := make([]itemset.Counted, len(large))
 	for i, it := range large {
-		prev[i] = []item.Item{it}
+		prev[i] = itemset.Counted{Items: []item.Item{it}, Count: 1}
 	}
 	cands := cumulate.GenerateCandidates(tax, prev, 2)
-	if len(cands) == 0 {
+	if cands.Len() == 0 {
 		t.Fatal("no candidates")
 	}
 	const nodes = 7
 	owned := make(map[string]int)
-	for _, c := range cands {
+	for i := range cands.Len() {
+		c := cands.At(i)
 		vec := rootVector(tax, nil, c)
 		owner := int(itemset.Hash(vec) % nodes)
 		key := itemset.Key(c)
@@ -78,8 +79,8 @@ func TestPartitionCompleteness(t *testing.T) {
 			t.Fatalf("owner not a function of the root vector for %v", c)
 		}
 	}
-	if len(owned) != len(cands) {
-		t.Fatalf("owned %d of %d candidates", len(owned), len(cands))
+	if len(owned) != cands.Len() {
+		t.Fatalf("owned %d of %d candidates", len(owned), cands.Len())
 	}
 }
 

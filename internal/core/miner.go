@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pgarm/internal/driver"
-	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/taxonomy"
 )
@@ -22,9 +21,9 @@ type itemsetMiner struct {
 	cands *candCache
 
 	// Global mining state, identical on every node after each barrier.
-	itemCounts []int64       // global pass-1 counts per item (after reduce)
-	largeFlags []bool        // large[i] per item
-	curCands   [][]item.Item // C_k of the pass in flight
+	itemCounts []int64      // global pass-1 counts per item (after reduce)
+	largeFlags []bool       // large[i] per item
+	curCands   itemset.Sets // C_k of the pass in flight
 }
 
 // newMiner instantiates one node's engine for the configured algorithm.
@@ -61,7 +60,7 @@ func (m *itemsetMiner) FinishPass1(_ *driver.Node, _, global []int64, l1 []items
 // Generate materializes C_k from L_{k-1}; deterministic on every node (same
 // L_{k-1}, same generator), materialized once and shared read-only via
 // candCache.
-func (m *itemsetMiner) Generate(_ *driver.Node, k int, prev [][]item.Item) (int, error) {
+func (m *itemsetMiner) Generate(_ *driver.Node, k int, prev []itemset.Counted) (int, error) {
 	m.curCands = m.cands.generate(k, prev)
-	return len(m.curCands), nil
+	return m.curCands.Len(), nil
 }

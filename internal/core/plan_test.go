@@ -14,17 +14,17 @@ import (
 // planFixture builds an itemsetMiner with enough replicated state (taxonomy,
 // pass-1 counts, large flags, config) to drive partition planning, plus a
 // realistic C_2 produced by the actual generator.
-func planFixture(t testing.TB, budget int64) (*itemsetMiner, [][]item.Item) {
+func planFixture(t testing.TB, budget int64) (*itemsetMiner, itemset.Sets) {
 	tax := taxonomy.MustBalanced(200, 5, 4)
 	rng := rand.New(rand.NewSource(67))
 	itemCounts := make([]int64, tax.NumItems())
 	largeFlags := make([]bool, tax.NumItems())
-	var prev [][]item.Item
+	var prev []itemset.Counted
 	for i := range itemCounts {
 		itemCounts[i] = int64(rng.Intn(5000))
 		if itemCounts[i] >= 2000 {
 			largeFlags[i] = true
-			prev = append(prev, []item.Item{item.Item(i)})
+			prev = append(prev, itemset.Counted{Items: []item.Item{item.Item(i)}, Count: itemCounts[i]})
 		}
 	}
 	if len(prev) < 20 {
@@ -37,7 +37,7 @@ func planFixture(t testing.TB, budget int64) (*itemsetMiner, [][]item.Item) {
 		largeFlags: largeFlags,
 	}
 	cands := cumulate.GenerateCandidates(tax, prev, 2)
-	if len(cands) == 0 {
+	if cands.Len() == 0 {
 		t.Fatal("fixture produced no candidates")
 	}
 	return m, cands
@@ -53,19 +53,20 @@ func TestComputeHierPlanUnlimitedBudget(t *testing.T) {
 	if got.vecHashes != nil || got.owners != nil || got.dup != nil {
 		t.Fatal("unlimited budget: the plan carries root-vector hashes, owners or duplication flags")
 	}
-	if got.decision.Duplicated != len(cands) || got.fragments != 1 {
+	if got.decision.Duplicated != cands.Len() || got.fragments != 1 {
 		t.Fatalf("unlimited budget: %d duplicated in %d fragments, want all %d in 1",
-			got.decision.Duplicated, got.fragments, len(cands))
+			got.decision.Duplicated, got.fragments, cands.Len())
 	}
 	if !reflect.DeepEqual(got.dupSets, cands) {
 		t.Fatal("unlimited budget: dupSets is not C_k in id order")
 	}
-	if got.dupIndex.Len() != len(cands) {
-		t.Fatalf("dupIndex holds %d sets, want %d", got.dupIndex.Len(), len(cands))
+	if got.dupIndex.Len() != cands.Len() {
+		t.Fatalf("dupIndex holds %d sets, want %d", got.dupIndex.Len(), cands.Len())
 	}
 	var stamps itemset.Stamps
-	for i, s := range got.dupSets { // a set contains itself and no other k-set
-		counts := make([]int64, len(cands))
+	for i := range got.dupSets.Len() { // a set contains itself and no other k-set
+		s := got.dupSets.At(i)
+		counts := make([]int64, cands.Len())
 		if hits := got.dupIndex.CountContained(s, counts, &stamps); hits != 1 || counts[i] != 1 {
 			t.Fatalf("dupIndex counts %v as %d hits, counts[%d] = %d; want 1 and 1", s, hits, i, counts[i])
 		}
@@ -83,10 +84,10 @@ func BenchmarkPassPlan(b *testing.B) {
 	b.Run("serial-reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			vecKeys := make([]string, len(cands))
-			owners := make([]int, len(cands))
-			for j, c := range cands {
-				vec := rootVector(m.tax, nil, c)
+			vecKeys := make([]string, cands.Len())
+			owners := make([]int, cands.Len())
+			for j := range vecKeys {
+				vec := rootVector(m.tax, nil, cands.At(j))
 				vecKeys[j] = itemset.Key(vec)
 				owners[j] = int(itemset.Hash(vec) % 8)
 			}

@@ -106,18 +106,15 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 		return res, nil
 	}
 
-	prev := make([][]item.Item, len(l1))
-	for i, c := range l1 {
-		prev[i] = c.Items
-	}
+	prev := l1
 	for k := 2; cfg.MaxK == 0 || k <= cfg.MaxK; k++ {
 		cands := GenerateCandidates(tax, prev, k)
-		if len(cands) == 0 {
+		if cands.Len() == 0 {
 			break
 		}
-		index := itemset.BuildIndex(cands)
-		counts := make([]int64, len(cands))
-		member := KeepSet(tax, cands)
+		index := itemset.NewIndex(cands)
+		counts := make([]int64, cands.Len())
+		member := Keep(tax, cands)
 
 		// The oracle extends the reference way, every chain walked and the
 		// result sorted, then filters to candidate members; the engines' slot
@@ -136,48 +133,46 @@ func mine(tax *taxonomy.Taxonomy, db txn.Scanner, cfg Config) (*Result, error) {
 		var lk []itemset.Counted
 		for id, c := range counts {
 			if c >= minCount {
-				lk = append(lk, itemset.Counted{Items: item.Clone(cands[id]), Count: c})
+				lk = append(lk, itemset.Counted{Items: item.Clone(cands.At(id)), Count: c})
 			}
 		}
 		if len(lk) == 0 {
 			break
 		}
 		res.Large = append(res.Large, lk)
-		prev = prev[:0]
-		for _, c := range lk {
-			prev = append(prev, c.Items)
-		}
+		prev = lk
 	}
 	return res, nil
 }
 
-// GenerateCandidates produces C_k for pass k from the large (k-1)-itemsets:
-// apriori join + prune (itemset.GenFlat), and for k = 2 the deletion of
-// candidates containing an item and one of its ancestors.
-func GenerateCandidates(tax *taxonomy.Taxonomy, prev [][]item.Item, k int) [][]item.Item {
+// GenerateCandidates produces C_k for pass k from prev, the large
+// (k-1)-itemsets as the barrier recorded them (one length, canonical
+// order): apriori join + prune (itemset.GenFlat), and for k = 2 the
+// deletion of candidates containing an item and one of its ancestors.
+func GenerateCandidates(tax *taxonomy.Taxonomy, prev []itemset.Counted, k int) itemset.Sets {
+	return generate(tax, itemset.LevelSets(prev), k)
+}
+
+// GenerateCandidatesN is GenerateCandidates over slices; workers and hook
+// are unused. It remains for the benchmark harness only, until its port to
+// itemset.Sets (ROADMAP item 1).
+func GenerateCandidatesN(tax *taxonomy.Taxonomy, prev [][]item.Item, k, workers int, hook itemset.Hook) [][]item.Item {
+	return generate(tax, itemset.FromSlices(prev), k).Slices()
+}
+
+// generate is GenerateCandidates over L_{k-1} laid out as one arena.
+func generate(tax *taxonomy.Taxonomy, prev itemset.Sets, k int) itemset.Sets {
 	if k == 2 {
-		flat := make([]item.Item, len(prev))
-		for i, s := range prev {
-			flat[i] = s[0]
-		}
-		item.Sort(flat)
-		return pairsFiltered(tax, flat)
+		return pairsFiltered(tax, prev.Items)
 	}
 	return itemset.GenFlat(prev)
 }
 
-// GenerateCandidatesN is GenerateCandidates; workers and hook are unused. It
-// remains for the benchmark harness, which compiles against it.
-func GenerateCandidatesN(tax *taxonomy.Taxonomy, prev [][]item.Item, k, workers int, hook itemset.Hook) [][]item.Item {
-	return GenerateCandidates(tax, prev, k)
-}
-
-// pairsFiltered builds C_2 = L_1 × L_1 minus item/ancestor pairs. Survivors
-// are counted first and then written into an exactly-sized flat backing, so
-// rejected pairs pin no memory for the rest of the pass (each candidate is a
-// full cap-2 slice of the backing, unlike a filter over Pairs output, which
-// would keep the whole triangle's backing array alive).
-func pairsFiltered(tax *taxonomy.Taxonomy, large []item.Item) [][]item.Item {
+// pairsFiltered builds C_2 = L_1 × L_1 minus item/ancestor pairs from the
+// ascending large items. Survivors are counted first and then written into
+// an exactly sized arena, so rejected pairs pin no memory for the rest of
+// the pass.
+func pairsFiltered(tax *taxonomy.Taxonomy, large []item.Item) itemset.Sets {
 	n := len(large)
 	keepPair := func(a, b item.Item) bool {
 		return !tax.IsAncestor(a, b) && !tax.IsAncestor(b, a)
@@ -190,40 +185,35 @@ func pairsFiltered(tax *taxonomy.Taxonomy, large []item.Item) [][]item.Item {
 			}
 		}
 	}
-	if total == 0 {
-		return nil
-	}
-	backing := make([]item.Item, 2*total)
-	out := make([][]item.Item, total)
-	pos := 0
+	arena := make([]item.Item, 0, 2*total)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if !keepPair(large[i], large[j]) {
-				continue
+			if keepPair(large[i], large[j]) {
+				arena = append(arena, large[i], large[j])
 			}
-			p := backing[2*pos : 2*pos+2 : 2*pos+2]
-			p[0], p[1] = large[i], large[j]
-			out[pos] = p
-			pos++
 		}
 	}
-	return out
+	return itemset.Sets{K: 2, Items: arena}
 }
 
-// KeepSet flags every item that appears in some candidate. It serves two
-// roles per pass, from one computation: for interior items these are the
+// Keep flags every item that appears in some candidate. It serves two roles
+// per pass, from one computation: for interior items these are the
 // ancestors that survive "delete any ancestors in T that are not present in
 // any of the candidates in C_k" (the View's keep set), and for all items it
 // is the membership filter applied before subset enumeration — transaction
 // items outside the set cannot contribute to any candidate.
-func KeepSet(tax *taxonomy.Taxonomy, cands [][]item.Item) []bool {
+func Keep(tax *taxonomy.Taxonomy, cands itemset.Sets) []bool {
 	keep := make([]bool, tax.NumItems())
-	for _, c := range cands {
-		for _, x := range c {
-			keep[x] = true
-		}
+	for _, x := range cands.Items {
+		keep[x] = true
 	}
 	return keep
+}
+
+// KeepSet is Keep over slices, for the benchmark harness only until its
+// port to itemset.Sets (ROADMAP item 1).
+func KeepSet(tax *taxonomy.Taxonomy, cands [][]item.Item) []bool {
+	return Keep(tax, itemset.FromSlices(cands))
 }
 
 // filterMembers drops, in place, the items of ext outside member.

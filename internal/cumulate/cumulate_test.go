@@ -86,16 +86,19 @@ func TestClosureSemantics(t *testing.T) {
 
 func TestAncestorPairsPrunedFromC2(t *testing.T) {
 	tax := paperTaxonomy()
-	l1 := [][]item.Item{{0}, {2}, {5}, {1}}
+	var l1 []itemset.Counted
+	for _, x := range []item.Item{0, 1, 2, 5} {
+		l1 = append(l1, itemset.Counted{Items: []item.Item{x}, Count: 1})
+	}
 	c2 := GenerateCandidates(tax, l1, 2)
-	for _, c := range c2 {
-		if tax.IsAncestor(c[0], c[1]) || tax.IsAncestor(c[1], c[0]) {
+	for i := range c2.Len() {
+		if c := c2.At(i); tax.IsAncestor(c[0], c[1]) || tax.IsAncestor(c[1], c[0]) {
 			t.Errorf("candidate %v contains an item and its ancestor", c)
 		}
 	}
 	// 0-2, 0-5, 2-5 excluded; pairs with 1 kept: {0,1},{1,2},{1,5}.
-	if len(c2) != 3 {
-		t.Errorf("C2 = %v, want 3 candidates", c2)
+	if c2.Len() != 3 {
+		t.Errorf("C2 = %v, want 3 candidates", c2.Items)
 	}
 }
 

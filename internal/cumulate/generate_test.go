@@ -2,6 +2,7 @@ package cumulate
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pgarm/internal/item"
@@ -9,47 +10,35 @@ import (
 	"pgarm/internal/taxonomy"
 )
 
-// randomLevel builds a plausible L_{k-1}: distinct sorted (k-1)-itemsets in
-// lexicographic order, many sharing prefixes so the join has real work.
-func randomLevel(rng *rand.Rand, numItems, n, k1 int) [][]item.Item {
-	seen := make(map[string]bool, n)
-	var sets [][]item.Item
-	for len(sets) < n {
-		s := make([]item.Item, 0, k1)
-		for len(s) < k1 {
-			s = item.Dedup(append(s, item.Item(rng.Intn(numItems))))
-		}
-		if key := itemset.Key(s); !seen[key] {
-			seen[key] = true
-			sets = append(sets, s)
-		}
+// randomL1 draws n distinct items of the taxonomy as an L_1 in item order.
+func randomL1(rng *rand.Rand, tax *taxonomy.Taxonomy, n int) []itemset.Counted {
+	perm := rng.Perm(tax.NumItems())[:n]
+	slices.Sort(perm)
+	l1 := make([]itemset.Counted, n)
+	for i, x := range perm {
+		l1[i] = itemset.Counted{Items: []item.Item{item.Item(x)}, Count: 1}
 	}
-	itemset.SortSets(sets)
-	return sets
+	return l1
 }
 
-// TestPairsFilteredCompaction pins the k=2 memory-retention fix: every pair
-// candidate must be a full (cap==2) slice of an exactly-sized backing, so
-// rejected pairs pin nothing.
+// TestPairsFilteredCompaction pins the k=2 memory-retention fix: C_2's arena
+// is sized to the surviving pairs exactly, so rejected pairs pin nothing.
 func TestPairsFilteredCompaction(t *testing.T) {
 	tax := taxonomy.MustBalanced(120, 4, 3)
-	prev := randomLevel(rand.New(rand.NewSource(23)), tax.NumItems(), 60, 1)
-	cands := GenerateCandidates(tax, prev, 2)
-	if len(cands) == 0 {
+	l1 := randomL1(rand.New(rand.NewSource(23)), tax, 60)
+	cands := GenerateCandidates(tax, l1, 2)
+	if cands.Len() == 0 {
 		t.Fatal("no pair candidates generated")
 	}
-	total := 0
-	for i, c := range cands {
-		if len(c) != 2 || cap(c) != 2 {
-			t.Fatalf("candidate %d: len=%d cap=%d, want 2/2 (full slice of compact backing)", i, len(c), cap(c))
-		}
-		total++
+	if cands.K != 2 || len(cands.Items) != 2*cands.Len() || cap(cands.Items) != len(cands.Items) {
+		t.Fatalf("K=%d, %d items of capacity %d for %d pairs: want an exactly sized arena",
+			cands.K, len(cands.Items), cap(cands.Items), cands.Len())
 	}
 	// The filter must actually have rejected something for the compaction to
 	// matter; a balanced taxonomy guarantees item/ancestor pairs exist when
 	// interior items are present.
-	n := len(prev)
-	if total == n*(n-1)/2 {
+	n := len(l1)
+	if cands.Len() == n*(n-1)/2 {
 		t.Log("warning: no pairs rejected this seed; compaction untested against rejections")
 	}
 }

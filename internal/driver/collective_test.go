@@ -137,7 +137,7 @@ type panicMiner struct {
 
 func (m *panicMiner) FinishPass1(*Node, []int64, []int64, []itemset.Counted) error { return nil }
 
-func (m *panicMiner) Generate(*Node, int, [][]item.Item) (int, error) { return 3, nil }
+func (m *panicMiner) Generate(*Node, int, []itemset.Counted) (int, error) { return 3, nil }
 
 func (m *panicMiner) PlanPass(*Node, int) (PlanDecision, error) {
 	if m.inPlan {
@@ -239,7 +239,7 @@ func (m *barrierMiner) CountPass(n *Node, _ int, _ *metrics.NodeStats) (PassOutc
 	own := itemset.Counted{Items: []item.Item{item.Item(n.ID()), item.Item(n.ID() + 3)}, Count: 6}
 	return PassOutcome{
 		Own:       []itemset.Counted{own},
-		DupSets:   [][]item.Item{{0, 1}, {1, 2}},
+		DupSets:   itemset.NewSets(2, []item.Item{0, 1, 1, 2}),
 		DupCounts: []int64{2, 3},
 	}, nil
 }

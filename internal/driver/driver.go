@@ -16,8 +16,8 @@
 //     batches; buffer recycling) and the sharded local scan;
 //   - the F_k barrier: locally-owned frequents gathered from every node plus
 //     a reduce of replicated count vectors, merged and broadcast; every node
-//     stages F_k as the next generation's input, and the result levels Run
-//     and RunWorker return are recorded here;
+//     hands F_k's newest level to the next generation as it was recorded,
+//     and the result levels Run and RunWorker return are recorded here;
 //   - per-pass metrics.NodeStats capture with monotonic fabric snapshots
 //     whose windows tile the run, phase-span tracing and registry
 //     instruments.
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"pgarm/internal/cluster"
-	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
@@ -204,10 +203,11 @@ type Miner interface {
 	// order, already recorded. An empty L_1 ends the run once it returns.
 	FinishPass1(n *Node, local, global []int64, l1 []itemset.Counted) error
 
-	// Generate materializes C_k from prev, the itemsets of F_(k-1) in
-	// canonical order — identical on every node — and returns |C_k|.
-	// Returning 0 ends the run.
-	Generate(n *Node, k int, prev [][]item.Item) (int, error)
+	// Generate materializes C_k from prev, the newest level of F_(k-1) as
+	// the barrier recorded it — canonical order, identical on every node,
+	// read in place and not modified — and returns |C_k|. Returning 0 ends
+	// the run.
+	Generate(n *Node, k int, prev []itemset.Counted) (int, error)
 
 	// PlanPass runs between Generate and CountPass — the plan phase of the
 	// pass: it turns the pass's candidate set into an explicit
@@ -242,11 +242,11 @@ type PassOutcome struct {
 	// DupCounts is the dense count vector of candidates this node counted
 	// redundantly (replicated or duplicated candidates) and DupSets the
 	// itemsets behind it. The layout must be identical on every node; only
-	// the coordinator's DupSets is read. Both nil when the algorithm has no
-	// replicated candidates. The driver consumes DupCounts: the coordinator
+	// the coordinator's DupSets is read. Both empty when the algorithm has
+	// no replicated candidates. The driver consumes DupCounts: the coordinator
 	// sums the peers' vectors into it in place, so a miner hands over a
 	// vector it does not read again.
-	DupSets   [][]item.Item
+	DupSets   itemset.Sets
 	DupCounts []int64
 
 	// Duplicated and Fragments feed the pass metadata (metrics.PassStats).

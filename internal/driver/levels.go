@@ -10,7 +10,8 @@ import (
 )
 
 // finishItems thresholds the reduced pass-1 vector into L_1, records it (like
-// the sequential baseline, even when it is empty) and returns it.
+// the sequential baseline, even when it is empty) and returns it: pass 2's
+// generation input.
 func (n *Node) finishItems(global []int64) []itemset.Counted {
 	var l1 []itemset.Counted
 	for i, c := range global {
@@ -21,7 +22,6 @@ func (n *Node) finishItems(global []int64) []itemset.Counted {
 	if n.Keep() {
 		n.levels.Large = append(n.levels.Large, l1)
 	}
-	n.stage(l1)
 	return l1
 }
 
@@ -40,7 +40,7 @@ func (n *Node) mergeFrequents(out PassOutcome, peerOwned []cluster.Message, dupT
 	}
 	for i, c := range dupTotal {
 		if c >= n.minCount {
-			all = append(all, itemset.Counted{Items: out.DupSets[i], Count: c})
+			all = append(all, itemset.Counted{Items: out.DupSets.At(i), Count: c})
 		}
 	}
 	itemset.SortCounted(all)
@@ -57,11 +57,11 @@ func parseFrequents(payload []byte) ([]itemset.Counted, error) {
 }
 
 // record splits all — in (size, lex) order — into one level per size, stores
-// the levels where results are kept and stages the newest. One barrier may
-// resolve several sizes at once (FP-Growth's growth pass). Mirroring the
-// sequential baseline, an empty result terminates the run and is not
-// recorded as a level.
-func (n *Node) record(all []itemset.Counted) {
+// the levels where results are kept and returns the newest, the next pass's
+// generation input. One barrier may resolve several sizes at once
+// (FP-Growth's growth pass). Mirroring the sequential baseline, an empty
+// result terminates the run and is not recorded as a level.
+func (n *Node) record(all []itemset.Counted) []itemset.Counted {
 	var newest []itemset.Counted
 	for lo, hi := 0, 0; lo < len(all); lo = hi {
 		for hi < len(all) && len(all[hi].Items) == len(all[lo].Items) {
@@ -72,13 +72,5 @@ func (n *Node) record(all []itemset.Counted) {
 			n.levels.Large = append(n.levels.Large, newest)
 		}
 	}
-	n.stage(newest)
-}
-
-// stage makes level the next pass's generation input.
-func (n *Node) stage(level []itemset.Counted) {
-	n.prev = n.prev[:0]
-	for _, c := range level {
-		n.prev = append(n.prev, c.Items)
-	}
+	return newest
 }

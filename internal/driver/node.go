@@ -8,7 +8,6 @@ import (
 
 	"pgarm/internal/cluster"
 	"pgarm/internal/cumulate"
-	"pgarm/internal/item"
 	"pgarm/internal/itemset"
 	"pgarm/internal/metrics"
 	"pgarm/internal/obs"
@@ -43,11 +42,8 @@ type Node struct {
 
 	minCount int64
 
-	// levels holds the result where results are kept (Keep); prev is the
-	// itemsets of the newest level, in canonical order on every node: the
-	// next pass's generation input.
+	// levels holds the result where results are kept (Keep).
 	levels itemset.Levels
-	prev   [][]item.Item
 
 	// pending holds inbox messages that arrived ahead of the phase that
 	// consumes them (e.g. a fast peer's pass-k data while we still await the
@@ -190,21 +186,20 @@ func (n *Node) runProtocol() error {
 		n.tr.SetThreadName(n.id, 0, "driver")
 	}
 	n.cfg.View.Init(n.id, n.ep.N())
-	nf, err := n.pass1()
+	// prev is the newest level the barrier recorded, in canonical order on
+	// every node: the next pass's generation input, read in place.
+	prev, err := n.pass1()
 	if err != nil {
 		return err
 	}
-	if nf == 0 {
-		return nil
-	}
-	for k := 2; n.cfg.MaxK == 0 || k <= n.cfg.MaxK; k++ {
+	for k := 2; len(prev) > 0 && (n.cfg.MaxK == 0 || k <= n.cfg.MaxK); k++ {
 		// Candidate generation opens the plan phase: deterministic on every
 		// node (same F_(k-1), same generator), so the nc == 0 termination
 		// below is decided identically everywhere.
 		n.setPhase(k, phasePlan)
 		gsp := n.tr.Begin(n.id, 0, "generate")
 		genStart := time.Now()
-		nc, err := n.miner.Generate(n, k, n.prev)
+		nc, err := n.miner.Generate(n, k, prev)
 		if err != nil {
 			return err
 		}
@@ -215,12 +210,8 @@ func (n *Node) runProtocol() error {
 		if nc == 0 {
 			return nil
 		}
-		nf, err = n.runPass(k, nc)
-		if err != nil {
+		if prev, err = n.runPass(k, nc); err != nil {
 			return err
-		}
-		if nf == 0 {
-			return nil
 		}
 	}
 	return nil
@@ -292,7 +283,7 @@ func (n *Node) bcast(kind uint8, payload []byte, before func(peer int)) ([]byte,
 // its ancestors over its local partition, and one reduce (reduceItems) yields
 // |D|, MinCount and the global counts. C_1 is just an array indexed by item,
 // so there is nothing to partition.
-func (n *Node) pass1() (int, error) {
+func (n *Node) pass1() ([]itemset.Counted, error) {
 	numItems := n.tax.NumItems()
 	pr := n.openPass(1, numItems)
 	// Pass 1 has a fixed plan — the dense count vector is reduced, never
@@ -303,23 +294,23 @@ func (n *Node) pass1() (int, error) {
 	n.setPhase(1, phaseExecute)
 	local, err := CountItems(n.tax, n.local, n.Workers(), n.ShardObs("scan"), &n.cur)
 	if err != nil {
-		return 0, fmt.Errorf("driver: node %d pass 1 scan: %w", n.id, err)
+		return nil, fmt.Errorf("driver: node %d pass 1 scan: %w", n.id, err)
 	}
 
 	n.setPhase(1, phaseBarrier)
 	bsp := n.tr.Begin(n.id, 0, "barrier")
 	global, err := n.reduceItems(local)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	bsp.End()
 	l1 := n.finishItems(global)
 	if err := n.miner.FinishPass1(n, local, global, l1); err != nil {
-		return 0, err
+		return nil, err
 	}
 	pr.large = len(l1)
 	n.closePass(pr)
-	return pr.large, nil
+	return l1, nil
 }
 
 // addCounts sums the count vector a peer sent into total, then releases the
@@ -456,8 +447,8 @@ func (n *Node) closePass(pr *passRun) {
 }
 
 // runPass executes one count-support pass for k >= 2 as three named phases,
-// in the only order they can run, and returns |F_k| (identical on every node
-// after the broadcast).
+// in the only order they can run, and returns the newest level of F_k
+// (identical on every node after the broadcast).
 //
 //	Plan     compute the pass's candidate-to-node assignment via the miner's
 //	         PlanPass, from replicated state alone; identical on every node,
@@ -465,23 +456,26 @@ func (n *Node) closePass(pr *passRun) {
 //	Execute  the miner's count-support phase over the plan.
 //	Barrier  the F_k gather/broadcast (gatherFrequents), which also carries
 //	         the followers' telemetry batches, then closePass.
-func (n *Node) runPass(k, nCands int) (int, error) {
+func (n *Node) runPass(k, nCands int) ([]itemset.Counted, error) {
 	pr := n.openPass(k, nCands) // still in the plan phase generation opened
 	if err := n.planPhase(pr); err != nil {
-		return 0, err
+		return nil, err
 	}
 	n.setPhase(k, phaseExecute)
 	out, err := n.miner.CountPass(n, k, &n.cur)
 	if err != nil {
-		return 0, fmt.Errorf("driver: node %d pass %d: %w", n.id, k, err)
+		return nil, fmt.Errorf("driver: node %d pass %d: %w", n.id, k, err)
 	}
 	pr.out = out
 	n.setPhase(k, phaseBarrier)
-	if pr.large, err = n.gatherFrequents(out); err != nil {
-		return 0, err
+	all, err := n.gatherFrequents(out)
+	if err != nil {
+		return nil, err
 	}
+	pr.large = len(all)
+	newest := n.record(all)
 	n.closePass(pr)
-	return pr.large, nil
+	return newest, nil
 }
 
 // planPhase computes this pass's plan and publishes it.
@@ -508,34 +502,34 @@ func (n *Node) planPhase(pr *passRun) error {
 //     encoded as KLocalLarge) and the dense count vector of its replicated
 //     candidates (out.DupCounts, may be empty);
 //   - the coordinator reduces the replicated counts, merges them with every
-//     node's frequents (mergeFrequents) and broadcasts the global F_k, which
-//     every node records.
-func (n *Node) gatherFrequents(out PassOutcome) (int, error) {
+//     node's frequents (mergeFrequents) and broadcasts the global F_k.
+//
+// It returns F_k, identical on every node, for the caller to record.
+func (n *Node) gatherFrequents(out PassOutcome) ([]itemset.Counted, error) {
 	bsp := n.tr.Begin(n.id, 0, "barrier")
 	defer bsp.End()
 	if !n.IsCoord() {
 		if err := n.ep.Send(0, KLocalLarge, itemset.AppendCounted(nil, out.Own)); err != nil {
-			return 0, err
+			return nil, err
 		}
 		if err := n.ep.Send(0, KDupCounts, wire.AppendCountsAuto(nil, out.DupCounts)); err != nil {
-			return 0, err
+			return nil, err
 		}
 		// Piggyback this node's telemetry batch on the barrier it already
 		// pays for; sent before capturePassComm, so its bytes land inside
 		// the current pass window like the rest of the barrier traffic.
 		if err := n.shipTelemetry(false); err != nil {
-			return 0, err
+			return nil, err
 		}
 		payload, err := n.bcast(KLarge, nil, nil)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		all, err := parseFrequents(payload)
 		if err != nil {
-			return 0, fmt.Errorf("driver: decode frequents broadcast: %w", err)
+			return nil, fmt.Errorf("driver: decode frequents broadcast: %w", err)
 		}
-		n.record(all)
-		return len(all), nil
+		return all, nil
 	}
 
 	// Coordinator: one owned-frequent message, one replicated count vector
@@ -558,17 +552,16 @@ func (n *Node) gatherFrequents(out PassOutcome) (int, error) {
 		return nil
 	}, KLocalLarge, KDupCounts, KTelemetry)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	for _, m := range telem {
 		if err := n.ingestTelemetry(m); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 	all, err := n.mergeFrequents(out, peerOwned, dupTotal)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	n.record(all)
-	return len(all), n.bcastLarge(itemset.AppendCounted(nil, all))
+	return all, n.bcastLarge(itemset.AppendCounted(nil, all))
 }

@@ -235,16 +235,17 @@ func TestCountPhaseBodyPanic(t *testing.T) {
 func TestCountTableStatsOptional(t *testing.T) {
 	fx := newScanFixture(t)
 	large := make([]bool, fx.tax.NumItems())
-	var cands [][]item.Item
+	var arena []item.Item
 	for a := 0; a < 12; a++ {
 		large[a] = true
 		for b := a + 1; b < 12; b++ {
-			cands = append(cands, []item.Item{item.Item(a), item.Item(b)})
+			arena = append(arena, item.Item(a), item.Item(b))
 		}
 	}
-	member := cumulate.KeepSet(fx.tax, cands)
+	cands := itemset.NewSets(2, arena)
+	member := cumulate.Keep(fx.tax, cands)
 	view := taxonomy.NewView(fx.tax, large, member)
-	index := itemset.BuildIndex(cands)
+	index := itemset.NewIndex(cands)
 	count := func(opt CountOptions) []int64 {
 		t.Helper()
 		wcounts := WorkerVectors(1, index.Len())
@@ -270,10 +271,10 @@ func TestCountTableStatsOptional(t *testing.T) {
 // closure to count through, and CountTable refuses it before the scan.
 func TestCountTableNeedsClosure(t *testing.T) {
 	fx := newScanFixture(t)
-	cands := [][]item.Item{{0, 1}}
-	index := itemset.BuildIndex(cands)
+	cands := itemset.NewSets(2, []item.Item{0, 1})
+	index := itemset.NewIndex(cands)
 	view := taxonomy.NewView(fx.tax, make([]bool, fx.tax.NumItems()), nil)
-	err := CountTable(view, cumulate.KeepSet(fx.tax, cands), index, 2, fx.db, WorkerVectors(1, index.Len()), CountOptions{})
+	err := CountTable(view, cumulate.Keep(fx.tax, cands), index, 2, fx.db, WorkerVectors(1, index.Len()), CountOptions{})
 	if !errors.Is(err, errNoClosure) {
 		t.Fatalf("got %v, want errNoClosure", err)
 	}
@@ -284,10 +285,10 @@ func TestCountTableNeedsClosure(t *testing.T) {
 // of the wrong length is ErrMember before the scan; the matching set counts.
 func TestCountTableRejectsMismatchedMember(t *testing.T) {
 	fx := newScanFixture(t)
-	cands := [][]item.Item{{0, 1}, {0, 2}, {1, 2}}
-	member := cumulate.KeepSet(fx.tax, cands)
+	cands := itemset.NewSets(2, []item.Item{0, 1, 0, 2, 1, 2})
+	member := cumulate.Keep(fx.tax, cands)
 	view := taxonomy.NewView(fx.tax, nil, member)
-	index := itemset.BuildIndex(cands)
+	index := itemset.NewIndex(cands)
 	extra := slices.Clone(member)
 	extra[7] = true
 	for _, c := range []struct {
@@ -297,7 +298,7 @@ func TestCountTableRejectsMismatchedMember(t *testing.T) {
 	}{
 		{"matching", member, nil},
 		{"one extra item", extra, ErrMember},
-		{"one missing item", cumulate.KeepSet(fx.tax, cands[:1]), ErrMember},
+		{"one missing item", cumulate.Keep(fx.tax, cands.Slice(0, 1)), ErrMember},
 		{"short", member[:len(member)-1], ErrMember},
 		{"nil", nil, ErrMember},
 	} {
@@ -320,10 +321,10 @@ func TestCountTableRejectsMismatchedMember(t *testing.T) {
 // before the scan with ErrCountVectors, and nothing is counted.
 func TestCountTableRejectsMismatchedVectors(t *testing.T) {
 	fx := newScanFixture(t)
-	cands := [][]item.Item{{0, 1}, {0, 2}, {1, 2}}
-	member := cumulate.KeepSet(fx.tax, cands)
+	cands := itemset.NewSets(2, []item.Item{0, 1, 0, 2, 1, 2})
+	member := cumulate.Keep(fx.tax, cands)
 	view := taxonomy.NewView(fx.tax, make([]bool, fx.tax.NumItems()), member)
-	index := itemset.BuildIndex(cands)
+	index := itemset.NewIndex(cands)
 	for _, c := range []struct {
 		name    string
 		workers int

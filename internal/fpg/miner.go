@@ -133,7 +133,7 @@ func conflictLists(tax *taxonomy.Taxonomy, itemAt []item.Item, rank []int32) [][
 // one task per suffix rank 1..numLarge-1 (rank 0's prefix paths are always
 // empty). Returning 0 — fewer than two large items, or k >= 3 — ends the run
 // identically on every node.
-func (m *fpgMiner) Generate(_ *driver.Node, k int, _ [][]item.Item) (int, error) {
+func (m *fpgMiner) Generate(_ *driver.Node, k int, _ []itemset.Counted) (int, error) {
 	if k != 2 {
 		return 0, nil
 	}

@@ -2,43 +2,29 @@ package itemset
 
 import "pgarm/internal/item"
 
-// GenFlat is Gen without the per-candidate allocations: the sorted L_{k-1}
-// is joined and pruned into one flat arena (one backing array instead of one
-// allocation per candidate), and prune membership is one Table lookup per
-// (k-1)-subset instead of a map of packed Key strings. The output is Gen's,
-// order included.
+// GenFlat implements apriori-gen over the large (k-1)-itemsets prev: it joins
+// the pairs of sets that share their first k-2 items and prunes every
+// k-itemset with a (k-1)-subset not in prev, writing the survivors into one
+// arena in lexicographic order. Prune membership is one Table lookup per
+// (k-1)-subset, and the only allocations that grow with the candidates are
+// the arena's doublings.
 //
-// Every miner hands over the L_{k-1} its barrier recorded, which is already
-// in canonical order, so prev is only checked (one linear pass) and read in
-// place; unsorted input is copied and sorted first.
-func GenFlat(prev [][]item.Item) [][]item.Item {
-	if len(prev) == 0 {
-		return nil
-	}
-	k1 := len(prev[0])
+// prev is read in place; NewTable checks its contract.
+func GenFlat(prev Sets) Sets {
+	k1 := prev.K
 	k := k1 + 1
-	sets := prev
-	if !setsSorted(sets) {
-		sets = make([][]item.Item, len(prev))
-		copy(sets, prev)
-		SortSets(sets)
-	}
-
-	prune := BuildTable(sets)
-
-	// Surviving candidates are appended to the arena and sliced out after
-	// it stops growing, so the join performs O(1) allocations however many
-	// candidates it emits.
+	prune := NewTable(prev)
 	scratch := make([]item.Item, 0, k)
 	sub := make([]item.Item, 0, k1)
 	var arena []item.Item
-	for i := range sets {
-		for j := i + 1; j < len(sets); j++ {
-			if !item.Equal(sets[i][:k1-1], sets[j][:k1-1]) {
+	for i, n := 0, prev.Len(); i < n; i++ {
+		a := prev.At(i)
+		for j := i + 1; j < n; j++ {
+			b := prev.At(j)
+			if !item.Equal(a[:k1-1], b[:k1-1]) {
 				break // sorted order: no further joins for i
 			}
-			scratch = append(scratch[:0], sets[i]...)
-			scratch = append(scratch, sets[j][k1-1])
+			scratch = append(append(scratch[:0], a...), b[k1-1])
 			ok := true
 			for drop := 0; drop < k-2; drop++ {
 				sub = sub[:0]
@@ -57,24 +43,5 @@ func GenFlat(prev [][]item.Item) [][]item.Item {
 			}
 		}
 	}
-	nc := len(arena) / k
-	if nc == 0 {
-		return nil
-	}
-	out := make([][]item.Item, nc)
-	for c := 0; c < nc; c++ {
-		out[c] = arena[c*k : (c+1)*k : (c+1)*k]
-	}
-	return out
-}
-
-// setsSorted reports whether sets is in strictly ascending lexicographic
-// order.
-func setsSorted(sets [][]item.Item) bool {
-	for i := 1; i < len(sets); i++ {
-		if item.Compare(sets[i-1], sets[i]) >= 0 {
-			return false
-		}
-	}
-	return true
+	return Sets{K: k, Items: arena}
 }

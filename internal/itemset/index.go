@@ -25,17 +25,22 @@ type Index struct {
 	n     int
 }
 
-// BuildIndex indexes the canonical itemsets; ids are positions in sets, and a
-// duplicated set keeps its first occurrence's id. The sets are read, not
+// NewIndex indexes the candidate list s; ids are positions in s. It checks
+// s's contract first, panicking on a violation. The sets are read, not
 // retained.
-func BuildIndex(sets [][]item.Item) *Index { return buildIndex(sets, formAuto) }
+func NewIndex(s Sets) *Index { return buildIndex(s, formAuto) }
 
-// buildIndex is BuildIndex with the prefix layout's child form forced, for
+// BuildIndex is NewIndex over slices, for the benchmark harness only until
+// its port to Sets (ROADMAP item 1).
+func BuildIndex(sets [][]item.Item) *Index { return NewIndex(FromSlices(sets)) }
+
+// buildIndex is NewIndex with the prefix layout's child form forced, for
 // tests; formAuto picks it by size.
-func buildIndex(sets [][]item.Item, form layoutForm) *Index {
-	ix := &Index{n: len(sets)}
-	if !ix.pairs.build(sets) {
-		ix.pre.build(sets, form)
+func buildIndex(s Sets, form layoutForm) *Index {
+	maxItem := s.check()
+	ix := &Index{n: s.Len()}
+	if !ix.pairs.build(s, maxItem) {
+		ix.pre.build(s, maxItem, form)
 	}
 	return ix
 }

@@ -211,9 +211,9 @@ func TestProbePathZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		sets = append(sets, []item.Item{item.Item(i), item.Item(i + 100), item.Item(i + 1000)})
 	}
-	ix := buildIndex(sets, formList)
-	bitsIx := buildIndex(sets, formBits)
-	tab := BuildTable(sets)
+	ix := buildIndex(FromSlices(sets), formList)
+	bitsIx := buildIndex(FromSlices(sets), formBits)
+	tab := NewTable(FromSlices(sets))
 	hit := []item.Item{5, 105, 1005}
 	miss := []item.Item{5, 105, 9999}
 	txn := []item.Item{1, 2, 3, 4, 5, 6, 7, 8}

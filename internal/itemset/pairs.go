@@ -12,7 +12,7 @@ import "pgarm/internal/item"
 type pairTable struct {
 	slot []int32 // item -> rank among the indexed items; -1 for items in no set
 	n    int32   // number of ranked items
-	pair []int32 // ranks a < b at row(a)+b-a-1 -> lowest id of that set; -1 if not indexed
+	pair []int32 // ranks a < b at row(a)+b-a-1 -> id of that set; -1 if not indexed
 }
 
 // row returns where row a starts in pair: the rows of the upper triangle lie
@@ -22,23 +22,16 @@ func (p *pairTable) row(a int32) int {
 	return int(a) * int(2*p.n-a-1) / 2
 }
 
-// build fills the table for sets when they are a dense C_2 — every set two
-// ascending items and 2|sets| ≥ n(n-1)/2 — and reports whether it did. Ids
-// are positions in sets; a duplicated pair keeps its first occurrence's id.
-func (p *pairTable) build(sets [][]item.Item) bool {
-	if len(sets) == 0 {
+// build fills the table for s, whose largest item is maxItem, when it is a
+// dense C_2 — 2-itemsets with 2·Len() ≥ n(n-1)/2 — and reports whether it
+// did. Ids are positions in s.
+func (p *pairTable) build(s Sets, maxItem item.Item) bool {
+	if s.K != 2 || s.Len() == 0 {
 		return false
 	}
-	maxItem := item.Item(0)
-	for _, s := range sets {
-		if len(s) != 2 || s[0] >= s[1] {
-			return false
-		}
-		maxItem = max(maxItem, s[1])
-	}
 	slot := make([]int32, int(maxItem)+1)
-	for _, s := range sets {
-		slot[s[0]], slot[s[1]] = 1, 1
+	for _, x := range s.Items {
+		slot[x] = 1
 	}
 	var n int32
 	for x, used := range slot {
@@ -49,20 +42,18 @@ func (p *pairTable) build(sets [][]item.Item) bool {
 			slot[x] = -1
 		}
 	}
-	if 2*int64(len(sets)) < int64(n)*int64(n-1)/2 {
+	if 2*int64(s.Len()) < int64(n)*int64(n-1)/2 {
 		return false
 	}
 	p.slot, p.n = slot, n
 	p.pair = make([]int32, int(n)*int(n-1)/2)
-	for i := range p.pair {
-		p.pair[i] = -1
+	p.pair[0] = -1 // and every entry after it, by doubling copies
+	for i := 1; i < len(p.pair); i *= 2 {
+		copy(p.pair[i:], p.pair[:i])
 	}
-	for id, s := range sets {
-		a, b := slot[s[0]], slot[s[1]]
-		at := p.row(a) + int(b-a-1)
-		if p.pair[at] < 0 {
-			p.pair[at] = int32(id)
-		}
+	for id := range s.Len() {
+		a, b := slot[s.Items[2*id]], slot[s.Items[2*id+1]]
+		p.pair[p.row(a)+int(b-a-1)] = int32(id)
 	}
 	return true
 }

@@ -19,32 +19,23 @@ func allPairs(items ...item.Item) [][]item.Item {
 	return sets
 }
 
-// A full C_2 builds the pair table alone, whether sorted or shuffled with a
-// duplicate, and every pair counts under its first occurrence's id. Half
-// full is the boundary: one set fewer keeps the prefix layout.
+// A full C_2 builds the pair table alone, and every pair counts under its
+// own id. Half full is the boundary: one set fewer keeps the prefix layout.
 func TestDenseC2Structure(t *testing.T) {
 	full := allPairs(1, 3, 4, 7, 9)
-	shuffled := append(slices.Clone(full), full[6])
-	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	for name, sets := range map[string][][]item.Item{"sorted": full, "shuffled": shuffled} {
-		ix := BuildIndex(sets)
-		if ix.pairs.pair == nil || ix.pre.k != 0 {
-			t.Fatalf("%s: full C_2 kept pair table %v, trie k=%d; want the table alone",
-				name, ix.pairs.pair != nil, ix.pre.k)
-		}
-		if len(ix.pairs.pair) != len(full) {
-			t.Errorf("%s: pair table has %d entries, want %d", name, len(ix.pairs.pair), len(full))
-		}
-		ref := firstIDs(sets)
-		var stamps Stamps
-		for _, s := range sets {
-			counts := make([]int64, ix.Len())
-			ix.CountContained(s, counts, &stamps)
-			if want := ref[Key(s)]; counts[want] != 1 || slices.IndexFunc(counts, func(c int64) bool { return c != 0 }) != int(want) {
-				t.Errorf("%s: %v counted into %v, want only its first occurrence %d", name, s, counts, want)
-			}
+	ix := indexSets(full)
+	if ix.pairs.pair == nil || ix.pre.k != 0 {
+		t.Fatalf("full C_2 kept pair table %v, trie k=%d; want the table alone", ix.pairs.pair != nil, ix.pre.k)
+	}
+	if len(ix.pairs.pair) != len(full) {
+		t.Errorf("pair table has %d entries, want %d", len(ix.pairs.pair), len(full))
+	}
+	var stamps Stamps
+	for id, s := range full {
+		counts := make([]int64, ix.Len())
+		ix.CountContained(s, counts, &stamps)
+		if counts[id] != 1 || slices.IndexFunc(counts, func(c int64) bool { return c != 0 }) != id {
+			t.Errorf("%v counted into %v, want only its own id %d", s, counts, id)
 		}
 	}
 
@@ -63,11 +54,11 @@ func TestDenseC2Structure(t *testing.T) {
 		}
 	}
 	SortSets(half)
-	if ix := BuildIndex(half); ix.pairs.pair == nil {
+	if ix := indexSets(half); ix.pairs.pair == nil {
 		t.Errorf("14 of 28 pairs: no pair table, want one")
 	}
 	below := slices.Delete(slices.Clone(half), 5, 6) // drops {0, 6}; {6, 7} keeps item 6
-	ix := BuildIndex(below)
+	ix = indexSets(below)
 	if ix.pairs.pair != nil || ix.pre.k != 2 {
 		t.Errorf("13 of 28 pairs: pair table %v, trie k=%d; want the trie",
 			ix.pairs.pair != nil, ix.pre.k)
@@ -78,7 +69,7 @@ func TestDenseC2Structure(t *testing.T) {
 // made only of them counts nothing, and interleaved ones leave exactly the
 // pairs of the table's items.
 func TestDenseC2IgnoresItemsOutsideTable(t *testing.T) {
-	ix := BuildIndex(allPairs(2, 3, 5))
+	ix := indexSets(allPairs(2, 3, 5))
 	if ix.pairs.pair == nil {
 		t.Fatal("full C_2 built no pair table")
 	}
@@ -102,7 +93,7 @@ func TestDenseC2IgnoresItemsOutsideTable(t *testing.T) {
 // counting the same transactions at once, each with its own Stamps and
 // counts, must each get the sequential count vector. Run under -race.
 func TestDenseC2ConcurrentCount(t *testing.T) {
-	ix := BuildIndex(allPairs(0, 2, 3, 5, 8, 9, 11))
+	ix := indexSets(allPairs(0, 2, 3, 5, 8, 9, 11))
 	rng := rand.New(rand.NewSource(3))
 	var txns [][]item.Item
 	for i := 0; i < 200; i++ {

@@ -3,72 +3,12 @@ package itemset
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"pgarm/internal/item"
 )
-
-// randomLevel builds a random duplicate-free "L_{k-1}": sets of equal length
-// k1 drawn from a small universe so join prefixes collide often.
-func randomLevel(rng *rand.Rand, k1, n, universe int) [][]item.Item {
-	seen := make(map[string]bool)
-	var out [][]item.Item
-	for len(out) < n {
-		s := make([]item.Item, 0, k1)
-		for len(s) < k1 {
-			x := item.Item(rng.Intn(universe))
-			if !item.Contains(s, x) {
-				s = append(s, x)
-			}
-		}
-		item.Sort(s)
-		key := Key(s)
-		if seen[key] {
-			n-- // universe too small to keep trying forever
-			continue
-		}
-		seen[key] = true
-		out = append(out, s)
-	}
-	return out
-}
-
-// TestGenParallelMatchesGen is the bit-identity property the flat-arena
-// generator must keep: for random L_{k-1}, sorted or not, GenFlat produces
-// exactly Gen's output, order included, and never reorders its input.
-func TestGenParallelMatchesGen(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k1 := 1 + rng.Intn(4) // 1..4: includes the empty-prefix case
-		prev := randomLevel(rng, k1, 10+rng.Intn(120), 4+rng.Intn(20))
-		want := Gen(prev)
-		// Production callers hand over a canonically ordered level, which is
-		// read in place; random order takes the copy-and-sort fallback.
-		sorted := append([][]item.Item(nil), prev...)
-		SortSets(sorted)
-		for _, in := range [][][]item.Item{prev, sorted} {
-			before := append([][]item.Item(nil), in...)
-			got := GenFlat(in)
-			if !reflect.DeepEqual(got, want) {
-				t.Logf("seed=%d k1=%d: got %d candidates, want %d", seed, k1, len(got), len(want))
-				return false
-			}
-			if !reflect.DeepEqual(in, before) {
-				t.Logf("seed=%d k1=%d: input reordered", seed, k1)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestProbeSetCollisions is the hash-collision regression test for the
 // open-addressed prune set: sets landing in the same slot chain must stay
@@ -92,7 +32,7 @@ func TestProbeSetCollisions(t *testing.T) {
 	if sets == nil {
 		t.Fatal("no colliding bucket found (hash function changed?)")
 	}
-	tab := BuildTable(sets)
+	tab := NewTable(FromSlices(sets))
 	for i, s := range sets {
 		if got := tab.Lookup(s); got != int32(i) {
 			t.Fatalf("colliding set %v resolved to id %d, want %d", s, got, i)
@@ -102,18 +42,6 @@ func TestProbeSetCollisions(t *testing.T) {
 	for _, s := range byBucket[bucket][4:] {
 		if tab.Lookup(s) != -1 {
 			t.Fatalf("absent colliding set %v reported present", s)
-		}
-	}
-}
-
-// TestGenParallelArenaShape pins the allocation contract: every candidate is
-// a full slice (len == cap) of GenFlat's arena, not a private allocation.
-func TestGenParallelArenaShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	prev := randomLevel(rng, 2, 200, 12)
-	for _, c := range GenFlat(prev) {
-		if cap(c) != len(c) {
-			t.Fatalf("candidate %v: cap %d != len %d (not arena-sliced)", c, cap(c), len(c))
 		}
 	}
 }

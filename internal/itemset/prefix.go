@@ -2,7 +2,6 @@ package itemset
 
 import (
 	"math/bits"
-	"sort"
 
 	"pgarm/internal/item"
 )
@@ -13,9 +12,7 @@ import (
 // level, node j's children are the level-l+1 nodes [start[l][j],
 // start[l][j+1]). Level 0 is reached through the dense directory dir (first
 // item -> level-0 node, -1 when no set starts with it). Leaves are the sets
-// themselves in sorted order, so when the input was strictly ascending —
-// every candidate list the generators emit — a leaf's position is its dense
-// id and ids stays nil; otherwise ids maps leaf position to id.
+// themselves, in the list's ascending order, so a leaf's position is its id.
 //
 // A child's item is held in one of two forms, picked once per layout by
 // size (build). The list form keeps items[l][j], the last item of level-l
@@ -26,11 +23,10 @@ import (
 // child with rank r is the node start[l][j] plus the number of bits the node
 // sets below r.
 type prefixLayout struct {
-	k       int       // common set length; 0 for an empty index, -1 for mixed lengths
+	k       int       // common set length; 0 for an empty index
 	maxItem item.Item // largest item in any set
 	dir     []int32
 	start   [][]int32
-	ids     []int32
 	items   [][]item.Item // list form; items[0] stays nil, dir stands for it
 	rank    rankTable     // bitset form
 	bits    [][]uint64    // bitset form, levels 0..k-2
@@ -78,60 +74,24 @@ func bitsBytes(interior, w, rankWords int) int64 {
 	return 8*int64(interior)*int64(w) + 12*int64(rankWords)
 }
 
-// build lays out sets. Duplicate itemsets collapse into one leaf carrying the
-// lowest id, matching the first-occurrence rule of Table. Under formAuto
-// the bitset form is built iff it holds no more bytes than the child item
-// arrays it replaces.
-func (p *prefixLayout) build(sets [][]item.Item, form layoutForm) {
-	if len(sets) == 0 {
+// build lays out s, whose contract its Index checked — one length,
+// strictly ascending, so a leaf's position is its id — and whose largest
+// item is maxItem. Under formAuto the bitset form is built iff it holds no
+// more bytes than the child item arrays it replaces.
+func (p *prefixLayout) build(s Sets, maxItem item.Item, form layoutForm) {
+	k, n := s.K, s.Len()
+	if n == 0 {
 		return
 	}
-	k := len(sets[0])
-	ascending := true
-	for i, s := range sets {
-		if len(s) != k {
-			p.k = -1
-			return
-		}
-		if i > 0 && item.Compare(sets[i-1], s) >= 0 {
-			ascending = false
-		}
-		if k > 0 && s[k-1] > p.maxItem {
-			p.maxItem = s[k-1]
-		}
-	}
-	p.k = k
-	if k == 0 {
-		return
-	}
-	var order []int32 // sorted position -> id; nil = identity
-	if !ascending {
-		order = make([]int32, len(sets))
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.Slice(order, func(a, b int) bool {
-			if c := item.Compare(sets[order[a]], sets[order[b]]); c != 0 {
-				return c < 0
-			}
-			return order[a] < order[b]
-		})
-	}
-	at := func(pos int) []item.Item {
-		if order != nil {
-			return sets[order[pos]]
-		}
-		return sets[pos]
-	}
-	// fresh returns the first level at which the set at pos opens a new node
-	// (k for a duplicate of its predecessor).
+	p.k, p.maxItem = k, maxItem
+	// fresh returns the first level at which set pos opens a new node.
 	fresh := func(pos int) int {
 		if pos == 0 {
 			return 0
 		}
-		prev, cur := at(pos-1), at(pos)
+		prev, cur := s.At(pos-1), s.At(pos)
 		l := 0
-		for l < k && prev[l] == cur[l] {
+		for prev[l] == cur[l] {
 			l++
 		}
 		return l
@@ -144,12 +104,12 @@ func (p *prefixLayout) build(sets [][]item.Item, form layoutForm) {
 	if k > 1 {
 		has = make([]uint64, int(p.maxItem)>>6+1)
 	}
-	for pos := range sets {
-		s := at(pos)
+	for pos := range n {
+		c := s.At(pos)
 		for l := fresh(pos); l < k; l++ {
 			nodes[l]++
 			if l > 0 {
-				has[s[l]>>6] |= 1 << (s[l] & 63)
+				has[c[l]>>6] |= 1 << (c[l] & 63)
 			}
 		}
 	}
@@ -191,24 +151,18 @@ func (p *prefixLayout) build(sets [][]item.Item, form layoutForm) {
 	for l := range p.start {
 		p.start[l] = make([]int32, 0, nodes[l]+1)
 	}
-	if order != nil {
-		p.ids = make([]int32, 0, nodes[k-1])
-	}
-	p.dir = make([]int32, int(at(len(sets) - 1)[0])+1)
+	p.dir = make([]int32, int(s.At(n - 1)[0])+1)
 	for i := range p.dir {
 		p.dir[i] = -1
 	}
-	p.size += 4 * int64(len(p.dir)+interior+k-1+cap(p.ids)) // dir, start, ids
+	p.size += 4 * int64(len(p.dir)+interior+k-1) // dir, start
 
 	filled := make([]int32, k) // nodes laid out so far, per level
-	for pos := range sets {
-		s := at(pos)
+	for pos := range n {
+		c := s.At(pos)
 		l := fresh(pos)
-		if l == k {
-			continue
-		}
 		if l == 0 {
-			p.dir[s[0]] = filled[0]
+			p.dir[c[0]] = filled[0]
 		}
 		for ; l < k; l++ {
 			if l < k-1 {
@@ -216,16 +170,13 @@ func (p *prefixLayout) build(sets [][]item.Item, form layoutForm) {
 			}
 			if l > 0 {
 				if p.bits != nil {
-					r := p.rank.of(s[l])
+					r := p.rank.of(c[l])
 					p.bits[l-1][int(filled[l-1]-1)*p.w+int(r>>6)] |= 1 << (r & 63)
 				} else {
-					p.items[l] = append(p.items[l], s[l])
+					p.items[l] = append(p.items[l], c[l])
 				}
 			}
 			filled[l]++
-		}
-		if order != nil {
-			p.ids = append(p.ids, order[pos])
 		}
 	}
 	for l := range p.start {
@@ -319,7 +270,7 @@ type countWalk struct {
 //
 // The index is only read, so any number of goroutines may count over it
 // concurrently, each with its own counts and Stamps. It allocates nothing
-// once st has grown. All indexed sets must have one length.
+// once st has grown.
 func (ix *Index) CountContained(txn []item.Item, counts []int64, st *Stamps) int64 {
 	if ix.pairs.pair != nil {
 		var found int64
@@ -328,9 +279,6 @@ func (ix *Index) CountContained(txn []item.Item, counts []int64, st *Stamps) int
 	}
 	p := &ix.pre
 	k := p.k
-	if k < 0 {
-		panic("itemset: CountContained over itemsets of mixed length")
-	}
 	if k == 0 || len(txn) < k {
 		return 0
 	}
@@ -399,13 +347,9 @@ func (w *countWalk) visit(l int, j int32) {
 	}
 }
 
-// bump counts the leaf at sorted position j.
+// bump counts the leaf j, whose position is its id.
 func (w *countWalk) bump(j int32) {
-	id := j
-	if w.p.ids != nil {
-		id = w.p.ids[j]
-	}
-	w.counts[id]++
+	w.counts[j]++
 	w.found++
 }
 

@@ -49,18 +49,19 @@ func randomSets(rng *rand.Rand, numItems, k int) [][]item.Item {
 	return sets
 }
 
-// firstIDs maps every set's Key to the position of its first occurrence:
-// the ids a Table must report and an Index must count under, kept apart
-// from any structure either builds.
-func firstIDs(sets [][]item.Item) map[string]int32 {
+// keyIDs maps every set's Key to its position: the ids a Table must report
+// and an Index must count under, kept apart from any structure either
+// builds.
+func keyIDs(sets [][]item.Item) map[string]int32 {
 	ref := make(map[string]int32, len(sets))
 	for id, s := range sets {
-		if _, ok := ref[Key(s)]; !ok {
-			ref[Key(s)] = int32(id)
-		}
+		ref[Key(s)] = int32(id)
 	}
 	return ref
 }
+
+// indexSets is NewIndex over sorted slices.
+func indexSets(sets [][]item.Item) *Index { return NewIndex(FromSlices(sets)) }
 
 // rankedSets draws a sparse C_k over r+1 of numItems items whose child
 // items (the items after each set's first) are exactly r distinct items, so
@@ -112,9 +113,8 @@ func rankSpace(ix *Index) int {
 // for the whole index and, as NPGM counts its memory fragments, for every
 // fragment of every [lo, hi) split: the fragment's own index counts into
 // got[lo:hi] and must match the [lo, hi) window of the map's ids, whether
-// the sets were sorted or shuffled, whether a C_2 came out dense (pair
-// table) or sparse (prefix layout), and with the prefix layout built in each
-// child form. The bitset form must meet every rank space of rankSpaces.
+// a C_2 came out dense (pair table) or sparse (prefix layout), and with the
+// prefix layout built in each child form. The bitset form must meet every rank space of rankSpaces.
 func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 	// Rank spaces at and across word edges, and one of four words.
 	rankSpaces := []int{63, 64, 65, 128, 200}
@@ -145,11 +145,9 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 		} else {
 			sets = randomSets(rng, numItems, k)
 		}
-		if rng.Intn(2) == 0 {
-			rng.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
-		}
+		all := FromSlices(sets)
 		n := int32(len(sets))
-		ref := firstIDs(sets)
+		ref := keyIDs(sets)
 
 		var txns [][]item.Item
 		for i := 0; i < 40; i++ {
@@ -179,7 +177,7 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 				per := (n + frags - 1) / frags
 				for f := int32(0); f < frags; f++ {
 					lo, hi := min(f*per, n), min(f*per+per, n)
-					frag := buildIndex(sets[lo:hi], form)
+					frag := buildIndex(all.Slice(int(lo), int(hi)), form)
 					if frags == 1 {
 						spaces[rankSpace(frag)] = true
 						if r := rankSpace(frag); ranked > 0 && frag.pairs.pair == nil && form == formBits && r != ranked {
@@ -225,21 +223,6 @@ func TestCountContainedMatchesEnumerateAndProbe(t *testing.T) {
 	}
 }
 
-// A duplicated itemset counts once, under the first occurrence's id — the
-// same winner Table.Lookup reports.
-func TestCountContainedDuplicateKeepsFirstID(t *testing.T) {
-	sets := [][]item.Item{{4, 9}, {1, 2}, {4, 9}, {1, 3}}
-	ix := BuildIndex(sets)
-	counts := make([]int64, len(sets))
-	var stamps Stamps
-	if hits := ix.CountContained([]item.Item{1, 3, 4, 9}, counts, &stamps); hits != 2 {
-		t.Fatalf("hits = %d, want 2", hits)
-	}
-	if want := []int64{1, 0, 0, 1}; !slices.Equal(counts, want) {
-		t.Errorf("counts = %v, want %v", counts, want)
-	}
-}
-
 func TestChoose(t *testing.T) {
 	for n := 0; n <= 12; n++ {
 		txn := make([]item.Item, n)
@@ -259,7 +242,7 @@ func TestChoose(t *testing.T) {
 // transaction. {3, 9} keeps the C_2 below half full, so it counts through
 // the prefix layout, here in the list form, the path that stamps.
 func TestStampsRestart(t *testing.T) {
-	ix := buildIndex([][]item.Item{{1, 2}, {1, 7}, {2, 7}, {3, 9}}, formList)
+	ix := buildIndex(FromSlices([][]item.Item{{1, 2}, {1, 7}, {2, 7}, {3, 9}}), formList)
 	if ix.pairs.pair != nil || ix.pre.bits != nil {
 		t.Fatal("sparse C_2 did not build the list form")
 	}
@@ -280,7 +263,7 @@ func TestStampsRestart(t *testing.T) {
 func TestBitsetConcurrentCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sets := rankedSets(rng, 200, 3, 150)
-	ix := buildIndex(sets, formBits)
+	ix := buildIndex(FromSlices(sets), formBits)
 	if ix.pre.bits == nil || ix.pre.w != 3 {
 		t.Fatalf("bitset form not built over 3 words (w = %d)", ix.pre.w)
 	}
@@ -340,17 +323,17 @@ func TestLayoutFormAndBytes(t *testing.T) {
 		bytes int64
 	}{
 		// dir 4 + start 8 + items 4·4; bitsets would take 8 + 12 = 20 > 16.
-		{"star of 4", BuildIndex(star(4)), false, 4 + 8 + 16},
+		{"star of 4", indexSets(star(4)), false, 4 + 8 + 16},
 		// dir 4 + start 8 + 8 (one word) + 12 (rank table) = 20 ≤ 5·4.
-		{"star of 5", BuildIndex(star(5)), true, 4 + 8 + 20},
+		{"star of 5", indexSets(star(5)), true, 4 + 8 + 20},
 		// dir 12 + start 12 + 16 + items (3 + 4)·4.
-		{"triples", BuildIndex(triples), false, 12 + 12 + 16 + 28},
+		{"triples", indexSets(triples), false, 12 + 12 + 16 + 28},
 		// dir 12 + start 12 + 16 + 5 interior nodes · 8 + rank table 12.
-		{"triples, bitset form", buildIndex(triples, formBits), true, 12 + 12 + 16 + 52},
+		{"triples, bitset form", buildIndex(FromSlices(triples), formBits), true, 12 + 12 + 16 + 52},
 		// slot 4·4 + pair 3·4.
-		{"dense C_2", BuildIndex(allPairs(0, 2, 3)), false, 16 + 12},
+		{"dense C_2", indexSets(allPairs(0, 2, 3)), false, 16 + 12},
 		// Nothing to count.
-		{"empty", BuildIndex(nil), false, 0},
+		{"empty", NewIndex(Sets{}), false, 0},
 	} {
 		if got := c.ix.pre.bits != nil; got != c.bits {
 			t.Errorf("%s: bitset form %v, want %v", c.name, got, c.bits)

@@ -6,6 +6,10 @@ import (
 	"pgarm/internal/item"
 )
 
+// This file keeps the slice-per-candidate generators the arena path
+// replaced, as test references: Gen is the map-keyed apriori-gen GenFlat
+// must match, Pairs the unfiltered C_2.
+
 // SortSets orders a slice of canonical itemsets lexicographically — the
 // precondition for the join step of Gen.
 func SortSets(sets [][]item.Item) {

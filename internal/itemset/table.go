@@ -9,9 +9,8 @@ import (
 
 // Table answers point lookups over a fixed list of canonical itemsets: which
 // id, if any, is this itemset? HPGM's receiver asks it of every shipped unit
-// (CountUnits), PGD/FGD duplicate selection of every ancestor candidate,
-// candidate generation's prune of every (k-1)-subset and the incremental
-// miner of every candidate it may seed from the prior border. Support
+// (CountUnits), PGD/FGD duplicate selection of every ancestor candidate and
+// candidate generation's prune of every (k-1)-subset. Support
 // counting asks a different question — which candidates does this
 // transaction contain? — and Index answers that one.
 //
@@ -19,7 +18,7 @@ import (
 // keeps the sets it keys, by dense id, so a probe hashes the query in place
 // and compares against stored items without building a map key, and a
 // lookup performs zero heap allocations. It is sized once and never grows,
-// and it is only read after BuildTable, so one Table may be shared by every
+// and it is only read after NewTable, so one Table may be shared by every
 // goroutine of a node.
 //
 // A slot packs two fields into 32 bits: the low idBits hold the id + 1 (0
@@ -28,41 +27,37 @@ import (
 // the tags match, so a miss — most of HPGM's probes — seldom reads a stored
 // itemset.
 type Table struct {
-	sets   [][]item.Item
+	sets   Sets
 	slots  []uint32
 	mask   uint64 // len(slots) - 1: a hash's home slot is h & mask
 	idMask uint32 // the id field: 1<<idBits - 1
 }
 
-// BuildTable keys the canonical itemsets by their positions in sets. The
-// slot array is a power of two, ≥ 2n, so at most half the slots ever fill
-// and every probe sequence ends at an empty one; the id field is sized for
-// ids up to len(sets). Each set walks its probe sequence once to the first
-// empty slot. Candidate lists are duplicate-free by construction; if a
-// caller passes duplicates anyway, the walk stops at the earlier copy and
-// the first occurrence keeps the id. The slices are retained, not copied.
-func BuildTable(sets [][]item.Item) *Table {
+// NewTable keys the candidate list s by position, after checking its
+// contract (a violation panics). The slot array is a power of two, ≥ 2n, so
+// at most half the slots ever fill and every probe sequence ends at an empty
+// one; the id field is sized for ids up to s.Len(). Each set walks its probe
+// sequence once to the first empty slot. The arena is retained, not copied.
+func NewTable(s Sets) *Table {
+	s.check()
+	n := s.Len()
 	size := 16
-	for size < 2*len(sets) {
+	for size < 2*n {
 		size <<= 1
 	}
 	t := &Table{
-		sets:   sets,
+		sets:   s,
 		slots:  make([]uint32, size),
 		mask:   uint64(size - 1),
-		idMask: 1<<bits.Len32(uint32(len(sets))) - 1,
+		idMask: 1<<bits.Len32(uint32(n)) - 1,
 	}
-next:
-	for i, items := range sets {
-		h := flatHash(items)
-		tag := t.tag(h)
-		s := h & t.mask
-		for ; t.slots[s] != 0; s = (s + 1) & t.mask {
-			if v := t.slots[s]; v&^t.idMask == tag && item.Equal(sets[v&t.idMask-1], items) {
-				continue next
-			}
+	for i := range n {
+		h := flatHash(s.At(i))
+		sl := h & t.mask
+		for t.slots[sl] != 0 {
+			sl = (sl + 1) & t.mask
 		}
-		t.slots[s] = tag | uint32(i+1)
+		t.slots[sl] = t.tag(h) | uint32(i+1)
 	}
 	return t
 }
@@ -80,7 +75,7 @@ func (t *Table) find(items []item.Item, h uint64) int32 {
 			return -1
 		}
 		if v&^t.idMask == tag {
-			if id := int32(v&t.idMask) - 1; item.Equal(t.sets[id], items) {
+			if id := int32(v&t.idMask) - 1; item.Equal(t.sets.At(int(id)), items) {
 				return id
 			}
 		}

@@ -22,7 +22,7 @@ func unitTables() [2]*Table {
 			triples = append(triples, s)
 		}
 	}
-	return [2]*Table{BuildTable(pairs[:len(pairs)-3]), BuildTable(triples)}
+	return [2]*Table{NewTable(FromSlices(pairs[:len(pairs)-3])), NewTable(FromSlices(triples))}
 }
 
 // refCountUnits is the receiver CountUnits replaces: the batch decoded unit
@@ -47,7 +47,7 @@ func refCountUnits(tab *Table, b []byte, counts []int64) (units, items, hits int
 // and fails unless both count the same units, items, hits and per-id counts
 // and fail with the same error.
 func checkCountUnits(t *testing.T, tab *Table, b []byte, unit *[]item.Item) {
-	got, want := make([]int64, len(tab.sets)), make([]int64, len(tab.sets))
+	got, want := make([]int64, tab.sets.Len()), make([]int64, tab.sets.Len())
 	u, n, h, err := tab.CountUnits(b, got, unit)
 	ru, rn, rh, rerr := refCountUnits(tab, b, want)
 	if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
@@ -87,7 +87,7 @@ func TestCountUnitsMatchesLookup(t *testing.T) {
 			txn = item.Dedup(append(txn, item.Item(rng.Intn(1<<(7*(1+rng.Intn(3)))-1)+1)))
 		}
 		for _, tab := range tabs {
-			first := tab.sets[0]
+			first := tab.sets.At(0)
 			b := unitBatch(wire.AppendItems(nil, first), txn, len(first))
 			checkCountUnits(t, tab, b, &unit)
 			checkCountUnits(t, tab, b[:rng.Intn(len(b))], &unit)

@@ -146,30 +146,27 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		return res, state, stats, nil
 	}
 
-	prev := make([][]item.Item, len(l1))
-	for i, c := range l1 {
-		prev[i] = c.Items
-	}
+	prev := l1
 	for k := 2; cfg.MaxK == 0 || k <= cfg.MaxK; k++ {
 		cands := cumulate.GenerateCandidates(tax, prev, k)
-		if len(cands) == 0 {
+		if cands.Len() == 0 {
 			break
 		}
 		stats.Passes++
-		stats.Candidates += len(cands)
+		stats.Candidates += cands.Len()
 		candCounts, ub := seed(prior, cands, k)
 
 		// count scans src for sets, adding set i's support to
 		// candCounts[ids[i]] (candCounts[i] when ids is nil).
 		var scanned metrics.NodeStats // both scans' counters
-		count := func(sets [][]item.Item, ids []int, src txn.Scanner) error {
-			member := cumulate.KeepSet(tax, sets)
-			wcounts := driver.WorkerVectors(W, len(sets))
-			err := driver.CountTable(taxonomy.NewView(tax, nil, member), member, itemset.BuildIndex(sets), k, src, wcounts,
+		count := func(sets itemset.Sets, ids []int32, src txn.Scanner) error {
+			member := cumulate.Keep(tax, sets)
+			wcounts := driver.WorkerVectors(W, sets.Len())
+			err := driver.CountTable(taxonomy.NewView(tax, nil, member), member, itemset.NewIndex(sets), k, src, wcounts,
 				driver.CountOptions{Workers: W, Stats: &scanned})
 			for i, c := range driver.MergeWorkerVectors(wcounts) {
 				if ids != nil {
-					i = ids[i]
+					i = int(ids[i])
 				}
 				candCounts[i] += c
 			}
@@ -187,8 +184,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		// new bound; the rest of the candidates absent from the border are
 		// rescanned. An empty prefix holds nothing to rescan, so every count
 		// is already exact there.
-		var rescan [][]item.Item
-		var rescanIDs []int
+		var rescanIDs []int32
 		for id, u := range ub {
 			switch {
 			case u == exact:
@@ -197,14 +193,13 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 				stats.Pruned++
 			default:
 				ub[id] = exact
-				rescan = append(rescan, cands[id])
-				rescanIDs = append(rescanIDs, id)
+				rescanIDs = append(rescanIDs, int32(id))
 			}
 		}
-		stats.Recounted += len(rescan)
-		if len(rescan) > 0 && prefixN > 0 {
+		stats.Recounted += len(rescanIDs)
+		if len(rescanIDs) > 0 && prefixN > 0 {
 			stats.PrefixScans++
-			if err := count(rescan, rescanIDs, prefix); err != nil {
+			if err := count(cands.Subset(rescanIDs), rescanIDs, prefix); err != nil {
 				return nil, nil, nil, fmt.Errorf("stream: pass %d prefix scan: %w", k, err)
 			}
 		}
@@ -215,10 +210,11 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 		// and every pruned one with its bound. Both levels are stored even
 		// when L_k comes out empty: those "not large yet" counts and bounds
 		// are exactly what makes a later promotion or pruning cheap.
-		level := make([]itemset.Counted, 0, len(cands))
+		level := make([]itemset.Counted, 0, cands.Len())
 		bounds := make([]itemset.Counted, 0)
 		var lk []itemset.Counted
-		for id, c := range cands {
+		for id := range cands.Len() {
+			c := cands.At(id)
 			if ub[id] != exact {
 				bounds = append(bounds, itemset.Counted{Items: c, Count: ub[id]})
 				continue
@@ -237,10 +233,7 @@ func IncrementalMine(tax *taxonomy.Taxonomy, prior *model.MiningState, prefix tx
 			break
 		}
 		res.Large = append(res.Large, lk)
-		prev = prev[:0]
-		for _, c := range lk {
-			prev = append(prev, c.Items)
-		}
+		prev = lk
 	}
 	return res, state, stats, nil
 }
@@ -262,16 +255,17 @@ const (
 // border level k-1 (binary search) — noBound when it holds none of them.
 // Closure support is anti-monotone, so each is an upper bound; none depends
 // on the minimum support or MaxK the prior checkpoint ran with.
-func seed(prior *model.MiningState, cands [][]item.Item, k int) (counts, ub []int64) {
-	counts = make([]int64, len(cands))
-	ub = make([]int64, len(cands))
+func seed(prior *model.MiningState, cands itemset.Sets, k int) (counts, ub []int64) {
+	counts = make([]int64, cands.Len())
+	ub = make([]int64, cands.Len())
 	var border, bounds, subs []itemset.Counted
 	if prior != nil {
 		border, bounds, subs = levelOf(prior.Levels, k), levelOf(prior.Bounds, k), levelOf(prior.Levels, k-1)
 	}
 	sub := make([]item.Item, 0, k-1)
 	b, n := 0, 0
-	for id, c := range cands {
+	for id := range cands.Len() {
+		c := cands.At(id)
 		for b < len(border) && item.Compare(border[b].Items, c) < 0 {
 			b++
 		}

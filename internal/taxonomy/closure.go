@@ -51,14 +51,12 @@ func KeepClosure(t *Taxonomy, keep []bool) *Closure {
 	return numberSlots(t, slot)
 }
 
-// SetsClosure is KeepClosure over the items that appear in some set of sets
-// (a pass's candidates), built without an intermediate flag vector.
-func SetsClosure(t *Taxonomy, sets [][]item.Item) *Closure {
+// SetsClosure is KeepClosure over the items of a pass's candidates — the
+// arena of an itemset.Sets — built without an intermediate flag vector.
+func SetsClosure(t *Taxonomy, items []item.Item) *Closure {
 	slot := make([]int32, t.NumItems())
-	for _, s := range sets {
-		for _, x := range s {
-			slot[x] = 1
-		}
+	for _, x := range items {
+		slot[x] = 1
 	}
 	return numberSlots(t, slot)
 }

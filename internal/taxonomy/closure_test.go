@@ -104,19 +104,19 @@ func TestClosureExtendMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSetsClosureIsKeepClosure: the closure built from candidate sets is
-// the one built from the flags of their items.
+// TestSetsClosureIsKeepClosure: the closure built from a candidate arena is
+// the one built from the flags of its items.
 func TestSetsClosureIsKeepClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tax := randomForest(rng, 200)
 	keep := make([]bool, tax.NumItems())
-	var sets [][]item.Item
+	var arena []item.Item
 	for i := 0; i < 30; i++ {
-		s := []item.Item{item.Item(rng.Intn(200)), item.Item(rng.Intn(200))}
-		keep[s[0]], keep[s[1]] = true, true
-		sets = append(sets, s)
+		x, y := item.Item(rng.Intn(200)), item.Item(rng.Intn(200))
+		keep[x], keep[y] = true, true
+		arena = append(arena, x, y)
 	}
-	if got, want := SetsClosure(tax, sets), KeepClosure(tax, keep); !reflect.DeepEqual(got, want) {
+	if got, want := SetsClosure(tax, arena), KeepClosure(tax, keep); !reflect.DeepEqual(got, want) {
 		t.Errorf("SetsClosure = %+v, want %+v", got, want)
 	}
 }
